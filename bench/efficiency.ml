@@ -129,13 +129,15 @@ let decode_memo ~sled () =
   in
   let entries = Sanids_ir.Trace.entry_points code in
   let templates = Sanids_semantic.Template_lib.default_set in
-  (* per-stage (trace recovery only): every entry re-walks the sled *)
+  (* per-stage (trace recovery only): every entry re-walks the sled; both
+     rows share one walk scratch per pass, so only decoding differs *)
   let reps = 20 in
   let _, tb_direct =
     Bench_util.time (fun () ->
         for _ = 1 to reps do
+          let scratch = Sanids_ir.Icache.create code in
           List.iter
-            (fun e -> ignore (Sanids_ir.Trace.build code ~entry:e))
+            (fun e -> ignore (Sanids_ir.Trace.build ~scratch code ~entry:e))
             entries
         done)
   in

@@ -21,6 +21,23 @@ let tests () =
   let crii_s = Slice.of_string crii in
   let benign_s = Slice.of_string benign in
   let templates = Template_lib.default_set in
+  (* the cold-path scan kernel: a benign binary upload's first raw frame
+     (every template survives the prefilter, nothing matches) and a decoy
+     decoder (matched, so the search runs to a hit) *)
+  let benign_frame =
+    let binary = { Sanids_workload.Benign_gen.http = 0.0; smtp = 0.0; dns = 0.0; binary = 1.0 } in
+    match
+      Sanids_extract.Extractor.extract
+        (Slice.of_string (Sanids_workload.Benign_gen.payload ~mix:binary rng))
+    with
+    | f :: _ -> f.Sanids_extract.Extractor.data
+    | [] -> failwith "micro: benign binary payload produced no frame"
+  in
+  let decoy =
+    Slice.of_string
+      (Sanids_workload.Adversarial.payload ~kind:Sanids_workload.Adversarial.Decoy_decoder
+         ~size:2048 rng)
+  in
   let nids =
     Sanids_nids.Pipeline.create
       (Sanids_nids.Config.default |> Sanids_nids.Config.with_classification false)
@@ -42,6 +59,9 @@ let tests () =
       mk "stage/disassemble-4KB" (fun () -> Sanids_x86.Decode.all poly);
       mk "stage/extract-codered" (fun () -> Sanids_extract.Extractor.extract crii_s);
       mk "stage/suspicious-gate" (fun () -> Sanids_extract.Extractor.suspicious benign_s);
+      mk "stage/scan-benign-binary" (fun () ->
+          Matcher.scan_report_slice ~templates benign_frame);
+      mk "stage/scan-decoy" (fun () -> Matcher.scan_report_slice ~templates decoy);
       mk "stage/aho-corasick" (fun () -> Sanids_baseline.Signatures.scan poly);
     ]
 

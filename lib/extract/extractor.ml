@@ -57,18 +57,99 @@ let binary_regions ~min_len ~gap_merge s =
   in
   List.rev (List.filter (fun (_, l) -> l >= min_len) merged)
 
-(* The repetition scanners honour the frame-size ceiling: structure past
+let is_hex c =
+  match c with '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+
+(* The suspicion gate runs on every payload, so it is one left-to-right
+   pass that decides the disjunction of the five list scanners below
+   ([Unicode.unicode_runs], [Repetition.runs], [Repetition.sled_like],
+   [Repetition.ret_address_runs], [binary_regions]) without building
+   any of their lists, and stops at the first indicator.  Each scanner
+   is an existential over positions, so per-position state suffices:
+
+   - %u runs: escapes cannot overlap, so an escape continues a run iff
+     the previous one sat exactly six bytes earlier;
+   - filler runs and sleds: the length of the run ending here;
+   - return-address runs: a base (upper 24 bits) at [i] with no three
+     equal bytes, repeated by the next dwords — a run found anywhere is
+     one the list scanner finds, since it only skips past found runs;
+   - binary regions: merged regions only grow, so the region ending
+     here is reportable as soon as it spans [min_binary_region].
+
+   The repetition scanners honour the frame-size ceiling: structure past
    it could never become (part of) a frame, so an adversarially long
-   reassembled stream costs O(max_frame_bytes), not O(stream). *)
+   reassembled stream costs O(max_frame_bytes), not O(stream).  Bytes
+   are read from the view's backing string directly: [Slice] accessors
+   are never inlined across the library boundary. *)
 let suspicious ?(config = default_config) payload =
-  let max_scan = config.max_frame_bytes in
-  Unicode.unicode_runs ~min_run:config.min_unicode_run ~max_decoded:0 payload <> []
-  || Repetition.runs ~min_len:config.min_repeat ~max_scan payload <> []
-  || Repetition.sled_like ~max_scan payload <> []
-  || Repetition.ret_address_runs ~max_scan payload <> []
-  || binary_regions ~min_len:config.min_binary_region ~gap_merge:config.gap_merge
-       payload
-     <> []
+  let s = Slice.base payload and base = Slice.offset payload in
+  let n = Slice.length payload in
+  let window = min n config.max_frame_bytes in
+  let min_run = config.min_unicode_run and min_repeat = config.min_repeat in
+  let min_region = config.min_binary_region and gap_merge = config.gap_merge in
+  let sled_min = Repetition.default_sled_len in
+  let ret_min = Repetition.default_ret_count in
+  (* [ret_min] dwords from [i] on agree on their upper 24 bits, which
+     are not one repeated byte *)
+  let ret_run_at i =
+    let b1 = String.unsafe_get s (base + i + 1)
+    and b2 = String.unsafe_get s (base + i + 2)
+    and b3 = String.unsafe_get s (base + i + 3) in
+    (b1 <> b2 || b2 <> b3)
+    &&
+    let k = ref 1 and agree = ref true in
+    while !agree && !k < ret_min do
+      let j = i + (4 * !k) in
+      if
+        j + 4 <= window
+        && String.unsafe_get s (base + j + 1) = b1
+        && String.unsafe_get s (base + j + 2) = b2
+        && String.unsafe_get s (base + j + 3) = b3
+      then incr k
+      else agree := false
+    done;
+    !agree
+  in
+  let u_escape_at i =
+    i + 6 <= n
+    && (let u = String.unsafe_get s (base + i + 1) in
+        u = 'u' || u = 'U')
+    && is_hex (String.unsafe_get s (base + i + 2))
+    && is_hex (String.unsafe_get s (base + i + 3))
+    && is_hex (String.unsafe_get s (base + i + 4))
+    && is_hex (String.unsafe_get s (base + i + 5))
+  in
+  let found = ref false in
+  let rep = ref 0 and sled = ref 0 in
+  (* escapes in the current %u run, and where the next one must start *)
+  let u_count = ref 0 and u_next = ref (-1) in
+  (* current merged binary region [bin_start, bin_end); none while
+     [bin_end < 0] *)
+  let bin_start = ref 0 and bin_end = ref (-1) in
+  let i = ref 0 in
+  while (not !found) && !i < n do
+    let i' = !i in
+    let c = String.unsafe_get s (base + i') in
+    if i' < window then begin
+      if i' > 0 && c = String.unsafe_get s (base + i' - 1) then incr rep else rep := 1;
+      if Repetition.nop_like c then incr sled else sled := 0;
+      if !rep >= min_repeat || !sled >= sled_min || (i' + 4 <= window && ret_run_at i')
+      then found := true
+    end;
+    if c = '%' && u_escape_at i' then begin
+      if i' = !u_next then incr u_count else u_count := 1;
+      u_next := i' + 6;
+      if !u_count >= min_run then found := true
+    end
+    else if not (is_text c) then begin
+      if !bin_end < 0 || (i' > !bin_end && i' - !bin_end > gap_merge) then
+        bin_start := i';
+      bin_end := i' + 1;
+      if !bin_end - !bin_start >= min_region then found := true
+    end;
+    incr i
+  done;
+  !found
 
 module Obs = Sanids_obs
 

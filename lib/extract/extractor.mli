@@ -38,7 +38,19 @@ val default_config : config
 
 val suspicious : ?config:config -> Slice.t -> bool
 (** Cheap pre-filter: does the payload show any overflow indicator
-    (escape runs, long filler runs, NOP-like sleds, binary regions)? *)
+    (escape runs, long filler runs, NOP-like sleds, return-address
+    runs, binary regions)?  One allocation-free pass with early exit;
+    equal to the disjunction of the list scanners ({!Unicode.unicode_runs}
+    with [min_unicode_run], {!Repetition.runs} with [min_repeat],
+    {!Repetition.sled_like}, {!Repetition.ret_address_runs} — the last
+    three windowed to [max_frame_bytes] — and {!binary_regions}) being
+    non-empty. *)
+
+val binary_regions : min_len:int -> gap_merge:int -> Slice.t -> (int * int) list
+(** Maximal regions of non-text bytes (anything but printable ASCII,
+    tab, LF, CR), neighbours at most [gap_merge] bytes apart merged,
+    kept when at least [min_len] long: [(offset, length)] pairs in
+    payload order.  Raw frames are cut around these. *)
 
 val extract :
   ?budget:Budget.t ->

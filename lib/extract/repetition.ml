@@ -42,7 +42,9 @@ let nop_like c =
       true
   | _ -> false
 
-let sled_like ?(min_len = 16) ?(max_scan = max_int) s =
+let default_sled_len = 16
+
+let sled_like ?(min_len = default_sled_len) ?(max_scan = max_int) s =
   let n = min (Slice.length s) max_scan in
   let out = ref [] in
   let i = ref 0 in
@@ -78,7 +80,9 @@ let address_like base =
   let b k = Int32.to_int (Int32.shift_right_logical base (8 * k)) land 0xFF in
   not (b 1 = b 2 && b 2 = b 3)
 
-let ret_address_runs ?(min_count = 4) ?(max_scan = max_int) s =
+let default_ret_count = 4
+
+let ret_address_runs ?(min_count = default_ret_count) ?(max_scan = max_int) s =
   let n = min (Slice.length s) max_scan in
   let out = ref [] in
   let i = ref 0 in

@@ -11,6 +11,13 @@ val runs : ?min_len:int -> ?max_scan:int -> Slice.t -> run list
 
 val longest : Slice.t -> run option
 
+val nop_like : char -> bool
+(** Membership in the single-byte NOP-equivalence class {!sled_like}
+    runs are drawn from. *)
+
+val default_sled_len : int
+(** [16], {!sled_like}'s default [min_len]. *)
+
 val sled_like : ?min_len:int -> ?max_scan:int -> Slice.t -> run list
 (** Runs of bytes drawn from the single-byte NOP-equivalence class (nop,
     inc/dec/push/pop reg, cld, ...) of length at least [min_len]
@@ -20,6 +27,9 @@ val sled_like : ?min_len:int -> ?max_scan:int -> Slice.t -> run list
 type ret_run = { off : int; base : int32; count : int }
 (** [count] consecutive little-endian dwords agreeing on their upper 24
     bits [base] (the LSB may vary). *)
+
+val default_ret_count : int
+(** [4], {!ret_address_runs}'s default [min_count]. *)
 
 val ret_address_runs : ?min_count:int -> ?max_scan:int -> Slice.t -> ret_run list
 (** The paper's §4.2 observation: a buffer-overflow's return-address

@@ -23,7 +23,9 @@ let unicode_runs ?(min_run = 4) ?(max_decoded = max_int) s =
   let runs = ref [] in
   let i = ref 0 in
   while !i < n do
-    match decode_u_escape s !i with
+    (* only a '%' can open an escape; testing it first keeps the
+       allocating [decode_u_escape] off every other byte *)
+    match if Slice.unsafe_get s !i = '%' then decode_u_escape s !i else None with
     | None -> incr i
     | Some (v0, next0) ->
         let buf = Buffer.create 32 in

@@ -9,29 +9,32 @@ type step = {
 type t = step array
 
 (* The walker is shared by the direct and the memoized builders; [decode]
-   abstracts where (insn, len, sems) comes from.  When a [budget] is
+   abstracts where (insn, len, sems) comes from, and [scratch] supplies
+   the walk-stamped visited set (no per-trace table).  When a [budget] is
    supplied, each step takes one instruction of fuel first: a jmp-chain
    maze can spend at most the packet's fuel across every trace built for
    it, no matter how many entries are enumerated. *)
-let walk ?budget ~max_len ~region_len ~decode ~entry () =
-  let n = region_len in
+let walk ?budget ~max_len ~scratch ~decode ~entry () =
+  let n = String.length (Icache.code scratch) in
   let granted () =
     match budget with None -> true | Some b -> Budget.take_insns b 1
   in
   if entry < 0 || entry >= n then [||]
   else begin
-    let visited = Hashtbl.create 64 in
+    Icache.start_walk scratch;
     let acc = ref [] in
     let count = ref 0 in
     let state = ref Constprop.initial in
     let off = ref entry in
     let continue = ref true in
     while !continue && !count < max_len && !off >= 0 && !off < n
-          && not (Hashtbl.mem visited !off) && granted () do
-      Hashtbl.add visited !off ();
+          && not (Icache.visited scratch !off) && granted () do
       match decode !off with
       | None -> continue := false
       | Some (e : Icache.entry) ->
+          (* an undecodable offset ends the walk, so only decoded steps
+             need marking *)
+          Icache.visit scratch !off !count;
           let insn = e.Icache.insn in
           let sems = e.Icache.sems in
           acc := { off = !off; len = e.Icache.len; insn; sems; state = !state } :: !acc;
@@ -61,7 +64,7 @@ let walk ?budget ~max_len ~region_len ~decode ~entry () =
     Array.of_list (List.rev !acc)
   end
 
-let build ?budget ?(max_len = 1024) code ~entry =
+let build ?budget ?(max_len = 1024) ?scratch code ~entry =
   let decode off =
     match Decode.at code off with
     | None -> None
@@ -73,12 +76,18 @@ let build ?budget ?(max_len = 1024) code ~entry =
             sems = Array.of_list (Sem.lift d.Decode.insn);
           }
   in
-  walk ?budget ~max_len ~region_len:(String.length code) ~decode ~entry ()
+  let scratch =
+    match scratch with
+    | None -> Icache.create code
+    | Some c ->
+        if not (String.equal (Icache.code c) code) then
+          invalid_arg "Trace.build: scratch is over a different region";
+        c
+  in
+  walk ?budget ~max_len ~scratch ~decode ~entry ()
 
 let build_cached ?budget ?(max_len = 1024) cache ~entry =
-  walk ?budget ~max_len
-    ~region_len:(String.length (Icache.code cache))
-    ~decode:(Icache.decode cache) ~entry ()
+  walk ?budget ~max_len ~scratch:cache ~decode:(Icache.decode cache) ~entry ()
 
 let entry_points ?(limit = 256) code =
   let n = String.length code in

@@ -18,18 +18,25 @@ type step = {
 
 type t = step array
 
-val build : ?budget:Budget.t -> ?max_len:int -> string -> entry:int -> t
+val build :
+  ?budget:Budget.t -> ?max_len:int -> ?scratch:Icache.t -> string -> entry:int -> t
 (** Trace of at most [max_len] (default 1024) instructions starting at
     byte offset [entry].  Empty when [entry] is out of range.  When
     [budget] is given, every step first takes one instruction of fuel:
     the walk stops early (and the budget records [Truncated
-    Instructions]) once the per-packet decode allowance is gone. *)
+    Instructions]) once the per-packet decode allowance is gone.
+    [scratch], an {!Icache.t} over the same [code], lends its walk
+    scratch (visited set, {!Icache.step_index}) so repeated builds
+    allocate no per-trace table; its decode memo is not consulted.
+    @raise Invalid_argument if [scratch] is over a different region. *)
 
 val build_cached : ?budget:Budget.t -> ?max_len:int -> Icache.t -> entry:int -> t
 (** Same walk as {!build} over the cache's region, but each byte offset
     is decoded and lifted at most once per {!Icache.t} — traces from
     different entries share the per-offset work.  Produces exactly the
-    trace [build (Icache.code cache) ~entry] would. *)
+    trace [build (Icache.code cache) ~entry] would.  Afterwards
+    {!Icache.step_index} answers offset-to-step lookups for this trace,
+    until the next walk over the same cache. *)
 
 val entry_points : ?limit:int -> string -> int list
 (** Candidate entry offsets for a code region, most promising first:

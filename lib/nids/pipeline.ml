@@ -322,13 +322,15 @@ let analyze_frames t payload =
   else begin
     Obs.Registry.incr t.m.prefilter_hits;
     let budget = Option.map Budget.start t.cfg.Config.analysis_budget in
-    let all_names = distinct_names t.cfg.Config.templates in
-    let templates, excluded =
+    (* template names are only needed to drive the breaker *)
+    let all_names, templates, excluded =
       match t.breaker with
-      | None -> (t.cfg.Config.templates, [])
+      | None -> ([], t.cfg.Config.templates, [])
       | Some br ->
+          let all_names = distinct_names t.cfg.Config.templates in
           let excluded = List.filter (fun n -> not (Breaker.admit br n)) all_names in
-          ( List.filter
+          ( all_names,
+            List.filter
               (fun (tp : Template.t) ->
                 not (List.mem tp.Template.name excluded))
               t.cfg.Config.templates,

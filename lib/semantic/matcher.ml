@@ -55,27 +55,28 @@ let src_value state (w : Insn.size) (v : Sem.value) =
       | Some b -> Some (Int32.of_int b)
       | None -> None)
 
-let rop_mem_equal (a : Sem.rop) (b : Sem.rop) = a = b
-
-let consts_of_insn (i : Insn.t) : int32 list =
-  let of_op (o : Insn.operand) =
+(* Does the instruction carry [c] as an immediate or a displacement?
+   Answered in place: this runs on every start position of templates
+   opening with a code constant, so it must not build a list. *)
+let insn_has_const c (i : Insn.t) =
+  let op (o : Insn.operand) =
     match o with
-    | Insn.Imm v -> [ v ]
-    | Insn.Mem m -> [ m.Insn.disp ]
-    | Insn.Reg _ | Insn.Reg8 _ -> []
+    | Insn.Imm v -> Int32.equal v c
+    | Insn.Mem m -> Int32.equal m.Insn.disp c
+    | Insn.Reg _ | Insn.Reg8 _ -> false
   in
   match i with
   | Insn.Mov (_, a, b) | Insn.Arith (_, _, a, b) | Insn.Test (_, a, b) ->
-      of_op a @ of_op b
+      op a || op b
   | Insn.Not (_, o) | Insn.Neg (_, o) | Insn.Inc (_, o) | Insn.Dec (_, o)
   | Insn.Shift (_, _, o, _) ->
-      of_op o
-  | Insn.Lea (_, m) -> [ m.Insn.disp ]
-  | Insn.Push_imm v -> [ v ]
+      op o
+  | Insn.Lea (_, m) -> Int32.equal m.Insn.disp c
+  | Insn.Push_imm v -> Int32.equal v c
   | Insn.Movzx (_, o) | Insn.Movsx (_, o) | Insn.Mul (_, o) | Insn.Imul (_, o)
   | Insn.Div (_, o) | Insn.Idiv (_, o) | Insn.Imul2 (_, o) ->
-      of_op o
-  | Insn.Imul3 (_, o, v) -> v :: of_op o
+      op o
+  | Insn.Imul3 (_, o, v) -> Int32.equal v c || op o
   | Insn.Xchg _ | Insn.Push_reg _ | Insn.Pop_reg _ | Insn.Pushad | Insn.Popad
   | Insn.Pushfd | Insn.Popfd | Insn.Jmp_rel _ | Insn.Jcc_rel _ | Insn.Call_rel _
   | Insn.Loop _ | Insn.Loope _ | Insn.Loopne _ | Insn.Jecxz _ | Insn.Ret
@@ -84,11 +85,8 @@ let consts_of_insn (i : Insn.t) : int32 list =
   | Insn.Cmpsb | Insn.Cdq | Insn.Cwde | Insn.Clc | Insn.Stc | Insn.Cmc
   | Insn.Sahf | Insn.Lahf | Insn.Fwait | Insn.Rep_movsb | Insn.Rep_movsd
   | Insn.Rep_stosb | Insn.Rep_stosd | Insn.Bad _ ->
-      []
+      false
 
-(* Match one template step against one semantic operation.  [first] is
-   [(trace_index, offset)] of the first matched step, and [index_of_off]
-   maps byte offsets to trace indices (for back-edge validation). *)
 (* Decoder loops address their working cell at (or very near) the walked
    pointer; big fixed displacements are the signature of accidental
    matches in random bytes. *)
@@ -138,7 +136,20 @@ let body_memory_disciplined (trace : Trace.t) env ~from_idx ~to_idx =
   done;
   !ok
 
-let match_pstep ~trace ~pos ~index_of_off ~post ~insn_continuation
+(* The abstract state after step [pos]: the next step's entry state, or
+   folded on demand at the end of the trace.  Only in-place stack
+   constants read it, so it is never computed eagerly. *)
+let post_state (trace : Trace.t) pos =
+  if pos + 1 < Array.length trace then trace.(pos + 1).Trace.state
+  else
+    let st = trace.(pos) in
+    Array.fold_left Constprop.step st.Trace.state st.Trace.sems
+
+(* Match one template step against one semantic operation.  [first] is
+   [(trace_index, offset)] of the first matched step, and [index_of_off]
+   maps byte offsets to trace indices, [-1] when absent (back-edge
+   validation). *)
+let match_pstep ~trace ~pos ~index_of_off ~insn_continuation
     (p : Template.pstep) (st : Trace.step) (sem : Sem.t) env first =
   match (p, sem) with
   | Template.Load { dst; ptr; width }, Sem.S_load l ->
@@ -149,13 +160,13 @@ let match_pstep ~trace ~pos ~index_of_off ~post ~insn_continuation
       if
         width_ok width m.width
         && small_disp m.disp
-        && List.exists (rop_mem_equal m.op) ops
+        && List.mem m.op ops
       then
         Option.bind (bind_reg env ptr m.ptr) (fun env ->
             match_pval env key (src_value st.Trace.state m.width m.src))
       else None
   | Template.Reg_transform { ops; reg }, Sem.S_regop r ->
-      if List.exists (rop_mem_equal r.op) ops then bind_reg env reg r.dst else None
+      if List.mem r.op ops then bind_reg env reg r.dst else None
   | Template.Reg_transform { ops; reg }, Sem.S_advance a ->
       (* add/sub on the working value is a transform too *)
       if
@@ -195,13 +206,13 @@ let match_pstep ~trace ~pos ~index_of_off ~post ~insn_continuation
               let target = st.Trace.off + st.Trace.len + b.disp in
               if target < 0 || target > first_off then None
               else
-                match Hashtbl.find_opt index_of_off target with
-                | Some idx
-                  when idx <= first_idx
-                       && body_memory_disciplined trace env ~from_idx:idx
-                            ~to_idx:(pos - 1) ->
-                    Some env
-                | Some _ | None -> None)
+                let idx = index_of_off target in
+                if
+                  idx >= 0 && idx <= first_idx
+                  && body_memory_disciplined trace env ~from_idx:idx
+                       ~to_idx:(pos - 1)
+                then Some env
+                else None)
           | None -> None))
   | Template.Syscall { vector; al; bl }, Sem.S_syscall v ->
       if v = vector then
@@ -223,28 +234,29 @@ let match_pstep ~trace ~pos ~index_of_off ~post ~insn_continuation
          && Int32.rem m.disp 4l = 0l ->
       (* a constant finished in place on the stack (push x; xor [esp], m):
          read the folded slot from the post-instruction state *)
-      match_pval env pv (Constprop.slot_value post (Int32.to_int m.disp / 4))
+      match_pval env pv
+        (Constprop.slot_value (post_state trace pos) (Int32.to_int m.disp / 4))
   | Template.Code_const c, _ ->
       (* checked against the instruction itself; any sem of the insn works *)
-      if List.exists (Int32.equal c) (consts_of_insn st.Trace.insn) then Some env
-      else None
+      if insn_has_const c st.Trace.insn then Some env else None
   | ( ( Template.Load _ | Template.Mem_transform _ | Template.Reg_transform _
       | Template.Store _ | Template.Ptr_advance _ | Template.Back_edge
       | Template.Syscall _ | Template.Stack_const _ ),
       _ ) ->
       None
 
+let rec bound_reg regs r =
+  match regs with [] -> false | (_, b) :: tl -> Reg.equal b r || bound_reg tl r
+
+let rec writes_bound regs = function
+  | [] -> false
+  | w :: tl -> bound_reg regs w || writes_bound regs tl
+
 (* Does skipping this instruction's operations from index [k] on disturb
    any bound register? *)
 let clobbers_from env (sems : Sem.t array) k =
   let n = Array.length sems in
-  let rec go i =
-    i < n
-    && (List.exists
-          (fun w -> List.exists (fun (_, r) -> Reg.equal r w) env.regs)
-          (Sem.writes sems.(i))
-       || go (i + 1))
-  in
+  let rec go i = i < n && (writes_bound env.regs (Sem.writes sems.(i)) || go (i + 1)) in
   go (max 0 k)
 
 type istep = Req of Template.pstep | More of Template.pstep
@@ -256,6 +268,85 @@ let expand steps =
       | Template.Many p -> [ Req p; More p ])
     steps
 
+(* Semantic-kind bits: one per operation class a template step can
+   consume.  A trace step's mask is the OR over its operations; a
+   template's first-step demand is the set of classes that could satisfy
+   its first [pstep].  A start whose mask misses the demand cannot
+   begin a match, and one AND says so. *)
+let k_load = 1
+let k_store = 2
+let k_memop = 4
+let k_regop = 8
+let k_advance = 16
+let k_branch = 32
+let k_syscall = 64
+let k_push = 128
+let k_other = 256
+
+let kind_bit (s : Sem.t) =
+  match s with
+  | Sem.S_load _ -> k_load
+  | Sem.S_store _ -> k_store
+  | Sem.S_memop _ -> k_memop
+  | Sem.S_regop _ -> k_regop
+  | Sem.S_advance _ -> k_advance
+  | Sem.S_branch _ -> k_branch
+  | Sem.S_syscall _ -> k_syscall
+  | Sem.S_push _ -> k_push
+  | Sem.S_set _ | Sem.S_lea _ | Sem.S_xchg _ | Sem.S_pop _ | Sem.S_cmp | Sem.S_ret
+  | Sem.S_halt | Sem.S_nop | Sem.S_other _ ->
+      k_other
+
+let step_kinds (st : Trace.step) =
+  Array.fold_left (fun m s -> m lor kind_bit s) 0 st.Trace.sems
+
+(* Which operation classes [match_pstep] can accept for [p]. *)
+let demand_of (p : Template.pstep) =
+  match p with
+  | Template.Load _ -> k_load
+  | Template.Mem_transform _ -> k_memop
+  | Template.Reg_transform _ -> k_regop lor k_advance
+  | Template.Store _ -> k_store
+  | Template.Ptr_advance _ -> k_advance
+  | Template.Back_edge -> k_branch
+  | Template.Syscall _ -> k_syscall
+  | Template.Stack_const _ -> k_push lor k_store lor k_memop
+  | Template.Code_const _ ->
+      (* any operation: the constant is looked for in the instruction *)
+      lnot 0
+
+(* A template prepared for one scan: its expanded step list, its first
+   step and that step's kind demand, computed once rather than on every
+   start position. *)
+type compiled = {
+  tpl : Template.t;
+  steps : istep list;
+  first : Template.pstep;
+  demand : int;
+}
+
+let compile (t : Template.t) =
+  let steps = expand t.Template.steps in
+  let first =
+    match steps with
+    | (Req p | More p) :: _ -> p
+    | [] -> invalid_arg "Matcher.compile: empty step list"
+  in
+  { tpl = t; steps; first; demand = demand_of first }
+
+(* Can step [st] (kind mask [kinds]) satisfy the template's first step?
+   [false] only when no operation of the step can, so that [match_from]
+   from this start would fail at its first attempt. *)
+let first_ok c kinds (st : Trace.step) =
+  kinds land c.demand <> 0
+  &&
+  match c.first with
+  | Template.Code_const k -> insn_has_const k st.Trace.insn
+  | Template.Load _ | Template.Mem_transform _ | Template.Reg_transform _
+  | Template.Store _ | Template.Ptr_advance _ | Template.Back_edge
+  | Template.Syscall _ | Template.Stack_const _ ->
+      true
+
 (* Raised mid-match when the step fuel runs dry: [`Template] means this
    template hit its per-scan step cap (circuit-breaker food), [`Budget]
    means the packet's shared match-step budget is gone. *)
@@ -263,14 +354,16 @@ exception Fuel_out of [ `Template | `Budget ]
 
 let no_tick () = ()
 
-let match_from ?(tick = no_tick) ~index_of_off (t : Template.t) (trace : Trace.t)
-    start =
+let match_from ?(tick = no_tick) ~index_of_off c (trace : Trace.t) start =
+  let t = c.tpl in
   let len = Array.length trace in
   let finish env first offsets =
     if List.for_all (Template.check_guard env.consts) t.guards then
       Some (env, first, List.rev offsets)
     else None
   in
+  (* one recursive group per call, with the per-attempt state passed
+     explicitly: no closure is built per attempted step *)
   let rec go steps pos sem_idx env first offsets gap =
     match steps with
     | [] -> finish env first offsets
@@ -279,79 +372,73 @@ let match_from ?(tick = no_tick) ~index_of_off (t : Template.t) (trace : Trace.t
            loop to continue when the next instruction is another p *)
         match go rest pos sem_idx env first offsets gap with
         | Some r -> Some r
-        | None -> attempt p (More p :: rest) pos sem_idx env first offsets gap)
+        | None -> attempt p steps pos sem_idx env first offsets gap)
     | Req p :: rest -> attempt p rest pos sem_idx env first offsets gap
   and attempt p rest pos sem_idx env first offsets gap =
     tick ();
-    if pos >= len then None
+    if pos >= len then None else try_sem p rest pos sem_idx env first offsets gap sem_idx
+  and try_sem p rest pos sem_idx env first offsets gap k =
+    let st = trace.(pos) in
+    let sems = st.Trace.sems in
+    if k >= Array.length sems then skip p rest pos sem_idx env first offsets gap
     else
-      let st = trace.(pos) in
-      let sems = st.Trace.sems in
-      let nsems = Array.length sems in
-      let post =
-        if pos + 1 < len then trace.(pos + 1).Trace.state
-        else Array.fold_left Constprop.step st.Trace.state sems
-      in
-      let rec try_sem k =
-        if k >= nsems then skip ()
-        else
-          let sem = sems.(k) in
-          match
-            match_pstep ~trace ~pos ~index_of_off ~post
-              ~insn_continuation:(sem_idx > 0) p st sem env first
-          with
-          | Some env' -> (
-              let first' =
-                match first with None -> Some (pos, st.Trace.off) | s -> s
-              in
-              match
-                go rest pos (k + 1) env' first' (st.Trace.off :: offsets) 0
-              with
-              | Some r -> Some r
-              | None -> try_sem (k + 1))
-          | None -> try_sem (k + 1)
-      and skip () =
-        match first with
-        | None -> None (* start positions are enumerated by the caller *)
-        | Some _ ->
-            if gap >= t.max_gap then None
-            else if clobbers_from env sems sem_idx then None
-            else attempt p rest (pos + 1) 0 env first offsets (gap + 1)
-      in
-      try_sem sem_idx
+      match
+        match_pstep ~trace ~pos ~index_of_off ~insn_continuation:(sem_idx > 0) p st
+          sems.(k) env first
+      with
+      | Some env' -> (
+          let first' = match first with None -> Some (pos, st.Trace.off) | s -> s in
+          match go rest pos (k + 1) env' first' (st.Trace.off :: offsets) 0 with
+          | Some r -> Some r
+          | None -> try_sem p rest pos sem_idx env first offsets gap (k + 1))
+      | None -> try_sem p rest pos sem_idx env first offsets gap (k + 1)
+  and skip p rest pos sem_idx env first offsets gap =
+    match first with
+    | None -> None (* start positions are enumerated by the caller *)
+    | Some _ ->
+        if gap >= t.max_gap then None
+        else if clobbers_from env trace.(pos).Trace.sems sem_idx then None
+        else attempt p rest (pos + 1) 0 env first offsets (gap + 1)
   in
-  go (expand t.steps) start 0 empty_env None [] 0
+  go c.steps start 0 empty_env None [] 0
 
-(* Byte offset → trace index, built once per trace and shared by every
-   template matched against that trace (back-edge validation reads it). *)
-let index_of_trace (trace : Trace.t) =
-  let index_of_off = Hashtbl.create (max 16 (Array.length trace)) in
-  Array.iteri
-    (fun i (s : Trace.step) -> Hashtbl.replace index_of_off s.Trace.off i)
-    trace;
-  index_of_off
-
-let match_trace_indexed ?tick ~index_of_off (t : Template.t) trace ~entry =
+(* Every start position along one trace.  [kinds.(i)] is the kind mask
+   of step [i].  A start that fails the first-step dispatch is rejected
+   without entering [match_from], but still ticks once — the one step
+   attempt [match_from] would have charged there — so budget truncation
+   and breaker trips land exactly where the plain search puts them. *)
+let match_trace_indexed ?(tick = no_tick) ~index_of_off ~kinds c trace ~entry =
   let len = Array.length trace in
-  let rec try_start s =
-    if s >= len then None
-    else
-      match match_from ?tick ~index_of_off t trace s with
-      | Some (env, _, offsets) ->
-          Some
-            {
-              template = t.name;
-              entry;
-              offsets;
-              reg_bindings = List.rev env.regs;
-              const_bindings = List.rev env.consts;
-            }
-      | None -> try_start (s + 1)
-  in
-  try_start 0
+  let found = ref None in
+  let s = ref 0 in
+  while !s < len && Option.is_none !found do
+    let start = !s in
+    (if not (first_ok c kinds.(start) trace.(start)) then tick ()
+     else
+       match match_from ~tick ~index_of_off c trace start with
+       | Some (env, _, offsets) ->
+           found :=
+             Some
+               {
+                 template = c.tpl.Template.name;
+                 entry;
+                 offsets;
+                 reg_bindings = List.rev env.regs;
+                 const_bindings = List.rev env.consts;
+               }
+       | None -> ());
+    incr s
+  done;
+  !found
 
 let match_trace t trace ~entry =
-  match_trace_indexed ~index_of_off:(index_of_trace trace) t trace ~entry
+  (* a standalone trace has no scan scratch: index it locally *)
+  let extent = Array.fold_left (fun m (s : Trace.step) -> max m (s.Trace.off + 1)) 0 trace in
+  let index = Array.make extent (-1) in
+  Array.iteri (fun i (s : Trace.step) -> index.(s.Trace.off) <- i) trace;
+  let index_of_off off = if off >= 0 && off < extent then index.(off) else -1 in
+  match_trace_indexed ~index_of_off ~kinds:(Array.map step_kinds trace) (compile t)
+    trace ~entry
 
 module Obs = Sanids_obs
 
@@ -372,57 +459,16 @@ let record_scan reg ~hits ~misses ~exhausted =
     exhausted
 
 (* Templates whose data requirements the region cannot meet are out before
-   any trace is built.  One Aho–Corasick pass over the region answers
-   every template's byte-string requirements at once, instead of a naive
-   substring search per (template, pattern) pair. *)
+   any trace is built.  Only the mass-mailer family carries literals, so
+   a direct allocation-free substring search per literal beats building
+   an automaton for every frame. *)
 let data_prefilter ~templates code =
-  let patterns =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun (t : Template.t) ->
-           List.filter (fun p -> p <> "") t.Template.data)
-         templates)
-  in
-  if patterns = [] then templates
-  else begin
-    let ac = Sanids_baseline.Aho_corasick.build (List.map (fun p -> (p, p)) patterns) in
-    let present = Hashtbl.create 16 in
-    List.iter
-      (fun (_, tag) -> Hashtbl.replace present tag ())
-      (Sanids_baseline.Aho_corasick.search ac code);
-    List.filter
-      (fun (t : Template.t) ->
-        List.for_all
-          (fun p -> p = "" || Hashtbl.mem present p)
-          t.Template.data)
-      templates
-  end
-
-(* {!data_prefilter} over a payload view: the AC pass walks the slice in
-   place, so a frame that fails every data requirement is rejected
-   without its bytes ever being copied. *)
-let data_prefilter_slice ~templates code =
-  let patterns =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun (t : Template.t) ->
-           List.filter (fun p -> p <> "") t.Template.data)
-         templates)
-  in
-  if patterns = [] then templates
-  else begin
-    let ac = Sanids_baseline.Aho_corasick.build (List.map (fun p -> (p, p)) patterns) in
-    let present = Hashtbl.create 16 in
-    List.iter
-      (fun (_, tag) -> Hashtbl.replace present tag ())
-      (Sanids_baseline.Aho_corasick.search_slice ac code);
-    List.filter
-      (fun (t : Template.t) ->
-        List.for_all
-          (fun p -> p = "" || Hashtbl.mem present p)
-          t.Template.data)
-      templates
-  end
+  List.filter
+    (fun (t : Template.t) ->
+      List.for_all
+        (fun p -> p = "" || Search.contains_slice ~needle:p code)
+        t.Template.data)
+    templates
 
 type scan_report = {
   results : result list;
@@ -434,6 +480,9 @@ type scan_report = {
           what the circuit breaker feeds on *)
 }
 
+let budget_outcome budget =
+  match budget with Some b -> Budget.outcome b | None -> Budget.Complete
+
 (* The scan body, entered after the data prefilter has run: [filtered]
    are the surviving templates.  An empty survivor set returns before any
    per-scan state (icache, coverage map) is allocated — on benign traffic
@@ -441,18 +490,21 @@ type scan_report = {
 let scan_filtered ?entries ?metrics ?(memoize = true) ?budget ?step_cap ~filtered
     code =
   let n = String.length code in
-  let results = ref [] in
-  let tripped = ref [] in
   if n = 0 then { results = []; outcome = Budget.Complete; tripped = [] }
   else if filtered = [] then
-    {
-      results = [];
-      outcome =
-        (match budget with Some b -> Budget.outcome b | None -> Budget.Complete);
-      tripped = [];
-    }
+    { results = []; outcome = budget_outcome budget; tripped = [] }
   else begin
-    let remaining = ref filtered in
+    let results = ref [] in
+    let tripped = ref [] in
+    let compiled = Array.of_list (List.map compile filtered) in
+    let ntemplates = Array.length compiled in
+    (* templates still open, in their original order *)
+    let live = Array.make ntemplates true in
+    let nlive = ref ntemplates in
+    let close i =
+      live.(i) <- false;
+      decr nlive
+    in
     (* Byte offsets already visited by some trace: starting there again
        could only rediscover a suffix of work already matched against.
        This keeps the whole-buffer entry enumeration near-linear even on
@@ -489,53 +541,60 @@ let scan_filtered ?entries ?metrics ?(memoize = true) ?budget ?step_cap ~filtere
               | Some b -> if not (Budget.take_steps b 1) then raise (Fuel_out `Budget)
               | None -> ())
     in
+    let ticks = Array.map (fun c -> tick_for (account c.tpl)) compiled in
     let budget_alive () =
       match budget with None -> true | Some b -> Budget.alive b
     in
-    (* decode each offset at most once across all entry enumerations *)
-    let icache = if memoize then Some (Icache.create code) else None in
+    (* one cache per scan: the walk scratch always, and decode sharing
+       across entries unless [memoize] is off *)
+    let icache = Icache.create code in
     let build_trace entry =
-      match icache with
-      | Some c -> Trace.build_cached ?budget c ~entry
-      | None -> Trace.build ?budget code ~entry
+      if memoize then Trace.build_cached ?budget icache ~entry
+      else Trace.build ?budget ~scratch:icache code ~entry
     in
+    let index_of_off = Icache.step_index icache in
+    let kinds = ref [||] in
     let run_entry entry =
-      if !remaining <> [] && budget_alive () then begin
+      if !nlive > 0 && budget_alive () then begin
         if !work <= 0 then exhausted := true
         else begin
           let trace = build_trace entry in
-          work := !work - Array.length trace - 1;
-          Array.iter
-            (fun (s : Trace.step) ->
-              if s.Trace.off >= 0 && s.Trace.off < n then
-                Bytes.set covered s.Trace.off '\001')
-            trace;
-          let index_of_off = index_of_trace trace in
-          remaining :=
-            List.filter
-              (fun (t : Template.t) ->
-                if List.mem t.Template.name !matched_names then false
-                else
-                  match
-                    match_trace_indexed ?tick:(tick_for (account t))
-                      ~index_of_off t trace ~entry
-                  with
-                  | Some r ->
-                      results := r :: !results;
-                      matched_names := t.Template.name :: !matched_names;
-                      false
-                  | None -> true
-                  | exception Fuel_out `Template ->
-                      (* this template is too expensive on this packet:
-                         abandon it for the scan and report the trip *)
-                      if not (List.mem t.Template.name !tripped) then
-                        tripped := t.Template.name :: !tripped;
-                      false
-                  | exception Fuel_out `Budget ->
-                      (* shared fuel gone: keep the template listed so the
-                         caller sees the scan as truncated, stop matching *)
-                      true)
-              !remaining
+          let len = Array.length trace in
+          work := !work - len - 1;
+          if Array.length !kinds < len then kinds := Array.make (max len 64) 0;
+          let kinds = !kinds in
+          for i = 0 to len - 1 do
+            let st = trace.(i) in
+            if st.Trace.off >= 0 && st.Trace.off < n then
+              Bytes.unsafe_set covered st.Trace.off '\001';
+            kinds.(i) <- step_kinds st
+          done;
+          for i = 0 to ntemplates - 1 do
+            if live.(i) then begin
+              let c = compiled.(i) in
+              let name = c.tpl.Template.name in
+              if List.mem name !matched_names then close i
+              else
+                match
+                  match_trace_indexed ?tick:ticks.(i) ~index_of_off ~kinds c trace
+                    ~entry
+                with
+                | Some r ->
+                    results := r :: !results;
+                    matched_names := name :: !matched_names;
+                    close i
+                | None -> ()
+                | exception Fuel_out `Template ->
+                    (* this template is too expensive on this packet:
+                       abandon it for the scan and report the trip *)
+                    if not (List.mem name !tripped) then tripped := name :: !tripped;
+                    close i
+                | exception Fuel_out `Budget ->
+                    (* shared fuel gone: keep the template open so the
+                       caller sees the scan as truncated, stop matching *)
+                    ()
+            end
+          done
         end
       end
     in
@@ -549,38 +608,27 @@ let scan_filtered ?entries ?metrics ?(memoize = true) ?budget ?step_cap ~filtere
         done);
     (match metrics with
     | Some reg ->
-        let hits, misses =
-          match icache with
-          | Some c -> (Icache.hits c, Icache.misses c)
-          | None -> (0, 0)
-        in
-        record_scan reg ~hits ~misses ~exhausted:(if !exhausted then 1 else 0)
+        record_scan reg ~hits:(Icache.hits icache) ~misses:(Icache.misses icache)
+          ~exhausted:(if !exhausted then 1 else 0)
     | None -> ());
     {
       results = List.rev !results;
-      outcome =
-        (match budget with Some b -> Budget.outcome b | None -> Budget.Complete);
+      outcome = budget_outcome budget;
       tripped = List.rev !tripped;
     }
   end
 
 let scan_report ?entries ?metrics ?memoize ?budget ?step_cap ~templates code =
   scan_filtered ?entries ?metrics ?memoize ?budget ?step_cap
-    ~filtered:(data_prefilter ~templates code)
+    ~filtered:(data_prefilter ~templates (Slice.of_string code))
     code
 
 let scan_report_slice ?entries ?metrics ?memoize ?budget ?step_cap ~templates
     code =
   (* prefilter on the view; materialize the bytes only when at least one
      template survives (free anyway when the slice is a whole view) *)
-  let filtered = data_prefilter_slice ~templates code in
-  if filtered = [] then
-    {
-      results = [];
-      outcome =
-        (match budget with Some b -> Budget.outcome b | None -> Budget.Complete);
-      tripped = [];
-    }
+  let filtered = data_prefilter ~templates code in
+  if filtered = [] then { results = []; outcome = budget_outcome budget; tripped = [] }
   else
     scan_filtered ?entries ?metrics ?memoize ?budget ?step_cap ~filtered
       (Slice.to_string code)

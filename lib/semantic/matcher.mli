@@ -65,7 +65,9 @@ val scan_report :
     stops cleanly when fuel runs out and the report's [outcome] says
     so); [step_cap] limits each template {e name}'s step attempts within
     this scan — a template that hits it is abandoned and listed in
-    [tripped] while every other template keeps matching.  With neither
+    [tripped] while every other template keeps matching.  Every start
+    position along a trace costs one step attempt, including the starts
+    the first-step dispatch rejects without searching.  With neither
     supplied, behaviour and results are exactly the unbudgeted
     matcher's. *)
 
@@ -79,10 +81,9 @@ val scan_report_slice :
   Slice.t ->
   scan_report
 (** {!scan_report} over a payload view.  The data prefilter (one
-    Aho–Corasick pass answering every template's byte-string
-    requirements) runs on the slice in place; the region is materialized
-    to a string only when at least one template survives it — on benign
-    traffic the common case is that none does and nothing is copied. *)
+    allocation-free substring search per template literal) runs on the
+    slice in place; the region is materialized to a string only when at
+    least one template survives it. *)
 
 val scan :
   ?entries:int list ->

@@ -120,27 +120,44 @@ let check_deadline t =
     end
   end
 
-let take t reason current limit store n =
+(* May [n] more units of a dimension currently at [current] be spent?
+   Fuel is taken once per decoded instruction and matcher step attempt,
+   so the callers store the new level themselves instead of passing a
+   store closure: spending fuel allocates nothing. *)
+let grant t reason current limit n =
   match t.tripped with
   | Some _ -> false
-  | None ->
+  | None -> (
       check_deadline t;
-      if t.tripped <> None then false
-      else if n < 0 then true
-      else if current > limit - n then begin
-        t.tripped <- Some reason;
-        false
-      end
-      else begin
-        store (current + n);
-        true
-      end
+      match t.tripped with
+      | Some _ -> false
+      | None ->
+          if n >= 0 && current > limit - n then begin
+            t.tripped <- Some reason;
+            false
+          end
+          else true)
 
-let take_bytes t n = take t Bytes t.b t.limits.max_bytes (fun v -> t.b <- v) n
-let take_insns t n = take t Instructions t.i t.limits.max_insns (fun v -> t.i <- v) n
+let take_bytes t n =
+  grant t Bytes t.b t.limits.max_bytes n
+  && begin
+       if n > 0 then t.b <- t.b + n;
+       true
+     end
+
+let take_insns t n =
+  grant t Instructions t.i t.limits.max_insns n
+  && begin
+       if n > 0 then t.i <- t.i + n;
+       true
+     end
 
 let take_steps t n =
-  take t Match_steps t.s t.limits.max_match_steps (fun v -> t.s <- v) n
+  grant t Match_steps t.s t.limits.max_match_steps n
+  && begin
+       if n > 0 then t.s <- t.s + n;
+       true
+     end
 
 let alive t =
   (match t.tripped with

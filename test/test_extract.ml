@@ -195,9 +195,137 @@ let prop_suspicious_monotone_unicode =
     (fun s ->
       Extractor.suspicious (Slice.of_string (s ^ "%u9090%u9090%u9090%u9090%u9090")))
 
+(* The single-pass gate against its oracle: the disjunction of the five
+   list scanners it replaces, each non-empty.  Payloads are text with
+   structures spliced in at each threshold (one below, at, one above):
+   %u runs around [min_unicode_run], filler runs around [min_repeat],
+   NOP-class sleds around 16, return-address dwords around 4, non-text
+   regions around [min_binary_region] and gaps around [gap_merge], plus
+   a [max_frame_bytes] cut drawn anywhere in the payload.  The payload
+   is a view at an offset inside a larger string, so the gate's direct
+   reads of the backing string are exercised too. *)
+let scanners_oracle ~(config : Extractor.config) p =
+  let max_scan = config.Extractor.max_frame_bytes in
+  Unicode.unicode_runs ~min_run:config.Extractor.min_unicode_run ~max_decoded:0 p <> []
+  || Repetition.runs ~min_len:config.Extractor.min_repeat ~max_scan p <> []
+  || Repetition.sled_like ~max_scan p <> []
+  || Repetition.ret_address_runs ~max_scan p <> []
+  || Extractor.binary_regions ~min_len:config.Extractor.min_binary_region
+       ~gap_merge:config.Extractor.gap_merge p
+     <> []
+
+let gen_threshold_piece =
+  let open QCheck2.Gen in
+  let around k = int_range (k - 1) (k + 1) in
+  let d = Extractor.default_config in
+  let text n = string_size ~gen:(map Char.chr (int_range 0x20 0x7e)) n in
+  let nop_bytes = [ '\x90'; '\x41'; '\x4f'; '\x50'; '\x97'; '\x99'; '\xfc'; '\x9f' ] in
+  oneof
+    [
+      text (int_bound 24);
+      (let* k = around d.Extractor.min_unicode_run in
+       let* hex = oneofl [ "9090"; "ABcd"; "7801"; "cbd3" ] in
+       let* u = oneofl [ "%u"; "%U" ] in
+       return (String.concat "" (List.init k (fun _ -> u ^ hex))));
+      oneofl [ "%u90"; "%u90g0"; "%"; "%%u1234"; "%u12345" ];
+      (let* k = around d.Extractor.min_repeat in
+       let* c = oneofl [ 'A'; 'X'; '\x90'; '\x00'; ' ' ] in
+       return (String.make k c));
+      (let* k = around Repetition.default_sled_len in
+       let* bytes = list_repeat k (oneofl nop_bytes) in
+       return (String.init k (List.nth bytes)));
+      (let* k = around Repetition.default_ret_count in
+       let byte = map Char.chr (int_bound 255) in
+       (* address-like upper bytes, one repeated byte, and the near miss *)
+       let* upper =
+         oneof
+           [
+             list_repeat 3 byte;
+             map (fun c -> [ c; c; c ]) byte;
+             map2 (fun c c' -> [ c; c; c' ]) byte byte;
+           ]
+       in
+       let* lsbs = list_repeat k (map Char.chr (int_bound 255)) in
+       return
+         (String.concat ""
+            (List.map (fun l -> String.init 4 (fun j -> if j = 0 then l else List.nth upper (j - 1))) lsbs)));
+      (let* k = around d.Extractor.min_binary_region in
+       string_size ~gen:(map Char.chr (int_range 0x80 0xff)) (return k));
+      string_size ~gen:(map Char.chr (int_range 0x80 0xff)) (int_range 1 12);
+      text (around d.Extractor.gap_merge);
+    ]
+
+let gen_gate_case =
+  let open QCheck2.Gen in
+  let* pieces = list_size (int_range 1 6) gen_threshold_piece in
+  let payload = String.concat "" pieces in
+  let n = String.length payload in
+  let* cut = oneof [ return Extractor.default_config.Extractor.max_frame_bytes; int_bound (n + 1) ] in
+  let* pre = string_size (int_bound 8) in
+  let* post = string_size (int_bound 8) in
+  return (payload, cut, pre, post)
+
+let prop_gate_equals_scanners =
+  QCheck2.Test.make ~name:"suspicious = disjunction of the list scanners" ~count:3000
+    ~print:(fun (p, cut, pre, post) ->
+      Printf.sprintf "payload=%S cut=%d pre=%S post=%S" p cut pre post)
+    gen_gate_case
+    (fun (payload, cut, pre, post) ->
+      let config = { Extractor.default_config with Extractor.max_frame_bytes = cut } in
+      let view =
+        Slice.sub
+          (Slice.of_string (pre ^ payload ^ post))
+          ~off:(String.length pre) ~len:(String.length payload)
+      in
+      Extractor.suspicious ~config view = scanners_oracle ~config view)
+
+(* The same equivalence under arbitrary small thresholds, over bytes
+   drawn from the alphabet the predicates care about. *)
+let prop_gate_equals_scanners_any_config =
+  let open QCheck2.Gen in
+  let alphabet =
+    oneof
+      [
+        oneofl [ '%'; 'u'; 'U'; '0'; '9'; 'a'; 'F'; 'g'; ' '; 'A'; '\x90'; '\x41'; '\x00'; '\xcb' ];
+        map Char.chr (int_bound 255);
+      ]
+  in
+  let gen =
+    let* payload = string_size ~gen:alphabet (int_bound 120) in
+    let* min_unicode_run = int_range 0 5 in
+    let* min_repeat = int_range 0 6 in
+    let* min_binary_region = int_range 0 8 in
+    let* gap_merge = int_range (-2) 6 in
+    let* max_frame_bytes = int_bound 130 in
+    return
+      ( payload,
+        {
+          Extractor.default_config with
+          Extractor.min_unicode_run;
+          min_repeat;
+          min_binary_region;
+          gap_merge;
+          max_frame_bytes;
+        } )
+  in
+  QCheck2.Test.make ~name:"suspicious = scanners under any thresholds" ~count:3000
+    ~print:(fun (p, (c : Extractor.config)) ->
+      Printf.sprintf "payload=%S u=%d rep=%d bin=%d gap=%d max=%d" p
+        c.Extractor.min_unicode_run c.Extractor.min_repeat c.Extractor.min_binary_region
+        c.Extractor.gap_merge c.Extractor.max_frame_bytes)
+    gen
+    (fun (payload, config) ->
+      let p = Slice.of_string payload in
+      Extractor.suspicious ~config p = scanners_oracle ~config p)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_extract_never_raises; prop_suspicious_monotone_unicode ]
+    [
+      prop_extract_never_raises;
+      prop_suspicious_monotone_unicode;
+      prop_gate_equals_scanners;
+      prop_gate_equals_scanners_any_config;
+    ]
 
 let () =
   Alcotest.run "extract"

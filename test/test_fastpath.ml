@@ -118,6 +118,40 @@ let test_build_cached_equiv_structured () =
         (Trace.build_cached cache ~entry))
     (Trace.entry_points code)
 
+(* The walk scratch is per walk: after a second walk over the same
+   cache, offsets only the first walk visited no longer index, and a
+   build that borrows the scratch is the plain build. *)
+let test_walk_scratch_per_walk () =
+  let rng = Rng.create 0xFA59L in
+  let code =
+    (Sanids_polymorph.Admmutate.generate rng
+       ~payload:(Shellcodes.find "classic").Shellcodes.code)
+      .Sanids_polymorph.Admmutate.code
+  in
+  let cache = Icache.create code in
+  let first = Trace.build_cached cache ~entry:0 in
+  Array.iteri
+    (fun i (s : Trace.step) ->
+      Alcotest.(check int) "indexed" i (Icache.step_index cache s.Trace.off))
+    first;
+  let last = String.length code - 1 in
+  let second = Trace.build_cached cache ~entry:last in
+  Array.iter
+    (fun (s : Trace.step) ->
+      if not (Array.exists (fun (s' : Trace.step) -> s'.Trace.off = s.Trace.off) second)
+      then
+        Alcotest.(check int) "stale offset forgotten" (-1)
+          (Icache.step_index cache s.Trace.off))
+    first;
+  Alcotest.(check int) "out of range" (-1) (Icache.step_index cache (String.length code));
+  List.iter
+    (fun entry ->
+      same_trace
+        (Printf.sprintf "scratch entry %d" entry)
+        (Trace.build code ~entry)
+        (Trace.build ~scratch:cache code ~entry))
+    (Trace.entry_points code)
+
 let prop_build_cached_equiv =
   QCheck2.Test.make ~name:"memoized Trace.build ≡ unmemoized on random regions"
     ~count:80
@@ -353,6 +387,8 @@ let () =
         [
           Alcotest.test_case "structured equivalence" `Quick
             test_build_cached_equiv_structured;
+          Alcotest.test_case "walk scratch is per walk" `Quick
+            test_walk_scratch_per_walk;
         ] );
       ( "scan",
         [

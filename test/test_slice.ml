@@ -253,6 +253,22 @@ let test_alloc_process () =
   (* pre-change (copying packet path): 89.7 *)
   check_below "benign full process" 89.7 w
 
+(* The cold path: every benign payload is analysed (classification off,
+   verdict cache off), so the suspicion gate and the template scan
+   kernel dominate the allocation. *)
+let test_alloc_cold () =
+  let rng = Rng.create 0x0B0B0B0BL in
+  let n = 1000 in
+  let pkts = Workload.Benign_gen.packets rng ~n ~t0:0.0 ~clients ~servers in
+  let p =
+    Pipeline.create
+      (Config.default |> Config.with_classification false |> Config.with_verdict_cache 0)
+  in
+  let w = words_per ~n (fun () -> ignore (Pipeline.process_packets p pkts)) in
+  (* before the allocation-free scan kernel and suspicion gate: 76607.9;
+     the bound is a third of that *)
+  check_below "cold benign process" (76607.9 /. 3.0) w
+
 (* ------------------------------------------------------------------ *)
 
 let properties =
@@ -281,5 +297,6 @@ let () =
           Alcotest.test_case "decode words/packet" `Quick test_alloc_decode;
           Alcotest.test_case "replay words/packet" `Quick test_alloc_replay;
           Alcotest.test_case "process words/packet" `Quick test_alloc_process;
+          Alcotest.test_case "cold words/packet" `Quick test_alloc_cold;
         ] );
     ]

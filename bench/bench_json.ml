@@ -18,16 +18,12 @@ module Epidemic = Sanids_epidemic.Model
 let schema = "sanids-bench/1"
 let pr = 10
 
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON emission: deterministic key order, fixed float format
-   (%.6g keeps the file diffable without drowning it in noise). *)
-
+(* Number format: deterministic, %.6g keeps the file diffable without
+   drowning it in noise. *)
 let jfloat f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
-
-let jfield buf ~last name v =
-  Buffer.add_string buf (Printf.sprintf "%S: %s%s" name v (if last then "" else ", "))
+  Json.Number
+    (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+     else Printf.sprintf "%.6g" f)
 
 (* ------------------------------------------------------------------ *)
 
@@ -35,14 +31,13 @@ let stage_names = [ "classify"; "extract"; "match"; "analyze" ]
 
 let stage_json snap name =
   let h = Obs.Snapshot.histogram snap ("sanids_stage_" ^ name ^ "_seconds") in
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  jfield buf ~last:false "count" (string_of_int (Obs.Histogram.count h));
-  jfield buf ~last:false "mean_s" (jfloat (Obs.Histogram.mean h));
-  jfield buf ~last:false "p50_s" (jfloat (Obs.Histogram.quantile h 0.5));
-  jfield buf ~last:true "p95_s" (jfloat (Obs.Histogram.quantile h 0.95));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("count", Json.int (Obs.Histogram.count h));
+      ("mean_s", jfloat (Obs.Histogram.mean h));
+      ("p50_s", jfloat (Obs.Histogram.quantile h 0.5));
+      ("p95_s", jfloat (Obs.Histogram.quantile h 0.95));
+    ]
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -82,23 +77,15 @@ let outbreak_replay ~packets =
   in
   let words_per_packet = (Gc.minor_words () -. w0) /. float_of_int packets in
   let snap = Pipeline.snapshot nids in
-  let buf = Buffer.create 512 in
-  Buffer.add_char buf '{';
-  jfield buf ~last:false "packets" (string_of_int packets);
-  jfield buf ~last:false "alerts" (string_of_int !alerts);
-  jfield buf ~last:false "seconds" (jfloat dt);
-  jfield buf ~last:false "packets_per_sec"
-    (jfloat (float_of_int packets /. Float.max dt 1e-9));
-  jfield buf ~last:false "minor_words_per_packet" (jfloat words_per_packet);
-  jfield buf ~last:true "stages"
-    ("{"
-    ^ String.concat ", "
-        (List.map
-           (fun s -> Printf.sprintf "%S: %s" s (stage_json snap s))
-           stage_names)
-    ^ "}");
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("packets", Json.int packets);
+      ("alerts", Json.int !alerts);
+      ("seconds", jfloat dt);
+      ("packets_per_sec", jfloat (float_of_int packets /. Float.max dt 1e-9));
+      ("minor_words_per_packet", jfloat words_per_packet);
+      ("stages", Json.Obj (List.map (fun s -> (s, stage_json snap s)) stage_names));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Workload 2: stream shedding.  Benign traffic through the parallel
@@ -130,21 +117,18 @@ let stream_shedding ~packets =
             alerts := !alerts + List.length al))
   in
   let stats = Stats.of_snapshot snap in
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '{';
-  jfield buf ~last:false "packets" (string_of_int packets);
-  jfield buf ~last:false "domains" (string_of_int domains);
-  jfield buf ~last:false "queue_capacity" (string_of_int capacity);
-  jfield buf ~last:false "policy"
-    (Printf.sprintf "%S" (Bqueue.policy_to_string policy));
-  jfield buf ~last:false "processed" (string_of_int stats.Stats.packets);
-  jfield buf ~last:false "shed" (string_of_int stats.Stats.shed);
-  jfield buf ~last:false "alerts" (string_of_int !alerts);
-  jfield buf ~last:false "seconds" (jfloat dt);
-  jfield buf ~last:true "packets_per_sec"
-    (jfloat (float_of_int packets /. Float.max dt 1e-9));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("packets", Json.int packets);
+      ("domains", Json.int domains);
+      ("queue_capacity", Json.int capacity);
+      ("policy", Json.String (Bqueue.policy_to_string policy));
+      ("processed", Json.int stats.Stats.packets);
+      ("shed", Json.int stats.Stats.shed);
+      ("alerts", Json.int !alerts);
+      ("seconds", jfloat dt);
+      ("packets_per_sec", jfloat (float_of_int packets /. Float.max dt 1e-9));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Workload 3: pure decode.  pcap record -> Ethernet -> IPv4 -> TCP with
@@ -185,15 +169,13 @@ let decode_only ~packets =
   in
   let words_per_packet = (Gc.minor_words () -. w0) /. float_of_int packets in
   ignore !sink;
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  jfield buf ~last:false "packets" (string_of_int packets);
-  jfield buf ~last:false "seconds" (jfloat dt);
-  jfield buf ~last:false "packets_per_sec"
-    (jfloat (float_of_int packets /. Float.max dt 1e-9));
-  jfield buf ~last:true "minor_words_per_packet" (jfloat words_per_packet);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("packets", Json.int packets);
+      ("seconds", jfloat dt);
+      ("packets_per_sec", jfloat (float_of_int packets /. Float.max dt 1e-9));
+      ("minor_words_per_packet", jfloat words_per_packet);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Workload 4: serve steady state.  The same benign stream, but through
@@ -221,16 +203,14 @@ let serve_steady_state ~packets =
   let result, dt = time (fun () -> Sanids_serve.Serve.run options) in
   (try Sys.remove path with Sys_error _ -> ());
   let reconciled = match result with Ok () -> true | Error _ -> false in
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  jfield buf ~last:false "packets" (string_of_int packets);
-  jfield buf ~last:false "domains" (string_of_int domains);
-  jfield buf ~last:false "reconciled" (string_of_bool reconciled);
-  jfield buf ~last:false "seconds" (jfloat dt);
-  jfield buf ~last:true "packets_per_sec"
-    (jfloat (float_of_int packets /. Float.max dt 1e-9));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("packets", Json.int packets);
+      ("domains", Json.int domains);
+      ("reconciled", Json.Bool reconciled);
+      ("seconds", jfloat dt);
+      ("packets_per_sec", jfloat (float_of_int packets /. Float.max dt 1e-9));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Workload 5: confirmation overhead.  A decoder corpus — ADMmutate in
@@ -300,26 +280,22 @@ let confirm_overhead ~packets =
     failwith
       (Printf.sprintf "confirm_overhead: %d decoder variants refuted"
          on_stats.Stats.refuted);
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '{';
-  jfield buf ~last:false "packets" (string_of_int packets);
-  jfield buf ~last:false "variants" (string_of_int confirm_variants);
-  jfield buf ~last:false "alerts_off" (string_of_int off_alerts);
-  jfield buf ~last:false "alerts_on" (string_of_int on_alerts);
-  jfield buf ~last:false "confirmed" (string_of_int on_stats.Stats.confirmed);
-  jfield buf ~last:false "refuted" (string_of_int on_stats.Stats.refuted);
-  jfield buf ~last:false "inconclusive"
-    (string_of_int on_stats.Stats.confirm_inconclusive);
-  jfield buf ~last:false "seconds_off" (jfloat off_dt);
-  jfield buf ~last:false "packets_per_sec_off"
-    (jfloat (float_of_int packets /. Float.max off_dt 1e-9));
-  jfield buf ~last:false "seconds" (jfloat on_dt);
-  jfield buf ~last:false "packets_per_sec"
-    (jfloat (float_of_int packets /. Float.max on_dt 1e-9));
-  jfield buf ~last:true "overhead_ratio"
-    (jfloat (on_dt /. Float.max off_dt 1e-9));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("packets", Json.int packets);
+      ("variants", Json.int confirm_variants);
+      ("alerts_off", Json.int off_alerts);
+      ("alerts_on", Json.int on_alerts);
+      ("confirmed", Json.int on_stats.Stats.confirmed);
+      ("refuted", Json.int on_stats.Stats.refuted);
+      ("inconclusive", Json.int on_stats.Stats.confirm_inconclusive);
+      ("seconds_off", jfloat off_dt);
+      ( "packets_per_sec_off",
+        jfloat (float_of_int packets /. Float.max off_dt 1e-9) );
+      ("seconds", jfloat on_dt);
+      ("packets_per_sec", jfloat (float_of_int packets /. Float.max on_dt 1e-9));
+      ("overhead_ratio", jfloat (on_dt /. Float.max off_dt 1e-9));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Workload 6: cluster detection latency.  A Code Red outbreak sharded
@@ -438,20 +414,18 @@ let cluster_latency ~packets =
   let knee_s =
     Epidemic.time_to_count cluster_epidemic (cluster_epidemic.Epidemic.population / 100)
   in
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '{';
-  jfield buf ~last:false "packets" (string_of_int n);
-  jfield buf ~last:false "shards" (string_of_int cluster_shards);
-  jfield buf ~last:false "ship_every_s" (jfloat cluster_ship_every);
-  jfield buf ~last:false "detect_s" (jfloat fed);
-  jfield buf ~last:false "detect_monolith_s" (jfloat mono);
-  jfield buf ~last:false "infected_at_detect" (jfloat infected_at_detect);
-  jfield buf ~last:false "epidemic_knee_s" (jfloat knee_s);
-  jfield buf ~last:false "seconds" (jfloat dt);
-  jfield buf ~last:true "packets_per_sec"
-    (jfloat (float_of_int n /. Float.max dt 1e-9));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("packets", Json.int n);
+      ("shards", Json.int cluster_shards);
+      ("ship_every_s", jfloat cluster_ship_every);
+      ("detect_s", jfloat fed);
+      ("detect_monolith_s", jfloat mono);
+      ("infected_at_detect", jfloat infected_at_detect);
+      ("epidemic_knee_s", jfloat knee_s);
+      ("seconds", jfloat dt);
+      ("packets_per_sec", jfloat (float_of_int n /. Float.max dt 1e-9));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Workload 7: static refutation.  A mixed hit corpus — decoy decoders
@@ -543,26 +517,23 @@ let static_refute ~packets =
       (Printf.sprintf
          "static_refute: only %d of %d decoy hits (%.0f%%) skipped the emulator"
          on_stats.Stats.static_refuted decoy_hits (100.0 *. avoided));
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '{';
-  jfield buf ~last:false "packets" (string_of_int packets);
-  jfield buf ~last:false "decoys" (string_of_int static_refute_decoys);
-  jfield buf ~last:false "decoders" (string_of_int (Array.length decoders));
-  jfield buf ~last:false "alerts_confirm" (string_of_int off_alerts);
-  jfield buf ~last:false "alerts_static" (string_of_int on_alerts);
-  jfield buf ~last:false "confirmed" (string_of_int on_stats.Stats.confirmed);
-  jfield buf ~last:false "refuted" (string_of_int on_stats.Stats.refuted);
-  jfield buf ~last:false "static_refuted"
-    (string_of_int on_stats.Stats.static_refuted);
-  jfield buf ~last:false "avoided_fraction" (jfloat avoided);
-  jfield buf ~last:false "seconds_confirm" (jfloat off_dt);
-  jfield buf ~last:false "packets_per_sec_confirm"
-    (jfloat (float_of_int packets /. Float.max off_dt 1e-9));
-  jfield buf ~last:false "seconds" (jfloat on_dt);
-  jfield buf ~last:true "packets_per_sec"
-    (jfloat (float_of_int packets /. Float.max on_dt 1e-9));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("packets", Json.int packets);
+      ("decoys", Json.int static_refute_decoys);
+      ("decoders", Json.int (Array.length decoders));
+      ("alerts_confirm", Json.int off_alerts);
+      ("alerts_static", Json.int on_alerts);
+      ("confirmed", Json.int on_stats.Stats.confirmed);
+      ("refuted", Json.int on_stats.Stats.refuted);
+      ("static_refuted", Json.int on_stats.Stats.static_refuted);
+      ("avoided_fraction", jfloat avoided);
+      ("seconds_confirm", jfloat off_dt);
+      ( "packets_per_sec_confirm",
+        jfloat (float_of_int packets /. Float.max off_dt 1e-9) );
+      ("seconds", jfloat on_dt);
+      ("packets_per_sec", jfloat (float_of_int packets /. Float.max on_dt 1e-9));
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -594,22 +565,26 @@ let run ~mode ~out () =
   Printf.printf "bench-json: static refutation (%d packets)...\n%!"
     replay_packets;
   let refute = static_refute ~packets:replay_packets in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"schema\": %S,\n" schema);
-  Buffer.add_string buf (Printf.sprintf "  \"pr\": %d,\n" pr);
-  Buffer.add_string buf (Printf.sprintf "  \"mode\": %S,\n" mode_name);
-  Buffer.add_string buf "  \"workloads\": {\n";
-  Buffer.add_string buf (Printf.sprintf "    \"outbreak_replay\": %s,\n" replay);
-  Buffer.add_string buf (Printf.sprintf "    \"stream_shedding\": %s,\n" stream);
-  Buffer.add_string buf (Printf.sprintf "    \"decode\": %s,\n" decode);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"serve_steady_state\": %s,\n" serve);
-  Buffer.add_string buf (Printf.sprintf "    \"confirm_overhead\": %s,\n" confirm);
-  Buffer.add_string buf (Printf.sprintf "    \"cluster_latency\": %s,\n" cluster);
-  Buffer.add_string buf (Printf.sprintf "    \"static_refute\": %s\n" refute);
-  Buffer.add_string buf "  }\n}\n";
+  let doc =
+    Json.Obj
+      [
+        ("schema", Json.String schema);
+        ("pr", Json.int pr);
+        ("mode", Json.String mode_name);
+        ( "workloads",
+          Json.Obj
+            [
+              ("outbreak_replay", replay);
+              ("stream_shedding", stream);
+              ("decode", decode);
+              ("serve_steady_state", serve);
+              ("confirm_overhead", confirm);
+              ("cluster_latency", cluster);
+              ("static_refute", refute);
+            ] );
+      ]
+  in
   let oc = open_out out in
-  output_string oc (Buffer.contents buf);
+  output_string oc (Json.to_string doc ^ "\n");
   close_out oc;
   Printf.printf "bench-json: wrote %s\n%!" out

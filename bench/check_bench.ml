@@ -1,65 +1,35 @@
 (* Bench-trajectory checker: `check_bench.exe FRESH BASELINE`.
 
-   Validates that FRESH (a just-emitted --json document) carries the
-   sanids-bench/1 schema with every required key, then compares each
-   workload's packets/sec against the committed BASELINE
-   (BENCH_<pr>.json).  The tolerance is deliberately loose — CI boxes
-   and dev laptops differ by integer factors — so only a large
-   regression (fresh < 10% of baseline) fails.  Exit 0 clean, exit 1
-   loud. *)
+   Parses both documents, validates that each carries the
+   sanids-bench/1 schema with every required key under its own object,
+   then compares each workload's packets/sec in FRESH (a just-emitted
+   --json document) against the committed BASELINE (BENCH_<pr>.json).
+   The tolerance is deliberately loose — CI boxes and dev laptops
+   differ by integer factors — so only a large regression (fresh < 10%
+   of baseline) fails.  Exit 0 clean, exit 1 loud. *)
+
+module Json = Sanids_util.Json
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("check_bench: " ^ m); exit 1) fmt
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with Sys_error m -> die "cannot read %s: %s" path m
+let read_doc path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error m -> die "cannot read %s: %s" path m
+  | text -> (
+      match Json.of_string text with
+      | Ok doc -> doc
+      | Error e -> die "%s: not JSON: %s" path e)
 
-(* String-scanning extraction: no JSON parser in the tree, and the
-   emitter's key order is fixed, so ordered scanning is exact enough. *)
+(* [lookup ~file doc ["a"; "b"]] is the value at a.b, or a loud exit. *)
+let lookup ~file doc path =
+  match List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some doc) path with
+  | Some v -> v
+  | None -> die "%s: missing %s" file (String.concat "." path)
 
-let find_from s pos sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some (i + m)
-    else go (i + 1)
-  in
-  go pos
-
-let require s pos sub ~ctx =
-  match find_from s pos sub with
-  | Some p -> p
-  | None -> die "missing %s in %s" sub ctx
-
-let number_after s pos ~ctx =
-  let n = String.length s in
-  let rec skip i =
-    if i < n && (s.[i] = ' ' || s.[i] = ':') then skip (i + 1) else i
-  in
-  let start = skip pos in
-  let rec stop i =
-    if
-      i < n
-      && (match s.[i] with '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true | _ -> false)
-    then stop (i + 1)
-    else i
-  in
-  let fin = stop start in
-  if fin = start then die "no number after %s" ctx
-  else
-    match float_of_string_opt (String.sub s start (fin - start)) with
-    | Some f -> f
-    | None -> die "unparsable number after %s" ctx
-
-let workload_pps doc ~file workload =
-  let p = require doc 0 (Printf.sprintf "%S" workload) ~ctx:file in
-  let p = require doc p "\"packets_per_sec\"" ~ctx:(file ^ "/" ^ workload) in
-  number_after doc p ~ctx:(workload ^ ".packets_per_sec")
+let number ~file doc path =
+  match Json.to_float_opt (lookup ~file doc path) with
+  | Some f -> f
+  | None -> die "%s: %s is not a number" file (String.concat "." path)
 
 let workloads =
   [
@@ -72,55 +42,56 @@ let workloads =
     "static_refute";
   ]
 
-let validate_schema doc ~file =
-  ignore (require doc 0 "\"schema\": \"sanids-bench/1\"" ~ctx:file);
-  ignore (require doc 0 "\"pr\"" ~ctx:file);
-  ignore (require doc 0 "\"workloads\"" ~ctx:file);
-  List.iter (fun w -> ignore (require doc 0 (Printf.sprintf "%S" w) ~ctx:file)) workloads;
-  (* per-stage quantiles must be present on the replay workload *)
-  let p = require doc 0 "\"outbreak_replay\"" ~ctx:file in
-  let p = require doc p "\"stages\"" ~ctx:(file ^ "/outbreak_replay") in
-  List.fold_left
-    (fun p stage ->
-      let p = require doc p (Printf.sprintf "%S" stage) ~ctx:(file ^ "/stages") in
-      let p = require doc p "\"p95_s\"" ~ctx:(file ^ "/stages/" ^ stage) in
-      p)
-    p
-    [ "classify"; "extract"; "match"; "analyze" ]
-  |> ignore;
-  ignore (require doc 0 "\"minor_words_per_packet\"" ~ctx:file);
-  (* the confirmation row must carry its outcome counts: a baseline
-     where the decoder corpus stopped confirming is not a baseline *)
-  let p = require doc 0 "\"confirm_overhead\"" ~ctx:file in
-  let p = require doc p "\"confirmed\"" ~ctx:(file ^ "/confirm_overhead") in
-  ignore (require doc p "\"refuted\"" ~ctx:(file ^ "/confirm_overhead"));
-  (* the cluster row must carry both detection times: a baseline where
-     federation stopped detecting (or was never compared against the
-     monolith) is not a baseline *)
-  let p = require doc 0 "\"cluster_latency\"" ~ctx:file in
-  let p = require doc p "\"detect_s\"" ~ctx:(file ^ "/cluster_latency") in
-  ignore (require doc p "\"detect_monolith_s\"" ~ctx:(file ^ "/cluster_latency"));
-  (* the static-refutation row must carry its outcome counts and the
-     avoided fraction: a baseline where decoys stopped skipping the
-     emulator (or started refuting true decoders) is not a baseline *)
-  let p = require doc 0 "\"static_refute\"" ~ctx:file in
-  let p = require doc p "\"static_refuted\"" ~ctx:(file ^ "/static_refute") in
-  ignore (require doc p "\"avoided_fraction\"" ~ctx:(file ^ "/static_refute"))
+let workload_pps ~file doc w = number ~file doc [ "workloads"; w; "packets_per_sec" ]
+
+(* Numeric keys each row must carry beyond packets_per_sec.  The replay
+   row carries per-stage quantiles read back from the obs histograms.
+   The confirmation row carries its outcome counts: a baseline where
+   the decoder corpus stopped confirming is not a baseline.  The
+   cluster row carries both detection times: a baseline where
+   federation stopped detecting (or was never compared against the
+   monolith) is not a baseline.  The static-refutation row carries its
+   outcome count and the avoided fraction: a baseline where decoys
+   stopped skipping the emulator is not a baseline. *)
+let required =
+  [ ("outbreak_replay", [ "minor_words_per_packet" ]) ]
+  @ List.map
+      (fun stage -> ("outbreak_replay", [ "stages"; stage; "p95_s" ]))
+      [ "classify"; "extract"; "match"; "analyze" ]
+  @ [
+      ("confirm_overhead", [ "confirmed" ]);
+      ("confirm_overhead", [ "refuted" ]);
+      ("cluster_latency", [ "detect_s" ]);
+      ("cluster_latency", [ "detect_monolith_s" ]);
+      ("static_refute", [ "static_refuted" ]);
+      ("static_refute", [ "avoided_fraction" ]);
+    ]
+
+let validate_schema ~file doc =
+  (match Json.to_string_opt (lookup ~file doc [ "schema" ]) with
+  | Some "sanids-bench/1" -> ()
+  | _ -> die "%s: schema is not \"sanids-bench/1\"" file);
+  if Json.to_int_opt (lookup ~file doc [ "pr" ]) = None then
+    die "%s: pr is not an integer" file;
+  List.iter (fun w -> ignore (workload_pps ~file doc w)) workloads;
+  List.iter
+    (fun (w, path) -> ignore (number ~file doc ("workloads" :: w :: path)))
+    required
 
 let () =
   (match Sys.argv with
   | [| _; _; _ |] -> ()
   | _ -> die "usage: check_bench FRESH.json BASELINE.json");
   let fresh_file = Sys.argv.(1) and base_file = Sys.argv.(2) in
-  let fresh = read_file fresh_file and base = read_file base_file in
-  validate_schema fresh ~file:fresh_file;
-  validate_schema base ~file:base_file;
+  let fresh = read_doc fresh_file and base = read_doc base_file in
+  validate_schema ~file:fresh_file fresh;
+  validate_schema ~file:base_file base;
   let tolerance = 0.10 in
   let failures =
     List.filter_map
       (fun w ->
-        let fpps = workload_pps fresh ~file:fresh_file w in
-        let bpps = workload_pps base ~file:base_file w in
+        let fpps = workload_pps ~file:fresh_file fresh w in
+        let bpps = workload_pps ~file:base_file base w in
         Printf.printf "check_bench: %-16s fresh %10.0f pkt/s, baseline %10.0f pkt/s\n"
           w fpps bpps;
         if fpps < tolerance *. bpps then

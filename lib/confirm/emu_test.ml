@@ -73,8 +73,9 @@ let mem_field j key =
       | None -> bad "field %S is not an array" key
       | Some entries ->
           List.map
-            (function
-              | Json.List [ Json.Int off; Json.Int byte ] ->
+            (fun e ->
+              match Option.map (List.map Json.to_int_opt) (Json.to_list_opt e) with
+              | Some [ Some off; Some byte ] ->
                   if byte < 0 || byte > 0xFF then
                     bad "mem byte %d out of range" byte
                   else (off, byte)

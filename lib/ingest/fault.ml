@@ -56,9 +56,6 @@ let of_string s =
       (Ok []) toks
     |> Result.map List.rev
 
-let of_string_exn s =
-  match of_string s with Ok t -> t | Error m -> invalid_arg m
-
 let to_string t =
   String.concat ","
     (List.map (fun (k, p) -> Printf.sprintf "%s=%g" (kind_to_string k) p) t)

@@ -26,9 +26,6 @@ type t = (kind * float) list
 val of_string : string -> (t, string) result
 (** Parse a spec.  [Error] names the offending token. *)
 
-val of_string_exn : string -> t
-(** @raise Invalid_argument as {!of_string}'s [Error]. *)
-
 val to_string : t -> string
 (** Canonical spec text ([of_string (to_string t) = Ok t]). *)
 

@@ -35,15 +35,6 @@ let no_analysis =
     tripped = [];
   }
 
-(* Degraded fallback: an Aho–Corasick pass over the templates' literal
-   [data] patterns (conjunction per template, like the signature
-   baseline).  Built once; only templates carrying data patterns can be
-   recovered this way. *)
-type fallback = {
-  ac : Sanids_baseline.Aho_corasick.t;
-  per_template : (string * string list) list;
-}
-
 (* Pre-resolved registry handles for the per-packet hot path. *)
 type counters = {
   packets : Obs.Registry.counter;
@@ -80,7 +71,6 @@ type t = {
   vcache_entries : Obs.Registry.gauge;
   flow_entries : Obs.Registry.gauge;
   breaker : Breaker.t option;
-  fallback : fallback option;
   reasm : Flow.reassembler option;
   flow_alerted : (string, unit) Lru.t;
       (* flow-key ^ template pairs already alerted, for stream mode;
@@ -117,25 +107,6 @@ let distinct_names templates =
       end)
     templates
 
-let build_fallback templates =
-  let per_template =
-    List.filter_map
-      (fun (tp : Template.t) ->
-        if tp.Template.data = [] then None
-        else Some (tp.Template.name, tp.Template.data))
-      templates
-  in
-  if per_template = [] then None
-  else
-    let pats =
-      List.sort_uniq compare (List.concat_map snd per_template)
-    in
-    Some
-      {
-        ac = Sanids_baseline.Aho_corasick.build (List.map (fun p -> (p, p)) pats);
-        per_template;
-      }
-
 let create ?tracer (cfg : Config.t) =
   let cfg =
     match Config.validate cfg with
@@ -169,8 +140,6 @@ let create ?tracer (cfg : Config.t) =
         "sanids_flow_alerted_entries";
     breaker =
       Option.map (fun bc -> Breaker.create ~metrics:reg bc) cfg.Config.breaker;
-    fallback =
-      (if cfg.Config.degrade then build_fallback cfg.Config.templates else None);
     reasm = (if cfg.Config.reassemble then Some (Flow.create_reassembler ()) else None);
     flow_alerted = Lru.create cfg.Config.flow_alert_cache_size;
     verdicts =
@@ -267,51 +236,45 @@ let step_cap_of t =
         | None -> Budget.default_limits.Budget.max_match_steps)
 
 (* Conjunctive pattern matching for the degraded pass: a candidate
-   template counts as (tentatively) present when every one of its data
-   patterns occurs in the buffer. *)
-let degraded_verdicts fb (buffer : Slice.t) candidates =
-  if candidates = [] then []
-  else begin
-    let found = Hashtbl.create 8 in
-    List.iter
-      (fun (end_off, pat) ->
-        if not (Hashtbl.mem found pat) then
-          Hashtbl.add found pat (end_off - String.length pat + 1))
-      (Sanids_baseline.Aho_corasick.search_slice fb.ac buffer);
-    List.filter_map
-      (fun name ->
-        match List.assoc_opt name fb.per_template with
-        | None | Some [] -> None
-        | Some pats ->
-            if List.for_all (Hashtbl.mem found) pats then
-              let entry =
-                List.fold_left
-                  (fun acc p -> min acc (Hashtbl.find found p))
-                  max_int pats
-              in
-              Some
-                {
-                  frame =
-                    {
-                      Extractor.off = 0;
-                      data = buffer;
-                      origin = Extractor.Raw_binary;
-                    };
-                  match_ =
-                    {
-                      Matcher.template = name;
-                      entry;
-                      offsets = [];
-                      reg_bindings = [];
-                      const_bindings = [];
-                    };
-                  cached = false;
-                  degraded = true;
-                  confirmation = None;
-                }
-            else None)
-      candidates
-  end
+   template counts as (tentatively) present when every one of its
+   literal [data] patterns occurs in the buffer, and is reported at the
+   leftmost occurrence of any of them.  Only templates carrying data
+   patterns can be recovered this way. *)
+let degraded_verdicts t (buffer : Slice.t) candidates =
+  List.filter_map
+    (fun name ->
+      match
+        List.find_opt
+          (fun (tp : Template.t) -> tp.Template.name = name && tp.Template.data <> [])
+          t.cfg.Config.templates
+      with
+      | None -> None
+      | Some tp ->
+          let found =
+            List.filter_map
+              (fun needle -> Search.find_slice ~needle buffer)
+              tp.Template.data
+          in
+          if List.compare_lengths found tp.Template.data < 0 then None
+          else
+            let entry = List.fold_left min max_int found in
+            Some
+              {
+                frame =
+                  { Extractor.off = 0; data = buffer; origin = Extractor.Raw_binary };
+                match_ =
+                  {
+                    Matcher.template = name;
+                    entry;
+                    offsets = [];
+                    reg_bindings = [];
+                    const_bindings = [];
+                  };
+                cached = false;
+                degraded = true;
+                confirmation = None;
+              })
+    candidates
 
 (* Analysis stages shared by live processing and the timing harness. *)
 let analyze_frames t payload =
@@ -403,26 +366,21 @@ let analyze_core t buffer =
   | None -> report
   | Some stage ->
       count_degraded t stage;
-      let extra =
-        match t.fallback with
-        | None -> []
-        | Some fb ->
-            let candidates =
-              match report.outcome with
-              | Budget.Truncated _ ->
-                  (* the whole scan was cut short: every not-yet-matched
-                     template gets the cheap pass *)
-                  List.filter
-                    (fun n ->
-                      not
-                        (List.exists
-                           (fun v -> v.match_.Matcher.template = n)
-                           report.verdicts))
-                    (distinct_names t.cfg.Config.templates)
-              | Budget.Complete -> report.breaker_open
-            in
-            degraded_verdicts fb buffer candidates
+      let candidates =
+        match report.outcome with
+        | Budget.Truncated _ ->
+            (* the whole scan was cut short: every not-yet-matched
+               template gets the cheap pass *)
+            List.filter
+              (fun n ->
+                not
+                  (List.exists
+                     (fun v -> v.match_.Matcher.template = n)
+                     report.verdicts))
+              (distinct_names t.cfg.Config.templates)
+        | Budget.Complete -> report.breaker_open
       in
+      let extra = degraded_verdicts t buffer candidates in
       { report with verdicts = report.verdicts @ extra; degraded = true }
 
 (* Full analysis of one buffer, short-circuited by the verdict cache.

@@ -2,6 +2,8 @@
    order (Snapshot.to_list is sorted), histogram buckets in ascending
    [le] order. *)
 
+module Json = Sanids_util.Json
+
 let float_str v =
   if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
@@ -56,43 +58,29 @@ let to_prometheus ?(help = fun _ -> None) snap =
     (Snapshot.to_list snap);
   Buffer.contents b
 
-(* Series names of labeled counters contain '"' — escape for JSON. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let jsonl_of_value name v =
-  let name = json_escape name in
-  match v with
-  | Snapshot.Counter n ->
-      Printf.sprintf "{\"metric\":\"%s\",\"type\":\"counter\",\"value\":%d}" name n
-  | Snapshot.Gauge g ->
-      Printf.sprintf "{\"metric\":\"%s\",\"type\":\"gauge\",\"value\":%s}" name
-        (float_str g)
-  | Snapshot.Hist h ->
-      let buckets = Buffer.create 64 in
-      let first = ref true in
-      for i = 0 to Histogram.nbuckets - 1 do
-        if h.Histogram.counts.(i) > 0 then begin
-          if not !first then Buffer.add_char buckets ',';
-          first := false;
-          Buffer.add_string buckets
-            (Printf.sprintf "[%s,%d]"
-               (float_str (Histogram.bucket_upper i))
-               h.Histogram.counts.(i))
-        end
-      done;
-      Printf.sprintf
-        "{\"metric\":\"%s\",\"type\":\"histogram\",\"count\":%d,\"sum\":%s,\"buckets\":[%s]}"
-        name h.Histogram.total (float_str h.Histogram.sum)
-        (Buffer.contents buckets)
+  let num f = Json.Number (float_str f) in
+  let fields =
+    match v with
+    | Snapshot.Counter n -> [ ("type", Json.String "counter"); ("value", Json.int n) ]
+    | Snapshot.Gauge g -> [ ("type", Json.String "gauge"); ("value", num g) ]
+    | Snapshot.Hist h ->
+        let buckets =
+          List.filter_map
+            (fun i ->
+              let c = h.Histogram.counts.(i) in
+              if c = 0 then None
+              else Some (Json.List [ num (Histogram.bucket_upper i); Json.int c ]))
+            (List.init Histogram.nbuckets Fun.id)
+        in
+        [
+          ("type", Json.String "histogram");
+          ("count", Json.int h.Histogram.total);
+          ("sum", num h.Histogram.sum);
+          ("buckets", Json.List buckets);
+        ]
+  in
+  Json.to_string (Json.Obj (("metric", Json.String name) :: fields))
 
 let to_jsonl snap =
   String.concat ""

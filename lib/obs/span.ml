@@ -1,3 +1,5 @@
+module Json = Sanids_util.Json
+
 type tracer = {
   oc : out_channel;
   sample : int;  (* emit every [sample]-th span *)
@@ -16,22 +18,6 @@ let flush t =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () -> flush t.oc)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* One JSONL event per sampled span:
      {"span":"match","ts":1723043.123456,"dur_us":81.3,"seq":7}
    [ts] is the span's start on the gettimeofday clock, [seq] numbers
@@ -43,8 +29,16 @@ let emit t name ~ts ~dur =
     (fun () ->
       t.seen <- t.seen + 1;
       if t.seen mod t.sample = 0 then begin
-        Printf.fprintf t.oc "{\"span\":\"%s\",\"ts\":%.6f,\"dur_us\":%.3f,\"seq\":%d}\n"
-          (json_escape name) ts (dur *. 1e6) t.emitted;
+        output_string t.oc
+          (Json.to_string
+             (Json.Obj
+                [
+                  ("span", Json.String name);
+                  ("ts", Json.Number (Printf.sprintf "%.6f" ts));
+                  ("dur_us", Json.Number (Printf.sprintf "%.3f" (dur *. 1e6)));
+                  ("seq", Json.int t.emitted);
+                ])
+          ^ "\n");
         t.emitted <- t.emitted + 1
       end)
 

@@ -41,33 +41,15 @@ let to_line f =
     (match f.loc with Some l -> " (" ^ l ^ ")" | None -> "")
     f.message
 
-(* Minimal JSON string escaping: quotes, backslashes, control bytes. *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let to_json f =
-  Printf.sprintf "{\"code\":%s,\"severity\":%s,\"subject\":%s%s,\"message\":%s}"
-    (json_string f.code)
-    (json_string (severity_to_string f.severity))
-    (json_string f.subject)
-    (match f.loc with
-    | Some l -> Printf.sprintf ",\"loc\":%s" (json_string l)
-    | None -> "")
-    (json_string f.message)
+  Json.to_string
+    (Json.Obj
+       ([
+          ("code", Json.String f.code);
+          ("severity", Json.String (severity_to_string f.severity));
+          ("subject", Json.String f.subject);
+        ]
+       @ (match f.loc with Some l -> [ ("loc", Json.String l) ] | None -> [])
+       @ [ ("message", Json.String f.message) ]))
 
 let pp ppf f = Format.pp_print_string ppf (to_line f)

@@ -68,24 +68,11 @@ let selftest_codes findings =
 
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Minimal SARIF 2.1.0: one run, one driver, rule ids from the distinct
    finding codes, one result per finding.  Byte-stable for a given
    finding list. *)
 let to_sarif findings =
+  let str s = Json.String s in
   let level (f : Finding.t) =
     match f.Finding.severity with
     | Finding.Error -> "error"
@@ -95,29 +82,47 @@ let to_sarif findings =
   let rule_ids =
     List.sort_uniq compare (List.map (fun (f : Finding.t) -> f.Finding.code) findings)
   in
-  let rules =
-    String.concat ","
-      (List.map (fun c -> Printf.sprintf {|{"id":"%s"}|} (json_escape c)) rule_ids)
+  let result (f : Finding.t) =
+    let name =
+      match f.Finding.loc with
+      | Some l -> f.Finding.subject ^ " (" ^ l ^ ")"
+      | None -> f.Finding.subject
+    in
+    Json.Obj
+      [
+        ("ruleId", str f.Finding.code);
+        ("level", str (level f));
+        ("message", Json.Obj [ ("text", str f.Finding.message) ]);
+        ( "locations",
+          Json.List
+            [
+              Json.Obj
+                [ ("logicalLocations", Json.List [ Json.Obj [ ("name", str name) ] ]) ];
+            ] );
+      ]
   in
-  let results =
-    String.concat ","
-      (List.map
-         (fun (f : Finding.t) ->
-           let name =
-             match f.Finding.loc with
-             | Some l -> f.Finding.subject ^ " (" ^ l ^ ")"
-             | None -> f.Finding.subject
-           in
-           Printf.sprintf
-             {|{"ruleId":"%s","level":"%s","message":{"text":"%s"},"locations":[{"logicalLocations":[{"name":"%s"}]}]}|}
-             (json_escape f.Finding.code) (level f)
-             (json_escape f.Finding.message)
-             (json_escape name))
-         findings)
+  let driver =
+    Json.Obj
+      [
+        ("name", str "sanids-lint");
+        ("rules", Json.List (List.map (fun c -> Json.Obj [ ("id", str c) ]) rule_ids));
+      ]
   in
-  Printf.sprintf
-    {|{"$schema":"https://json.schemastore.org/sarif-2.1.0.json","version":"2.1.0","runs":[{"tool":{"driver":{"name":"sanids-lint","rules":[%s]}},"results":[%s]}]}|}
-    rules results
+  Json.to_string
+    (Json.Obj
+       [
+         ("$schema", str "https://json.schemastore.org/sarif-2.1.0.json");
+         ("version", str "2.1.0");
+         ( "runs",
+           Json.List
+             [
+               Json.Obj
+                 [
+                   ("tool", Json.Obj [ ("driver", driver) ]);
+                   ("results", Json.List (List.map result findings));
+                 ];
+             ] );
+       ])
   ^ "\n"
 
 let render fmt findings =

@@ -77,9 +77,6 @@ let of_string s =
   | Error _ as e -> e
   | Ok t -> validate t
 
-let of_string_exn s =
-  match of_string s with Ok t -> t | Error m -> invalid_arg m
-
 (* ------------------------------------------------------------------ *)
 
 let delay t ~seed ~attempt =

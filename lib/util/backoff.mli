@@ -34,9 +34,6 @@ val validate : t -> (t, string) result
 val of_string : string -> (t, string) result
 (** Parse a spec over {!default}.  [Error] names the offending token. *)
 
-val of_string_exn : string -> t
-(** @raise Invalid_argument as {!of_string}'s [Error]. *)
-
 val to_string : t -> string
 (** Canonical spec text ([of_string (to_string t) = Ok t]). *)
 

@@ -1,15 +1,62 @@
-(* Minimal recursive-descent JSON reader — just enough for the emu-test
-   vector corpus.  No external dependency: the toolchain ships no JSON
-   library and the vectors only need objects, arrays, strings, integers,
-   booleans and null. *)
-
 type t =
   | Null
   | Bool of bool
-  | Int of int
+  | Number of string
   | String of string
   | List of t list
   | Obj of (string * t) list
+
+let int n = Number (string_of_int n)
+
+(* ------------------------------------------------------------------ *)
+(* writer *)
+
+let add_escaped b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+let rec add_value b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Number lit -> Buffer.add_string b lit
+  | String s -> add_escaped b s
+  | List items ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char b ',';
+          add_value b v)
+        items;
+      Buffer.add_char b ']'
+  | Obj fields ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b ',';
+          add_escaped b k;
+          Buffer.add_char b ':';
+          add_value b v)
+        fields;
+      Buffer.add_char b '}'
+
+let to_string v =
+  let b = Buffer.create 256 in
+  add_value b v;
+  Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
+(* reader: recursive descent *)
 
 exception Error of string
 
@@ -82,6 +129,8 @@ let parse_string st =
                 else Buffer.add_char buf (Char.chr code)
             | c -> fail st (Printf.sprintf "bad escape '\\%c'" c));
             loop ())
+    | Some c when Char.code c < 0x20 ->
+        fail st (Printf.sprintf "raw control byte 0x%02x in string" (Char.code c))
     | Some c ->
         advance st;
         Buffer.add_char buf c;
@@ -89,39 +138,39 @@ let parse_string st =
   in
   loop ()
 
-let parse_int st =
+(* -?(0x hex+ | digits (.digits)? ([eE][+-]?digits)?), kept as text *)
+let parse_number st =
   let start = st.pos in
-  (match peek st with Some '-' -> advance st | _ -> ());
-  (* accept 0x… so vectors can write addresses and flag words in hex *)
-  (if
-     st.pos + 1 < String.length st.src
-     && st.src.[st.pos] = '0'
-     && (st.src.[st.pos + 1] = 'x' || st.src.[st.pos + 1] = 'X')
-   then begin
-     advance st;
-     advance st;
-     let rec hex () =
-       match peek st with
-       | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') ->
-           advance st;
-           hex ()
-       | _ -> ()
-     in
-     hex ()
-   end
-   else
-     let rec digits () =
-       match peek st with
-       | Some '0' .. '9' ->
-           advance st;
-           digits ()
-       | _ -> ()
-     in
-     digits ());
-  let s = String.sub st.src start (st.pos - start) in
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> fail st (Printf.sprintf "bad number %S" s)
+  (* consume a run of [ok] bytes; false when the run is empty *)
+  let run ok =
+    let from = st.pos in
+    while match peek st with Some c -> ok c | None -> false do
+      advance st
+    done;
+    st.pos > from
+  in
+  let digit = function '0' .. '9' -> true | _ -> false in
+  let hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+  let accept c = if peek st = Some c then (advance st; true) else false in
+  ignore (accept '-');
+  let ok =
+    if
+      st.pos + 1 < String.length st.src
+      && st.src.[st.pos] = '0'
+      && (st.src.[st.pos + 1] = 'x' || st.src.[st.pos + 1] = 'X')
+    then begin
+      st.pos <- st.pos + 2;
+      run hex
+    end
+    else
+      run digit
+      && ((not (accept '.')) || run digit)
+      && ((not (accept 'e' || accept 'E'))
+         || (ignore (accept '+' || accept '-');
+             run digit))
+  in
+  let lit = String.sub st.src start (st.pos - start) in
+  if ok then Number lit else fail st (Printf.sprintf "bad number %S" lit)
 
 let rec parse_value st =
   skip_ws st;
@@ -133,7 +182,7 @@ let rec parse_value st =
   | Some 't' -> literal st "true" (Bool true)
   | Some 'f' -> literal st "false" (Bool false)
   | Some 'n' -> literal st "null" Null
-  | Some ('-' | '0' .. '9') -> Int (parse_int st)
+  | Some ('-' | '0' .. '9') -> parse_number st
   | Some c -> fail st (Printf.sprintf "unexpected character '%c'" c)
 
 and parse_obj st =
@@ -179,7 +228,7 @@ and parse_list st =
           items (v :: acc)
       | Some ']' ->
           advance st;
-          List (List.rev ((v :: acc)))
+          List (List.rev (v :: acc))
       | _ -> fail st "expected ',' or ']' in array"
     in
     items []
@@ -195,13 +244,15 @@ let of_string s =
   | v -> Ok v
   | exception Error msg -> Error msg
 
+(* ------------------------------------------------------------------ *)
 (* accessors *)
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_int_opt = function Int i -> Some i | _ -> None
+let to_int_opt = function Number lit -> int_of_string_opt lit | _ -> None
+let to_float_opt = function Number lit -> float_of_string_opt lit | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
 let to_list_opt = function List l -> Some l | _ -> None
 let to_obj_opt = function Obj f -> Some f | _ -> None

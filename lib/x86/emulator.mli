@@ -41,13 +41,6 @@ val write_mem_opt : t -> int32 -> string -> unit option
 (** Store a string into the arena; [None] (and no partial write) when
     any byte would fall outside it. *)
 
-val read_mem : t -> int32 -> int -> string
-[@@deprecated "raises on unmapped addresses; use read_mem_opt"]
-
-val write_mem : t -> int32 -> string -> unit
-[@@deprecated
-  "raises mid-write on unmapped addresses; use write_mem_opt"]
-
 val set_write_hook : t -> (int32 -> unit) option -> unit
 (** Install (or clear) an observer called with the address of every
     byte the machine stores — guest stores, pushes and string writes

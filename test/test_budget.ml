@@ -351,6 +351,41 @@ let test_no_cache_poisoning () =
   Alcotest.(check bool) "same outcome on re-analysis" true
     (r1.Pipeline.outcome = r2.Pipeline.outcome)
 
+(* the degraded pass reports a template at the leftmost occurrence of
+   its earliest data literal, over repeated and overlapping literals *)
+let test_degraded_entries () =
+  let base = List.hd Template_lib.shell_spawn in
+  let tpl name data = { base with Template.name; data } in
+  let templates =
+    [
+      tpl "abc" [ "ABC" ];
+      tpl "bcd-abc" [ "BCD"; "ABC" ];
+      tpl "cab" [ "CAB" ];
+      tpl "cdx" [ "CDx"; "xAB" ];
+      tpl "absent" [ "ABC"; "ZZZ" ];
+    ]
+  in
+  let nids =
+    Pipeline.create
+      (Config.default
+      |> Config.with_extraction false
+      |> Config.with_templates templates
+      |> Config.with_budget (Some { tight_budget with Budget.max_bytes = 1 })
+      |> Config.with_degrade true)
+  in
+  (*           0123456789012345678 *)
+  let buffer = "yyABCABxABCDxABCDyy" in
+  let r = Pipeline.analyze_report nids buffer in
+  Alcotest.(check bool) "truncated" true (r.Pipeline.outcome <> Budget.Complete);
+  Alcotest.(check (list (pair string int)))
+    "degraded entries"
+    [ ("abc", 2); ("bcd-abc", 2); ("cab", 4); ("cdx", 7) ]
+    (List.map
+       (fun (v : Pipeline.verdict) ->
+         Alcotest.(check bool) "degraded" true v.Pipeline.degraded;
+         (v.Pipeline.match_.Matcher.template, v.Pipeline.match_.Matcher.entry))
+       r.Pipeline.verdicts)
+
 let test_degrade_requires_mechanism () =
   match Config.validate (Config.default |> Config.with_degrade true) with
   | Error _ -> ()
@@ -394,6 +429,8 @@ let () =
           Alcotest.test_case "truncation and degradation counted" `Quick
             test_truncation_counted;
           Alcotest.test_case "no cache poisoning" `Quick test_no_cache_poisoning;
+          Alcotest.test_case "degraded entries are leftmost" `Quick
+            test_degraded_entries;
           Alcotest.test_case "degrade requires a mechanism" `Quick
             test_degrade_requires_mechanism;
         ] );

@@ -7,7 +7,6 @@ open Sanids_net
 open Sanids_nids
 module Confirm = Sanids_confirm.Confirm
 module Emu_test = Sanids_confirm.Emu_test
-module Json = Sanids_confirm.Json
 module Emulator = Sanids_x86.Emulator
 module Admmutate = Sanids_polymorph.Admmutate
 module Clet = Sanids_polymorph.Clet
@@ -270,22 +269,20 @@ let test_harness_errors () =
   (match Emu_test.run [ not_array ] with
   | Ok _ -> Alcotest.fail "non-array top level must error"
   | Error _ -> ());
-  Sys.remove not_array
-
-let test_json_reader () =
-  (match Json.of_string {| { "a": [1, 0x10, true, null, "x\n"] } |} with
-  | Ok (Json.Obj [ ("a", Json.List l) ]) ->
-      Alcotest.(check int) "array arity" 5 (List.length l);
-      Alcotest.(check (option int)) "hex int" (Some 16)
-        (Json.to_int_opt (List.nth l 1))
-  | Ok _ -> Alcotest.fail "unexpected shape"
-  | Error e -> Alcotest.fail e);
-  List.iter
-    (fun s ->
-      match Json.of_string s with
-      | Ok _ -> Alcotest.failf "%S should not parse" s
-      | Error _ -> ())
-    [ "{"; "[1,]"; "1.5"; "[1] trailing"; {|{"a" 1}|} ]
+  Sys.remove not_array;
+  (* a float reads as a number but is refused where a vector wants an
+     integer, with the loader's own message *)
+  let float_steps =
+    write_temp_vectors
+      {|[ { "name": "x", "steps": 1.5, "initial": {}, "final": {} } ]|}
+  in
+  (match Emu_test.run [ float_steps ] with
+  | Ok _ -> Alcotest.fail "float steps must error"
+  | Error e ->
+      Alcotest.(check string) "loader error"
+        (float_steps ^ {|: field "steps" is not an integer|})
+        e);
+  Sys.remove float_steps
 
 (* ------------------------------------------------------------------ *)
 (* pipeline integration: demotion, promotion, cache admission *)
@@ -406,7 +403,6 @@ let () =
         [
           Alcotest.test_case "pass/fail/filter/jobs" `Quick test_harness_pass_and_fail;
           Alcotest.test_case "errors" `Quick test_harness_errors;
-          Alcotest.test_case "json reader" `Quick test_json_reader;
         ] );
       ( "pipeline",
         [

@@ -86,7 +86,10 @@ let test_fault_spec () =
 
 let test_fault_deterministic () =
   let records = Pcap.of_packets (benign 200 0xABCL) in
-  let plan = Fault.of_string_exn "truncate=0.3,bitflip=0.3,dup=0.2,reorder=0.2,garbage=0.2" in
+  let plan =
+    Result.get_ok
+      (Fault.of_string "truncate=0.3,bitflip=0.3,dup=0.2,reorder=0.2,garbage=0.2")
+  in
   let a = Fault.records ~seed:42L plan records in
   let b = Fault.records ~seed:42L plan records in
   Alcotest.(check bool) "same seed, same corruption" true (a = b);
@@ -131,7 +134,8 @@ let prop_never_raises =
 let test_fuzz_reconciliation () =
   let pkts = benign 8_000 0x5EED5EEDL in
   let plan =
-    Fault.of_string_exn "truncate=0.25,bitflip=0.25,dup=0.4,reorder=0.1,garbage=0.15"
+    Result.get_ok
+      (Fault.of_string "truncate=0.25,bitflip=0.25,dup=0.4,reorder=0.1,garbage=0.15")
   in
   let file = Fault.file ~seed:0xF00DL plan
       { Pcap.nanos = false; linktype = Pcap.linktype_raw;

@@ -215,6 +215,36 @@ let test_jsonl_export () =
         (String.length l > 2 && l.[0] = '{' && l.[String.length l - 1] = '}'))
     lines
 
+(* label values carrying JSON-special bytes: every exported line must
+   still be one strict JSON object naming its series *)
+let test_jsonl_escapes_labels () =
+  let r = R.create () in
+  let values = [ "a\"b"; "c\\d"; "e\nf"; "g\th" ] in
+  List.iter
+    (fun v -> R.incr (R.counter r ~labels:[ ("reason", v) ] "sanids_odd_total"))
+    values;
+  R.set_gauge (R.gauge r ~labels:[ ("state", "x\ty") ] "sanids_odd_gauge") 1.5;
+  let lines =
+    String.split_on_char '\n' (String.trim (Obs.Export.to_jsonl (R.snapshot r)))
+  in
+  let expected =
+    R.series_name "sanids_odd_gauge" [ ("state", "x\ty") ]
+    :: List.map (fun v -> R.series_name "sanids_odd_total" [ ("reason", v) ]) values
+  in
+  Alcotest.(check (list string))
+    "metric names round-trip"
+    (List.sort compare expected)
+    (List.sort compare
+       (List.map
+          (fun l ->
+            match Json.of_string l with
+            | Error e -> Alcotest.failf "%S is not strict JSON: %s" l e
+            | Ok j -> (
+                match Option.bind (Json.member "metric" j) Json.to_string_opt with
+                | Some m -> m
+                | None -> Alcotest.failf "%S has no metric field" l))
+          lines))
+
 (* ------------------------------------------------------------------ *)
 (* Spans *)
 
@@ -310,6 +340,8 @@ let () =
         [
           Alcotest.test_case "prometheus" `Quick test_prometheus_export;
           Alcotest.test_case "jsonl" `Quick test_jsonl_export;
+          Alcotest.test_case "jsonl escapes label values" `Quick
+            test_jsonl_escapes_labels;
         ] );
       ( "span",
         [

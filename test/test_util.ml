@@ -174,6 +174,61 @@ let test_chi_square_self () =
   Alcotest.(check bool) "self distance near zero" true (v < 1e-6)
 
 (* ------------------------------------------------------------------ *)
+(* Json *)
+
+let test_json_reader () =
+  (match Json.of_string {| { "a": [1, 0x10, -0x10, 2.5e-3, true, null, "x\n"] } |} with
+  | Ok (Json.Obj [ ("a", Json.List l) ]) ->
+      Alcotest.(check int) "array arity" 7 (List.length l);
+      Alcotest.(check (option int)) "hex int" (Some 16) (Json.to_int_opt (List.nth l 1));
+      Alcotest.(check (option int)) "negative hex int" (Some (-16))
+        (Json.to_int_opt (List.nth l 2));
+      Alcotest.(check (option (float 0.))) "float" (Some 2.5e-3)
+        (Json.to_float_opt (List.nth l 3))
+  | Ok _ -> Alcotest.fail "unexpected shape"
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun s ->
+      match Json.of_string s with
+      | Ok _ -> Alcotest.failf "%S should not parse" s
+      | Error _ -> ())
+    [
+      "{"; "[1,]"; {|{"a" 1}|}; "-"; "0x"; "1."; "1e"; {|"\u0100"|};
+      (* a raw control byte inside a string *)
+      "\"a\tb\""; "\"a\x01b\""; "[\"a\nb\"]";
+      (* trailing garbage *)
+      "[1] trailing"; "{} {}"; "1 2";
+    ]
+
+(* a float is a number but not an integer: the emu-test loader's
+   integer fields see [None] and report the field *)
+let test_json_float_not_int () =
+  match Json.of_string {|{"steps": 1.5}|} with
+  | Ok j ->
+      let steps = Option.get (Json.member "steps" j) in
+      Alcotest.(check (option int)) "not an integer" None (Json.to_int_opt steps);
+      Alcotest.(check (option (float 0.))) "a float" (Some 1.5) (Json.to_float_opt steps)
+  | Error e -> Alcotest.fail e
+
+(* the escaping rule, byte for byte: short escapes for quote, backslash,
+   \n \r \t; \u00XX for the other bytes below 0x20; everything from
+   0x7F up (UTF-8 included) passes through *)
+let test_json_writer () =
+  check_string "escapes"
+    ({|{"k\"":["q\"b\\s\n\r\t\u0001\u001f\u0008","|} ^ "\127—é"
+   ^ {|"],"n":-0x1F,"f":1.50,"b":true,"z":null}|})
+    (Json.to_string
+       (Json.Obj
+          [
+            ( "k\"",
+              Json.List [ Json.String "q\"b\\s\n\r\t\001\031\b"; Json.String "\127—é" ] );
+            ("n", Json.Number "-0x1F");
+            ("f", Json.Number "1.50");
+            ("b", Json.Bool true);
+            ("z", Json.Null);
+          ]))
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let prop_hex_roundtrip =
@@ -200,9 +255,55 @@ let prop_rng_int_uniformish =
       done;
       !ok)
 
+(* strings over all 256 byte values, nested lists and objects, decimal,
+   negative and 0x integers and floats: the reader reads back exactly
+   what the writer wrote *)
+let gen_json =
+  let open QCheck2.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  let number =
+    oneof
+      [
+        map Json.int int;
+        map (fun n -> Json.Number (Printf.sprintf "0x%x" n)) nat;
+        map (fun n -> Json.Number (Printf.sprintf "-0X%X" n)) nat;
+        map3
+          (fun i f e -> Json.Number (Printf.sprintf "%d.%de%d" i f e))
+          small_signed_int nat (int_range (-30) 30);
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        pure Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        number;
+        map (fun s -> Json.String s) str;
+      ]
+  in
+  sized_size (int_bound 24)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 2))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair str (self (n / 2)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck2.Test.make ~name:"json of_string (to_string v) = Ok v" ~count:500
+    ~print:Json.to_string gen_json (fun v -> Json.of_string (Json.to_string v) = Ok v)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_hex_roundtrip; prop_entropy_bounds; prop_rng_int_uniformish ]
+    [
+      prop_hex_roundtrip; prop_entropy_bounds; prop_rng_int_uniformish; prop_json_roundtrip;
+    ]
 
 let () =
   Alcotest.run "util"
@@ -241,6 +342,12 @@ let () =
           Alcotest.test_case "printable fraction" `Quick test_printable_fraction;
           Alcotest.test_case "histogram" `Quick test_histogram_total;
           Alcotest.test_case "chi-square self" `Quick test_chi_square_self;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "reader" `Quick test_json_reader;
+          Alcotest.test_case "float is not an integer" `Quick test_json_float_not_int;
+          Alcotest.test_case "writer escaping" `Quick test_json_writer;
         ] );
       ("properties", properties);
     ]

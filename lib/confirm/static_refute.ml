@@ -1,5 +1,5 @@
 (* A bounded abstract executor that mirrors Emulator.step over the
-   Absint.V interval/congruence domain.  Everything here is written
+   Absint.V interval/known-bits domain.  Everything here is written
    against one contract: return [Some _] only when the concrete
    [Confirm.run] with the same inputs must return [Refuted _].  Any
    imprecision that could possibly flip that verdict raises [Bail],

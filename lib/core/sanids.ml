@@ -45,7 +45,6 @@ module Pretty = Sanids_x86.Pretty
 module Asm = Sanids_x86.Asm
 module Emulator = Sanids_x86.Emulator
 module Sem = Sanids_ir.Sem
-module Constprop = Sanids_ir.Constprop
 module Trace = Sanids_ir.Trace
 module Defuse = Sanids_ir.Defuse
 module Cfg = Sanids_ir.Cfg

@@ -1,90 +1,133 @@
-(* Abstract interpretation over the lifted IR: an interval × power-of-two
-   congruence × taint value domain, a may-write memory summary, and an
+(* Abstract interpretation over the lifted IR: an interval × known-bits
+   × taint value domain, a may-write memory summary, and an
    intraprocedural CFG fixpoint with widening at loop heads.
 
    Soundness discipline: every transformer here over-approximates the
-   corresponding concrete operation in Emulator/Constprop.  When in
+   corresponding concrete operation in the Emulator.  When in
    doubt an operation returns a coarser value — never a tighter one.
    The qcheck oracle in test_absint drives random concrete executions
    through both and checks containment. *)
 
-let max32 = 0xFFFF_FFFFL
-let two32 = 0x1_0000_0000L
+(* Values are unsigned 32-bit quantities held in native ints (63 bits
+   wide), so abstract values carry no boxed fields. *)
+let max32 = 0xFFFF_FFFF
+let two32 = 0x1_0000_0000
 
-let u64 (c : int32) = Int64.logand (Int64.of_int32 c) max32
-let pow2 a = Int64.shift_left 1L a
-let lmask a = if a >= 64 then -1L else Int64.sub (pow2 a) 1L
+let u32 (c : int32) = Int32.to_int c land max32
+let lmask a = (1 lsl a) - 1
 
 module V = struct
-  (* Non-bottom invariant: 0 <= lo <= hi <= max32, 0 <= res < 2^align,
-     and the set { v in [lo,hi] | v mod 2^align = res } is non-empty
-     with lo and hi themselves members (reduced form). *)
-  type v = { lo : int64; hi : int64; align : int; res : int64; taint : bool }
+  (* Non-bottom invariant: 0 <= lo <= hi <= max32; [known] masks the bits
+     every member shares and [bits] holds their values (so
+     [bits land lnot known = 0]).  Members are the values in [lo, hi]
+     that agree with [bits] on [known].  A congruence mod 2^k is the case
+     where the low k bits are known; the bits above it are what folds
+     mask chains such as [and eax,m1; and eax,m2] with disjoint masks. *)
+  type v = { lo : int; hi : int; known : int; bits : int; taint : bool }
   type t = Bot | Val of v
 
   let bot = Bot
 
-  (* Reduce interval endpoints onto the congruence; Bot when empty. *)
-  let norm ~lo ~hi ~align ~res ~taint =
-    let lo = max 0L lo and hi = min max32 hi in
-    if Int64.compare lo hi > 0 then Bot
-    else if align = 0 then Val { lo; hi; align = 0; res = 0L; taint }
-    else
-      let m = pow2 align in
-      let res = Int64.logand res (Int64.sub m 1L) in
-      let up v =
-        let d = Int64.rem (Int64.sub res (Int64.rem v m)) m in
-        Int64.add v (if Int64.compare d 0L < 0 then Int64.add d m else d)
-      in
-      let lo = up lo in
-      let down v =
-        let d = Int64.rem (Int64.sub (Int64.rem v m) res) m in
-        Int64.sub v (if Int64.compare d 0L < 0 then Int64.add d m else d)
-      in
-      let hi = down hi in
-      if Int64.compare lo hi > 0 then Bot else Val { lo; hi; align; res; taint }
+  let imin (a : int) b = if a < b then a else b
+  let imax (a : int) b = if a > b then a else b
 
-  let top = Val { lo = 0L; hi = max32; align = 0; res = 0L; taint = true }
-  let top_clean = Val { lo = 0L; hi = max32; align = 0; res = 0L; taint = false }
-  let byte = Val { lo = 0L; hi = 255L; align = 0; res = 0L; taint = true }
+  (* The smallest all-ones mask 2^k - 1 that is >= v. *)
+  let bit_ceiling v =
+    let rec go m = if m >= v then m else go ((m lsl 1) lor 1) in
+    go 0
+
+  (* How many bits, from bit 0 up, are known: the congruence's exponent. *)
+  let trailing_known known =
+    let rec go n = if n < 32 && (known lsr n) land 1 = 1 then go (n + 1) else n in
+    go 0
+
+  (* Reduce the interval and the known bits against each other; Bot when
+     they are found inconsistent.  A singleton always has every bit known,
+     so [is_const] only needs the interval. *)
+  let norm ~lo ~hi ~known ~bits ~taint =
+    let lo = imax 0 lo and hi = imin max32 hi in
+    if lo > hi then Bot
+    else
+      let known = known land max32 in
+      let bits = bits land known in
+      (* every value in [lo, hi] shares the bits above the highest bit
+         where lo and hi differ *)
+      let prefix = bit_ceiling (lo lxor hi) lxor max32 in
+      if (bits lxor lo) land known land prefix <> 0 then Bot
+      else
+        let known = known lor prefix in
+        let bits = bits lor (lo land prefix) in
+        (* the smallest and largest values the known bits allow *)
+        let lo = imax lo bits and hi = imin hi (bits lor (known lxor max32)) in
+        let align = trailing_known known in
+        let lo, hi =
+          if align = 0 then (lo, hi)
+          else
+            (* round the endpoints onto the low known bits *)
+            let m = 1 lsl align in
+            let res = bits land (m - 1) in
+            let up v =
+              let d = (res - (v mod m)) mod m in
+              v + if d < 0 then d + m else d
+            in
+            let down v =
+              let d = ((v mod m) - res) mod m in
+              v - if d < 0 then d + m else d
+            in
+            (up lo, down hi)
+        in
+        if lo > hi then Bot
+        else if lo = hi then Val { lo; hi; known = max32; bits = lo; taint }
+        else Val { lo; hi; known; bits; taint }
+
+  (* The low [align] bits known to be [res]. *)
+  let norm_cong ~lo ~hi ~align ~res ~taint =
+    norm ~lo ~hi ~known:(lmask align) ~bits:res ~taint
+
+  let top = Val { lo = 0; hi = max32; known = 0; bits = 0; taint = true }
+  let top_clean = Val { lo = 0; hi = max32; known = 0; bits = 0; taint = false }
+  let byte = norm ~lo:0 ~hi:255 ~known:0 ~bits:0 ~taint:true
 
   let const c =
-    let u = u64 c in
-    Val { lo = u; hi = u; align = 32; res = u; taint = false }
+    let u = u32 c in
+    Val { lo = u; hi = u; known = max32; bits = u; taint = false }
 
-  let range lo hi = norm ~lo ~hi ~align:0 ~res:0L ~taint:false
+  let range lo hi =
+    let lo = max 0L lo and hi = min (Int64.of_int max32) hi in
+    if Int64.compare lo hi > 0 then Bot
+    else norm ~lo:(Int64.to_int lo) ~hi:(Int64.to_int hi) ~known:0 ~bits:0 ~taint:false
 
   let is_bot = function Bot -> true | Val _ -> false
 
   let is_const = function
-    | Val { lo; hi; _ } when Int64.equal lo hi -> Some (Int64.to_int32 lo)
+    | Val { lo; hi; _ } when lo = hi -> Some (Int32.of_int lo)
     | Bot | Val _ -> None
 
   let contains t c =
     match t with
     | Bot -> false
-    | Val { lo; hi; align; res; _ } ->
-        let u = u64 c in
-        Int64.compare lo u <= 0
-        && Int64.compare u hi <= 0
-        && (align = 0 || Int64.equal (Int64.logand u (lmask align)) res)
+    | Val { lo; hi; known; bits; _ } ->
+        let u = u32 c in
+        lo <= u && u <= hi && u land known = bits
 
   let taint = function Bot -> false | Val v -> v.taint
   let tainted = function Bot -> Bot | Val v -> Val { v with taint = true }
 
-  let bounds = function Bot -> None | Val { lo; hi; _ } -> Some (lo, hi)
+  let bounds = function
+    | Bot -> None
+    | Val { lo; hi; _ } -> Some (Int64.of_int lo, Int64.of_int hi)
 
   let size = function
     | Bot -> 0L
-    | Val { lo; hi; align; _ } ->
-        Int64.add (Int64.div (Int64.sub hi lo) (pow2 align)) 1L
+    | Val { lo; hi; known; _ } ->
+        Int64.of_int (((hi - lo) lsr trailing_known known) + 1)
 
   let equal a b =
     match (a, b) with
     | Bot, Bot -> true
     | Val a, Val b ->
-        Int64.equal a.lo b.lo && Int64.equal a.hi b.hi && a.align = b.align
-        && Int64.equal a.res b.res && a.taint = b.taint
+        a.lo = b.lo && a.hi = b.hi && a.known = b.known && a.bits = b.bits
+        && a.taint = b.taint
     | Bot, Val _ | Val _, Bot -> false
 
   let leq a b =
@@ -92,46 +135,45 @@ module V = struct
     | Bot, _ -> true
     | Val _, Bot -> false
     | Val a, Val b ->
-        Int64.compare b.lo a.lo <= 0
-        && Int64.compare a.hi b.hi <= 0
-        && b.align <= a.align
-        && Int64.equal (Int64.logand a.res (lmask b.align)) b.res
+        b.lo <= a.lo && a.hi <= b.hi
+        && b.known land lnot a.known = 0
+        && a.bits land b.known = b.bits
         && ((not a.taint) || b.taint)
 
-  (* Largest congruence below both: align down until the residues agree. *)
-  let cong_join (a1, r1) (a2, r2) =
-    let a = ref (min a1 a2) in
-    while
-      !a > 0 && not (Int64.equal (Int64.logand r1 (lmask !a)) (Int64.logand r2 (lmask !a)))
-    do
-      decr a
-    done;
-    (!a, Int64.logand r1 (lmask !a))
+  (* Bits known in both and equal in both. *)
+  let bits_join a b =
+    let known = a.known land b.known land lnot (a.bits lxor b.bits) in
+    (known, a.bits land known)
 
   let join a b =
     match (a, b) with
     | Bot, x | x, Bot -> x
     | Val a, Val b ->
-        let align, res = cong_join (a.align, a.res) (b.align, b.res) in
-        norm ~lo:(min a.lo b.lo) ~hi:(max a.hi b.hi) ~align ~res
+        let known, bits = bits_join a b in
+        norm ~lo:(imin a.lo b.lo) ~hi:(imax a.hi b.hi) ~known ~bits
           ~taint:(a.taint || b.taint)
 
   let widen old next =
     match (old, next) with
     | Bot, x | x, Bot -> x
     | Val o, Val n ->
-        let align, res = cong_join (o.align, o.res) (n.align, n.res) in
-        let lo = if Int64.compare n.lo o.lo < 0 then 0L else o.lo in
-        let hi = if Int64.compare n.hi o.hi > 0 then max32 else o.hi in
-        norm ~lo ~hi ~align ~res ~taint:(o.taint || n.taint)
+        let known, bits = bits_join o n in
+        let lo = if n.lo < o.lo then 0 else o.lo in
+        let hi = if n.hi > o.hi then max32 else o.hi in
+        (* a jumped bound must not be pulled back by the known bits its
+           old value implied: keep only the congruence then *)
+        let known =
+          if lo = o.lo && hi = o.hi then known else lmask (trailing_known known)
+        in
+        norm ~lo ~hi ~known ~bits ~taint:(o.taint || n.taint)
 
   let narrow wide refined =
     match (wide, refined) with
     | Bot, _ | _, Bot -> refined
     | Val w, Val r ->
-        let lo = if Int64.equal w.lo 0L then r.lo else w.lo in
-        let hi = if Int64.equal w.hi max32 then r.hi else w.hi in
-        norm ~lo ~hi ~align:w.align ~res:w.res ~taint:w.taint
+        let lo = if w.lo = 0 then r.lo else w.lo in
+        let hi = if w.hi = max32 then r.hi else w.hi in
+        norm ~lo ~hi ~known:w.known ~bits:w.bits ~taint:w.taint
 
   (* --- transformers ------------------------------------------------- *)
 
@@ -142,42 +184,36 @@ module V = struct
     | Some x, Some y -> Some (tainted_if (taint a || taint b) (const (f x y)))
     | _, _ -> None
 
+  (* Carries only travel upwards, so the low bits known in both operands
+     give the low bits of a sum. *)
   let add a b =
     match (a, b) with
     | Bot, _ | _, Bot -> Bot
     | Val x, Val y ->
         let t = x.taint || y.taint in
-        let align, res =
-          let al = min x.align y.align in
-          (al, Int64.logand (Int64.add x.res y.res) (lmask al))
-        in
-        let lo = Int64.add x.lo y.lo and hi = Int64.add x.hi y.hi in
-        if Int64.compare hi max32 <= 0 then norm ~lo ~hi ~align ~res ~taint:t
-        else if Int64.compare lo two32 >= 0 then
-          norm ~lo:(Int64.sub lo two32) ~hi:(Int64.sub hi two32) ~align ~res ~taint:t
-        else norm ~lo:0L ~hi:max32 ~align ~res ~taint:t
+        let align = imin (trailing_known x.known) (trailing_known y.known) in
+        let res = x.bits + y.bits in
+        let lo = x.lo + y.lo and hi = x.hi + y.hi in
+        if hi <= max32 then norm_cong ~lo ~hi ~align ~res ~taint:t
+        else if lo >= two32 then
+          norm_cong ~lo:(lo - two32) ~hi:(hi - two32) ~align ~res ~taint:t
+        else norm_cong ~lo:0 ~hi:max32 ~align ~res ~taint:t
 
   let neg a =
     match a with
     | Bot -> Bot
     | Val x ->
-        let align, res =
-          (x.align, Int64.logand (Int64.neg x.res) (lmask x.align))
-        in
-        if Int64.equal x.lo 0L && Int64.equal x.hi 0L then a
-        else if Int64.compare x.lo 1L >= 0 then
-          norm ~lo:(Int64.sub two32 x.hi) ~hi:(Int64.sub two32 x.lo) ~align ~res
-            ~taint:x.taint
-        else norm ~lo:0L ~hi:max32 ~align ~res ~taint:x.taint
+        let align = trailing_known x.known and res = -x.bits in
+        if x.lo = 0 && x.hi = 0 then a
+        else if x.lo >= 1 then
+          norm_cong ~lo:(two32 - x.hi) ~hi:(two32 - x.lo) ~align ~res ~taint:x.taint
+        else norm_cong ~lo:0 ~hi:max32 ~align ~res ~taint:x.taint
 
   let sub a b = add a (neg b)
   let add_wrapped v c = add v (const c)
 
-  (* x | y and x xor y cannot exceed the highest set-bit ceiling of
-     either input: x,y < 2^k implies x|y < 2^k. *)
-  let bit_ceiling hi =
-    let rec go k = if Int64.compare (pow2 k) hi > 0 then k else go (k + 1) in
-    Int64.sub (pow2 (go 0)) 1L
+  (* [bits] are the known ones; [known lxor bits] the known zeros. *)
+  let zeros x = x.known lxor x.bits
 
   let logand a b =
     match (a, b) with
@@ -186,10 +222,10 @@ module V = struct
         match lift2_const Int32.logand a b with
         | Some r -> r
         | None ->
-            let al = min x.align y.align in
-            let res = Int64.logand (Int64.logand x.res y.res) (lmask al) in
-            norm ~lo:0L ~hi:(min x.hi y.hi) ~align:al ~res
-              ~taint:(x.taint || y.taint))
+            let ones = x.bits land y.bits in
+            norm ~lo:0 ~hi:(imin x.hi y.hi)
+              ~known:(ones lor zeros x lor zeros y)
+              ~bits:ones ~taint:(x.taint || y.taint))
 
   let logor a b =
     match (a, b) with
@@ -198,10 +234,10 @@ module V = struct
         match lift2_const Int32.logor a b with
         | Some r -> r
         | None ->
-            let al = min x.align y.align in
-            let res = Int64.logand (Int64.logor x.res y.res) (lmask al) in
-            norm ~lo:(max x.lo y.lo) ~hi:(bit_ceiling (max x.hi y.hi)) ~align:al
-              ~res ~taint:(x.taint || y.taint))
+            let ones = x.bits lor y.bits in
+            norm ~lo:(imax x.lo y.lo) ~hi:(bit_ceiling (imax x.hi y.hi))
+              ~known:(ones lor (zeros x land zeros y))
+              ~bits:ones ~taint:(x.taint || y.taint))
 
   let logxor a b =
     match (a, b) with
@@ -210,19 +246,26 @@ module V = struct
         match lift2_const Int32.logxor a b with
         | Some r -> r
         | None ->
-            let al = min x.align y.align in
-            let res = Int64.logand (Int64.logxor x.res y.res) (lmask al) in
-            norm ~lo:0L ~hi:(bit_ceiling (max x.hi y.hi)) ~align:al ~res
-              ~taint:(x.taint || y.taint))
+            norm ~lo:0 ~hi:(bit_ceiling (imax x.hi y.hi)) ~known:(x.known land y.known)
+              ~bits:(x.bits lxor y.bits) ~taint:(x.taint || y.taint))
 
   let lognot a =
     match a with
     | Bot -> Bot
     | Val x ->
-        let res = Int64.logand (Int64.lognot x.res) (lmask x.align) in
-        norm ~lo:(Int64.sub max32 x.hi) ~hi:(Int64.sub max32 x.lo) ~align:x.align
-          ~res ~taint:x.taint
+        norm ~lo:(max32 - x.hi) ~hi:(max32 - x.lo) ~known:x.known ~bits:(zeros x)
+          ~taint:x.taint
 
+  (* Low bits known to be zero. *)
+  let trailing_zeros x =
+    let rec go n =
+      if n < 32 && (x.known lsr n) land 1 = 1 && (x.bits lsr n) land 1 = 0 then go (n + 1)
+      else n
+    in
+    go 0
+
+  (* The low bits known in both factors give the low bits of the
+     product, and the factors' trailing zeros add up. *)
   let mul a b =
     match (a, b) with
     | Bot, _ | _, Bot -> Bot
@@ -231,15 +274,14 @@ module V = struct
         | Some r -> r
         | None ->
             let t = x.taint || y.taint in
-            let al = min 32 (x.align + y.align) in
-            let res = Int64.logand (Int64.mul x.res y.res) (lmask al) in
-            if
-              Int64.equal x.hi 0L
-              || Int64.compare y.hi (Int64.div max32 x.hi) <= 0
-            then
-              norm ~lo:(Int64.mul x.lo y.lo) ~hi:(Int64.mul x.hi y.hi) ~align:al
-                ~res ~taint:t
-            else norm ~lo:0L ~hi:max32 ~align:al ~res ~taint:t)
+            let align = imin (trailing_known x.known) (trailing_known y.known) in
+            let known = lmask align lor lmask (imin 32 (trailing_zeros x + trailing_zeros y)) in
+            let bits = x.bits * y.bits land lmask align in
+            if x.hi = 0 || y.hi <= max32 / x.hi then
+              norm ~lo:(x.lo * y.lo) ~hi:(x.hi * y.hi) ~known ~bits ~taint:t
+            else norm ~lo:0 ~hi:max32 ~known ~bits ~taint:t)
+
+  let rotl v n = ((v lsl n) lor (v lsr (32 - n))) land max32
 
   (* Mirror of Emulator.do_shift at 32-bit width (count land 31; rotate
      count further mod 32), minus the flag effects. *)
@@ -267,46 +309,56 @@ module V = struct
               in
               if x.taint then tainted (const r) else const r
           | None -> (
+              (* the bits a right shift brings in: zeros, copies of a
+                 known sign bit, or unknown *)
+              let vacated = max32 lxor (max32 lsr n) in
+              let shr ~lo ~hi ~fill =
+                norm ~lo ~hi
+                  ~known:((x.known lsr n) lor if fill = None then 0 else vacated)
+                  ~bits:((x.bits lsr n) lor if fill = Some true then vacated else 0)
+                  ~taint:x.taint
+              in
               match op with
               | Insn.Shl ->
-                  let al = min 32 (x.align + n) in
-                  let res = Int64.logand (Int64.shift_left x.res n) (lmask al) in
-                  let hi = Int64.shift_left x.hi n in
-                  if Int64.compare hi max32 <= 0 then
-                    norm ~lo:(Int64.shift_left x.lo n) ~hi ~align:al ~res
-                      ~taint:x.taint
-                  else norm ~lo:0L ~hi:max32 ~align:al ~res ~taint:x.taint
-              | Insn.Shr ->
-                  let al = max 0 (x.align - n) in
-                  norm
-                    ~lo:(Int64.shift_right_logical x.lo n)
-                    ~hi:(Int64.shift_right_logical x.hi n)
-                    ~align:al
-                    ~res:(Int64.shift_right_logical x.res n)
-                    ~taint:x.taint
+                  let known = (x.known lsl n) lor lmask n and bits = x.bits lsl n in
+                  if x.hi <= max32 lsr n then
+                    norm ~lo:(x.lo lsl n) ~hi:(x.hi lsl n) ~known ~bits ~taint:x.taint
+                  else norm ~lo:0 ~hi:max32 ~known ~bits ~taint:x.taint
+              | Insn.Shr -> shr ~lo:(x.lo lsr n) ~hi:(x.hi lsr n) ~fill:(Some false)
               | Insn.Sar ->
-                  if Int64.compare x.hi 0x7FFF_FFFFL <= 0 then
-                    norm
-                      ~lo:(Int64.shift_right_logical x.lo n)
-                      ~hi:(Int64.shift_right_logical x.hi n)
-                      ~align:(max 0 (x.align - n))
-                      ~res:(Int64.shift_right_logical x.res n)
-                      ~taint:x.taint
-                  else norm ~lo:0L ~hi:max32 ~align:0 ~res:0L ~taint:x.taint
+                  if x.hi <= 0x7FFF_FFFF then
+                    shr ~lo:(x.lo lsr n) ~hi:(x.hi lsr n) ~fill:(Some false)
+                  else
+                    let sign = 0x8000_0000 in
+                    let fill =
+                      if x.known land sign = 0 then None else Some (x.bits land sign <> 0)
+                    in
+                    shr ~lo:0 ~hi:max32 ~fill
               | Insn.Rol | Insn.Ror ->
-                  norm ~lo:0L ~hi:max32 ~align:0 ~res:0L ~taint:x.taint))
+                  let n = if op = Insn.Rol then n else 32 - n in
+                  norm ~lo:0 ~hi:max32 ~known:(rotl x.known n) ~bits:(rotl x.bits n)
+                    ~taint:x.taint))
 
   let low_byte a = logand a (const 0xFFl)
 
+  (* The byte is constant once its eight bits are known, e.g. after
+     [mov al, imm] over an unknown register. *)
+  let low8 a =
+    match is_const (low_byte a) with
+    | Some b -> Some (Int32.to_int b land 0xFF)
+    | None -> None
+
   let merge_low8 old b =
-    match (is_const old, is_const b) with
-    | Some o, Some l ->
-        let r =
-          const
-            (Int32.logor (Int32.logand o 0xFFFF_FF00l) (Int32.logand l 0xFFl))
-        in
-        if taint old || taint b then tainted r else r
-    | _, _ -> logor (logand old (const 0xFFFF_FF00l)) (low_byte b)
+    match (old, is_const b) with
+    | Bot, _ -> Bot
+    | Val x, Some l ->
+        (* (v land lnot 0xFF) lor l is monotone in v, so it maps the
+           interval's endpoints; the written byte becomes known bits *)
+        let l = u32 l land 0xFF in
+        let hi_bits v = v land lnot 0xFF lor l in
+        norm ~lo:(hi_bits x.lo) ~hi:(hi_bits x.hi) ~known:(x.known lor 0xFF)
+          ~bits:(hi_bits x.bits) ~taint:(x.taint || taint b)
+    | Val _, None -> logor (logand old (const 0xFFFF_FF00l)) (low_byte b)
 
   let without t c =
     match t with
@@ -314,23 +366,22 @@ module V = struct
     | Val x ->
         if not (contains t c) then t
         else
-          let u = u64 c in
-          if Int64.equal x.lo x.hi then Bot
-          else if Int64.equal u x.lo then
-            norm ~lo:(Int64.add x.lo 1L) ~hi:x.hi ~align:x.align ~res:x.res
-              ~taint:x.taint
-          else if Int64.equal u x.hi then
-            norm ~lo:x.lo ~hi:(Int64.sub x.hi 1L) ~align:x.align ~res:x.res
-              ~taint:x.taint
+          let u = u32 c in
+          if x.lo = x.hi then Bot
+          else if u = x.lo then
+            norm ~lo:(x.lo + 1) ~hi:x.hi ~known:x.known ~bits:x.bits ~taint:x.taint
+          else if u = x.hi then
+            norm ~lo:x.lo ~hi:(x.hi - 1) ~known:x.known ~bits:x.bits ~taint:x.taint
           else t
 
   let pp ppf = function
     | Bot -> Format.pp_print_string ppf "bot"
-    | Val { lo; hi; align; res; taint } ->
-        if Int64.equal lo hi then Format.fprintf ppf "0x%Lx" lo
+    | Val { lo; hi; known; bits; taint } ->
+        if lo = hi then Format.fprintf ppf "0x%x" lo
         else begin
-          Format.fprintf ppf "[0x%Lx,0x%Lx]" lo hi;
-          if align > 0 then Format.fprintf ppf "≡0x%Lx(2^%d)" res align
+          Format.fprintf ppf "[0x%x,0x%x]" lo hi;
+          if known <> bit_ceiling (lo lxor hi) lxor max32 then
+            Format.fprintf ppf "&0x%x=0x%x" known bits
         end;
         if taint then Format.pp_print_string ppf "·t"
 end
@@ -373,7 +424,7 @@ module Region = struct
             let span = Int64.add (Int64.sub hi lo) (Int64.of_int width) in
             let by_count = Int64.mul (V.size addr) (Int64.of_int width) in
             let b = min span by_count in
-            if Int64.compare b max32 >= 0 then None else Some b)
+            if Int64.compare b (Int64.of_int max32) >= 0 then None else Some b)
 
   let may_touch t ~lo ~hi =
     match t with
@@ -419,12 +470,30 @@ let value_of t (v : Sem.value) =
 let record_store t ~addr ~width =
   { t with written = Region.store t.written ~addr ~width }
 
-let push_stack t v =
-  let stack = v :: t.stack in
-  let stack = if List.length stack > max_stack then t.stack else stack in
-  { t with stack }
+(* Keep at most [max_stack] slots by forgetting the deepest ones: slot k
+   stays [esp+4k], so the slots that remain are still aligned. *)
+let cap stack =
+  if List.length stack > max_stack then List.filteri (fun i _ -> i < max_stack) stack
+  else stack
 
-(* ESP-relative slot access, as in Constprop: slot k lives at [esp+4k]. *)
+let push_stack t v = { t with stack = cap (v :: t.stack) }
+
+(* ESP moved by [amount] bytes: a multiple of 4 drops popped slots or adds
+   unknown ones; any other amount leaves no slot aligned. *)
+let move_stack stack amount =
+  let k = Int32.to_int amount in
+  let rec drop n l = match l with _ :: r when n > 0 -> drop (n - 1) r | _ -> l in
+  let rec grow n l = if n <= 0 then l else grow (n - 1) (V.top :: l) in
+  if k mod 4 <> 0 then []
+  else if k >= 0 then drop (k / 4) stack
+  else cap (grow (min (-k / 4) max_stack) stack)
+
+(* A write to ESP by an unknown amount: no slot can be located. *)
+let esp_lost dst t = if Reg.equal dst Reg.ESP then { t with stack = [] } else t
+
+(* ESP-relative slot access: the abstract stack is a LIFO aligned with the
+   concrete stack (push/pop and ESP moves by known amounts keep them in
+   sync; any other ESP write empties it), so slot k lives at [esp+4k]. *)
 let slot_of_esp (ptr : Reg.t) (disp : int32) depth =
   if
     Reg.equal ptr Reg.ESP
@@ -441,8 +510,7 @@ let stack_set t k v =
 
 let width_bytes = function Insn.S8bit -> 1 | Insn.S32bit -> 4
 
-(* Abstract rop application at 32-bit width; mirrors Constprop.apply_rop_32
-   over the richer domain. *)
+(* Abstract rop application at 32-bit width. *)
 let apply_rop_32 (op : Sem.rop) a b =
   match op with
   | Sem.Ra Insn.Add -> V.add a b
@@ -527,14 +595,16 @@ let step t (s : Sem.t) =
       match slot_of_esp ptr disp (List.length t.stack) with
       | Some k -> (
           let v = stack_get t k in
-          match width with
-          | Insn.S32bit -> set t dst v
-          | Insn.S8bit -> set t dst (V.merge_low8 (get t dst) (byte8 v)))
+          esp_lost dst
+            (match width with
+            | Insn.S32bit -> set t dst v
+            | Insn.S8bit -> set t dst (V.merge_low8 (get t dst) (byte8 v))))
       | None -> (
           (* unmodelled memory: payload bytes — tainted unknowns *)
-          match width with
-          | Insn.S32bit -> set t dst V.top
-          | Insn.S8bit -> set t dst (V.merge_low8 (get t dst) V.byte)))
+          esp_lost dst
+            (match width with
+            | Insn.S32bit -> set t dst V.top
+            | Insn.S8bit -> set t dst (V.merge_low8 (get t dst) V.byte))))
   | Sem.S_store { width; src; ptr; disp } -> (
       let addr = mem_addr t ptr disp in
       let t = record_store t ~addr ~width:(width_bytes width) in
@@ -560,26 +630,27 @@ let step t (s : Sem.t) =
   | Sem.S_regop { op; width; dst; src } -> (
       let a = get t dst in
       let b = value_of t src in
-      match width with
-      | Insn.S32bit -> set t dst (apply_rop_32 op a b)
-      | Insn.S8bit -> set t dst (apply_rop_8 op a b))
+      let t' =
+        match width with
+        | Insn.S32bit -> set t dst (apply_rop_32 op a b)
+        | Insn.S8bit -> set t dst (apply_rop_8 op a b)
+      in
+      (* [add esp, reg] with a known register moves the slots like an
+         immediate would *)
+      match (Reg.equal dst Reg.ESP, op, width, V.is_const b) with
+      | true, Sem.Ra Insn.Add, Insn.S32bit, Some c -> { t' with stack = move_stack t.stack c }
+      | true, Sem.Ra Insn.Sub, Insn.S32bit, Some c ->
+          { t' with stack = move_stack t.stack (Int32.neg c) }
+      | _ -> esp_lost dst t')
   | Sem.S_set { width; dst; src } -> (
       let b = value_of t src in
-      match width with
-      | Insn.S32bit -> set t dst b
-      | Insn.S8bit -> set t dst (V.merge_low8 (get t dst) (byte8 b)))
+      esp_lost dst
+        (match width with
+        | Insn.S32bit -> set t dst b
+        | Insn.S8bit -> set t dst (V.merge_low8 (get t dst) (byte8 b))))
   | Sem.S_advance { reg; amount; _ } ->
       let t' = set t reg (V.add_wrapped (get t reg) amount) in
-      if Reg.equal reg Reg.ESP then
-        (* keep the slot model aligned with ESP movement *)
-        let k = Int32.to_int amount in
-        if k > 0 && k mod 4 = 0 && k / 4 <= List.length t.stack then
-          let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
-          { t' with stack = drop (k / 4) t'.stack }
-        else if k < 0 && -k mod 4 = 0 && -k / 4 <= max_stack then
-          let rec grow n l = if n = 0 then l else grow (n - 1) (V.top :: l) in
-          { t' with stack = grow (-k / 4) t'.stack }
-        else { t' with stack = [] }
+      if Reg.equal reg Reg.ESP then { t' with stack = move_stack t.stack amount }
       else t'
   | Sem.S_lea { dst; base; index; disp } ->
       let base_v = match base with None -> V.const 0l | Some b -> get t b in
@@ -592,10 +663,10 @@ let step t (s : Sem.t) =
             in
             V.mul (get t r) (V.const m)
       in
-      set t dst (V.add_wrapped (V.add base_v index_v) disp)
+      esp_lost dst (set t dst (V.add_wrapped (V.add base_v index_v) disp))
   | Sem.S_xchg (a, b) ->
       let va = get t a and vb = get t b in
-      set (set t a vb) b va
+      esp_lost a (esp_lost b (set (set t a vb) b va))
   | Sem.S_push v ->
       (* evaluate before adjusting ESP: [push esp] pushes the old value *)
       let pushed = value_of t v in
@@ -609,7 +680,7 @@ let step t (s : Sem.t) =
           let t = set t r top in
           let t = { t with stack = rest } in
           (* pop into ESP overrides the increment, as in hardware *)
-          if Reg.equal r Reg.ESP then t
+          if Reg.equal r Reg.ESP then { t with stack = [] }
           else set t Reg.ESP (V.add_wrapped (get t Reg.ESP) 4l)
       | [] ->
           let t = set t r V.top in
@@ -629,6 +700,15 @@ let step t (s : Sem.t) =
       if List.exists (Reg.equal Reg.ESP) writes then { t with stack = [] } else t
 
 let step_insn t i = List.fold_left step t (Sem.lift i)
+
+let reg32 t r = V.is_const (get t r)
+let reg_low8 t r = V.low8 (get t r)
+let value t v = V.is_const (value_of t v)
+let value_low8 t v = V.low8 (value_of t v)
+
+let slot_value t k =
+  if k < 0 then None
+  else match List.nth_opt t.stack k with Some v -> V.is_const v | None -> None
 
 let zip_state f a b =
   let regs = Array.init 8 (fun i -> f a.regs.(i) b.regs.(i)) in

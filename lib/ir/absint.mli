@@ -1,14 +1,18 @@
-(** Abstract interpretation over the lifted IR.
+(** Abstract interpretation over the lifted IR — the one abstract domain
+    over {!Sem}.
 
-    A strict generalisation of {!Constprop}: where the known-bits domain
-    can only say "this bit is exactly b", the {!V} domain carries an
-    unsigned interval, a power-of-two congruence (alignment + residue)
-    and a payload-taint bit, all reduced against each other.  The module
-    offers two consumers:
+    The {!V} domain carries an unsigned interval, known bits (which
+    subsume a power-of-two congruence) and a payload-taint bit, all
+    reduced against each other.  Constants reached through any arithmetic route
+    (mov+add chains, stack round-trips, xor tricks, byte-wide writes) fold
+    to singletons, which is what the paper's contribution (c) needs.  The
+    module offers two consumers:
 
-    - a per-{!Sem.t} transfer function ({!step} / {!step_insn}) mirroring
-      {!Constprop.step}, used by the soundness oracle and by the
-      bounded abstract executor in [sanids.confirm];
+    - a per-{!Sem.t} transfer function ({!step} / {!step_insn}) with
+      constant read-outs ({!reg32}, {!reg_low8}, {!value},
+      {!value_low8}, {!slot_value}), used by the template matcher, by
+      the soundness oracles and by the bounded abstract executor in
+      [sanids.confirm];
     - an intraprocedural CFG fixpoint ({!analyze}) with widening at loop
       heads and one narrowing pass, plus a may-write {!Region} summary,
       used by the SL4xx semantic lints.
@@ -18,12 +22,13 @@
     — if concrete inputs are contained in the abstract inputs, the
     concrete result is contained in the abstract result. *)
 
-(** Abstract 32-bit values: interval × congruence × taint. *)
+(** Abstract 32-bit values: interval × known bits × taint. *)
 module V : sig
   type t
   (** Either bottom (no value) or a non-empty set
-      [{ v | lo <= v <= hi  &&  v ≡ residue (mod 2^align) }]
-      of unsigned 32-bit values, with a taint bit that is set when the
+      [{ v | lo <= v <= hi  &&  v land known = bits }]
+      of unsigned 32-bit values (a congruence mod 2{^k} is the case
+      where the low k bits are known), with a taint bit that is set when the
       value may be derived from payload bytes. *)
 
   val bot : t
@@ -60,8 +65,8 @@ module V : sig
   val join : t -> t -> t
   val widen : t -> t -> t
   (** [widen old next]: extrapolate unstable interval bounds to the type
-      extremes; the congruence component has finite height and is simply
-      joined.  Guarantees stabilisation of any ascending chain. *)
+      extremes and keep only the known low bits; the known-bits
+      component has finite height and is otherwise simply joined.  Guarantees stabilisation of any ascending chain. *)
 
   val narrow : t -> t -> t
   (** [narrow wide refined]: take the refined bound wherever widening had
@@ -88,9 +93,14 @@ module V : sig
   val low_byte : t -> t
   (** [logand v 0xFF] — the value's low 8 bits. *)
 
+  val low8 : t -> int option
+  (** The low byte, when it is the same for every admissible value —
+      e.g. after [mov al, imm] over an unknown register. *)
+
   val merge_low8 : t -> t -> t
   (** [merge_low8 old b]: replace the low byte of [old] with [b]
-      (which must lie in [\[0,255\]]); the 8-bit register write. *)
+      (which must lie in [\[0,255\]]); the 8-bit register write.  A
+      constant [b] is kept exactly, as known low bits. *)
 
   val without : t -> int32 -> t
   (** Refine: remove one value if it is an interval endpoint (used on
@@ -132,7 +142,11 @@ end
 
 type state = {
   regs : V.t array;  (** indexed by {!Reg.code} *)
-  stack : V.t list;  (** LIFO mirror of the concrete stack, as in {!Constprop} *)
+  stack : V.t list;
+      (** LIFO mirror of the concrete stack: slot [k] is [\[esp+4k\]];
+          ESP moves by a known multiple of 4 drop or add slots, any
+          other ESP write empties it; at most 128 slots are kept, the
+          deepest forgotten first *)
   written : Region.t;  (** may-write summary accumulated so far *)
 }
 
@@ -147,11 +161,25 @@ val get : state -> Reg.t -> V.t
 val set : state -> Reg.t -> V.t -> state
 
 val step : state -> Sem.t -> state
-(** Transfer one IR operation.  Mirrors {!Constprop.step}, additionally
-    folding stores into {!state.written}. *)
+(** Transfer one IR operation, folding stores into {!state.written}. *)
 
 val step_insn : state -> Insn.t -> state
 (** Fold {!step} over {!Sem.lift}. *)
+
+val reg32 : state -> Reg.t -> int32 option
+(** The register's value, when it is a single constant. *)
+
+val reg_low8 : state -> Reg.t -> int option
+(** The register's low byte (bits 0–7), even when the rest is unknown. *)
+
+val value : state -> Sem.value -> int32 option
+(** Constant value of an operand summary. *)
+
+val value_low8 : state -> Sem.value -> int option
+(** Constant low byte of an operand summary. *)
+
+val slot_value : state -> int -> int32 option
+(** Constant value of the [k]-th tracked stack slot (top = 0). *)
 
 val join : state -> state -> state
 val widen : state -> state -> state

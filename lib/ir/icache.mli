@@ -6,9 +6,10 @@
     decodes and lifts each byte offset at most once; every later trace
     walking through that offset reuses the [(insn, len, sems)] entry.
 
-    Only path-independent data is memoized — the {!Constprop} state is a
-    property of the walk, not the offset, and stays per-trace — so a
-    cached walk is byte-for-byte identical to an uncached one.
+    Only path-independent data is memoized — abstract states are a
+    property of the walk, not the offset, and the matcher folds them per
+    trace — so a cached walk is byte-for-byte identical to an uncached
+    one.
 
     The cache also owns the trace walker's scratch: a walk-stamped
     visited set and offset-to-step index, two [int array]s over the

@@ -6,7 +6,7 @@
     [inc eax], [add eax,1], [sub eax,-1] and [lea eax,[eax+1]] lift to the
     same [S_advance], and 8-bit register names are normalized to their
     32-bit parent (the [width] field records the access size).  The
-    template matcher and the constant propagator both work exclusively on
+    template matcher and the abstract interpreter both work exclusively on
     this representation, which is what makes matching robust to equivalent
     instruction substitution. *)
 

@@ -3,7 +3,6 @@ type step = {
   len : int;
   insn : Insn.t;
   sems : Sem.t array;
-  state : Constprop.t;
 }
 
 type t = step array
@@ -24,7 +23,6 @@ let walk ?budget ~max_len ~scratch ~decode ~entry () =
     Icache.start_walk scratch;
     let acc = ref [] in
     let count = ref 0 in
-    let state = ref Constprop.initial in
     let off = ref entry in
     let continue = ref true in
     while !continue && !count < max_len && !off >= 0 && !off < n
@@ -37,9 +35,8 @@ let walk ?budget ~max_len ~scratch ~decode ~entry () =
           Icache.visit scratch !off !count;
           let insn = e.Icache.insn in
           let sems = e.Icache.sems in
-          acc := { off = !off; len = e.Icache.len; insn; sems; state = !state } :: !acc;
+          acc := { off = !off; len = e.Icache.len; insn; sems } :: !acc;
           incr count;
-          state := Array.fold_left Constprop.step !state sems;
           let next = !off + e.Icache.len in
           (match insn with
           | Insn.Jmp_rel disp -> off := next + disp
@@ -64,7 +61,7 @@ let walk ?budget ~max_len ~scratch ~decode ~entry () =
     Array.of_list (List.rev !acc)
   end
 
-let build ?budget ?(max_len = 1024) ?scratch code ~entry =
+let build ?budget ?(max_len = 1024) code ~entry =
   let decode off =
     match Decode.at code off with
     | None -> None
@@ -76,15 +73,7 @@ let build ?budget ?(max_len = 1024) ?scratch code ~entry =
             sems = Array.of_list (Sem.lift d.Decode.insn);
           }
   in
-  let scratch =
-    match scratch with
-    | None -> Icache.create code
-    | Some c ->
-        if not (String.equal (Icache.code c) code) then
-          invalid_arg "Trace.build: scratch is over a different region";
-        c
-  in
-  walk ?budget ~max_len ~scratch ~decode ~entry ()
+  walk ?budget ~max_len ~scratch:(Icache.create code) ~decode ~entry ()
 
 let build_cached ?budget ?(max_len = 1024) cache ~entry =
   walk ?budget ~max_len ~scratch:cache ~decode:(Icache.decode cache) ~entry ()

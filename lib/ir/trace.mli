@@ -13,22 +13,20 @@ type step = {
   len : int;
   insn : Insn.t;
   sems : Sem.t array;  (** [Sem.lift insn], indexable without [List.nth] *)
-  state : Constprop.t;  (** abstract state {e before} the instruction *)
 }
+(** Steps carry no abstract state: a consumer that needs constants folds
+    {!Absint.step} over [sems] itself, only as far as it reads. *)
 
 type t = step array
 
-val build :
-  ?budget:Budget.t -> ?max_len:int -> ?scratch:Icache.t -> string -> entry:int -> t
+val build : ?budget:Budget.t -> ?max_len:int -> string -> entry:int -> t
 (** Trace of at most [max_len] (default 1024) instructions starting at
     byte offset [entry].  Empty when [entry] is out of range.  When
     [budget] is given, every step first takes one instruction of fuel:
     the walk stops early (and the budget records [Truncated
-    Instructions]) once the per-packet decode allowance is gone.
-    [scratch], an {!Icache.t} over the same [code], lends its walk
-    scratch (visited set, {!Icache.step_index}) so repeated builds
-    allocate no per-trace table; its decode memo is not consulted.
-    @raise Invalid_argument if [scratch] is over a different region. *)
+    Instructions]) once the per-packet decode allowance is gone.  Every
+    offset is decoded afresh: this is the reference {!build_cached} is
+    checked against. *)
 
 val build_cached : ?budget:Budget.t -> ?max_len:int -> Icache.t -> entry:int -> t
 (** Same walk as {!build} over the cache's region, but each byte offset

@@ -14,4 +14,4 @@ val const_route : Rng.t -> Reg.t -> int32 -> Asm.item list
 (** Load a constant into a register by a randomly chosen arithmetic
     route: direct, add/sub-split, xor-split, push/pop, negation, or
     rotation.  Every route folds back to the constant under
-    {!Sanids_ir.Constprop}. *)
+    {!Sanids_ir.Absint}. *)

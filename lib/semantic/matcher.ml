@@ -46,14 +46,13 @@ let width_ok (req : Template.width_req) (w : Insn.size) =
   | Template.W32, Insn.S32bit -> true
   | Template.W8, Insn.S32bit | Template.W32, Insn.S8bit -> false
 
+let int32_of_byte = function Some b -> Some (Int32.of_int b) | None -> None
+
 (* Constant value of a source operand at the access width. *)
 let src_value state (w : Insn.size) (v : Sem.value) =
   match w with
-  | Insn.S32bit -> Constprop.value state v
-  | Insn.S8bit -> (
-      match Constprop.value_low8 state v with
-      | Some b -> Some (Int32.of_int b)
-      | None -> None)
+  | Insn.S32bit -> Absint.value state v
+  | Insn.S8bit -> int32_of_byte (Absint.value_low8 state v)
 
 (* Does the instruction carry [c] as an immediate or a displacement?
    Answered in place: this runs on every start position of templates
@@ -136,20 +135,38 @@ let body_memory_disciplined (trace : Trace.t) env ~from_idx ~to_idx =
   done;
   !ok
 
-(* The abstract state after step [pos]: the next step's entry state, or
-   folded on demand at the end of the trace.  Only in-place stack
-   constants read it, so it is never computed eagerly. *)
-let post_state (trace : Trace.t) pos =
-  if pos + 1 < Array.length trace then trace.(pos + 1).Trace.state
-  else
-    let st = trace.(pos) in
-    Array.fold_left Constprop.step st.Trace.state st.Trace.sems
+(* Abstract states along the current trace, folded on demand:
+   [states.(i)] is the state before step [i], valid for [i < filled].
+   Only template steps that read a constant (a transform key, syscall
+   registers, a stack constant) ask for one, and the fold runs only as
+   far as the highest step asked for, so most traces fold nothing.  A
+   scan owns one cursor and resets it for every trace; nothing in it is
+   shared between scans or domains. *)
+type cursor = { mutable states : Absint.state array; mutable filled : int }
+
+let cursor () = { states = Array.make 16 Absint.initial; filled = 1 }
+let reset cur = cur.filled <- 1
+
+let state_at cur (trace : Trace.t) i =
+  if i >= cur.filled then begin
+    if i >= Array.length cur.states then begin
+      let grown = Array.make (max (i + 1) (2 * Array.length cur.states)) Absint.initial in
+      Array.blit cur.states 0 grown 0 cur.filled;
+      cur.states <- grown
+    end;
+    for j = cur.filled to i do
+      cur.states.(j) <-
+        Array.fold_left Absint.step cur.states.(j - 1) trace.(j - 1).Trace.sems
+    done;
+    cur.filled <- i + 1
+  end;
+  cur.states.(i)
 
 (* Match one template step against one semantic operation.  [first] is
    [(trace_index, offset)] of the first matched step, and [index_of_off]
    maps byte offsets to trace indices, [-1] when absent (back-edge
    validation). *)
-let match_pstep ~trace ~pos ~index_of_off ~insn_continuation
+let match_pstep ~cur ~trace ~pos ~index_of_off ~insn_continuation
     (p : Template.pstep) (st : Trace.step) (sem : Sem.t) env first =
   match (p, sem) with
   | Template.Load { dst; ptr; width }, Sem.S_load l ->
@@ -163,7 +180,7 @@ let match_pstep ~trace ~pos ~index_of_off ~insn_continuation
         && List.mem m.op ops
       then
         Option.bind (bind_reg env ptr m.ptr) (fun env ->
-            match_pval env key (src_value st.Trace.state m.width m.src))
+            match_pval env key (src_value (state_at cur trace pos) m.width m.src))
       else None
   | Template.Reg_transform { ops; reg }, Sem.S_regop r ->
       if List.mem r.op ops then bind_reg env reg r.dst else None
@@ -216,18 +233,15 @@ let match_pstep ~trace ~pos ~index_of_off ~insn_continuation
           | None -> None))
   | Template.Syscall { vector; al; bl }, Sem.S_syscall v ->
       if v = vector then
-        let low8 r =
-          match Constprop.reg_low8 st.Trace.state r with
-          | Some b -> Some (Int32.of_int b)
-          | None -> None
-        in
+        let state = state_at cur trace pos in
+        let low8 r = int32_of_byte (Absint.reg_low8 state r) in
         Option.bind (match_pval env al (low8 Reg.EAX)) (fun env ->
             match_pval env bl (low8 Reg.EBX))
       else None
   | Template.Stack_const pv, Sem.S_push v ->
-      match_pval env pv (Constprop.value st.Trace.state v)
+      match_pval env pv (Absint.value (state_at cur trace pos) v)
   | Template.Stack_const pv, Sem.S_store s ->
-      match_pval env pv (src_value st.Trace.state s.width s.src)
+      match_pval env pv (src_value (state_at cur trace pos) s.width s.src)
   | Template.Stack_const pv, Sem.S_memop m
     when Reg.equal m.ptr Reg.ESP
          && Int32.compare m.disp 0l >= 0
@@ -235,7 +249,7 @@ let match_pstep ~trace ~pos ~index_of_off ~insn_continuation
       (* a constant finished in place on the stack (push x; xor [esp], m):
          read the folded slot from the post-instruction state *)
       match_pval env pv
-        (Constprop.slot_value (post_state trace pos) (Int32.to_int m.disp / 4))
+        (Absint.slot_value (state_at cur trace (pos + 1)) (Int32.to_int m.disp / 4))
   | Template.Code_const c, _ ->
       (* checked against the instruction itself; any sem of the insn works *)
       if insn_has_const c st.Trace.insn then Some env else None
@@ -354,7 +368,7 @@ exception Fuel_out of [ `Template | `Budget ]
 
 let no_tick () = ()
 
-let match_from ?(tick = no_tick) ~index_of_off c (trace : Trace.t) start =
+let match_from ?(tick = no_tick) ~cur ~index_of_off c (trace : Trace.t) start =
   let t = c.tpl in
   let len = Array.length trace in
   let finish env first offsets =
@@ -383,7 +397,7 @@ let match_from ?(tick = no_tick) ~index_of_off c (trace : Trace.t) start =
     if k >= Array.length sems then skip p rest pos sem_idx env first offsets gap
     else
       match
-        match_pstep ~trace ~pos ~index_of_off ~insn_continuation:(sem_idx > 0) p st
+        match_pstep ~cur ~trace ~pos ~index_of_off ~insn_continuation:(sem_idx > 0) p st
           sems.(k) env first
       with
       | Some env' -> (
@@ -407,7 +421,7 @@ let match_from ?(tick = no_tick) ~index_of_off c (trace : Trace.t) start =
    without entering [match_from], but still ticks once — the one step
    attempt [match_from] would have charged there — so budget truncation
    and breaker trips land exactly where the plain search puts them. *)
-let match_trace_indexed ?(tick = no_tick) ~index_of_off ~kinds c trace ~entry =
+let match_trace_indexed ?(tick = no_tick) ~cur ~index_of_off ~kinds c trace ~entry =
   let len = Array.length trace in
   let found = ref None in
   let s = ref 0 in
@@ -415,7 +429,7 @@ let match_trace_indexed ?(tick = no_tick) ~index_of_off ~kinds c trace ~entry =
     let start = !s in
     (if not (first_ok c kinds.(start) trace.(start)) then tick ()
      else
-       match match_from ~tick ~index_of_off c trace start with
+       match match_from ~tick ~cur ~index_of_off c trace start with
        | Some (env, _, offsets) ->
            found :=
              Some
@@ -437,8 +451,8 @@ let match_trace t trace ~entry =
   let index = Array.make extent (-1) in
   Array.iteri (fun i (s : Trace.step) -> index.(s.Trace.off) <- i) trace;
   let index_of_off off = if off >= 0 && off < extent then index.(off) else -1 in
-  match_trace_indexed ~index_of_off ~kinds:(Array.map step_kinds trace) (compile t)
-    trace ~entry
+  match_trace_indexed ~cur:(cursor ()) ~index_of_off
+    ~kinds:(Array.map step_kinds trace) (compile t) trace ~entry
 
 module Obs = Sanids_obs
 
@@ -487,8 +501,7 @@ let budget_outcome budget =
    are the surviving templates.  An empty survivor set returns before any
    per-scan state (icache, coverage map) is allocated — on benign traffic
    this is the common path. *)
-let scan_filtered ?entries ?metrics ?(memoize = true) ?budget ?step_cap ~filtered
-    code =
+let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
   let n = String.length code in
   if n = 0 then { results = []; outcome = Budget.Complete; tripped = [] }
   else if filtered = [] then
@@ -545,20 +558,18 @@ let scan_filtered ?entries ?metrics ?(memoize = true) ?budget ?step_cap ~filtere
     let budget_alive () =
       match budget with None -> true | Some b -> Budget.alive b
     in
-    (* one cache per scan: the walk scratch always, and decode sharing
-       across entries unless [memoize] is off *)
+    (* one decode cache and one state cursor per scan, shared by every
+       entry's trace *)
     let icache = Icache.create code in
-    let build_trace entry =
-      if memoize then Trace.build_cached ?budget icache ~entry
-      else Trace.build ?budget ~scratch:icache code ~entry
-    in
+    let cur = cursor () in
     let index_of_off = Icache.step_index icache in
     let kinds = ref [||] in
     let run_entry entry =
       if !nlive > 0 && budget_alive () then begin
         if !work <= 0 then exhausted := true
         else begin
-          let trace = build_trace entry in
+          let trace = Trace.build_cached ?budget icache ~entry in
+          reset cur;
           let len = Array.length trace in
           work := !work - len - 1;
           if Array.length !kinds < len then kinds := Array.make (max len 64) 0;
@@ -576,8 +587,8 @@ let scan_filtered ?entries ?metrics ?(memoize = true) ?budget ?step_cap ~filtere
               if List.mem name !matched_names then close i
               else
                 match
-                  match_trace_indexed ?tick:ticks.(i) ~index_of_off ~kinds c trace
-                    ~entry
+                  match_trace_indexed ?tick:ticks.(i) ~cur ~index_of_off ~kinds c
+                    trace ~entry
                 with
                 | Some r ->
                     results := r :: !results;
@@ -618,24 +629,21 @@ let scan_filtered ?entries ?metrics ?(memoize = true) ?budget ?step_cap ~filtere
     }
   end
 
-let scan_report ?entries ?metrics ?memoize ?budget ?step_cap ~templates code =
-  scan_filtered ?entries ?metrics ?memoize ?budget ?step_cap
+let scan_report ?entries ?metrics ?budget ?step_cap ~templates code =
+  scan_filtered ?entries ?metrics ?budget ?step_cap
     ~filtered:(data_prefilter ~templates (Slice.of_string code))
     code
 
-let scan_report_slice ?entries ?metrics ?memoize ?budget ?step_cap ~templates
-    code =
+let scan_report_slice ?entries ?metrics ?budget ?step_cap ~templates code =
   (* prefilter on the view; materialize the bytes only when at least one
      template survives (free anyway when the slice is a whole view) *)
   let filtered = data_prefilter ~templates code in
   if filtered = [] then { results = []; outcome = budget_outcome budget; tripped = [] }
   else
-    scan_filtered ?entries ?metrics ?memoize ?budget ?step_cap ~filtered
-      (Slice.to_string code)
+    scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered (Slice.to_string code)
 
-let scan ?entries ?metrics ?memoize ?budget ?step_cap ~templates code =
-  (scan_report ?entries ?metrics ?memoize ?budget ?step_cap ~templates code)
-    .results
+let scan ?entries ?metrics ?budget ?step_cap ~templates code =
+  (scan_report ?entries ?metrics ?budget ?step_cap ~templates code).results
 
 let satisfies t code = scan ~templates:[ t ] code <> []
 

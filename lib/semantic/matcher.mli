@@ -41,7 +41,6 @@ type scan_report = {
 val scan_report :
   ?entries:int list ->
   ?metrics:Sanids_obs.Registry.t ->
-  ?memoize:bool ->
   ?budget:Budget.t ->
   ?step_cap:int ->
   templates:Template.t list ->
@@ -53,11 +52,11 @@ val scan_report :
     sharing a name are variants of one behaviour: at most one result per
     template {e name}.
 
-    Decoding is shared across entries through an {!Icache.t} unless
-    [memoize] is [false] (results are identical either way; the flag
-    exists so benchmarks can compare).  When [metrics] is given, the
-    decode-memo hit/miss counts and budget exhaustion are accumulated
-    into that registry under {!decode_memo_hits},
+    Decoding is shared across entries through one {!Icache.t} per scan,
+    and constants are read from {!Absint} states folded along each trace
+    only as far as a template step asks for one.  When [metrics] is
+    given, the decode-memo hit/miss counts and budget exhaustion are
+    accumulated into that registry under {!decode_memo_hits},
     {!decode_memo_misses} and {!scan_budget_exhausted}.
 
     Adversarial-load bounds: [budget] charges trace instructions and
@@ -74,7 +73,6 @@ val scan_report :
 val scan_report_slice :
   ?entries:int list ->
   ?metrics:Sanids_obs.Registry.t ->
-  ?memoize:bool ->
   ?budget:Budget.t ->
   ?step_cap:int ->
   templates:Template.t list ->
@@ -88,7 +86,6 @@ val scan_report_slice :
 val scan :
   ?entries:int list ->
   ?metrics:Sanids_obs.Registry.t ->
-  ?memoize:bool ->
   ?budget:Budget.t ->
   ?step_cap:int ->
   templates:Template.t list ->

@@ -7,7 +7,7 @@
     variable bindings, where instructions that do not disturb the bound
     state may be freely interleaved (junk/NOP insertion), register names
     are unified per match (register reassignment), and constants are
-    recognized through any arithmetic route ({!Constprop}). *)
+    recognized through any arithmetic route ({!Absint}). *)
 
 type tvar = string
 (** Register variable, e.g. ["ptr"]. *)

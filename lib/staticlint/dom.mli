@@ -2,9 +2,9 @@
 
     Template guards constrain {e constant variables} with point
     predicates only — [Equals], [One_of], [Nonzero], [Differ] — so the
-    classic interval + congruence reduced product (the {!Constprop}
-    family of domains) collapses, for this guard language, to its exact
-    finite kernel: a constraint set is always either a {e finite} set of
+    interval + known-bits reduced product (the {!Absint.V}
+    domain) collapses, for this guard language, to its exact finite
+    kernel: a constraint set is always either a {e finite} set of
     admissible values or the complement of one.  We represent that
     kernel directly; [meet] and [subset] are then exact, which makes the
     satisfiability ([SL006]) and vacuity ([SL007]) verdicts precise

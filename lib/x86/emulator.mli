@@ -3,7 +3,7 @@
     Used to {e validate} the rest of the system: the polymorphic engines'
     decoders are executed here to prove they really reconstruct the
     original payload (including through self-modifying code), and the
-    test suite cross-checks the abstract {!Sanids_ir.Constprop} domain
+    test suite cross-checks the abstract {!Sanids_ir.Absint} domain
     against concrete register values.
 
     The machine is a single flat arena: code is loaded at {!code_base},

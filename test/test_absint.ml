@@ -22,7 +22,7 @@ module Adversarial = Sanids_workload.Adversarial
 let shellcode = (Shellcodes.find "classic").Shellcodes.code
 
 (* ------------------------------------------------------------------ *)
-(* V: the interval × congruence × taint domain *)
+(* V: the interval × known-bits × taint domain *)
 
 let test_v_consts () =
   let c = V.const in
@@ -211,6 +211,77 @@ let prop_step_over_approximates =
           let st = abstract_of ~noise regs in
           let st' = Absint.step_insn st insn in
           contained st' concrete)
+
+(* Value-level oracle: an abstract value joined from a few concrete ones
+   that share most of their bits, pushed through every transformer, must
+   contain each concrete result.  This is what pins the known-bits
+   component (mask chains, products, shifts, rotates, byte merges). *)
+
+let gen_value_set =
+  let open QCheck2.Gen in
+  let flip =
+    oneof
+      [
+        map Int32.of_int (int_bound 0xFF);
+        map (fun x -> Int32.shift_left (Int32.of_int x) 24) (int_bound 0xFF);
+        return 0x80000000l;
+      ]
+  in
+  let* base = gen_int32 and* flips = list_size (int_range 0 2) flip in
+  return (base :: List.map (Int32.logxor base) flips)
+
+let abstract_of_set = function
+  | [] -> V.bot
+  | x :: rest -> List.fold_left (fun a c -> V.join a (V.const c)) (V.const x) rest
+
+let prop_v_transformers_sound =
+  QCheck2.Test.make ~name:"V transformers contain every concrete result" ~count:2000
+    ~print:(fun (xs, ys, n) ->
+      Printf.sprintf "xs=[%s] ys=[%s] n=%d"
+        (String.concat ";" (List.map (Printf.sprintf "0x%lx") xs))
+        (String.concat ";" (List.map (Printf.sprintf "0x%lx") ys))
+        n)
+    QCheck2.Gen.(triple gen_value_set gen_value_set (int_range 0 31))
+    (fun (xs, ys, n) ->
+      let a = abstract_of_set xs and b = abstract_of_set ys in
+      let binary =
+        [
+          (V.add, Int32.add);
+          (V.sub, Int32.sub);
+          (V.logand, Int32.logand);
+          (V.logor, Int32.logor);
+          (V.logxor, Int32.logxor);
+          (V.mul, Int32.mul);
+          ( (fun a b -> V.merge_low8 a (V.low_byte b)),
+            fun x y -> Int32.logor (Int32.logand x 0xFFFFFF00l) (Int32.logand y 0xFFl) );
+        ]
+      in
+      let rotl x n =
+        if n = 0 then x
+        else Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n))
+      in
+      let unary =
+        [
+          (V.neg, Int32.neg);
+          (V.lognot, Int32.lognot);
+          (V.low_byte, fun x -> Int32.logand x 0xFFl);
+          ((fun a -> V.shift Insn.Shl a n), fun x -> Int32.shift_left x n);
+          ((fun a -> V.shift Insn.Shr a n), fun x -> Int32.shift_right_logical x n);
+          ((fun a -> V.shift Insn.Sar a n), fun x -> Int32.shift_right x n);
+          ((fun a -> V.shift Insn.Rol a n), fun x -> rotl x n);
+          ((fun a -> V.shift Insn.Ror a n), fun x -> rotl x ((32 - n) land 31));
+        ]
+      in
+      List.for_all
+        (fun (fa, fc) ->
+          let r = fa a b in
+          List.for_all (fun x -> List.for_all (fun y -> V.contains r (fc x y)) ys) xs)
+        binary
+      && List.for_all
+           (fun (fa, fc) ->
+             let r = fa a in
+             List.for_all (fun x -> V.contains r (fc x)) xs)
+           unary)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: must-refute soundness.  Whenever the static pre-stage claims
@@ -463,6 +534,7 @@ let () =
         ] );
       ( "soundness",
         [
+          QCheck_alcotest.to_alcotest prop_v_transformers_sound;
           QCheck_alcotest.to_alcotest prop_step_over_approximates;
           QCheck_alcotest.to_alcotest prop_refuter_sound_on_programs;
           QCheck_alcotest.to_alcotest prop_refuter_sound_on_bytes;

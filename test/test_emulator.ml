@@ -4,8 +4,8 @@
    - every polymorphic decoder the engines generate is EXECUTED and must
      reconstruct the original payload in memory, then run it to the
      execve syscall;
-   - the abstract constant-propagation domain is sound with respect to
-     concrete execution. *)
+   - the abstract domain's constants are sound with respect to concrete
+     execution. *)
 
 open Sanids_x86
 open Sanids_polymorph
@@ -388,7 +388,7 @@ let test_all_eight_shellcodes_execute () =
     Sanids_exploits.Shellcodes.all
 
 (* ------------------------------------------------------------------ *)
-(* abstraction soundness: Constprop agrees with concrete execution *)
+(* abstraction soundness: Absint's constants agree with concrete execution *)
 
 let gen_safe_insn =
   (* straight-line register/stack programs: no memory, no branches *)
@@ -444,64 +444,78 @@ let gen_safe_insn =
        return (Insn.Lea (r, Insn.mem_base_disp b d)));
     ]
 
-let prop_constprop_sound =
-  QCheck2.Test.make ~name:"constprop sound wrt emulator" ~count:500
+(* ESP moves that keep the stack dword-aligned, and ones that do not:
+   the abstract stack must follow the first and forget on the second *)
+let gen_stack_insn =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (8, gen_safe_insn);
+      ( 1,
+        let* op = oneofl [ Insn.Add; Insn.Sub ] and* k = int_range 1 3 in
+        return (arith op (reg Reg.ESP) (imm (Int32.of_int (4 * k)))) );
+      (* stack reservations at and past the slot model's 128-slot cap *)
+      (1, map (fun n -> arith Insn.Sub (reg Reg.ESP) (imm n)) (oneofl [ 0x1fcl; 0x200l ]));
+      ( 1,
+        let* inc = bool in
+        return
+          (if inc then Insn.Inc (Insn.S32bit, reg Reg.ESP)
+           else Insn.Dec (Insn.S32bit, reg Reg.ESP)) );
+    ]
+
+(* Bytes the program leaves on the stack after each instruction must
+   never go negative: reading above the entry ESP would read memory the
+   program never wrote. *)
+let stack_balanced insns =
+  let depth = ref 0 in
+  List.for_all
+    (fun i ->
+      (match i with
+      | Insn.Push_imm _ | Insn.Push_reg _ -> depth := !depth + 4
+      | Insn.Pop_reg _ -> depth := !depth - 4
+      | Insn.Arith (Insn.Add, _, Insn.Reg Reg.ESP, Insn.Imm n) ->
+          depth := !depth - Int32.to_int n
+      | Insn.Arith (Insn.Sub, _, Insn.Reg Reg.ESP, Insn.Imm n) ->
+          depth := !depth + Int32.to_int n
+      | Insn.Inc (_, Insn.Reg Reg.ESP) -> decr depth
+      | Insn.Dec (_, Insn.Reg Reg.ESP) -> incr depth
+      | _ -> ());
+      !depth >= 0)
+    insns
+
+let stack_regs = [ Reg.EAX; Reg.EBX; Reg.ECX; Reg.EDX; Reg.ESI; Reg.EDI; Reg.ESP ]
+
+(* Run a stack program concretely and abstractly from both the
+   nothing-known state and the emulator's exact entry state, and check
+   [sound] on every register (ESP included) of both abstract results. *)
+let abstract_agrees sound insns =
+  QCheck2.assume (stack_balanced insns);
+  let insns = insns @ [ Insn.Int3 ] in
+  let emu = Emulator.create ~code:(Encode.program insns) () in
+  let _ = Emulator.run emu in
+  List.for_all
+    (fun init ->
+      let abstract = List.fold_left Sanids_ir.Absint.step_insn init insns in
+      List.for_all (fun r -> sound abstract r (Emulator.reg emu r)) stack_regs)
+    [ Sanids_ir.Absint.initial; Sanids_ir.Absint.entry_state () ]
+
+let prop_absint_consts_sound =
+  QCheck2.Test.make ~name:"Absint constants sound wrt emulator" ~count:500
     ~print:(fun is -> Pretty.program_to_string is)
-    QCheck2.Gen.(list_size (int_range 1 25) gen_safe_insn)
-    (fun insns ->
-      (* pops must not outnumber pushes, or the program reads the
-         uninitialized stack which constprop rightly does not model *)
-      let balanced =
-        let ok = ref true and depth = ref 0 in
-        List.iter
-          (fun i ->
-            match i with
-            | Insn.Push_imm _ | Insn.Push_reg _ -> incr depth
-            | Insn.Pop_reg _ ->
-                if !depth = 0 then ok := false else decr depth
-            | _ -> ())
-          insns;
-        !ok
-      in
-      QCheck2.assume balanced;
-      let insns = insns @ [ Insn.Int3 ] in
-      let emu = Emulator.create ~code:(Encode.program insns) () in
-      let _ = Emulator.run emu in
-      let abstract =
-        List.fold_left
-          (fun st i -> Sanids_ir.Constprop.step_insn st i)
-          Sanids_ir.Constprop.initial insns
-      in
-      List.for_all
-        (fun r ->
-          (* ESP differs (constprop does not track it); skip it *)
-          if Reg.equal r Reg.ESP then true
-          else
-            match Sanids_ir.Constprop.reg32 abstract r with
-            | Some v -> Int32.equal v (Emulator.reg emu r)
-            | None -> true)
-        [ Reg.EAX; Reg.EBX; Reg.ECX; Reg.EDX; Reg.ESI; Reg.EDI ])
+    QCheck2.Gen.(list_size (int_range 1 25) gen_stack_insn)
+    (abstract_agrees (fun abstract r concrete ->
+         match Sanids_ir.Absint.reg32 abstract r with
+         | Some v -> Int32.equal v concrete
+         | None -> true))
 
 let prop_low8_sound =
-  QCheck2.Test.make ~name:"constprop low-byte knowledge sound" ~count:300
-    QCheck2.Gen.(list_size (int_range 1 20) gen_safe_insn)
-    (fun insns ->
-      let has_pop = List.exists (function Insn.Pop_reg _ -> true | _ -> false) insns in
-      QCheck2.assume (not has_pop);
-      let insns = insns @ [ Insn.Int3 ] in
-      let emu = Emulator.create ~code:(Encode.program insns) () in
-      let _ = Emulator.run emu in
-      let abstract =
-        List.fold_left
-          (fun st i -> Sanids_ir.Constprop.step_insn st i)
-          Sanids_ir.Constprop.initial insns
-      in
-      List.for_all
-        (fun r ->
-          match Sanids_ir.Constprop.reg_low8 abstract r with
-          | Some b -> Int32.to_int (Int32.logand (Emulator.reg emu r) 0xFFl) = b
-          | None -> true)
-        [ Reg.EAX; Reg.EBX; Reg.ECX; Reg.EDX ])
+  QCheck2.Test.make ~name:"Absint low-byte knowledge sound" ~count:300
+    ~print:(fun is -> Pretty.program_to_string is)
+    QCheck2.Gen.(list_size (int_range 1 20) gen_stack_insn)
+    (abstract_agrees (fun abstract r concrete ->
+         match Sanids_ir.Absint.reg_low8 abstract r with
+         | Some b -> Int32.to_int (Int32.logand concrete 0xFFl) = b
+         | None -> true))
 
 (* metamorphic rewriting preserves concrete register state on arbitrary
    branch-free programs *)
@@ -510,18 +524,7 @@ let prop_metamorph_equivalent =
     ~print:(fun (is, _) -> Pretty.program_to_string is)
     QCheck2.Gen.(pair (list_size (int_range 1 20) gen_safe_insn) int64)
     (fun (insns, seed) ->
-      let balanced =
-        let ok = ref true and depth = ref 0 in
-        List.iter
-          (fun i ->
-            match i with
-            | Insn.Push_imm _ | Insn.Push_reg _ -> incr depth
-            | Insn.Pop_reg _ -> if !depth = 0 then ok := false else decr depth
-            | _ -> ())
-          insns;
-        !ok
-      in
-      QCheck2.assume balanced;
+      QCheck2.assume (stack_balanced insns);
       let rng = Rng.create seed in
       (* junk-free mutation must preserve every register; junky mutation
          must preserve the registers the original program touches (junk
@@ -549,7 +552,7 @@ let prop_metamorph_equivalent =
 
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_constprop_sound; prop_low8_sound; prop_metamorph_equivalent ]
+    [ prop_absint_consts_sound; prop_low8_sound; prop_metamorph_equivalent ]
 
 let () =
   Alcotest.run "emulator"

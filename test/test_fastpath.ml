@@ -1,6 +1,6 @@
 (* Tests for the analysis fast path: the LRU, the decode-memo instruction
-   cache, memoized-vs-direct trace building, memoized-vs-direct scanning,
-   the Aho–Corasick data prefilter, and the pipeline verdict cache — all
+   cache, memoized-vs-direct trace building, the decode memo's hit
+   accounting, the Aho–Corasick data prefilter, and the pipeline verdict cache — all
    under the exactness contract: caching must never change a verdict. *)
 
 open Sanids_x86
@@ -119,8 +119,8 @@ let test_build_cached_equiv_structured () =
     (Trace.entry_points code)
 
 (* The walk scratch is per walk: after a second walk over the same
-   cache, offsets only the first walk visited no longer index, and a
-   build that borrows the scratch is the plain build. *)
+   cache, offsets only the first walk visited no longer index, and every
+   later walk over the already-walked cache is still the plain build. *)
 let test_walk_scratch_per_walk () =
   let rng = Rng.create 0xFA59L in
   let code =
@@ -147,9 +147,9 @@ let test_walk_scratch_per_walk () =
   List.iter
     (fun entry ->
       same_trace
-        (Printf.sprintf "scratch entry %d" entry)
+        (Printf.sprintf "rewalked entry %d" entry)
         (Trace.build code ~entry)
-        (Trace.build ~scratch:cache code ~entry))
+        (Trace.build_cached cache ~entry))
     (Trace.entry_points code)
 
 let prop_build_cached_equiv =
@@ -176,7 +176,7 @@ let prop_build_cached_equiv =
         entries)
 
 (* ------------------------------------------------------------------ *)
-(* Matcher.scan: memoized ≡ direct, and the decode memo actually wins *)
+(* Matcher.scan: the decode memo actually wins *)
 
 let i x = Asm.I x
 
@@ -189,37 +189,6 @@ let decoder_with_sled sled_len =
         i (Insn.Inc (Insn.S32bit, Insn.Reg Reg.EAX));
         Asm.Loop_to "decode";
       ]
-
-let test_scan_memoized_equiv_structured () =
-  let inputs =
-    let rng = Rng.create 0xFA59L in
-    [
-      decoder_with_sled 64;
-      (Sanids_polymorph.Admmutate.generate rng
-         ~payload:(Shellcodes.find "classic").Shellcodes.code)
-        .Sanids_polymorph.Admmutate.code;
-      Exploit_gen.http_exploit rng
-        ~shellcode:(Shellcodes.find "classic").Shellcodes.code;
-      Code_red.request ();
-    ]
-  in
-  List.iter
-    (fun code ->
-      let templates = Template_lib.default_set in
-      let memo = Matcher.scan ~templates code in
-      let direct = Matcher.scan ~memoize:false ~templates code in
-      Alcotest.(check bool) "same results" true (memo = direct))
-    inputs;
-  (* at least the sled-decoder input must actually match *)
-  Alcotest.(check bool) "decoder input matches" true
-    (Matcher.scan ~templates:Template_lib.default_set (List.hd inputs) <> [])
-
-let prop_scan_memoized_equiv =
-  QCheck2.Test.make ~name:"memoized scan ≡ unmemoized on random bytes" ~count:60
-    QCheck2.Gen.(string_size (int_range 0 160))
-    (fun code ->
-      Matcher.scan ~templates:Template_lib.default_set code
-      = Matcher.scan ~memoize:false ~templates:Template_lib.default_set code)
 
 let test_decode_memo_wins_on_sled () =
   (* explicit entry enumeration, as the ablation harness uses: every
@@ -366,7 +335,7 @@ let test_verdict_cache_eviction_counted () =
 
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_build_cached_equiv; prop_scan_memoized_equiv ]
+    [ prop_build_cached_equiv ]
 
 let () =
   Alcotest.run "fastpath"
@@ -392,8 +361,6 @@ let () =
         ] );
       ( "scan",
         [
-          Alcotest.test_case "memoized equivalence" `Quick
-            test_scan_memoized_equiv_structured;
           Alcotest.test_case "decode memo wins on sled" `Quick
             test_decode_memo_wins_on_sled;
           Alcotest.test_case "budget exhaustion counted" `Quick

@@ -75,12 +75,6 @@ let test_template_pp () =
     in
     has 0)
 
-let test_constprop_pp () =
-  let st = Constprop.step_insn Constprop.initial (Insn.Mov (Insn.S32bit, reg Reg.EAX, imm 0xABl)) in
-  let rendered = Format.asprintf "%a" Constprop.pp st in
-  Alcotest.(check bool) "shows eax" true
-    (String.length rendered > 0 && String.sub rendered 0 3 = "eax")
-
 (* ------------------------------------------------------------------ *)
 (* API corners *)
 
@@ -153,7 +147,6 @@ let () =
           Alcotest.test_case "trace pp" `Quick test_trace_pp;
           Alcotest.test_case "sem pp" `Quick test_sem_pp_smoke;
           Alcotest.test_case "template pp" `Quick test_template_pp;
-          Alcotest.test_case "constprop pp" `Quick test_constprop_pp;
           Alcotest.test_case "stats pp" `Quick test_stats_pp;
         ] );
       ( "corners",

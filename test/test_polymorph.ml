@@ -166,12 +166,12 @@ let test_const_route_folds () =
     let code = Asm.assemble (Junk.const_route rng r v) in
     let state =
       Array.fold_left
-        (fun st (d : Decode.decoded) -> Sanids_ir.Constprop.step_insn st d.Decode.insn)
-        Sanids_ir.Constprop.initial (Decode.all code)
+        (fun st (d : Decode.decoded) -> Sanids_ir.Absint.step_insn st d.Decode.insn)
+        Sanids_ir.Absint.initial (Decode.all code)
     in
     Alcotest.(check (option int32))
       "route folds to the constant" (Some v)
-      (Sanids_ir.Constprop.reg32 state r)
+      (Sanids_ir.Absint.reg32 state r)
   done
 
 (* ------------------------------------------------------------------ *)

@@ -408,6 +408,200 @@ let test_port_bind_shell () =
   check_no_match "plain execve is not port-bind" Template_lib.port_bind_shell
     execve_shellcode
 
+(* Stack constants follow ESP arithmetic.  Each program's verdict is the
+   one the emulator implies: EAX at the [int 0x80] decides whether it is
+   an execve. *)
+
+let eax_at_syscall code =
+  let emu = Emulator.create ~code () in
+  match Emulator.run ~max_steps:64 emu with
+  | Emulator.Syscall 0x80, _ -> Emulator.reg emu Reg.EAX
+  | _ -> Alcotest.fail "int 0x80 not reached"
+
+let check_esp_program ?(templates = Template_lib.shell_spawn) name ~eax ~execve insns =
+  let code = Encode.program insns in
+  Alcotest.(check int32) (name ^ ": emulator EAX") eax (eax_at_syscall code);
+  (if execve then check_matches else check_no_match) name templates code
+
+let test_esp_add_skips_slot () =
+  check_esp_program "add esp,4 drops the top slot" ~eax:0xbl ~execve:true
+    [
+      Insn.Push_imm 0xbl;
+      Insn.Push_imm 1l;
+      arith Insn.Add (reg Reg.ESP) (imm 4l);
+      Insn.Pop_reg Reg.EAX;
+      Insn.Int 0x80;
+    ]
+
+let test_esp_add_exposes_older_push () =
+  check_esp_program "add esp,4 exposes the older push" ~eax:1l ~execve:false
+    [
+      Insn.Push_imm 1l;
+      Insn.Push_imm 0xbl;
+      arith Insn.Add (reg Reg.ESP) (imm 4l);
+      Insn.Pop_reg Reg.EAX;
+      Insn.Int 0x80;
+    ]
+
+let test_esp_misaligned () =
+  check_esp_program "inc esp misaligns the stack" ~eax:0l ~execve:false
+    [
+      Insn.Push_imm 0xbl;
+      Insn.Inc (Insn.S32bit, reg Reg.ESP);
+      Insn.Pop_reg Reg.EAX;
+      Insn.Int 0x80;
+    ]
+
+(* Reserving stack space with one large [sub esp]: the slot model holds
+   at most 128 slots and must forget the deepest ones, never the top. *)
+let test_esp_reserve () =
+  check_esp_program "sub esp,0x1fc then two pushes" ~eax:0xbl ~execve:true
+    [
+      arith Insn.Sub (reg Reg.ESP) (imm 0x1fcl);
+      Insn.Push_imm 1l;
+      Insn.Push_imm 0xbl;
+      Insn.Pop_reg Reg.EAX;
+      Insn.Int 0x80;
+    ];
+  check_esp_program "sub esp,0x1fc then two pushes, swapped" ~eax:1l ~execve:false
+    [
+      arith Insn.Sub (reg Reg.ESP) (imm 0x1fcl);
+      Insn.Push_imm 0xbl;
+      Insn.Push_imm 1l;
+      Insn.Pop_reg Reg.EAX;
+      Insn.Int 0x80;
+    ];
+  check_esp_program "sub esp,0x200 then a push" ~eax:0xbl ~execve:true
+    [
+      arith Insn.Sub (reg Reg.ESP) (imm 0x200l);
+      Insn.Push_imm 0xbl;
+      Insn.Pop_reg Reg.EAX;
+      Insn.Int 0x80;
+    ]
+
+(* ESP written through a register: a known amount moves the slots, an
+   unknown one forgets them. *)
+let test_esp_through_register () =
+  let add_esp_ecx first second =
+    [
+      Insn.Push_imm first;
+      Insn.Push_imm second;
+      Insn.Push_imm 4l;
+      Insn.Pop_reg Reg.ECX;
+      arith Insn.Add (reg Reg.ESP) (reg Reg.ECX);
+      Insn.Pop_reg Reg.EAX;
+      Insn.Int 0x80;
+    ]
+  in
+  check_esp_program "add esp,ecx drops the top slot" ~eax:0xbl ~execve:true
+    (add_esp_ecx 0xbl 1l);
+  check_esp_program "add esp,ecx exposes the older push" ~eax:1l ~execve:false
+    (add_esp_ecx 1l 0xbl);
+  check_esp_program "mov esp,ebx restores a saved ESP" ~eax:1l ~execve:false
+    [
+      Insn.Push_imm 1l;
+      mov32 (reg Reg.EBX) (reg Reg.ESP);
+      Insn.Push_imm 0xbl;
+      mov32 (reg Reg.ESP) (reg Reg.EBX);
+      Insn.Pop_reg Reg.EAX;
+      Insn.Int 0x80;
+    ]
+
+(* Zeroing by two masks with no set bit in common, the usual route when
+   xor is unavailable: the value must fold to 0 through the known bits. *)
+let test_mask_chain_zeroes () =
+  let zero_eax =
+    [ arith Insn.And (reg Reg.EAX) (imm 0x454e4f4al); arith Insn.And (reg Reg.EAX) (imm 0x3a313035l) ]
+  in
+  let syscall_only = [ List.nth Template_lib.shell_spawn 2 ] in
+  check_esp_program ~templates:syscall_only "and/and then add eax,0xb" ~eax:0xbl
+    ~execve:true
+    (zero_eax @ [ arith Insn.Add (reg Reg.EAX) (imm 0xbl); Insn.Int 0x80 ]);
+  check_esp_program ~templates:syscall_only "and al/and al then add al,0xb" ~eax:0xbl
+    ~execve:true
+    [
+      arith8 Insn.And (Insn.Reg8 Reg.AL) (imm 0x0fl);
+      arith8 Insn.And (Insn.Reg8 Reg.AL) (imm 0xf0l);
+      arith8 Insn.Add (Insn.Reg8 Reg.AL) (imm 0xbl);
+      Insn.Int 0x80;
+    ];
+  (* "/bin" and "//sh" reached by subtracting from the zeroed register *)
+  check_esp_program ~templates:[ List.hd Template_lib.shell_spawn ]
+    "and/and then sub to the string words" ~eax:0xbl ~execve:true
+    (zero_eax
+    @ [
+        Insn.Push_reg Reg.EAX;
+        arith Insn.Sub (reg Reg.EAX) (imm 0x978cd0d1l);
+        Insn.Push_reg Reg.EAX;
+        arith Insn.Sub (reg Reg.EAX) (imm 0xfa09cd00l);
+        Insn.Push_reg Reg.EAX;
+        mov32 (reg Reg.EBX) (reg Reg.ESP);
+      ]
+    @ zero_eax
+    @ [ arith Insn.Add (reg Reg.EAX) (imm 0xbl); Insn.Int 0x80 ])
+
+(* Oracle: on straight-line stack programs, a syscall-only shell-spawn
+   match must sit on an [int 0x80] the emulator reaches with AL = 11.
+   Programs that fault before their final [int3] are discarded. *)
+
+let syscall_only_spawn =
+  List.filter (fun (t : Template.t) -> List.length t.Template.steps = 1) Template_lib.shell_spawn
+
+let gen_esp_insn =
+  let open QCheck2.Gen in
+  let const_g =
+    oneof [ oneofl [ 0xbl; 0xbl; 1l; 0x10bl; 4l; 8l ]; map Int32.of_int (int_bound 0xFFFF) ]
+  in
+  let byte_g = oneof [ oneofl [ 0xbl; 1l ]; map Int32.of_int (int_bound 0xFF) ] in
+  frequency
+    [
+      (4, map (fun v -> Insn.Push_imm v) const_g);
+      (1, map (fun r -> Insn.Push_reg r) (oneofl [ Reg.EAX; Reg.EBX ]));
+      (3, map (fun r -> Insn.Pop_reg r) (oneofl [ Reg.EAX; Reg.EAX; Reg.EBX; Reg.ECX ]));
+      ( 3,
+        let* op = oneofl [ Insn.Add; Insn.Add; Insn.Sub ] and* k = int_range 1 2 in
+        return (arith op (reg Reg.ESP) (imm (Int32.of_int (4 * k)))) );
+      (1, map (fun n -> arith Insn.Sub (reg Reg.ESP) (imm n)) (oneofl [ 0x1fcl; 0x200l ]));
+      (1, return (arith Insn.Add (reg Reg.ESP) (reg Reg.ECX)));
+      (1, return (mov32 (reg Reg.EBX) (reg Reg.ESP)));
+      (1, return (mov32 (reg Reg.ESP) (reg Reg.EBX)));
+      (1, return (Insn.Inc (Insn.S32bit, reg Reg.ESP)));
+      (1, map (fun v -> Insn.Mov (Insn.S8bit, Insn.Reg8 Reg.AL, imm v)) byte_g);
+      (1, return (arith Insn.Xor (reg Reg.EAX) (reg Reg.EAX)));
+      (1, map (fun v -> arith8 Insn.Xor (Insn.Reg8 Reg.AL) (imm v)) byte_g);
+      (2, return (Insn.Int 0x80));
+    ]
+
+(* AL at every offset the emulator executes, or [None] if the run ends
+   anywhere but the program's last instruction. *)
+let al_by_offset code =
+  let emu = Emulator.create ~code () in
+  let seen = Hashtbl.create 16 in
+  let rec go n =
+    let pc = Int32.to_int (Int32.sub (Emulator.eip emu) Emulator.code_base) in
+    Hashtbl.replace seen pc (Int32.to_int (Emulator.reg emu Reg.EAX) land 0xFF);
+    match Emulator.step emu with
+    | Emulator.Running | Emulator.Syscall _ -> if n > 0 then go (n - 1) else None
+    | Emulator.Halted _ -> if pc = String.length code - 1 then Some seen else None
+  in
+  go 64
+
+let prop_esp_spawn_sound =
+  QCheck2.Test.make ~name:"syscall-only shell-spawn implies emulated AL = 11" ~count:1000
+    ~print:(fun is -> Pretty.program_to_string is)
+    QCheck2.Gen.(list_size (int_range 2 10) gen_esp_insn)
+    (fun insns ->
+      let code = Encode.program (insns @ [ Insn.Int3 ]) in
+      match al_by_offset code with
+      | None -> QCheck2.assume_fail ()
+      | Some al ->
+          List.for_all
+            (fun (r : Matcher.result) ->
+              match r.Matcher.offsets with
+              | [ off ] -> Hashtbl.find_opt al off = Some 11
+              | _ -> false)
+            (Matcher.scan ~entries:[ 0 ] ~templates:syscall_only_spawn code))
+
 (* ------------------------------------------------------------------ *)
 (* Code Red II vector. *)
 
@@ -456,83 +650,87 @@ let test_lift_lods () =
     -> ()
   | _ -> Alcotest.fail "lodsb must lift to load + advance"
 
-let test_constprop_byte_merge () =
-  let s = Constprop.initial in
-  let s = Constprop.step_insn s (arith Insn.Xor (reg Reg.EAX) (reg Reg.EAX)) in
-  let s = Constprop.step_insn s (Insn.Mov (Insn.S8bit, Insn.Reg8 Reg.AL, imm 11l)) in
-  Alcotest.(check (option int32)) "eax fully known" (Some 11l) (Constprop.reg32 s Reg.EAX)
+(* Constant folding reads: Absint's state read-outs are what the
+   matcher's constant-bearing steps consume. *)
 
-let test_constprop_partial_low8 () =
-  let s = Constprop.initial in
-  (* only the low byte is known *)
-  let s = Constprop.step_insn s (Insn.Mov (Insn.S8bit, Insn.Reg8 Reg.AL, imm 11l)) in
-  Alcotest.(check (option int32)) "eax not fully known" None (Constprop.reg32 s Reg.EAX);
-  Alcotest.(check (option int)) "al known" (Some 11) (Constprop.reg_low8 s Reg.EAX)
+let fold insns = List.fold_left Absint.step_insn Absint.initial insns
 
-let test_constprop_stack_slots () =
-  let s = Constprop.initial in
-  let s = Constprop.step_insn s (Insn.Push_imm 0x100l) in
-  (* fix the value up in place, then read it back two ways *)
+let test_absint_byte_merge () =
   let s =
-    Constprop.step_insn s
-      (Insn.Arith (Insn.Xor, Insn.S32bit, Insn.Mem (Insn.mem_base Reg.ESP), imm 0x0FFl))
+    fold
+      [
+        arith Insn.Xor (reg Reg.EAX) (reg Reg.EAX);
+        Insn.Mov (Insn.S8bit, Insn.Reg8 Reg.AL, imm 11l);
+      ]
   in
+  Alcotest.(check (option int32)) "eax fully known" (Some 11l) (Absint.reg32 s Reg.EAX)
+
+let test_absint_partial_low8 () =
+  (* only the low byte is known *)
+  let s = fold [ Insn.Mov (Insn.S8bit, Insn.Reg8 Reg.AL, imm 11l) ] in
+  Alcotest.(check (option int32)) "eax not fully known" None (Absint.reg32 s Reg.EAX);
+  Alcotest.(check (option int)) "al known" (Some 11) (Absint.reg_low8 s Reg.EAX);
+  Alcotest.(check (option int)) "al known as an operand" (Some 11)
+    (Absint.value_low8 s (Sem.Vreg Reg.EAX))
+
+let test_absint_stack_slots () =
+  (* fix the value up in place, then read it back three ways *)
   let s =
-    Constprop.step_insn s
+    fold
+      [
+        Insn.Push_imm 0x100l;
+        Insn.Arith (Insn.Xor, Insn.S32bit, Insn.Mem (Insn.mem_base Reg.ESP), imm 0x0FFl);
+      ]
+  in
+  Alcotest.(check (option int32)) "slot folded" (Some 0x1FFl) (Absint.slot_value s 0);
+  let s =
+    Absint.step_insn s
       (Insn.Mov (Insn.S32bit, Insn.Reg Reg.EBX, Insn.Mem (Insn.mem_base Reg.ESP)))
   in
-  Alcotest.(check (option int32)) "slot read" (Some 0x1FFl) (Constprop.reg32 s Reg.EBX);
-  let s = Constprop.step_insn s (Insn.Pop_reg Reg.ECX) in
-  Alcotest.(check (option int32)) "pop agrees" (Some 0x1FFl) (Constprop.reg32 s Reg.ECX)
+  Alcotest.(check (option int32)) "slot read" (Some 0x1FFl) (Absint.reg32 s Reg.EBX);
+  let s = Absint.step_insn s (Insn.Pop_reg Reg.ECX) in
+  Alcotest.(check (option int32)) "pop agrees" (Some 0x1FFl) (Absint.reg32 s Reg.ECX)
 
-let test_constprop_deep_slot () =
-  let s = Constprop.initial in
-  let s = Constprop.step_insn s (Insn.Push_imm 0xAAl) in
-  let s = Constprop.step_insn s (Insn.Push_imm 0xBBl) in
+let test_absint_deep_slot () =
   let s =
-    Constprop.step_insn s
-      (Insn.Mov (Insn.S32bit, Insn.Reg Reg.ESI, Insn.Mem (Insn.mem_base_disp Reg.ESP 4l)))
+    fold
+      [
+        Insn.Push_imm 0xAAl;
+        Insn.Push_imm 0xBBl;
+        Insn.Mov (Insn.S32bit, Insn.Reg Reg.ESI, Insn.Mem (Insn.mem_base_disp Reg.ESP 4l));
+      ]
   in
   Alcotest.(check (option int32)) "[esp+4] is the older push" (Some 0xAAl)
-    (Constprop.reg32 s Reg.ESI);
-  (* a store through an unknown base must not corrupt slot knowledge
-     soundness: it is simply ignored by the slot model (the concrete
-     emulator cross-check in test_emulator covers aliasing soundness for
-     the code our generators emit) *)
+    (Absint.reg32 s Reg.ESI);
+  (* a store past the tracked slots is simply ignored by the slot model
+     (the concrete emulator cross-check in test_emulator covers aliasing
+     soundness for the code our generators emit) *)
   let s =
-    Constprop.step_insn s
+    Absint.step_insn s
       (Insn.Mov (Insn.S32bit, Insn.Mem (Insn.mem_base_disp Reg.ESP 12l), imm 1l))
   in
   Alcotest.(check (option int32)) "out-of-range slot untouched" (Some 0xAAl)
-    (Constprop.reg32 s Reg.ESI)
+    (Absint.reg32 s Reg.ESI)
 
-let test_constprop_stack_roundtrip () =
-  let s = Constprop.initial in
-  let s = Constprop.step_insn s (Insn.Push_imm 0xBEEFl) in
-  let s = Constprop.step_insn s (Insn.Pop_reg Reg.ESI) in
+let test_absint_stack_roundtrip () =
+  let s = fold [ Insn.Push_imm 0xBEEFl; Insn.Pop_reg Reg.ESI ] in
   Alcotest.(check (option int32)) "const through stack" (Some 0xBEEFl)
-    (Constprop.reg32 s Reg.ESI)
+    (Absint.reg32 s Reg.ESI)
 
-let test_constprop_xchg () =
-  let s = Constprop.initial in
-  let s = Constprop.step_insn s (mov32 (reg Reg.EAX) (imm 5l)) in
-  let s = Constprop.step_insn s (Insn.Xchg (Reg.EAX, Reg.EBX)) in
-  Alcotest.(check (option int32)) "ebx got 5" (Some 5l) (Constprop.reg32 s Reg.EBX);
-  Alcotest.(check (option int32)) "eax unknown" None (Constprop.reg32 s Reg.EAX)
+let test_absint_xchg () =
+  let s = fold [ mov32 (reg Reg.EAX) (imm 5l); Insn.Xchg (Reg.EAX, Reg.EBX) ] in
+  Alcotest.(check (option int32)) "ebx got 5" (Some 5l) (Absint.reg32 s Reg.EBX);
+  Alcotest.(check (option int32)) "eax unknown" None (Absint.reg32 s Reg.EAX)
 
-let test_constprop_not_rol () =
-  let s = Constprop.initial in
-  let s = Constprop.step_insn s (mov32 (reg Reg.EBX) (imm 0x000000FFl)) in
-  let s = Constprop.step_insn s (Insn.Not (Insn.S32bit, reg Reg.EBX)) in
-  Alcotest.(check (option int32)) "not" (Some 0xFFFFFF00l) (Constprop.reg32 s Reg.EBX);
-  let s = Constprop.step_insn s (Insn.Shift (Insn.Rol, Insn.S32bit, reg Reg.EBX, 8)) in
-  Alcotest.(check (option int32)) "rol 8" (Some 0xFFFF00FFl) (Constprop.reg32 s Reg.EBX)
+let test_absint_not_rol () =
+  let s = fold [ mov32 (reg Reg.EBX) (imm 0x000000FFl); Insn.Not (Insn.S32bit, reg Reg.EBX) ] in
+  Alcotest.(check (option int32)) "not" (Some 0xFFFFFF00l) (Absint.reg32 s Reg.EBX);
+  let s = Absint.step_insn s (Insn.Shift (Insn.Rol, Insn.S32bit, reg Reg.EBX, 8)) in
+  Alcotest.(check (option int32)) "rol 8" (Some 0xFFFF00FFl) (Absint.reg32 s Reg.EBX)
 
-let test_constprop_load_clobbers () =
-  let s = Constprop.initial in
-  let s = Constprop.step_insn s (mov32 (reg Reg.EAX) (imm 5l)) in
-  let s = Constprop.step_insn s (mov32 (reg Reg.EAX) (mem_of Reg.EBX)) in
-  Alcotest.(check (option int32)) "load clobbers" None (Constprop.reg32 s Reg.EAX)
+let test_absint_load_clobbers () =
+  let s = fold [ mov32 (reg Reg.EAX) (imm 5l); mov32 (reg Reg.EAX) (mem_of Reg.EBX) ] in
+  Alcotest.(check (option int32)) "load clobbers" None (Absint.reg32 s Reg.EAX)
 
 let test_trace_follows_jmp () =
   let code =
@@ -592,7 +790,12 @@ let prop_decoder_survives_padding =
 
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_random_bytes_rarely_match; prop_ascii_never_matches; prop_decoder_survives_padding ]
+    [
+      prop_random_bytes_rarely_match;
+      prop_ascii_never_matches;
+      prop_decoder_survives_padding;
+      prop_esp_spawn_sound;
+    ]
 
 let () =
   Alcotest.run "semantic"
@@ -630,6 +833,13 @@ let () =
           Alcotest.test_case "folded eax" `Quick test_shell_spawn_folded_eax;
           Alcotest.test_case "memory-routed string" `Quick test_shell_spawn_memory_routed_string;
           Alcotest.test_case "port bind" `Quick test_port_bind_shell;
+          Alcotest.test_case "esp add skips a slot" `Quick test_esp_add_skips_slot;
+          Alcotest.test_case "esp add exposes older push" `Quick
+            test_esp_add_exposes_older_push;
+          Alcotest.test_case "esp misaligned" `Quick test_esp_misaligned;
+          Alcotest.test_case "esp reserve" `Quick test_esp_reserve;
+          Alcotest.test_case "esp through a register" `Quick test_esp_through_register;
+          Alcotest.test_case "mask chain zeroes" `Quick test_mask_chain_zeroes;
         ] );
       ("code-red", [ Alcotest.test_case "vector" `Quick test_code_red_ii ]);
       ( "ir",
@@ -637,14 +847,14 @@ let () =
           Alcotest.test_case "advance normalization" `Quick test_lift_normalization;
           Alcotest.test_case "zeroing idiom" `Quick test_lift_zeroing_idiom;
           Alcotest.test_case "lods decomposition" `Quick test_lift_lods;
-          Alcotest.test_case "byte merge" `Quick test_constprop_byte_merge;
-          Alcotest.test_case "partial low8" `Quick test_constprop_partial_low8;
-          Alcotest.test_case "stack roundtrip" `Quick test_constprop_stack_roundtrip;
-          Alcotest.test_case "stack slots" `Quick test_constprop_stack_slots;
-          Alcotest.test_case "deep slot" `Quick test_constprop_deep_slot;
-          Alcotest.test_case "xchg" `Quick test_constprop_xchg;
-          Alcotest.test_case "not/rol" `Quick test_constprop_not_rol;
-          Alcotest.test_case "load clobbers" `Quick test_constprop_load_clobbers;
+          Alcotest.test_case "byte merge" `Quick test_absint_byte_merge;
+          Alcotest.test_case "partial low8" `Quick test_absint_partial_low8;
+          Alcotest.test_case "stack roundtrip" `Quick test_absint_stack_roundtrip;
+          Alcotest.test_case "stack slots" `Quick test_absint_stack_slots;
+          Alcotest.test_case "deep slot" `Quick test_absint_deep_slot;
+          Alcotest.test_case "xchg" `Quick test_absint_xchg;
+          Alcotest.test_case "not/rol" `Quick test_absint_not_rol;
+          Alcotest.test_case "load clobbers" `Quick test_absint_load_clobbers;
         ] );
       ( "trace",
         [

@@ -4,9 +4,7 @@
    1. hand-written Snort-style rules (the 2006 deployment reality);
    2. automatically generated signatures (Autograph/Polygraph-style);
    3. PAYL-style byte-frequency anomaly detection;
-   4. the semantic analyzer;
-   5. the hybrid pipeline that deploys fast-path signatures from
-      semantic alerts.
+   4. the semantic analyzer.
 
    Run with: dune exec examples/baseline_lab.exe *)
 
@@ -48,25 +46,4 @@ let () =
 
   (* 4. semantic templates *)
   hits "semantic templates" (fun c ->
-      Matcher.scan ~templates:Template_lib.default_set c <> []);
-
-  (* 5. the hybrid pipeline on the same campaign as packets *)
-  Printf.printf "\nhybrid pipeline over the campaign as traffic:\n";
-  let h = Hybrid.create ~pool_size:5 (Config.default |> Config.with_classification false) in
-  let src k = Ipaddr.of_octets 198 51 100 (1 + (k mod 200)) in
-  let alerts =
-    List.concat
-      (List.mapi
-         (fun k code ->
-           Hybrid.process_packet h
-             (Packet.build_tcp ~ts:(float_of_int k) ~src:(src k)
-                ~dst:(Ipaddr.of_string "10.0.0.80") ~src_port:(2000 + k)
-                ~dst_port:80 code))
-         campaign)
-  in
-  Printf.printf "  semantic alerts: %d, fast-path hits: %d, deployed signatures: %d\n"
-    (List.length alerts) (Hybrid.fast_path_hits h)
-    (List.length (Hybrid.deployed_signatures h));
-  Printf.printf
-    "  (no signature deploys: raw polymorphic payloads share no invariant —\n\
-    \   semantics keeps doing the work, which is the paper's thesis)\n"
+      Matcher.scan ~templates:Template_lib.default_set c <> [])

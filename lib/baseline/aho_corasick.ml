@@ -4,7 +4,7 @@ type node = {
   mutable outputs : string list;
 }
 
-type t = { nodes : node array; count : int }
+type t = { nodes : node array }
 
 let new_node () = { next = Array.make 256 (-1); fail = 0; outputs = [] }
 
@@ -66,7 +66,7 @@ let build patterns =
       else (node u).next.(b) <- (node (node u).fail).next.(b)
     done
   done;
-  { nodes = Array.sub !nodes 0 !size; count = List.length patterns }
+  { nodes = Array.sub !nodes 0 !size }
 
 let search t hay =
   let state = ref 0 in
@@ -103,18 +103,3 @@ let search_slice t hay =
     List.iter (fun tag -> out := (i, tag) :: !out) t.nodes.(!state).outputs
   done;
   List.rev !out
-
-let first_match_slice t hay =
-  let n = Slice.length hay in
-  let rec go state i =
-    if i >= n then None
-    else
-      let state = t.nodes.(state).next.(Char.code (Slice.unsafe_get hay i)) in
-      match t.nodes.(state).outputs with
-      | tag :: _ -> Some tag
-      | [] -> go state (i + 1)
-  in
-  go 0 0
-
-let matches_slice t hay = first_match_slice t hay <> None
-let pattern_count t = t.count

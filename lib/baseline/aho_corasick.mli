@@ -22,7 +22,3 @@ val matches : t -> string -> bool
 val search_slice : t -> Slice.t -> (int * string) list
 (** {!search} over a payload view: offsets are view-relative and no
     bytes are copied. *)
-
-val first_match_slice : t -> Slice.t -> string option
-val matches_slice : t -> Slice.t -> bool
-val pattern_count : t -> int

@@ -1,4 +1,4 @@
-type model = { mean : float array; std : float array; trained_on : int }
+type model = { mean : float array; std : float array }
 
 let freq payload =
   let h = Entropy.histogram payload in
@@ -21,7 +21,7 @@ let train corpus =
         f)
     freqs;
   let std = Array.map (fun v -> sqrt (v /. n)) var in
-  { mean; std; trained_on = List.length corpus }
+  { mean; std }
 
 (* Simplified Mahalanobis distance with a smoothing floor on the standard
    deviation, averaged over the 256 bins. *)
@@ -38,5 +38,3 @@ let score m payload =
   end
 
 let is_anomalous ?(threshold = 1.5) m payload = score m payload > threshold
-
-let train_fraction m = m.trained_on

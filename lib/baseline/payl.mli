@@ -15,6 +15,3 @@ val score : model -> string -> float
 
 val is_anomalous : ?threshold:float -> model -> string -> bool
 (** Default threshold 1.5. *)
-
-val train_fraction : model -> int
-(** Number of training payloads. *)

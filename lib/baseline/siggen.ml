@@ -53,20 +53,4 @@ let infer ?(min_token_len = 8) ?(coverage = 0.9) ?(max_tokens = 8) pool =
 let matches t payload =
   t.tokens <> [] && List.for_all (contains payload) t.tokens
 
-let matches_slice t payload =
-  t.tokens <> []
-  && List.for_all (fun needle -> Search.contains_slice ~needle payload) t.tokens
-
 let specificity t = List.fold_left (fun acc tok -> acc + String.length tok) 0 t.tokens
-
-let pp ppf t =
-  Format.fprintf ppf "signature(%d tokens, %d bytes, pool %d):" (List.length t.tokens)
-    (specificity t) t.trained_on;
-  List.iter
-    (fun tok ->
-      let printable =
-        String.for_all (fun c -> Char.code c >= 0x20 && Char.code c < 0x7F) tok
-      in
-      if printable then Format.fprintf ppf "@ %S" tok
-      else Format.fprintf ppf "@ |%s|" (Hexdump.encode tok))
-    t.tokens

@@ -26,10 +26,5 @@ val infer :
 val matches : t -> string -> bool
 (** All tokens present (an empty signature matches nothing). *)
 
-val matches_slice : t -> Slice.t -> bool
-(** {!matches} over a payload view, copying nothing. *)
-
 val specificity : t -> int
 (** Total signature bytes — a proxy for false-positive resistance. *)
-
-val pp : Format.formatter -> t -> unit

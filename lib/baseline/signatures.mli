@@ -4,11 +4,5 @@
     exploits and the fixed Code Red vector but miss polymorphic
     instances — the paper's motivation. *)
 
-val default : (string * string) list
-(** [(pattern, name)] pairs. *)
-
-val engine : unit -> Aho_corasick.t
-(** [default] compiled (memoized). *)
-
 val scan : string -> string option
 (** First matching signature name in a payload. *)

@@ -68,12 +68,9 @@ let classify t p =
   record t verdict;
   verdict
 
-let enabled t = t.enabled
-
 let reason_to_string = function
   | Honeypot_sender -> "honeypot-sender"
   | Scanner -> "scanner"
   | Classification_disabled -> "classification-disabled"
 
 let honeypot t = t.honeypot
-let scan t = t.scan

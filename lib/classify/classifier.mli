@@ -26,7 +26,5 @@ val create :
 val classify : t -> Packet.t -> verdict
 (** Updates classifier state and renders the verdict for this packet. *)
 
-val enabled : t -> bool
 val reason_to_string : reason -> string
 val honeypot : t -> Honeypot.t
-val scan : t -> Scan_detector.t

@@ -40,7 +40,5 @@ let count t src =
   | Some st -> Hashtbl.length st.touched
   | None -> 0
 
-let threshold t = t.threshold
-
 let scanner_count t =
   Hashtbl.fold (fun _ st acc -> if st.flagged then acc + 1 else acc) t.sources 0

@@ -17,5 +17,4 @@ val is_scanner : t -> Ipaddr.t -> bool
 val count : t -> Ipaddr.t -> int
 (** Distinct unused addresses this source has touched. *)
 
-val threshold : t -> int
 val scanner_count : t -> int

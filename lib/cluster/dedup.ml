@@ -58,11 +58,6 @@ let apply t (d : Delta.t) =
 let view t =
   SM.fold (fun _ s acc -> Obs.Snapshot.merge acc s.merged) t Obs.Snapshot.empty
 
-let sensor_view t id =
-  match SM.find_opt id t with
-  | Some s -> s.merged
-  | None -> Obs.Snapshot.empty
-
 let sensors t = List.map fst (SM.bindings t)
 
 type stats = {

@@ -30,9 +30,6 @@ val apply : t -> Delta.t -> t * outcome
 val view : t -> Sanids_obs.Snapshot.t
 (** The cluster view: every sensor's applied deltas, merged. *)
 
-val sensor_view : t -> string -> Sanids_obs.Snapshot.t
-(** One sensor's applied deltas, merged ([empty] for unknown ids). *)
-
 val sensors : t -> string list
 (** Sensor ids ever heard from, sorted. *)
 

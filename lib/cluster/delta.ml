@@ -37,8 +37,6 @@ let valid_sensor_id s =
          | _ -> false)
        s
 
-let key t = Printf.sprintf "%s/%d/%d" t.sensor t.epoch t.seq
-
 (* ------------------------------------------------------------------ *)
 (* name escaping *)
 

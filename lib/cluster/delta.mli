@@ -30,10 +30,6 @@ val valid_sensor_id : string -> bool
     most 64 bytes — they appear inside metric label values and file
     names. *)
 
-val key : t -> string
-(** ["sensor/epoch/seq"] — a human-readable identity, used in logs and
-    spool file names. *)
-
 val encode : t -> string
 (** The wire document.  Deterministic: equal deltas encode equal. *)
 

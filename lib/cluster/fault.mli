@@ -23,9 +23,6 @@
 
 type kind = Drop | Duplicate | Delay | Reorder | Truncate
 
-val kind_to_string : kind -> string
-(** ["drop"], ["dup"], ["delay"], ["reorder"], ["truncate"]. *)
-
 type t = (kind * float) list
 (** A fault plan; order is roll order within one attempt. *)
 

@@ -29,21 +29,6 @@ type options = {
   flush_timeout : float option;
 }
 
-let default_options =
-  {
-    sensor_id = "";
-    aggregator = Httpd.Unix_socket "";
-    spool_dir = "";
-    serve = Serve.default_options;
-    ship_every = 1.0;
-    backoff = Backoff.default;
-    connect_timeout = 10.0;
-    heartbeat_every = 1.0;
-    channel_fault = [];
-    fault_seed = 1L;
-    flush_timeout = None;
-  }
-
 type error =
   | Invalid_id of string
   | Unreachable of string

@@ -44,11 +44,6 @@ type options = {
           forever (journaled deltas survive a kill either way) *)
 }
 
-val default_options : options
-(** Placeholder [sensor_id]/[aggregator]/[spool_dir] (caller must
-    set), engine defaults, [ship_every = 1.0], default backoff, 10 s
-    connect timeout, 1 s heartbeats, no faults, [None] flush. *)
-
 type error =
   | Invalid_id of string
   | Unreachable of string  (** aggregator probe failed — [EX_UNAVAILABLE] *)

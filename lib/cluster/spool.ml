@@ -1,6 +1,5 @@
 type t = { dir : string; epoch : int }
 
-let dir t = t.dir
 let epoch t = t.epoch
 
 let rec mkdir_p path =

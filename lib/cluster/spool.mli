@@ -20,8 +20,6 @@ type t
 val open_dir : string -> (t, string) result
 (** Create the directory if needed, read-bump-persist the epoch. *)
 
-val dir : t -> string
-
 val epoch : t -> int
 (** This incarnation's epoch (1 on a fresh directory). *)
 

@@ -21,25 +21,11 @@
     the reserved always-one bit is excluded).  Integers may be written
     in [0x] hex. *)
 
-type case
-
 type failure = { f_file : string; f_case : string; f_details : string list }
 
 type report = { files : int; cases : int; failures : failure list }
 
 val passed : report -> int
-
-val load_file : string -> (case list, string) result
-(** Parse one vector file; the error names the file and what is
-    malformed. *)
-
-val run_case : case -> string list
-(** Execute one case; the empty list means it passed, otherwise each
-    string describes one divergence (register, eip, flag or memory). *)
-
-val expand_paths : string list -> (string list, string) result
-(** Files stay as given; directories expand to their sorted [*.json]
-    entries.  Missing paths and vector-less directories are errors. *)
 
 val run :
   ?filter:string -> ?jobs:int -> string list -> (report, string) result

@@ -63,7 +63,6 @@ module Emu_test = Sanids_confirm.Emu_test
 module Honeypot = Sanids_classify.Honeypot
 module Scan_detector = Sanids_classify.Scan_detector
 module Classifier = Sanids_classify.Classifier
-module Http = Sanids_extract.Http
 module Unicode = Sanids_extract.Unicode
 module Repetition = Sanids_extract.Repetition
 module Extractor = Sanids_extract.Extractor
@@ -105,7 +104,6 @@ module Alert = Sanids_nids.Alert
 module Stats = Sanids_nids.Stats
 module Parallel = Sanids_nids.Parallel
 module Watchdog = Sanids_nids.Watchdog
-module Hybrid = Sanids_nids.Hybrid
 
 (* the serving daemon *)
 module Lifecycle = Sanids_serve.Lifecycle

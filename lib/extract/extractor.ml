@@ -220,12 +220,3 @@ let extract ?budget ?metrics ?(config = default_config) payload =
   let frames = extract_frames ?budget ~config payload in
   (match metrics with None -> () | Some reg -> record_frames reg frames);
   frames
-
-let extract_bounded ?metrics ?(config = default_config) ~budget payload =
-  let frames = extract ~budget ?metrics ~config payload in
-  (frames, Budget.outcome budget)
-
-let pp_frame ppf f =
-  Format.fprintf ppf "frame@@%d %s %d bytes" f.off
-    (match f.origin with Unicode_escape -> "unicode" | Raw_binary -> "raw")
-    (Slice.length f.data)

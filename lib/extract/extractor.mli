@@ -65,15 +65,3 @@ val extract :
     When [budget] is given, each frame's bytes are taken from it before
     the frame is emitted; the frame that exhausts the byte fuel and
     everything after it are dropped (the budget records the trip). *)
-
-val extract_bounded :
-  ?metrics:Sanids_obs.Registry.t ->
-  ?config:config ->
-  budget:Budget.t ->
-  Slice.t ->
-  frame list * Budget.outcome
-(** {!extract} with the stage outcome made explicit: [Truncated Bytes]
-    when extraction ran out of byte fuel, [Complete] otherwise (the
-    outcome reflects the shared budget's state after this stage). *)
-
-val pp_frame : Format.formatter -> frame -> unit

@@ -20,14 +20,6 @@ let runs ?(min_len = 32) ?(max_scan = max_int) s =
   done;
   List.rev !out
 
-let longest s =
-  List.fold_left
-    (fun best r ->
-      match best with
-      | None -> Some r
-      | Some b -> if r.len > b.len then Some r else best)
-    None (runs ~min_len:2 s)
-
 (* Single-byte instructions with no meaningful effect on shellcode entry:
    the classic polymorphic NOP pool. *)
 let nop_like c =

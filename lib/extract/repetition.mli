@@ -9,8 +9,6 @@ val runs : ?min_len:int -> ?max_scan:int -> Slice.t -> run list
     the scanned window: repetition past it is ignored, which keeps the
     scanners O(window) on adversarially long reassembled streams. *)
 
-val longest : Slice.t -> run option
-
 val nop_like : char -> bool
 (** Membership in the single-byte NOP-equivalence class {!sled_like}
     runs are drawn from. *)

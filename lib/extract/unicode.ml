@@ -55,26 +55,3 @@ let unicode_runs ?(min_run = 4) ?(max_decoded = max_int) s =
         i := !j
   done;
   List.rev !runs
-
-let percent_decode s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-    | '+' ->
-        Buffer.add_char buf ' ';
-        incr i
-    | '%' when !i + 2 < n -> (
-        match (hex_digit s.[!i + 1], hex_digit s.[!i + 2]) with
-        | Some a, Some b ->
-            Buffer.add_char buf (Char.chr ((a lsl 4) lor b));
-            i := !i + 3
-        | _, _ ->
-            Buffer.add_char buf '%';
-            incr i)
-    | c ->
-        Buffer.add_char buf c;
-        incr i);
-  done;
-  Buffer.contents buf

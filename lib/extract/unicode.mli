@@ -1,10 +1,10 @@
-(** IIS-style [%uXXXX] escape decoding (the Code Red transfer encoding)
-    and classic [%XX] percent decoding. *)
+(** IIS-style [%uXXXX] escape decoding (the Code Red transfer
+    encoding). *)
 
 type run = { off : int; count : int; decoded : string }
 (** A run of consecutive escapes: [off] is the byte offset of the first
     '%', [count] the number of escapes, [decoded] the binary form
-    (2 bytes per [%uXXXX], little-endian; 1 byte per [%XX]). *)
+    (2 bytes per [%uXXXX], little-endian). *)
 
 val unicode_runs : ?min_run:int -> ?max_decoded:int -> Slice.t -> run list
 (** Maximal runs of at least [min_run] (default 4) consecutive [%uXXXX]
@@ -12,10 +12,6 @@ val unicode_runs : ?min_run:int -> ?max_decoded:int -> Slice.t -> run list
     [decoded] output: the run is still scanned to its true end ([count]
     is exact) but no more than [max_decoded] bytes are materialized —
     the defence against [%u] decompression bombs. *)
-
-val percent_decode : string -> string
-(** Decode [%XX] escapes (and '+' to space); malformed escapes pass
-    through verbatim. *)
 
 val decode_u_escape : Slice.t -> int -> (int * int) option
 (** [decode_u_escape s i] decodes one [%uXXXX] at offset [i]: the 16-bit

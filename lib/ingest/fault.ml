@@ -121,23 +121,3 @@ let records ~seed plan rs =
 
 let file ~seed plan (f : Pcap.file) =
   { f with Pcap.records = records ~seed plan f.Pcap.records }
-
-let packets ~seed plan seq =
-  let rng = Rng.create seed in
-  let mutate_packet pkt =
-    let bytes = mutate_bytes rng plan (Slice.of_string (Packet.to_bytes pkt)) in
-    match Packet.parse_slice ~ts:pkt.Packet.ts bytes with
-    | Ok p -> Some p
-    | Error _ -> None
-  in
-  let mutated =
-    Seq.concat_map
-      (fun pkt ->
-        match mutate_packet pkt with
-        | None -> Seq.empty
-        | Some p ->
-            if Rng.chance rng (duplicate_p plan) then List.to_seq [ p; p ]
-            else Seq.return p)
-      seq
-  in
-  reorder_seq rng (reorder_p plan) mutated

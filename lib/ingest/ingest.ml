@@ -25,7 +25,6 @@ let detail = function
       m
 
 let error_to_string e = Printf.sprintf "%s: %s" (reason e) (detail e)
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
 let records_total = "sanids_ingest_records_total"
 let errors_total = "sanids_ingest_errors_total"
@@ -124,10 +123,7 @@ let decode_file ?metrics s =
   | Some _, Ok _ | None, _ -> ());
   result
 
-let to_packets ?metrics ?max_payload (f : Pcap.file) =
-  List.map
-    (decode_record ?metrics ?max_payload ~linktype:f.Pcap.linktype)
+let ok_packets ?metrics ?max_payload (f : Pcap.file) =
+  List.filter_map
+    (fun r -> Result.to_option (decode_record ?metrics ?max_payload ~linktype:f.Pcap.linktype r))
     f.Pcap.records
-
-let ok_packets ?metrics ?max_payload f =
-  List.filter_map Result.to_option (to_packets ?metrics ?max_payload f)

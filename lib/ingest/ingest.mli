@@ -33,7 +33,6 @@ val reasons : string list
     by {!metrics} so exported snapshots always carry the full family. *)
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val records_total : string
 (** ["sanids_ingest_records_total"] — decode attempts. *)
@@ -52,10 +51,6 @@ val count_error : metrics -> error -> unit
     bumped — use this only for failures observed outside the decode
     entry points below, which count themselves). *)
 
-val default_max_payload : int
-(** Admission bound on a record body: 65535 bytes (the IPv4 maximum) —
-    anything longer cannot be one datagram and is shed before parsing. *)
-
 val decode_file : ?metrics:metrics -> string -> (Sanids_pcap.Pcap.file, error) result
 (** Typed {!Sanids_pcap.Pcap.decode}: global-header and record-framing
     faults come back as [Pcap_framing].  No exception escapes. *)
@@ -66,19 +61,15 @@ val decode_record :
   linktype:int ->
   Sanids_pcap.Pcap.record ->
   (Packet.t, error) result
-(** Decode one capture record into a parsed packet: admission bound,
+(** Decode one capture record into a parsed packet: admission bound
+    ([max_payload], default 65535 bytes, the IPv4 maximum — anything
+    longer cannot be one datagram and is shed before parsing),
     link layer (raw IPv4 or Ethernet per [linktype]), IPv4 header,
     then TCP/UDP.  Counts one record (plus the error, if any) when
     [metrics] is given.  No exception escapes. *)
 
-val to_packets :
-  ?metrics:metrics ->
-  ?max_payload:int ->
-  Sanids_pcap.Pcap.file ->
-  (Packet.t, error) result list
-(** {!decode_record} over every record of a capture. *)
-
 val ok_packets :
   ?metrics:metrics -> ?max_payload:int -> Sanids_pcap.Pcap.file -> Packet.t list
-(** {!to_packets} keeping the successes; failures are only visible in
+(** {!decode_record} over every record of a capture, keeping the
+    successes; failures are only visible in
     the metrics — the "keep running" deployment mode. *)

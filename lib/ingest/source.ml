@@ -21,20 +21,6 @@ let next t = t.next ()
 let close t = t.close ()
 let describe t = t.describe
 
-let of_packets pkts =
-  let q = ref pkts in
-  {
-    next =
-      (fun () ->
-        match !q with
-        | [] -> Eof
-        | p :: rest ->
-            q := rest;
-            Packet p);
-    close = ignore;
-    describe = "memory";
-  }
-
 let read_whole path =
   let ic = open_in_bin path in
   Fun.protect
@@ -46,12 +32,12 @@ let read_whole path =
    actually pulls — so a drain that stops admission mid-queue leaves
    the undispatched records uncounted and the reconciliation identity
    [records = verdicts + errors + shed] exact. *)
-let drain_queue ?metrics ?max_payload pending =
+let drain_queue ?metrics pending =
   let rec next () =
     match Queue.take_opt pending with
     | None -> None
     | Some (linktype, record) -> (
-        match Ingest.decode_record ?metrics ?max_payload ~linktype record with
+        match Ingest.decode_record ?metrics ~linktype record with
         | Ok p -> Some p
         | Error _ -> next ()  (* counted; keep going *))
   in
@@ -166,7 +152,7 @@ let count_framing metrics m =
   | None -> ()
   | Some ms -> Ingest.count_error ms (Ingest.Pcap_framing m)
 
-let fifo ?metrics ?max_payload path =
+let fifo ?metrics path =
   match Unix.openfile path [ Unix.O_RDWR; Unix.O_NONBLOCK ] 0 with
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
@@ -216,7 +202,7 @@ let fifo ?metrics ?max_payload path =
                       }
                     in
                     match
-                      Ingest.decode_record ?metrics ?max_payload
+                      Ingest.decode_record ?metrics
                         ~linktype:meta.Pcap.file_linktype record
                     with
                     | Ok p -> Packet p

@@ -20,39 +20,22 @@ val next : t -> event
 val close : t -> unit
 
 val describe : t -> string
-(** ["memory"], ["file:PATH"], ["dir:PATH"] or ["fifo:PATH"]. *)
-
-val of_packets : Packet.t list -> t
-(** In-memory source (tests and benches): yields each packet, then
-    [Eof]. *)
-
-val of_pcap_file :
-  ?metrics:Ingest.metrics -> string -> (t, string) result
-(** Whole capture file: decoded through {!Ingest.decode_file}, each
-    parseable record yielded, then [Eof].  [Error] on unreadable files
-    and captures whose global framing is rejected. *)
-
-val directory : ?metrics:Ingest.metrics -> ?ext:string -> string -> t
-(** Spool-directory watch: each {!next} with an empty queue re-scans
-    the directory and admits not-yet-seen [ext] (default [".pcap"])
-    files in name order, decoding each exactly once; [Idle] when
-    nothing new has landed.  Writers must move files in atomically
-    (write under another name or directory, then [rename]) — the
-    maildir contract.  Never [Eof]: the spool outlives any one file. *)
-
-val fifo :
-  ?metrics:Ingest.metrics -> ?max_payload:int -> string ->
-  (t, string) result
-(** Streaming pcap over a named pipe, framed incrementally as bytes
-    arrive ({!Sanids_pcap.Pcap.decode_global_header} /
-    [decode_record_header]).  The FIFO is opened read-write, so the
-    daemon holds its own writer end and external writers can come and
-    go without the stream ending: [Idle] whenever the pipe is dry.
-    A corrupt global or record header poisons the framing and yields
-    [Eof] (counted as [pcap_framing]).  Also works on a regular file,
-    where end of data is a real [Eof]. *)
+(** ["file:PATH"], ["dir:PATH"] or ["fifo:PATH"]. *)
 
 val of_path :
   ?metrics:Ingest.metrics -> ?ext:string -> string -> (t, string) result
-(** Dispatch on the path's file kind: directory → {!directory}, named
-    pipe → {!fifo}, regular file → {!of_pcap_file}. *)
+(** Dispatch on the path's file kind.
+    - Regular file: the whole capture, decoded through
+      {!Ingest.decode_file}, each parseable record yielded, then [Eof].
+      [Error] on unreadable files and rejected global framing.
+    - Directory: a spool watch.  Each {!next} with an empty queue
+      re-scans it and admits not-yet-seen [ext] (default [".pcap"])
+      files in name order, decoding each exactly once; [Idle] when
+      nothing new has landed.  Writers must move files in atomically
+      (write elsewhere, then [rename]) — the maildir contract.  Never
+      [Eof].
+    - Named pipe: streaming pcap, framed incrementally as bytes arrive.
+      The FIFO is opened read-write, so the daemon holds its own writer
+      end and external writers can come and go: [Idle] whenever the
+      pipe is dry.  A corrupt global or record header poisons the
+      framing and yields [Eof] (counted as [pcap_framing]). *)

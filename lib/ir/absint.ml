@@ -374,16 +374,6 @@ module V = struct
             norm ~lo:x.lo ~hi:(x.hi - 1) ~known:x.known ~bits:x.bits ~taint:x.taint
           else t
 
-  let pp ppf = function
-    | Bot -> Format.pp_print_string ppf "bot"
-    | Val { lo; hi; known; bits; taint } ->
-        if lo = hi then Format.fprintf ppf "0x%x" lo
-        else begin
-          Format.fprintf ppf "[0x%x,0x%x]" lo hi;
-          if known <> bit_ceiling (lo lxor hi) lxor max32 then
-            Format.fprintf ppf "&0x%x=0x%x" known bits
-        end;
-        if taint then Format.pp_print_string ppf "·t"
 end
 
 module Region = struct
@@ -436,9 +426,6 @@ module Region = struct
             let lo = max 0L (Int64.sub lo (Int64.of_int (width - 1))) in
             Int64.compare alo hi <= 0 && Int64.compare ahi lo >= 0)
 
-  let pp ppf = function
-    | No_writes -> Format.pp_print_string ppf "no-writes"
-    | Writes { addr; width } -> Format.fprintf ppf "writes@%a×%d" V.pp addr width
 end
 
 type state = { regs : V.t array; stack : V.t list; written : Region.t }

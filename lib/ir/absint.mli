@@ -57,10 +57,6 @@ module V : sig
   val bounds : t -> (int64 * int64) option
   (** Unsigned [lo, hi] bounds; [None] on bottom. *)
 
-  val size : t -> int64
-  (** Number of admissible values ([0] on bottom). *)
-
-  val equal : t -> t -> bool
   val leq : t -> t -> bool
   val join : t -> t -> t
   val widen : t -> t -> t
@@ -93,10 +89,6 @@ module V : sig
   val low_byte : t -> t
   (** [logand v 0xFF] — the value's low 8 bits. *)
 
-  val low8 : t -> int option
-  (** The low byte, when it is the same for every admissible value —
-      e.g. after [mov al, imm] over an unknown register. *)
-
   val merge_low8 : t -> t -> t
   (** [merge_low8 old b]: replace the low byte of [old] with [b]
       (which must lie in [\[0,255\]]); the 8-bit register write.  A
@@ -105,8 +97,6 @@ module V : sig
   val without : t -> int32 -> t
   (** Refine: remove one value if it is an interval endpoint (used on
       branch refinement, e.g. the taken edge of [loop]). *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** May-write memory summary: which addresses a fragment can store to. *)
@@ -122,10 +112,6 @@ module Region : sig
   val store : t -> addr:V.t -> width:int -> t
   (** Account one store of [width] bytes at abstract address [addr]. *)
 
-  val join : t -> t -> t
-  val widen : t -> t -> t
-  val equal : t -> t -> bool
-
   val writes : t -> bool
   (** Some write may happen. *)
 
@@ -136,8 +122,6 @@ module Region : sig
   val may_touch : t -> lo:int64 -> hi:int64 -> bool
   (** Could any summarised write land in the unsigned address range
       [\[lo, hi\]]?  [false] only when provably impossible. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 type state = {
@@ -180,11 +164,6 @@ val value_low8 : state -> Sem.value -> int option
 
 val slot_value : state -> int -> int32 option
 (** Constant value of the [k]-th tracked stack slot (top = 0). *)
-
-val join : state -> state -> state
-val widen : state -> state -> state
-val narrow : state -> state -> state
-val equal : state -> state -> bool
 
 type result = {
   in_states : (int, state) Hashtbl.t;

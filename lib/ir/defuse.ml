@@ -109,10 +109,6 @@ let reads t k =
       (r, back (k - 1)))
     t.reads_at.(k)
 
-let writes t k =
-  check_index t k;
-  t.writes_at.(k)
-
 (* Is the value [r] written at [k] consumed before being clobbered? *)
 let write_used t k r =
   let n = Array.length t.trace in

@@ -20,9 +20,6 @@ val reads : t -> int -> (Reg.t * def_site) list
 (** Registers read by the instruction at a trace index, each with its
     reaching definition. *)
 
-val writes : t -> int -> Reg.t list
-(** Registers written by the instruction at a trace index. *)
-
 val is_dead_write : t -> int -> bool
 (** The instruction writes at least one register and none of its written
     registers (nor memory, nor control flow) is ever consumed later in

@@ -65,7 +65,3 @@ let step_index t off =
 
 let hits t = t.hits
 let misses t = t.misses
-
-let hit_ratio t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total

@@ -55,6 +55,3 @@ val hits : t -> int
 
 val misses : t -> int
 (** Lookups that had to decode. *)
-
-val hit_ratio : t -> float
-(** [hits / (hits + misses)]; [0.] before any lookup. *)

@@ -38,5 +38,4 @@ let ones_complement_slices parts =
   let acc = List.fold_left sum_into_slice 0 parts in
   lnot (fold acc) land 0xFFFF
 
-let valid s = ones_complement s = 0
 let valid_slice s = lnot (fold (sum_into_slice 0 s)) land 0xFFFF = 0

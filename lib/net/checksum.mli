@@ -6,10 +6,6 @@ val ones_complement : string -> int
 val ones_complement_list : string list -> int
 (** Checksum over the concatenation, without materializing it. *)
 
-val valid : string -> bool
-(** A buffer whose embedded checksum field is correct sums to 0xFFFF...
-    i.e. [ones_complement buf = 0]. *)
-
 val ones_complement_slices : Slice.t list -> int
 (** {!ones_complement_list} over slices — the zero-copy decode path sums
     headers and payloads in place.  The same even-length-except-last

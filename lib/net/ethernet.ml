@@ -1,9 +1,5 @@
 type mac = string (* 6 raw bytes *)
 
-let mac_of_bytes s =
-  if String.length s <> 6 then invalid_arg "Ethernet.mac_of_bytes: need 6 bytes";
-  s
-
 let mac_of_string_opt s =
   match String.split_on_char ':' s with
   | [ _; _; _; _; _; _ ] as parts ->
@@ -36,7 +32,6 @@ let mac_broadcast = String.make 6 '\xFF'
 let mac_equal (a : mac) b = String.equal a b
 
 let ethertype_ipv4 = 0x0800
-let ethertype_arp = 0x0806
 
 type t = { dst : mac; src : mac; ethertype : int; payload : Slice.t }
 
@@ -63,5 +58,3 @@ let default_dst = mac_of_string "02:00:00:00:00:02"
 
 let wrap_ipv4 ?(src = default_src) ?(dst = default_dst) datagram =
   encode { dst; src; ethertype = ethertype_ipv4; payload = Slice.of_string datagram }
-
-let pp_mac ppf m = Format.pp_print_string ppf (mac_to_string m)

@@ -10,15 +10,11 @@ val mac_of_string_opt : string -> mac option
 (** Non-raising {!mac_of_string}: six colon-separated two-digit hex
     octets, or [None]. *)
 
-val mac_of_bytes : string -> mac
-(** Exactly 6 raw bytes. *)
-
 val mac_to_string : mac -> string
 val mac_broadcast : mac
 val mac_equal : mac -> mac -> bool
 
 val ethertype_ipv4 : int
-val ethertype_arp : int
 
 type t = { dst : mac; src : mac; ethertype : int; payload : Slice.t }
 
@@ -31,5 +27,3 @@ val decode : Slice.t -> (t, string) Stdlib.result
 val wrap_ipv4 : ?src:mac -> ?dst:mac -> string -> string
 (** Frame an IPv4 datagram with default locally administered
     addresses. *)
-
-val pp_mac : Format.formatter -> mac -> unit

@@ -118,7 +118,4 @@ let push t p =
       end
   | _, _ -> None
 
-let stream t k =
-  match Hashtbl.find_opt t.flows k with Some st -> assemble st | None -> ""
-
 let flow_count t = Hashtbl.length t.flows

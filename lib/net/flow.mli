@@ -29,7 +29,4 @@ val push : reassembler -> Packet.t -> string option
 (** Feed a packet.  Returns the flow's new contiguous stream prefix when
     it grew, [None] otherwise (non-TCP packets, duplicates, gaps). *)
 
-val stream : reassembler -> key -> string
-(** Current contiguous prefix for a flow ("" if unknown). *)
-
 val flow_count : reassembler -> int

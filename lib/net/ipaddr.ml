@@ -37,7 +37,6 @@ let of_string s =
 let compare = Int32.unsigned_compare
 let equal = Int32.equal
 let hash v = Hashtbl.hash v
-let succ v = Int32.add v 1l
 
 type prefix = { base : int32; len : int }
 
@@ -67,8 +66,6 @@ let prefix_of_string s =
         (Printf.sprintf "Ipaddr.prefix_of_string: %S (want a.b.c.d/len)" s)
 
 let mem addr p = Int32.equal (Int32.logand addr (mask_of_len p.len)) p.base
-let prefix_base p = p.base
-let prefix_len p = p.len
 
 let prefix_size p =
   if p.len = 0 then max_int
@@ -82,4 +79,3 @@ let nth p i =
 
 let prefix_to_string p = Printf.sprintf "%s/%d" (to_string p.base) p.len
 let pp ppf v = Format.pp_print_string ppf (to_string v)
-let pp_prefix ppf p = Format.pp_print_string ppf (prefix_to_string p)

@@ -19,9 +19,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 
-val succ : t -> t
-(** Next address (wraps at 255.255.255.255). *)
-
 type prefix
 (** A CIDR prefix such as [192.168.0.0/16]. *)
 
@@ -35,8 +32,6 @@ val prefix_of_string_opt : string -> prefix option
 (** Non-raising {!prefix_of_string}. *)
 
 val mem : t -> prefix -> bool
-val prefix_base : prefix -> t
-val prefix_len : prefix -> int
 val prefix_size : prefix -> int
 (** Number of addresses covered (capped at [max_int]). *)
 
@@ -46,4 +41,3 @@ val nth : prefix -> int -> t
 
 val prefix_to_string : prefix -> string
 val pp : Format.formatter -> t -> unit
-val pp_prefix : Format.formatter -> prefix -> unit

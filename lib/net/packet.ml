@@ -79,13 +79,3 @@ let payload t =
 
 let payload_string t = Slice.to_string (payload t)
 let is_tcp t = match t.l4 with Tcp_seg _ -> true | Udp_dgram _ | Raw _ -> false
-
-let pp ppf t =
-  let proto, sp, dp =
-    match t.l4 with
-    | Tcp_seg s -> ("tcp", s.Tcp.src_port, s.Tcp.dst_port)
-    | Udp_dgram d -> ("udp", d.Udp.src_port, d.Udp.dst_port)
-    | Raw (p, _) -> (Printf.sprintf "proto%d" p, 0, 0)
-  in
-  Format.fprintf ppf "%.3f %a:%d > %a:%d %s len=%d" t.ts Ipaddr.pp (src t) sp
-    Ipaddr.pp (dst t) dp proto (Slice.length (payload t))

@@ -66,4 +66,3 @@ val payload_string : t -> string
     view, one copy otherwise. *)
 
 val is_tcp : t -> bool
-val pp : Format.formatter -> t -> unit

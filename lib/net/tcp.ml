@@ -2,11 +2,8 @@ type flags = { syn : bool; ack : bool; fin : bool; rst : bool; psh : bool; urg :
 
 let flags_none = { syn = false; ack = false; fin = false; rst = false; psh = false; urg = false }
 let flags_syn = { flags_none with syn = true }
-let flags_synack = { flags_none with syn = true; ack = true }
 let flags_ack = { flags_none with ack = true }
 let flags_pshack = { flags_none with psh = true; ack = true }
-let flags_finack = { flags_none with fin = true; ack = true }
-let flags_rst = { flags_none with rst = true }
 
 type t = {
   src_port : int;
@@ -97,14 +94,3 @@ let decode ~src ~dst s =
       end
     end
   with Truncated _ -> Error "truncated"
-
-let pp_flags ppf f =
-  let names =
-    (if f.syn then [ "SYN" ] else [])
-    @ (if f.ack then [ "ACK" ] else [])
-    @ (if f.psh then [ "PSH" ] else [])
-    @ (if f.fin then [ "FIN" ] else [])
-    @ (if f.rst then [ "RST" ] else [])
-    @ if f.urg then [ "URG" ] else []
-  in
-  Format.pp_print_string ppf (match names with [] -> "-" | _ -> String.concat "|" names)

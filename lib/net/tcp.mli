@@ -3,13 +3,9 @@
 
 type flags = { syn : bool; ack : bool; fin : bool; rst : bool; psh : bool; urg : bool }
 
-val flags_none : flags
 val flags_syn : flags
-val flags_synack : flags
 val flags_ack : flags
 val flags_pshack : flags
-val flags_finack : flags
-val flags_rst : flags
 
 type t = {
   src_port : int;
@@ -26,5 +22,3 @@ val encode : src:Ipaddr.t -> dst:Ipaddr.t -> t -> string
 
 val decode : src:Ipaddr.t -> dst:Ipaddr.t -> Slice.t -> (t, string) Stdlib.result
 (** A wrong checksum is reported as an error. *)
-
-val pp_flags : Format.formatter -> flags -> unit

@@ -30,6 +30,5 @@ val make :
   unit ->
   t
 
-val pp : Format.formatter -> t -> unit
 val to_line : t -> string
 (** One-line log rendering. *)

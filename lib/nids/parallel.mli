@@ -19,18 +19,14 @@
 val shard_of : Ipaddr.t -> shards:int -> int
 (** The worker index a source address maps to. *)
 
-val flow_shard_of : Packet.t -> shards:int -> int
-(** The worker index the packet's flow 5-tuple (src, dst, ports, proto)
-    maps to; packets with no flow key (non-TCP/UDP) fall back to
-    {!shard_of} on the source.  Spreads a single-source outbreak across
-    workers, where source sharding would pin it to one. *)
-
 val shard_of_packet : Config.t -> Packet.t -> shards:int -> int
 (** The sharding the configuration admits: with classification enabled
     the classifier keeps per-source state (honeypot marks, scan
     counters), so verdict equivalence requires {!shard_of} on the
     source; with it disabled the pipeline's state is per-flow and the
-    better-balanced {!flow_shard_of} is used.  Both {!process_snapshot}
+    packet's flow 5-tuple picks the worker (packets with no flow key
+    fall back to the source), which spreads a single-source outbreak
+    across workers.  Both {!process_snapshot}
     and {!process_seq_snapshot} route through this. *)
 
 val process_snapshot :

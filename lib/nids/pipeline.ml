@@ -437,9 +437,7 @@ let analyze_uncached t (buffer : Slice.t) =
 let analyze_report_slice t buffer =
   span t t.st.st_analyze (fun () -> analyze_uncached t buffer)
 
-let analyze_slice t buffer = (analyze_report_slice t buffer).verdicts
 let analyze_report t buffer = analyze_report_slice t (Slice.of_string buffer)
-let analyze t buffer = (analyze_report t buffer).verdicts
 
 (* In stream mode the analyzed buffer is the flow's reassembled prefix and
    alerts deduplicate per flow; otherwise it is the packet payload. *)
@@ -469,7 +467,7 @@ let process_packet t packet =
       | Some (buffer, flow_key) ->
           if Slice.length buffer < t.cfg.Config.min_payload then []
           else begin
-            let verdicts = analyze_slice t buffer in
+            let verdicts = (analyze_report_slice t buffer).verdicts in
             let fresh (v : verdict) =
               match flow_key with
               | None -> true
@@ -521,7 +519,8 @@ let process_pcap t (file : Sanids_pcap.Pcap.file) =
     (fun r -> match r with Ok p -> process_packet t p | Error _ -> [])
     (Sanids_pcap.Pcap.to_packets file)
 
-let analyze_payload t payload = List.map (fun v -> v.match_) (analyze t payload)
+let analyze_payload t payload =
+  List.map (fun v -> v.match_) (analyze_report t payload).verdicts
 
 let registry t = t.reg
 
@@ -535,4 +534,3 @@ let snapshot t =
   Obs.Registry.snapshot t.reg
 
 let stats t = Stats.of_snapshot (snapshot t)
-let config t = t.cfg

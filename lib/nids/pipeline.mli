@@ -75,25 +75,15 @@ val analyze_report_slice : t -> Slice.t -> analysis
     packet path uses.  [analyze_report t s = analyze_report_slice t
     (Slice.of_string s)]. *)
 
-val analyze : t -> string -> verdict list
-(** [analyze_report] projected to its verdicts.  This is what the timing
-    experiments measure. *)
-
 val analyze_payload : t -> string -> Matcher.result list
-(** [analyze] projected to bare matcher results. *)
+(** {!analyze_report}'s verdicts projected to bare matcher results. *)
 
 val registry : t -> Sanids_obs.Registry.t
 (** The pipeline's live metrics registry (also the place for cooperating
-    layers — e.g. {!Hybrid} — to register their own metrics). *)
+    layers to register their own metrics). *)
 
 val snapshot : t -> Sanids_obs.Snapshot.t
 (** Sample occupancy gauges and snapshot the registry. *)
 
 val stats : t -> Stats.t
 (** [Stats.of_snapshot (snapshot t)]. *)
-
-val config : t -> Config.t
-
-val log_src : Logs.src
-(** The pipeline's log source ("sanids.pipeline"): alerts at [Info],
-    per-packet classification at [Debug]. *)

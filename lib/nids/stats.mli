@@ -72,7 +72,4 @@ val of_snapshot : Sanids_obs.Snapshot.t -> t
 (** Project the [sanids_*] metrics of a snapshot into the typed view;
     absent metrics read as zero. *)
 
-val decode_memo_ratio : t -> float
-(** [decode_memo_hits / (hits + misses)]; [0.] when no decoding ran. *)
-
 val pp : Format.formatter -> t -> unit

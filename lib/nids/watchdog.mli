@@ -24,14 +24,11 @@ type config = {
           i-th restart waits [stall_after * backoff^i]) *)
 }
 
-val default_config : config
-(** [stall_after = 1.], [max_restarts = 3], [backoff = 2.]. *)
-
 val config_for : deadline:float -> config
 (** The driver's derivation from a per-packet budget deadline: a worker
     is stalled after [max (8 * deadline) 0.05] seconds — far past the
     point the budget should have stopped the packet — with
-    {!default_config}'s restart cap and backoff. *)
+    at most 3 restarts and a backoff factor of 2. *)
 
 val validate_config : config -> (config, string) result
 

@@ -83,7 +83,3 @@ let pp_duration ppf s =
   else if s >= 1e-3 then Format.fprintf ppf "%.2f ms" (s *. 1e3)
   else if s >= 1e-6 then Format.fprintf ppf "%.2f us" (s *. 1e6)
   else Format.fprintf ppf "%.0f ns" (s *. 1e9)
-
-let pp ppf (s : snap) =
-  Format.fprintf ppf "count=%d sum=%.6fs p50<=%a p95<=%a" s.total s.sum
-    pp_duration (quantile s 0.5) pp_duration (quantile s 0.95)

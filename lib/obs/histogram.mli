@@ -53,5 +53,3 @@ val bucket_of_seconds : float -> int
 
 val pp_duration : Format.formatter -> float -> unit
 (** Human rendering with an adaptive unit (ns/us/ms/s). *)
-
-val pp : Format.formatter -> snap -> unit

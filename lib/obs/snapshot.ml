@@ -67,8 +67,6 @@ let of_list l =
 
 let to_list t = M.bindings t
 
-let find t name = M.find_opt name t
-
 let counter_value t name =
   match M.find_opt name t with Some (Counter n) -> n | _ -> 0
 
@@ -91,22 +89,4 @@ let counter_sum t base =
       | Counter _ | Gauge _ | Hist _ -> acc)
     t 0
 
-let counters t =
-  M.fold
-    (fun name v acc -> match v with Counter n -> (name, n) :: acc | _ -> acc)
-    t []
-  |> List.rev
-
 let equal a b = to_list a = to_list b
-
-let pp_value ppf = function
-  | Counter n -> Format.fprintf ppf "%d" n
-  | Gauge g -> Format.fprintf ppf "%g" g
-  | Hist h -> Histogram.pp ppf h
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun (name, v) -> Format.fprintf ppf "%s = %a@," name pp_value v)
-    (to_list t);
-  Format.fprintf ppf "@]"

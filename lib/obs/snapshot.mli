@@ -40,8 +40,6 @@ val to_list : t -> (string * value) list
 (** Sorted by metric name — exporters rely on this for deterministic
     output. *)
 
-val find : t -> string -> value option
-
 val counter_value : t -> string -> int
 (** [0] when absent or not a counter. *)
 
@@ -56,9 +54,4 @@ val counter_sum : t -> string -> int
 val gauge_value : t -> string -> float
 val histogram : t -> string -> Histogram.snap
 
-val counters : t -> (string * int) list
-(** Just the counters, sorted by name. *)
-
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

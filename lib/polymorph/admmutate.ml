@@ -9,8 +9,6 @@ type generated = {
   payload_len : int;
 }
 
-let family_name = function Xor_loop -> "xor-loop" | Alt_chain -> "alt-chain"
-
 let i x = Asm.I x
 let reg r = Insn.Reg r
 let imm v = Insn.Imm v

@@ -42,5 +42,3 @@ val generate_staged :
     outermost decoder is visible to static analysis.  [stages] defaults
     to 2.  The [payload_off]/[payload_len] fields describe the outermost
     ciphertext (the encoded inner stage). *)
-
-val family_name : family -> string

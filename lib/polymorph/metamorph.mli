@@ -12,10 +12,6 @@
 exception Has_branches
 (** Raised by {!mutate} when the input contains relative control flow. *)
 
-val substitute : Rng.t -> Insn.t -> Insn.t list
-(** Rewrite one instruction into an equivalent sequence (possibly
-    itself).  Never substitutes control flow. *)
-
 val mutate : ?junk:int -> Rng.t -> Insn.t list -> Insn.t list
 (** Substitution plus up to [junk] (default 2) garbage instructions
     between originals.  Garbage never touches registers the program

@@ -21,12 +21,4 @@ let pool_bytes =
 let sled_bytes rng n =
   String.init n (fun _ -> pool_bytes.[Rng.int rng (String.length pool_bytes)])
 
-let classic_sled n = String.make n '\x90'
-
 let is_nop_like_byte c = String.contains pool_bytes c
-
-let insns rng n =
-  List.init n (fun _ ->
-      match Decode.one (String.make 1 pool_bytes.[Rng.int rng (String.length pool_bytes)]) with
-      | Insn.Bad _ -> Insn.Nop
-      | i -> i)

@@ -9,12 +9,5 @@ val sled_bytes : Rng.t -> int -> string
 (** [sled_bytes rng n] is [n] bytes, each a random single-byte NOP-like
     instruction. *)
 
-val classic_sled : int -> string
-(** [n] copies of 0x90. *)
-
 val is_nop_like_byte : char -> bool
 (** Membership in the pool (mirrors the extractor's sled heuristic). *)
-
-val insns : Rng.t -> int -> Insn.t list
-(** The same pool as decoded instructions, for splicing into item
-    lists. *)

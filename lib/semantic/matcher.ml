@@ -445,15 +445,6 @@ let match_trace_indexed ?(tick = no_tick) ~cur ~index_of_off ~kinds c trace ~ent
   done;
   !found
 
-let match_trace t trace ~entry =
-  (* a standalone trace has no scan scratch: index it locally *)
-  let extent = Array.fold_left (fun m (s : Trace.step) -> max m (s.Trace.off + 1)) 0 trace in
-  let index = Array.make extent (-1) in
-  Array.iteri (fun i (s : Trace.step) -> index.(s.Trace.off) <- i) trace;
-  let index_of_off off = if off >= 0 && off < extent then index.(off) else -1 in
-  match_trace_indexed ~cur:(cursor ()) ~index_of_off
-    ~kinds:(Array.map step_kinds trace) (compile t) trace ~entry
-
 module Obs = Sanids_obs
 
 (* Scan accounting lands in an observability registry instead of an
@@ -629,11 +620,6 @@ let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
     }
   end
 
-let scan_report ?entries ?metrics ?budget ?step_cap ~templates code =
-  scan_filtered ?entries ?metrics ?budget ?step_cap
-    ~filtered:(data_prefilter ~templates (Slice.of_string code))
-    code
-
 let scan_report_slice ?entries ?metrics ?budget ?step_cap ~templates code =
   (* prefilter on the view; materialize the bytes only when at least one
      template survives (free anyway when the slice is a whole view) *)
@@ -643,7 +629,8 @@ let scan_report_slice ?entries ?metrics ?budget ?step_cap ~templates code =
     scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered (Slice.to_string code)
 
 let scan ?entries ?metrics ?budget ?step_cap ~templates code =
-  (scan_report ?entries ?metrics ?budget ?step_cap ~templates code).results
+  let filtered = data_prefilter ~templates (Slice.of_string code) in
+  (scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code).results
 
 let satisfies t code = scan ~templates:[ t ] code <> []
 

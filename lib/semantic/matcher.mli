@@ -18,9 +18,6 @@ type result = {
   const_bindings : (Template.cvar * int32) list;
 }
 
-val match_trace : Template.t -> Trace.t -> entry:int -> result option
-(** Try every start position along one trace. *)
-
 val decode_memo_hits : string
 (** Registry counter names {!scan} accumulates into:
     ["sanids_decode_memo_hits_total"], … *)
@@ -38,13 +35,13 @@ type scan_report = {
           what the circuit breaker feeds on *)
 }
 
-val scan_report :
+val scan_report_slice :
   ?entries:int list ->
   ?metrics:Sanids_obs.Registry.t ->
   ?budget:Budget.t ->
   ?step_cap:int ->
   templates:Template.t list ->
-  string ->
+  Slice.t ->
   scan_report
 (** Match templates against a raw code region.  By default every
     not-yet-covered byte offset is tried as a trace entry (bounded by a
@@ -68,20 +65,12 @@ val scan_report :
     position along a trace costs one step attempt, including the starts
     the first-step dispatch rejects without searching.  With neither
     supplied, behaviour and results are exactly the unbudgeted
-    matcher's. *)
+    matcher's.
 
-val scan_report_slice :
-  ?entries:int list ->
-  ?metrics:Sanids_obs.Registry.t ->
-  ?budget:Budget.t ->
-  ?step_cap:int ->
-  templates:Template.t list ->
-  Slice.t ->
-  scan_report
-(** {!scan_report} over a payload view.  The data prefilter (one
-    allocation-free substring search per template literal) runs on the
-    slice in place; the region is materialized to a string only when at
-    least one template survives it. *)
+    The data prefilter (one allocation-free substring search per
+    template literal) runs on the slice in place; the region is
+    materialized to a string only when at least one template survives
+    it. *)
 
 val scan :
   ?entries:int list ->
@@ -91,7 +80,8 @@ val scan :
   templates:Template.t list ->
   string ->
   result list
-(** [scan_report] projected to its results. *)
+(** {!scan_report_slice} over a whole string, projected to its
+    results. *)
 
 val satisfies : Template.t -> string -> bool
 (** The paper's [P |= T] relation, for one region of code. *)

@@ -79,4 +79,3 @@ val check_guard : (cvar * int32) list -> guard -> bool
 (** Evaluate one guard against bound constants; unbound variables fail. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_pstep : Format.formatter -> pstep -> unit

@@ -47,15 +47,6 @@ val stop : t -> unit
 val address : t -> string
 (** Human-readable bound address, for logs. *)
 
-val connect_with_retry :
-  ?backoff:Backoff.t ->
-  Unix.sockaddr ->
-  deadline:float ->
-  (Unix.file_descr, string) result
-(** Connect, retrying on the shared {!Backoff} policy (deterministic
-    jitter seeded from the address) until the {e absolute} clock time
-    [deadline]. *)
-
 val request :
   ?timeout:float ->
   ?backoff:Backoff.t ->
@@ -66,8 +57,9 @@ val request :
   path:string ->
   unit ->
   (int * string, string) result
-(** One-shot client: connect (retrying on [backoff] until [timeout]
-    seconds from now, absorbing daemon start-up races), send a single
+(** One-shot client: connect (retrying on the shared {!Backoff} policy,
+    with jitter seeded from the address, until [timeout] seconds from
+    now, absorbing daemon start-up races), send a single
     HTTP/1.0 request — with a [Content-Length] body when [body] is
     given — and return [(status, body)].  Reads block indefinitely
     unless [read_timeout] is set: control commands hold their response

@@ -25,20 +25,5 @@
     variables, displacement overflow) produce no findings — the pass is
     best-effort and never blocks an artifact it cannot model. *)
 
-type realization = {
-  r_code : string;  (** encoded program followed by the data area *)
-  r_code_len : int;  (** instruction bytes, before the data area *)
-  r_step_offs : int list;  (** per template step, realized start offset *)
-}
-
-val realize : Template.t -> realization option
-(** The canonical realization, [None] when unencodable. *)
-
-val check : Template.t -> Finding.t list
-(** [SL401]/[SL403] for one template. *)
-
-val check_guards : Template.t -> Finding.t list
-(** [SL402] for one template. *)
-
 val lint : Template.t list -> Finding.t list
 (** All SL4xx findings, in template order. *)

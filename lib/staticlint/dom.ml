@@ -43,14 +43,3 @@ let disjoint a b =
          (small-exclusion) call. *)
       S.cardinal x + S.cardinal y >= universe
       && S.cardinal (S.union x y) = universe
-
-let pp ppf t =
-  let values s =
-    String.concat ","
-      (List.map (Printf.sprintf "0x%lx") (S.elements s))
-  in
-  match t with
-  | In s when S.is_empty s -> Format.pp_print_string ppf "bottom"
-  | In s -> Format.fprintf ppf "{%s}" (values s)
-  | Ex s when S.is_empty s -> Format.pp_print_string ppf "top"
-  | Ex s -> Format.fprintf ppf "not{%s}" (values s)

@@ -47,5 +47,3 @@ val disjoint : t -> t -> bool
     co-finite/co-finite holds exactly when the exclusion sets cover the
     whole 32-bit universe (so top is never disjoint from anything but
     bottom). *)
-
-val pp : Format.formatter -> t -> unit

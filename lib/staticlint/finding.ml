@@ -51,5 +51,3 @@ let to_json f =
         ]
        @ (match f.loc with Some l -> [ ("loc", Json.String l) ] | None -> [])
        @ [ ("message", Json.String f.message) ]))
-
-let pp ppf f = Format.pp_print_string ppf (to_line f)

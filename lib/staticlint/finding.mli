@@ -26,9 +26,6 @@ val v :
   code:string -> severity:severity -> subject:string -> ?loc:string ->
   string -> t
 
-val severity_to_string : severity -> string
-(** ["error"] / ["warn"] / ["info"]. *)
-
 val counts : t list -> int * int * int
 (** [(errors, warnings, infos)]. *)
 
@@ -45,5 +42,3 @@ val to_line : t -> string
 val to_json : t -> string
 (** One JSON object (single line, keys in fixed order, [loc] omitted
     when absent) — JSONL-ready and byte-stable for a given finding. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,12 +1,5 @@
 type format = Text | Json | Sarif
 
-let format_of_string = function
-  | "text" -> Ok Text
-  | "json" -> Ok Json
-  | "sarif" -> Ok Sarif
-  | s ->
-      Error (Printf.sprintf "unknown lint format %S (expected text, json or sarif)" s)
-
 let templates ts = Template_lint.lint ts @ Subsume.lint ts @ Absint_lint.lint ts
 let rules_text = Rule_lint.lint_text
 

@@ -6,9 +6,6 @@
 
 type format = Text | Json | Sarif
 
-val format_of_string : string -> (format, string) result
-(** ["text"], ["json"] or ["sarif"]. *)
-
 val templates : Template.t list -> Finding.t list
 (** {!Template_lint.lint}, {!Subsume.lint}, then {!Absint_lint.lint}
     (the SL4xx semantic pass over each template's canonical

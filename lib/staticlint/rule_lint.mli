@@ -18,7 +18,3 @@
 val lint_text : string -> Finding.t list
 (** Parse a ruleset (one rule per line, ['#'] comments and blanks
     skipped) and lint it.  Subjects are ["rule:<line>"]. *)
-
-val lint_rules : (string * Rule.t) list -> Finding.t list
-(** Lint already-parsed [(subject, rule)] pairs — the engine behind
-    {!lint_text}, exposed for tests. *)

@@ -7,9 +7,7 @@ val templates : Template.t list
 (** Templates seeded with SL001–SL011 and SL401–SL403 defects (names
     [st-*]). *)
 
-val rules : string
-(** Ruleset text seeded with SL100 and SL102–SL105 defects. *)
-
 val findings : unit -> Finding.t list
 (** Lint the corpus: template findings, subsumption findings, semantic
-    (SL4xx) findings, rule findings — in that order. *)
+    (SL4xx) findings, then the findings of an embedded ruleset seeded
+    with SL100 and SL102–SL105 defects — in that order. *)

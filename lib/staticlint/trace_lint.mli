@@ -14,8 +14,5 @@
       — the static disassembly should not be trusted without dynamic
       confirmation. *)
 
-val junk_threshold : float
-(** Dead-write fraction at which [SL303] fires (0.25). *)
-
 val lint : subject:string -> string -> Finding.t list
 (** Lint a raw code region (trace from entry offset 0). *)

@@ -29,8 +29,6 @@ type t = {
 val default : t
 (** [base=0.05], [factor=2], [cap=2], [jitter=0.5], [timeout=5]. *)
 
-val validate : t -> (t, string) result
-
 val of_string : string -> (t, string) result
 (** Parse a spec over {!default}.  [Error] names the offending token. *)
 

@@ -139,9 +139,3 @@ let close t =
   Condition.broadcast t.not_empty;
   Condition.broadcast t.not_full;
   Mutex.unlock t.mutex
-
-let length t =
-  Mutex.lock t.mutex;
-  let n = Queue.length t.q in
-  Mutex.unlock t.mutex;
-  n

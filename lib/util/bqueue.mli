@@ -15,11 +15,8 @@ val policy_to_string : policy -> string
 (** ["drop_newest"] / ["drop_oldest"] / ["block"] — the label used in
     shed metrics and CLI flags. *)
 
-val policy_of_string : string -> policy option
-(** Inverse of {!policy_to_string}. *)
-
 val policy_of_string_result : string -> (policy, string) result
-(** {!policy_of_string} with a typed error message (["drop policy: …"]),
+(** Inverse of {!policy_to_string}, with a typed error message (["drop policy: …"]),
     matching the [Budget.limits_of_string] / [Breaker.config_of_string]
     spec-parser convention. *)
 
@@ -58,5 +55,3 @@ val pop_batch : 'a t -> max:int -> 'a list
 val close : 'a t -> unit
 (** No further items are admitted; blocked producers and consumers wake
     up.  Items already queued remain poppable. *)
-
-val length : 'a t -> int

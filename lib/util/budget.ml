@@ -12,8 +12,6 @@ let outcome_to_string = function
   | Complete -> "complete"
   | Truncated r -> "truncated:" ^ reason_to_string r
 
-let pp_outcome ppf o = Format.pp_print_string ppf (outcome_to_string o)
-
 type limits = {
   max_bytes : int;
   max_insns : int;

@@ -29,7 +29,6 @@ val reason_to_string : reason -> string
 type outcome = Complete | Truncated of reason
 
 val outcome_to_string : outcome -> string
-val pp_outcome : Format.formatter -> outcome -> unit
 
 type limits = {
   max_bytes : int;  (** extraction output bytes; [max_int] = unlimited *)

@@ -13,7 +13,6 @@ module Reader = struct
     { src = Slice.base s; base = Slice.offset s; len = Slice.length s; cur = 0 }
 
   let pos t = t.cur
-  let length t = t.len
   let remaining t = t.len - t.cur
   let is_empty t = remaining t = 0
 
@@ -32,10 +31,6 @@ module Reader = struct
     let v = Char.code t.src.[t.base + t.cur] in
     t.cur <- t.cur + 1;
     v
-
-  let peek_u8 t =
-    need t 1 "peek_u8";
-    Char.code t.src.[t.base + t.cur]
 
   let u16_be t =
     let a = u8 t in
@@ -83,7 +78,6 @@ module Writer = struct
   let create ?(capacity = 256) () = Buffer.create capacity
   let length = Buffer.length
   let u8 t v = Buffer.add_char t (Char.chr (v land 0xFF))
-  let char = Buffer.add_char
 
   let u16_be t v =
     u8 t (v lsr 8);

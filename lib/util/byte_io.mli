@@ -21,9 +21,6 @@ module Reader : sig
   val pos : t -> int
   (** Current cursor, relative to the start of the view. *)
 
-  val length : t -> int
-  (** Total view length. *)
-
   val remaining : t -> int
   val is_empty : t -> bool
 
@@ -47,9 +44,6 @@ module Reader : sig
   val take : t -> int -> string
   (** [take t n] consumes and returns the next [n] bytes. *)
 
-  val peek_u8 : t -> int
-  (** [u8] without consuming.  @raise Truncated at end of input. *)
-
   val rest : t -> string
   (** Consume and return everything left. *)
 
@@ -71,14 +65,12 @@ module Writer : sig
   val u16_le : t -> int -> unit
   val u32_be : t -> int32 -> unit
   val u32_le : t -> int32 -> unit
-  val u32_be_int : t -> int -> unit
   val u32_le_int : t -> int -> unit
   val string : t -> string -> unit
 
   val slice : t -> Slice.t -> unit
   (** Append a slice's bytes (no intermediate string). *)
 
-  val char : t -> char -> unit
   val fill : t -> int -> int -> unit
   (** [fill t byte n] appends [n] copies of [byte]. *)
 

@@ -3,30 +3,6 @@ let histogram s =
   String.iter (fun c -> h.(Char.code c) <- h.(Char.code c) + 1) s;
   h
 
-let shannon s =
-  let n = String.length s in
-  if n = 0 then 0.0
-  else
-    let h = histogram s in
-    let total = float_of_int n in
-    Array.fold_left
-      (fun acc count ->
-        if count = 0 then acc
-        else
-          let p = float_of_int count /. total in
-          acc -. (p *. (log p /. log 2.0)))
-      0.0 h
-
-let printable_fraction s =
-  let n = String.length s in
-  if n = 0 then 1.0
-  else
-    let printable = ref 0 in
-    String.iter
-      (fun c -> if Char.code c >= 0x20 && Char.code c <= 0x7E then incr printable)
-      s;
-    float_of_int !printable /. float_of_int n
-
 let normalize counts =
   let total = Array.fold_left ( + ) 0 counts in
   if total = 0 then Array.make 256 (1.0 /. 256.0)

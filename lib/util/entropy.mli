@@ -1,16 +1,8 @@
-(** Byte-distribution statistics used by the binary-content locator and the
+(** Byte-distribution statistics used by the PAYL-style baseline and the
     Clet-style spectrum shaper. *)
 
 val histogram : string -> int array
 (** 256-bin byte count of the input. *)
-
-val shannon : string -> float
-(** Shannon entropy in bits per byte, in [\[0, 8\]]; 0 for the empty
-    string. *)
-
-val printable_fraction : string -> float
-(** Fraction of bytes in the printable ASCII range [0x20, 0x7e]; 1.0 for
-    the empty string. *)
 
 val chi_square : observed:int array -> expected:float array -> float
 (** Pearson chi-square distance between a 256-bin count and a 256-bin

@@ -10,17 +10,9 @@ val decode : string -> string
 val decode_opt : string -> string option
 (** Non-raising {!decode}. *)
 
-val decode_result : string -> (string, string) Stdlib.result
-(** Non-raising {!decode} with the reason ("bad character ...", "odd
-    number of hex digits"). *)
-
 val of_ints : int list -> string
 (** [of_ints [0x90; 0xcd; ...]] builds a byte string; each element must be
     in [\[0, 255\]]. *)
-
-val pp : Format.formatter -> string -> unit
-(** Canonical 16-bytes-per-row dump: offset, hex columns, printable ASCII
-    gutter. *)
 
 val to_string : string -> string
 (** [pp] rendered to a string. *)

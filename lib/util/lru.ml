@@ -62,7 +62,6 @@ let add t k v =
 
 let mem t k = Hashtbl.mem t.tbl k
 let length t = Hashtbl.length t.tbl
-let capacity t = t.cap
 let evictions t = t.evictions
 
 let clear t =

@@ -22,7 +22,6 @@ val mem : ('k, 'v) t -> 'k -> bool
 (** Membership without promotion. *)
 
 val length : ('k, 'v) t -> int
-val capacity : ('k, 'v) t -> int
 
 val evictions : ('k, 'v) t -> int
 (** Total bindings evicted for capacity since [create]. *)

@@ -58,8 +58,3 @@ let shuffle t a =
 
 let bytes t n =
   String.init n (fun _ -> Char.chr (byte t))
-
-let sample_geometric t p =
-  let p = if p <= 0.0 then 1e-9 else if p > 1.0 then 1.0 else p in
-  let rec loop k = if chance t p then k else loop (k + 1) in
-  loop 0

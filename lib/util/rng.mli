@@ -55,7 +55,3 @@ val shuffle : t -> 'a array -> unit
 
 val bytes : t -> int -> string
 (** [bytes t n] is a string of [n] uniform random bytes. *)
-
-val sample_geometric : t -> float -> int
-(** [sample_geometric t p] counts Bernoulli([p]) failures before the first
-    success; used for bursty workload inter-arrivals. *)

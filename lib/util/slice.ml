@@ -68,10 +68,6 @@ let to_string t =
   if t.off = 0 && t.len = String.length t.base then t.base
   else String.sub t.base t.off t.len
 
-let blit t ~src_off dst ~dst_off ~len =
-  need t src_off len "blit";
-  Bytes.blit_string t.base (t.off + src_off) dst dst_off len
-
 let equal_string t s =
   t.len = String.length s
   &&
@@ -83,19 +79,3 @@ let equal a b =
   &&
   let rec go i = i >= a.len || (unsafe_get a i = unsafe_get b i && go (i + 1)) in
   go 0
-
-let exists f t =
-  let rec go i = i < t.len && (f (unsafe_get t i) || go (i + 1)) in
-  go 0
-
-let for_all f t = not (exists (fun c -> not (f c)) t)
-
-let hash t =
-  (* FNV-1a over the viewed bytes; view-position independent *)
-  let h = ref 0x811C9DC5 in
-  for i = 0 to t.len - 1 do
-    h := (!h lxor Char.code (unsafe_get t i)) * 0x01000193 land max_int
-  done;
-  !h
-
-let pp ppf t = Format.fprintf ppf "slice(%d bytes @@%d)" t.len t.off

@@ -44,8 +44,6 @@ val get_u16_be : t -> int -> int
 val get_u16_le : t -> int -> int
 val get_u32_be : t -> int -> int32
 val get_u32_le : t -> int -> int32
-val get_u32_be_int : t -> int -> int
-val get_u32_le_int : t -> int -> int
 
 val sub : t -> off:int -> len:int -> t
 (** O(1) re-view of a sub-range; shares the backing string.
@@ -56,17 +54,7 @@ val to_string : t -> string
     string returns that string without copying, so wrapping an existing
     string with {!of_string} and reading it back is free. *)
 
-val blit : t -> src_off:int -> bytes -> dst_off:int -> len:int -> unit
-
 val equal : t -> t -> bool
 (** Byte-content equality, independent of view position. *)
 
 val equal_string : t -> string -> bool
-
-val exists : (char -> bool) -> t -> bool
-val for_all : (char -> bool) -> t -> bool
-
-val hash : t -> int
-(** Content hash (FNV-1a), consistent with {!equal}. *)
-
-val pp : Format.formatter -> t -> unit

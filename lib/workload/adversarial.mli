@@ -33,16 +33,6 @@ val payload : ?kind:kind -> ?size:int -> Rng.t -> string
 (** One adversarial payload of roughly [size] bytes (default 8192);
     [kind] defaults to [Mixed]. *)
 
-val packet :
-  ?kind:kind ->
-  ?size:int ->
-  Rng.t ->
-  ts:float ->
-  clients:Ipaddr.prefix ->
-  servers:Ipaddr.prefix ->
-  Packet.t
-(** One adversarial payload in a TCP segment to port 80. *)
-
 val packets :
   ?kind:kind ->
   ?size:int ->
@@ -53,17 +43,6 @@ val packets :
   clients:Ipaddr.prefix ->
   servers:Ipaddr.prefix ->
   Packet.t list
-(** [n] adversarial packets with exponential inter-arrivals at [rate]
-    packets/s (default 1000), timestamps from [t0]. *)
-
-val seq :
-  ?kind:kind ->
-  ?size:int ->
-  ?rate:float ->
-  Rng.t ->
-  n:int ->
-  t0:float ->
-  clients:Ipaddr.prefix ->
-  servers:Ipaddr.prefix ->
-  Packet.t Seq.t
-(** Lazy variant for long floods. *)
+(** [n] adversarial payloads, each in a TCP segment to port 80, with
+    exponential inter-arrivals at [rate] packets/s (default 1000),
+    timestamps from [t0]. *)

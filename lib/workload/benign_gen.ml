@@ -119,39 +119,3 @@ let seq ?mix ?(rate = 1000.0) rng ~n ~t0 ~clients ~servers =
 
 let packets ?mix ?rate rng ~n ~t0 ~clients ~servers =
   List.of_seq (seq ?mix ?rate rng ~n ~t0 ~clients ~servers)
-
-(* background radiation: traffic with no useful payload from the wider
-   internet — must never trip the analyzer *)
-let radiation_packet rng ~ts ~servers =
-  let src =
-    Ipaddr.of_octets (1 + Rng.int rng 223) (Rng.int rng 256) (Rng.int rng 256)
-      (1 + Rng.int rng 254)
-  in
-  let dst = pick_addr rng servers in
-  match Rng.int rng 4 with
-  | 0 ->
-      (* stray SYN *)
-      Packet.build_tcp ~ts ~src ~dst ~src_port:(1024 + Rng.int rng 60000)
-        ~dst_port:(Rng.pick rng [| 80; 135; 139; 445; 1433; 3389 |])
-        ~flags:Sanids_net.Tcp.flags_syn ""
-  | 1 ->
-      (* orphan ACK *)
-      Packet.build_tcp ~ts ~src ~dst ~src_port:(1024 + Rng.int rng 60000)
-        ~dst_port:80 ~flags:Sanids_net.Tcp.flags_ack ""
-  | 2 ->
-      (* malformed half-request *)
-      Packet.build_tcp ~ts ~src ~dst ~src_port:(1024 + Rng.int rng 60000)
-        ~dst_port:80
-        (Rng.pick rng [| "GET "; "HEAD / HT"; "\r\n\r\n"; "OPTIONS * "; "GEX /? H" |])
-  | _ ->
-      (* tiny UDP probe *)
-      Packet.build_udp ~ts ~src ~dst ~src_port:(1024 + Rng.int rng 60000)
-        ~dst_port:(Rng.pick rng [| 53; 123; 137; 161; 1434 |])
-        (Rng.bytes rng (Rng.int rng 12))
-
-let packets_with_radiation ?(radiation = 0.05) rng ~n ~t0 ~clients ~servers =
-  List.map
-    (fun p ->
-      if Rng.chance rng radiation then radiation_packet rng ~ts:p.Packet.ts ~servers
-      else p)
-    (packets rng ~n ~t0 ~clients ~servers)

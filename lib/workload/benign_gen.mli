@@ -39,23 +39,6 @@ val packets :
 (** [n] packets with exponential inter-arrivals at [rate] packets/s
     (default 1000), timestamps from [t0]. *)
 
-val radiation_packet :
-  Rng.t -> ts:float -> servers:Ipaddr.prefix -> Packet.t
-(** Internet background radiation (the paper's ref [15]): stray SYNs,
-    orphan ACKs, malformed half-requests, tiny UDP probes from random
-    external sources.  Harmless noise that a NIDS must not alert on. *)
-
-val packets_with_radiation :
-  ?radiation:float ->
-  Rng.t ->
-  n:int ->
-  t0:float ->
-  clients:Ipaddr.prefix ->
-  servers:Ipaddr.prefix ->
-  Packet.t list
-(** Like {!packets} with a [radiation] fraction (default 0.05) of
-    background-radiation packets mixed in. *)
-
 val seq :
   ?mix:mix ->
   ?rate:float ->

@@ -28,6 +28,3 @@ val assemble : item list -> string
 val assemble_insns : item list -> Insn.t list
 (** The instruction stream with displacements resolved (labels dropped,
     [Raw] re-decoded), mainly for golden tests. *)
-
-val size_of_item : item -> int
-(** Encoded size contribution of one item. *)

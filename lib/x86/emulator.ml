@@ -681,10 +681,15 @@ let step t : outcome =
                   let ax = Int32.to_int (Int32.logand (reg t Reg.EAX) 0xFFFFl) in
                   let ax = if signed && ax >= 0x8000 then ax - 0x10000 else ax in
                   let q = ax / Int64.to_int divisor and r = ax mod Int64.to_int divisor in
-                  reg8_set t Reg.AL q;
-                  reg8_set t Reg.AH r;
-                  t.eip <- next;
-                  Running
+                  (* #DE when the quotient does not fit the destination *)
+                  if (signed && (q < -0x80 || q > 0x7F)) || ((not signed) && q > 0xFF) then
+                    Halted "divide error"
+                  else begin
+                    reg8_set t Reg.AL q;
+                    reg8_set t Reg.AH r;
+                    t.eip <- next;
+                    Running
+                  end
               | Insn.S32bit ->
                   let dividend =
                     Int64.logor
@@ -697,10 +702,17 @@ let step t : outcome =
                     if signed then (Int64.div dividend divisor, Int64.rem dividend divisor)
                     else (Int64.unsigned_div dividend divisor, Int64.unsigned_rem dividend divisor)
                   in
-                  set_reg t Reg.EAX (Int64.to_int32 q);
-                  set_reg t Reg.EDX (Int64.to_int32 r);
-                  t.eip <- next;
-                  Running)
+                  let fits =
+                    if signed then Int64.equal q (Int64.of_int32 (Int64.to_int32 q))
+                    else Int64.unsigned_compare q 0xFFFFFFFFL <= 0
+                  in
+                  if not fits then Halted "divide error"
+                  else begin
+                    set_reg t Reg.EAX (Int64.to_int32 q);
+                    set_reg t Reg.EDX (Int64.to_int32 r);
+                    t.eip <- next;
+                    Running
+                  end)
         | Insn.Imul2 (dst, rm) ->
             let wide =
               Int64.mul (Int64.of_int32 (reg t dst))

@@ -1,8 +1,5 @@
 (** Intel-syntax rendering of instructions, for listings and alerts. *)
 
-val pp_operand : Format.formatter -> Insn.operand -> unit
-val pp_mem : Format.formatter -> Insn.mem -> unit
-
 val pp : Format.formatter -> Insn.t -> unit
 (** One instruction, e.g. [xor byte ptr \[eax\], 0x95]. *)
 

@@ -80,6 +80,5 @@ let parent8 = function
   | BL | BH -> EBX
 
 let equal (a : t) b = a = b
-let compare (a : t) b = Stdlib.compare a b
 let pp ppf r = Format.pp_print_string ppf (name r)
 let pp8 ppf r = Format.pp_print_string ppf (name8 r)

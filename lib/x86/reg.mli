@@ -18,8 +18,6 @@ val r8_of_code : int -> r8
 val name : t -> string
 (** Lowercase mnemonic, e.g. ["eax"]. *)
 
-val name8 : r8 -> string
-
 val all : t array
 (** All eight registers in encoding order. *)
 
@@ -34,6 +32,5 @@ val parent8 : r8 -> t
     [parent8 AL = EAX], [parent8 AH = EAX], etc. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val pp8 : Format.formatter -> r8 -> unit

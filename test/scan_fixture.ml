@@ -1,5 +1,5 @@
 (* Exactness fixture for the template scan kernel.  Prints
-   [Matcher.scan_report] over a seeded corpus — benign binary frames,
+   [Matcher.scan_report_slice] over a seeded corpus — benign binary frames,
    decoy decoders, ADMmutate/Clet decoders and adversarial complexity
    bombs — once with no budget and once under a tight budget plus a
    per-template step cap.  Each case records the [pp_result] lines, the

@@ -300,7 +300,7 @@ let test_unlimited_budget_equivalence () =
         (r.Pipeline.outcome = Budget.Complete && not r.Pipeline.degraded);
       Alcotest.(check (list string))
         (Printf.sprintf "payload %d same verdicts" i)
-        (uniq_names (Pipeline.analyze plain p))
+        (uniq_names (Pipeline.analyze_report plain p).Pipeline.verdicts)
         (uniq_names r.Pipeline.verdicts))
     payloads
 

@@ -118,6 +118,14 @@ let test_fault_refutes () =
   | Confirm.Refuted _ -> ()
   | o -> Alcotest.failf "expected Refuted, got %a" Confirm.pp o
 
+let test_div_overflow_refutes () =
+  (* mov eax, 0x1000; mov bl, 0x10; div bl — the quotient 0x100 does not
+     fit AL, so the CPU raises #DE before the execve shellcode runs *)
+  let code = "\xb8\x00\x10\x00\x00\xb3\x10\xf6\xf3" ^ shellcode in
+  match Confirm.run ~code ~entry:0 () with
+  | Confirm.Refuted _ -> ()
+  | o -> Alcotest.failf "expected Refuted, got %a" Confirm.pp o
+
 let test_budget_inconclusive () =
   (* jmp self runs forever: the step budget must end it *)
   let config = { Confirm.default_config with Confirm.max_steps = 50 } in
@@ -388,6 +396,7 @@ let () =
           Alcotest.test_case "socketcall registers" `Quick test_socketcall_register_check;
           Alcotest.test_case "non-linux interrupt" `Quick test_non_linux_interrupt_refutes;
           Alcotest.test_case "fault refutes" `Quick test_fault_refutes;
+          Alcotest.test_case "div overflow refutes" `Quick test_div_overflow_refutes;
           Alcotest.test_case "budget inconclusive" `Quick test_budget_inconclusive;
           Alcotest.test_case "seed failures" `Quick test_seed_failures_inconclusive;
         ] );

@@ -269,6 +269,43 @@ let test_div_by_zero_faults () =
   | Emulator.Halted "divide error" -> ()
   | _ -> Alcotest.fail "expected divide error"
 
+(* #DE also fires when the quotient does not fit its destination: above
+   0xFF (8-bit div), outside [-128, 127] (8-bit idiv), above 0xFFFFFFFF
+   (32-bit div), outside the signed 32-bit range (32-bit idiv).  The
+   faulting step changes no register.  Each overflowing probe is paired
+   with a neighbour whose quotient just fits. *)
+let div_probe name ~regs insn ~faults =
+  let emu = Emulator.create ~code:(Encode.program [ insn ]) () in
+  List.iter (fun (r, v) -> Emulator.set_reg emu r v) regs;
+  match (Emulator.step emu, faults) with
+  | Emulator.Halted "divide error", true -> List.iter (fun (r, v) -> check_reg emu r v) regs
+  | Emulator.Running, false -> ()
+  | _ -> Alcotest.failf "%s: expected %s" name (if faults then "divide error" else "running")
+
+let test_div8_overflow_faults () =
+  let div8 = Insn.Div (Insn.S8bit, Insn.Reg8 Reg.BL) in
+  div_probe "AX=0x1000 div bl (bl=0x10)" ~regs:[ (Reg.EAX, 0x1000l); (Reg.EBX, 0x10l) ] div8 ~faults:true;
+  div_probe "AX=0xfff div bl (bl=0x10)" ~regs:[ (Reg.EAX, 0xFFFl); (Reg.EBX, 0x10l) ] div8 ~faults:false
+
+let test_idiv8_overflow_faults () =
+  let idiv8 = Insn.Idiv (Insn.S8bit, Insn.Reg8 Reg.BL) in
+  div_probe "AX=-128 idiv bl (bl=-1)" ~regs:[ (Reg.EAX, 0xFF80l); (Reg.EBX, 0xFFl) ] idiv8 ~faults:true;
+  div_probe "AX=-128 idiv bl (bl=1)" ~regs:[ (Reg.EAX, 0xFF80l); (Reg.EBX, 1l) ] idiv8 ~faults:false
+
+let test_div32_overflow_faults () =
+  let div32 = Insn.Div (Insn.S32bit, reg Reg.EBX) in
+  div_probe "EDX:EAX=1:0 div ebx (ebx=1)"
+    ~regs:[ (Reg.EDX, 1l); (Reg.EAX, 0l); (Reg.EBX, 1l) ] div32 ~faults:true;
+  div_probe "EDX:EAX=1:0 div ebx (ebx=2)"
+    ~regs:[ (Reg.EDX, 1l); (Reg.EAX, 0l); (Reg.EBX, 2l) ] div32 ~faults:false
+
+let test_idiv32_overflow_faults () =
+  let idiv32 = Insn.Idiv (Insn.S32bit, reg Reg.EBX) in
+  div_probe "EDX:EAX=-2^31 idiv ebx (ebx=-1)"
+    ~regs:[ (Reg.EDX, -1l); (Reg.EAX, Int32.min_int); (Reg.EBX, -1l) ] idiv32 ~faults:true;
+  div_probe "EDX:EAX=-2^31 idiv ebx (ebx=1)"
+    ~regs:[ (Reg.EDX, -1l); (Reg.EAX, Int32.min_int); (Reg.EBX, 1l) ] idiv32 ~faults:false
+
 let test_movzx_movsx () =
   let emu, _ =
     run_program
@@ -573,6 +610,10 @@ let () =
           Alcotest.test_case "rep movsb" `Quick test_rep_movs_copy;
           Alcotest.test_case "mul/div" `Quick test_mul_div;
           Alcotest.test_case "div by zero" `Quick test_div_by_zero_faults;
+          Alcotest.test_case "div8 quotient overflow" `Quick test_div8_overflow_faults;
+          Alcotest.test_case "idiv8 quotient overflow" `Quick test_idiv8_overflow_faults;
+          Alcotest.test_case "div32 quotient overflow" `Quick test_div32_overflow_faults;
+          Alcotest.test_case "idiv32 quotient overflow" `Quick test_idiv32_overflow_faults;
           Alcotest.test_case "movzx/movsx" `Quick test_movzx_movsx;
           Alcotest.test_case "imul3" `Quick test_imul3;
           Alcotest.test_case "syscall surfaces" `Quick test_syscall_surfaces;

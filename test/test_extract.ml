@@ -1,38 +1,7 @@
-(* Tests for HTTP parsing, unicode decoding, repetition and the binary
-   frame extractor (paper §4.2). *)
+(* Tests for unicode decoding, repetition and the binary frame
+   extractor (paper §4.2). *)
 
 open Sanids_extract
-
-let test_http_parse_get () =
-  let payload = "GET /index.html HTTP/1.1\r\nHost: www\r\nAccept: */*\r\n\r\n" in
-  match Http.parse_request payload with
-  | Ok r ->
-      Alcotest.(check string) "method" "GET" r.Http.meth;
-      Alcotest.(check string) "target" "/index.html" r.Http.target;
-      Alcotest.(check string) "version" "HTTP/1.1" r.Http.version;
-      Alcotest.(check (option string)) "host header" (Some "www")
-        (List.assoc_opt "Host" r.Http.headers);
-      Alcotest.(check string) "empty body" "" r.Http.body
-  | Error e -> Alcotest.failf "parse failed: %s" e
-
-let test_http_parse_post_body () =
-  let payload = "POST /x HTTP/1.0\r\nContent-Length: 3\r\n\r\nabc" in
-  match Http.parse_request payload with
-  | Ok r -> Alcotest.(check string) "body" "abc" r.Http.body
-  | Error e -> Alcotest.failf "parse failed: %s" e
-
-let test_http_reject_non_http () =
-  Alcotest.(check bool) "smtp is not http" false (Http.is_request "EHLO mail\r\n");
-  match Http.parse_request "garbage" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage must not parse"
-
-let test_http_target_offset () =
-  match Http.parse_request "GET /abc HTTP/1.0\r\n\r\n" with
-  | Ok r -> Alcotest.(check int) "target offset" 4 r.Http.target_off
-  | Error e -> Alcotest.failf "parse failed: %s" e
-
-(* ------------------------------------------------------------------ *)
 
 let test_unicode_single_escape () =
   match Unicode.decode_u_escape (Slice.of_string "%u9090") 0 with
@@ -59,9 +28,34 @@ let test_unicode_malformed () =
   Alcotest.(check int) "bad digits" 0
     (List.length (Unicode.unicode_runs (Slice.of_string "%uZZZZ%u12")))
 
-let test_percent_decode () =
-  Alcotest.(check string) "basic" "a b/c" (Unicode.percent_decode "a+b%2Fc");
-  Alcotest.(check string) "passthrough" "100%" (Unicode.percent_decode "100%")
+let test_unicode_decoded_cap () =
+  (* a %u bomb: the whole run is counted, but only [max_decoded] bytes of
+     it are materialized *)
+  let bomb = String.concat "" (List.init 1000 (fun _ -> "%u4141")) in
+  match Unicode.unicode_runs ~max_decoded:16 (Slice.of_string ("x" ^ bomb ^ "y")) with
+  | [ r ] ->
+      Alcotest.(check int) "offset" 1 r.Unicode.off;
+      Alcotest.(check int) "every escape counted" 1000 r.Unicode.count;
+      Alcotest.(check string) "decoded bytes capped" (String.make 16 'A') r.Unicode.decoded
+  | other -> Alcotest.failf "expected one run, got %d" (List.length other)
+
+let test_unicode_case_insensitive () =
+  (* IIS accepts %U and either hex case *)
+  match Unicode.unicode_runs (Slice.of_string "%UABCD%uabcd%uAbCd%U00fF") with
+  | [ r ] ->
+      Alcotest.(check int) "count" 4 r.Unicode.count;
+      Alcotest.(check string) "bytes" "\xcd\xab\xcd\xab\xcd\xab\xff\x00" r.Unicode.decoded
+  | other -> Alcotest.failf "expected one run, got %d" (List.length other)
+
+let test_unicode_split_runs () =
+  (* one byte between escapes ends a run; each side is its own run *)
+  let four = "%u9090%u9090%u9090%u9090" in
+  match Unicode.unicode_runs (Slice.of_string (four ^ "/" ^ four)) with
+  | [ a; b ] ->
+      Alcotest.(check int) "first offset" 0 a.Unicode.off;
+      Alcotest.(check int) "second offset" 25 b.Unicode.off;
+      Alcotest.(check int) "second count" 4 b.Unicode.count
+  | other -> Alcotest.failf "expected two runs, got %d" (List.length other)
 
 (* ------------------------------------------------------------------ *)
 
@@ -74,12 +68,40 @@ let test_repetition_runs () =
       Alcotest.(check int) "len" 40 r.Repetition.len
   | other -> Alcotest.failf "expected one run, got %d" (List.length other)
 
-let test_repetition_longest () =
-  match Repetition.longest (Slice.of_string "aaabbbbcc") with
-  | Some r ->
-      Alcotest.(check char) "byte" 'b' r.Repetition.byte;
-      Alcotest.(check int) "len" 4 r.Repetition.len
-  | None -> Alcotest.fail "expected a run"
+let test_repetition_scan_window () =
+  let s = Slice.of_string (String.make 40 'a' ^ "b" ^ String.make 40 'X') in
+  (* a run past the window is not seen; one crossing it is cut at it *)
+  (match Repetition.runs ~min_len:32 ~max_scan:41 s with
+  | [ r ] ->
+      Alcotest.(check char) "byte" 'a' r.Repetition.byte;
+      Alcotest.(check int) "len" 40 r.Repetition.len
+  | other -> Alcotest.failf "expected one run, got %d" (List.length other));
+  Alcotest.(check int) "cut below min_len" 1
+    (List.length (Repetition.runs ~min_len:32 ~max_scan:60 s));
+  Alcotest.(check int) "unbounded" 2 (List.length (Repetition.runs ~min_len:32 s))
+
+let test_nop_like_class () =
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) (Printf.sprintf "0x%02x is NOP-like" b) true
+        (Repetition.nop_like (Char.chr b)))
+    [ 0x90; 0x40; 0x4F; 0x50; 0x57; 0x91; 0x97; 0x98; 0x99; 0xF5; 0xF8; 0xF9; 0xFC; 0x9B; 0x9E; 0x9F ];
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) (Printf.sprintf "0x%02x is not NOP-like" b) false
+        (Repetition.nop_like (Char.chr b)))
+    (* pop, int3, jmp short, call, int, nul, space *)
+    [ 0x58; 0xCC; 0xEB; 0xE8; 0xCD; 0x00; 0x20 ]
+
+let test_sled_threshold () =
+  let sled n = Slice.of_string ("\x00" ^ String.make n '\x90' ^ "\x00") in
+  Alcotest.(check int) "one below the default length" 0
+    (List.length (Repetition.sled_like (sled (Repetition.default_sled_len - 1))));
+  match Repetition.sled_like (sled Repetition.default_sled_len) with
+  | [ r ] ->
+      Alcotest.(check int) "offset" 1 r.Repetition.off;
+      Alcotest.(check int) "len" Repetition.default_sled_len r.Repetition.len
+  | other -> Alcotest.failf "expected one sled, got %d" (List.length other)
 
 let test_sled_like_polymorphic () =
   (* a polymorphic sled has differing bytes, all NOP-like *)
@@ -318,6 +340,38 @@ let prop_gate_equals_scanners_any_config =
       let p = Slice.of_string payload in
       Extractor.suspicious ~config p = scanners_oracle ~config p)
 
+(* With [min_len:1] the runs partition the input: they tile it in order
+   and each is maximal (neighbouring runs differ in byte). *)
+let prop_runs_partition =
+  QCheck2.Test.make ~name:"byte runs tile the input maximally" ~count:500
+    QCheck2.Gen.(string_size ~gen:(map Char.chr (int_range 0x61 0x63)) (int_bound 300))
+    (fun s ->
+      let runs = Repetition.runs ~min_len:1 (Slice.of_string s) in
+      let rec tiles pos prev = function
+        | [] -> pos = String.length s
+        | (r : Repetition.run) :: rest ->
+            r.Repetition.off = pos
+            && r.Repetition.len > 0
+            && prev <> Some r.Repetition.byte
+            && String.sub s pos r.Repetition.len = String.make r.Repetition.len r.Repetition.byte
+            && tiles (pos + r.Repetition.len) (Some r.Repetition.byte) rest
+      in
+      tiles 0 None runs)
+
+(* Uncapped decoding yields two little-endian bytes per escape. *)
+let prop_unicode_decodes_le_pairs =
+  QCheck2.Test.make ~name:"%u run decodes to little-endian pairs" ~count:300
+    QCheck2.Gen.(list_size (int_range 4 40) (int_bound 0xFFFF))
+    (fun vs ->
+      let text = String.concat "" (List.map (Printf.sprintf "%%u%04x") vs) in
+      let le v = String.init 2 (fun k -> Char.chr ((v lsr (8 * k)) land 0xFF)) in
+      match Unicode.unicode_runs (Slice.of_string text) with
+      | [ r ] ->
+          r.Unicode.off = 0
+          && r.Unicode.count = List.length vs
+          && r.Unicode.decoded = String.concat "" (List.map le vs)
+      | _ -> false)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -325,30 +379,29 @@ let properties =
       prop_suspicious_monotone_unicode;
       prop_gate_equals_scanners;
       prop_gate_equals_scanners_any_config;
+      prop_runs_partition;
+      prop_unicode_decodes_le_pairs;
     ]
 
 let () =
   Alcotest.run "extract"
     [
-      ( "http",
-        [
-          Alcotest.test_case "parse get" `Quick test_http_parse_get;
-          Alcotest.test_case "parse post body" `Quick test_http_parse_post_body;
-          Alcotest.test_case "reject non-http" `Quick test_http_reject_non_http;
-          Alcotest.test_case "target offset" `Quick test_http_target_offset;
-        ] );
       ( "unicode",
         [
           Alcotest.test_case "single escape" `Quick test_unicode_single_escape;
           Alcotest.test_case "run decoding" `Quick test_unicode_run_decoding;
           Alcotest.test_case "short run ignored" `Quick test_unicode_short_run_ignored;
           Alcotest.test_case "malformed" `Quick test_unicode_malformed;
-          Alcotest.test_case "percent decode" `Quick test_percent_decode;
+          Alcotest.test_case "decoded size capped" `Quick test_unicode_decoded_cap;
+          Alcotest.test_case "case insensitive" `Quick test_unicode_case_insensitive;
+          Alcotest.test_case "split runs" `Quick test_unicode_split_runs;
         ] );
       ( "repetition",
         [
           Alcotest.test_case "runs" `Quick test_repetition_runs;
-          Alcotest.test_case "longest" `Quick test_repetition_longest;
+          Alcotest.test_case "scan window" `Quick test_repetition_scan_window;
+          Alcotest.test_case "nop-like class" `Quick test_nop_like_class;
+          Alcotest.test_case "sled threshold" `Quick test_sled_threshold;
           Alcotest.test_case "polymorphic sled" `Quick test_sled_like_polymorphic;
           Alcotest.test_case "return-address region" `Quick test_ret_address_runs;
         ] );

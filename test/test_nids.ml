@@ -223,6 +223,54 @@ let test_benign_seq_lazy () =
   let first_ten = List.of_seq (Seq.take 10 s) in
   Alcotest.(check int) "prefix" 10 (List.length first_ten)
 
+let test_benign_deterministic () =
+  let mk seed = Sanids_workload.Benign_gen.packets (Rng.create seed) ~n:50 ~t0:0.0 ~clients ~servers in
+  let render pkts = List.map Packet.to_bytes pkts in
+  Alcotest.(check bool) "same seed same trace" true (render (mk 5L) = render (mk 5L));
+  Alcotest.(check bool) "different seed different trace" true
+    (render (mk 5L) <> render (mk 6L))
+
+let test_benign_timestamps_increase () =
+  let pkts = Sanids_workload.Benign_gen.packets (Rng.create 7L) ~n:200 ~t0:10.0 ~clients ~servers in
+  let rec increasing = function
+    | a :: (b :: _ as tl) -> a.Packet.ts <= b.Packet.ts && increasing tl
+    | _ -> true
+  in
+  Alcotest.(check bool) "monotone" true (increasing pkts);
+  Alcotest.(check bool) "starts after t0" true ((List.hd pkts).Packet.ts >= 10.0)
+
+let test_benign_rate_controls_span () =
+  let span rate =
+    let pkts = Sanids_workload.Benign_gen.packets ~rate (Rng.create 8L) ~n:500 ~t0:0.0 ~clients ~servers in
+    (List.nth pkts 499).Packet.ts
+  in
+  Alcotest.(check bool) "higher rate compresses time" true (span 10000.0 < span 100.0)
+
+let test_benign_payloads_parse () =
+  (* every generated packet round-trips through the codecs *)
+  let pkts = Sanids_workload.Benign_gen.packets (Rng.create 9L) ~n:300 ~t0:0.0 ~clients ~servers in
+  List.iter
+    (fun p ->
+      match Packet.parse ~ts:p.Packet.ts (Packet.to_bytes p) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "generated packet failed to parse: %s" e)
+    pkts
+
+let test_mix_proportions () =
+  let rng = Rng.create 10L in
+  let pkts = Sanids_workload.Benign_gen.packets rng ~n:2000 ~t0:0.0 ~clients ~servers in
+  let http =
+    List.length
+      (List.filter (fun p -> match Packet.ports p with Some (_, 80) -> true | _ -> false) pkts)
+  in
+  let dns =
+    List.length
+      (List.filter (fun p -> match Packet.ports p with Some (_, 53) -> true | _ -> false) pkts)
+  in
+  (* default mix: 72% http + 8% binary on port 80, 10% dns *)
+  Alcotest.(check bool) "port 80 near 80%" true (http > 1400 && http < 1800);
+  Alcotest.(check bool) "dns near 10%" true (dns > 120 && dns < 280)
+
 let () =
   Alcotest.run "nids"
     [
@@ -247,5 +295,10 @@ let () =
           Alcotest.test_case "slammer outbreak" `Quick test_slammer_outbreak_detected;
           Alcotest.test_case "benign mix" `Quick test_benign_gen_mix;
           Alcotest.test_case "lazy seq" `Quick test_benign_seq_lazy;
+          Alcotest.test_case "deterministic" `Quick test_benign_deterministic;
+          Alcotest.test_case "timestamps increase" `Quick test_benign_timestamps_increase;
+          Alcotest.test_case "rate controls span" `Quick test_benign_rate_controls_span;
+          Alcotest.test_case "payloads parse" `Quick test_benign_payloads_parse;
+          Alcotest.test_case "mix proportions" `Quick test_mix_proportions;
         ] );
     ]

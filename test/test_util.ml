@@ -144,22 +144,6 @@ let test_dump_format () =
 (* ------------------------------------------------------------------ *)
 (* Entropy *)
 
-let test_entropy_extremes () =
-  Alcotest.(check (float 1e-9)) "constant string" 0.0 (Entropy.shannon (String.make 100 'a'));
-  let all = String.init 256 Char.chr in
-  Alcotest.(check (float 1e-9)) "uniform 256" 8.0 (Entropy.shannon all);
-  Alcotest.(check (float 1e-9)) "empty" 0.0 (Entropy.shannon "")
-
-let test_entropy_two_symbol () =
-  let s = String.init 100 (fun i -> if i mod 2 = 0 then 'a' else 'b') in
-  Alcotest.(check (float 1e-9)) "fair two-symbol = 1 bit" 1.0 (Entropy.shannon s)
-
-let test_printable_fraction () =
-  Alcotest.(check (float 1e-9)) "all printable" 1.0 (Entropy.printable_fraction "hello");
-  Alcotest.(check (float 1e-9)) "none printable" 0.0
-    (Entropy.printable_fraction "\x01\x02\x03");
-  Alcotest.(check (float 1e-9)) "half" 0.5 (Entropy.printable_fraction "a\x01")
-
 let test_histogram_total () =
   let h = Entropy.histogram "aab" in
   check_int "a count" 2 h.(Char.code 'a');
@@ -172,6 +156,42 @@ let test_chi_square_self () =
   let p = Entropy.normalize h in
   let v = Entropy.chi_square ~observed:h ~expected:p in
   Alcotest.(check bool) "self distance near zero" true (v < 1e-6)
+
+let test_normalize () =
+  let p = Entropy.normalize (Entropy.histogram "aaab") in
+  Alcotest.(check (float 1e-12)) "a share" 0.75 p.(Char.code 'a');
+  Alcotest.(check (float 1e-12)) "b share" 0.25 p.(Char.code 'b');
+  Alcotest.(check (float 1e-12)) "unseen byte" 0.0 p.(0);
+  (* no observations: the uniform distribution, not a division by zero *)
+  let u = Entropy.normalize (Array.make 256 0) in
+  Alcotest.(check bool) "empty is uniform" true (Array.for_all (fun x -> x = 1.0 /. 256.0) u)
+
+let test_chi_square_divergence () =
+  let text = Entropy.normalize (Entropy.histogram "the quick brown fox jumps over the lazy dog") in
+  let near = Entropy.histogram "a lazy dog jumps over the quick brown fox" in
+  let far = Entropy.histogram (String.init 43 (fun i -> Char.chr (0x80 + i))) in
+  Alcotest.(check bool) "binary scores farther than text" true
+    (Entropy.chi_square ~observed:far ~expected:text
+    > Entropy.chi_square ~observed:near ~expected:text);
+  Alcotest.check_raises "bins checked"
+    (Invalid_argument "Entropy.chi_square: arrays must have 256 bins") (fun () ->
+      ignore (Entropy.chi_square ~observed:(Array.make 10 0) ~expected:text))
+
+(* ------------------------------------------------------------------ *)
+(* Bqueue *)
+
+let test_policy_strings () =
+  List.iter
+    (fun p ->
+      match Bqueue.policy_of_string_result (Bqueue.policy_to_string p) with
+      | Ok q -> Alcotest.(check bool) (Bqueue.policy_to_string p) true (p = q)
+      | Error e -> Alcotest.fail e)
+    [ Bqueue.Drop_newest; Bqueue.Drop_oldest; Bqueue.Block ];
+  match Bqueue.policy_of_string_result "drop_all" with
+  | Error e ->
+      Alcotest.(check bool) "error names the spec" true
+        (String.length e > 12 && String.sub e 0 12 = "drop policy:")
+  | Ok _ -> Alcotest.fail "unknown policy must not parse"
 
 (* ------------------------------------------------------------------ *)
 (* Json *)
@@ -236,13 +256,6 @@ let prop_hex_roundtrip =
     QCheck2.Gen.(string_size (int_bound 200))
     (fun s -> Hexdump.decode (Hexdump.encode s) = s)
 
-let prop_entropy_bounds =
-  QCheck2.Test.make ~name:"entropy in [0,8]" ~count:500
-    QCheck2.Gen.(string_size (int_bound 300))
-    (fun s ->
-      let e = Entropy.shannon s in
-      e >= 0.0 && e <= 8.0 +. 1e-9)
-
 let prop_rng_int_uniformish =
   QCheck2.Test.make ~name:"rng int stays in bound" ~count:200
     QCheck2.Gen.(pair int64 (int_range 1 1000))
@@ -302,7 +315,7 @@ let prop_json_roundtrip =
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_hex_roundtrip; prop_entropy_bounds; prop_rng_int_uniformish; prop_json_roundtrip;
+      prop_hex_roundtrip; prop_rng_int_uniformish; prop_json_roundtrip;
     ]
 
 let () =
@@ -337,12 +350,12 @@ let () =
         ] );
       ( "entropy",
         [
-          Alcotest.test_case "extremes" `Quick test_entropy_extremes;
-          Alcotest.test_case "two symbol" `Quick test_entropy_two_symbol;
-          Alcotest.test_case "printable fraction" `Quick test_printable_fraction;
           Alcotest.test_case "histogram" `Quick test_histogram_total;
           Alcotest.test_case "chi-square self" `Quick test_chi_square_self;
+          Alcotest.test_case "normalize" `Quick test_normalize;
+          Alcotest.test_case "chi-square divergence" `Quick test_chi_square_divergence;
         ] );
+      ("bqueue", [ Alcotest.test_case "policy strings" `Quick test_policy_strings ]);
       ( "json",
         [
           Alcotest.test_case "reader" `Quick test_json_reader;

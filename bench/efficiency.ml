@@ -150,12 +150,19 @@ let decode_memo ~sled () =
         done)
   in
   (* full scan (trace recovery + matching) with decode accounting read
-     back from a throwaway metrics registry *)
+     back from a throwaway metrics registry; started on a heap just
+     collected, the minor collection right after it shows what of the
+     finished scan survives into the major heap (the memo is built to
+     stay young and die with its scan) *)
   let reg = Obs.Registry.create () in
+  Gc.full_major ();
   let _, tm =
     Bench_util.time (fun () ->
         Sanids_semantic.Matcher.scan ~entries ~metrics:reg ~templates code)
   in
+  let promoted_before = (Gc.quick_stat ()).Gc.promoted_words in
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted_before in
   let snap = Obs.Registry.snapshot reg in
   let hits =
     Obs.Snapshot.counter_value snap Sanids_semantic.Matcher.decode_memo_hits
@@ -176,10 +183,11 @@ let decode_memo ~sled () =
     ];
   Bench_util.note
     "direct row includes per-trace scratch allocation; full scan %.4f s, \
-     decode-memo hit ratio %.2f (%d of %d lookups decoded)"
+     decode-memo hit ratio %.2f (%d of %d lookups decoded), \
+     %.0f words promoted per scan"
     tm
     (float_of_int hits /. Float.max (float_of_int total) 1.0)
-    misses total
+    misses total promoted
 
 let run ?(outbreak = 240) ?(sled = 512) () =
   Bench_util.hr "Efficiency: pruned pipeline vs whole-payload analysis ([5]-style)";

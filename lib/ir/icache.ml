@@ -1,12 +1,18 @@
-type entry = { insn : Insn.t; len : int; sems : Sem.t array }
+type entry = { off : int; len : int; insn : Insn.t; sems : Sem.t array }
 
-(* slots.(off): None = never decoded; Some None = decoded, no instruction;
-   Some (Some e) = decoded instruction.  [stamps]/[index] are the walk
-   scratch: offset [off] is on the current walk iff
-   [stamps.(off) = walk], and then [index.(off)] is its step index. *)
+(* The memo is cut into chunks of at most [chunk] slots: 256 words is the
+   largest block the runtime allocates in the minor heap, so no slot array
+   is ever a major-heap block whose stores of young entries the next
+   minor collection would have to promote.  [stamps]/[index] are the walk
+   scratch: offset [off] is on the current walk iff [stamps.(off) = walk],
+   and then [index.(off)] is its step index.  They hold only immediates,
+   so their size does not matter to the collector. *)
+let chunk_bits = 8
+let chunk = 1 lsl chunk_bits
+
 type t = {
   code : string;
-  slots : entry option option array;
+  chunks : entry option array array;  (** [None]: not decoded yet *)
   mutable hits : int;
   mutable misses : int;
   stamps : int array;
@@ -18,7 +24,12 @@ let create code =
   let n = max 1 (String.length code) in
   {
     code;
-    slots = Array.make n None;
+    (* the last chunk is sized to the remainder, so a small region costs
+       one small array *)
+    chunks =
+      Array.init
+        ((n + chunk - 1) lsr chunk_bits)
+        (fun i -> Array.make (min chunk (n - (i lsl chunk_bits))) None);
     hits = 0;
     misses = 0;
     stamps = Array.make n 0;
@@ -31,25 +42,30 @@ let code t = t.code
 let decode t off =
   if off < 0 || off >= String.length t.code then None
   else
-    match t.slots.(off) with
-    | Some e ->
+    let slots = t.chunks.(off lsr chunk_bits) in
+    let i = off land (chunk - 1) in
+    match slots.(i) with
+    | Some _ as e ->
         t.hits <- t.hits + 1;
         e
-    | None ->
+    | None -> (
         t.misses <- t.misses + 1;
-        let e =
-          match Decode.at t.code off with
-          | None -> None
-          | Some d ->
+        (* [Decode.at] answers every in-range offset ([Insn.Bad] for a
+           byte with no decoding) *)
+        match Decode.at t.code off with
+        | None -> None
+        | Some d ->
+            let e =
               Some
                 {
-                  insn = d.Decode.insn;
+                  off;
                   len = d.Decode.len;
+                  insn = d.Decode.insn;
                   sems = Array.of_list (Sem.lift d.Decode.insn);
                 }
-        in
-        t.slots.(off) <- Some e;
-        e
+            in
+            slots.(i) <- e;
+            e)
 
 let start_walk t = t.walk <- t.walk + 1
 let visited t off = t.stamps.(off) = t.walk

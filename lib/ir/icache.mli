@@ -4,12 +4,23 @@
     region, and the traces they spawn overlap heavily (an n-byte NOP sled
     costs ~n × trace-length decodes without sharing).  An [Icache.t]
     decodes and lifts each byte offset at most once; every later trace
-    walking through that offset reuses the [(insn, len, sems)] entry.
+    walking through that offset reuses the [(off, len, insn, sems)] entry.
 
     Only path-independent data is memoized — abstract states are a
     property of the walk, not the offset, and the matcher folds them per
     trace — so a cached walk is byte-for-byte identical to an uncached
-    one.
+    one.  A memo entry is itself the trace step ({!Trace.step} is
+    [entry]): walks share the records instead of copying them.
+
+    The memo lives in the minor heap and dies with its scan.  Its slots
+    are cut into chunks of at most 256 words, the largest block the
+    runtime allocates young, with the last chunk sized to the remainder
+    (a 10-byte region allocates a 10-slot chunk).  A single slot array
+    longer than that would be born in the major heap, and every entry
+    stored into it would be promoted by the next minor collection, long
+    after its scan had finished.  Up to 64 KiB of region the outer array
+    of chunks is young too; above that it is a major block, and the
+    chunks it points at are promoted with it.
 
     The cache also owns the trace walker's scratch: a walk-stamped
     visited set and offset-to-step index, two [int array]s over the
@@ -19,8 +30,9 @@
     nothing in it is global. *)
 
 type entry = {
-  insn : Insn.t;
+  off : int;  (** byte offset of the instruction within the region *)
   len : int;
+  insn : Insn.t;
   sems : Sem.t array;  (** [Sem.lift insn], pre-converted for indexing *)
 }
 
@@ -33,9 +45,8 @@ val code : t -> string
 (** The cached region. *)
 
 val decode : t -> int -> entry option
-(** Decode at a byte offset, memoized.  [None] out of range or when the
-    byte has no decoding ([Decode.at] returning [None]); the negative
-    result is memoized too. *)
+(** Decode at a byte offset, memoized.  [None] out of range; every
+    in-range offset decodes (a byte with no decoding as [Insn.Bad]). *)
 
 val start_walk : t -> unit
 (** Begin a new trace walk: every offset becomes unvisited, in O(1). *)

@@ -1,4 +1,4 @@
-type step = {
+type step = Icache.entry = {
   off : int;
   len : int;
   insn : Insn.t;
@@ -8,7 +8,7 @@ type step = {
 type t = step array
 
 (* The walker is shared by the direct and the memoized builders; [decode]
-   abstracts where (insn, len, sems) comes from, and [scratch] supplies
+   abstracts where the step record comes from, and [scratch] supplies
    the walk-stamped visited set (no per-trace table).  When a [budget] is
    supplied, each step takes one instruction of fuel first: a jmp-chain
    maze can spend at most the packet's fuel across every trace built for
@@ -29,16 +29,14 @@ let walk ?budget ~max_len ~scratch ~decode ~entry () =
           && not (Icache.visited scratch !off) && granted () do
       match decode !off with
       | None -> continue := false
-      | Some (e : Icache.entry) ->
+      | Some st ->
           (* an undecodable offset ends the walk, so only decoded steps
              need marking *)
           Icache.visit scratch !off !count;
-          let insn = e.Icache.insn in
-          let sems = e.Icache.sems in
-          acc := { off = !off; len = e.Icache.len; insn; sems } :: !acc;
+          acc := st :: !acc;
           incr count;
-          let next = !off + e.Icache.len in
-          (match insn with
+          let next = !off + st.len in
+          (match st.insn with
           | Insn.Jmp_rel disp -> off := next + disp
           | Insn.Call_rel disp -> off := next + disp
           | Insn.Ret | Insn.Int3 | Insn.Bad _ -> continue := false
@@ -68,8 +66,9 @@ let build ?budget ?(max_len = 1024) code ~entry =
     | Some d ->
         Some
           {
-            Icache.insn = d.Decode.insn;
+            off;
             len = d.Decode.len;
+            insn = d.Decode.insn;
             sems = Array.of_list (Sem.lift d.Decode.insn);
           }
   in

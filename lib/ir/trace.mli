@@ -8,14 +8,17 @@
     at returns, halts, out-of-range targets, revisited offsets, or a
     length bound. *)
 
-type step = {
+type step = Icache.entry = {
   off : int;  (** byte offset of the instruction within the region *)
   len : int;
   insn : Insn.t;
   sems : Sem.t array;  (** [Sem.lift insn], indexable without [List.nth] *)
 }
 (** Steps carry no abstract state: a consumer that needs constants folds
-    {!Absint.step} over [sems] itself, only as far as it reads. *)
+    {!Absint.step} over [sems] itself, only as far as it reads.  Nothing
+    in a step depends on the path that reached it, so a cached walk's
+    steps are the memo's own records, shared by every trace through the
+    offset: treat them as immutable. *)
 
 type t = step array
 
@@ -31,7 +34,8 @@ val build : ?budget:Budget.t -> ?max_len:int -> string -> entry:int -> t
 val build_cached : ?budget:Budget.t -> ?max_len:int -> Icache.t -> entry:int -> t
 (** Same walk as {!build} over the cache's region, but each byte offset
     is decoded and lifted at most once per {!Icache.t} — traces from
-    different entries share the per-offset work.  Produces exactly the
+    different entries share the per-offset work, and the step records
+    themselves: a walk allocates no record per step.  Produces exactly the
     trace [build (Icache.code cache) ~entry] would.  Afterwards
     {!Icache.step_index} answers offset-to-step lookups for this trace,
     until the next walk over the same cache. *)

@@ -463,16 +463,59 @@ let record_scan reg ~hits ~misses ~exhausted =
   bump scan_budget_exhausted "scans that ran out of work budget with templates still open"
     exhausted
 
-(* Templates whose data requirements the region cannot meet are out before
-   any trace is built.  Only the mass-mailer family carries literals, so
-   a direct allocation-free substring search per literal beats building
-   an automaton for every frame. *)
+(* Bytes a template step needs somewhere in the region, when the step
+   can only match an instruction whose encoding contains them.  Both
+   rules are exact because every instruction is decoded from the
+   region's own bytes, which the x86 property "decoded constants lie in
+   their own bytes" checks at every offset of random and encoder-built
+   regions:
+   - [Syscall { vector }] matches only [S_syscall vector], which only
+     [Insn.Int vector] lifts to, which only [CD vector] decodes to;
+   - [Code_const c] with [c] outside [-128, 255] matches only an
+     immediate or displacement the decoder read as a literal
+     little-endian u32 (every shorter field is an imm8/disp8, zero- or
+     sign-extended into that range), so [c]'s 4 LE bytes occur. *)
+let step_needle (p : Template.pstep) =
+  match p with
+  | Template.Syscall { vector; _ } ->
+      Some (String.init 2 (fun i -> Char.chr (if i = 0 then 0xCD else vector land 0xFF)))
+  | Template.Code_const c when Int32.compare c (-128l) < 0 || Int32.compare c 255l > 0 ->
+      let b = Bytes.create 4 in
+      Bytes.set_int32_le b 0 c;
+      Some (Bytes.unsafe_to_string b)
+  | Template.Code_const _ | Template.Load _ | Template.Mem_transform _
+  | Template.Reg_transform _ | Template.Store _ | Template.Ptr_advance _
+  | Template.Back_edge | Template.Stack_const _ ->
+      None
+
+(* Templates whose byte requirements the region cannot meet are out
+   before any trace is built, and so spend no fuel: their [data]
+   literals (only the mass-mailer family carries any) and the
+   {!step_needle} of every step, each one a necessary condition since a
+   match consumes every step at least once.  The needles are derived per
+   scan and each distinct one is searched once (the six templates ending
+   in an [int 0x80] share [CD 80]) with the allocation-free substring
+   search. *)
 let data_prefilter ~templates code =
+  let searched = ref [] in
+  let present needle =
+    needle = ""
+    ||
+    match List.assoc_opt needle !searched with
+    | Some found -> found
+    | None ->
+        let found = Search.contains_slice ~needle code in
+        searched := (needle, found) :: !searched;
+        found
+  in
+  let step_ok (q : Template.quant) =
+    match q with
+    | Template.Once p | Template.Many p -> (
+        match step_needle p with None -> true | Some needle -> present needle)
+  in
   List.filter
     (fun (t : Template.t) ->
-      List.for_all
-        (fun p -> p = "" || Search.contains_slice ~needle:p code)
-        t.Template.data)
+      List.for_all present t.Template.data && List.for_all step_ok t.Template.steps)
     templates
 
 type scan_report = {

@@ -67,10 +67,12 @@ val scan_report_slice :
     supplied, behaviour and results are exactly the unbudgeted
     matcher's.
 
-    The data prefilter (one allocation-free substring search per
-    template literal) runs on the slice in place; the region is
-    materialized to a string only when at least one template survives
-    it. *)
+    The byte prefilter runs on the slice in place: a template is out
+    before any trace is built, spending no fuel, when the region lacks
+    one of its [data] literals, the [CD vector] bytes of an [int vector]
+    its [Syscall] steps need, or the 4 little-endian bytes of a
+    [Code_const] outside [-128, 255].  The region is materialized to a
+    string only when at least one template survives it. *)
 
 val scan :
   ?entries:int list ->

@@ -1,7 +1,8 @@
 (* Exactness fixture for the template scan kernel.  Prints
    [Matcher.scan_report_slice] over a seeded corpus — benign binary frames,
-   decoy decoders, ADMmutate/Clet decoders and adversarial complexity
-   bombs — once with no budget and once under a tight budget plus a
+   decoy decoders, ADMmutate/Clet decoders, adversarial complexity
+   bombs and benign frames carrying a template's prefilter bytes — once
+   with no budget and once under a tight budget plus a
    per-template step cap.  Each case records the [pp_result] lines, the
    outcome, the tripped templates, the decode-memo hit/miss counts and
    (budgeted) the fuel spent, so any change to what the kernel matches
@@ -52,15 +53,31 @@ let decoders rng =
         ( Printf.sprintf "clet-%d" i,
           Slice.of_string (P.Clet.generate rng ~payload:classic).P.Clet.code ))
 
+(* A benign binary frame with [needle] written over its middle bytes: the
+   byte evidence keeps a template past the prefilter, which must still
+   find no match. *)
+let spliced rng name needle =
+  match benign_frames rng 1 with
+  | [] -> []
+  | (_, frame) :: _ ->
+      let b = Bytes.of_string (Slice.to_string frame) in
+      Bytes.blit_string needle 0 b (Bytes.length b / 2) (String.length needle);
+      [ (name, Slice.of_string (Bytes.to_string b)) ]
+
 let corpus () =
   let rng = Rng.create 0x5CA4F1L in
-  benign_frames rng 12
-  @ adversarial rng W.Adversarial.Decoy_decoder 4 2048
-  @ decoders rng
-  @ adversarial rng W.Adversarial.Unicode_bomb 1 4096
-  @ adversarial rng W.Adversarial.Repetition_bomb 1 4096
-  @ adversarial rng W.Adversarial.Jmp_maze 2 4096
-  @ adversarial rng W.Adversarial.Garbage_x86 2 2048
+  let seeded =
+    benign_frames rng 12
+    @ adversarial rng W.Adversarial.Decoy_decoder 4 2048
+    @ decoders rng
+    @ adversarial rng W.Adversarial.Unicode_bomb 1 4096
+    @ adversarial rng W.Adversarial.Repetition_bomb 1 4096
+    @ adversarial rng W.Adversarial.Jmp_maze 2 4096
+    @ adversarial rng W.Adversarial.Garbage_x86 2 2048
+  in
+  let rng = Rng.create 0xB7E5L in
+  let int80 = spliced rng "benign-int80" "\xCD\x80" in
+  seeded @ int80 @ spliced rng "benign-slammer-const" "\xDC\xC9\xB0\x42"
 
 let tight = { Budget.unlimited with Budget.max_insns = 1400; max_match_steps = 12_000 }
 let step_cap = 3000

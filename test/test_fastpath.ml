@@ -66,7 +66,10 @@ let test_icache_agrees_with_decode () =
       match (Icache.decode c off, Decode.at code off) with
       | None, None -> ()
       | Some e, Some d ->
-          if e.Icache.insn <> d.Decode.insn || e.Icache.len <> d.Decode.len then
+          if
+            e.Icache.off <> off || e.Icache.insn <> d.Decode.insn
+            || e.Icache.len <> d.Decode.len
+          then
             Alcotest.failf "icache disagrees with Decode.at at 0x%x" off;
           if Array.to_list e.Icache.sems <> Sem.lift d.Decode.insn then
             Alcotest.failf "icache sems disagree at 0x%x" off
@@ -112,10 +115,15 @@ let test_build_cached_equiv_structured () =
   let cache = Icache.create code in
   List.iter
     (fun entry ->
-      same_trace
-        (Printf.sprintf "entry %d" entry)
-        (Trace.build code ~entry)
-        (Trace.build_cached cache ~entry))
+      let cached = Trace.build_cached cache ~entry in
+      same_trace (Printf.sprintf "entry %d" entry) (Trace.build code ~entry) cached;
+      (* the walk pushes the memo's own records, it copies none *)
+      Array.iter
+        (fun (s : Trace.step) ->
+          match Icache.decode cache s.Trace.off with
+          | Some e when e == s -> ()
+          | _ -> Alcotest.failf "entry %d: step at 0x%x is not the memo entry" entry s.Trace.off)
+        cached)
     (Trace.entry_points code)
 
 (* The walk scratch is per walk: after a second walk over the same

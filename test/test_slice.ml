@@ -269,6 +269,38 @@ let test_alloc_cold () =
      the bound is a third of that *)
   check_below "cold benign process" (76607.9 /. 3.0) w
 
+(* The scan's decode memo lives and dies in the minor heap: a minor
+   collection right after a finished scan finds next to nothing of it
+   still reachable.  A memo slot array longer than 256 words would be a
+   major block, and every entry stored into it would be promoted.  Each
+   scan starts on a heap just fully collected: a collection that falls
+   inside the scan (the runtime's own major-cycle bookkeeping can force
+   one, depending on what ran before) promotes the live memo, whatever
+   its layout. *)
+let test_scan_promotes_nothing () =
+  let rng = Rng.create 0x9E0907EDL in
+  let binary = { Workload.Benign_gen.http = 0.0; smtp = 0.0; dns = 0.0; binary = 1.0 } in
+  let payloads =
+    List.init 4 (fun _ -> Workload.Benign_gen.payload ~mix:binary rng)
+    @ [ Workload.Adversarial.payload ~kind:Workload.Adversarial.Decoy_decoder ~size:2048 rng ]
+  in
+  List.iteri
+    (fun i payload ->
+      Gc.full_major ();
+      let minors = (Gc.quick_stat ()).Gc.minor_collections in
+      ignore
+        (Sanids_semantic.Matcher.scan_report_slice
+           ~templates:Sanids_semantic.Template_lib.default_set (Slice.of_string payload));
+      let s = Gc.quick_stat () in
+      Gc.minor ();
+      let promoted = (Gc.quick_stat ()).Gc.promoted_words -. s.Gc.promoted_words in
+      if promoted > 64.0 then
+        Alcotest.failf
+          "scan %d (%d bytes): the next minor collection promoted %.0f words (%d minor \
+           collections during the scan)"
+          i (String.length payload) promoted (s.Gc.minor_collections - minors))
+    payloads
+
 (* ------------------------------------------------------------------ *)
 
 let properties =
@@ -298,5 +330,6 @@ let () =
           Alcotest.test_case "replay words/packet" `Quick test_alloc_replay;
           Alcotest.test_case "process words/packet" `Quick test_alloc_process;
           Alcotest.test_case "cold words/packet" `Quick test_alloc_cold;
+          Alcotest.test_case "scan memo never promoted" `Quick test_scan_promotes_nothing;
         ] );
     ]

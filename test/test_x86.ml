@@ -456,9 +456,83 @@ let prop_decode_total =
       Array.fold_left (fun acc (d : Decode.decoded) -> acc + d.Decode.len) 0 ds
       = String.length s)
 
+(* Byte evidence of decoded instructions — what makes the matcher's byte
+   prefilter exact.  At every offset of a region, the decoded instruction
+   lies inside the region, an [int v] carries the bytes [CD v], and every
+   immediate or displacement outside [-128, 255] carries its 4
+   little-endian bytes, all within the instruction's own bytes.  Each
+   case is drawn from a printed seed: a random byte string and an
+   encoder-built program. *)
+
+let occurs_within s ~needle ~lo ~hi =
+  let k = String.length needle in
+  let rec go i = i + k <= hi && (String.sub s i k = needle || go (i + 1)) in
+  go lo
+
+let insn_consts (i : Insn.t) =
+  let op (o : Insn.operand) =
+    match o with
+    | Insn.Imm v -> [ v ]
+    | Insn.Mem m -> [ m.Insn.disp ]
+    | Insn.Reg _ | Insn.Reg8 _ -> []
+  in
+  match i with
+  | Insn.Mov (_, a, b) | Insn.Arith (_, _, a, b) | Insn.Test (_, a, b) -> op a @ op b
+  | Insn.Not (_, o) | Insn.Neg (_, o) | Insn.Inc (_, o) | Insn.Dec (_, o)
+  | Insn.Shift (_, _, o, _) | Insn.Movzx (_, o) | Insn.Movsx (_, o) | Insn.Mul (_, o)
+  | Insn.Imul (_, o) | Insn.Div (_, o) | Insn.Idiv (_, o) | Insn.Imul2 (_, o) ->
+      op o
+  | Insn.Lea (_, m) -> [ m.Insn.disp ]
+  | Insn.Push_imm v -> [ v ]
+  | Insn.Imul3 (_, o, v) -> v :: op o
+  | _ -> []
+
+let le32 v =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_le b 0 v;
+  Bytes.to_string b
+
+let byte_evidence_holds s =
+  let n = String.length s in
+  let ok = ref true in
+  for off = 0 to n - 1 do
+    match Decode.at s off with
+    | None -> ok := false
+    | Some d ->
+        let hi = off + d.Decode.len in
+        let within needle = occurs_within s ~needle ~lo:off ~hi in
+        if d.Decode.off <> off || hi > n then ok := false
+        else begin
+          (match d.Decode.insn with
+          | Insn.Int v -> if not (within (Printf.sprintf "\xCD%c" (Char.chr v))) then ok := false
+          | _ -> ());
+          List.iter
+            (fun c ->
+              if (Int32.compare c (-128l) < 0 || Int32.compare c 255l > 0)
+                 && not (within (le32 c))
+              then ok := false)
+            (insn_consts d.Decode.insn)
+        end
+  done;
+  !ok
+
+let prop_byte_evidence =
+  QCheck2.Test.make ~name:"decoded constants lie in their own bytes" ~count:300
+    ~print:(Printf.sprintf "seed %d")
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let junk = Rng.bytes rng (Rng.int rng 300) in
+      let program =
+        Encode.program
+          (QCheck2.Gen.generate1 ~rand:(Random.State.make [| seed |])
+             QCheck2.Gen.(list_size (int_range 1 40) gen_insn))
+      in
+      byte_evidence_holds junk && byte_evidence_holds program)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_roundtrip; prop_program_roundtrip; prop_decode_total ]
+    [ prop_roundtrip; prop_program_roundtrip; prop_decode_total; prop_byte_evidence ]
 
 let () =
   Alcotest.run "x86"

@@ -1,17 +1,19 @@
-(* Shared helpers for the benchmark harness: wall-clock timing and table
+(* Shared helpers for the benchmark harness: monotonic timing and table
    rendering.  Timing goes through sanids.obs histograms so the bench
    reports the same quantile machinery the NIDS exports at runtime. *)
 
 module Obs = Sanids_obs
 
-let now () = Unix.gettimeofday ()
+(* Seconds on the monotonic clock: only differences are meaningful, and
+   a wall-clock step cannot make them negative. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let time f =
   let t0 = now () in
   let x = f () in
   (x, now () -. t0)
 
-(* Run [f] once, recording its wall time into histogram [h]. *)
+(* Run [f] once, recording its elapsed time into histogram [h]. *)
 let time_into h f =
   let t0 = now () in
   let x = f () in

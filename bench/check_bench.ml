@@ -1,12 +1,10 @@
 (* Bench-trajectory checker: `check_bench.exe FRESH BASELINE`.
 
    Parses both documents, validates that each carries the
-   sanids-bench/1 schema with every required key under its own object,
-   then compares each workload's packets/sec in FRESH (a just-emitted
-   --json document) against the committed BASELINE (BENCH_<pr>.json).
-   The tolerance is deliberately loose — CI boxes and dev laptops
-   differ by integer factors — so only a large regression (fresh < 10%
-   of baseline) fails.  Exit 0 clean, exit 1 loud. *)
+   sanids-bench/2 schema with every required key under its own object,
+   then gates each row's median packets/sec in FRESH (a just-emitted
+   --json document) on the spread recorded in the committed BASELINE
+   (BENCH_<pr>.json): see [threshold].  Exit 0 clean, exit 1 loud. *)
 
 module Json = Sanids_util.Json
 
@@ -31,52 +29,59 @@ let number ~file doc path =
   | Some f -> f
   | None -> die "%s: %s is not a number" file (String.concat "." path)
 
+(* Each row with its drift allowance: the share of the baseline median
+   below which [threshold] never goes.  A process's runs share the
+   host's state, so its quartiles miss how far a whole process drifts.
+   Over half an hour of repeated smoke runs on a shared 2-core VM,
+   clean medians fell to 0.37 (stream_shedding, whose worker domains
+   need both cores), 0.58 (confirm_overhead) and 0.59 (cluster_latency)
+   of a typical baseline. *)
 let workloads =
-  [
-    "outbreak_replay";
-    "stream_shedding";
-    "decode";
-    "serve_steady_state";
-    "confirm_overhead";
-    "cluster_latency";
-    "static_refute";
-  ]
+  [ ("stream_shedding", 0.30); ("confirm_overhead", 0.55); ("cluster_latency", 0.55) ]
 
-let workload_pps ~file doc w = number ~file doc [ "workloads"; w; "packets_per_sec" ]
+let pps ~file doc w stat = number ~file doc [ "workloads"; w; "packets_per_sec"; stat ]
 
-(* Numeric keys each row must carry beyond packets_per_sec.  The replay
-   row carries per-stage quantiles read back from the obs histograms.
-   The confirmation row carries its outcome counts: a baseline where
-   the decoder corpus stopped confirming is not a baseline.  The
-   cluster row carries both detection times: a baseline where
-   federation stopped detecting (or was never compared against the
-   monolith) is not a baseline.  The static-refutation row carries its
-   outcome count and the avoided fraction: a baseline where decoys
-   stopped skipping the emulator is not a baseline. *)
+(* Numeric keys each row must carry beyond its packets/sec median and
+   quartiles.  The stream row carries its shed accounting.  The
+   confirmation row carries its outcome counts: a baseline where the
+   decoder corpus stopped confirming is not a baseline.  The cluster
+   row carries both detection times: a baseline where federation
+   stopped detecting (or was never compared against the monolith) is
+   not a baseline. *)
 let required =
-  [ ("outbreak_replay", [ "minor_words_per_packet" ]) ]
-  @ List.map
-      (fun stage -> ("outbreak_replay", [ "stages"; stage; "p95_s" ]))
-      [ "classify"; "extract"; "match"; "analyze" ]
-  @ [
-      ("confirm_overhead", [ "confirmed" ]);
-      ("confirm_overhead", [ "refuted" ]);
-      ("cluster_latency", [ "detect_s" ]);
-      ("cluster_latency", [ "detect_monolith_s" ]);
-      ("static_refute", [ "static_refuted" ]);
-      ("static_refute", [ "avoided_fraction" ]);
-    ]
+  [
+    ("stream_shedding", [ "processed" ]);
+    ("stream_shedding", [ "shed" ]);
+    ("confirm_overhead", [ "confirmed" ]);
+    ("confirm_overhead", [ "refuted" ]);
+    ("cluster_latency", [ "detect_s" ]);
+    ("cluster_latency", [ "detect_monolith_s" ]);
+  ]
 
 let validate_schema ~file doc =
   (match Json.to_string_opt (lookup ~file doc [ "schema" ]) with
-  | Some "sanids-bench/1" -> ()
-  | _ -> die "%s: schema is not \"sanids-bench/1\"" file);
+  | Some "sanids-bench/2" -> ()
+  | _ -> die "%s: schema is not \"sanids-bench/2\"" file);
   if Json.to_int_opt (lookup ~file doc [ "pr" ]) = None then
     die "%s: pr is not an integer" file;
-  List.iter (fun w -> ignore (workload_pps ~file doc w)) workloads;
+  List.iter
+    (fun (w, _) ->
+      let q1 = pps ~file doc w "q1" and q3 = pps ~file doc w "q3" in
+      let median = pps ~file doc w "median" in
+      if not (q1 <= median && median <= q3) then
+        die "%s: %s quartiles out of order" file w;
+      ignore (number ~file doc [ "workloads"; w; "packets_per_sec"; "k" ]))
+    workloads;
   List.iter
     (fun (w, path) -> ignore (number ~file doc ("workloads" :: w :: path)))
     required
+
+(* The lowest fresh median a row may show: Tukey's lower fence over
+   the baseline's runs (q1 - 1.5 IQR), no higher than the row's drift
+   allowance and no lower than the old fixed tolerance, 10% of the
+   baseline median. *)
+let threshold ~drift ~median ~q1 ~q3 =
+  Float.max (0.1 *. median) (Float.min (q1 -. (1.5 *. (q3 -. q1))) (drift *. median))
 
 let () =
   (match Sys.argv with
@@ -86,18 +91,21 @@ let () =
   let fresh = read_doc fresh_file and base = read_doc base_file in
   validate_schema ~file:fresh_file fresh;
   validate_schema ~file:base_file base;
-  let tolerance = 0.10 in
   let failures =
     List.filter_map
-      (fun w ->
-        let fpps = workload_pps ~file:fresh_file fresh w in
-        let bpps = workload_pps ~file:base_file base w in
-        Printf.printf "check_bench: %-16s fresh %10.0f pkt/s, baseline %10.0f pkt/s\n"
-          w fpps bpps;
-        if fpps < tolerance *. bpps then
+      (fun (w, drift) ->
+        let fresh_median = pps ~file:fresh_file fresh w "median" in
+        let base = pps ~file:base_file base w in
+        let median = base "median" in
+        let limit = threshold ~drift ~median ~q1:(base "q1") ~q3:(base "q3") in
+        Printf.printf
+          "check_bench: %-16s fresh median %8.0f pkt/s, threshold %8.0f (%.2f of \
+           baseline median %.0f)\n"
+          w fresh_median limit (limit /. median) median;
+        if fresh_median < limit then
           Some
-            (Printf.sprintf "%s: %.0f pkt/s is below %.0f%% of baseline %.0f pkt/s"
-               w fpps (100.0 *. tolerance) bpps)
+            (Printf.sprintf "%s: median %.0f pkt/s is below the threshold %.0f pkt/s"
+               w fresh_median limit)
         else None)
       workloads
   in

@@ -8,10 +8,11 @@
                      bench bit-rot (`dune build @bench-smoke`)
      --section NAME  run one section: table1 table2 table3 fp efficiency
                      baseline micro
-     --json OUT      machine-readable mode: run the trajectory workloads
-                     (outbreak replay, stream shedding, decode) and write
-                     a sanids-bench/1 JSON document to OUT instead of the
-                     text sections; combine with --smoke/--full for size
+     --json OUT      machine-readable mode: run the trajectory rows
+                     (stream shedding, confirm overhead, cluster latency)
+                     five rounds each and write a sanids-bench/2 JSON
+                     document to OUT instead of the text sections;
+                     combine with --smoke/--full for size
 *)
 
 let sections =

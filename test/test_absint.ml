@@ -482,6 +482,56 @@ let test_pipeline_static_demotes_decoy () =
   Alcotest.(check int) "emulator-only path never counts static refutations" 0
     s'.Stats.static_refuted
 
+(* One pass over a mixed hit corpus: 16 decoys of 2048 bytes
+   interleaved with 16 true decoders (ADMmutate xor loop, alternative
+   chain, staged, Clet in turn), confirm-only and then with the
+   pre-stage.  The pre-stage may change how a decoy is refuted, never
+   what alerts or confirms, and must spare the emulator at least half
+   the decoy hits. *)
+let decoder_corpus rng =
+  Array.init 16 (fun i ->
+      match i mod 4 with
+      | 0 -> (Admmutate.generate ~family:Admmutate.Xor_loop rng ~payload:shellcode).Admmutate.code
+      | 1 -> (Admmutate.generate ~family:Admmutate.Alt_chain rng ~payload:shellcode).Admmutate.code
+      | 2 -> (Admmutate.generate_staged rng ~payload:shellcode).Admmutate.code
+      | _ -> (Clet.generate rng ~payload:shellcode).Clet.code)
+
+let test_pipeline_static_corpus () =
+  let rng = Rng.create 0xAB5112F7L in
+  let decoys =
+    Array.init 16 (fun _ -> Adversarial.payload ~kind:Adversarial.Decoy_decoder ~size:2048 rng)
+  in
+  let decoders = decoder_corpus rng in
+  let corpus = Array.init 32 (fun i -> if i mod 2 = 0 then decoys.(i / 2) else decoders.(i / 2)) in
+  (* a refuted match, dynamically or statically, is demoted before alerting *)
+  let alertable (v : Pipeline.verdict) =
+    match v.Pipeline.confirmation with
+    | Some (Confirm.Refuted _ | Confirm.Statically_refuted _) -> false
+    | Some _ | None -> true
+  in
+  let scan cfg =
+    let p = Pipeline.create cfg in
+    let alerts =
+      Array.map
+        (fun code ->
+          let r = Pipeline.analyze_report_slice p (Slice.of_string code) in
+          List.length (List.filter alertable r.Pipeline.verdicts))
+        corpus
+    in
+    (Pipeline.stats p, alerts)
+  in
+  let off, off_alerts = scan confirm_config in
+  let on, on_alerts = scan static_config in
+  Alcotest.(check (array int)) "same alertable verdicts per payload" off_alerts on_alerts;
+  Alcotest.(check int) "same confirmed count" off.Stats.confirmed on.Stats.confirmed;
+  Array.iteri
+    (fun i n -> if i mod 2 = 0 && n > 0 then Alcotest.failf "decoy %d alerts" (i / 2))
+    on_alerts;
+  let hits = on.Stats.static_refuted + on.Stats.refuted in
+  Alcotest.(check bool) "decoys hit the matcher" true (hits > 0);
+  if 2 * on.Stats.static_refuted < hits then
+    Alcotest.failf "only %d of %d decoy hits skipped the emulator" on.Stats.static_refuted hits
+
 let test_pipeline_static_keeps_decoder () =
   let adm = (Admmutate.generate (Rng.create 7L) ~payload:shellcode).Admmutate.code in
   let on = Pipeline.create static_config in
@@ -551,6 +601,8 @@ let () =
         [
           Alcotest.test_case "decoy demoted statically" `Quick
             test_pipeline_static_demotes_decoy;
+          Alcotest.test_case "decoy and decoder corpus, verdicts unchanged" `Quick
+            test_pipeline_static_corpus;
           Alcotest.test_case "true decoder unaffected" `Quick
             test_pipeline_static_keeps_decoder;
           Alcotest.test_case "config plumbing and SL209" `Quick test_static_refute_config;

@@ -130,9 +130,10 @@ let decode_memo ~sled () =
   let entries = Sanids_ir.Trace.entry_points code in
   let templates = Sanids_semantic.Template_lib.default_set in
   (* per-stage (trace recovery only): every entry re-walks the sled.  The
-     direct row decodes every step afresh and also allocates a fresh walk
-     scratch (three code-length arrays) per trace, so its speedup counts
-     allocation as well as decoding *)
+     direct row decodes every step afresh, allocates a fresh walk scratch
+     (a whole cache over the code) and returns a step array per trace; the
+     memoized row walks into one cache's offset buffer.  Its speedup
+     counts allocation as well as decoding *)
   let reps = 20 in
   let _, tb_direct =
     Bench_util.time (fun () ->
@@ -145,7 +146,7 @@ let decode_memo ~sled () =
         for _ = 1 to reps do
           let cache = Sanids_ir.Icache.create code in
           List.iter
-            (fun e -> ignore (Sanids_ir.Trace.build_cached cache ~entry:e))
+            (fun e -> ignore (Sanids_ir.Trace.walk cache ~entry:e))
             entries
         done)
   in

@@ -3,10 +3,14 @@ type entry = { off : int; len : int; insn : Insn.t; sems : Sem.t array }
 (* The memo is cut into chunks of at most [chunk] slots: 256 words is the
    largest block the runtime allocates in the minor heap, so no slot array
    is ever a major-heap block whose stores of young entries the next
-   minor collection would have to promote.  [stamps]/[index] are the walk
-   scratch: offset [off] is on the current walk iff [stamps.(off) = walk],
-   and then [index.(off)] is its step index.  They hold only immediates,
-   so their size does not matter to the collector. *)
+   minor collection would have to promote.  [tags] and [steps] are the
+   walk scratch.  Walk [w] tags the offset of its step [i] with
+   [w * stride + i], [stride] being the region size, so an offset is on
+   the current walk iff its tag is at least [base = walk * stride] (every
+   older tag is below it), and then [tag - base] is its step index.
+   [steps] holds the current walk's step offsets in order, [length] of
+   them.  Both hold only immediates, so their size does not matter to
+   the collector. *)
 let chunk_bits = 8
 let chunk = 1 lsl chunk_bits
 
@@ -15,9 +19,10 @@ type t = {
   chunks : entry option array array;  (** [None]: not decoded yet *)
   mutable hits : int;
   mutable misses : int;
-  stamps : int array;
-  index : int array;
-  mutable walk : int;
+  tags : int array;  (** [-1]: never walked *)
+  mutable base : int;
+  mutable steps : int array;
+  mutable length : int;
 }
 
 let create code =
@@ -32,9 +37,12 @@ let create code =
         (fun i -> Array.make (min chunk (n - (i lsl chunk_bits))) None);
     hits = 0;
     misses = 0;
-    stamps = Array.make n 0;
-    index = Array.make n 0;
-    walk = 0;
+    tags = Array.make n (-1);
+    base = 0;
+    (* most traces are a handful of steps; the buffer doubles for the
+       rare long one, up to the region size *)
+    steps = Array.make (min n 64) 0;
+    length = 0;
   }
 
 let code t = t.code
@@ -67,16 +75,35 @@ let decode t off =
             slots.(i) <- e;
             e)
 
-let start_walk t = t.walk <- t.walk + 1
-let visited t off = t.stamps.(off) = t.walk
+let start_walk t =
+  t.base <- t.base + Array.length t.tags;
+  t.length <- 0
 
-let visit t off i =
-  t.stamps.(off) <- t.walk;
-  t.index.(off) <- i
+let visited t off = t.tags.(off) >= t.base
+
+let visit t off =
+  let i = t.length in
+  if i = Array.length t.steps then begin
+    let grown = Array.make (min (Array.length t.tags) (2 * i)) 0 in
+    Array.blit t.steps 0 grown 0 i;
+    t.steps <- grown
+  end;
+  t.tags.(off) <- t.base + i;
+  t.steps.(i) <- off;
+  t.length <- i + 1
+
+let length t = t.length
+
+let step t i =
+  if i >= t.length then invalid_arg "Icache.step: past the walk";
+  let off = t.steps.(i) in
+  match t.chunks.(off lsr chunk_bits).(off land (chunk - 1)) with
+  | Some e -> e
+  | None -> invalid_arg "Icache.step: offset not decoded through the memo"
 
 let step_index t off =
-  if off >= 0 && off < Array.length t.stamps && t.stamps.(off) = t.walk then
-    t.index.(off)
+  if off >= 0 && off < Array.length t.tags && t.tags.(off) >= t.base then
+    t.tags.(off) - t.base
   else -1
 
 let hits t = t.hits

@@ -23,11 +23,15 @@
     chunks it points at are promoted with it.
 
     The cache also owns the trace walker's scratch: a walk-stamped
-    visited set and offset-to-step index, two [int array]s over the
-    region.  Starting a walk bumps the stamp instead of clearing or
-    allocating anything, so the hundreds of traces a scan builds share
-    one pair of arrays.  A cache belongs to one scan on one domain;
-    nothing in it is global. *)
+    visited set and offset-to-step index, one [int array] over the
+    region, and the walk itself, a growable [int array] of step offsets.
+    Starting a walk bumps the stamp and empties the buffer instead of
+    clearing or allocating anything, so the hundreds of traces a scan
+    walks share those arrays and a trace allocates nothing of its own:
+    its steps are read back as the memo's records ({!step}).  The buffer
+    starts at 64 offsets and doubles for a long trace; it holds only
+    immediates, so a grown buffer in the major heap promotes nothing.  A
+    cache belongs to one scan on one domain; nothing in it is global. *)
 
 type entry = {
   off : int;  (** byte offset of the instruction within the region *)
@@ -49,13 +53,24 @@ val decode : t -> int -> entry option
     in-range offset decodes (a byte with no decoding as [Insn.Bad]). *)
 
 val start_walk : t -> unit
-(** Begin a new trace walk: every offset becomes unvisited, in O(1). *)
+(** Begin a new trace walk: every offset becomes unvisited and the walk
+    empty, in O(1). *)
 
 val visited : t -> int -> bool
 (** Is the in-range offset on the current walk? *)
 
-val visit : t -> int -> int -> unit
-(** [visit c off i]: the current walk's step [i] sits at offset [off]. *)
+val visit : t -> int -> unit
+(** [visit c off]: append the unvisited in-range offset [off] as the
+    current walk's next step. *)
+
+val length : t -> int
+(** Steps on the most recent walk. *)
+
+val step : t -> int -> entry
+(** [step c i]: the memo record of the most recent walk's step [i].
+    Reading a step back is not a lookup: it counts as neither hit nor
+    miss.  @raise Invalid_argument when [i] is past the walk or its
+    offset was not decoded through this cache's {!decode}. *)
 
 val step_index : t -> int -> int
 (** Step index of an offset on the most recent walk; [-1] when the

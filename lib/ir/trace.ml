@@ -7,34 +7,29 @@ type step = Icache.entry = {
 
 type t = step array
 
-(* The walker is shared by the direct and the memoized builders; [decode]
-   abstracts where the step record comes from, and [scratch] supplies
-   the walk-stamped visited set (no per-trace table).  When a [budget] is
-   supplied, each step takes one instruction of fuel first: a jmp-chain
-   maze can spend at most the packet's fuel across every trace built for
-   it, no matter how many entries are enumerated. *)
-let walk ?budget ~max_len ~scratch ~decode ~entry () =
+(* One walker serves the memoized walk and the direct reference build:
+   [decode] says where a step record comes from, and the walk writes its
+   step offsets into [scratch]'s buffer, with the walk-stamped visited
+   set beside it (no per-trace table, list or array).  When a [budget]
+   is supplied, each step takes one instruction of fuel first: a
+   jmp-chain maze can spend at most the packet's fuel across every trace
+   built for it, no matter how many entries are enumerated. *)
+let walk_with ?budget ~max_len ~decode scratch ~entry =
   let n = String.length (Icache.code scratch) in
-  let granted () =
-    match budget with None -> true | Some b -> Budget.take_insns b 1
-  in
-  if entry < 0 || entry >= n then [||]
-  else begin
-    Icache.start_walk scratch;
-    let acc = ref [] in
-    let count = ref 0 in
+  Icache.start_walk scratch;
+  if entry >= 0 && entry < n then begin
     let off = ref entry in
     let continue = ref true in
-    while !continue && !count < max_len && !off >= 0 && !off < n
-          && not (Icache.visited scratch !off) && granted () do
-      match decode !off with
+    while !continue && Icache.length scratch < max_len && !off >= 0 && !off < n
+          && (not (Icache.visited scratch !off))
+          && match budget with None -> true | Some b -> Budget.take_insns b 1
+    do
+      match decode scratch !off with
       | None -> continue := false
       | Some st ->
           (* an undecodable offset ends the walk, so only decoded steps
              need marking *)
-          Icache.visit scratch !off !count;
-          acc := st :: !acc;
-          incr count;
+          Icache.visit scratch !off;
           let next = !off + st.len in
           (match st.insn with
           | Insn.Jmp_rel disp -> off := next + disp
@@ -55,27 +50,34 @@ let walk ?budget ~max_len ~scratch ~decode ~entry () =
           | Insn.Mul _ | Insn.Imul _ | Insn.Div _ | Insn.Idiv _ | Insn.Imul2 _
           | Insn.Imul3 _ ->
               off := next)
-    done;
-    Array.of_list (List.rev !acc)
-  end
+    done
+  end;
+  Icache.length scratch
 
 let build ?budget ?(max_len = 1024) code ~entry =
-  let decode off =
+  (* every step is decoded afresh and kept here, in walk order: the walk
+     visits each offset it decodes *)
+  let acc = ref [] in
+  let decode _ off =
     match Decode.at code off with
     | None -> None
     | Some d ->
-        Some
+        let st =
           {
             off;
             len = d.Decode.len;
             insn = d.Decode.insn;
             sems = Array.of_list (Sem.lift d.Decode.insn);
           }
+        in
+        acc := st :: !acc;
+        Some st
   in
-  walk ?budget ~max_len ~scratch:(Icache.create code) ~decode ~entry ()
+  ignore (walk_with ?budget ~max_len ~decode (Icache.create code) ~entry);
+  Array.of_list (List.rev !acc)
 
-let build_cached ?budget ?(max_len = 1024) cache ~entry =
-  walk ?budget ~max_len ~scratch:cache ~decode:(Icache.decode cache) ~entry ()
+let walk ?budget ?(max_len = 1024) cache ~entry =
+  walk_with ?budget ~max_len ~decode:Icache.decode cache ~entry
 
 let entry_points ?(limit = 256) code =
   let n = String.length code in

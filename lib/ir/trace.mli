@@ -28,17 +28,19 @@ val build : ?budget:Budget.t -> ?max_len:int -> string -> entry:int -> t
     [budget] is given, every step first takes one instruction of fuel:
     the walk stops early (and the budget records [Truncated
     Instructions]) once the per-packet decode allowance is gone.  Every
-    offset is decoded afresh: this is the reference {!build_cached} is
-    checked against. *)
+    offset is decoded afresh: this is the reference {!walk} is checked
+    against. *)
 
-val build_cached : ?budget:Budget.t -> ?max_len:int -> Icache.t -> entry:int -> t
-(** Same walk as {!build} over the cache's region, but each byte offset
-    is decoded and lifted at most once per {!Icache.t} — traces from
-    different entries share the per-offset work, and the step records
-    themselves: a walk allocates no record per step.  Produces exactly the
-    trace [build (Icache.code cache) ~entry] would.  Afterwards
-    {!Icache.step_index} answers offset-to-step lookups for this trace,
-    until the next walk over the same cache. *)
+val walk : ?budget:Budget.t -> ?max_len:int -> Icache.t -> entry:int -> int
+(** Same walk as {!build} over the cache's region, written into the
+    cache instead of returned: the result is the trace's length, and
+    until the next walk over the same cache {!Icache.step} reads step
+    [i] back and {!Icache.step_index} maps offsets to steps.  Each byte
+    offset is decoded and lifted at most once per {!Icache.t}, so traces
+    from different entries share the per-offset work and the step
+    records themselves, and a walk allocates nothing: no record, list or
+    array per trace.  Steps [0 .. n-1] are exactly the trace
+    [build (Icache.code cache) ~entry] returns. *)
 
 val entry_points : ?limit:int -> string -> int list
 (** Candidate entry offsets for a code region, most promising first:

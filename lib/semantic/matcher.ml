@@ -96,7 +96,7 @@ let small_disp d = Int32.abs d <= 8l
    the loop body must go through a template-bound register or the stack
    frame.  Chance loop shapes in random bytes almost always violate
    this. *)
-let body_memory_disciplined (trace : Trace.t) env ~from_idx ~to_idx =
+let body_memory_disciplined ic env ~from_idx ~to_idx =
   let allowed r =
     Reg.equal r Reg.ESP || Reg.equal r Reg.EBP
     || List.exists (fun (_, b) -> Reg.equal b r) env.regs
@@ -130,12 +130,13 @@ let body_memory_disciplined (trace : Trace.t) env ~from_idx ~to_idx =
   in
   let ok = ref true in
   for i = from_idx to to_idx do
-    if i >= 0 && i < Array.length trace then
-      if not (insn_ok trace.(i).Trace.insn) then ok := false
+    if i >= 0 && i < Icache.length ic then
+      if not (insn_ok (Icache.step ic i).Trace.insn) then ok := false
   done;
   !ok
 
-(* Abstract states along the current trace, folded on demand:
+(* Abstract states along the current trace (the scan's latest walk),
+   folded on demand:
    [states.(i)] is the state before step [i], valid for [i < filled].
    Only template steps that read a constant (a transform key, syscall
    registers, a stack constant) ask for one, and the fold runs only as
@@ -147,7 +148,7 @@ type cursor = { mutable states : Absint.state array; mutable filled : int }
 let cursor () = { states = Array.make 16 Absint.initial; filled = 1 }
 let reset cur = cur.filled <- 1
 
-let state_at cur (trace : Trace.t) i =
+let state_at cur ic i =
   if i >= cur.filled then begin
     if i >= Array.length cur.states then begin
       let grown = Array.make (max (i + 1) (2 * Array.length cur.states)) Absint.initial in
@@ -156,17 +157,17 @@ let state_at cur (trace : Trace.t) i =
     end;
     for j = cur.filled to i do
       cur.states.(j) <-
-        Array.fold_left Absint.step cur.states.(j - 1) trace.(j - 1).Trace.sems
+        Array.fold_left Absint.step cur.states.(j - 1) (Icache.step ic (j - 1)).Trace.sems
     done;
     cur.filled <- i + 1
   end;
   cur.states.(i)
 
-(* Match one template step against one semantic operation.  [first] is
-   [(trace_index, offset)] of the first matched step, and [index_of_off]
-   maps byte offsets to trace indices, [-1] when absent (back-edge
-   validation). *)
-let match_pstep ~cur ~trace ~pos ~index_of_off ~insn_continuation
+(* Match one template step against one semantic operation of step [pos]
+   of the walk in [ic].  [first] is [(trace_index, offset)] of the first
+   matched step; back-edge validation maps its target to a step index
+   through the walk's offset index. *)
+let match_pstep ~cur ~ic ~pos ~insn_continuation
     (p : Template.pstep) (st : Trace.step) (sem : Sem.t) env first =
   match (p, sem) with
   | Template.Load { dst; ptr; width }, Sem.S_load l ->
@@ -180,7 +181,7 @@ let match_pstep ~cur ~trace ~pos ~index_of_off ~insn_continuation
         && List.mem m.op ops
       then
         Option.bind (bind_reg env ptr m.ptr) (fun env ->
-            match_pval env key (src_value (state_at cur trace pos) m.width m.src))
+            match_pval env key (src_value (state_at cur ic pos) m.width m.src))
       else None
   | Template.Reg_transform { ops; reg }, Sem.S_regop r ->
       if List.mem r.op ops then bind_reg env reg r.dst else None
@@ -223,25 +224,25 @@ let match_pstep ~cur ~trace ~pos ~index_of_off ~insn_continuation
               let target = st.Trace.off + st.Trace.len + b.disp in
               if target < 0 || target > first_off then None
               else
-                let idx = index_of_off target in
+                let idx = Icache.step_index ic target in
                 if
                   idx >= 0 && idx <= first_idx
-                  && body_memory_disciplined trace env ~from_idx:idx
+                  && body_memory_disciplined ic env ~from_idx:idx
                        ~to_idx:(pos - 1)
                 then Some env
                 else None)
           | None -> None))
   | Template.Syscall { vector; al; bl }, Sem.S_syscall v ->
       if v = vector then
-        let state = state_at cur trace pos in
+        let state = state_at cur ic pos in
         let low8 r = int32_of_byte (Absint.reg_low8 state r) in
         Option.bind (match_pval env al (low8 Reg.EAX)) (fun env ->
             match_pval env bl (low8 Reg.EBX))
       else None
   | Template.Stack_const pv, Sem.S_push v ->
-      match_pval env pv (Absint.value (state_at cur trace pos) v)
+      match_pval env pv (Absint.value (state_at cur ic pos) v)
   | Template.Stack_const pv, Sem.S_store s ->
-      match_pval env pv (src_value (state_at cur trace pos) s.width s.src)
+      match_pval env pv (src_value (state_at cur ic pos) s.width s.src)
   | Template.Stack_const pv, Sem.S_memop m
     when Reg.equal m.ptr Reg.ESP
          && Int32.compare m.disp 0l >= 0
@@ -249,7 +250,7 @@ let match_pstep ~cur ~trace ~pos ~index_of_off ~insn_continuation
       (* a constant finished in place on the stack (push x; xor [esp], m):
          read the folded slot from the post-instruction state *)
       match_pval env pv
-        (Absint.slot_value (state_at cur trace (pos + 1)) (Int32.to_int m.disp / 4))
+        (Absint.slot_value (state_at cur ic (pos + 1)) (Int32.to_int m.disp / 4))
   | Template.Code_const c, _ ->
       (* checked against the instruction itself; any sem of the insn works *)
       if insn_has_const c st.Trace.insn then Some env else None
@@ -331,22 +332,37 @@ let demand_of (p : Template.pstep) =
 
 (* A template prepared for one scan: its expanded step list, its first
    step and that step's kind demand, computed once rather than on every
-   start position. *)
+   start position.  [needs] are the kind demands of its [Req] steps,
+   deduplicated: a match consumes each of them on some operation of the
+   trace, so a trace whose kind union misses one cannot match at all.
+   [family] indexes the template's name among the scan's survivors:
+   variants sharing a name share one family. *)
 type compiled = {
   tpl : Template.t;
   steps : istep list;
   first : Template.pstep;
   demand : int;
+  needs : int array;
+  family : int;
 }
 
-let compile (t : Template.t) =
+let compile ~family (t : Template.t) =
   let steps = expand t.Template.steps in
   let first =
     match steps with
     | (Req p | More p) :: _ -> p
     | [] -> invalid_arg "Matcher.compile: empty step list"
   in
-  { tpl = t; steps; first; demand = demand_of first }
+  let needs =
+    List.sort_uniq compare
+      (List.filter_map (function Req p -> Some (demand_of p) | More _ -> None) steps)
+  in
+  { tpl = t; steps; first; demand = demand_of first; needs = Array.of_list needs; family }
+
+(* Does a trace with kind union [union] offer every class [c] needs? *)
+let trace_can_match c union =
+  let rec go i = i >= Array.length c.needs || (c.needs.(i) land union <> 0 && go (i + 1)) in
+  go 0
 
 (* Can step [st] (kind mask [kinds]) satisfy the template's first step?
    [false] only when no operation of the step can, so that [match_from]
@@ -368,9 +384,9 @@ exception Fuel_out of [ `Template | `Budget ]
 
 let no_tick () = ()
 
-let match_from ?(tick = no_tick) ~cur ~index_of_off c (trace : Trace.t) start =
+let match_from ?(tick = no_tick) ~cur ~ic c start =
   let t = c.tpl in
-  let len = Array.length trace in
+  let len = Icache.length ic in
   let finish env first offsets =
     if List.for_all (Template.check_guard env.consts) t.guards then
       Some (env, first, List.rev offsets)
@@ -392,13 +408,12 @@ let match_from ?(tick = no_tick) ~cur ~index_of_off c (trace : Trace.t) start =
     tick ();
     if pos >= len then None else try_sem p rest pos sem_idx env first offsets gap sem_idx
   and try_sem p rest pos sem_idx env first offsets gap k =
-    let st = trace.(pos) in
+    let st = Icache.step ic pos in
     let sems = st.Trace.sems in
     if k >= Array.length sems then skip p rest pos sem_idx env first offsets gap
     else
       match
-        match_pstep ~cur ~trace ~pos ~index_of_off ~insn_continuation:(sem_idx > 0) p st
-          sems.(k) env first
+        match_pstep ~cur ~ic ~pos ~insn_continuation:(sem_idx > 0) p st sems.(k) env first
       with
       | Some env' -> (
           let first' = match first with None -> Some (pos, st.Trace.off) | s -> s in
@@ -411,25 +426,26 @@ let match_from ?(tick = no_tick) ~cur ~index_of_off c (trace : Trace.t) start =
     | None -> None (* start positions are enumerated by the caller *)
     | Some _ ->
         if gap >= t.max_gap then None
-        else if clobbers_from env trace.(pos).Trace.sems sem_idx then None
+        else if clobbers_from env (Icache.step ic pos).Trace.sems sem_idx then None
         else attempt p rest (pos + 1) 0 env first offsets (gap + 1)
   in
   go c.steps start 0 empty_env None [] 0
 
-(* Every start position along one trace.  [kinds.(i)] is the kind mask
-   of step [i].  A start that fails the first-step dispatch is rejected
-   without entering [match_from], but still ticks once — the one step
-   attempt [match_from] would have charged there — so budget truncation
-   and breaker trips land exactly where the plain search puts them. *)
-let match_trace_indexed ?(tick = no_tick) ~cur ~index_of_off ~kinds c trace ~entry =
-  let len = Array.length trace in
+(* Every start position along the walk in [ic].  [kinds.(i)] is the kind
+   mask of step [i].  A start that fails the first-step dispatch is
+   rejected without entering [match_from], but still ticks once — the one
+   step attempt [match_from] would have charged there — so budget
+   truncation and breaker trips land exactly where the plain search puts
+   them. *)
+let match_trace_indexed ?(tick = no_tick) ~cur ~ic ~kinds c ~entry =
+  let len = Icache.length ic in
   let found = ref None in
   let s = ref 0 in
   while !s < len && Option.is_none !found do
     let start = !s in
-    (if not (first_ok c kinds.(start) trace.(start)) then tick ()
+    (if not (first_ok c kinds.(start) (Icache.step ic start)) then tick ()
      else
-       match match_from ~tick ~cur ~index_of_off c trace start with
+       match match_from ~tick ~cur ~ic c start with
        | Some (env, _, offsets) ->
            found :=
              Some
@@ -543,7 +559,27 @@ let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
   else begin
     let results = ref [] in
     let tripped = ref [] in
-    let compiled = Array.of_list (List.map compile filtered) in
+    (* variants share a name; once any variant matches, the whole family
+       is settled — and per-template step accounts are shared by every
+       variant of the name for the same reason.  Families are numbered
+       in order of first appearance, and a family's state is indexed by
+       that number *)
+    let families = ref [] in
+    let family_of name =
+      match List.assoc_opt name !families with
+      | Some f -> f
+      | None ->
+          let f = List.length !families in
+          families := (name, f) :: !families;
+          f
+    in
+    let compiled =
+      Array.of_list
+        (List.map (fun (t : Template.t) -> compile ~family:(family_of t.Template.name) t) filtered)
+    in
+    let nfamilies = List.length !families in
+    let settled = Array.make nfamilies false in
+    let has_tripped = Array.make nfamilies false in
     let ntemplates = Array.length compiled in
     (* templates still open, in their original order *)
     let live = Array.make ntemplates true in
@@ -559,26 +595,14 @@ let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
     let covered = Bytes.make n '\000' in
     let work = ref (max 4096 (4 * n)) in
     let exhausted = ref false in
-    (* variants share a name; once any variant matches, the whole family
-       is settled — and per-template step accounts are shared by every
-       variant of the name for the same reason *)
-    let matched_names = ref [] in
-    let step_accounts : (string, int ref) Hashtbl.t = Hashtbl.create 8 in
-    let account (t : Template.t) =
-      match step_cap with
-      | None -> None
-      | Some cap -> (
-          match Hashtbl.find_opt step_accounts t.Template.name with
-          | Some r -> Some r
-          | None ->
-              let r = ref cap in
-              Hashtbl.add step_accounts t.Template.name r;
-              Some r)
+    let accounts =
+      Option.map (fun cap -> Array.init nfamilies (fun _ -> ref cap)) step_cap
     in
-    let tick_for tpl_steps =
-      match (tpl_steps, budget) with
+    let tick_for family =
+      match (accounts, budget) with
       | None, None -> None
       | _ ->
+          let tpl_steps = Option.map (fun a -> a.(family)) accounts in
           Some
             (fun () ->
               (match tpl_steps with
@@ -588,51 +612,58 @@ let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
               | Some b -> if not (Budget.take_steps b 1) then raise (Fuel_out `Budget)
               | None -> ())
     in
-    let ticks = Array.map (fun c -> tick_for (account c.tpl)) compiled in
+    let ticks = Array.map (fun c -> tick_for c.family) compiled in
+    (* Without fuel to account for, a template is skipped on a trace
+       whose kind union misses one of its needs: the search could only
+       fail there.  Under a budget or step cap the search runs anyway,
+       since every start it visits charges a tick. *)
+    let gated = Option.is_none budget && Option.is_none step_cap in
     let budget_alive () =
       match budget with None -> true | Some b -> Budget.alive b
     in
-    (* one decode cache and one state cursor per scan, shared by every
-       entry's trace *)
+    (* one decode cache (which holds the walk) and one state cursor per
+       scan, shared by every entry's trace *)
     let icache = Icache.create code in
     let cur = cursor () in
-    let index_of_off = Icache.step_index icache in
     let kinds = ref [||] in
     let run_entry entry =
       if !nlive > 0 && budget_alive () then begin
         if !work <= 0 then exhausted := true
         else begin
-          let trace = Trace.build_cached ?budget icache ~entry in
+          let len = Trace.walk ?budget icache ~entry in
           reset cur;
-          let len = Array.length trace in
           work := !work - len - 1;
           if Array.length !kinds < len then kinds := Array.make (max len 64) 0;
           let kinds = !kinds in
+          (* the one pass over the steps: coverage, kind masks, and the
+             trace's kind union for the gate *)
+          let union = ref 0 in
           for i = 0 to len - 1 do
-            let st = trace.(i) in
-            if st.Trace.off >= 0 && st.Trace.off < n then
-              Bytes.unsafe_set covered st.Trace.off '\001';
-            kinds.(i) <- step_kinds st
+            let st = Icache.step icache i in
+            Bytes.set covered st.Trace.off '\001';
+            let k = step_kinds st in
+            kinds.(i) <- k;
+            union := !union lor k
           done;
           for i = 0 to ntemplates - 1 do
             if live.(i) then begin
               let c = compiled.(i) in
-              let name = c.tpl.Template.name in
-              if List.mem name !matched_names then close i
+              if settled.(c.family) then close i
+              else if gated && not (trace_can_match c !union) then ()
               else
-                match
-                  match_trace_indexed ?tick:ticks.(i) ~cur ~index_of_off ~kinds c
-                    trace ~entry
-                with
+                match match_trace_indexed ?tick:ticks.(i) ~cur ~ic:icache ~kinds c ~entry with
                 | Some r ->
                     results := r :: !results;
-                    matched_names := name :: !matched_names;
+                    settled.(c.family) <- true;
                     close i
                 | None -> ()
                 | exception Fuel_out `Template ->
                     (* this template is too expensive on this packet:
                        abandon it for the scan and report the trip *)
-                    if not (List.mem name !tripped) then tripped := name :: !tripped;
+                    if not has_tripped.(c.family) then begin
+                      has_tripped.(c.family) <- true;
+                      tripped := c.tpl.Template.name :: !tripped
+                    end;
                     close i
                 | exception Fuel_out `Budget ->
                     (* shared fuel gone: keep the template open so the

@@ -50,8 +50,11 @@ val scan_report_slice :
     template {e name}.
 
     Decoding is shared across entries through one {!Icache.t} per scan,
-    and constants are read from {!Absint} states folded along each trace
-    only as far as a template step asks for one.  When [metrics] is
+    whose offset buffer holds the current trace ({!Trace.walk}), and
+    constants are read from {!Absint} states folded along each trace
+    only as far as a template step asks for one.  Variants are closed by
+    family index: once one matches, the rest of its name never runs
+    again.  When [metrics] is
     given, the decode-memo hit/miss counts and budget exhaustion are
     accumulated into that registry under {!decode_memo_hits},
     {!decode_memo_misses} and {!scan_budget_exhausted}.
@@ -66,6 +69,14 @@ val scan_report_slice :
     the first-step dispatch rejects without searching.  With neither
     supplied, behaviour and results are exactly the unbudgeted
     matcher's.
+
+    The trace gate runs only when neither is supplied: a template is
+    skipped on a trace whose union of semantic-kind bits misses the
+    demand of one of its steps, since every step must consume an
+    operation of the trace and the demand covers every operation the
+    step can match.  Under a budget or step cap every start is visited
+    and charged as before, so the results are the same either way and
+    the fuel spent is the plain search's.
 
     The byte prefilter runs on the slice in place: a template is out
     before any trace is built, spending no fuel, when the region lacks

@@ -305,12 +305,15 @@ let one s =
   if String.length s = 0 then invalid_arg "Decode.one: empty buffer";
   (step (R.of_string s)).insn
 
+(* A reader over the whole string, seeked to [off]: [step] then records
+   [off] itself, and the record is built once. *)
 let at s off =
   if off < 0 || off >= String.length s then None
-  else
-    let r = R.of_string ~pos:off s in
-    let d = step r in
-    Some { d with off }
+  else begin
+    let r = R.of_string s in
+    R.seek r off;
+    Some (step r)
+  end
 
 let pp_listing ppf (ds : decoded array) =
   Array.iteri

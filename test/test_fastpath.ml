@@ -1,7 +1,8 @@
 (* Tests for the analysis fast path: the LRU, the decode-memo instruction
-   cache, memoized-vs-direct trace building, the decode memo's hit
-   accounting, the Aho–Corasick data prefilter, and the pipeline verdict cache — all
-   under the exactness contract: caching must never change a verdict. *)
+   cache, memoized-vs-direct trace building, the trace gate against the
+   plain search, the decode memo's hit accounting, the Aho–Corasick data
+   prefilter, and the pipeline verdict cache — all under the exactness
+   contract: caching must never change a verdict. *)
 
 open Sanids_x86
 open Sanids_ir
@@ -90,45 +91,59 @@ let test_icache_out_of_range () =
     (Icache.hits c + Icache.misses c)
 
 (* ------------------------------------------------------------------ *)
-(* Trace.build_cached ≡ Trace.build *)
+(* Trace.walk ≡ Trace.build *)
+
+(* The steps of a buffer walk, read back out of the cache. *)
+let walked cache ~entry =
+  let n = Trace.walk cache ~entry in
+  Array.init n (Icache.step cache)
+
+let same_steps (a : Trace.t) (b : Trace.t) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (s : Trace.step) (s' : Trace.step) ->
+         s.Trace.off = s'.Trace.off
+         && s.Trace.len = s'.Trace.len
+         && s.Trace.insn = s'.Trace.insn
+         && Array.to_list s.Trace.sems = Array.to_list s'.Trace.sems)
+       a b
 
 let same_trace name (a : Trace.t) (b : Trace.t) =
   Alcotest.(check int) (name ^ ": length") (Array.length a) (Array.length b);
-  Array.iteri
-    (fun i (s : Trace.step) ->
-      let s' = b.(i) in
-      if
-        s.Trace.off <> s'.Trace.off
-        || s.Trace.len <> s'.Trace.len
-        || s.Trace.insn <> s'.Trace.insn
-        || Array.to_list s.Trace.sems <> Array.to_list s'.Trace.sems
-      then Alcotest.failf "%s: step %d differs" name i)
-    a
+  if not (same_steps a b) then Alcotest.failf "%s: steps differ" name
 
-let test_build_cached_equiv_structured () =
+(* A decoder, and a sled whose 1024-step traces grow the walk buffer
+   past its first 64 offsets. *)
+let test_walk_equiv_structured () =
   let rng = Rng.create 0xFA58L in
-  let code =
+  let decoder =
     (Sanids_polymorph.Admmutate.generate rng
        ~payload:(Shellcodes.find "classic").Shellcodes.code)
       .Sanids_polymorph.Admmutate.code
   in
-  let cache = Icache.create code in
   List.iter
-    (fun entry ->
-      let cached = Trace.build_cached cache ~entry in
-      same_trace (Printf.sprintf "entry %d" entry) (Trace.build code ~entry) cached;
-      (* the walk pushes the memo's own records, it copies none *)
-      Array.iter
-        (fun (s : Trace.step) ->
-          match Icache.decode cache s.Trace.off with
-          | Some e when e == s -> ()
-          | _ -> Alcotest.failf "entry %d: step at 0x%x is not the memo entry" entry s.Trace.off)
-        cached)
-    (Trace.entry_points code)
+    (fun code ->
+      let cache = Icache.create code in
+      List.iter
+        (fun entry ->
+          let cached = walked cache ~entry in
+          same_trace (Printf.sprintf "entry %d" entry) (Trace.build code ~entry) cached;
+          (* the walk reads back the memo's own records, it copies none *)
+          Array.iter
+            (fun (s : Trace.step) ->
+              match Icache.decode cache s.Trace.off with
+              | Some e when e == s -> ()
+              | _ ->
+                  Alcotest.failf "entry %d: step at 0x%x is not the memo entry" entry
+                    s.Trace.off)
+            cached)
+        (Trace.entry_points code))
+    [ decoder; String.make 3000 '\x90' ^ "\xc3" ]
 
 (* The walk scratch is per walk: after a second walk over the same
    cache, offsets only the first walk visited no longer index, and every
-   later walk over the already-walked cache is still the plain build. *)
+   later walk over the already-walked cache is still the plain build.
+   Reading steps back is not a memo lookup. *)
 let test_walk_scratch_per_walk () =
   let rng = Rng.create 0xFA59L in
   let code =
@@ -137,13 +152,17 @@ let test_walk_scratch_per_walk () =
       .Sanids_polymorph.Admmutate.code
   in
   let cache = Icache.create code in
-  let first = Trace.build_cached cache ~entry:0 in
+  let n = Trace.walk cache ~entry:0 in
+  let lookups = Icache.hits cache + Icache.misses cache in
+  let first = Array.init n (Icache.step cache) in
+  Alcotest.(check int) "read-back is not a lookup" lookups
+    (Icache.hits cache + Icache.misses cache);
   Array.iteri
     (fun i (s : Trace.step) ->
       Alcotest.(check int) "indexed" i (Icache.step_index cache s.Trace.off))
     first;
   let last = String.length code - 1 in
-  let second = Trace.build_cached cache ~entry:last in
+  let second = walked cache ~entry:last in
   Array.iter
     (fun (s : Trace.step) ->
       if not (Array.exists (fun (s' : Trace.step) -> s'.Trace.off = s.Trace.off) second)
@@ -152,15 +171,17 @@ let test_walk_scratch_per_walk () =
           (Icache.step_index cache s.Trace.off))
     first;
   Alcotest.(check int) "out of range" (-1) (Icache.step_index cache (String.length code));
+  Alcotest.(check int) "out-of-range entry walks nothing" 0
+    (Trace.walk cache ~entry:(String.length code));
   List.iter
     (fun entry ->
       same_trace
         (Printf.sprintf "rewalked entry %d" entry)
         (Trace.build code ~entry)
-        (Trace.build_cached cache ~entry))
+        (walked cache ~entry))
     (Trace.entry_points code)
 
-let prop_build_cached_equiv =
+let prop_walk_equiv =
   QCheck2.Test.make ~name:"memoized Trace.build ≡ unmemoized on random regions"
     ~count:80
     QCheck2.Gen.(string_size (int_range 0 200))
@@ -170,17 +191,7 @@ let prop_build_cached_equiv =
         List.init (min 8 (String.length code)) (fun i -> i)
       in
       List.for_all
-        (fun entry ->
-          let a = Trace.build code ~entry in
-          let b = Trace.build_cached cache ~entry in
-          Array.length a = Array.length b
-          && Array.for_all2
-               (fun (s : Trace.step) (s' : Trace.step) ->
-                 s.Trace.off = s'.Trace.off
-                 && s.Trace.len = s'.Trace.len
-                 && s.Trace.insn = s'.Trace.insn
-                 && Array.to_list s.Trace.sems = Array.to_list s'.Trace.sems)
-               a b)
+        (fun entry -> same_steps (Trace.build code ~entry) (walked cache ~entry))
         entries)
 
 (* ------------------------------------------------------------------ *)
@@ -341,9 +352,45 @@ let test_verdict_cache_eviction_counted () =
     (s.Stats.verdict_cache_evictions >= 1);
   Alcotest.(check int) "no spurious hits with cap 1" 0 s.Stats.verdict_cache_hits
 
+(* The trace gate (a template skipped on a trace whose kind union misses
+   one of its steps' demands) runs only in unbudgeted scans: under
+   [Budget.unlimited] the plain search visits every start, and both must
+   report the same.  Each case is drawn from a printed seed: a random
+   region, or a polymorphic decoder or plain shellcode inside random
+   padding. *)
+let gated_equiv_case seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let pad () = Rng.bytes rng (Rng.int rng 200) in
+  let classic = (Shellcodes.find "classic").Shellcodes.code in
+  let module P = Sanids_polymorph in
+  match Rng.int rng 5 with
+  | 0 -> Rng.bytes rng (Rng.int rng 1200)
+  | 1 ->
+      let family = Rng.pick rng [| P.Admmutate.Xor_loop; P.Admmutate.Alt_chain |] in
+      pad () ^ (P.Admmutate.generate ~family rng ~payload:classic).P.Admmutate.code ^ pad ()
+  | 2 -> pad () ^ (P.Admmutate.generate_staged rng ~payload:classic).P.Admmutate.code ^ pad ()
+  | 3 -> pad () ^ (P.Clet.generate rng ~payload:classic).P.Clet.code ^ pad ()
+  | _ -> pad () ^ (Rng.pick_list rng Shellcodes.all).Shellcodes.code ^ pad ()
+
+let prop_gated_equiv =
+  QCheck2.Test.make ~name:"gated scan ≡ ungated scan" ~count:150
+    ~print:(Printf.sprintf "seed %d")
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let code = Slice.of_string (gated_equiv_case seed) in
+      let templates = Template_lib.default_set in
+      let gated = Matcher.scan_report_slice ~templates code in
+      let ungated =
+        Matcher.scan_report_slice ~budget:(Budget.start Budget.unlimited) ~templates code
+      in
+      gated.Matcher.results = ungated.Matcher.results
+      && gated.Matcher.tripped = ungated.Matcher.tripped
+      && gated.Matcher.outcome = Budget.Complete
+      && ungated.Matcher.outcome = Budget.Complete)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_build_cached_equiv ]
+    [ prop_walk_equiv; prop_gated_equiv ]
 
 let () =
   Alcotest.run "fastpath"
@@ -363,7 +410,7 @@ let () =
       ( "trace-memo",
         [
           Alcotest.test_case "structured equivalence" `Quick
-            test_build_cached_equiv_structured;
+            test_walk_equiv_structured;
           Alcotest.test_case "walk scratch is per walk" `Quick
             test_walk_scratch_per_walk;
         ] );

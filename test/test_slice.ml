@@ -276,13 +276,25 @@ let test_alloc_cold () =
    scan starts on a heap just fully collected: a collection that falls
    inside the scan (the runtime's own major-cycle bookkeeping can force
    one, depending on what ran before) promotes the live memo, whatever
-   its layout. *)
+   its layout.  The sled case walks 1024-step traces: a per-trace step
+   array (or any trace buffer of records) that long is born in the major
+   heap holding young memo entries, and the next minor collection would
+   promote every one of them. *)
 let test_scan_promotes_nothing () =
   let rng = Rng.create 0x9E0907EDL in
   let binary = { Workload.Benign_gen.http = 0.0; smtp = 0.0; dns = 0.0; binary = 1.0 } in
+  let sled_decoder =
+    String.make 3072 '\x90'
+    ^ (Sanids_polymorph.Admmutate.generate rng
+         ~payload:(Exploits.Shellcodes.find "classic").Exploits.Shellcodes.code)
+        .Sanids_polymorph.Admmutate.code
+  in
   let payloads =
     List.init 4 (fun _ -> Workload.Benign_gen.payload ~mix:binary rng)
-    @ [ Workload.Adversarial.payload ~kind:Workload.Adversarial.Decoy_decoder ~size:2048 rng ]
+    @ [
+        Workload.Adversarial.payload ~kind:Workload.Adversarial.Decoy_decoder ~size:2048 rng;
+        sled_decoder;
+      ]
   in
   List.iteri
     (fun i payload ->

@@ -33,6 +33,7 @@ let tests () =
     | f :: _ -> f.Sanids_extract.Extractor.data
     | [] -> failwith "micro: benign binary payload produced no frame"
   in
+  let benign_code = Slice.to_string benign_frame in
   let decoy =
     Slice.of_string
       (Sanids_workload.Adversarial.payload ~kind:Sanids_workload.Adversarial.Decoy_decoder
@@ -62,6 +63,13 @@ let tests () =
       mk "stage/scan-benign-binary" (fun () ->
           Matcher.scan_report_slice ~templates benign_frame);
       mk "stage/scan-decoy" (fun () -> Matcher.scan_report_slice ~templates decoy);
+      (* the decode memo's fill alone: a fresh cache over the benign
+         frame, looked up once at every offset *)
+      mk "stage/memo-fill-benign" (fun () ->
+          let c = Sanids_ir.Icache.create benign_code in
+          for off = 0 to String.length benign_code - 1 do
+            ignore (Sanids_ir.Icache.lookup c off)
+          done);
       mk "stage/aho-corasick" (fun () -> Sanids_baseline.Signatures.scan poly);
     ]
 

@@ -686,7 +686,7 @@ let step t (s : Sem.t) =
       in
       if List.exists (Reg.equal Reg.ESP) writes then { t with stack = [] } else t
 
-let step_insn t i = List.fold_left step t (Sem.lift i)
+let step_insn t i = Array.fold_left step t (Sem.lift i)
 
 let reg32 t r = V.is_const (get t r)
 let reg_low8 t r = V.low8 (get t r)

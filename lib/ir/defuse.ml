@@ -66,13 +66,13 @@ let insn_writes (i : Insn.t) : Reg.t list =
   List.sort_uniq compare
     (List.filter
        (fun r -> not (Reg.equal r Reg.ESP))
-       (List.concat_map Sem.writes (Sem.lift i)))
+       (List.concat_map Sem.writes (Array.to_list (Sem.lift i))))
 
 (* Effects that make an instruction unconditionally "used": memory writes,
    stack pushes, control flow, syscalls. *)
 let has_side_effect (i : Insn.t) =
   Insn.is_control_flow i
-  || List.exists
+  || Array.exists
        (fun sem ->
          Sem.writes_memory sem
          || match sem with Sem.S_pop _ -> true | _ -> false)

@@ -1,4 +1,20 @@
-type entry = { off : int; len : int; insn : Insn.t; sems : Sem.t array }
+module R = Byte_io.Reader
+
+type entry = {
+  off : int;
+  len : int;
+  insn : Insn.t;
+  sems : Sem.t array;
+  kinds : int;
+}
+
+let make_entry ~off ~len insn =
+  let sems = Sem.lift insn in
+  { off; len; insn; sems; kinds = Sem.kinds sems }
+
+(* The one value of an empty slot, told apart by physical equality: a
+   decoded entry is never it. *)
+let absent = { off = -1; len = 0; insn = Insn.Int3; sems = [||]; kinds = 0 }
 
 (* The memo is cut into chunks of at most [chunk] slots: 256 words is the
    largest block the runtime allocates in the minor heap, so no slot array
@@ -16,7 +32,8 @@ let chunk = 1 lsl chunk_bits
 
 type t = {
   code : string;
-  chunks : entry option array array;  (** [None]: not decoded yet *)
+  reader : R.t;  (** over [code], seeked to each offset a miss decodes *)
+  chunks : entry array array;  (** [absent]: not decoded yet *)
   mutable hits : int;
   mutable misses : int;
   tags : int array;  (** [-1]: never walked *)
@@ -29,12 +46,13 @@ let create code =
   let n = max 1 (String.length code) in
   {
     code;
+    reader = R.of_string code;
     (* the last chunk is sized to the remainder, so a small region costs
        one small array *)
     chunks =
       Array.init
         ((n + chunk - 1) lsr chunk_bits)
-        (fun i -> Array.make (min chunk (n - (i lsl chunk_bits))) None);
+        (fun i -> Array.make (min chunk (n - (i lsl chunk_bits))) absent);
     hits = 0;
     misses = 0;
     tags = Array.make n (-1);
@@ -47,33 +65,25 @@ let create code =
 
 let code t = t.code
 
+let lookup t off =
+  let slots = t.chunks.(off lsr chunk_bits) in
+  let i = off land (chunk - 1) in
+  let e = slots.(i) in
+  if e != absent then begin
+    t.hits <- t.hits + 1;
+    e
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    R.seek t.reader off;
+    let insn = Decode.next t.reader in
+    let e = make_entry ~off ~len:(R.pos t.reader - off) insn in
+    slots.(i) <- e;
+    e
+  end
+
 let decode t off =
-  if off < 0 || off >= String.length t.code then None
-  else
-    let slots = t.chunks.(off lsr chunk_bits) in
-    let i = off land (chunk - 1) in
-    match slots.(i) with
-    | Some _ as e ->
-        t.hits <- t.hits + 1;
-        e
-    | None -> (
-        t.misses <- t.misses + 1;
-        (* [Decode.at] answers every in-range offset ([Insn.Bad] for a
-           byte with no decoding) *)
-        match Decode.at t.code off with
-        | None -> None
-        | Some d ->
-            let e =
-              Some
-                {
-                  off;
-                  len = d.Decode.len;
-                  insn = d.Decode.insn;
-                  sems = Array.of_list (Sem.lift d.Decode.insn);
-                }
-            in
-            slots.(i) <- e;
-            e)
+  if off < 0 || off >= String.length t.code then None else Some (lookup t off)
 
 let start_walk t =
   t.base <- t.base + Array.length t.tags;
@@ -97,9 +107,9 @@ let length t = t.length
 let step t i =
   if i >= t.length then invalid_arg "Icache.step: past the walk";
   let off = t.steps.(i) in
-  match t.chunks.(off lsr chunk_bits).(off land (chunk - 1)) with
-  | Some e -> e
-  | None -> invalid_arg "Icache.step: offset not decoded through the memo"
+  let e = t.chunks.(off lsr chunk_bits).(off land (chunk - 1)) in
+  if e == absent then invalid_arg "Icache.step: offset not decoded through the memo";
+  e
 
 let step_index t off =
   if off >= 0 && off < Array.length t.tags && t.tags.(off) >= t.base then

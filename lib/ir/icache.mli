@@ -4,7 +4,7 @@
     region, and the traces they spawn overlap heavily (an n-byte NOP sled
     costs ~n × trace-length decodes without sharing).  An [Icache.t]
     decodes and lifts each byte offset at most once; every later trace
-    walking through that offset reuses the [(off, len, insn, sems)] entry.
+    walking through that offset reuses the offset's {!entry}.
 
     Only path-independent data is memoized — abstract states are a
     property of the walk, not the offset, and the matcher folds them per
@@ -12,15 +12,26 @@
     one.  A memo entry is itself the trace step ({!Trace.step} is
     [entry]): walks share the records instead of copying them.
 
+    Filling a slot allocates the entry and what the instruction's own
+    operands need, nothing else.  The cache owns one reader over its
+    region: a miss seeks it to the offset and calls {!Decode.next}, whose
+    length is how far the reader moved, so no per-offset reader, decoded
+    record or option is built.  Register operands, [Bad] bytes, imm8s and
+    the lifts of operand-free instructions are preallocated and shared
+    ({!Decode}, {!Sem.lift}), which is why nothing may write to an
+    entry's [sems].
+
     The memo lives in the minor heap and dies with its scan.  Its slots
-    are cut into chunks of at most 256 words, the largest block the
-    runtime allocates young, with the last chunk sized to the remainder
-    (a 10-byte region allocates a 10-slot chunk).  A single slot array
-    longer than that would be born in the major heap, and every entry
-    stored into it would be promoted by the next minor collection, long
-    after its scan had finished.  Up to 64 KiB of region the outer array
-    of chunks is young too; above that it is a major block, and the
-    chunks it points at are promoted with it.
+    hold entries directly, an empty one holding a single sentinel entry
+    (told apart by physical equality), and are cut into chunks of at
+    most 256 words, the largest block the runtime allocates young, with
+    the last chunk sized to the remainder (a 10-byte region allocates a
+    10-slot chunk).  A single slot array longer than that would be born
+    in the major heap, and every entry stored into it would be promoted
+    by the next minor collection, long after its scan had finished.  Up
+    to 64 KiB of region the outer array of chunks is young too; above
+    that it is a major block, and the chunks it points at are promoted
+    with it.
 
     The cache also owns the trace walker's scratch: a walk-stamped
     visited set and offset-to-step index, one [int array] over the
@@ -31,14 +42,24 @@
     its steps are read back as the memo's records ({!step}).  The buffer
     starts at 64 offsets and doubles for a long trace; it holds only
     immediates, so a grown buffer in the major heap promotes nothing.  A
-    cache belongs to one scan on one domain; nothing in it is global. *)
+    cache belongs to one scan on one domain; the only values it shares
+    beyond its scan are the immutable operands and read-only lift arrays
+    above. *)
 
 type entry = {
   off : int;  (** byte offset of the instruction within the region *)
   len : int;
   insn : Insn.t;
-  sems : Sem.t array;  (** [Sem.lift insn], pre-converted for indexing *)
+  sems : Sem.t array;
+      (** [Sem.lift insn]: read-only, possibly an array shared by every
+          lift of the same instruction *)
+  kinds : int;  (** [Sem.kinds sems], computed once per entry *)
 }
+
+val make_entry : off:int -> len:int -> Insn.t -> entry
+(** The one constructor of steps: lifts [insn] and computes its kind
+    mask.  The memo's fill and {!Trace.build}'s fresh decodes both build
+    their records here. *)
 
 type t
 
@@ -48,9 +69,16 @@ val create : string -> t
 val code : t -> string
 (** The cached region. *)
 
+val lookup : t -> int -> entry
+(** The entry at an in-range byte offset, decoded and lifted on the
+    first lookup (a miss) and read from its slot after that (a hit).
+    Every in-range offset decodes, a byte with no decoding as
+    [Insn.Bad].  The offset must be in range: the walker checks it
+    first, and {!decode} is the checked form. *)
+
 val decode : t -> int -> entry option
-(** Decode at a byte offset, memoized.  [None] out of range; every
-    in-range offset decodes (a byte with no decoding as [Insn.Bad]). *)
+(** {!lookup} with a range check: [None] out of range, which counts as
+    no lookup. *)
 
 val start_walk : t -> unit
 (** Begin a new trace walk: every offset becomes unvisited and the walk

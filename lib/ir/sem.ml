@@ -40,239 +40,229 @@ let low_byte_parent (r : Reg.r8) : Reg.t option =
   | Reg.BL -> Some Reg.EBX
   | Reg.AH | Reg.CH | Reg.DH | Reg.BH -> None
 
-(* A memory operand the IR can reason about: single base register plus
-   displacement.  Anything else is summarized conservatively. *)
-let simple_mem (m : Insn.mem) : (Reg.t * int32) option =
-  match (m.Insn.base, m.Insn.index) with
-  | Some b, None -> Some (b, m.Insn.disp)
-  | _, _ -> None
+let vregs = Array.map (fun r -> Vreg r) Reg.all
+let vreg r = vregs.(Reg.code r)
 
 let value_of (o : Insn.operand) : value =
   match o with
   | Insn.Imm v -> Vconst v
-  | Insn.Reg r -> Vreg r
+  | Insn.Reg r -> vreg r
   | Insn.Reg8 r -> (
-      match low_byte_parent r with Some p -> Vreg p | None -> Vunknown)
+      match low_byte_parent r with Some p -> vreg p | None -> Vunknown)
   | Insn.Mem _ -> Vunknown
 
 let other ?(writes_mem = false) writes = S_other { writes; writes_mem }
 
-let all_regs = Array.to_list Reg.all
+(* The lifts that do not depend on operands, built once and shared by
+   every lift that yields them.  They escape into memo entries and
+   traces, so nothing may write to a lifted array; [shared_intact]
+   rebuilds them to check that nothing did. *)
+type shared = {
+  halt : t array;
+  nop : t array;
+  ret : t array;
+  cmp : t array;
+  pushad : t array;
+  popad : t array;
+  pushfd : t array;
+  popfd : t array;
+  lodsb : t array;
+  lodsd : t array;
+  stosb : t array;
+  stosd : t array;
+  movsb : t array;
+  movsd : t array;
+  scasb : t array;
+  cmpsb : t array;
+  writes_eax : t array;
+  writes_edx : t array;
+  writes_eax_edx : t array;
+  rep_movs : t array;
+  rep_stos : t array;
+  writes_mem : t array;  (** a memory write the IR cannot place *)
+  no_effect : t array;  (** an operand form the IR does not model *)
+}
+
+let build_shared () =
+  let adv reg amount = S_advance { reg; amount; implicit = true } in
+  {
+    halt = [| S_halt |];
+    nop = [| S_nop |];
+    ret = [| S_ret |];
+    cmp = [| S_cmp |];
+    pushad = Array.make 8 (S_push Vunknown);
+    popad = [| other (Array.to_list Reg.all) |];
+    pushfd = [| S_push Vunknown |];
+    popfd = [| other [ Reg.ESP ] |];
+    lodsb =
+      [| S_load { width = Insn.S8bit; dst = Reg.EAX; ptr = Reg.ESI; disp = 0l }; adv Reg.ESI 1l |];
+    lodsd =
+      [| S_load { width = Insn.S32bit; dst = Reg.EAX; ptr = Reg.ESI; disp = 0l }; adv Reg.ESI 4l |];
+    stosb =
+      [|
+        S_store { width = Insn.S8bit; src = Vreg Reg.EAX; ptr = Reg.EDI; disp = 0l };
+        adv Reg.EDI 1l;
+      |];
+    stosd =
+      [|
+        S_store { width = Insn.S32bit; src = Vreg Reg.EAX; ptr = Reg.EDI; disp = 0l };
+        adv Reg.EDI 4l;
+      |];
+    movsb = [| other [] ~writes_mem:true; adv Reg.ESI 1l; adv Reg.EDI 1l |];
+    movsd = [| other [] ~writes_mem:true; adv Reg.ESI 4l; adv Reg.EDI 4l |];
+    scasb = [| S_cmp; adv Reg.EDI 1l |];
+    cmpsb = [| S_cmp; adv Reg.ESI 1l; adv Reg.EDI 1l |];
+    writes_eax = [| other [ Reg.EAX ] |];
+    writes_edx = [| other [ Reg.EDX ] |];
+    writes_eax_edx = [| other [ Reg.EAX; Reg.EDX ] |];
+    rep_movs = [| other [ Reg.ESI; Reg.EDI; Reg.ECX ] ~writes_mem:true |];
+    rep_stos = [| other [ Reg.EDI; Reg.ECX ] ~writes_mem:true |];
+    writes_mem = [| other [] ~writes_mem:true |];
+    no_effect = [| other [] |];
+  }
+
+let shared = build_shared ()
+let shared_intact () = shared = build_shared ()
 
 (* Lift [op dst, src] where dst is a register operand. *)
 let lift_reg_dst (rop : rop) width (dst_parent : Reg.t) (src : Insn.operand) =
-  [ S_regop { op = rop; width; dst = dst_parent; src = value_of src } ]
+  [| S_regop { op = rop; width; dst = dst_parent; src = value_of src } |]
 
-let lift_arith (aop : Insn.arith) (sz : Insn.size) dst src : t list =
+let lift_arith (aop : Insn.arith) (sz : Insn.size) dst src : t array =
   match aop with
-  | Insn.Cmp -> [ S_cmp ]
+  | Insn.Cmp -> shared.cmp
   | Insn.Add | Insn.Or | Insn.Adc | Insn.Sbb | Insn.And | Insn.Sub | Insn.Xor
     -> (
       match (dst, src, sz) with
       (* xor r,r and sub r,r are idiomatic zeroing *)
       | Insn.Reg a, Insn.Reg b, Insn.S32bit
         when Reg.equal a b && (aop = Insn.Xor || aop = Insn.Sub) ->
-          [ S_set { width = Insn.S32bit; dst = a; src = Vconst 0l } ]
+          [| S_set { width = Insn.S32bit; dst = a; src = Vconst 0l } |]
       (* add/sub r32, imm is pointer arithmetic *)
       | Insn.Reg r, Insn.Imm v, Insn.S32bit when aop = Insn.Add ->
-          [ S_advance { reg = r; amount = v; implicit = false } ]
+          [| S_advance { reg = r; amount = v; implicit = false } |]
       | Insn.Reg r, Insn.Imm v, Insn.S32bit when aop = Insn.Sub ->
-          [ S_advance { reg = r; amount = Int32.neg v; implicit = false } ]
+          [| S_advance { reg = r; amount = Int32.neg v; implicit = false } |]
       | Insn.Reg r, _, Insn.S32bit ->
           lift_reg_dst (Ra aop) Insn.S32bit r src
       | Insn.Reg8 r, _, Insn.S8bit -> (
           match low_byte_parent r with
           | Some p -> lift_reg_dst (Ra aop) Insn.S8bit p src
-          | None -> [ other [ Reg.parent8 r ] ])
-      | Insn.Mem m, _, _ -> (
-          match simple_mem m with
-          | Some (ptr, disp) ->
-              [ S_memop { op = Ra aop; width = sz; ptr; disp; src = value_of src } ]
-          | None -> [ other [] ~writes_mem:true ])
-      | (Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _), _, _ -> [ other [] ])
+          | None -> [| other [ Reg.parent8 r ] |])
+      (* a memory operand the IR can reason about: a single base register
+         plus displacement; anything else is summarized conservatively *)
+      | Insn.Mem { base = Some ptr; index = None; disp }, _, _ ->
+          [| S_memop { op = Ra aop; width = sz; ptr; disp; src = value_of src } |]
+      | Insn.Mem _, _, _ -> shared.writes_mem
+      | (Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _), _, _ -> shared.no_effect)
 
-let lift_unary (rop : rop) (sz : Insn.size) (o : Insn.operand) : t list =
+let lift_rmw (rop : rop) (sz : Insn.size) (o : Insn.operand) (src : value) : t array =
   match (o, sz) with
-  | Insn.Reg r, Insn.S32bit ->
-      [ S_regop { op = rop; width = sz; dst = r; src = Vunknown } ]
+  | Insn.Reg r, Insn.S32bit -> [| S_regop { op = rop; width = sz; dst = r; src } |]
   | Insn.Reg8 r, Insn.S8bit -> (
       match low_byte_parent r with
-      | Some p -> [ S_regop { op = rop; width = sz; dst = p; src = Vunknown } ]
-      | None -> [ other [ Reg.parent8 r ] ])
-  | Insn.Mem m, _ -> (
-      match simple_mem m with
-      | Some (ptr, disp) ->
-          [ S_memop { op = rop; width = sz; ptr; disp; src = Vunknown } ]
-      | None -> [ other [] ~writes_mem:true ])
-  | (Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _), _ -> [ other [] ]
+      | Some p -> [| S_regop { op = rop; width = sz; dst = p; src } |]
+      | None -> [| other [ Reg.parent8 r ] |])
+  | Insn.Mem { base = Some ptr; index = None; disp }, _ ->
+      [| S_memop { op = rop; width = sz; ptr; disp; src } |]
+  | Insn.Mem _, _ -> shared.writes_mem
+  | (Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _), _ -> shared.no_effect
 
-let lift_incdec (sign : int32) (sz : Insn.size) (o : Insn.operand) : t list =
+let lift_incdec (sign : int32) (sz : Insn.size) (o : Insn.operand) : t array =
   match (o, sz) with
-  | Insn.Reg r, Insn.S32bit -> [ S_advance { reg = r; amount = sign; implicit = false } ]
-  | Insn.Reg8 r, Insn.S8bit -> (
-      match low_byte_parent r with
-      | Some p ->
-          [ S_regop { op = Ra Insn.Add; width = sz; dst = p; src = Vconst sign } ]
-      | None -> [ other [ Reg.parent8 r ] ])
-  | Insn.Mem m, _ -> (
-      match simple_mem m with
-      | Some (ptr, disp) ->
-          [ S_memop { op = Ra Insn.Add; width = sz; ptr; disp; src = Vconst sign } ]
-      | None -> [ other [] ~writes_mem:true ])
-  | (Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _), _ -> [ other [] ]
+  | Insn.Reg r, Insn.S32bit -> [| S_advance { reg = r; amount = sign; implicit = false } |]
+  | _ -> lift_rmw (Ra Insn.Add) sz o (Vconst sign)
 
-let lift (i : Insn.t) : t list =
+let lift (i : Insn.t) : t array =
   match i with
   | Insn.Mov (Insn.S32bit, Insn.Reg d, Insn.Imm v) ->
-      [ S_set { width = Insn.S32bit; dst = d; src = Vconst v } ]
+      [| S_set { width = Insn.S32bit; dst = d; src = Vconst v } |]
   | Insn.Mov (Insn.S32bit, Insn.Reg d, Insn.Reg s) ->
-      [ S_set { width = Insn.S32bit; dst = d; src = Vreg s } ]
-  | Insn.Mov (Insn.S32bit, Insn.Reg d, Insn.Mem m) -> (
-      match simple_mem m with
-      | Some (ptr, disp) -> [ S_load { width = Insn.S32bit; dst = d; ptr; disp } ]
-      | None -> [ other [ d ] ])
-  | Insn.Mov (Insn.S32bit, Insn.Mem m, src) -> (
-      match simple_mem m with
-      | Some (ptr, disp) ->
-          [ S_store { width = Insn.S32bit; src = value_of src; ptr; disp } ]
-      | None -> [ other [] ~writes_mem:true ])
+      [| S_set { width = Insn.S32bit; dst = d; src = vreg s } |]
+  | Insn.Mov (Insn.S32bit, Insn.Reg d, Insn.Mem { base = Some ptr; index = None; disp }) ->
+      [| S_load { width = Insn.S32bit; dst = d; ptr; disp } |]
+  | Insn.Mov (Insn.S32bit, Insn.Reg d, Insn.Mem _) -> [| other [ d ] |]
+  | Insn.Mov (Insn.S32bit, Insn.Mem { base = Some ptr; index = None; disp }, src) ->
+      [| S_store { width = Insn.S32bit; src = value_of src; ptr; disp } |]
+  | Insn.Mov (Insn.S32bit, Insn.Mem _, _) -> shared.writes_mem
   | Insn.Mov (Insn.S8bit, Insn.Reg8 d, src) -> (
       match low_byte_parent d with
-      | None -> [ other [ Reg.parent8 d ] ]
+      | None -> [| other [ Reg.parent8 d ] |]
       | Some p -> (
           match src with
-          | Insn.Imm v -> [ S_set { width = Insn.S8bit; dst = p; src = Vconst v } ]
-          | Insn.Reg8 s -> (
-              match low_byte_parent s with
-              | Some sp -> [ S_set { width = Insn.S8bit; dst = p; src = Vreg sp } ]
-              | None -> [ S_set { width = Insn.S8bit; dst = p; src = Vunknown } ])
-          | Insn.Mem m -> (
-              match simple_mem m with
-              | Some (ptr, disp) -> [ S_load { width = Insn.S8bit; dst = p; ptr; disp } ]
-              | None -> [ other [ p ] ])
-          | Insn.Reg _ -> [ other [ p ] ]))
-  | Insn.Mov (Insn.S8bit, Insn.Mem m, src) -> (
-      match simple_mem m with
-      | Some (ptr, disp) ->
-          let v =
-            match src with
-            | Insn.Imm imm -> Vconst imm
-            | Insn.Reg8 s -> (
-                match low_byte_parent s with Some sp -> Vreg sp | None -> Vunknown)
-            | Insn.Reg _ | Insn.Mem _ -> Vunknown
-          in
-          [ S_store { width = Insn.S8bit; src = v; ptr; disp } ]
-      | None -> [ other [] ~writes_mem:true ])
-  | Insn.Mov (_, _, _) -> [ other [] ]
+          | Insn.Imm v -> [| S_set { width = Insn.S8bit; dst = p; src = Vconst v } |]
+          | Insn.Reg8 _ -> [| S_set { width = Insn.S8bit; dst = p; src = value_of src } |]
+          | Insn.Mem { base = Some ptr; index = None; disp } ->
+              [| S_load { width = Insn.S8bit; dst = p; ptr; disp } |]
+          | Insn.Mem _ | Insn.Reg _ -> [| other [ p ] |]))
+  | Insn.Mov (Insn.S8bit, Insn.Mem { base = Some ptr; index = None; disp }, src) ->
+      let v =
+        match src with
+        | Insn.Imm _ | Insn.Reg8 _ -> value_of src
+        | Insn.Reg _ | Insn.Mem _ -> Vunknown
+      in
+      [| S_store { width = Insn.S8bit; src = v; ptr; disp } |]
+  | Insn.Mov (Insn.S8bit, Insn.Mem _, _) -> shared.writes_mem
+  | Insn.Mov (_, _, _) -> shared.no_effect
   | Insn.Arith (aop, sz, dst, src) -> lift_arith aop sz dst src
-  | Insn.Test (_, _, _) -> [ S_cmp ]
-  | Insn.Not (sz, o) -> lift_unary Rnot sz o
-  | Insn.Neg (sz, o) -> lift_unary Rneg sz o
+  | Insn.Test (_, _, _) -> shared.cmp
+  | Insn.Not (sz, o) -> lift_rmw Rnot sz o Vunknown
+  | Insn.Neg (sz, o) -> lift_rmw Rneg sz o Vunknown
   | Insn.Inc (sz, o) -> lift_incdec 1l sz o
   | Insn.Dec (sz, o) -> lift_incdec (-1l) sz o
-  | Insn.Shift (sop, sz, o, n) -> (
-      match (o, sz) with
-      | Insn.Reg r, Insn.S32bit ->
-          [ S_regop { op = Rshift sop; width = sz; dst = r; src = Vconst (Int32.of_int n) } ]
-      | Insn.Reg8 r, Insn.S8bit -> (
-          match low_byte_parent r with
-          | Some p ->
-              [ S_regop { op = Rshift sop; width = sz; dst = p; src = Vconst (Int32.of_int n) } ]
-          | None -> [ other [ Reg.parent8 r ] ])
-      | Insn.Mem m, _ -> (
-          match simple_mem m with
-          | Some (ptr, disp) ->
-              [ S_memop { op = Rshift sop; width = sz; ptr; disp; src = Vconst (Int32.of_int n) } ]
-          | None -> [ other [] ~writes_mem:true ])
-      | (Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _), _ -> [ other [] ])
+  | Insn.Shift (sop, sz, o, n) -> lift_rmw (Rshift sop) sz o (Vconst (Int32.of_int n))
   | Insn.Lea (r, m) -> (
       match (m.Insn.base, m.Insn.index) with
       | Some b, None when Reg.equal b r ->
-          [ S_advance { reg = r; amount = m.Insn.disp; implicit = false } ]
-      | base, index -> [ S_lea { dst = r; base; index; disp = m.Insn.disp } ])
-  | Insn.Xchg (a, b) -> if Reg.equal a b then [ S_nop ] else [ S_xchg (a, b) ]
-  | Insn.Push_reg r -> [ S_push (Vreg r) ]
-  | Insn.Pop_reg r -> [ S_pop r ]
-  | Insn.Push_imm v -> [ S_push (Vconst v) ]
-  | Insn.Pushad -> List.init 8 (fun _ -> S_push Vunknown)
-  | Insn.Popad -> [ other (all_regs @ []) ]
-  | Insn.Pushfd -> [ S_push Vunknown ]
-  | Insn.Popfd -> [ other [ Reg.ESP ] ]
-  | Insn.Jmp_rel d -> [ S_branch { kind = `Jmp; disp = d } ]
-  | Insn.Jcc_rel (_, d) -> [ S_branch { kind = `Cond; disp = d } ]
-  | Insn.Call_rel d -> [ S_push Vunknown; S_branch { kind = `Call; disp = d } ]
-  | Insn.Loop d -> [ S_branch { kind = `Loop; disp = d } ]
-  | Insn.Loope d | Insn.Loopne d -> [ S_branch { kind = `Loop_cc; disp = d } ]
-  | Insn.Jecxz d -> [ S_branch { kind = `Jecxz; disp = d } ]
-  | Insn.Ret -> [ S_ret ]
-  | Insn.Int n -> [ S_syscall n ]
-  | Insn.Int3 | Insn.Bad _ -> [ S_halt ]
-  | Insn.Nop | Insn.Cld | Insn.Std -> [ S_nop ]
-  | Insn.Lodsb ->
-      [
-        S_load { width = Insn.S8bit; dst = Reg.EAX; ptr = Reg.ESI; disp = 0l };
-        S_advance { reg = Reg.ESI; amount = 1l; implicit = true };
-      ]
-  | Insn.Lodsd ->
-      [
-        S_load { width = Insn.S32bit; dst = Reg.EAX; ptr = Reg.ESI; disp = 0l };
-        S_advance { reg = Reg.ESI; amount = 4l; implicit = true };
-      ]
-  | Insn.Stosb ->
-      [
-        S_store { width = Insn.S8bit; src = Vreg Reg.EAX; ptr = Reg.EDI; disp = 0l };
-        S_advance { reg = Reg.EDI; amount = 1l; implicit = true };
-      ]
-  | Insn.Stosd ->
-      [
-        S_store { width = Insn.S32bit; src = Vreg Reg.EAX; ptr = Reg.EDI; disp = 0l };
-        S_advance { reg = Reg.EDI; amount = 4l; implicit = true };
-      ]
-  | Insn.Movsb ->
-      [
-        other [] ~writes_mem:true;
-        S_advance { reg = Reg.ESI; amount = 1l; implicit = true };
-        S_advance { reg = Reg.EDI; amount = 1l; implicit = true };
-      ]
-  | Insn.Movsd ->
-      [
-        other [] ~writes_mem:true;
-        S_advance { reg = Reg.ESI; amount = 4l; implicit = true };
-        S_advance { reg = Reg.EDI; amount = 4l; implicit = true };
-      ]
-  | Insn.Scasb -> [ S_cmp; S_advance { reg = Reg.EDI; amount = 1l; implicit = true } ]
-  | Insn.Cmpsb ->
-      [
-        S_cmp;
-        S_advance { reg = Reg.ESI; amount = 1l; implicit = true };
-        S_advance { reg = Reg.EDI; amount = 1l; implicit = true };
-      ]
-  | Insn.Cdq -> [ other [ Reg.EDX ] ]
-  | Insn.Cwde -> [ other [ Reg.EAX ] ]
-  | Insn.Lahf -> [ other [ Reg.EAX ] ]
-  | Insn.Clc | Insn.Stc | Insn.Cmc | Insn.Sahf | Insn.Fwait -> [ S_nop ]
-  | Insn.Rep_movsb | Insn.Rep_movsd ->
-      [ other [ Reg.ESI; Reg.EDI; Reg.ECX ] ~writes_mem:true ]
-  | Insn.Rep_stosb | Insn.Rep_stosd ->
-      [ other [ Reg.EDI; Reg.ECX ] ~writes_mem:true ]
+          [| S_advance { reg = r; amount = m.Insn.disp; implicit = false } |]
+      | base, index -> [| S_lea { dst = r; base; index; disp = m.Insn.disp } |])
+  | Insn.Xchg (a, b) -> if Reg.equal a b then shared.nop else [| S_xchg (a, b) |]
+  | Insn.Push_reg r -> [| S_push (vreg r) |]
+  | Insn.Pop_reg r -> [| S_pop r |]
+  | Insn.Push_imm v -> [| S_push (Vconst v) |]
+  | Insn.Pushad -> shared.pushad
+  | Insn.Popad -> shared.popad
+  | Insn.Pushfd -> shared.pushfd
+  | Insn.Popfd -> shared.popfd
+  | Insn.Jmp_rel d -> [| S_branch { kind = `Jmp; disp = d } |]
+  | Insn.Jcc_rel (_, d) -> [| S_branch { kind = `Cond; disp = d } |]
+  | Insn.Call_rel d -> [| S_push Vunknown; S_branch { kind = `Call; disp = d } |]
+  | Insn.Loop d -> [| S_branch { kind = `Loop; disp = d } |]
+  | Insn.Loope d | Insn.Loopne d -> [| S_branch { kind = `Loop_cc; disp = d } |]
+  | Insn.Jecxz d -> [| S_branch { kind = `Jecxz; disp = d } |]
+  | Insn.Ret -> shared.ret
+  | Insn.Int n -> [| S_syscall n |]
+  | Insn.Int3 | Insn.Bad _ -> shared.halt
+  | Insn.Nop | Insn.Cld | Insn.Std | Insn.Clc | Insn.Stc | Insn.Cmc | Insn.Sahf
+  | Insn.Fwait ->
+      shared.nop
+  | Insn.Lodsb -> shared.lodsb
+  | Insn.Lodsd -> shared.lodsd
+  | Insn.Stosb -> shared.stosb
+  | Insn.Stosd -> shared.stosd
+  | Insn.Movsb -> shared.movsb
+  | Insn.Movsd -> shared.movsd
+  | Insn.Scasb -> shared.scasb
+  | Insn.Cmpsb -> shared.cmpsb
+  | Insn.Cdq -> shared.writes_edx
+  | Insn.Cwde | Insn.Lahf -> shared.writes_eax
+  | Insn.Rep_movsb | Insn.Rep_movsd -> shared.rep_movs
+  | Insn.Rep_stosb | Insn.Rep_stosd -> shared.rep_stos
   | Insn.Movzx (d, src) -> (
       match src with
-      | Insn.Mem m -> (
-          match simple_mem m with
-          | Some (ptr, disp) ->
-              (* a zero-extending byte load is still a byte load to the
-                 matcher; the zeroed upper bytes only help the decoder *)
-              [
-                S_set { width = Insn.S32bit; dst = d; src = Vconst 0l };
-                S_load { width = Insn.S8bit; dst = d; ptr; disp };
-              ]
-          | None -> [ other [ d ] ])
+      | Insn.Mem { base = Some ptr; index = None; disp } ->
+          (* a zero-extending byte load is still a byte load to the
+             matcher; the zeroed upper bytes only help the decoder *)
+          [|
+            S_set { width = Insn.S32bit; dst = d; src = Vconst 0l };
+            S_load { width = Insn.S8bit; dst = d; ptr; disp };
+          |]
       | Insn.Reg8 s -> (
           match low_byte_parent s with
           | Some sp when sp = d ->
               (* movzx r32, its own low byte: zeroing the destination
                  first would destroy the source — it is just a mask *)
-              [
+              [|
                 S_regop
                   {
                     op = Ra Insn.And;
@@ -280,29 +270,54 @@ let lift (i : Insn.t) : t list =
                     dst = d;
                     src = Vconst 0xFFl;
                   };
-              ]
+              |]
           | Some sp ->
-              [
+              [|
                 S_set { width = Insn.S32bit; dst = d; src = Vconst 0l };
-                S_set { width = Insn.S8bit; dst = d; src = Vreg sp };
-              ]
-          | None -> [ other [ d ] ])
-      | Insn.Reg _ | Insn.Imm _ -> [ other [ d ] ])
+                S_set { width = Insn.S8bit; dst = d; src = vreg sp };
+              |]
+          | None -> [| other [ d ] |])
+      | Insn.Mem _ | Insn.Reg _ | Insn.Imm _ -> [| other [ d ] |])
   | Insn.Movsx (d, src) -> (
       match src with
-      | Insn.Mem m -> (
-          match simple_mem m with
-          | Some (ptr, disp) ->
-              [
-                S_load { width = Insn.S8bit; dst = d; ptr; disp };
-                other [ d ];
-              ]
-          | None -> [ other [ d ] ])
-      | Insn.Reg8 _ | Insn.Reg _ | Insn.Imm _ -> [ other [ d ] ])
-  | Insn.Mul _ | Insn.Imul _ -> [ other [ Reg.EAX; Reg.EDX ] ]
-  | Insn.Div _ | Insn.Idiv _ -> [ other [ Reg.EAX; Reg.EDX ] ]
-  | Insn.Imul2 (d, _) -> [ other [ d ] ]
-  | Insn.Imul3 (d, _, _) -> [ other [ d ] ]
+      | Insn.Mem { base = Some ptr; index = None; disp } ->
+          [| S_load { width = Insn.S8bit; dst = d; ptr; disp }; other [ d ] |]
+      | Insn.Mem _ | Insn.Reg8 _ | Insn.Reg _ | Insn.Imm _ -> [| other [ d ] |])
+  | Insn.Mul _ | Insn.Imul _ | Insn.Div _ | Insn.Idiv _ -> shared.writes_eax_edx
+  | Insn.Imul2 (d, _) -> [| other [ d ] |]
+  | Insn.Imul3 (d, _, _) -> [| other [ d ] |]
+
+(* Semantic-kind bits: one per operation class a template step can
+   consume. *)
+let k_load = 1
+let k_store = 2
+let k_memop = 4
+let k_regop = 8
+let k_advance = 16
+let k_branch = 32
+let k_syscall = 64
+let k_push = 128
+let k_other = 256
+
+let kind_bit = function
+  | S_load _ -> k_load
+  | S_store _ -> k_store
+  | S_memop _ -> k_memop
+  | S_regop _ -> k_regop
+  | S_advance _ -> k_advance
+  | S_branch _ -> k_branch
+  | S_syscall _ -> k_syscall
+  | S_push _ -> k_push
+  | S_set _ | S_lea _ | S_xchg _ | S_pop _ | S_cmp | S_ret | S_halt | S_nop
+  | S_other _ ->
+      k_other
+
+let kinds (sems : t array) =
+  let m = ref 0 in
+  for i = 0 to Array.length sems - 1 do
+    m := !m lor kind_bit sems.(i)
+  done;
+  !m
 
 let writes = function
   | S_load { dst; _ } -> [ dst ]

@@ -1,7 +1,7 @@
 (** Intermediate representation: normalized semantic operations.
 
     This is the "IR generator" stage of the paper's pipeline.  Each x86
-    instruction lifts to a short list of {!t} values that describe {e what
+    instruction lifts to a short array of {!t} values that describe {e what
     the instruction does} rather than how it is spelled: all four of
     [inc eax], [add eax,1], [sub eax,-1] and [lea eax,[eax+1]] lift to the
     same [S_advance], and 8-bit register names are normalized to their
@@ -53,9 +53,42 @@ type t =
   | S_other of { writes : Reg.t list; writes_mem : bool }
       (** catch-all with a sound clobber summary *)
 
-val lift : Insn.t -> t list
+val lift : Insn.t -> t array
 (** Semantic operations of one instruction, in execution order.  Never
-    returns the empty list. *)
+    returns the empty array.  Every instruction whose lift does not
+    depend on its operands ([int3]/undecodable bytes, the NOP family,
+    [ret], [test]/[cmp], string and flag instructions, ...) gets one
+    preallocated array shared by all of its lifts, and those arrays end
+    up in decode-memo entries and trace steps: the result is read-only,
+    and nothing may write to it. *)
+
+val shared_intact : unit -> bool
+(** The preallocated lift arrays still equal freshly built ones — false
+    once some consumer has written into a lifted array. *)
+
+(** {1 Semantic kinds}
+
+    One bit per operation class a template step can consume.  A trace
+    step's kind mask is the OR over its operations ({!kinds}), computed
+    once when the step is decoded; the matcher compares it with each
+    template step's demand. *)
+
+val k_load : int
+val k_store : int
+val k_memop : int
+val k_regop : int
+val k_advance : int
+val k_branch : int
+val k_syscall : int
+val k_push : int
+
+val kind_bit : t -> int
+(** The operation's class bit; the classes no template step consumes
+    ([S_set], [S_lea], [S_xchg], [S_pop], [S_cmp], [S_ret], [S_halt],
+    [S_nop], [S_other]) share one further bit. *)
+
+val kinds : t array -> int
+(** OR of {!kind_bit} over the operations. *)
 
 val writes : t -> Reg.t list
 (** 32-bit registers (normalized) this operation may modify. *)

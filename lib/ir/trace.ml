@@ -3,6 +3,7 @@ type step = Icache.entry = {
   len : int;
   insn : Insn.t;
   sems : Sem.t array;
+  kinds : int;
 }
 
 type t = step array
@@ -24,32 +25,28 @@ let walk_with ?budget ~max_len ~decode scratch ~entry =
           && (not (Icache.visited scratch !off))
           && match budget with None -> true | Some b -> Budget.take_insns b 1
     do
-      match decode scratch !off with
-      | None -> continue := false
-      | Some st ->
-          (* an undecodable offset ends the walk, so only decoded steps
-             need marking *)
-          Icache.visit scratch !off;
-          let next = !off + st.len in
-          (match st.insn with
-          | Insn.Jmp_rel disp -> off := next + disp
-          | Insn.Call_rel disp -> off := next + disp
-          | Insn.Ret | Insn.Int3 | Insn.Bad _ -> continue := false
-          | Insn.Jcc_rel _ | Insn.Loop _ | Insn.Loope _ | Insn.Loopne _
-          | Insn.Jecxz _ ->
-              off := next
-          | Insn.Mov _ | Insn.Arith _ | Insn.Test _ | Insn.Not _ | Insn.Neg _
-          | Insn.Inc _ | Insn.Dec _ | Insn.Shift _ | Insn.Lea _ | Insn.Xchg _
-          | Insn.Push_reg _ | Insn.Pop_reg _ | Insn.Push_imm _ | Insn.Pushad
-          | Insn.Popad | Insn.Pushfd | Insn.Popfd | Insn.Int _ | Insn.Nop
-          | Insn.Cld | Insn.Std | Insn.Lodsb | Insn.Lodsd | Insn.Stosb
-          | Insn.Stosd | Insn.Movsb | Insn.Movsd | Insn.Scasb | Insn.Cmpsb
-          | Insn.Cdq | Insn.Cwde | Insn.Clc | Insn.Stc | Insn.Cmc | Insn.Sahf
-          | Insn.Lahf | Insn.Fwait | Insn.Rep_movsb | Insn.Rep_movsd
-          | Insn.Rep_stosb | Insn.Rep_stosd | Insn.Movzx _ | Insn.Movsx _
-          | Insn.Mul _ | Insn.Imul _ | Insn.Div _ | Insn.Idiv _ | Insn.Imul2 _
-          | Insn.Imul3 _ ->
-              off := next)
+      let st = decode scratch !off in
+      Icache.visit scratch !off;
+      let next = !off + st.len in
+      match st.insn with
+      | Insn.Jmp_rel disp -> off := next + disp
+      | Insn.Call_rel disp -> off := next + disp
+      | Insn.Ret | Insn.Int3 | Insn.Bad _ -> continue := false
+      | Insn.Jcc_rel _ | Insn.Loop _ | Insn.Loope _ | Insn.Loopne _
+      | Insn.Jecxz _ ->
+          off := next
+      | Insn.Mov _ | Insn.Arith _ | Insn.Test _ | Insn.Not _ | Insn.Neg _
+      | Insn.Inc _ | Insn.Dec _ | Insn.Shift _ | Insn.Lea _ | Insn.Xchg _
+      | Insn.Push_reg _ | Insn.Pop_reg _ | Insn.Push_imm _ | Insn.Pushad
+      | Insn.Popad | Insn.Pushfd | Insn.Popfd | Insn.Int _ | Insn.Nop
+      | Insn.Cld | Insn.Std | Insn.Lodsb | Insn.Lodsd | Insn.Stosb
+      | Insn.Stosd | Insn.Movsb | Insn.Movsd | Insn.Scasb | Insn.Cmpsb
+      | Insn.Cdq | Insn.Cwde | Insn.Clc | Insn.Stc | Insn.Cmc | Insn.Sahf
+      | Insn.Lahf | Insn.Fwait | Insn.Rep_movsb | Insn.Rep_movsd
+      | Insn.Rep_stosb | Insn.Rep_stosd | Insn.Movzx _ | Insn.Movsx _
+      | Insn.Mul _ | Insn.Imul _ | Insn.Div _ | Insn.Idiv _ | Insn.Imul2 _
+      | Insn.Imul3 _ ->
+          off := next
     done
   end;
   Icache.length scratch
@@ -60,24 +57,17 @@ let build ?budget ?(max_len = 1024) code ~entry =
   let acc = ref [] in
   let decode _ off =
     match Decode.at code off with
-    | None -> None
     | Some d ->
-        let st =
-          {
-            off;
-            len = d.Decode.len;
-            insn = d.Decode.insn;
-            sems = Array.of_list (Sem.lift d.Decode.insn);
-          }
-        in
+        let st = Icache.make_entry ~off ~len:d.Decode.len d.Decode.insn in
         acc := st :: !acc;
-        Some st
+        st
+    | None -> invalid_arg "Trace.build: the walk decodes only in range"
   in
   ignore (walk_with ?budget ~max_len ~decode (Icache.create code) ~entry);
   Array.of_list (List.rev !acc)
 
 let walk ?budget ?(max_len = 1024) cache ~entry =
-  walk_with ?budget ~max_len ~decode:Icache.decode cache ~entry
+  walk_with ?budget ~max_len ~decode:Icache.lookup cache ~entry
 
 let entry_points ?(limit = 256) code =
   let n = String.length code in

@@ -12,13 +12,16 @@ type step = Icache.entry = {
   off : int;  (** byte offset of the instruction within the region *)
   len : int;
   insn : Insn.t;
-  sems : Sem.t array;  (** [Sem.lift insn], indexable without [List.nth] *)
+  sems : Sem.t array;  (** [Sem.lift insn]: read-only, possibly shared *)
+  kinds : int;  (** [Sem.kinds sems] *)
 }
 (** Steps carry no abstract state: a consumer that needs constants folds
     {!Absint.step} over [sems] itself, only as far as it reads.  Nothing
     in a step depends on the path that reached it, so a cached walk's
     steps are the memo's own records, shared by every trace through the
-    offset: treat them as immutable. *)
+    offset, and [sems] may be an array shared by every lift of the same
+    instruction: never write to either.  Every step, memoized or fresh,
+    is built by {!Icache.make_entry}. *)
 
 type t = step array
 
@@ -28,8 +31,8 @@ val build : ?budget:Budget.t -> ?max_len:int -> string -> entry:int -> t
     [budget] is given, every step first takes one instruction of fuel:
     the walk stops early (and the budget records [Truncated
     Instructions]) once the per-packet decode allowance is gone.  Every
-    offset is decoded afresh: this is the reference {!walk} is checked
-    against. *)
+    offset is decoded afresh through [Decode.at]: this is the reference
+    {!walk} is checked against. *)
 
 val walk : ?budget:Budget.t -> ?max_len:int -> Icache.t -> entry:int -> int
 (** Same walk as {!build} over the cache's region, written into the

@@ -114,7 +114,7 @@ let operand_regs (insn : Insn.t) =
   | _ -> []
 
 let regs_of_insn (insn : Insn.t) =
-  operand_regs insn @ List.concat_map Sem.writes (Sem.lift insn)
+  operand_regs insn @ List.concat_map Sem.writes (Array.to_list (Sem.lift insn))
 
 let mutate ?(junk = 2) rng insns =
   if List.exists is_relative_branch insns then raise Has_branches;

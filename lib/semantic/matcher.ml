@@ -283,49 +283,20 @@ let expand steps =
       | Template.Many p -> [ Req p; More p ])
     steps
 
-(* Semantic-kind bits: one per operation class a template step can
-   consume.  A trace step's mask is the OR over its operations; a
-   template's first-step demand is the set of classes that could satisfy
-   its first [pstep].  A start whose mask misses the demand cannot
-   begin a match, and one AND says so. *)
-let k_load = 1
-let k_store = 2
-let k_memop = 4
-let k_regop = 8
-let k_advance = 16
-let k_branch = 32
-let k_syscall = 64
-let k_push = 128
-let k_other = 256
-
-let kind_bit (s : Sem.t) =
-  match s with
-  | Sem.S_load _ -> k_load
-  | Sem.S_store _ -> k_store
-  | Sem.S_memop _ -> k_memop
-  | Sem.S_regop _ -> k_regop
-  | Sem.S_advance _ -> k_advance
-  | Sem.S_branch _ -> k_branch
-  | Sem.S_syscall _ -> k_syscall
-  | Sem.S_push _ -> k_push
-  | Sem.S_set _ | Sem.S_lea _ | Sem.S_xchg _ | Sem.S_pop _ | Sem.S_cmp | Sem.S_ret
-  | Sem.S_halt | Sem.S_nop | Sem.S_other _ ->
-      k_other
-
-let step_kinds (st : Trace.step) =
-  Array.fold_left (fun m s -> m lor kind_bit s) 0 st.Trace.sems
-
-(* Which operation classes [match_pstep] can accept for [p]. *)
+(* Which operation classes ([Sem] kind bits) [match_pstep] can accept
+   for [p].  A template's first-step demand is the set for its first
+   [pstep]: a start whose step kind mask misses it cannot begin a match,
+   and one AND says so. *)
 let demand_of (p : Template.pstep) =
   match p with
-  | Template.Load _ -> k_load
-  | Template.Mem_transform _ -> k_memop
-  | Template.Reg_transform _ -> k_regop lor k_advance
-  | Template.Store _ -> k_store
-  | Template.Ptr_advance _ -> k_advance
-  | Template.Back_edge -> k_branch
-  | Template.Syscall _ -> k_syscall
-  | Template.Stack_const _ -> k_push lor k_store lor k_memop
+  | Template.Load _ -> Sem.k_load
+  | Template.Mem_transform _ -> Sem.k_memop
+  | Template.Reg_transform _ -> Sem.k_regop lor Sem.k_advance
+  | Template.Store _ -> Sem.k_store
+  | Template.Ptr_advance _ -> Sem.k_advance
+  | Template.Back_edge -> Sem.k_branch
+  | Template.Syscall _ -> Sem.k_syscall
+  | Template.Stack_const _ -> Sem.k_push lor Sem.k_store lor Sem.k_memop
   | Template.Code_const _ ->
       (* any operation: the constant is looked for in the instruction *)
       lnot 0
@@ -360,15 +331,18 @@ let compile ~family (t : Template.t) =
   { tpl = t; steps; first; demand = demand_of first; needs = Array.of_list needs; family }
 
 (* Does a trace with kind union [union] offer every class [c] needs? *)
-let trace_can_match c union =
-  let rec go i = i >= Array.length c.needs || (c.needs.(i) land union <> 0 && go (i + 1)) in
-  go 0
+let rec offers needs union i =
+  i >= Array.length needs || (needs.(i) land union <> 0 && offers needs union (i + 1))
 
-(* Can step [st] (kind mask [kinds]) satisfy the template's first step?
+(* a top-level loop, not a local closure: this runs per template per
+   trace and must not allocate *)
+let trace_can_match c union = offers c.needs union 0
+
+(* Can step [st] satisfy the template's first step?
    [false] only when no operation of the step can, so that [match_from]
    from this start would fail at its first attempt. *)
-let first_ok c kinds (st : Trace.step) =
-  kinds land c.demand <> 0
+let first_ok c (st : Trace.step) =
+  st.Trace.kinds land c.demand <> 0
   &&
   match c.first with
   | Template.Code_const k -> insn_has_const k st.Trace.insn
@@ -431,19 +405,19 @@ let match_from ?(tick = no_tick) ~cur ~ic c start =
   in
   go c.steps start 0 empty_env None [] 0
 
-(* Every start position along the walk in [ic].  [kinds.(i)] is the kind
-   mask of step [i].  A start that fails the first-step dispatch is
+(* Every start position along the walk in [ic].  A start that fails the
+   first-step dispatch (its step's kind mask, read off the step) is
    rejected without entering [match_from], but still ticks once — the one
    step attempt [match_from] would have charged there — so budget
    truncation and breaker trips land exactly where the plain search puts
    them. *)
-let match_trace_indexed ?(tick = no_tick) ~cur ~ic ~kinds c ~entry =
+let match_trace_indexed ?(tick = no_tick) ~cur ~ic c ~entry =
   let len = Icache.length ic in
   let found = ref None in
   let s = ref 0 in
   while !s < len && Option.is_none !found do
     let start = !s in
-    (if not (first_ok c kinds.(start) (Icache.step ic start)) then tick ()
+    (if not (first_ok c (Icache.step ic start)) then tick ()
      else
        match match_from ~tick ~cur ~ic c start with
        | Some (env, _, offsets) ->
@@ -625,7 +599,6 @@ let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
        scan, shared by every entry's trace *)
     let icache = Icache.create code in
     let cur = cursor () in
-    let kinds = ref [||] in
     let run_entry entry =
       if !nlive > 0 && budget_alive () then begin
         if !work <= 0 then exhausted := true
@@ -633,17 +606,13 @@ let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
           let len = Trace.walk ?budget icache ~entry in
           reset cur;
           work := !work - len - 1;
-          if Array.length !kinds < len then kinds := Array.make (max len 64) 0;
-          let kinds = !kinds in
-          (* the one pass over the steps: coverage, kind masks, and the
-             trace's kind union for the gate *)
+          (* the one pass over the steps: coverage, and the trace's kind
+             union for the gate *)
           let union = ref 0 in
           for i = 0 to len - 1 do
             let st = Icache.step icache i in
             Bytes.set covered st.Trace.off '\001';
-            let k = step_kinds st in
-            kinds.(i) <- k;
-            union := !union lor k
+            union := !union lor st.Trace.kinds
           done;
           for i = 0 to ntemplates - 1 do
             if live.(i) then begin
@@ -651,7 +620,7 @@ let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
               if settled.(c.family) then close i
               else if gated && not (trace_can_match c !union) then ()
               else
-                match match_trace_indexed ?tick:ticks.(i) ~cur ~ic:icache ~kinds c ~entry with
+                match match_trace_indexed ?tick:ticks.(i) ~cur ~ic:icache c ~entry with
                 | Some r ->
                     results := r :: !results;
                     settled.(c.family) <- true;

@@ -71,7 +71,8 @@ val scan_report_slice :
     matcher's.
 
     The trace gate runs only when neither is supplied: a template is
-    skipped on a trace whose union of semantic-kind bits misses the
+    skipped on a trace whose union of semantic-kind bits (each step's
+    [kinds], {!Sem.kinds} computed when the memo filled it) misses the
     demand of one of its steps, since every step must consume an
     operation of the trace and the demand covers every operation the
     step can match.  Under a budget or step cap every start is visited

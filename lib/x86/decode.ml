@@ -7,7 +7,31 @@ exception Unsupported
    cursor back and emits [Bad] for the first byte. *)
 
 let sign8 b = if b >= 0x80 then b - 0x100 else b
-let sign8_32 b = Int32.of_int (sign8 b)
+
+(* Preallocated immutable values, shared by every decode instead of
+   allocated afresh: register operands, [Some] base registers, [Bad] for
+   each byte, and the boxed [int32] of each imm8/disp8 under zero and
+   sign extension, with the zero-extended ones also as [Imm] operands.
+   Nothing outside this module sees the arrays, only their immutable
+   elements. *)
+let reg_ops = Array.map (fun r -> Insn.Reg r) Reg.all
+let reg8_ops = Array.map (fun r -> Insn.Reg8 r) Reg.all8
+let some_regs = Array.map Option.some Reg.all
+let bads = Array.init 256 (fun b -> Insn.Bad b)
+let zx8 = Array.init 256 Int32.of_int
+let sx8 = Array.init 256 (fun b -> Int32.of_int (sign8 b))
+let imm8_ops = Array.map (fun v -> Insn.Imm v) zx8
+
+let tables_intact () =
+  reg_ops = Array.map (fun r -> Insn.Reg r) Reg.all
+  && reg8_ops = Array.map (fun r -> Insn.Reg8 r) Reg.all8
+  && some_regs = Array.map Option.some Reg.all
+  && bads = Array.init 256 (fun b -> Insn.Bad b)
+  && zx8 = Array.init 256 Int32.of_int
+  && sx8 = Array.init 256 (fun b -> Int32.of_int (sign8 b))
+  && imm8_ops = Array.init 256 (fun b -> Insn.Imm (Int32.of_int b))
+
+let sign8_32 b = sx8.(b)
 
 (* Sign-extend a little-endian u32 read into a signed OCaml int (for
    relative displacements). *)
@@ -21,49 +45,44 @@ let scale_of_bits = function
   | 2 -> Insn.S4
   | _ -> Insn.S8
 
-let parse_mem r md rm : Insn.mem =
-  let base, index =
-    if rm = 4 then begin
-      let sib = R.u8 r in
-      let sc = sib lsr 6 in
-      let idx = (sib lsr 3) land 7 in
-      let base_bits = sib land 7 in
-      let index = if idx = 4 then None else Some (Reg.of_code idx, scale_of_bits sc) in
-      let base =
-        if base_bits = 5 && md = 0 then None else Some (Reg.of_code base_bits)
-      in
-      (base, index)
-    end
-    else if rm = 5 && md = 0 then (None, None)
-    else (Some (Reg.of_code rm), None)
-  in
-  let disp =
-    match md with
-    | 1 -> sign8_32 (R.u8 r)
-    | 2 -> R.u32_le r
-    | _ -> if base = None then R.u32_le r else 0l
-  in
-  { Insn.base; index; disp }
+(* A displacement after ModRM/SIB: [md] 1 is a sign-extended byte, 2 a
+   dword, 0 a dword only for an absolute address (no base register). *)
+let parse_disp r md ~absolute =
+  match md with
+  | 1 -> sx8.(R.u8 r)
+  | 2 -> R.u32_le r
+  | _ -> if absolute then R.u32_le r else 0l
 
-(* Returns (reg_field, rm_operand). *)
-let parse_modrm r ~size =
-  let b = R.u8 r in
-  let md = b lsr 6 in
-  let reg = (b lsr 3) land 7 in
-  let rm = b land 7 in
-  if md = 3 then
-    let op =
-      match size with
-      | Insn.S32bit -> Insn.Reg (Reg.of_code rm)
-      | Insn.S8bit -> Insn.Reg8 (Reg.r8_of_code rm)
-    in
-    (reg, op)
-  else (reg, Insn.Mem (parse_mem r md rm))
+let parse_mem r md rm : Insn.mem =
+  if rm = 4 then begin
+    let sib = R.u8 r in
+    let idx = (sib lsr 3) land 7 in
+    let index = if idx = 4 then None else Some (Reg.of_code idx, scale_of_bits (sib lsr 6)) in
+    let base_bits = sib land 7 in
+    let absolute = base_bits = 5 && md = 0 in
+    let base = if absolute then None else some_regs.(base_bits) in
+    { Insn.base; index; disp = parse_disp r md ~absolute }
+  end
+  else
+    let absolute = rm = 5 && md = 0 in
+    let base = if absolute then None else some_regs.(rm) in
+    { Insn.base; index = None; disp = parse_disp r md ~absolute }
 
 let reg_op ~size code =
   match size with
-  | Insn.S32bit -> Insn.Reg (Reg.of_code code)
-  | Insn.S8bit -> Insn.Reg8 (Reg.r8_of_code code)
+  | Insn.S32bit -> reg_ops.(code)
+  | Insn.S8bit -> reg8_ops.(code)
+
+(* A ModRM byte [m], already read, splits into its reg (or /digit)
+   field and its r/m operand; [parse_rm] reads any SIB byte and
+   displacement that follow it.  Two functions rather than one returning
+   a pair, which would allocate the pair on every decode. *)
+let reg_field m = (m lsr 3) land 7
+
+let parse_rm r m ~size =
+  let md = m lsr 6 in
+  let rm = m land 7 in
+  if md = 3 then reg_op ~size rm else Insn.Mem (parse_mem r md rm)
 
 let arith_of_digit = function
   | 0 -> Insn.Add
@@ -83,7 +102,8 @@ let shift_of_digit = function
   | 7 -> Insn.Sar
   | _ -> raise Unsupported
 
-let imm8_32 r = Int32.of_int (R.u8 r)
+let imm8_32 r = zx8.(R.u8 r)
+let imm8_op r = imm8_ops.(R.u8 r)
 
 let decode_one r : Insn.t =
   let op = R.u8 r in
@@ -95,13 +115,16 @@ let decode_one r : Insn.t =
       else
         match op2 with
         | 0xB6 ->
-            let reg, rm = parse_modrm r ~size:Insn.S8bit in
+            let m = R.u8 r in
+            let reg = reg_field m and rm = parse_rm r m ~size:Insn.S8bit in
             Insn.Movzx (Reg.of_code reg, rm)
         | 0xBE ->
-            let reg, rm = parse_modrm r ~size:Insn.S8bit in
+            let m = R.u8 r in
+            let reg = reg_field m and rm = parse_rm r m ~size:Insn.S8bit in
             Insn.Movsx (Reg.of_code reg, rm)
         | 0xAF ->
-            let reg, rm = parse_modrm r ~size:Insn.S32bit in
+            let m = R.u8 r in
+            let reg = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
             Insn.Imul2 (Reg.of_code reg, rm)
         | _ -> raise Unsupported)
   | _ when op < 0x40 -> (
@@ -110,74 +133,91 @@ let decode_one r : Insn.t =
       let aop = arith_of_digit group in
       match form with
       | 0 ->
-          let reg, rm = parse_modrm r ~size:Insn.S8bit in
+          let m = R.u8 r in
+          let reg = reg_field m and rm = parse_rm r m ~size:Insn.S8bit in
           Insn.Arith (aop, Insn.S8bit, rm, reg_op ~size:Insn.S8bit reg)
       | 1 ->
-          let reg, rm = parse_modrm r ~size:Insn.S32bit in
+          let m = R.u8 r in
+          let reg = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
           Insn.Arith (aop, Insn.S32bit, rm, reg_op ~size:Insn.S32bit reg)
       | 2 ->
-          let reg, rm = parse_modrm r ~size:Insn.S8bit in
+          let m = R.u8 r in
+          let reg = reg_field m and rm = parse_rm r m ~size:Insn.S8bit in
           Insn.Arith (aop, Insn.S8bit, reg_op ~size:Insn.S8bit reg, rm)
       | 3 ->
-          let reg, rm = parse_modrm r ~size:Insn.S32bit in
+          let m = R.u8 r in
+          let reg = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
           Insn.Arith (aop, Insn.S32bit, reg_op ~size:Insn.S32bit reg, rm)
-      | 4 -> Insn.Arith (aop, Insn.S8bit, Insn.Reg8 Reg.AL, Insn.Imm (imm8_32 r))
+      | 4 -> Insn.Arith (aop, Insn.S8bit, Insn.Reg8 Reg.AL, imm8_op r)
       | 5 -> Insn.Arith (aop, Insn.S32bit, Insn.Reg Reg.EAX, Insn.Imm (R.u32_le r))
       | _ -> raise Unsupported)
   | _ when op >= 0x40 && op <= 0x47 ->
-      Insn.Inc (Insn.S32bit, Insn.Reg (Reg.of_code (op - 0x40)))
+      Insn.Inc (Insn.S32bit, reg_ops.(op - 0x40))
   | _ when op >= 0x48 && op <= 0x4F ->
-      Insn.Dec (Insn.S32bit, Insn.Reg (Reg.of_code (op - 0x48)))
+      Insn.Dec (Insn.S32bit, reg_ops.(op - 0x48))
   | _ when op >= 0x50 && op <= 0x57 -> Insn.Push_reg (Reg.of_code (op - 0x50))
   | _ when op >= 0x58 && op <= 0x5F -> Insn.Pop_reg (Reg.of_code (op - 0x58))
   | 0x60 -> Insn.Pushad
   | 0x61 -> Insn.Popad
   | 0x68 -> Insn.Push_imm (R.u32_le r)
   | 0x69 ->
-      let reg, rm = parse_modrm r ~size:Insn.S32bit in
+      let m = R.u8 r in
+      let reg = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
       Insn.Imul3 (Reg.of_code reg, rm, R.u32_le r)
   | 0x6B ->
-      let reg, rm = parse_modrm r ~size:Insn.S32bit in
+      let m = R.u8 r in
+      let reg = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
       Insn.Imul3 (Reg.of_code reg, rm, sign8_32 (R.u8 r))
   | 0x6A -> Insn.Push_imm (sign8_32 (R.u8 r))
   | _ when op >= 0x70 && op <= 0x7F ->
       Insn.Jcc_rel (Insn.cc_of_code (op - 0x70), sign8 (R.u8 r))
   | 0x80 | 0x82 ->
-      let digit, rm = parse_modrm r ~size:Insn.S8bit in
-      Insn.Arith (arith_of_digit digit, Insn.S8bit, rm, Insn.Imm (imm8_32 r))
+      let m = R.u8 r in
+      let digit = reg_field m and rm = parse_rm r m ~size:Insn.S8bit in
+      Insn.Arith (arith_of_digit digit, Insn.S8bit, rm, imm8_op r)
   | 0x81 ->
-      let digit, rm = parse_modrm r ~size:Insn.S32bit in
+      let m = R.u8 r in
+      let digit = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
       Insn.Arith (arith_of_digit digit, Insn.S32bit, rm, Insn.Imm (R.u32_le r))
   | 0x83 ->
-      let digit, rm = parse_modrm r ~size:Insn.S32bit in
+      let m = R.u8 r in
+      let digit = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
       Insn.Arith (arith_of_digit digit, Insn.S32bit, rm, Insn.Imm (sign8_32 (R.u8 r)))
   | 0x84 ->
-      let reg, rm = parse_modrm r ~size:Insn.S8bit in
+      let m = R.u8 r in
+      let reg = reg_field m and rm = parse_rm r m ~size:Insn.S8bit in
       Insn.Test (Insn.S8bit, rm, reg_op ~size:Insn.S8bit reg)
   | 0x85 ->
-      let reg, rm = parse_modrm r ~size:Insn.S32bit in
+      let m = R.u8 r in
+      let reg = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
       Insn.Test (Insn.S32bit, rm, reg_op ~size:Insn.S32bit reg)
   | 0x87 -> (
-      let reg, rm = parse_modrm r ~size:Insn.S32bit in
+      let m = R.u8 r in
+      let reg = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
       match rm with
       | Insn.Reg a -> Insn.Xchg (a, Reg.of_code reg)
       | Insn.Mem _ | Insn.Reg8 _ | Insn.Imm _ -> raise Unsupported)
   | 0x88 ->
-      let reg, rm = parse_modrm r ~size:Insn.S8bit in
+      let m = R.u8 r in
+      let reg = reg_field m and rm = parse_rm r m ~size:Insn.S8bit in
       Insn.Mov (Insn.S8bit, rm, reg_op ~size:Insn.S8bit reg)
   | 0x89 ->
-      let reg, rm = parse_modrm r ~size:Insn.S32bit in
+      let m = R.u8 r in
+      let reg = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
       Insn.Mov (Insn.S32bit, rm, reg_op ~size:Insn.S32bit reg)
   | 0x8A ->
-      let reg, rm = parse_modrm r ~size:Insn.S8bit in
+      let m = R.u8 r in
+      let reg = reg_field m and rm = parse_rm r m ~size:Insn.S8bit in
       Insn.Mov (Insn.S8bit, reg_op ~size:Insn.S8bit reg, rm)
   | 0x8B ->
-      let reg, rm = parse_modrm r ~size:Insn.S32bit in
+      let m = R.u8 r in
+      let reg = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
       Insn.Mov (Insn.S32bit, reg_op ~size:Insn.S32bit reg, rm)
   | 0x8D -> (
-      let reg, rm = parse_modrm r ~size:Insn.S32bit in
+      let m = R.u8 r in
+      let reg = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
       match rm with
-      | Insn.Mem m -> Insn.Lea (Reg.of_code reg, m)
+      | Insn.Mem mem -> Insn.Lea (Reg.of_code reg, mem)
       | Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _ -> raise Unsupported)
   | 0x90 -> Insn.Nop
   | _ when op >= 0x91 && op <= 0x97 -> Insn.Xchg (Reg.of_code (op - 0x90), Reg.EAX)
@@ -191,7 +231,7 @@ let decode_one r : Insn.t =
   | 0xA4 -> Insn.Movsb
   | 0xA5 -> Insn.Movsd
   | 0xA6 -> Insn.Cmpsb
-  | 0xA8 -> Insn.Test (Insn.S8bit, Insn.Reg8 Reg.AL, Insn.Imm (imm8_32 r))
+  | 0xA8 -> Insn.Test (Insn.S8bit, Insn.Reg8 Reg.AL, imm8_op r)
   | 0xA9 -> Insn.Test (Insn.S32bit, Insn.Reg Reg.EAX, Insn.Imm (R.u32_le r))
   | 0xAA -> Insn.Stosb
   | 0xAB -> Insn.Stosd
@@ -199,27 +239,30 @@ let decode_one r : Insn.t =
   | 0xAD -> Insn.Lodsd
   | 0xAE -> Insn.Scasb
   | _ when op >= 0xB0 && op <= 0xB7 ->
-      Insn.Mov (Insn.S8bit, Insn.Reg8 (Reg.r8_of_code (op - 0xB0)), Insn.Imm (imm8_32 r))
+      Insn.Mov (Insn.S8bit, reg8_ops.(op - 0xB0), imm8_op r)
   | _ when op >= 0xB8 && op <= 0xBF ->
-      Insn.Mov (Insn.S32bit, Insn.Reg (Reg.of_code (op - 0xB8)), Insn.Imm (R.u32_le r))
+      Insn.Mov (Insn.S32bit, reg_ops.(op - 0xB8), Insn.Imm (R.u32_le r))
   | 0xC0 | 0xC1 ->
       let size = if op = 0xC0 then Insn.S8bit else Insn.S32bit in
-      let digit, rm = parse_modrm r ~size in
+      let m = R.u8 r in
+      let digit = reg_field m and rm = parse_rm r m ~size in
       let sop = shift_of_digit digit in
       (* count 0 is a legal encoding: a no-op that preserves flags *)
       let count = R.u8 r land 0x1F in
       Insn.Shift (sop, size, rm, count)
   | 0xC3 -> Insn.Ret
   | 0xC6 -> (
-      let digit, rm = parse_modrm r ~size:Insn.S8bit in
+      let m = R.u8 r in
+      let digit = reg_field m and rm = parse_rm r m ~size:Insn.S8bit in
       if digit <> 0 then raise Unsupported
       else
         match rm with
-        | Insn.Mem _ -> Insn.Mov (Insn.S8bit, rm, Insn.Imm (imm8_32 r))
-        | Insn.Reg8 _ -> Insn.Mov (Insn.S8bit, rm, Insn.Imm (imm8_32 r))
+        | Insn.Mem _ -> Insn.Mov (Insn.S8bit, rm, imm8_op r)
+        | Insn.Reg8 _ -> Insn.Mov (Insn.S8bit, rm, imm8_op r)
         | Insn.Reg _ | Insn.Imm _ -> raise Unsupported)
   | 0xC7 -> (
-      let digit, rm = parse_modrm r ~size:Insn.S32bit in
+      let m = R.u8 r in
+      let digit = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
       if digit <> 0 then raise Unsupported
       else
         match rm with
@@ -229,7 +272,8 @@ let decode_one r : Insn.t =
   | 0xCD -> Insn.Int (R.u8 r)
   | 0xD0 | 0xD1 ->
       let size = if op = 0xD0 then Insn.S8bit else Insn.S32bit in
-      let digit, rm = parse_modrm r ~size in
+      let m = R.u8 r in
+      let digit = reg_field m and rm = parse_rm r m ~size in
       Insn.Shift (shift_of_digit digit, size, rm, 1)
   | 0xE0 -> Insn.Loopne (sign8 (R.u8 r))
   | 0xE1 -> Insn.Loope (sign8 (R.u8 r))
@@ -240,7 +284,8 @@ let decode_one r : Insn.t =
   | 0xEB -> Insn.Jmp_rel (sign8 (R.u8 r))
   | 0xF6 | 0xF7 -> (
       let size = if op = 0xF6 then Insn.S8bit else Insn.S32bit in
-      let digit, rm = parse_modrm r ~size in
+      let m = R.u8 r in
+      let digit = reg_field m and rm = parse_rm r m ~size in
       match digit with
       | 0 ->
           let imm =
@@ -269,27 +314,33 @@ let decode_one r : Insn.t =
   | 0xFC -> Insn.Cld
   | 0xFD -> Insn.Std
   | 0xFE -> (
-      let digit, rm = parse_modrm r ~size:Insn.S8bit in
+      let m = R.u8 r in
+      let digit = reg_field m and rm = parse_rm r m ~size:Insn.S8bit in
       match digit with
       | 0 -> Insn.Inc (Insn.S8bit, rm)
       | 1 -> Insn.Dec (Insn.S8bit, rm)
       | _ -> raise Unsupported)
   | 0xFF -> (
-      let digit, rm = parse_modrm r ~size:Insn.S32bit in
+      let m = R.u8 r in
+      let digit = reg_field m and rm = parse_rm r m ~size:Insn.S32bit in
       match digit with
       | 0 -> Insn.Inc (Insn.S32bit, rm)
       | 1 -> Insn.Dec (Insn.S32bit, rm)
       | _ -> raise Unsupported)
   | _ -> raise Unsupported
 
-let step r =
+let next r =
   let start = R.pos r in
   match decode_one r with
-  | insn -> { off = start; len = R.pos r - start; insn }
+  | insn -> insn
   | exception (Unsupported | Byte_io.Truncated _ | Invalid_argument _) ->
       R.seek r start;
-      let b = R.u8 r in
-      { off = start; len = 1; insn = Insn.Bad b }
+      bads.(R.u8 r)
+
+let step r =
+  let off = R.pos r in
+  let insn = next r in
+  { off; len = R.pos r - off; insn }
 
 let all ?(pos = 0) ?len ?(max = max_int) s =
   let r = R.of_string ~pos ?len s in

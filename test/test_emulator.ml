@@ -575,7 +575,7 @@ let prop_metamorph_equivalent =
             List.exists
               (fun i ->
                 List.exists (Reg.equal r)
-                  (List.concat_map Sanids_ir.Sem.writes (Sanids_ir.Sem.lift i)))
+                  (List.concat_map Sanids_ir.Sem.writes (Array.to_list (Sanids_ir.Sem.lift i))))
               insns)
           all_regs
       in

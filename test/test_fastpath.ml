@@ -72,7 +72,7 @@ let test_icache_agrees_with_decode () =
             || e.Icache.len <> d.Decode.len
           then
             Alcotest.failf "icache disagrees with Decode.at at 0x%x" off;
-          if Array.to_list e.Icache.sems <> Sem.lift d.Decode.insn then
+          if e.Icache.sems <> Sem.lift d.Decode.insn then
             Alcotest.failf "icache sems disagree at 0x%x" off
       | Some _, None | None, Some _ ->
           Alcotest.failf "icache presence disagrees at 0x%x" off
@@ -105,7 +105,8 @@ let same_steps (a : Trace.t) (b : Trace.t) =
          s.Trace.off = s'.Trace.off
          && s.Trace.len = s'.Trace.len
          && s.Trace.insn = s'.Trace.insn
-         && Array.to_list s.Trace.sems = Array.to_list s'.Trace.sems)
+         && s.Trace.sems = s'.Trace.sems
+         && s.Trace.kinds = s'.Trace.kinds)
        a b
 
 let same_trace name (a : Trace.t) (b : Trace.t) =
@@ -388,9 +389,65 @@ let prop_gated_equiv =
       && gated.Matcher.outcome = Budget.Complete
       && ungated.Matcher.outcome = Budget.Complete)
 
+(* Every memo entry is what a fresh decode and lift would build, at
+   every offset of the same regions and programs: [off], [len], [insn]
+   and [sems], with [kinds] the OR of the kind bits of [sems]. *)
+let entry_agrees code c off =
+  let e = Icache.lookup c off in
+  match Decode.at code off with
+  | None -> false
+  | Some d ->
+      let sems = Sem.lift d.Decode.insn in
+      e.Icache.off = off && e.Icache.len = d.Decode.len && e.Icache.insn = d.Decode.insn
+      && e.Icache.sems = sems
+      && e.Icache.kinds = Array.fold_left (fun m s -> m lor Sem.kind_bit s) 0 sems
+
+let prop_memo_entries =
+  QCheck2.Test.make ~name:"memo entry ≡ Decode.at + Sem.lift at every offset" ~count:150
+    ~print:(Printf.sprintf "seed %d")
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let code = gated_equiv_case seed in
+      let c = Icache.create code in
+      let offs = List.init (String.length code) Fun.id in
+      List.for_all (entry_agrees code c) offs
+      && Icache.misses c = String.length code
+      (* the second lookup is a hit and returns the same record *)
+      && List.for_all (entry_agrees code c) offs
+      && Icache.hits c = String.length code)
+
+(* Lifts of operand-free instructions, register operands, [Bad] bytes
+   and imm8s are preallocated values shared by every decode, memo entry
+   and trace.  Arrays are mutable, so one consumer writing into an
+   entry's [sems] would corrupt the lift of every later instruction of
+   that kind: after scanning a corpus, every shared array and table must
+   still equal a freshly built one. *)
+let test_shared_values_intact () =
+  let rng = Rng.create 0x7AB1E0BEL in
+  let binary = { Sanids_workload.Benign_gen.http = 0.0; smtp = 0.0; dns = 0.0; binary = 1.0 } in
+  let benign = List.init 200 (fun _ -> Sanids_workload.Benign_gen.payload ~mix:binary rng) in
+  let programs = List.init 100 gated_equiv_case in
+  List.iter
+    (fun code ->
+      ignore (Matcher.scan_report_slice ~templates:Template_lib.default_set (Slice.of_string code)))
+    (benign @ programs);
+  Alcotest.(check bool) "shared lifts intact" true (Sem.shared_intact ());
+  Alcotest.(check bool) "shared operand tables intact" true (Decode.tables_intact ());
+  List.iter
+    (fun (i, sems) ->
+      if Sem.lift i <> sems then
+        Alcotest.failf "lift of %s changed" (Pretty.to_string i))
+    [
+      (Insn.Int3, [| Sem.S_halt |]);
+      (Insn.Bad 0xD6, [| Sem.S_halt |]);
+      (Insn.Nop, [| Sem.S_nop |]);
+      (Insn.Ret, [| Sem.S_ret |]);
+      (Insn.Test (Insn.S32bit, Insn.Reg Reg.EAX, Insn.Reg Reg.EAX), [| Sem.S_cmp |]);
+    ]
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_walk_equiv; prop_gated_equiv ]
+    [ prop_walk_equiv; prop_gated_equiv; prop_memo_entries ]
 
 let () =
   Alcotest.run "fastpath"
@@ -406,6 +463,8 @@ let () =
         [
           Alcotest.test_case "agrees with decode" `Quick test_icache_agrees_with_decode;
           Alcotest.test_case "out of range" `Quick test_icache_out_of_range;
+          Alcotest.test_case "shared values intact after scans" `Quick
+            test_shared_values_intact;
         ] );
       ( "trace-memo",
         [

@@ -47,7 +47,7 @@ let test_trace_pp () =
 let test_sem_pp_smoke () =
   List.iter
     (fun i ->
-      List.iter
+      Array.iter
         (fun sem ->
           Alcotest.(check bool) "nonempty rendering" true
             (String.length (Format.asprintf "%a" Sem.pp sem) > 0))

@@ -134,7 +134,7 @@ let test_junk_avoids_live_regs () =
     let code = Asm.assemble items in
     Array.iter
       (fun (d : Decode.decoded) ->
-        List.iter
+        Array.iter
           (fun sem ->
             List.iter
               (fun w ->

@@ -628,7 +628,7 @@ let test_lift_normalization () =
   let open Sem in
   let advance_of i =
     match lift i with
-    | [ S_advance { reg; amount; _ } ] -> (reg, amount)
+    | [| S_advance { reg; amount; _ } |] -> (reg, amount)
     | _ -> Alcotest.fail "expected S_advance"
   in
   Alcotest.(check bool) "inc" true (advance_of (Insn.Inc (Insn.S32bit, reg Reg.EAX)) = (Reg.EAX, 1l));
@@ -641,12 +641,12 @@ let test_lift_normalization () =
 
 let test_lift_zeroing_idiom () =
   match Sem.lift (arith Insn.Xor (reg Reg.EDX) (reg Reg.EDX)) with
-  | [ Sem.S_set { dst = Reg.EDX; src = Sem.Vconst 0l; _ } ] -> ()
+  | [| Sem.S_set { dst = Reg.EDX; src = Sem.Vconst 0l; _ } |] -> ()
   | _ -> Alcotest.fail "xor edx,edx must lift to edx := 0"
 
 let test_lift_lods () =
   match Sem.lift Insn.Lodsb with
-  | [ Sem.S_load { dst = Reg.EAX; ptr = Reg.ESI; _ }; Sem.S_advance { reg = Reg.ESI; amount = 1l; implicit = true } ]
+  | [| Sem.S_load { dst = Reg.EAX; ptr = Reg.ESI; _ }; Sem.S_advance { reg = Reg.ESI; amount = 1l; implicit = true } |]
     -> ()
   | _ -> Alcotest.fail "lodsb must lift to load + advance"
 

@@ -269,6 +269,35 @@ let test_alloc_cold () =
      the bound is a third of that *)
   check_below "cold benign process" (76607.9 /. 3.0) w
 
+(* The scan kernel's own allocation, per byte of frame: the first raw
+   frame of each of 200 benign binary uploads (seed 0x7AB1E0BE, as in
+   [bench micro]; mean ~609 bytes), scanned with the default templates.
+   Filling the decode memo dominates it: an entry per offset plus the
+   instruction's own operands, with register operands, [Bad] bytes,
+   imm8s and operand-free lifts shared.  A fill that boxes a reader, a
+   decoded record, options and a lifted list per offset reads ~52
+   words/byte here. *)
+let benign_binary_frames () =
+  let rng = Rng.create 0x7AB1E0BEL in
+  let binary = { Workload.Benign_gen.http = 0.0; smtp = 0.0; dns = 0.0; binary = 1.0 } in
+  List.init 200 (fun _ ->
+      match Extractor.extract (Slice.of_string (Workload.Benign_gen.payload ~mix:binary rng)) with
+      | f :: _ -> f.Extractor.data
+      | [] -> Alcotest.fail "benign binary payload produced no frame")
+
+let test_alloc_scan_per_byte () =
+  let frames = benign_binary_frames () in
+  let bytes = List.fold_left (fun acc f -> acc + Slice.length f) 0 frames in
+  let templates = Sanids_semantic.Template_lib.default_set in
+  let w =
+    words_per ~n:bytes (fun () ->
+        List.iter
+          (fun f -> ignore (Sanids_semantic.Matcher.scan_report_slice ~templates f))
+          frames)
+  in
+  if w >= 40.0 then
+    Alcotest.failf "benign binary scan: %.1f minor words/byte, must stay below 40" w
+
 (* The scan's decode memo lives and dies in the minor heap: a minor
    collection right after a finished scan finds next to nothing of it
    still reachable.  A memo slot array longer than 256 words would be a
@@ -342,6 +371,7 @@ let () =
           Alcotest.test_case "replay words/packet" `Quick test_alloc_replay;
           Alcotest.test_case "process words/packet" `Quick test_alloc_process;
           Alcotest.test_case "cold words/packet" `Quick test_alloc_cold;
+          Alcotest.test_case "scan words/byte" `Quick test_alloc_scan_per_byte;
           Alcotest.test_case "scan memo never promoted" `Quick test_scan_promotes_nothing;
         ] );
     ]

@@ -26,8 +26,10 @@ type t = {
   verdict_cache_size : int;
       (** bound on the payload-keyed verdict cache that short-circuits
           extract+disassemble+match for repeated payloads (the worm
-          outbreak shape); [0] disables caching.  Cached and uncached
-          pipelines produce identical alerts. *)
+          outbreak shape); [0] disables caching.  Without a breaker,
+          cached and uncached pipelines produce identical alerts; with
+          one they may not, since a hit skips the breaker's
+          bookkeeping. *)
   flow_alert_cache_size : int;
       (** bound on the per-flow alert-dedup table used in stream mode
           (LRU over flow-key^template tags); evictions are counted as

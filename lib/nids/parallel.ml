@@ -34,44 +34,6 @@ let default_domains () = min 8 (max 1 (Domain.recommended_domain_count ()))
 let merge_snapshots snaps =
   Array.fold_left Obs.Snapshot.merge Obs.Snapshot.empty snaps
 
-let shard_packets cfg packets ~shards =
-  let buckets = Array.make shards [] in
-  List.iter
-    (fun p ->
-      let k = shard_of_packet cfg p ~shards in
-      buckets.(k) <- p :: buckets.(k))
-    packets;
-  Array.map List.rev buckets
-
-let process_snapshot ?domains cfg packets =
-  let shards = match domains with Some d -> max 1 d | None -> default_domains () in
-  if shards = 1 then begin
-    let nids = Pipeline.create cfg in
-    let alerts = Pipeline.process_packets nids packets in
-    (alerts, Pipeline.snapshot nids)
-  end
-  else begin
-    let buckets = shard_packets cfg packets ~shards in
-    let workers =
-      Array.map
-        (fun shard ->
-          Domain.spawn (fun () ->
-              (* one pipeline — hence one registry — per worker domain *)
-              let nids = Pipeline.create cfg in
-              let alerts = Pipeline.process_packets nids shard in
-              (alerts, Pipeline.snapshot nids)))
-        buckets
-    in
-    let results = Array.map Domain.join workers in
-    let snapshot = merge_snapshots (Array.map snd results) in
-    let alerts = List.concat_map fst (Array.to_list results) in
-    (alerts, snapshot)
-  end
-
-let process ?domains cfg packets =
-  let alerts, snapshot = process_snapshot ?domains cfg packets in
-  (alerts, Stats.of_snapshot snapshot)
-
 let shed_total = "sanids_shed_total"
 let worker_failures_total = "sanids_worker_failures_total"
 let worker_restarts_total = "sanids_worker_restarts_total"
@@ -334,6 +296,18 @@ let process_seq_snapshot ?domains ?(batch = 8192)
        (merge_snapshots (Array.of_list snaps))
        (Obs.Registry.snapshot feeder_reg))
     (Obs.Registry.snapshot wd_reg)
+
+let process_snapshot ?domains cfg packets =
+  let alerts = ref [] in
+  let snapshot =
+    process_seq_snapshot ?domains cfg (List.to_seq packets) (fun a ->
+        alerts := a :: !alerts)
+  in
+  (List.concat (List.rev !alerts), snapshot)
+
+let process ?domains cfg packets =
+  let alerts, snapshot = process_snapshot ?domains cfg packets in
+  (alerts, Stats.of_snapshot snapshot)
 
 let process_seq ?domains ?batch ?clock cfg packets on_alerts =
   Stats.of_snapshot

@@ -26,15 +26,17 @@ val shard_of_packet : Config.t -> Packet.t -> shards:int -> int
     source; with it disabled the pipeline's state is per-flow and the
     packet's flow 5-tuple picks the worker (packets with no flow key
     fall back to the source), which spreads a single-source outbreak
-    across workers.  Both {!process_snapshot}
-    and {!process_seq_snapshot} route through this. *)
+    across workers.  {!process_seq_snapshot}, and so
+    {!process_snapshot}, routes through this. *)
 
 val process_snapshot :
   ?domains:int -> Config.t -> Packet.t list -> Alert.t list * Sanids_obs.Snapshot.t
-(** Process a batch across [domains] workers (default:
-    [Domain.recommended_domain_count ()], capped at 8).  Alerts are
-    concatenated in shard order, each shard preserving arrival order;
-    the snapshot is the monoid merge of every worker's registry. *)
+(** {!process_seq_snapshot} over the list, collecting the alerts: a
+    batch across [domains] workers (default:
+    [Domain.recommended_domain_count ()], capped at 8).  Each worker's
+    alerts keep arrival order, but workers interleave, so compare alert
+    sets, not sequences.  Admission follows the configuration's stream
+    queue: under the default [Block] policy nothing is shed. *)
 
 val process :
   ?domains:int -> Config.t -> Packet.t list -> Alert.t list * Stats.t

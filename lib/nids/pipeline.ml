@@ -18,22 +18,7 @@ type verdict = {
          entry offsets are not worth executing) *)
 }
 
-type analysis = {
-  verdicts : verdict list;
-  outcome : Budget.outcome;
-  degraded : bool;
-  breaker_open : string list;
-  tripped : string list;
-}
-
-let no_analysis =
-  {
-    verdicts = [];
-    outcome = Budget.Complete;
-    degraded = false;
-    breaker_open = [];
-    tripped = [];
-  }
+type analysis = { verdicts : verdict list; outcome : Budget.outcome; degraded : bool }
 
 (* Pre-resolved registry handles for the per-packet hot path. *)
 type counters = {
@@ -54,6 +39,8 @@ type counters = {
    and help string per call, which the per-packet path cannot afford. *)
 type stages = {
   st_classify : Obs.Span.stage;
+  st_gate : Obs.Span.stage;
+  st_cache : Obs.Span.stage;
   st_extract : Obs.Span.stage;
   st_match : Obs.Span.stage;
   st_static : Obs.Span.stage;
@@ -68,6 +55,8 @@ type t = {
   tracer : Obs.Span.tracer option;
   m : counters;
   st : stages;
+  names : string list;  (* distinct template names, in template order *)
+  step_cap : int option;
   vcache_entries : Obs.Registry.gauge;
   flow_entries : Obs.Registry.gauge;
   breaker : Breaker.t option;
@@ -75,9 +64,10 @@ type t = {
   flow_alerted : (string, unit) Lru.t;
       (* flow-key ^ template pairs already alerted, for stream mode;
          bounded so long replays cannot grow it without limit *)
-  verdicts : (string, verdict list) Lru.t option;
-      (* analyzed buffer -> deduplicated matches; keys are the full buffer
-         bytes, so a hit is exact content equality, never a hash collision *)
+  cache : (string, verdict list) Lru.t option;
+      (* analyzed buffer -> deduplicated verdicts, stored already marked
+         [cached]; keys are the full buffer bytes, so a hit is exact
+         content equality, never a hash collision *)
 }
 
 let counters_of reg =
@@ -97,15 +87,11 @@ let counters_of reg =
   }
 
 let distinct_names templates =
-  let seen = Hashtbl.create 8 in
-  List.filter_map
-    (fun (tp : Template.t) ->
-      if Hashtbl.mem seen tp.Template.name then None
-      else begin
-        Hashtbl.add seen tp.Template.name ();
-        Some tp.Template.name
-      end)
-    templates
+  List.fold_left
+    (fun acc (tp : Template.t) ->
+      if List.mem tp.Template.name acc then acc else tp.Template.name :: acc)
+    [] templates
+  |> List.rev
 
 let create ?tracer (cfg : Config.t) =
   let cfg =
@@ -114,6 +100,7 @@ let create ?tracer (cfg : Config.t) =
     | Error msg -> invalid_arg ("Pipeline.create: " ^ msg)
   in
   let reg = Obs.Registry.create () in
+  let stage = Obs.Span.stage reg in
   {
     cfg;
     classifier =
@@ -125,13 +112,25 @@ let create ?tracer (cfg : Config.t) =
     m = counters_of reg;
     st =
       {
-        st_classify = Obs.Span.stage reg "classify";
-        st_extract = Obs.Span.stage reg "extract";
-        st_match = Obs.Span.stage reg "match";
-        st_static = Obs.Span.stage reg "static_refute";
-        st_confirm = Obs.Span.stage reg "confirm";
-        st_analyze = Obs.Span.stage reg "analyze";
+        st_classify = stage "classify";
+        st_gate = stage "gate";
+        st_cache = stage "cache";
+        st_extract = stage "extract";
+        st_match = stage "match";
+        st_static = stage "static_refute";
+        st_confirm = stage "confirm";
+        st_analyze = stage "analyze";
       };
+    names = distinct_names cfg.Config.templates;
+    (* the per-template step cap only exists to feed the breaker; without
+       one the shared budget (if any) is the sole bound *)
+    step_cap =
+      Option.map
+        (fun _ ->
+          match cfg.Config.analysis_budget with
+          | Some l -> l.Budget.max_match_steps
+          | None -> Budget.default_limits.Budget.max_match_steps)
+        cfg.Config.breaker;
     vcache_entries =
       Obs.Registry.gauge reg ~help:"verdict cache occupancy"
         "sanids_verdict_cache_entries";
@@ -142,30 +141,13 @@ let create ?tracer (cfg : Config.t) =
       Option.map (fun bc -> Breaker.create ~metrics:reg bc) cfg.Config.breaker;
     reasm = (if cfg.Config.reassemble then Some (Flow.create_reassembler ()) else None);
     flow_alerted = Lru.create cfg.Config.flow_alert_cache_size;
-    verdicts =
+    cache =
       (if cfg.Config.verdict_cache_size > 0 then
          Some (Lru.create cfg.Config.verdict_cache_size)
        else None);
   }
 
 let span t st f = Obs.Span.time ?tracer:t.tracer st f
-
-let frames_of t ?budget (payload : Slice.t) =
-  if t.cfg.Config.extraction_enabled then
-    span t t.st.st_extract (fun () -> Extractor.extract ?budget ~metrics:t.reg payload)
-  else
-    let frame =
-      { Extractor.off = 0; data = payload; origin = Extractor.Raw_binary }
-    in
-    match budget with
-    | Some b when not (Budget.take_bytes b (Slice.length payload)) -> []
-    | Some _ | None -> [ frame ]
-
-(* Template scan over one frame; the matcher accumulates its decode-memo
-   and budget counters straight into the pipeline registry. *)
-let scan_frame t ?budget ?step_cap ~templates data =
-  span t t.st.st_match (fun () ->
-      Matcher.scan_report_slice ?budget ?step_cap ~metrics:t.reg ~templates data)
 
 let count_truncated t reason =
   Obs.Registry.incr
@@ -189,22 +171,148 @@ let count_confirm t outcome =
        ~labels:[ ("outcome", Confirm.label outcome) ]
        "sanids_confirm_total")
 
-(* The second verdict stage: execute each (non-degraded) match in the
-   sandboxed emulator, seeded from its structured evidence — the frame's
-   bytes at code_base, entry at the matched offset.  Degraded verdicts
-   carry fabricated entries and are left unconfirmed. *)
-let confirm_verdicts t verdicts =
+(* ------------------------------------------------------------------ *)
+(* The analysis of one buffer: a fixed, ordered list of stages over one
+   mutable record.  Each stage decides for itself whether it has work;
+   one with nothing to do returns at once and opens no span.  The gate
+   and a cache hit settle the analysis, and the stages after them do
+   not run. *)
+
+type work = {
+  buffer : Slice.t;
+  mutable settled : bool;
+  mutable key : string;  (* the verdict-cache key, once looked up *)
+  mutable templates : Template.t list;  (* admitted by the breakers *)
+  mutable excluded : string list;  (* held out by open breakers *)
+  mutable tripped : string list;  (* hit their per-template step cap *)
+  mutable verdicts : verdict list;
+  mutable outcome : Budget.outcome;
+  mutable degraded : bool;
+}
+
+(* The suspicion gate, ahead of the verdict cache: a buffer it rejects
+   (most of benign traffic) is never copied, hashed, looked up or
+   cached, and a repeated buffer that passes pays the gate again before
+   its hit.  With extraction off every buffer goes to the matcher. *)
+let gate t w =
+  if
+    t.cfg.Config.extraction_enabled
+    && not (span t t.st.st_gate (fun () -> Extractor.suspicious w.buffer))
+  then w.settled <- true
+  else Obs.Registry.incr t.m.prefilter_hits
+
+(* A hit replays the stored verdicts and skips every later stage, the
+   breaker's bookkeeping included. *)
+let cache_lookup t w =
+  match t.cache with
+  | None -> ()
+  | Some cache ->
+      span t t.st.st_cache (fun () ->
+          (* keyed on materialized bytes (content equality, not view
+             identity): free when the buffer is a whole view, and a
+             cached buffer must own its bytes anyway *)
+          w.key <- Slice.to_string w.buffer;
+          match Lru.find cache w.key with
+          | Some verdicts ->
+              Obs.Registry.incr t.m.vcache_hits;
+              w.verdicts <- verdicts;
+              w.settled <- true
+          | None -> Obs.Registry.incr t.m.vcache_misses)
+
+let breaker_admit t w =
+  match t.breaker with
+  | None -> ()
+  | Some br ->
+      let excluded = List.filter (fun n -> not (Breaker.admit br n)) t.names in
+      if excluded <> [] then begin
+        w.excluded <- excluded;
+        w.templates <-
+          List.filter
+            (fun (tp : Template.t) -> not (List.mem tp.Template.name excluded))
+            w.templates
+      end
+
+(* Extraction, then a template scan of each frame under one per-packet
+   budget; the matcher adds its decode-memo and budget counters straight
+   into the pipeline registry. *)
+let extract_match t w =
+  let budget = Option.map Budget.start t.cfg.Config.analysis_budget in
+  let frames =
+    if t.cfg.Config.extraction_enabled then
+      span t t.st.st_extract (fun () ->
+          Extractor.extract ?budget ~metrics:t.reg w.buffer)
+    else
+      match budget with
+      | Some b when not (Budget.take_bytes b (Slice.length w.buffer)) -> []
+      | Some _ | None ->
+          [ { Extractor.off = 0; data = w.buffer; origin = Extractor.Raw_binary } ]
+  in
+  let scan (frame : Extractor.frame) =
+    let data = frame.Extractor.data in
+    Obs.Registry.incr t.m.frames;
+    Obs.Registry.add t.m.frame_bytes (Slice.length data);
+    let report =
+      span t t.st.st_match (fun () ->
+          Matcher.scan_report_slice ?budget ?step_cap:t.step_cap ~metrics:t.reg
+            ~templates:w.templates data)
+    in
+    w.tripped <- report.Matcher.tripped @ w.tripped;
+    List.map
+      (fun match_ -> { frame; match_; cached = false; degraded = false; confirmation = None })
+      report.Matcher.results
+  in
+  w.verdicts <- List.concat_map scan frames;
+  match budget with
+  | None -> ()
+  | Some b -> (
+      match Budget.outcome b with
+      | Budget.Complete -> ()
+      | Budget.Truncated r as o ->
+          count_truncated t r;
+          w.outcome <- o)
+
+let breaker_record t w =
+  match t.breaker with
+  | None -> ()
+  | Some br ->
+      List.iter
+        (fun n ->
+          if not (List.mem n w.excluded) then
+            Breaker.record br n ~tripped:(List.mem n w.tripped))
+        t.names;
+      Breaker.tick br
+
+(* One verdict per template name, the first found. *)
+let dedup _t w =
+  match w.verdicts with
+  | [] | [ _ ] -> ()
+  | verdicts ->
+      let seen v kept =
+        List.exists
+          (fun k -> String.equal k.match_.Matcher.template v.match_.Matcher.template)
+          kept
+      in
+      w.verdicts <-
+        List.rev
+          (List.fold_left
+             (fun kept v -> if seen v kept then kept else v :: kept)
+             [] verdicts)
+
+(* The second verdict stage: execute each match in the sandboxed
+   emulator, seeded from its structured evidence — the frame's bytes at
+   code_base, entry at the matched offset.  It runs before [degrade], so
+   degraded verdicts (fabricated entries) are never executed. *)
+let confirm t w =
   match t.cfg.Config.confirm with
-  | None -> verdicts
+  | None -> ()
+  | Some _ when w.verdicts = [] -> ()
   | Some config ->
-      span t t.st.st_confirm (fun () ->
-          List.map
-            (fun (v : verdict) ->
-              if v.degraded then v
-              else begin
-                let ev = Matcher.evidence v.match_ in
+      w.verdicts <-
+        span t t.st.st_confirm (fun () ->
+            List.map
+              (fun (v : verdict) ->
                 let code = Slice.to_string v.frame.Extractor.data in
-                let entry = ev.Matcher.ev_entry in
+                let entry = (Matcher.evidence v.match_).Matcher.ev_entry in
                 (* abstract pre-stage: when it proves the emulator must
                    refute, skip the emulator entirely *)
                 let refutation =
@@ -219,21 +327,8 @@ let confirm_verdicts t verdicts =
                   | None -> Confirm.run ~config ~code ~entry ()
                 in
                 count_confirm t outcome;
-                { v with confirmation = Some outcome }
-              end)
-            verdicts)
-
-(* The per-template step cap only exists to feed the breaker; without a
-   breaker the shared budget (if any) is the sole bound, exactly as
-   before this layer existed. *)
-let step_cap_of t =
-  match t.breaker with
-  | None -> None
-  | Some _ ->
-      Some
-        (match t.cfg.Config.analysis_budget with
-        | Some l -> l.Budget.max_match_steps
-        | None -> Budget.default_limits.Budget.max_match_steps)
+                { v with confirmation = Some outcome })
+              w.verdicts)
 
 (* Conjunctive pattern matching for the degraded pass: a candidate
    template counts as (tentatively) present when every one of its
@@ -260,182 +355,83 @@ let degraded_verdicts t (buffer : Slice.t) candidates =
             let entry = List.fold_left min max_int found in
             Some
               {
-                frame =
-                  { Extractor.off = 0; data = buffer; origin = Extractor.Raw_binary };
+                frame = { Extractor.off = 0; data = buffer; origin = Extractor.Raw_binary };
                 match_ =
-                  {
-                    Matcher.template = name;
-                    entry;
-                    offsets = [];
-                    reg_bindings = [];
-                    const_bindings = [];
-                  };
+                  { Matcher.template = name; entry; offsets = []; reg_bindings = [];
+                    const_bindings = [] };
                 cached = false;
                 degraded = true;
                 confirmation = None;
               })
     candidates
 
-(* Analysis stages shared by live processing and the timing harness. *)
-let analyze_frames t payload =
-  let gate =
-    (not t.cfg.Config.extraction_enabled) || Extractor.suspicious payload
-  in
-  if not gate then no_analysis
-  else begin
-    Obs.Registry.incr t.m.prefilter_hits;
-    let budget = Option.map Budget.start t.cfg.Config.analysis_budget in
-    (* template names are only needed to drive the breaker *)
-    let all_names, templates, excluded =
-      match t.breaker with
-      | None -> ([], t.cfg.Config.templates, [])
-      | Some br ->
-          let all_names = distinct_names t.cfg.Config.templates in
-          let excluded = List.filter (fun n -> not (Breaker.admit br n)) all_names in
-          ( all_names,
-            List.filter
-              (fun (tp : Template.t) ->
-                not (List.mem tp.Template.name excluded))
-              t.cfg.Config.templates,
-            excluded )
-    in
-    let step_cap = step_cap_of t in
-    let tripped = ref [] in
-    let verdicts =
-      List.concat_map
-        (fun (frame : Extractor.frame) ->
-          Obs.Registry.incr t.m.frames;
-          Obs.Registry.add t.m.frame_bytes (Slice.length frame.Extractor.data);
-          let report =
-            scan_frame t ?budget ?step_cap ~templates frame.Extractor.data
-          in
-          tripped := report.Matcher.tripped @ !tripped;
-          List.map
-            (fun match_ ->
-              { frame; match_; cached = false; degraded = false; confirmation = None })
-            report.Matcher.results)
-        (frames_of t ?budget payload)
-    in
-    let tripped = List.sort_uniq compare !tripped in
-    (match t.breaker with
-    | None -> ()
-    | Some br ->
-        List.iter
-          (fun n ->
-            if not (List.mem n excluded) then
-              Breaker.record br n ~tripped:(List.mem n tripped))
-          all_names;
-        Breaker.tick br);
-    let outcome =
-      match budget with None -> Budget.Complete | Some b -> Budget.outcome b
-    in
-    (match outcome with
-    | Budget.Truncated r -> count_truncated t r
-    | Budget.Complete -> ());
-    { verdicts; outcome; degraded = false; breaker_open = excluded; tripped }
-  end
-
-let dedup_by_template verdicts =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun v ->
-      if Hashtbl.mem seen v.match_.Matcher.template then false
-      else begin
-        Hashtbl.add seen v.match_.Matcher.template ();
-        true
-      end)
-    verdicts
-
-(* One full (uncached) analysis of a buffer, degradation and
-   confirmation included. *)
-let analyze_core t buffer =
-  let report = analyze_frames t buffer in
-  let report = { report with verdicts = dedup_by_template report.verdicts } in
-  let report =
-    { report with verdicts = confirm_verdicts t report.verdicts }
-  in
-  let degraded_stage =
+(* With [Config.degrade], a truncated scan gives every template not yet
+   matched the cheap pass, and a complete one gives it to the templates
+   open breakers held out. *)
+let degrade t w =
+  let fallback =
     if not t.cfg.Config.degrade then None
     else
-      match report.outcome with
-      | Budget.Truncated r -> Some (Budget.reason_to_string r)
-      | Budget.Complete ->
-          if report.breaker_open <> [] then Some "breaker" else None
-  in
-  match degraded_stage with
-  | None -> report
-  | Some stage ->
-      count_degraded t stage;
-      let candidates =
-        match report.outcome with
-        | Budget.Truncated _ ->
-            (* the whole scan was cut short: every not-yet-matched
-               template gets the cheap pass *)
-            List.filter
-              (fun n ->
-                not
-                  (List.exists
-                     (fun v -> v.match_.Matcher.template = n)
-                     report.verdicts))
-              (distinct_names t.cfg.Config.templates)
-        | Budget.Complete -> report.breaker_open
-      in
-      let extra = degraded_verdicts t buffer candidates in
-      { report with verdicts = report.verdicts @ extra; degraded = true }
-
-(* Full analysis of one buffer, short-circuited by the verdict cache.
-   A pristine analysis (budget never tripped, no template abandoned, no
-   breaker exclusion, no fallback) is a pure function of the buffer
-   bytes, so replaying a cached result for byte-identical buffers — the
-   worm-outbreak shape — cannot change any verdict.  Anything less than
-   pristine is never cached: the next identical buffer deserves a fresh
-   attempt under whatever fuel and breaker state then hold. *)
-let analyze_uncached t (buffer : Slice.t) =
-  match t.verdicts with
-  | None -> analyze_core t buffer
-  | Some cache -> (
-      (* the cache is keyed on materialized bytes (content equality, not
-         view identity) — free when the buffer is a whole view, and a
-         cached buffer must own its bytes anyway *)
-      let key = Slice.to_string buffer in
-      match Lru.find cache key with
-      | Some verdicts ->
-          Obs.Registry.incr t.m.vcache_hits;
-          {
-            no_analysis with
-            verdicts = List.map (fun v -> { v with cached = true }) verdicts;
-          }
-      | None ->
-          Obs.Registry.incr t.m.vcache_misses;
-          let report = analyze_core t buffer in
-          (* with confirmation on, only analyses whose every verdict the
-             emulator confirmed are replayable: refuted and inconclusive
-             outcomes deserve a fresh run (and a refuted match must not
-             be resurrected by a later cache hit) *)
-          let confirm_cacheable =
-            t.cfg.Config.confirm = None
-            || List.for_all
-                 (fun v ->
-                   match v.confirmation with
-                   | Some o -> Confirm.confirmed o
-                   | None -> false)
-                 report.verdicts
+      match w.outcome with
+      | Budget.Truncated r ->
+          let matched n =
+            List.exists (fun v -> String.equal v.match_.Matcher.template n) w.verdicts
           in
-          if
-            report.outcome = Budget.Complete
-            && (not report.degraded)
-            && report.breaker_open = []
-            && report.tripped = []
-            && confirm_cacheable
-          then begin
+          Some (Budget.reason_to_string r, List.filter (fun n -> not (matched n)) t.names)
+      | Budget.Complete when w.excluded <> [] -> Some ("breaker", w.excluded)
+      | Budget.Complete -> None
+  in
+  match fallback with
+  | None -> ()
+  | Some (stage, candidates) ->
+      count_degraded t stage;
+      w.verdicts <- w.verdicts @ degraded_verdicts t w.buffer candidates;
+      w.degraded <- true
+
+(* A pristine analysis (budget never tripped, no template abandoned, no
+   breaker exclusion, no fallback) is a pure function of the buffer
+   bytes, so replaying it for byte-identical buffers — the worm-outbreak
+   shape — cannot change any verdict.  Anything less is never cached:
+   the next identical buffer deserves a fresh attempt under whatever
+   fuel and breaker state then hold.  With confirmation on, only
+   analyses whose every verdict the emulator confirmed are replayable:
+   a refuted match must not be resurrected by a later hit. *)
+let cache_admit t w =
+  match t.cache with
+  | None -> ()
+  | Some cache ->
+      let confirmed v =
+        match v.confirmation with Some o -> Confirm.confirmed o | None -> false
+      in
+      if
+        w.outcome = Budget.Complete
+        && (not w.degraded) && w.excluded = [] && w.tripped = []
+        && (Option.is_none t.cfg.Config.confirm || List.for_all confirmed w.verdicts)
+      then
+        span t t.st.st_cache (fun () ->
             let before = Lru.evictions cache in
-            Lru.add cache key report.verdicts;
-            Obs.Registry.add t.m.vcache_evictions (Lru.evictions cache - before)
-          end;
-          report)
+            Lru.add cache w.key (List.map (fun v -> { v with cached = true }) w.verdicts);
+            Obs.Registry.add t.m.vcache_evictions (Lru.evictions cache - before))
+
+let stages =
+  [ gate; cache_lookup; breaker_admit; extract_match; breaker_record; dedup;
+    confirm; degrade; cache_admit ]
+
+let rec run t w = function
+  | [] -> ()
+  | stage :: rest ->
+      stage t w;
+      if not w.settled then run t w rest
 
 let analyze_report_slice t buffer =
-  span t t.st.st_analyze (fun () -> analyze_uncached t buffer)
+  span t t.st.st_analyze (fun () ->
+      let w =
+        { buffer; settled = false; key = ""; templates = t.cfg.Config.templates;
+          excluded = []; tripped = []; verdicts = []; outcome = Budget.Complete;
+          degraded = false }
+      in
+      run t w stages;
+      { verdicts = w.verdicts; outcome = w.outcome; degraded = w.degraded })
 
 let analyze_report t buffer = analyze_report_slice t (Slice.of_string buffer)
 
@@ -527,7 +523,7 @@ let registry t = t.reg
 let snapshot t =
   (* occupancy gauges are sampled, not event-driven *)
   Obs.Registry.set_gauge t.vcache_entries
-    (match t.verdicts with
+    (match t.cache with
     | Some c -> float_of_int (Lru.length c)
     | None -> 0.0);
   Obs.Registry.set_gauge t.flow_entries (float_of_int (Lru.length t.flow_alerted));

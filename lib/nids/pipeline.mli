@@ -2,11 +2,22 @@
     binary detection & extraction → disassembler → IR → semantic
     analyzer.
 
+    Past the classifier, one buffer's analysis is a fixed, ordered list
+    of stages over one per-analysis record: the suspicion gate, the
+    verdict-cache lookup, breaker admission, extraction and a template
+    scan per frame, the breakers' bookkeeping, deduplication, dynamic
+    confirmation (static refutation nested inside it), the degraded
+    fallback, and cache admission.  The gate runs first, so a buffer it
+    rejects is never keyed, looked up or cached; a cache hit replays the
+    stored verdicts and skips every later stage, the breakers'
+    bookkeeping included.  A stage with nothing to do opens no span.
+
     Every pipeline owns a metrics registry ({!Sanids_obs.Registry.t}):
     stage counters, occupancy gauges and per-stage latency histograms
-    ([sanids_stage_classify_seconds], [_extract_], [_match_],
-    [_analyze_]).  {!snapshot} exports it; {!stats} is the stable typed
-    view over that snapshot.  Registries are single-domain — the
+    ([sanids_stage_classify_seconds], [_analyze_], and nested inside
+    analyze [_gate_], [_cache_], [_extract_], [_match_], [_confirm_] and
+    [_static_refute_]).  {!snapshot} exports it; {!stats} is the stable
+    typed view over that snapshot.  Registries are single-domain — the
     parallel driver gives each worker its own pipeline and merges
     snapshots ({!Parallel}). *)
 
@@ -38,15 +49,10 @@ type analysis = {
       (** the per-packet budget's state after analysis; [Complete] when
           no budget is configured *)
   degraded : bool;  (** the baseline fallback pass ran on this buffer *)
-  breaker_open : string list;
-      (** template names excluded from this analysis by open breakers *)
-  tripped : string list;
-      (** template names that hit their per-template step cap *)
 }
 (** What happened to one analyzed buffer.  With no budget, breaker or
     degradation configured this is always
-    [{ verdicts; outcome = Complete; degraded = false; breaker_open = [];
-    tripped = [] }] and [verdicts] is exactly the pre-hardening result. *)
+    [{ verdicts; outcome = Complete; degraded = false }]. *)
 
 val create : ?tracer:Sanids_obs.Span.tracer -> Config.t -> t
 (** [tracer] attaches JSONL span tracing to the pipeline's stage timers.
@@ -68,7 +74,8 @@ val analyze_report : t -> string -> analysis
     per template name — all under the configured per-packet budget and
     breaker state, with the degraded fallback applied when configured.
     Only pristine analyses (budget untripped, nothing abandoned or
-    excluded, no fallback) enter the verdict cache. *)
+    excluded, no fallback, every verdict confirmed when confirmation is
+    on) of buffers past the suspicion gate enter the verdict cache. *)
 
 val analyze_report_slice : t -> Slice.t -> analysis
 (** {!analyze_report} over a payload view — the zero-copy entry the

@@ -32,17 +32,6 @@ let code8 = function
   | DH -> 6
   | BH -> 7
 
-let r8_of_code = function
-  | 0 -> AL
-  | 1 -> CL
-  | 2 -> DL
-  | 3 -> BL
-  | 4 -> AH
-  | 5 -> CH
-  | 6 -> DH
-  | 7 -> BH
-  | n -> invalid_arg (Printf.sprintf "Reg.r8_of_code: %d" n)
-
 let name = function
   | EAX -> "eax"
   | ECX -> "ecx"

@@ -13,7 +13,6 @@ val of_code : int -> t
 (** Inverse of {!code}.  @raise Invalid_argument outside [\[0, 7\]]. *)
 
 val code8 : r8 -> int
-val r8_of_code : int -> r8
 
 val name : t -> string
 (** Lowercase mnemonic, e.g. ["eax"]. *)

@@ -353,6 +353,122 @@ let test_verdict_cache_eviction_counted () =
     (s.Stats.verdict_cache_evictions >= 1);
   Alcotest.(check int) "no spurious hits with cap 1" 0 s.Stats.verdict_cache_hits
 
+(* The suspicion gate runs ahead of the verdict cache: every payload
+   past the gate is one cache lookup, and no other is, and the confirm
+   stage opens a span only for an analysis with matches to run. *)
+let test_gate_ahead_of_cache () =
+  let cfg =
+    Config.default |> Config.with_classification false
+    |> Config.with_confirm (Some Sanids_confirm.Confirm.default_config)
+  in
+  let nids = Pipeline.create cfg in
+  let pkts =
+    Sanids_workload.Benign_gen.packets (Rng.create 0x6A7EL) ~n:400 ~t0:0.0
+      ~clients ~servers
+  in
+  let confirmed_analyses =
+    List.fold_left
+      (fun n p ->
+        let r = Pipeline.analyze_report_slice nids (Packet.payload p) in
+        (* the confirm stage runs on the verdicts a full analysis found;
+           a hit replays them, and degraded ones come after it *)
+        if
+          List.exists
+            (fun (v : Pipeline.verdict) -> not (v.Pipeline.degraded || v.Pipeline.cached))
+            r.Pipeline.verdicts
+        then n + 1
+        else n)
+      0 pkts
+  in
+  let s = Pipeline.stats nids in
+  Alcotest.(check bool) "the gate rejects some payloads" true
+    (s.Stats.prefilter_hits < List.length pkts);
+  Alcotest.(check int) "cache hits + misses = payloads past the gate"
+    s.Stats.prefilter_hits
+    (s.Stats.verdict_cache_hits + s.Stats.verdict_cache_misses);
+  Alcotest.(check int) "confirm spans = analyses with verdicts to confirm"
+    confirmed_analyses
+    (Obs.Histogram.count
+       (Obs.Snapshot.histogram (Pipeline.snapshot nids) "sanids_stage_confirm_seconds"))
+
+(* Mixed traffic for the cache oracle: a pool of twelve payloads (six
+   from the benign default mix, then Code Red II, Slammer, an ADMmutate
+   decoder, a decoy decoder, an adversarial bomb, and the decoder with
+   the first benign payload appended, so that two payloads share a long
+   prefix), dealt 40 times with repetition so that the cache both hits
+   and evicts. *)
+let cache_oracle_traffic seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let shellcode = (Shellcodes.find "classic").Shellcodes.code in
+  let module Adv = Sanids_workload.Adversarial in
+  let pool = Array.init 6 (fun _ -> Sanids_workload.Benign_gen.payload rng) in
+  let decoder =
+    (Sanids_polymorph.Admmutate.generate rng ~payload:shellcode).Sanids_polymorph.Admmutate.code
+  in
+  let pool =
+    Array.append pool
+      [|
+        Code_red.request ();
+        Slammer.datagram ();
+        decoder;
+        Adv.payload ~kind:Adv.Decoy_decoder ~size:1024 rng;
+        Adv.payload ~size:1024 rng;
+        decoder ^ pool.(0);
+      |]
+  in
+  let src = Ipaddr.nth clients 7 and dst = Ipaddr.nth servers 80 in
+  List.init 40 (fun i ->
+      Packet.build_tcp ~ts:(float_of_int i) ~src ~dst ~src_port:(1024 + i)
+        ~dst_port:80 (Rng.pick rng pool))
+
+(* confirm off/on x {no budget, tight budget + degrade} x cache size.
+   Breakers are left out on purpose: a hit skips the breaker's
+   bookkeeping, so with a breaker the cached pipeline's breaker state,
+   and with it later verdicts, may differ from the uncached one's. *)
+let cache_oracle_configs =
+  let tight =
+    { Budget.max_bytes = 8192; max_insns = 300; max_match_steps = 3000; deadline = 0. }
+  in
+  List.concat_map
+    (fun confirm ->
+      List.concat_map
+        (fun budget ->
+          List.map
+            (fun size ->
+              Config.default |> Config.with_classification false
+              |> Config.with_confirm confirm |> Config.with_budget budget
+              |> Config.with_degrade (budget <> None)
+              |> Config.with_verdict_cache size)
+            [ 1; 64; 4096 ])
+        [ None; Some tight ])
+    [ None; Some Sanids_confirm.Confirm.default_config ]
+
+let prop_cache_equiv =
+  QCheck2.Test.make ~name:"verdict cache on ≡ off" ~count:20
+    ~print:(Printf.sprintf "seed %d")
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let pkts = cache_oracle_traffic seed in
+      let verdicts cfg =
+        let nids = Pipeline.create cfg in
+        List.map
+          (fun p ->
+            List.map
+              (fun (v : Pipeline.verdict) ->
+                ( v.Pipeline.match_,
+                  Slice.to_string v.Pipeline.frame.Sanids_extract.Extractor.data,
+                  v.Pipeline.confirmation,
+                  v.Pipeline.degraded ))
+              (Pipeline.analyze_report_slice nids (Packet.payload p)).Pipeline.verdicts)
+          pkts
+      in
+      let alerts cfg = Pipeline.process_packets (Pipeline.create cfg) pkts in
+      List.for_all
+        (fun cfg ->
+          let off = Config.with_verdict_cache 0 cfg in
+          alerts cfg = alerts off && verdicts cfg = verdicts off)
+        cache_oracle_configs)
+
 (* The trace gate (a template skipped on a trace whose kind union misses
    one of its steps' demands) runs only in unbudgeted scans: under
    [Budget.unlimited] the plain search visits every start, and both must
@@ -447,7 +563,7 @@ let test_shared_values_intact () =
 
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_walk_equiv; prop_gated_equiv; prop_memo_entries ]
+    [ prop_walk_equiv; prop_gated_equiv; prop_memo_entries; prop_cache_equiv ]
 
 let () =
   Alcotest.run "fastpath"
@@ -492,6 +608,7 @@ let () =
           Alcotest.test_case "counters" `Quick test_verdict_cache_counters;
           Alcotest.test_case "eviction counted" `Quick
             test_verdict_cache_eviction_counted;
+          Alcotest.test_case "gate ahead of cache" `Quick test_gate_ahead_of_cache;
         ] );
       ("properties", properties);
     ]

@@ -29,6 +29,19 @@ let is_text c =
   let b = Char.code c in
   (b >= 0x20 && b < 0x7F) || b = 0x09 || b = 0x0A || b = 0x0D
 
+(* The suspicion gate's byte classes, one table lookup per byte: a byte
+   may be both (the inc/dec/push-register opcodes are letters). *)
+let text_bit = 1
+let nop_bit = 2
+
+let classes =
+  String.init 256 (fun b ->
+      let c = Char.chr b in
+      Char.chr
+        ((if is_text c then text_bit else 0) lor if Repetition.nop_like c then nop_bit else 0))
+
+let byte_class c = Char.code (String.unsafe_get classes (Char.code c))
+
 (* Maximal [gap_merge]-merged regions of non-text bytes of at least
    [min_len], as (start, length) pairs. *)
 let binary_regions ~min_len ~gap_merge s =
@@ -80,7 +93,9 @@ let is_hex c =
    it could never become (part of) a frame, so an adversarially long
    reassembled stream costs O(max_frame_bytes), not O(stream).  Bytes
    are read from the view's backing string directly: [Slice] accessors
-   are never inlined across the library boundary. *)
+   are never inlined across the library boundary.  For the same reason
+   the text and NOP-like tests are one lookup in [classes], not calls to
+   [is_text] and [Repetition.nop_like]. *)
 let suspicious ?(config = default_config) payload =
   let s = Slice.base payload and base = Slice.offset payload in
   let n = Slice.length payload in
@@ -89,11 +104,18 @@ let suspicious ?(config = default_config) payload =
   let min_region = config.min_binary_region and gap_merge = config.gap_merge in
   let sled_min = Repetition.default_sled_len in
   let ret_min = Repetition.default_ret_count in
-  (* [ret_min] dwords from [i] on agree on their upper 24 bits, which
-     are not one repeated byte *)
+  (* [ret_min] dwords from [i] on, all inside the window, agree on their
+     upper 24 bits, which are not one repeated byte.  [ret_min] (4) is
+     at least 2, so a run needs the second dword inside the window with
+     its byte 1 equal to the first's: the loop's own [k = 1] condition,
+     tested first because it fails at almost every position. *)
   let ret_run_at i =
-    let b1 = String.unsafe_get s (base + i + 1)
-    and b2 = String.unsafe_get s (base + i + 2)
+    i + 8 <= window
+    &&
+    let b1 = String.unsafe_get s (base + i + 1) in
+    String.unsafe_get s (base + i + 5) = b1
+    &&
+    let b2 = String.unsafe_get s (base + i + 2)
     and b3 = String.unsafe_get s (base + i + 3) in
     (b1 <> b2 || b2 <> b3)
     &&
@@ -130,18 +152,18 @@ let suspicious ?(config = default_config) payload =
   while (not !found) && !i < n do
     let i' = !i in
     let c = String.unsafe_get s (base + i') in
+    let cls = byte_class c in
     if i' < window then begin
       if i' > 0 && c = String.unsafe_get s (base + i' - 1) then incr rep else rep := 1;
-      if Repetition.nop_like c then incr sled else sled := 0;
-      if !rep >= min_repeat || !sled >= sled_min || (i' + 4 <= window && ret_run_at i')
-      then found := true
+      if cls land nop_bit <> 0 then incr sled else sled := 0;
+      if !rep >= min_repeat || !sled >= sled_min || ret_run_at i' then found := true
     end;
     if c = '%' && u_escape_at i' then begin
       if i' = !u_next then incr u_count else u_count := 1;
       u_next := i' + 6;
       if !u_count >= min_run then found := true
     end
-    else if not (is_text c) then begin
+    else if cls land text_bit = 0 then begin
       if !bin_end < 0 || (i' > !bin_end && i' - !bin_end > gap_merge) then
         bin_start := i';
       bin_end := i' + 1;

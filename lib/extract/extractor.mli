@@ -46,6 +46,18 @@ val suspicious : ?config:config -> Slice.t -> bool
     three windowed to [max_frame_bytes] — and {!binary_regions}) being
     non-empty. *)
 
+val is_text : char -> bool
+(** Text bytes: printable ASCII, tab, LF and CR.  {!binary_regions} cuts
+    around the others. *)
+
+val text_bit : int
+val nop_bit : int
+
+val byte_class : char -> int
+(** The class the suspicion gate reads for a byte, from a 256-entry
+    table built once at module initialisation: {!text_bit} is set iff
+    {!is_text}, {!nop_bit} iff [Repetition.nop_like]. *)
+
 val binary_regions : min_len:int -> gap_merge:int -> Slice.t -> (int * int) list
 (** Maximal regions of non-text bytes (anything but printable ASCII,
     tab, LF, CR), neighbours at most [gap_merge] bytes apart merged,

@@ -26,7 +26,8 @@ let absent = { off = -1; len = 0; insn = Insn.Int3; sems = [||]; kinds = 0 }
    older tag is below it), and then [tag - base] is its step index.
    [steps] holds the current walk's step offsets in order, [length] of
    them.  Both hold only immediates, so their size does not matter to
-   the collector. *)
+   the collector.  Only a walk writes a tag, so an offset some walk has
+   visited is exactly one whose tag is not [-1]. *)
 let chunk_bits = 8
 let chunk = 1 lsl chunk_bits
 
@@ -40,6 +41,7 @@ type t = {
   mutable base : int;
   mutable steps : int array;
   mutable length : int;
+  mutable union : int;  (** OR of the current walk's [kinds] *)
 }
 
 let create code =
@@ -61,9 +63,8 @@ let create code =
        rare long one, up to the region size *)
     steps = Array.make (min n 64) 0;
     length = 0;
+    union = 0;
   }
-
-let code t = t.code
 
 let lookup t off =
   let slots = t.chunks.(off lsr chunk_bits) in
@@ -85,31 +86,69 @@ let lookup t off =
 let decode t off =
   if off < 0 || off >= String.length t.code then None else Some (lookup t off)
 
-let start_walk t =
-  t.base <- t.base + Array.length t.tags;
-  t.length <- 0
+(* Where a trace goes after [insn], whose successor in byte order is
+   [next]: an unconditional jump's or call's target, nowhere ([-1]) after
+   a return, halt or undecodable byte, and [next] for everything else
+   (conditional branches and loops fall through).  Any negative result
+   stops the walk like an out-of-range target does. *)
+let successor insn ~next =
+  match insn with
+  | Insn.Jmp_rel disp | Insn.Call_rel disp -> next + disp
+  | Insn.Ret | Insn.Int3 | Insn.Bad _ -> -1
+  | Insn.Jcc_rel _ | Insn.Loop _ | Insn.Loope _ | Insn.Loopne _ | Insn.Jecxz _ -> next
+  | Insn.Mov _ | Insn.Arith _ | Insn.Test _ | Insn.Not _ | Insn.Neg _ | Insn.Inc _
+  | Insn.Dec _ | Insn.Shift _ | Insn.Lea _ | Insn.Xchg _ | Insn.Push_reg _
+  | Insn.Pop_reg _ | Insn.Push_imm _ | Insn.Pushad | Insn.Popad | Insn.Pushfd
+  | Insn.Popfd | Insn.Int _ | Insn.Nop | Insn.Cld | Insn.Std | Insn.Lodsb
+  | Insn.Lodsd | Insn.Stosb | Insn.Stosd | Insn.Movsb | Insn.Movsd | Insn.Scasb
+  | Insn.Cmpsb | Insn.Cdq | Insn.Cwde | Insn.Clc | Insn.Stc | Insn.Cmc | Insn.Sahf
+  | Insn.Lahf | Insn.Fwait | Insn.Rep_movsb | Insn.Rep_movsd | Insn.Rep_stosb
+  | Insn.Rep_stosd | Insn.Movzx _ | Insn.Movsx _ | Insn.Mul _ | Insn.Imul _
+  | Insn.Div _ | Insn.Idiv _ | Insn.Imul2 _ | Insn.Imul3 _ ->
+      next
 
-let visited t off = t.tags.(off) >= t.base
-
-let visit t off =
-  let i = t.length in
-  if i = Array.length t.steps then begin
-    let grown = Array.make (min (Array.length t.tags) (2 * i)) 0 in
-    Array.blit t.steps 0 grown 0 i;
-    t.steps <- grown
-  end;
-  t.tags.(off) <- t.base + i;
-  t.steps.(i) <- off;
-  t.length <- i + 1
+(* The walk is one loop over the cache's own arrays.  Starting it bumps
+   the stamp and empties the step buffer; each step checks the length
+   bound, the range and the visited tag, and only then takes its one
+   instruction of fuel, so a trace that stops for any other reason
+   spends none. *)
+let walk ?budget ~max_len t ~entry =
+  let n = String.length t.code in
+  let tags = t.tags in
+  let base = t.base + Array.length tags in
+  t.base <- base;
+  let len = ref 0 and union = ref 0 and off = ref entry in
+  while
+    !len < max_len && !off >= 0 && !off < n
+    && Array.unsafe_get tags !off < base
+    && match budget with None -> true | Some b -> Budget.take_insns b 1
+  do
+    let o = !off and i = !len in
+    let e = lookup t o in
+    if i = Array.length t.steps then begin
+      let grown = Array.make (min n (2 * i)) 0 in
+      Array.blit t.steps 0 grown 0 i;
+      t.steps <- grown
+    end;
+    Array.unsafe_set tags o (base + i);
+    Array.unsafe_set t.steps i o;
+    len := i + 1;
+    union := !union lor e.kinds;
+    off := successor e.insn ~next:(o + e.len)
+  done;
+  t.length <- !len;
+  t.union <- !union;
+  !len
 
 let length t = t.length
+let union t = t.union
+let covered t off = t.tags.(off) >= 0
 
 let step t i =
   if i >= t.length then invalid_arg "Icache.step: past the walk";
+  (* a walk fills the slot of every offset it visits *)
   let off = t.steps.(i) in
-  let e = t.chunks.(off lsr chunk_bits).(off land (chunk - 1)) in
-  if e == absent then invalid_arg "Icache.step: offset not decoded through the memo";
-  e
+  t.chunks.(off lsr chunk_bits).(off land (chunk - 1))
 
 let step_index t off =
   if off >= 0 && off < Array.length t.tags && t.tags.(off) >= t.base then

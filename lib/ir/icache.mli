@@ -33,18 +33,21 @@
     that it is a major block, and the chunks it points at are promoted
     with it.
 
-    The cache also owns the trace walker's scratch: a walk-stamped
-    visited set and offset-to-step index, one [int array] over the
-    region, and the walk itself, a growable [int array] of step offsets.
-    Starting a walk bumps the stamp and empties the buffer instead of
-    clearing or allocating anything, so the hundreds of traces a scan
-    walks share those arrays and a trace allocates nothing of its own:
-    its steps are read back as the memo's records ({!step}).  The buffer
-    starts at 64 offsets and doubles for a long trace; it holds only
-    immediates, so a grown buffer in the major heap promotes nothing.  A
-    cache belongs to one scan on one domain; the only values it shares
-    beyond its scan are the immutable operands and read-only lift arrays
-    above. *)
+    The cache also owns the trace walker, {!walk}: one loop over the
+    memo and its own scratch, a walk-stamped visited set and
+    offset-to-step index (one [int array] over the region) and the walk
+    itself, a growable [int array] of step offsets.  Starting a walk
+    bumps the stamp and empties the buffer instead of clearing or
+    allocating anything, so the hundreds of traces a scan walks share
+    those arrays and a trace allocates nothing of its own: its steps are
+    read back as the memo's records ({!step}), and the loop ORs their
+    [kinds] as it goes ({!union}).  Only a walk writes a tag, so whether
+    any trace has visited an offset is a tag test ({!covered}): that is
+    what a scan's entry enumeration skips on.  The buffer starts at 64
+    offsets and doubles for a long trace; it holds only immediates, so a
+    grown buffer in the major heap promotes nothing.  A cache belongs to
+    one scan on one domain; the only values it shares beyond its scan
+    are the immutable operands and read-only lift arrays above. *)
 
 type entry = {
   off : int;  (** byte offset of the instruction within the region *)
@@ -66,9 +69,6 @@ type t
 val create : string -> t
 (** A fresh, empty cache over one code region. *)
 
-val code : t -> string
-(** The cached region. *)
-
 val lookup : t -> int -> entry
 (** The entry at an in-range byte offset, decoded and lifted on the
     first lookup (a miss) and read from its slot after that (a hit).
@@ -80,16 +80,34 @@ val decode : t -> int -> entry option
 (** {!lookup} with a range check: [None] out of range, which counts as
     no lookup. *)
 
-val start_walk : t -> unit
-(** Begin a new trace walk: every offset becomes unvisited and the walk
-    empty, in O(1). *)
+val successor : Insn.t -> next:int -> int
+(** The one successor rule of a trace: after [insn], whose fall-through
+    offset is [next], a trace goes to an unconditional jump's or call's
+    target, stops after [ret], [int3] or an undecodable byte (the result
+    is [-1]), and falls through everything else, conditional branches
+    and loops included.  A negative or out-of-range result ends the
+    trace.  {!walk} and {!Trace.build} both step by it. *)
 
-val visited : t -> int -> bool
-(** Is the in-range offset on the current walk? *)
+val walk : ?budget:Budget.t -> max_len:int -> t -> entry:int -> int
+(** Walk the trace from byte offset [entry] through the memo, following
+    {!successor}, and return its length: at most [max_len] steps, none
+    when [entry] is out of range, and it stops at the first offset this
+    walk already visited.  With a [budget], each step takes one
+    instruction of fuel after the length, range and visited checks, and
+    the walk stops (the budget recording [Truncated Instructions]) when
+    none is left.  Until the next walk over the same cache, {!step} reads
+    step [i] back, {!step_index} maps offsets to steps and {!union} is
+    the OR of the steps' [kinds].  The walk allocates nothing but the
+    memo entries it fills (and, for a long trace, a doubled step
+    buffer). *)
 
-val visit : t -> int -> unit
-(** [visit c off]: append the unvisited in-range offset [off] as the
-    current walk's next step. *)
+val union : t -> int
+(** OR of the [kinds] of the most recent walk's steps ([0] before any
+    walk, or after an empty one). *)
+
+val covered : t -> int -> bool
+(** Has any walk over this cache visited the in-range offset?  False
+    everywhere on a fresh cache. *)
 
 val length : t -> int
 (** Steps on the most recent walk. *)
@@ -97,8 +115,7 @@ val length : t -> int
 val step : t -> int -> entry
 (** [step c i]: the memo record of the most recent walk's step [i].
     Reading a step back is not a lookup: it counts as neither hit nor
-    miss.  @raise Invalid_argument when [i] is past the walk or its
-    offset was not decoded through this cache's {!decode}. *)
+    miss.  @raise Invalid_argument when [i] is past the walk. *)
 
 val step_index : t -> int -> int
 (** Step index of an offset on the most recent walk; [-1] when the

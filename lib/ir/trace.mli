@@ -28,22 +28,25 @@ type t = step array
 val build : ?budget:Budget.t -> ?max_len:int -> string -> entry:int -> t
 (** Trace of at most [max_len] (default 1024) instructions starting at
     byte offset [entry].  Empty when [entry] is out of range.  When
-    [budget] is given, every step first takes one instruction of fuel:
-    the walk stops early (and the budget records [Truncated
-    Instructions]) once the per-packet decode allowance is gone.  Every
-    offset is decoded afresh through [Decode.at]: this is the reference
-    {!walk} is checked against. *)
+    [budget] is given, every step takes one instruction of fuel after
+    the length, range and visited checks: the walk stops early (and the
+    budget records [Truncated Instructions]) once the per-packet decode
+    allowance is gone.  Steps follow {!Icache.successor}.  Every offset is decoded afresh through
+    [Decode.at], with no memo and no shared scratch: this is the
+    reference {!walk} is checked against. *)
 
 val walk : ?budget:Budget.t -> ?max_len:int -> Icache.t -> entry:int -> int
-(** Same walk as {!build} over the cache's region, written into the
-    cache instead of returned: the result is the trace's length, and
-    until the next walk over the same cache {!Icache.step} reads step
-    [i] back and {!Icache.step_index} maps offsets to steps.  Each byte
-    offset is decoded and lifted at most once per {!Icache.t}, so traces
-    from different entries share the per-offset work and the step
-    records themselves, and a walk allocates nothing: no record, list or
-    array per trace.  Steps [0 .. n-1] are exactly the trace
-    [build (Icache.code cache) ~entry] returns. *)
+(** {!Icache.walk} with {!build}'s default [max_len]: the same walk as
+    {!build} over the cache's region, written into the cache instead of
+    returned.  The result is the trace's length, and until the next walk
+    over the same cache {!Icache.step} reads step [i] back,
+    {!Icache.step_index} maps offsets to steps and {!Icache.union} is the
+    steps' kind union.  Each byte offset is decoded and lifted at most
+    once per {!Icache.t}, so traces from different entries share the
+    per-offset work and the step records themselves, and a walk
+    allocates no record, list or array per trace.  Steps [0 .. n-1] are
+    exactly the trace [build code ~entry] returns over the cache's
+    region [code], and under equal budgets both spend the same fuel. *)
 
 val entry_points : ?limit:int -> string -> int list
 (** Candidate entry offsets for a code region, most promising first:

@@ -523,8 +523,9 @@ let budget_outcome budget =
 
 (* The scan body, entered after the data prefilter has run: [filtered]
    are the surviving templates.  An empty survivor set returns before any
-   per-scan state (icache, coverage map) is allocated — on benign traffic
-   this is the common path. *)
+   per-scan state (the icache, which also holds the walk and the
+   coverage tags) is allocated — on benign traffic this is the common
+   path. *)
 let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
   let n = String.length code in
   if n = 0 then { results = []; outcome = Budget.Complete; tripped = [] }
@@ -562,11 +563,6 @@ let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
       live.(i) <- false;
       decr nlive
     in
-    (* Byte offsets already visited by some trace: starting there again
-       could only rediscover a suffix of work already matched against.
-       This keeps the whole-buffer entry enumeration near-linear even on
-       sled-like inputs, with a work budget as a backstop. *)
-    let covered = Bytes.make n '\000' in
     let work = ref (max 4096 (4 * n)) in
     let exhausted = ref false in
     let accounts =
@@ -606,19 +602,12 @@ let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
           let len = Trace.walk ?budget icache ~entry in
           reset cur;
           work := !work - len - 1;
-          (* the one pass over the steps: coverage, and the trace's kind
-             union for the gate *)
-          let union = ref 0 in
-          for i = 0 to len - 1 do
-            let st = Icache.step icache i in
-            Bytes.set covered st.Trace.off '\001';
-            union := !union lor st.Trace.kinds
-          done;
+          let union = Icache.union icache in
           for i = 0 to ntemplates - 1 do
             if live.(i) then begin
               let c = compiled.(i) in
               if settled.(c.family) then close i
-              else if gated && not (trace_can_match c !union) then ()
+              else if gated && not (trace_can_match c union) then ()
               else
                 match match_trace_indexed ?tick:ticks.(i) ~cur ~ic:icache c ~entry with
                 | Some r ->
@@ -646,9 +635,14 @@ let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
     (match entries with
     | Some es -> List.iter run_entry es
     | None ->
+        (* An offset some trace already visited is skipped: starting
+           there again could only rediscover a suffix of work already
+           matched against.  This keeps the whole-buffer entry
+           enumeration near-linear even on sled-like inputs, with a work
+           budget as a backstop. *)
         let o = ref 0 in
         while !o < n && budget_alive () do
-          if Bytes.get covered !o = '\000' then run_entry !o;
+          if not (Icache.covered icache !o) then run_entry !o;
           incr o
         done);
     (match metrics with

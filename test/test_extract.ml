@@ -236,6 +236,25 @@ let scanners_oracle ~(config : Extractor.config) p =
        ~gap_merge:config.Extractor.gap_merge p
      <> []
 
+(* Return-address dwords around [default_ret_count] of them. *)
+let gen_ret_run =
+  let open QCheck2.Gen in
+  let* k = int_range (Repetition.default_ret_count - 1) (Repetition.default_ret_count + 1) in
+  let byte = map Char.chr (int_bound 255) in
+  (* address-like upper bytes, one repeated byte, and the near miss *)
+  let* upper =
+    oneof
+      [
+        list_repeat 3 byte;
+        map (fun c -> [ c; c; c ]) byte;
+        map2 (fun c c' -> [ c; c; c' ]) byte byte;
+      ]
+  in
+  let* lsbs = list_repeat k byte in
+  return
+    (String.concat ""
+       (List.map (fun l -> String.init 4 (fun j -> if j = 0 then l else List.nth upper (j - 1))) lsbs))
+
 let gen_threshold_piece =
   let open QCheck2.Gen in
   let around k = int_range (k - 1) (k + 1) in
@@ -256,33 +275,35 @@ let gen_threshold_piece =
       (let* k = around Repetition.default_sled_len in
        let* bytes = list_repeat k (oneofl nop_bytes) in
        return (String.init k (List.nth bytes)));
-      (let* k = around Repetition.default_ret_count in
-       let byte = map Char.chr (int_bound 255) in
-       (* address-like upper bytes, one repeated byte, and the near miss *)
-       let* upper =
-         oneof
-           [
-             list_repeat 3 byte;
-             map (fun c -> [ c; c; c ]) byte;
-             map2 (fun c c' -> [ c; c; c' ]) byte byte;
-           ]
-       in
-       let* lsbs = list_repeat k (map Char.chr (int_bound 255)) in
-       return
-         (String.concat ""
-            (List.map (fun l -> String.init 4 (fun j -> if j = 0 then l else List.nth upper (j - 1))) lsbs)));
+      gen_ret_run;
       (let* k = around d.Extractor.min_binary_region in
        string_size ~gen:(map Char.chr (int_range 0x80 0xff)) (return k));
       string_size ~gen:(map Char.chr (int_range 0x80 0xff)) (int_range 1 12);
       text (around d.Extractor.gap_merge);
     ]
 
+(* Pieces with the cut anywhere, or a return-address run placed so that
+   it ends at the cut or one byte past it: the window bound of the
+   gate's run test. *)
 let gen_gate_case =
   let open QCheck2.Gen in
-  let* pieces = list_size (int_range 1 6) gen_threshold_piece in
-  let payload = String.concat "" pieces in
-  let n = String.length payload in
-  let* cut = oneof [ return Extractor.default_config.Extractor.max_frame_bytes; int_bound (n + 1) ] in
+  let pieces lo hi = map (String.concat "") (list_size (int_range lo hi) gen_threshold_piece) in
+  let* payload, cut =
+    oneof
+      [
+        (let* payload = pieces 1 6 in
+         let n = String.length payload in
+         let* cut =
+           oneof [ return Extractor.default_config.Extractor.max_frame_bytes; int_bound (n + 1) ]
+         in
+         return (payload, cut));
+        (let* before = pieces 0 3 in
+         let* run = gen_ret_run in
+         let* after = pieces 0 2 in
+         let* past = int_bound 1 in
+         return (before ^ run ^ after, String.length before + String.length run - past));
+      ]
+  in
   let* pre = string_size (int_bound 8) in
   let* post = string_size (int_bound 8) in
   return (payload, cut, pre, post)
@@ -339,6 +360,20 @@ let prop_gate_equals_scanners_any_config =
     (fun (payload, config) ->
       let p = Slice.of_string payload in
       Extractor.suspicious ~config p = scanners_oracle ~config p)
+
+(* The gate's byte-class table, at every byte: the text bit is
+   [is_text], the NOP bit is [Repetition.nop_like], and no other bit is
+   set. *)
+let test_gate_byte_classes () =
+  for b = 0 to 255 do
+    let c = Char.chr b in
+    let cls = Extractor.byte_class c in
+    if
+      (cls land Extractor.text_bit <> 0) <> Extractor.is_text c
+      || (cls land Extractor.nop_bit <> 0) <> Repetition.nop_like c
+      || cls land lnot (Extractor.text_bit lor Extractor.nop_bit) <> 0
+    then Alcotest.failf "byte 0x%02x: class %d" b cls
+  done
 
 (* With [min_len:1] the runs partition the input: they tile it in order
    and each is maximal (neighbouring runs differ in byte). *)
@@ -412,6 +447,7 @@ let () =
           Alcotest.test_case "raw with context" `Quick test_extract_raw_binary_with_context;
           Alcotest.test_case "gap merge" `Quick test_extract_gap_merge;
           Alcotest.test_case "max frames" `Quick test_extract_max_frames;
+          Alcotest.test_case "gate byte classes" `Quick test_gate_byte_classes;
         ] );
       ("properties", properties);
     ]

@@ -182,6 +182,50 @@ let test_walk_scratch_per_walk () =
         (walked cache ~entry))
     (Trace.entry_points code)
 
+(* "Covered" is the tags only walks write: false everywhere on a fresh
+   cache, and after any walks true on exactly the offsets they visited.
+   First the walks from the region's entry points (leaving some offsets
+   unvisited), then the scan's enumeration: a walk from every offset no
+   earlier walk covered.  Each walk's kind union is the OR of its steps'
+   kinds. *)
+let test_covered_is_walked_union () =
+  let rng = Rng.create 0xFA5AL in
+  let code =
+    (Sanids_polymorph.Admmutate.generate rng
+       ~payload:(Shellcodes.find "classic").Shellcodes.code)
+      .Sanids_polymorph.Admmutate.code
+    ^ Sanids_workload.Adversarial.payload ~kind:Sanids_workload.Adversarial.Jmp_maze
+        ~size:300 rng
+  in
+  let n = String.length code in
+  let cache = Icache.create code in
+  let walked = Bytes.make n '\000' in
+  let check_covered what =
+    for off = 0 to n - 1 do
+      if Icache.covered cache off <> (Bytes.get walked off = '\001') then
+        Alcotest.failf "%s: covered at 0x%x is %b" what off (Icache.covered cache off)
+    done
+  in
+  check_covered "fresh cache";
+  let walk entry =
+    let len = Trace.walk cache ~entry in
+    let union = ref 0 in
+    for i = 0 to len - 1 do
+      let st = Icache.step cache i in
+      Bytes.set walked st.Trace.off '\001';
+      union := !union lor st.Trace.kinds
+    done;
+    Alcotest.(check int) (Printf.sprintf "kind union of the walk from %d" entry) !union
+      (Icache.union cache)
+  in
+  List.iter walk (Trace.entry_points code);
+  check_covered "after the entry points' walks";
+  Alcotest.(check bool) "some offset left uncovered" true (Bytes.contains walked '\000');
+  for off = 0 to n - 1 do
+    if not (Icache.covered cache off) then walk off
+  done;
+  check_covered "after the scan's enumeration"
+
 let prop_walk_equiv =
   QCheck2.Test.make ~name:"memoized Trace.build ≡ unmemoized on random regions"
     ~count:80
@@ -532,6 +576,53 @@ let prop_memo_entries =
       && List.for_all (entry_agrees code c) offs
       && Icache.hits c = String.length code)
 
+(* Fuel order: under equal instruction budgets the memo walk and the
+   fresh-decode reference take fuel at the same steps, so they stop at
+   the same step, report the same outcome and leave the same fuel.  One
+   budget is shared by the walks from every entry (and one past each
+   end), as a scan shares the packet's; the allowance runs from none to
+   the region's length and the length bound from 1 up, so both the
+   length and the fuel check get to stop a trace.  Regions are drawn
+   from a printed seed: a jmp-chain maze, random bytes, or a case of
+   the gated-scan property. *)
+let budgeted_walk_case seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let code =
+    match Rng.int rng 3 with
+    | 0 ->
+        Sanids_workload.Adversarial.payload ~kind:Sanids_workload.Adversarial.Jmp_maze
+          ~size:(1 + Rng.int rng 600) rng
+    | 1 -> Rng.bytes rng (Rng.int rng 400)
+    | _ -> gated_equiv_case seed
+  in
+  let insns = Rng.int rng (String.length code + 1) in
+  let max_len = if Rng.bool rng then 1024 else 1 + Rng.int rng 32 in
+  (code, insns, max_len)
+
+let prop_budgeted_walk_equiv =
+  QCheck2.Test.make ~name:"budgeted Icache.walk ≡ budgeted Trace.build" ~count:300
+    ~print:(Printf.sprintf "seed %d")
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let code, insns, max_len = budgeted_walk_case seed in
+      let limits = { Budget.unlimited with Budget.max_insns = insns } in
+      let walk_fuel = Budget.start limits and build_fuel = Budget.start limits in
+      let cache = Icache.create code in
+      let entries = List.init (String.length code + 2) (fun i -> i - 1) in
+      List.for_all
+        (fun entry ->
+          let n = Icache.walk ~budget:walk_fuel ~max_len cache ~entry in
+          same_steps
+            (Trace.build ~budget:build_fuel ~max_len code ~entry)
+            (Array.init n (Icache.step cache)))
+        entries
+      && Budget.outcome walk_fuel = Budget.outcome build_fuel
+      && (Budget.spent walk_fuel).Budget.insns = (Budget.spent build_fuel).Budget.insns
+      (* the fuel left: both grant the rest and then deny *)
+      && Budget.take_insns walk_fuel (insns - (Budget.spent walk_fuel).Budget.insns)
+         = Budget.take_insns build_fuel (insns - (Budget.spent build_fuel).Budget.insns)
+      && Budget.take_insns walk_fuel 1 = Budget.take_insns build_fuel 1)
+
 (* Lifts of operand-free instructions, register operands, [Bad] bytes
    and imm8s are preallocated values shared by every decode, memo entry
    and trace.  Arrays are mutable, so one consumer writing into an
@@ -563,7 +654,13 @@ let test_shared_values_intact () =
 
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_walk_equiv; prop_gated_equiv; prop_memo_entries; prop_cache_equiv ]
+    [
+      prop_walk_equiv;
+      prop_gated_equiv;
+      prop_memo_entries;
+      prop_budgeted_walk_equiv;
+      prop_cache_equiv;
+    ]
 
 let () =
   Alcotest.run "fastpath"
@@ -588,6 +685,8 @@ let () =
             test_walk_equiv_structured;
           Alcotest.test_case "walk scratch is per walk" `Quick
             test_walk_scratch_per_walk;
+          Alcotest.test_case "covered is the walked union" `Quick
+            test_covered_is_walked_union;
         ] );
       ( "scan",
         [

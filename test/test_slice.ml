@@ -276,7 +276,9 @@ let test_alloc_cold () =
    instruction's own operands, with register operands, [Bad] bytes,
    imm8s and operand-free lifts shared.  A fill that boxes a reader, a
    decoded record, options and a lifted list per offset reads ~52
-   words/byte here. *)
+   words/byte here.  The kernel reads ~18, and minor words are
+   deterministic for the fixed seed, so the bound is 20, about a tenth
+   above it. *)
 let benign_binary_frames () =
   let rng = Rng.create 0x7AB1E0BEL in
   let binary = { Workload.Benign_gen.http = 0.0; smtp = 0.0; dns = 0.0; binary = 1.0 } in
@@ -295,8 +297,8 @@ let test_alloc_scan_per_byte () =
           (fun f -> ignore (Sanids_semantic.Matcher.scan_report_slice ~templates f))
           frames)
   in
-  if w >= 40.0 then
-    Alcotest.failf "benign binary scan: %.1f minor words/byte, must stay below 40" w
+  if w >= 20.0 then
+    Alcotest.failf "benign binary scan: %.1f minor words/byte, must stay below 20" w
 
 (* The scan's decode memo lives and dies in the minor heap: a minor
    collection right after a finished scan finds next to nothing of it

@@ -144,18 +144,15 @@ let sig_scan_cmd =
     in
     let hits = ref 0 in
     List.iter
-      (fun r ->
-        match r with
-        | Ok p ->
-            List.iter
-              (fun msg ->
-                incr hits;
-                Printf.printf "[%.3f] SIG %s %s -> %s\n" p.Packet.ts msg
-                  (Ipaddr.to_string (Packet.src p))
-                  (Ipaddr.to_string (Packet.dst p)))
-              (Rule.match_packet engine p)
-        | Error _ -> ())
-      (Pcap.to_packets capture);
+      (fun p ->
+        List.iter
+          (fun msg ->
+            incr hits;
+            Printf.printf "[%.3f] SIG %s %s -> %s\n" p.Packet.ts msg
+              (Ipaddr.to_string (Packet.src p))
+              (Ipaddr.to_string (Packet.dst p)))
+          (Rule.match_packet engine p))
+      (Ingest.ok_packets capture);
     if !hits = 0 then print_endline "no signature matches"
   in
   Cmd.v

@@ -14,7 +14,6 @@
    shared Cli_common combinators; this file is only the group and the
    top-level error discipline. *)
 
-open Sanids
 open Cmdliner
 
 let () =
@@ -36,11 +35,6 @@ let () =
   in
   let code =
     try Cmd.eval ~catch:false ~term_err:Cli_common.exit_usage group with
-    | Pcap.Malformed m ->
-        (* belt and braces: every path should already go through the
-           typed ingest boundary *)
-        Printf.eprintf "sanids: malformed capture: %s\n" m;
-        Cli_common.exit_dataerr
     | e ->
         Printf.eprintf "sanids: %s\n" (Printexc.to_string e);
         Cli_common.exit_software

@@ -24,11 +24,15 @@ let () =
   let path = Filename.temp_file "outbreak" ".pcap" in
   Pcap.write_file path (Pcap.of_packets packets);
   Printf.printf "wrote %s (%d bytes)\n" path (Unix.stat path).Unix.st_size;
-  let capture = Pcap.read_file path in
+  let capture =
+    match Pcap.decode (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok f -> f
+    | Error m -> failwith m
+  in
 
   let config = Config.default |> Config.with_unused [ unused ] in
   let nids = Pipeline.create config in
-  let alerts = Pipeline.process_pcap nids capture in
+  let alerts = Pipeline.process_packets nids (Ingest.ok_packets capture) in
 
   let crii = List.filter (fun a -> a.Alert.template = "code-red-ii") alerts in
   Printf.printf "\nNIDS results:\n";

@@ -60,11 +60,29 @@ let count_result m result =
 
 let default_max_payload = 0xFFFF
 
-(* Typed Packet.parse: same decode chain, but the failing layer is a
-   variant, not a string prefix.  The catch-alls exist to honour the "no
-   exception crosses the boundary" contract even against decoder bugs —
-   decoders are result-returning by convention, but this layer must not
-   trust that under arbitrary input. *)
+(* The admission bound is on the datagram, the record less its link
+   header, so it reads off the record length alone: the FIFO source
+   applies it from the record header, before the body arrives. *)
+let bound_error ~max_payload ~linktype incl_len =
+  let len = if linktype = Pcap.linktype_ethernet then incl_len - 14 else incl_len in
+  if len > max_payload then
+    Some
+      (Payload_bound
+         (Printf.sprintf "datagram of %d bytes exceeds bound %d" len max_payload))
+  else None
+
+let admit ?metrics ~linktype incl_len =
+  match bound_error ~max_payload:default_max_payload ~linktype incl_len with
+  | None -> true
+  | Some e ->
+      count_result metrics (Error e);
+      false
+
+(* The one record -> packet chain: link layer, then IPv4, then TCP/UDP,
+   each failure typed by the layer that rejected it.  The catch-alls
+   honour the "no exception crosses the boundary" contract even against
+   decoder bugs — decoders are result-returning by convention, but this
+   layer must not trust that under arbitrary input. *)
 let parse_datagram ~ts bytes =
   match Ipv4.decode bytes with
   | exception e -> Error (Ipv4_header ("unexpected: " ^ Printexc.to_string e))
@@ -98,15 +116,12 @@ let frame_body ~linktype (r : Pcap.record) =
 
 let decode_record ?metrics ?(max_payload = default_max_payload) ~linktype r =
   let result =
-    if Slice.length r.Pcap.data > max_payload then
-      Error
-        (Payload_bound
-           (Printf.sprintf "record of %d bytes exceeds bound %d"
-              (Slice.length r.Pcap.data) max_payload))
-    else
-      match frame_body ~linktype r with
-      | Error _ as e -> e
-      | Ok datagram -> parse_datagram ~ts:r.Pcap.ts datagram
+    match bound_error ~max_payload ~linktype (Slice.length r.Pcap.data) with
+    | Some e -> Error e
+    | None -> (
+        match frame_body ~linktype r with
+        | Error _ as e -> e
+        | Ok datagram -> parse_datagram ~ts:r.Pcap.ts datagram)
   in
   count_result metrics result;
   result

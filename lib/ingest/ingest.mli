@@ -13,6 +13,13 @@
 
     [records_in = packets_out + Σ ingest_errors{reason}].
 
+    This is the one way from capture bytes to {!Packet.t}:
+    [Sanids_pcap.Pcap.decode] frames the records (or the FIFO source
+    frames them as they arrive, with the same header parsers), and
+    {!decode_record} takes each body through the link layer, IPv4 and
+    TCP/UDP.  Every caller — [scan], [sig-scan], [serve], the benches
+    and the examples — goes through it.
+
     Fault injection for exercising this boundary lives in {!Fault}. *)
 
 type error =
@@ -22,7 +29,7 @@ type error =
   | Ipv4_header of string
   | Tcp_segment of string
   | Udp_datagram of string
-  | Payload_bound of string  (** record larger than the admission bound *)
+  | Payload_bound of string  (** datagram larger than the admission bound *)
 
 val reason : error -> string
 (** The metric label value: ["pcap_framing"], ["link_layer"], ["ipv4"],
@@ -62,11 +69,21 @@ val decode_record :
   Sanids_pcap.Pcap.record ->
   (Packet.t, error) result
 (** Decode one capture record into a parsed packet: admission bound
-    ([max_payload], default 65535 bytes, the IPv4 maximum — anything
-    longer cannot be one datagram and is shed before parsing),
-    link layer (raw IPv4 or Ethernet per [linktype]), IPv4 header,
-    then TCP/UDP.  Counts one record (plus the error, if any) when
-    [metrics] is given.  No exception escapes. *)
+    ([max_payload], default 65535 bytes, the IPv4 maximum — a datagram
+    longer than that, link header not counted, cannot be one and is
+    shed before parsing), link layer (raw IPv4 or Ethernet per
+    [linktype]), IPv4 header, then TCP/UDP.  A bad TCP or UDP checksum
+    is a [Tcp_segment] or [Udp_datagram] error.  Counts one record
+    (plus the error, if any) when [metrics] is given.  No exception
+    escapes. *)
+
+val admit : ?metrics:metrics -> linktype:int -> int -> bool
+(** [admit ~linktype incl_len]: {!decode_record}'s default admission
+    bound for a record of [incl_len] bytes, decided before its body is
+    read.  A shed
+    record ([false]) is counted as {!decode_record} would count it: one
+    record, one [payload_bound] error.  An admitted one counts nothing
+    here; {!decode_record} counts it. *)
 
 val ok_packets :
   ?metrics:metrics -> ?max_payload:int -> Sanids_pcap.Pcap.file -> Packet.t list

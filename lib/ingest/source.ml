@@ -114,6 +114,7 @@ type fifo_state = {
   mutable buf : Bytes.t;
   mutable start : int;  (* first unparsed byte *)
   mutable len : int;  (* unparsed byte count *)
+  mutable skip : int;  (* body bytes of a shed record still to discard *)
   mutable phase : [ `Header | `Records of Pcap.meta | `Dead ];
 }
 
@@ -121,14 +122,15 @@ let fifo_chunk = 65536
 
 let fifo_buffered st n = st.len >= n
 
-let fifo_peek st n = Bytes.sub_string st.buf st.start n
+let fifo_peek st n = Slice.of_string (Bytes.sub_string st.buf st.start n)
 
 let fifo_consume st n =
   st.start <- st.start + n;
   st.len <- st.len - n
 
 let fifo_fill st =
-  (* compact, grow if needed, then one non-blocking read *)
+  (* compact, grow if needed, then one non-blocking read; the buffer
+     only ever has to hold one admitted record *)
   if st.start > 0 then begin
     Bytes.blit st.buf st.start st.buf 0 st.len;
     st.start <- 0
@@ -158,7 +160,8 @@ let fifo ?metrics path =
       Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
   | fd ->
       let st =
-        { fd; buf = Bytes.create fifo_chunk; start = 0; len = 0; phase = `Header }
+        { fd; buf = Bytes.create fifo_chunk; start = 0; len = 0; skip = 0;
+          phase = `Header }
       in
       let rec step () =
         match st.phase with
@@ -178,6 +181,12 @@ let fifo ?metrics path =
                   Eof
             end
             else pull ()
+        | `Records _ when st.skip > 0 ->
+            (* discard a shed record's body as it arrives *)
+            let n = min st.skip st.len in
+            fifo_consume st n;
+            st.skip <- st.skip - n;
+            if st.skip > 0 then pull () else step ()
         | `Records meta ->
             if fifo_buffered st Pcap.record_header_len then begin
               match
@@ -189,22 +198,22 @@ let fifo ?metrics path =
                   st.phase <- `Dead;
                   Eof
               | Ok rh ->
-                  if fifo_buffered st (Pcap.record_header_len + rh.Pcap.incl_len)
+                  let linktype = meta.Pcap.file_linktype in
+                  if not (Ingest.admit ?metrics ~linktype rh.Pcap.incl_len) then begin
+                    (* shed and counted at header time, as file mode does *)
+                    fifo_consume st Pcap.record_header_len;
+                    st.skip <- rh.Pcap.incl_len;
+                    step ()
+                  end
+                  else if fifo_buffered st (Pcap.record_header_len + rh.Pcap.incl_len)
                   then begin
                     fifo_consume st Pcap.record_header_len;
                     let body = fifo_peek st rh.Pcap.incl_len in
                     fifo_consume st rh.Pcap.incl_len;
                     let record =
-                      {
-                        Pcap.ts = rh.Pcap.r_ts;
-                        orig_len = rh.Pcap.r_orig_len;
-                        data = Slice.of_string body;
-                      }
+                      { Pcap.ts = rh.Pcap.r_ts; orig_len = rh.Pcap.r_orig_len; data = body }
                     in
-                    match
-                      Ingest.decode_record ?metrics
-                        ~linktype:meta.Pcap.file_linktype record
-                    with
+                    match Ingest.decode_record ?metrics ~linktype record with
                     | Ok p -> Packet p
                     | Error _ -> step ()  (* counted; keep framing *)
                   end

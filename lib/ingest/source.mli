@@ -37,5 +37,10 @@ val of_path :
     - Named pipe: streaming pcap, framed incrementally as bytes arrive.
       The FIFO is opened read-write, so the daemon holds its own writer
       end and external writers can come and go: [Idle] whenever the
-      pipe is dry.  A corrupt global or record header poisons the
-      framing and yields [Eof] (counted as [pcap_framing]). *)
+      pipe is dry.  Records are framed with the same header parsers as
+      [Sanids_pcap.Pcap.decode].  A record whose header claims more than
+      {!Ingest.decode_record}'s admission bound is shed at header time
+      ({!Ingest.admit}: counted as file mode counts it) and its body is
+      discarded as it arrives, so the buffer never holds more than one
+      admitted record.  A corrupt global header poisons the framing and
+      yields [Eof] (counted as [pcap_framing]). *)

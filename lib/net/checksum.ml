@@ -1,8 +1,12 @@
-(* Sum 16-bit big-endian words with end-around carry, over an absolute
-   window of [base] — the shared core for strings and slices. *)
-let sum_window acc base lo hi =
+(* One running sum: 16-bit big-endian words added into a 63-bit
+   accumulator, the end-around carry folded once at the end.  A window
+   is summed as if it started at an even offset of the datagram, which
+   holds for every caller (headers, and a pseudo-header of 12 bytes). *)
+let ones_complement acc s =
+  let base = Slice.base s in
+  let hi = Slice.offset s + Slice.length s in
   let acc = ref acc in
-  let i = ref lo in
+  let i = ref (Slice.offset s) in
   while !i + 1 < hi do
     acc :=
       !acc
@@ -11,31 +15,14 @@ let sum_window acc base lo hi =
     i := !i + 2
   done;
   if !i < hi then acc := !acc + (Char.code (String.unsafe_get base !i) lsl 8);
-  !acc
-
-let sum_into acc s = sum_window acc s 0 (String.length s)
-
-let sum_into_slice acc s =
-  let off = Slice.offset s in
-  sum_window acc (Slice.base s) off (off + Slice.length s)
-
-let fold acc =
-  let acc = ref acc in
   while !acc land lnot 0xFFFF <> 0 do
     acc := (!acc land 0xFFFF) + (!acc lsr 16)
   done;
-  !acc
+  lnot !acc land 0xFFFF
 
-let ones_complement s = lnot (fold (sum_into 0 s)) land 0xFFFF
-
-let ones_complement_list parts =
-  (* parts must each have even length except possibly the last; the packet
-     encoders below guarantee this by padding the pseudo-header side *)
-  let acc = List.fold_left sum_into 0 parts in
-  lnot (fold acc) land 0xFFFF
-
-let ones_complement_slices parts =
-  let acc = List.fold_left sum_into_slice 0 parts in
-  lnot (fold acc) land 0xFFFF
-
-let valid_slice s = lnot (fold (sum_into_slice 0 s)) land 0xFFFF = 0
+(* The pseudo-header's words: both halves of each address, the
+   protocol (its high byte is the zero pad) and the length. *)
+let pseudo_header ~src ~dst ~proto ~len =
+  let a = Int32.to_int (Ipaddr.to_int32 src) land 0xFFFFFFFF in
+  let b = Int32.to_int (Ipaddr.to_int32 dst) land 0xFFFFFFFF in
+  (a lsr 16) + (a land 0xFFFF) + (b lsr 16) + (b land 0xFFFF) + proto + len

@@ -1,15 +1,13 @@
-(** RFC 1071 internet checksum. *)
+(** RFC 1071 internet checksum: one running sum over slices, plus the
+    TCP/UDP pseudo-header as one arithmetic term. *)
 
-val ones_complement : string -> int
-(** Checksum over a byte string (odd lengths are zero-padded). *)
+val ones_complement : int -> Slice.t -> int
+(** [ones_complement acc s] is the checksum over [s]'s bytes (an odd
+    length is zero-padded), with [acc] — [0], or a {!pseudo_header}
+    term — added into the sum.  It is [0] over bytes whose checksum
+    field is correct, which is how every decoder verifies. *)
 
-val ones_complement_list : string list -> int
-(** Checksum over the concatenation, without materializing it. *)
-
-val ones_complement_slices : Slice.t list -> int
-(** {!ones_complement_list} over slices — the zero-copy decode path sums
-    headers and payloads in place.  The same even-length-except-last
-    convention applies. *)
-
-val valid_slice : Slice.t -> bool
-
+val pseudo_header : src:Ipaddr.t -> dst:Ipaddr.t -> proto:int -> len:int -> int
+(** The IPv4 pseudo-header's contribution to the sum: the 16-bit halves
+    of [src] and [dst], plus [proto] and [len] — the same total as
+    summing the 12 bytes it stands for, without building them. *)

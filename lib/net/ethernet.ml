@@ -46,12 +46,15 @@ let encode t =
 let decode s =
   if Slice.length s < 14 then Error "short frame"
   else
-    let r = Byte_io.Reader.of_slice s in
     (* the 6-byte addresses are tiny fixed copies; the payload is a view *)
-    let dst = Byte_io.Reader.take r 6 in
-    let src = Byte_io.Reader.take r 6 in
-    let ethertype = Byte_io.Reader.u16_be r in
-    Ok { dst; src; ethertype; payload = Byte_io.Reader.rest_slice r }
+    let mac off = String.sub (Slice.base s) (Slice.offset s + off) 6 in
+    Ok
+      {
+        dst = mac 0;
+        src = mac 6;
+        ethertype = Slice.get_u16_be s 12;
+        payload = Slice.sub s ~off:14 ~len:(Slice.length s - 14);
+      }
 
 let default_src = mac_of_string "02:00:00:00:00:01"
 let default_dst = mac_of_string "02:00:00:00:00:02"

@@ -27,39 +27,33 @@ let encode t =
   (* checksum placeholder *)
   Byte_io.Writer.u32_be w (Ipaddr.to_int32 t.src);
   Byte_io.Writer.u32_be w (Ipaddr.to_int32 t.dst);
-  let header = Byte_io.Writer.contents w in
-  let csum = Checksum.ones_complement header in
+  let csum = Checksum.ones_complement 0 (Slice.of_string (Byte_io.Writer.contents w)) in
   Byte_io.Writer.patch_u16_be w 10 csum;
   Byte_io.Writer.slice w t.payload;
   Byte_io.Writer.contents w
 
 let decode s =
-  let open Byte_io in
-  try
-    let r = Reader.of_slice s in
-    let vi = Reader.u8 r in
-    let version = vi lsr 4 in
+  (* fixed fields by offset: once [ihl >= 20] bytes are known present,
+     every read below is in range *)
+  if Slice.length s = 0 then Error "truncated"
+  else
+    let vi = Slice.get_u8 s 0 in
     let ihl = (vi land 0xF) * 4 in
-    if version <> 4 then Error "not IPv4"
+    if vi lsr 4 <> 4 then Error "not IPv4"
     else if ihl < 20 then Error "bad IHL"
     else if Slice.length s < ihl then Error "truncated header"
-    else begin
-      let _tos = Reader.u8 r in
-      let total_len = Reader.u16_be r in
-      let ident = Reader.u16_be r in
-      let _frag = Reader.u16_be r in
-      let ttl = Reader.u8 r in
-      let proto = Reader.u8 r in
-      let _csum = Reader.u16_be r in
-      let src = Ipaddr.of_int32 (Reader.u32_be r) in
-      let dst = Ipaddr.of_int32 (Reader.u32_be r) in
+    else
+      let total_len = Slice.get_u16_be s 2 in
       if total_len < ihl || total_len > Slice.length s then Error "bad total length"
-      else if not (Checksum.valid_slice (Slice.sub s ~off:0 ~len:ihl)) then
+      else if Checksum.ones_complement 0 (Slice.sub s ~off:0 ~len:ihl) <> 0 then
         Error "bad header checksum"
-      else begin
-        Reader.seek r ihl;
-        let payload = Slice.sub s ~off:ihl ~len:(total_len - ihl) in
-        Ok { src; dst; proto; ttl; ident; payload }
-      end
-    end
-  with Truncated _ -> Error "truncated"
+      else
+        Ok
+          {
+            src = Ipaddr.of_int32 (Slice.get_u32_be s 12);
+            dst = Ipaddr.of_int32 (Slice.get_u32_be s 16);
+            proto = Slice.get_u8 s 9;
+            ttl = Slice.get_u8 s 8;
+            ident = Slice.get_u16_be s 4;
+            payload = Slice.sub s ~off:ihl ~len:(total_len - ihl);
+          }

@@ -43,25 +43,6 @@ let build_udp ~ts ~src ~dst ~src_port ~dst_port ?(ttl = 64) ?(ident = 0) payload
 
 let to_bytes t = Ipv4.encode t.ip
 
-let parse_slice ~ts bytes =
-  match Ipv4.decode bytes with
-  | Error e -> Error e
-  | Ok ip ->
-      let l4 =
-        if ip.Ipv4.proto = Ipv4.proto_tcp then
-          match Tcp.decode ~src:ip.Ipv4.src ~dst:ip.Ipv4.dst ip.Ipv4.payload with
-          | Ok seg -> Ok (Tcp_seg seg)
-          | Error e -> Error ("tcp: " ^ e)
-        else if ip.Ipv4.proto = Ipv4.proto_udp then
-          match Udp.decode ~src:ip.Ipv4.src ~dst:ip.Ipv4.dst ip.Ipv4.payload with
-          | Ok d -> Ok (Udp_dgram d)
-          | Error e -> Error ("udp: " ^ e)
-        else Ok (Raw (ip.Ipv4.proto, ip.Ipv4.payload))
-      in
-      (match l4 with Ok l4 -> Ok { ts; ip; l4 } | Error e -> Error e)
-
-let parse ~ts bytes = parse_slice ~ts (Slice.of_string bytes)
-
 let src t = t.ip.Ipv4.src
 let dst t = t.ip.Ipv4.dst
 

@@ -1,8 +1,12 @@
 (** The NIDS's packet view: a timestamped, parsed IPv4 packet.
 
-    [build_*] produce raw IPv4 datagram bytes (as stored in traces) and
-    [parse] recovers the view.  Encode-side checksums are always valid;
-    parse rejects corrupt datagrams. *)
+    [build_*] produce the view and {!to_bytes} its raw IPv4 datagram
+    (as stored in traces), with valid checksums.  The one way back from
+    bytes is [Sanids_ingest.Ingest.decode_record]: link layer, IPv4,
+    then TCP/UDP, with typed errors for corrupt datagrams.  Its payloads
+    are views into the capture buffer, so a packet that outlives that
+    buffer pins it — long-lived state should materialize
+    ({!Slice.to_string}) what it keeps. *)
 
 type l4 =
   | Tcp_seg of Tcp.t
@@ -43,14 +47,6 @@ val build_udp :
 
 val to_bytes : t -> string
 (** Raw IPv4 datagram. *)
-
-val parse : ts:float -> string -> (t, string) Stdlib.result
-
-val parse_slice : ts:float -> Slice.t -> (t, string) Stdlib.result
-(** Zero-copy parse: every payload in the result is a view into the
-    given slice's backing string.  A packet that outlives the capture
-    buffer it was parsed from pins that buffer — long-lived state should
-    materialize ({!Slice.to_string}) what it keeps. *)
 
 val src : t -> Ipaddr.t
 val dst : t -> Ipaddr.t

@@ -33,15 +33,6 @@ let flags_of_byte b =
     urg = b land 32 <> 0;
   }
 
-let pseudo_header ~src ~dst ~len =
-  let w = Byte_io.Writer.create ~capacity:12 () in
-  Byte_io.Writer.u32_be w (Ipaddr.to_int32 src);
-  Byte_io.Writer.u32_be w (Ipaddr.to_int32 dst);
-  Byte_io.Writer.u8 w 0;
-  Byte_io.Writer.u8 w Ipv4.proto_tcp;
-  Byte_io.Writer.u16_be w len;
-  Byte_io.Writer.contents w
-
 let encode ~src ~dst t =
   let w = Byte_io.Writer.create ~capacity:(20 + Slice.length t.payload) () in
   Byte_io.Writer.u16_be w t.src_port;
@@ -58,39 +49,28 @@ let encode ~src ~dst t =
   (* urgent pointer *)
   Byte_io.Writer.slice w t.payload;
   let seg = Byte_io.Writer.contents w in
-  let csum =
-    Checksum.ones_complement_list
-      [ pseudo_header ~src ~dst ~len:(String.length seg); seg ]
-  in
-  Byte_io.Writer.patch_u16_be w 16 csum;
+  let len = String.length seg in
+  let pseudo = Checksum.pseudo_header ~src ~dst ~proto:Ipv4.proto_tcp ~len in
+  Byte_io.Writer.patch_u16_be w 16 (Checksum.ones_complement pseudo (Slice.of_string seg));
   Byte_io.Writer.contents w
 
 let decode ~src ~dst s =
-  let open Byte_io in
-  try
-    if Slice.length s < 20 then Error "short segment"
-    else begin
-      let r = Reader.of_slice s in
-      let src_port = Reader.u16_be r in
-      let dst_port = Reader.u16_be r in
-      let seq = Reader.u32_be r in
-      let ack_no = Reader.u32_be r in
-      let off = Reader.u8 r lsr 4 * 4 in
-      let flags = flags_of_byte (Reader.u8 r) in
-      let window = Reader.u16_be r in
-      let _csum = Reader.u16_be r in
-      let _urg = Reader.u16_be r in
-      if off < 20 || off > Slice.length s then Error "bad data offset"
-      else begin
-        let sum =
-          Checksum.ones_complement_slices
-            [ Slice.of_string (pseudo_header ~src ~dst ~len:(Slice.length s)); s ]
-        in
-        if sum <> 0 then Error "bad checksum"
-        else begin
-          let payload = Slice.sub s ~off ~len:(Slice.length s - off) in
-          Ok { src_port; dst_port; seq; ack_no; flags; window; payload }
-        end
-      end
-    end
-  with Truncated _ -> Error "truncated"
+  let len = Slice.length s in
+  if len < 20 then Error "short segment"
+  else
+    let off = Slice.get_u8 s 12 lsr 4 * 4 in
+    if off < 20 || off > len then Error "bad data offset"
+    else
+      let pseudo = Checksum.pseudo_header ~src ~dst ~proto:Ipv4.proto_tcp ~len in
+      if Checksum.ones_complement pseudo s <> 0 then Error "bad checksum"
+      else
+        Ok
+          {
+            src_port = Slice.get_u16_be s 0;
+            dst_port = Slice.get_u16_be s 2;
+            seq = Slice.get_u32_be s 4;
+            ack_no = Slice.get_u32_be s 8;
+            flags = flags_of_byte (Slice.get_u8 s 13);
+            window = Slice.get_u16_be s 14;
+            payload = Slice.sub s ~off ~len:(len - off);
+          }

@@ -1,14 +1,5 @@
 type t = { src_port : int; dst_port : int; payload : Slice.t }
 
-let pseudo_header ~src ~dst ~len =
-  let w = Byte_io.Writer.create ~capacity:12 () in
-  Byte_io.Writer.u32_be w (Ipaddr.to_int32 src);
-  Byte_io.Writer.u32_be w (Ipaddr.to_int32 dst);
-  Byte_io.Writer.u8 w 0;
-  Byte_io.Writer.u8 w Ipv4.proto_udp;
-  Byte_io.Writer.u16_be w len;
-  Byte_io.Writer.contents w
-
 let encode ~src ~dst t =
   let len = 8 + Slice.length t.payload in
   let w = Byte_io.Writer.create ~capacity:len () in
@@ -17,32 +8,30 @@ let encode ~src ~dst t =
   Byte_io.Writer.u16_be w len;
   Byte_io.Writer.u16_be w 0;
   Byte_io.Writer.slice w t.payload;
-  let dgram = Byte_io.Writer.contents w in
-  let csum = Checksum.ones_complement_list [ pseudo_header ~src ~dst ~len; dgram ] in
+  let pseudo = Checksum.pseudo_header ~src ~dst ~proto:Ipv4.proto_udp ~len in
+  let csum =
+    Checksum.ones_complement pseudo (Slice.of_string (Byte_io.Writer.contents w))
+  in
   let csum = if csum = 0 then 0xFFFF else csum in
   Byte_io.Writer.patch_u16_be w 6 csum;
   Byte_io.Writer.contents w
 
 let decode ~src ~dst s =
-  let open Byte_io in
-  try
-    if Slice.length s < 8 then Error "short datagram"
-    else begin
-      let r = Reader.of_slice s in
-      let src_port = Reader.u16_be r in
-      let dst_port = Reader.u16_be r in
-      let len = Reader.u16_be r in
-      let csum = Reader.u16_be r in
-      if len < 8 || len > Slice.length s then Error "bad length"
-      else begin
-        let body = Slice.sub s ~off:0 ~len in
-        if
-          csum <> 0
-          && Checksum.ones_complement_slices
-               [ Slice.of_string (pseudo_header ~src ~dst ~len); body ]
-             <> 0
-        then Error "bad checksum"
-        else Ok { src_port; dst_port; payload = Slice.sub s ~off:8 ~len:(len - 8) }
-      end
-    end
-  with Truncated _ -> Error "truncated"
+  if Slice.length s < 8 then Error "short datagram"
+  else
+    let len = Slice.get_u16_be s 4 in
+    if len < 8 || len > Slice.length s then Error "bad length"
+    else if
+      Slice.get_u16_be s 6 <> 0
+      && Checksum.ones_complement
+           (Checksum.pseudo_header ~src ~dst ~proto:Ipv4.proto_udp ~len)
+           (Slice.sub s ~off:0 ~len)
+         <> 0
+    then Error "bad checksum"
+    else
+      Ok
+        {
+          src_port = Slice.get_u16_be s 0;
+          dst_port = Slice.get_u16_be s 2;
+          payload = Slice.sub s ~off:8 ~len:(len - 8);
+        }

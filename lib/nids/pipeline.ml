@@ -510,11 +510,6 @@ let process_packet t packet =
 
 let process_packets t packets = List.concat_map (process_packet t) packets
 
-let process_pcap t (file : Sanids_pcap.Pcap.file) =
-  List.concat_map
-    (fun r -> match r with Ok p -> process_packet t p | Error _ -> [])
-    (Sanids_pcap.Pcap.to_packets file)
-
 let analyze_payload t payload =
   List.map (fun v -> v.match_) (analyze_report t payload).verdicts
 

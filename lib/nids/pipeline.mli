@@ -65,9 +65,6 @@ val process_packet : t -> Packet.t -> Alert.t list
 
 val process_packets : t -> Packet.t list -> Alert.t list
 
-val process_pcap : t -> Sanids_pcap.Pcap.file -> Alert.t list
-(** Unparseable records are counted and skipped. *)
-
 val analyze_report : t -> string -> analysis
 (** The analysis stages only (no classification): extraction per config,
     then disassembly and template matching, deduplicated to one verdict

@@ -1,8 +1,6 @@
 type record = { ts : float; orig_len : int; data : Slice.t }
 type file = { nanos : bool; linktype : int; records : record list }
 
-exception Malformed of string
-
 let linktype_raw = 101
 let linktype_ethernet = 1
 let magic_usec = 0xA1B2C3D4
@@ -39,10 +37,9 @@ let encode ?(nanos = false) ?(linktype = linktype_raw) records =
     records;
   Byte_io.Writer.contents w
 
-(* Incremental framing: the global and per-record headers parsed on
-   their own, so a streaming reader (the follow-mode FIFO source) can
-   frame records as bytes arrive instead of needing the whole capture
-   in one string. *)
+(* One pair of header parsers frames both a whole capture ({!decode})
+   and a stream whose bytes arrive in pieces (the follow-mode FIFO
+   source). *)
 
 type meta = { le : bool; nanos : bool; file_linktype : int }
 type record_header = { r_ts : float; incl_len : int; r_orig_len : int }
@@ -50,84 +47,52 @@ type record_header = { r_ts : float; incl_len : int; r_orig_len : int }
 let global_header_len = 24
 let record_header_len = 16
 
+let u32 le s off = if le then Slice.get_u32_le_int s off else Slice.get_u32_be_int s off
+
 let decode_global_header s =
-  let open Byte_io in
-  if String.length s < global_header_len then Error "short global header"
+  if Slice.length s < global_header_len then Error "short global header"
   else
-    let r = Reader.of_string s in
-    let raw_magic = Reader.u32_le_int r in
-    let endianness =
-      if raw_magic = magic_usec then Ok (true, false)
-      else if raw_magic = magic_nsec then Ok (true, true)
-      else begin
-        (* big-endian writer: the magic reads byte-swapped *)
-        let swapped =
-          ((raw_magic land 0xFF) lsl 24)
-          lor ((raw_magic land 0xFF00) lsl 8)
-          lor ((raw_magic lsr 8) land 0xFF00)
-          lor ((raw_magic lsr 24) land 0xFF)
-        in
-        if swapped = magic_usec then Ok (false, false)
-        else if swapped = magic_nsec then Ok (false, true)
-        else Error "bad magic"
-      end
-    in
-    match endianness with
-    | Error _ as e -> e
-    | Ok (le, nanos) ->
-        let u16 rd = if le then Reader.u16_le rd else Reader.u16_be rd in
-        let u32 rd = if le then Reader.u32_le_int rd else Reader.u32_be_int rd in
-        let _vmaj = u16 r in
-        let _vmin = u16 r in
-        let _zone = u32 r in
-        let _sigfigs = u32 r in
-        let _snaplen = u32 r in
-        let file_linktype = u32 r in
-        Ok { le; nanos; file_linktype }
+    (* a big-endian writer's magic reads byte-swapped *)
+    let magic_le = Slice.get_u32_le_int s 0 and magic_be = Slice.get_u32_be_int s 0 in
+    let meta le nanos = Ok { le; nanos; file_linktype = u32 le s 20 } in
+    if magic_le = magic_usec then meta true false
+    else if magic_le = magic_nsec then meta true true
+    else if magic_be = magic_usec then meta false false
+    else if magic_be = magic_nsec then meta false true
+    else Error "bad magic"
 
 let decode_record_header meta s =
-  let open Byte_io in
-  if String.length s < record_header_len then Error "truncated record header"
-  else begin
-    let r = Reader.of_string s in
-    let u32 rd = if meta.le then Reader.u32_le_int rd else Reader.u32_be_int rd in
-    let secs = u32 r in
-    let frac = u32 r in
-    let incl_len = u32 r in
-    let r_orig_len = u32 r in
+  if Slice.length s < record_header_len then Error "truncated record header"
+  else
     let scale = if meta.nanos then 1e9 else 1e6 in
-    Ok { r_ts = float_of_int secs +. (float_of_int frac /. scale); incl_len; r_orig_len }
-  end
+    Ok
+      {
+        r_ts = float_of_int (u32 meta.le s 0) +. (float_of_int (u32 meta.le s 4) /. scale);
+        incl_len = u32 meta.le s 8;
+        r_orig_len = u32 meta.le s 12;
+      }
 
-let decode_exn s =
-  let open Byte_io in
-  let { le; nanos; file_linktype = linktype } =
-    match decode_global_header s with
-    | Ok m -> m
-    | Error m -> raise (Malformed m)
-  in
-  let r = Reader.of_string s in
-  Reader.skip r global_header_len;
-  let u32 rd = if le then Reader.u32_le_int rd else Reader.u32_be_int rd in
-  let records = ref [] in
-  (try
-     while Reader.remaining r > 0 do
-       if Reader.remaining r < 16 then raise (Malformed "truncated record header");
-       let secs = u32 r in
-       let frac = u32 r in
-       let incl = u32 r in
-       let orig = u32 r in
-       if Reader.remaining r < incl then raise (Malformed "truncated record body");
-       let data = Reader.take_slice r incl in
-       let scale = if nanos then 1e9 else 1e6 in
-       records :=
-         { ts = float_of_int secs +. (float_of_int frac /. scale); orig_len = orig; data }
-         :: !records
-     done
-   with Truncated _ -> raise (Malformed "truncated"));
-  { nanos; linktype; records = List.rev !records }
-
-let decode s = match decode_exn s with f -> Ok f | exception Malformed m -> Error m
+let decode s =
+  let whole = Slice.of_string s in
+  let n = String.length s in
+  match decode_global_header whole with
+  | Error _ as e -> e
+  | Ok meta ->
+      let rec records off acc =
+        if off = n then
+          Ok { nanos = meta.nanos; linktype = meta.file_linktype; records = List.rev acc }
+        else
+          match decode_record_header meta (Slice.sub whole ~off ~len:(n - off)) with
+          | Error _ as e -> e
+          | Ok h ->
+              let body = off + record_header_len in
+              if n - body < h.incl_len then Error "truncated record body"
+              else
+                let data = Slice.sub whole ~off:body ~len:h.incl_len in
+                records (body + h.incl_len)
+                  ({ ts = h.r_ts; orig_len = h.r_orig_len; data } :: acc)
+      in
+      records global_header_len []
 
 let write_file path records =
   let oc = open_out_bin path in
@@ -136,13 +101,6 @@ let write_file path records =
      close_out_noerr oc;
      raise e);
   close_out oc
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let data = really_input_string ic n in
-  close_in ic;
-  decode_exn data
 
 let of_packets pkts =
   List.map
@@ -157,20 +115,3 @@ let of_packets_ethernet pkts =
       let frame = Ethernet.wrap_ipv4 (Packet.to_bytes p) in
       { ts = p.Packet.ts; orig_len = String.length frame; data = Slice.of_string frame })
     pkts
-
-let to_packets f =
-  let body r =
-    if f.linktype = linktype_ethernet then
-      match Ethernet.decode r.data with
-      | Ok e when e.Ethernet.ethertype = Ethernet.ethertype_ipv4 ->
-          Ok e.Ethernet.payload
-      | Ok e -> Error (Printf.sprintf "ethertype 0x%04x" e.Ethernet.ethertype)
-      | Error m -> Error ("ethernet: " ^ m)
-    else Ok r.data
-  in
-  List.map
-    (fun r ->
-      match body r with
-      | Ok datagram -> Packet.parse_slice ~ts:r.ts datagram
-      | Error e -> Error e)
-    f.records

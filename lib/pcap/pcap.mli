@@ -1,9 +1,11 @@
 (** Classic pcap capture file format (the libpcap substitute).
 
     We read and write the 24-byte global header plus per-record headers,
-    little- or big-endian, microsecond or nanosecond magic.  Link type is
-    [LINKTYPE_RAW] (101): each record body is a raw IPv4 datagram, which
-    is exactly what {!Packet.to_bytes} produces. *)
+    little- or big-endian, microsecond or nanosecond magic.  This module
+    only frames records: a record body becomes a packet through
+    [Sanids_ingest.Ingest.decode_record], per the file's link type —
+    [LINKTYPE_RAW] (101), where each body is a raw IPv4 datagram (what
+    {!Packet.to_bytes} produces), or [LINKTYPE_ETHERNET] (1). *)
 
 type record = { ts : float; orig_len : int; data : Slice.t }
 (** [data] is a view: decoding a capture yields record bodies that alias
@@ -11,16 +13,14 @@ type record = { ts : float; orig_len : int; data : Slice.t }
 
 type file = { nanos : bool; linktype : int; records : record list }
 
-exception Malformed of string
-
 val linktype_raw : int
 val linktype_ethernet : int
 
-(** {2 Incremental framing}
+(** {2 Header parsers}
 
-    The follow-mode sources ({!Sanids_ingest.Source}) frame records as
-    bytes arrive on a FIFO, so the two header layers are decodable on
-    their own. *)
+    One pair of parsers frames every capture: {!decode} over a whole
+    string, and the follow-mode FIFO source ({!Sanids_ingest.Source})
+    as bytes arrive.  Neither raises; [Error] carries the fault. *)
 
 type meta = { le : bool; nanos : bool; file_linktype : int }
 (** The global header's framing facts: byte order, timestamp scale,
@@ -34,31 +34,25 @@ val global_header_len : int
 val record_header_len : int
 (** 16. *)
 
-val decode_global_header : string -> (meta, string) result
+val decode_global_header : Slice.t -> (meta, string) result
 (** Parse a capture's first {!global_header_len} bytes (longer input is
-    fine; only the header is read). *)
+    fine; only the header is read): ["short global header"] or
+    ["bad magic"] on failure. *)
 
-val decode_record_header : meta -> string -> (record_header, string) result
-(** Parse one {!record_header_len}-byte per-record header; the record
-    body is the next [incl_len] bytes on the wire. *)
+val decode_record_header : meta -> Slice.t -> (record_header, string) result
+(** Parse one {!record_header_len}-byte per-record header (longer input
+    is fine); the record body is the next [incl_len] bytes on the wire.
+    ["truncated record header"] when fewer bytes are given. *)
 
 val encode : ?nanos:bool -> ?linktype:int -> record list -> string
 (** Serialize a capture (little-endian). *)
 
 val decode : string -> (file, string) Stdlib.result
-(** Parse a capture; [Error] names the framing fault (bad magic,
-    truncated record header/body).  This is the primary decode entry
-    point — it matches the {!to_packets} result convention, and no
-    exception escapes it. *)
-
-val decode_exn : string -> file
-(** {!decode}, raising.  @raise Malformed on a bad magic or truncated
-    record.  Kept for callers that treat a bad capture as fatal. *)
+(** Frame a whole capture with the header parsers above; [Error] names
+    the framing fault (short global header, bad magic, truncated record
+    header/body).  No exception escapes it. *)
 
 val write_file : string -> record list -> unit
-
-val read_file : string -> file
-(** @raise Malformed as {!decode_exn}; [Sys_error] on I/O failure. *)
 
 val of_packets : Packet.t list -> record list
 (** Records from parsed packets (snap = full length). *)
@@ -66,8 +60,3 @@ val of_packets : Packet.t list -> record list
 val of_packets_ethernet : Packet.t list -> record list
 (** Records with Ethernet II framing ([LINKTYPE_ETHERNET]); pair with
     [encode ~linktype:linktype_ethernet]. *)
-
-val to_packets : file -> (Packet.t, string) Stdlib.result list
-(** Parse each record body according to the file's link type: raw IPv4
-    datagrams, or Ethernet frames whose IPv4 payload is extracted
-    (non-IPv4 ethertypes are errors). *)

@@ -9,67 +9,27 @@ module Reader = struct
       invalid_arg "Reader.of_string: view out of bounds";
     { src; base = pos; len; cur = 0 }
 
-  let of_slice s =
-    { src = Slice.base s; base = Slice.offset s; len = Slice.length s; cur = 0 }
-
   let pos t = t.cur
-  let remaining t = t.len - t.cur
-  let is_empty t = remaining t = 0
+  let is_empty t = t.cur = t.len
 
   let seek t p =
     if p < 0 || p > t.len then invalid_arg "Reader.seek: out of bounds";
     t.cur <- p
 
-  let need t n what = if remaining t < n then raise (Truncated what)
-
-  let skip t n =
-    need t n "skip";
-    t.cur <- t.cur + n
-
   let u8 t =
-    need t 1 "u8";
+    if t.cur >= t.len then raise (Truncated "u8");
     let v = Char.code t.src.[t.base + t.cur] in
     t.cur <- t.cur + 1;
     v
 
-  let u16_be t =
-    let a = u8 t in
-    let b = u8 t in
-    (a lsl 8) lor b
-
-  let u16_le t =
-    let a = u8 t in
-    let b = u8 t in
-    (b lsl 8) lor a
-
-  let u32_be_int t =
-    let a = u16_be t in
-    let b = u16_be t in
-    (a lsl 16) lor b
-
   let u32_le_int t =
-    let a = u16_le t in
-    let b = u16_le t in
-    (b lsl 16) lor a
+    let a = u8 t in
+    let b = u8 t in
+    let c = u8 t in
+    let d = u8 t in
+    (d lsl 24) lor (c lsl 16) lor (b lsl 8) lor a
 
-  let u32_be t = Int32.of_int (u32_be_int t land 0xFFFFFFFF)
-  let u32_le t = Int32.of_int (u32_le_int t land 0xFFFFFFFF)
-
-  let take t n =
-    need t n "take";
-    let s = String.sub t.src (t.base + t.cur) n in
-    t.cur <- t.cur + n;
-    s
-
-  let rest t = take t (remaining t)
-
-  let take_slice t n =
-    need t n "take_slice";
-    let s = Slice.of_sub t.src ~off:(t.base + t.cur) ~len:n in
-    t.cur <- t.cur + n;
-    s
-
-  let rest_slice t = take_slice t (remaining t)
+  let u32_le t = Int32.of_int (u32_le_int t)
 end
 
 module Writer = struct

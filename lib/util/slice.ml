@@ -2,11 +2,6 @@ type t = { base : string; off : int; len : int }
 
 let of_string s = { base = s; off = 0; len = String.length s }
 
-let of_sub s ~off ~len =
-  if off < 0 || len < 0 || off + len > String.length s then
-    invalid_arg "Slice.of_sub: view out of bounds";
-  { base = s; off; len }
-
 let empty = { base = ""; off = 0; len = 0 }
 let base t = t.base
 let offset t = t.off

@@ -16,10 +16,6 @@ type t
 val of_string : string -> t
 (** Whole-string view; O(1), no copy. *)
 
-val of_sub : string -> off:int -> len:int -> t
-(** View of [len] bytes of [s] starting at [off]; O(1), no copy.
-    @raise Invalid_argument when the window exceeds the string. *)
-
 val empty : t
 
 val base : t -> string
@@ -44,6 +40,11 @@ val get_u16_be : t -> int -> int
 val get_u16_le : t -> int -> int
 val get_u32_be : t -> int -> int32
 val get_u32_le : t -> int -> int32
+
+val get_u32_be_int : t -> int -> int
+(** [get_u32_be] as a non-negative [int], unboxed. *)
+
+val get_u32_le_int : t -> int -> int
 
 val sub : t -> off:int -> len:int -> t
 (** O(1) re-view of a sub-range; shares the backing string.

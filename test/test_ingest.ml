@@ -9,6 +9,7 @@ module Obs = Sanids_obs
 module Pcap = Sanids_pcap.Pcap
 module Ingest = Sanids_ingest.Ingest
 module Fault = Sanids_ingest.Fault
+module Source = Sanids_ingest.Source
 
 let ip = Ipaddr.of_string
 let clients = Ipaddr.prefix_of_string "172.18.0.0/16"
@@ -58,6 +59,30 @@ let test_decode_record () =
   match Ingest.decode_record ~max_payload:8 ~linktype:Pcap.linktype_raw (record raw) with
   | Error (Ingest.Payload_bound _) -> ()
   | _ -> Alcotest.fail "oversized record admitted"
+
+(* The admission bound is on the datagram, not the record: a largest
+   legal IPv4 datagram in an Ethernet frame (65,549 bytes) is admitted,
+   while a raw-linktype record one byte over the bound is shed. *)
+let test_bound_is_on_the_datagram () =
+  let pkt =
+    Packet.build_tcp ~ts:0.0 ~src:(ip "172.18.0.1") ~dst:(ip "172.19.0.1") ~src_port:1
+      ~dst_port:80 (String.make (0xFFFF - 40) 'a')
+  in
+  let datagram = Packet.to_bytes pkt in
+  Alcotest.(check int) "largest IPv4 datagram" 0xFFFF (String.length datagram);
+  let record data =
+    { Pcap.ts = 0.0; orig_len = String.length data; data = Slice.of_string data }
+  in
+  (match
+     Ingest.decode_record ~linktype:Pcap.linktype_ethernet
+       (record (Ethernet.wrap_ipv4 datagram))
+   with
+  | Ok p -> Alcotest.(check int) "whole payload" (0xFFFF - 40) (Slice.length (Packet.payload p))
+  | Error e -> Alcotest.failf "legal framed datagram shed: %s" (Ingest.error_to_string e));
+  match Ingest.decode_record ~linktype:Pcap.linktype_raw (record (String.make 0x10000 '\x45')) with
+  | Error (Ingest.Payload_bound _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Ingest.error_to_string e)
+  | Ok _ -> Alcotest.fail "65,536-byte raw record admitted"
 
 let test_reason_labels () =
   Alcotest.(check (list string))
@@ -259,6 +284,166 @@ let test_opt_constructors () =
   Alcotest.(check bool) "prefix none" true
     (Ipaddr.prefix_of_string_opt "10.0.0.0/99" = None)
 
+(* ------------------------------------------------------------------ *)
+(* follow-mode sources: the FIFO frames with the same header parsers as
+   the whole-file path, as bytes arrive *)
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "sanids_source" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* Pull until the source has nothing more right now. *)
+let drain src on_packet =
+  let rec go () =
+    match Source.next src with
+    | Source.Packet p ->
+        on_packet p;
+        go ()
+    | Source.Idle -> ()
+    | Source.Eof -> Alcotest.fail "a FIFO source never ends"
+  in
+  go ()
+
+(* Write [s] into the FIFO's non-blocking writer end, draining the
+   source whenever the pipe is full, so one thread plays both sides. *)
+let feed fd src on_packet s =
+  let off = ref 0 in
+  while !off < String.length s do
+    match Unix.write_substring fd s !off (String.length s - !off) with
+    | n -> off := !off + n
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        drain src on_packet
+  done
+
+(* Open [path] (a FIFO) as a source and run [f] with its writer end. *)
+let with_fifo ?metrics dir f =
+  let path = Filename.concat dir "feed" in
+  Unix.mkfifo path 0o600;
+  let src =
+    match Source.of_path ?metrics path with Ok s -> s | Error m -> Alcotest.fail m
+  in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Source.close src)
+    (fun () -> f src fd)
+
+let error_series r = Printf.sprintf "%s{reason=\"%s\"}" Ingest.errors_total r
+
+(* records_total, then each reason's error count *)
+let ingest_counts reg =
+  let snap = Obs.Registry.snapshot reg in
+  Obs.Snapshot.counter_value snap Ingest.records_total
+  :: List.map (fun r -> Obs.Snapshot.counter_value snap (error_series r)) Ingest.reasons
+
+(* A writer whose record header claims an 8 MiB body: the FIFO sheds
+   the record at header time, counted as file mode counts it, and
+   discards the body as it arrives instead of buffering it. *)
+let test_fifo_sheds_over_bound () =
+  with_temp_dir (fun dir ->
+      let reg = Obs.Registry.create () in
+      let metrics = Ingest.metrics reg in
+      with_fifo ~metrics dir (fun src fd ->
+          let pkt = List.hd (benign 1 0x51DEL) in
+          let capture = Pcap.encode (Pcap.of_packets [ pkt ]) in
+          let hdr = Pcap.global_header_len in
+          let body = 8 * 1024 * 1024 in
+          let record_header = Bytes.make Pcap.record_header_len '\000' in
+          Bytes.set_int32_le record_header 8 (Int32.of_int body);
+          Bytes.set_int32_le record_header 12 (Int32.of_int body);
+          let chunk = String.make 65536 '\000' in
+          let got = ref [] in
+          let on_packet p = got := p :: !got in
+          feed fd src on_packet (String.sub capture 0 hdr);
+          feed fd src on_packet (Bytes.to_string record_header);
+          let a0 = Gc.allocated_bytes () in
+          for _ = 1 to body / String.length chunk do
+            feed fd src on_packet chunk
+          done;
+          drain src on_packet;
+          let allocated = Gc.allocated_bytes () -. a0 in
+          feed fd src on_packet (String.sub capture hdr (String.length capture - hdr));
+          drain src on_packet;
+          if allocated >= 1048576.0 then
+            Alcotest.failf "streaming an 8 MiB shed body allocated %.0f bytes" allocated;
+          (match !got with
+          | [ p ] ->
+              Alcotest.(check string) "the record after it decodes"
+                (Packet.payload_string pkt) (Packet.payload_string p)
+          | l -> Alcotest.failf "%d packets, want 1" (List.length l));
+          Alcotest.(check (list int)) "records, then errors by reason"
+            [ 2; 0; 0; 0; 0; 0; 1 ] (ingest_counts reg)))
+
+(* The same capture bytes through Source.of_path as a regular file and
+   as a FIFO: the same packets in order, the same ingest counters.  The
+   capture is a seeded benign one, Raw or Ethernet, under a random fault
+   plan (framing intact: the faulted records are re-encoded), sometimes
+   with an over-bound record spliced in. *)
+let source_case seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let plan =
+    List.filter_map
+      (fun k -> if Rng.bool rng then Some (k, Rng.float rng 1.0) else None)
+      [ Fault.Truncate; Fault.Bit_flip; Fault.Duplicate; Fault.Reorder; Fault.Garbage_prepend ]
+  in
+  let pkts = benign (1 + Rng.int rng 40) (Rng.int64 rng) in
+  let ethernet = Rng.bool rng in
+  let records = if ethernet then Pcap.of_packets_ethernet pkts else Pcap.of_packets pkts in
+  let records = Fault.records ~seed:(Rng.int64 rng) plan records in
+  let records =
+    if Rng.int rng 4 = 0 then
+      let big = Rng.bytes rng (0x10000 + 14) in
+      let at = Rng.int rng (List.length records + 1) in
+      List.filteri (fun i _ -> i < at) records
+      @ ({ Pcap.ts = 9.0; orig_len = String.length big; data = Slice.of_string big }
+         :: List.filteri (fun i _ -> i >= at) records)
+    else records
+  in
+  let linktype = if ethernet then Pcap.linktype_ethernet else Pcap.linktype_raw in
+  Pcap.encode ~linktype records
+
+let prop_source_file_equals_fifo =
+  QCheck2.Test.make ~name:"Source: regular file ≡ FIFO carrying the same bytes" ~count:40
+    ~print:(Printf.sprintf "seed %d")
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let capture = source_case seed in
+      with_temp_dir (fun dir ->
+          let view p = (p.Packet.ts, Packet.to_bytes p) in
+          let from_file =
+            let path = Filename.concat dir "capture.pcap" in
+            Out_channel.with_open_bin path (fun oc -> output_string oc capture);
+            let reg = Obs.Registry.create () in
+            let src =
+              match Source.of_path ~metrics:(Ingest.metrics reg) path with
+              | Ok s -> s
+              | Error m -> Alcotest.fail m
+            in
+            let rec all acc =
+              match Source.next src with
+              | Source.Packet p -> all (view p :: acc)
+              | Source.Idle -> Alcotest.fail "a file source is never idle"
+              | Source.Eof -> List.rev acc
+            in
+            let packets = all [] in
+            (packets, ingest_counts reg)
+          in
+          let from_fifo =
+            let reg = Obs.Registry.create () in
+            let got = ref [] in
+            with_fifo ~metrics:(Ingest.metrics reg) dir (fun src fd ->
+                let on_packet p = got := view p :: !got in
+                feed fd src on_packet capture;
+                drain src on_packet);
+            (List.rev !got, ingest_counts reg)
+          in
+          from_file = from_fifo))
+
 let properties = List.map QCheck_alcotest.to_alcotest [ prop_never_raises ]
 
 let () =
@@ -268,6 +453,7 @@ let () =
         [
           Alcotest.test_case "decode_file" `Quick test_decode_file;
           Alcotest.test_case "decode_record" `Quick test_decode_record;
+          Alcotest.test_case "bound is on the datagram" `Quick test_bound_is_on_the_datagram;
           Alcotest.test_case "reason labels" `Quick test_reason_labels;
           Alcotest.test_case "opt constructors" `Quick test_opt_constructors;
         ] );
@@ -284,6 +470,11 @@ let () =
           Alcotest.test_case "drop_newest" `Quick test_bqueue_drop_newest;
           Alcotest.test_case "drop_oldest" `Quick test_bqueue_drop_oldest;
           Alcotest.test_case "block backpressure" `Quick test_bqueue_block_backpressure;
+        ] );
+      ( "source",
+        [
+          Alcotest.test_case "fifo sheds an over-bound record" `Quick test_fifo_sheds_over_bound;
+          QCheck_alcotest.to_alcotest prop_source_file_equals_fifo;
         ] );
       ( "isolation",
         [ Alcotest.test_case "worker survives callback crash" `Quick test_worker_isolation ] );

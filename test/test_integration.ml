@@ -123,10 +123,15 @@ let test_via_pcap () =
   let pkts = scenario () in
   let path = Filename.temp_file "sanids_integration" ".pcap" in
   Sanids_pcap.Pcap.write_file path (Sanids_pcap.Pcap.of_packets pkts);
-  let capture = Sanids_pcap.Pcap.read_file path in
+  let capture =
+    match Sanids_pcap.Pcap.decode (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok f -> f
+    | Error m -> Alcotest.failf "decode: %s" m
+  in
   Sys.remove path;
   let nids = Pipeline.create config in
-  check_alerts "after pcap round trip" (Pipeline.process_pcap nids capture)
+  check_alerts "after pcap round trip"
+    (Pipeline.process_packets nids (Sanids_ingest.Ingest.ok_packets capture))
 
 let test_via_parallel () =
   let pkts = scenario () in

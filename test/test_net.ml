@@ -1,8 +1,17 @@
 (* Tests for the network substrate: addresses, codecs, flows, pcap. *)
 
 open Sanids_net
+module Pcap = Sanids_pcap.Pcap
+module Ingest = Sanids_ingest.Ingest
 
 let ip = Ipaddr.of_string
+
+(* The one bytes -> packet chain, over a raw-IPv4 record. *)
+let decode_raw ~ts raw =
+  Ingest.decode_record ~linktype:Pcap.linktype_raw
+    { Pcap.ts; orig_len = String.length raw; data = Slice.of_string raw }
+
+let decode_file f = List.map (Ingest.decode_record ~linktype:f.Pcap.linktype) f.Pcap.records
 
 let test_ipaddr_roundtrip () =
   List.iter
@@ -40,7 +49,7 @@ let test_unsigned_compare () =
 let test_checksum_known () =
   (* RFC 1071 example: 00 01 f2 03 f4 f5 f6 f7 -> checksum 0x220d *)
   Alcotest.(check int) "rfc1071" 0x220D
-    (Checksum.ones_complement "\x00\x01\xf2\x03\xf4\xf5\xf6\xf7")
+    (Checksum.ones_complement 0 (Slice.of_string "\x00\x01\xf2\x03\xf4\xf5\xf6\xf7"))
 
 let a = ip "10.0.0.1"
 let b = ip "10.0.0.2"
@@ -116,11 +125,11 @@ let test_packet_roundtrip () =
   let p =
     Packet.build_tcp ~ts:1.5 ~src:a ~dst:b ~src_port:1234 ~dst_port:80 "payload!"
   in
-  match Packet.parse ~ts:1.5 (Packet.to_bytes p) with
+  match decode_raw ~ts:1.5 (Packet.to_bytes p) with
   | Ok p' ->
       Alcotest.(check string) "payload" "payload!" (Packet.payload_string p');
       Alcotest.(check (option (pair int int))) "ports" (Some (1234, 80)) (Packet.ports p')
-  | Error e -> Alcotest.failf "packet parse: %s" e
+  | Error e -> Alcotest.failf "packet parse: %s" (Ingest.error_to_string e)
 
 let test_flow_reassembly () =
   let r = Flow.create_reassembler () in
@@ -155,7 +164,7 @@ let test_pcap_roundtrip () =
     | Error m -> Alcotest.failf "decode: %s" m
   in
   Alcotest.(check int) "linktype" Sanids_pcap.Pcap.linktype_raw f.Sanids_pcap.Pcap.linktype;
-  match Sanids_pcap.Pcap.to_packets f with
+  match decode_file f with
   | [ Ok p1; Ok p2 ] ->
       Alcotest.(check string) "p1" "one" (Packet.payload_string p1);
       Alcotest.(check string) "p2" "two" (Packet.payload_string p2);
@@ -163,18 +172,19 @@ let test_pcap_roundtrip () =
   | _ -> Alcotest.fail "expected two parsed packets"
 
 let test_pcap_bad_magic () =
-  (match Sanids_pcap.Pcap.decode (String.make 40 'z') with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected a decode error");
-  match Sanids_pcap.Pcap.decode_exn (String.make 40 'z') with
-  | exception Sanids_pcap.Pcap.Malformed _ -> ()
-  | _ -> Alcotest.fail "expected Malformed"
+  match Sanids_pcap.Pcap.decode (String.make 40 'z') with
+  | Error m -> Alcotest.(check string) "framing fault" "bad magic" m
+  | Ok _ -> Alcotest.fail "expected a decode error"
 
 let test_pcap_file_io () =
   let path = Filename.temp_file "sanids" ".pcap" in
   let pkts = [ Packet.build_tcp ~ts:3.5 ~src:a ~dst:b ~src_port:5 ~dst_port:6 "disk" ] in
   Sanids_pcap.Pcap.write_file path (Sanids_pcap.Pcap.of_packets pkts);
-  let f = Sanids_pcap.Pcap.read_file path in
+  let f =
+    match Sanids_pcap.Pcap.decode (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok f -> f
+    | Error m -> Alcotest.failf "decode: %s" m
+  in
   Sys.remove path;
   Alcotest.(check int) "one record" 1 (List.length f.Sanids_pcap.Pcap.records)
 
@@ -184,7 +194,7 @@ let prop_packet_roundtrip =
     QCheck2.Gen.(string_size (int_bound 1200))
     (fun payload ->
       let p = Packet.build_tcp ~ts:0.0 ~src:a ~dst:b ~src_port:10 ~dst_port:20 payload in
-      match Packet.parse ~ts:0.0 (Packet.to_bytes p) with
+      match decode_raw ~ts:0.0 (Packet.to_bytes p) with
       | Ok p' -> Slice.equal_string (Packet.payload p') payload
       | Error _ -> false)
 
@@ -255,13 +265,111 @@ let test_pcap_ethernet_linktype () =
   in
   Alcotest.(check int) "linktype" Sanids_pcap.Pcap.linktype_ethernet
     f.Sanids_pcap.Pcap.linktype;
-  match Sanids_pcap.Pcap.to_packets f with
+  match decode_file f with
   | [ Ok p ] ->
       Alcotest.(check string) "payload through framing" "framed" (Packet.payload_string p)
   | _ -> Alcotest.fail "expected one parsed packet"
 
+(* Reference checksum for the oracles below: the pseudo-header built as
+   its 12 bytes, then a byte-pair loop over a string, folded at the
+   end — the pre-arithmetic construction, kept here as the reference. *)
+let ref_pseudo_bytes ~src ~dst ~proto ~len =
+  let b = Bytes.create 12 in
+  Bytes.set_int32_be b 0 (Ipaddr.to_int32 src);
+  Bytes.set_int32_be b 4 (Ipaddr.to_int32 dst);
+  Bytes.set_uint8 b 8 0;
+  Bytes.set_uint8 b 9 proto;
+  Bytes.set_uint16_be b 10 len;
+  Bytes.to_string b
+
+let ref_sum s =
+  let acc = ref 0 in
+  let n = String.length s in
+  let i = ref 0 in
+  while !i < n do
+    let lo = if !i + 1 < n then Char.code s.[!i + 1] else 0 in
+    acc := !acc + (Char.code s.[!i] lsl 8) + lo;
+    i := !i + 2
+  done;
+  !acc
+
+let rec ref_fold x = if x > 0xFFFF then ref_fold ((x land 0xFFFF) + (x lsr 16)) else x
+let ref_checksum s = lnot (ref_fold (ref_sum s)) land 0xFFFF
+
+let random_addr rng = Ipaddr.of_int32 (Int64.to_int32 (Rng.int64 rng))
+
+let prop_pseudo_header_arith =
+  QCheck2.Test.make
+    ~name:"arithmetic pseudo-header sum ≡ byte-pair sum over the materialised 12-byte pseudo-header"
+    ~count:500 ~print:(Printf.sprintf "seed %d")
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let src = random_addr rng and dst = random_addr rng in
+      let proto = if Rng.bool rng then Ipv4.proto_tcp else Ipv4.proto_udp in
+      let len = Rng.int rng 65536 in
+      let ph = ref_pseudo_bytes ~src ~dst ~proto ~len in
+      let term = Checksum.pseudo_header ~src ~dst ~proto ~len in
+      (* and as a running-sum term ahead of a segment of either parity *)
+      let seg = Rng.bytes rng (Rng.int rng 64) in
+      term = ref_sum ph
+      && Checksum.ones_complement term (Slice.of_string seg) = ref_checksum (ph ^ seg))
+
+(* A segment for the acceptance oracle: a valid TCP segment or UDP
+   datagram between random addresses, then maybe a byte corrupted
+   (never the TCP data offset or the UDP length, so the structure stays
+   valid), maybe its checksum field re-fixed by the reference, and maybe
+   decoded against another source address. *)
+let checksum_case seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let src = random_addr rng and dst = random_addr rng in
+  let tcp = Rng.bool rng in
+  let payload = Slice.of_string (Rng.bytes rng (Rng.int rng 300)) in
+  let raw =
+    if tcp then
+      Tcp.encode ~src ~dst
+        { Tcp.src_port = Rng.int rng 65536; dst_port = Rng.int rng 65536;
+          seq = Int64.to_int32 (Rng.int64 rng); ack_no = 0l; flags = Tcp.flags_ack;
+          window = Rng.int rng 65536; payload }
+    else
+      Udp.encode ~src ~dst
+        { Udp.src_port = Rng.int rng 65536; dst_port = Rng.int rng 65536; payload }
+  in
+  let b = Bytes.of_string raw in
+  let csum_at = if tcp then 16 else 6 in
+  if Rng.bool rng then begin
+    let pos = Rng.int rng (Bytes.length b) in
+    if not (if tcp then pos = 12 else pos = 4 || pos = 5) then
+      Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor (1 + Rng.int rng 255))
+  end;
+  let proto = if tcp then Ipv4.proto_tcp else Ipv4.proto_udp in
+  let dec_src = if Rng.int rng 4 = 0 then random_addr rng else src in
+  if Rng.bool rng then begin
+    Bytes.set_uint16_be b csum_at 0;
+    let ph = ref_pseudo_bytes ~src:dec_src ~dst ~proto ~len:(Bytes.length b) in
+    Bytes.set_uint16_be b csum_at (ref_checksum (ph ^ Bytes.to_string b))
+  end;
+  (tcp, dec_src, dst, Bytes.to_string b)
+
+let prop_decode_accepts_ref_checksum =
+  QCheck2.Test.make
+    ~name:"Tcp/Udp.decode accept exactly the segments whose reference checksum is zero"
+    ~count:1000 ~print:(Printf.sprintf "seed %d")
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let tcp, src, dst, seg = checksum_case seed in
+      let proto = if tcp then Ipv4.proto_tcp else Ipv4.proto_udp in
+      let ok = ref_checksum (ref_pseudo_bytes ~src ~dst ~proto ~len:(String.length seg) ^ seg) = 0 in
+      if tcp then Result.is_ok (Tcp.decode ~src ~dst (Slice.of_string seg)) = ok
+      else
+        (* a zero UDP checksum field means "not computed" *)
+        Result.is_ok (Udp.decode ~src ~dst (Slice.of_string seg))
+        = (ok || String.get_uint16_be seg 6 = 0))
+
 let properties =
-  List.map QCheck_alcotest.to_alcotest [ prop_packet_roundtrip; prop_checksum_detects_flip ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_packet_roundtrip; prop_checksum_detects_flip; prop_pseudo_header_arith;
+      prop_decode_accepts_ref_checksum ]
 
 let () =
   Alcotest.run "net"

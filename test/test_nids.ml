@@ -113,9 +113,10 @@ let test_pcap_end_to_end () =
     ]
   in
   let file =
-    Sanids_pcap.Pcap.decode_exn (Sanids_pcap.Pcap.encode (Sanids_pcap.Pcap.of_packets pkts))
+    Result.get_ok
+      (Sanids_pcap.Pcap.decode (Sanids_pcap.Pcap.encode (Sanids_pcap.Pcap.of_packets pkts)))
   in
-  let alerts = Pipeline.process_pcap nids file in
+  let alerts = Pipeline.process_packets nids (Sanids_ingest.Ingest.ok_packets file) in
   Alcotest.(check int) "one packet alerts" 1 (List.length alerts)
 
 let test_stats_accounting () =
@@ -251,9 +252,16 @@ let test_benign_payloads_parse () =
   let pkts = Sanids_workload.Benign_gen.packets (Rng.create 9L) ~n:300 ~t0:0.0 ~clients ~servers in
   List.iter
     (fun p ->
-      match Packet.parse ~ts:p.Packet.ts (Packet.to_bytes p) with
+      let raw = Packet.to_bytes p in
+      match
+        Sanids_ingest.Ingest.decode_record ~linktype:Sanids_pcap.Pcap.linktype_raw
+          { Sanids_pcap.Pcap.ts = p.Packet.ts; orig_len = String.length raw;
+            data = Slice.of_string raw }
+      with
       | Ok _ -> ()
-      | Error e -> Alcotest.failf "generated packet failed to parse: %s" e)
+      | Error e ->
+          Alcotest.failf "generated packet failed to parse: %s"
+            (Sanids_ingest.Ingest.error_to_string e))
     pkts
 
 let test_mix_proportions () =

@@ -130,7 +130,11 @@ let prop_parse_view_equals_copy =
           (Slice.of_string (junk ^ raw ^ junk))
           ~off:(String.length junk) ~len:(String.length raw)
       in
-      match (Packet.parse ~ts:0.0 raw, Packet.parse_slice ~ts:0.0 view) with
+      let decode data =
+        Sanids_ingest.Ingest.decode_record ~linktype:Sanids_pcap.Pcap.linktype_raw
+          { Sanids_pcap.Pcap.ts = 0.0; orig_len = String.length raw; data }
+      in
+      match (decode (Slice.of_string raw), decode view) with
       | Ok p1, Ok p2 ->
           Slice.equal (Packet.payload p1) (Packet.payload p2)
           && Packet.ports p1 = Packet.ports p2
@@ -209,12 +213,17 @@ let test_alloc_decode () =
   let sink = ref 0 in
   let w =
     words_per ~n (fun () ->
-        let f = Sanids_pcap.Pcap.decode_exn file_bytes in
+        let f = Result.get_ok (Sanids_pcap.Pcap.decode file_bytes) in
         sink := List.length (Sanids_ingest.Ingest.ok_packets f))
   in
   Alcotest.(check int) "all decoded" n !sink;
-  (* pre-change (copying decode chain): 181.8 *)
-  check_below "decode" 181.8 w
+  (* the copying decode chain read 181.8; the slice chain 119.7 while it
+     built each pseudo-header as a 12-byte string and read headers
+     through a boxed cursor.  It reads 96.7 with the pseudo-header as
+     arithmetic and headers read by offset (checksums still verified);
+     minor words are deterministic for the fixed seed, so the bound is
+     about 5% above that. *)
+  check_below "decode" 101.5 w
 
 let test_alloc_replay () =
   let rng = Rng.create 0x0B0B0B0BL in

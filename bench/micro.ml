@@ -43,6 +43,30 @@ let tests () =
     Sanids_nids.Pipeline.create
       (Sanids_nids.Config.default |> Sanids_nids.Config.with_classification false)
   in
+  (* ingest as the outbreak workload sees it: 2,000 benign packets on
+     Table 3's address plan, framed as Ethernet records; each run takes
+     the next record in turn, so a row reads per record *)
+  let records, packets =
+    let p = Sanids_net.Ipaddr.prefix_of_string in
+    let pkts =
+      Sanids_workload.Benign_gen.packets (Rng.create 0x0B0B0B0BL) ~n:2000 ~t0:0.0
+        ~clients:(p "172.16.0.0/16") ~servers:(p "172.17.0.0/16")
+    in
+    (Array.of_list (Sanids_pcap.Pcap.of_packets_ethernet pkts), Array.of_list pkts)
+  in
+  let classifier =
+    Sanids_classify.Classifier.create
+      ~unused:[ Sanids_net.Ipaddr.prefix_of_string "172.17.200.0/21" ]
+      ()
+  in
+  let cycle a =
+    let i = ref 0 in
+    fun () ->
+      let x = a.(!i) in
+      i := (!i + 1) mod Array.length a;
+      x
+  in
+  let next_record = cycle records and next_packet = cycle packets in
   Test.make_grouped ~name:"sanids"
     [
       (* table 1: exploit payload through the full analysis stages *)
@@ -71,6 +95,11 @@ let tests () =
             ignore (Sanids_ir.Icache.lookup c off)
           done);
       mk "stage/aho-corasick" (fun () -> Sanids_baseline.Signatures.scan poly);
+      mk "stage/decode-record-ethernet" (fun () ->
+          Sanids_ingest.Ingest.decode_record ~linktype:Sanids_pcap.Pcap.linktype_ethernet
+            (next_record ()));
+      mk "stage/classify-outbreak" (fun () ->
+          Sanids_classify.Classifier.classify classifier (next_packet ()));
     ]
 
 let run ?(quota = 0.25) () =

@@ -1,19 +1,22 @@
 type t = {
-  decoys : (Ipaddr.t, unit) Hashtbl.t;
-  marked : (Ipaddr.t, unit) Hashtbl.t;
+  decoys : unit Ipaddr.Tbl.t;
+  marked : unit Ipaddr.Tbl.t;
 }
 
 let create addrs =
-  let decoys = Hashtbl.create 16 in
-  List.iter (fun a -> Hashtbl.replace decoys a ()) addrs;
-  { decoys; marked = Hashtbl.create 64 }
+  let decoys = Ipaddr.Tbl.create 16 in
+  List.iter (fun a -> Ipaddr.Tbl.replace decoys a ()) addrs;
+  { decoys; marked = Ipaddr.Tbl.create 64 }
 
-let add t a = Hashtbl.replace t.decoys a ()
-let is_honeypot t a = Hashtbl.mem t.decoys a
-let is_marked t a = Hashtbl.mem t.marked a
+let add t a = Ipaddr.Tbl.replace t.decoys a ()
+let is_honeypot t a = Ipaddr.Tbl.mem t.decoys a
+let is_marked t a = Ipaddr.Tbl.mem t.marked a
 
+(* the length tests skip hashing when no decoy is declared, or none
+   has been touched yet: the common case *)
 let observe t ~src ~dst =
-  if Hashtbl.mem t.decoys dst then Hashtbl.replace t.marked src ();
-  Hashtbl.mem t.marked src
+  if Ipaddr.Tbl.length t.decoys > 0 && Ipaddr.Tbl.mem t.decoys dst then
+    Ipaddr.Tbl.replace t.marked src ();
+  Ipaddr.Tbl.length t.marked > 0 && Ipaddr.Tbl.mem t.marked src
 
-let marked_count t = Hashtbl.length t.marked
+let marked_count t = Ipaddr.Tbl.length t.marked

@@ -59,12 +59,13 @@ let count_result m result =
       match result with Ok _ -> () | Error e -> count_error m e)
 
 let default_max_payload = 0xFFFF
+let ethernet_header = 14
 
 (* The admission bound is on the datagram, the record less its link
    header, so it reads off the record length alone: the FIFO source
    applies it from the record header, before the body arrives. *)
 let bound_error ~max_payload ~linktype incl_len =
-  let len = if linktype = Pcap.linktype_ethernet then incl_len - 14 else incl_len in
+  let len = if linktype = Pcap.linktype_ethernet then incl_len - ethernet_header else incl_len in
   if len > max_payload then
     Some
       (Payload_bound
@@ -82,46 +83,47 @@ let admit ?metrics ~linktype incl_len =
    each failure typed by the layer that rejected it.  The catch-alls
    honour the "no exception crosses the boundary" contract even against
    decoder bugs — decoders are result-returning by convention, but this
-   layer must not trust that under arbitrary input. *)
+   layer must not trust that under arbitrary input.  Each branch builds
+   the packet it returns; nothing is allocated for a layer in between. *)
 let parse_datagram ~ts bytes =
   match Ipv4.decode bytes with
   | exception e -> Error (Ipv4_header ("unexpected: " ^ Printexc.to_string e))
   | Error e -> Error (Ipv4_header e)
   | Ok ip ->
-      let l4 =
-        if ip.Ipv4.proto = Ipv4.proto_tcp then
-          match Tcp.decode ~src:ip.Ipv4.src ~dst:ip.Ipv4.dst ip.Ipv4.payload with
-          | exception e -> Error (Tcp_segment ("unexpected: " ^ Printexc.to_string e))
-          | Ok seg -> Ok (Packet.Tcp_seg seg)
-          | Error e -> Error (Tcp_segment e)
-        else if ip.Ipv4.proto = Ipv4.proto_udp then
-          match Udp.decode ~src:ip.Ipv4.src ~dst:ip.Ipv4.dst ip.Ipv4.payload with
-          | exception e -> Error (Udp_datagram ("unexpected: " ^ Printexc.to_string e))
-          | Ok d -> Ok (Packet.Udp_dgram d)
-          | Error e -> Error (Udp_datagram e)
-        else Ok (Packet.Raw (ip.Ipv4.proto, ip.Ipv4.payload))
-      in
-      Result.map (fun l4 -> { Packet.ts; ip; l4 }) l4
+      if ip.Ipv4.proto = Ipv4.proto_tcp then
+        match Tcp.decode ~src:ip.Ipv4.src ~dst:ip.Ipv4.dst ip.Ipv4.payload with
+        | exception e -> Error (Tcp_segment ("unexpected: " ^ Printexc.to_string e))
+        | Ok seg -> Ok { Packet.ts; ip; l4 = Packet.Tcp_seg seg }
+        | Error e -> Error (Tcp_segment e)
+      else if ip.Ipv4.proto = Ipv4.proto_udp then
+        match Udp.decode ~src:ip.Ipv4.src ~dst:ip.Ipv4.dst ip.Ipv4.payload with
+        | exception e -> Error (Udp_datagram ("unexpected: " ^ Printexc.to_string e))
+        | Ok d -> Ok { Packet.ts; ip; l4 = Packet.Udp_dgram d }
+        | Error e -> Error (Udp_datagram e)
+      else Ok { Packet.ts; ip; l4 = Packet.Raw (ip.Ipv4.proto, ip.Ipv4.payload) }
 
-let frame_body ~linktype (r : Pcap.record) =
+(* The link layer by offset: an Ethernet II header is two addresses,
+   which nothing downstream reads, and the ethertype at byte 12; the
+   datagram is a view from byte 14. *)
+let parse_body ~linktype ~ts data =
   if linktype = Pcap.linktype_ethernet then
-    match Ethernet.decode r.Pcap.data with
-    | exception e -> Error (Link_layer ("unexpected: " ^ Printexc.to_string e))
-    | Ok e when e.Ethernet.ethertype = Ethernet.ethertype_ipv4 ->
-        Ok e.Ethernet.payload
-    | Ok e -> Error (Link_layer (Printf.sprintf "ethertype 0x%04x" e.Ethernet.ethertype))
-    | Error m -> Error (Link_layer ("ethernet: " ^ m))
-  else if linktype = Pcap.linktype_raw then Ok r.Pcap.data
+    let len = Slice.length data in
+    if len < ethernet_header then Error (Link_layer "ethernet: short frame")
+    else
+      let ethertype = Slice.get_u16_be data 12 in
+      if ethertype <> Ethernet.ethertype_ipv4 then
+        Error (Link_layer (Printf.sprintf "ethertype 0x%04x" ethertype))
+      else
+        parse_datagram ~ts
+          (Slice.sub data ~off:ethernet_header ~len:(len - ethernet_header))
+  else if linktype = Pcap.linktype_raw then parse_datagram ~ts data
   else Error (Link_layer (Printf.sprintf "unsupported linktype %d" linktype))
 
 let decode_record ?metrics ?(max_payload = default_max_payload) ~linktype r =
   let result =
     match bound_error ~max_payload ~linktype (Slice.length r.Pcap.data) with
     | Some e -> Error e
-    | None -> (
-        match frame_body ~linktype r with
-        | Error _ as e -> e
-        | Ok datagram -> parse_datagram ~ts:r.Pcap.ts datagram)
+    | None -> parse_body ~linktype ~ts:r.Pcap.ts r.Pcap.data
   in
   count_result metrics result;
   result

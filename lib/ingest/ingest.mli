@@ -24,7 +24,7 @@
 
 type error =
   | Pcap_framing of string  (** bad magic, truncated record header/body *)
-  | Link_layer of string  (** Ethernet decode failure, non-IPv4 ethertype,
+  | Link_layer of string  (** short Ethernet frame, non-IPv4 ethertype,
                               unsupported linktype *)
   | Ipv4_header of string
   | Tcp_segment of string

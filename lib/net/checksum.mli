@@ -1,11 +1,18 @@
 (** RFC 1071 internet checksum: one running sum over slices, plus the
-    TCP/UDP pseudo-header as one arithmetic term. *)
+    TCP/UDP pseudo-header as one arithmetic term.
+
+    The sum reads eight bytes per step (one unaligned big-endian 64-bit
+    load, its two 32-bit halves added into a 63-bit accumulator), then
+    16-bit words, then the odd byte, and folds the end-around carry
+    once at the end. *)
 
 val ones_complement : int -> Slice.t -> int
 (** [ones_complement acc s] is the checksum over [s]'s bytes (an odd
     length is zero-padded), with [acc] — [0], or a {!pseudo_header}
     term — added into the sum.  It is [0] over bytes whose checksum
-    field is correct, which is how every decoder verifies. *)
+    field is correct, which is how every decoder verifies.  [s] is
+    summed as if it started at an even offset of its datagram,
+    whatever its offset in the backing string. *)
 
 val pseudo_header : src:Ipaddr.t -> dst:Ipaddr.t -> proto:int -> len:int -> int
 (** The IPv4 pseudo-header's contribution to the sum: the 16-bit halves

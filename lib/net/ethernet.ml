@@ -43,19 +43,6 @@ let encode t =
   Byte_io.Writer.slice w t.payload;
   Byte_io.Writer.contents w
 
-let decode s =
-  if Slice.length s < 14 then Error "short frame"
-  else
-    (* the 6-byte addresses are tiny fixed copies; the payload is a view *)
-    let mac off = String.sub (Slice.base s) (Slice.offset s + off) 6 in
-    Ok
-      {
-        dst = mac 0;
-        src = mac 6;
-        ethertype = Slice.get_u16_be s 12;
-        payload = Slice.sub s ~off:14 ~len:(Slice.length s - 14);
-      }
-
 let default_src = mac_of_string "02:00:00:00:00:01"
 let default_dst = mac_of_string "02:00:00:00:00:02"
 

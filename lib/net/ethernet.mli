@@ -1,4 +1,8 @@
-(** Ethernet II framing, for captures taken at the link layer. *)
+(** Ethernet II framing, for captures taken at the link layer.
+
+    Encoding only: a captured frame is read by offset in
+    [Sanids_ingest.Ingest.decode_record] (ethertype at byte 12, the
+    datagram from byte 14), which copies neither address. *)
 
 type mac
 (** A 48-bit hardware address. *)
@@ -19,10 +23,6 @@ val ethertype_ipv4 : int
 type t = { dst : mac; src : mac; ethertype : int; payload : Slice.t }
 
 val encode : t -> string
-
-val decode : Slice.t -> (t, string) Stdlib.result
-(** The payload is a view into the frame's backing string — no bytes are
-    copied beyond the two 6-byte addresses. *)
 
 val wrap_ipv4 : ?src:mac -> ?dst:mac -> string -> string
 (** Frame an IPv4 datagram with default locally administered

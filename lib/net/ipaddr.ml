@@ -1,7 +1,15 @@
-type t = int32
+(* An address is an immediate [int] in [0, 2^32): decoding one boxes
+   nothing, and comparing two is integer comparison, which is unsigned
+   because the value is never negative. *)
+type t = int
 
-let of_int32 v = v
-let to_int32 v = v
+let of_int v =
+  if v < 0 || v > 0xFFFFFFFF then invalid_arg "Ipaddr.of_int: out of [0, 2^32)";
+  v
+
+let to_int v = v
+let of_int32 v = Int32.to_int v land 0xFFFFFFFF
+let to_int32 v = Int32.of_int v
 
 let of_octets a b c d =
   let check o = if o < 0 || o > 255 then invalid_arg "Ipaddr.of_octets" in
@@ -9,11 +17,9 @@ let of_octets a b c d =
   check b;
   check c;
   check d;
-  Int32.logor
-    (Int32.shift_left (Int32.of_int a) 24)
-    (Int32.of_int ((b lsl 16) lor (c lsl 8) lor d))
+  (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
 
-let octet v i = Int32.to_int (Int32.logand (Int32.shift_right_logical v (8 * (3 - i))) 0xFFl)
+let octet v i = (v lsr (8 * (3 - i))) land 0xFF
 
 let to_string v =
   Printf.sprintf "%d.%d.%d.%d" (octet v 0) (octet v 1) (octet v 2) (octet v 3)
@@ -34,18 +40,41 @@ let of_string s =
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Ipaddr.of_string: %S" s)
 
-let compare = Int32.unsigned_compare
-let equal = Int32.equal
-let hash v = Hashtbl.hash v
+let compare = Int.compare
+let equal = Int.equal
 
-type prefix = { base : int32; len : int }
+(* The value [Hashtbl.hash] gives the boxed [int32] form, so that
+   [Parallel]'s shards do not move: the runtime hashes an [int32] by
+   one MurmurHash3 mix of its 32 bits from seed 0, then the final mix,
+   kept to 30 bits.  ([Hashtbl.hash] of the [int] mixes its tagged
+   representation instead, a different value.)  Products keep their
+   low 32 bits, all that is read of them. *)
+let rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land 0xFFFFFFFF
 
-let mask_of_len len =
-  if len = 0 then 0l else Int32.shift_left (-1l) (32 - len)
+let hash v =
+  let d = (v * 0xcc9e2d51) land 0xFFFFFFFF in
+  let d = (rotl32 d 15 * 0x1b873593) land 0xFFFFFFFF in
+  let h = ((rotl32 d 13 * 5) + 0xe6546b64) land 0xFFFFFFFF in
+  let h = h lxor (h lsr 16) in
+  let h = (h * 0x85ebca6b) land 0xFFFFFFFF in
+  let h = h lxor (h lsr 13) in
+  let h = (h * 0xc2b2ae35) land 0xFFFFFFFF in
+  (h lxor (h lsr 16)) land 0x3FFFFFFF
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
+type prefix = { base : int; len : int }
+
+let mask_of_len len = if len = 0 then 0 else (0xFFFFFFFF lsl (32 - len)) land 0xFFFFFFFF
 
 let prefix addr len =
   if len < 0 || len > 32 then invalid_arg "Ipaddr.prefix: bad length";
-  { base = Int32.logand addr (mask_of_len len); len }
+  { base = addr land mask_of_len len; len }
 
 let prefix_of_string_opt s =
   match String.index_opt s '/' with
@@ -65,7 +94,7 @@ let prefix_of_string s =
       invalid_arg
         (Printf.sprintf "Ipaddr.prefix_of_string: %S (want a.b.c.d/len)" s)
 
-let mem addr p = Int32.equal (Int32.logand addr (mask_of_len p.len)) p.base
+let mem addr p = addr land mask_of_len p.len = p.base
 
 let prefix_size p =
   if p.len = 0 then max_int
@@ -73,9 +102,11 @@ let prefix_size p =
     let bits = 32 - p.len in
     if bits >= 62 then max_int else 1 lsl bits
 
+(* wraps past 255.255.255.255 as the 32-bit sum does; only the /0
+   prefix, whose size is capped at [max_int], can get there *)
 let nth p i =
   if i < 0 || i >= prefix_size p then invalid_arg "Ipaddr.nth: out of range";
-  Int32.add p.base (Int32.of_int i)
+  (p.base + i) land 0xFFFFFFFF
 
 let prefix_to_string p = Printf.sprintf "%s/%d" (to_string p.base) p.len
 let pp ppf v = Format.pp_print_string ppf (to_string v)

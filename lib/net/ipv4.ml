@@ -50,8 +50,8 @@ let decode s =
       else
         Ok
           {
-            src = Ipaddr.of_int32 (Slice.get_u32_be s 12);
-            dst = Ipaddr.of_int32 (Slice.get_u32_be s 16);
+            src = Ipaddr.of_int (Slice.get_u32_be_int s 12);
+            dst = Ipaddr.of_int (Slice.get_u32_be_int s 16);
             proto = Slice.get_u8 s 9;
             ttl = Slice.get_u8 s 8;
             ident = Slice.get_u16_be s 4;

@@ -23,15 +23,22 @@ let flags_byte f =
   lor (if f.ack then 16 else 0)
   lor if f.urg then 32 else 0
 
-let flags_of_byte b =
-  {
-    fin = b land 1 <> 0;
-    syn = b land 2 <> 0;
-    rst = b land 4 <> 0;
-    psh = b land 8 <> 0;
-    ack = b land 16 <> 0;
-    urg = b land 32 <> 0;
-  }
+(* Every combination of the six flags, built once at module
+   initialisation: decoding a segment shares one (flags are immutable)
+   instead of allocating a record.  ECE and CWR (bits 6 and 7) are not
+   modelled. *)
+let flags_table =
+  Array.init 64 (fun b ->
+      {
+        fin = b land 1 <> 0;
+        syn = b land 2 <> 0;
+        rst = b land 4 <> 0;
+        psh = b land 8 <> 0;
+        ack = b land 16 <> 0;
+        urg = b land 32 <> 0;
+      })
+
+let flags_of_byte b = Array.unsafe_get flags_table (b land 63)
 
 let encode ~src ~dst t =
   let w = Byte_io.Writer.create ~capacity:(20 + Slice.length t.payload) () in

@@ -7,6 +7,11 @@ val flags_syn : flags
 val flags_ack : flags
 val flags_pshack : flags
 
+val flags_of_byte : int -> flags
+(** The flags of a header's flag byte (bits 0–5: FIN, SYN, RST, PSH,
+    ACK, URG; higher bits ignored).  The result is one of 64 records
+    built at module initialisation, shared by every call. *)
+
 type t = {
   src_port : int;
   dst_port : int;

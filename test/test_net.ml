@@ -115,6 +115,18 @@ let test_tcp_wrong_pseudo_header () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "checksum must bind addresses"
 
+let test_tcp_flags_shared () =
+  for byte = 0 to 255 do
+    let f = Tcp.flags_of_byte byte in
+    let bit n = byte land n <> 0 in
+    if
+      f.Tcp.fin <> bit 1 || f.Tcp.syn <> bit 2 || f.Tcp.rst <> bit 4
+      || f.Tcp.psh <> bit 8 || f.Tcp.ack <> bit 16 || f.Tcp.urg <> bit 32
+    then Alcotest.failf "flags of 0x%02x" byte;
+    if not (Tcp.flags_of_byte byte == f) then Alcotest.failf "flags of 0x%02x not shared" byte
+  done;
+  Alcotest.(check bool) "pshack" true (Tcp.flags_of_byte 0x18 = Tcp.flags_pshack)
+
 let test_udp_roundtrip () =
   let d = { Udp.src_port = 5353; dst_port = 53; payload = Slice.of_string "query" } in
   match Udp.decode ~src:a ~dst:b (Slice.of_string (Udp.encode ~src:a ~dst:b d)) with
@@ -228,27 +240,49 @@ let test_ethernet_mac () =
   Alcotest.(check bool) "broadcast differs" false
     (Ethernet.mac_equal m Ethernet.mac_broadcast)
 
+(* Ethernet frames go through the one decode path, by offset. *)
+let decode_ethernet frame =
+  Ingest.decode_record ~linktype:Pcap.linktype_ethernet
+    { Pcap.ts = 0.25; orig_len = String.length frame; data = Slice.of_string frame }
+
+let frame ?(src = Ethernet.mac_of_string "02:00:00:00:00:09")
+    ?(ethertype = Ethernet.ethertype_ipv4) datagram =
+  Ethernet.encode
+    { Ethernet.dst = Ethernet.mac_broadcast; src; ethertype; payload = Slice.of_string datagram }
+
 let test_ethernet_frame_roundtrip () =
-  let t =
-    {
-      Ethernet.dst = Ethernet.mac_broadcast;
-      src = Ethernet.mac_of_string "02:00:00:00:00:09";
-      ethertype = Ethernet.ethertype_ipv4;
-      payload = Slice.of_string "datagram-bytes";
-    }
+  let datagram =
+    Packet.to_bytes (Packet.build_tcp ~ts:0.25 ~src:a ~dst:b ~src_port:7 ~dst_port:8 "datagram-bytes")
   in
-  match Ethernet.decode (Slice.of_string (Ethernet.encode t)) with
-  | Ok t' ->
-      Alcotest.(check string) "payload" "datagram-bytes"
-        (Slice.to_string t'.Ethernet.payload);
-      Alcotest.(check int) "ethertype" Ethernet.ethertype_ipv4 t'.Ethernet.ethertype;
-      Alcotest.(check bool) "dst" true (Ethernet.mac_equal t'.Ethernet.dst Ethernet.mac_broadcast)
-  | Error e -> Alcotest.failf "decode: %s" e
+  let f = frame datagram in
+  (match decode_ethernet f with
+  | Ok p ->
+      Alcotest.(check string) "payload" "datagram-bytes" (Packet.payload_string p);
+      Alcotest.(check bool) "addresses" true
+        (Ipaddr.equal (Packet.src p) a && Ipaddr.equal (Packet.dst p) b);
+      (* the payload is a view into the frame: nothing was copied *)
+      Alcotest.(check bool) "view" true (Slice.base (Packet.payload p) == f);
+      Alcotest.(check int) "offset" (14 + 20 + 20) (Slice.offset (Packet.payload p))
+  | Error e -> Alcotest.failf "decode: %s" (Ingest.error_to_string e));
+  (* the hardware addresses are never read *)
+  (match decode_ethernet (frame ~src:Ethernet.mac_broadcast datagram) with
+  | Ok p -> Alcotest.(check string) "any source mac" "datagram-bytes" (Packet.payload_string p)
+  | Error e -> Alcotest.failf "decode: %s" (Ingest.error_to_string e));
+  match decode_ethernet (frame ~ethertype:0x86DD datagram) with
+  | Error (Ingest.Link_layer m) -> Alcotest.(check string) "ethertype" "ethertype 0x86dd" m
+  | Error e -> Alcotest.failf "wrong layer: %s" (Ingest.error_to_string e)
+  | Ok _ -> Alcotest.fail "a non-IPv4 ethertype must not decode"
 
 let test_ethernet_short_frame () =
-  match Ethernet.decode (Slice.of_string "short") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "short frame must not decode"
+  (match decode_ethernet "short" with
+  | Error (Ingest.Link_layer m) -> Alcotest.(check string) "short" "ethernet: short frame" m
+  | Error e -> Alcotest.failf "wrong layer: %s" (Ingest.error_to_string e)
+  | Ok _ -> Alcotest.fail "short frame must not decode");
+  (* a whole header and no datagram is IPv4's to reject *)
+  match decode_ethernet (frame "") with
+  | Error (Ingest.Ipv4_header _) -> ()
+  | Error e -> Alcotest.failf "wrong layer: %s" (Ingest.error_to_string e)
+  | Ok _ -> Alcotest.fail "empty datagram must not decode"
 
 let test_pcap_ethernet_linktype () =
   let pkts =
@@ -366,10 +400,80 @@ let prop_decode_accepts_ref_checksum =
         Result.is_ok (Udp.decode ~src ~dst (Slice.of_string seg))
         = (ok || String.get_uint16_be seg 6 = 0))
 
+(* The word-wide sum against the byte-pair reference above, over a
+   slice at a random offset in a larger string: both parities and every
+   alignment mod 8 of the start, lengths 0..2,000 (odd ones included),
+   and an [acc] up to the largest pseudo-header term.  A quarter of the
+   cases are all 0xFF bytes, the sum with the most carries. *)
+let max_pseudo_term = (4 * 0xFFFF) + 0xFF + 0xFFFF
+
+let prop_word_sum =
+  QCheck2.Test.make ~name:"word-wide ones_complement ≡ byte-pair reference" ~count:2000
+    ~print:(Printf.sprintf "seed %d")
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let len = Rng.int rng 2001 in
+      let off = Rng.int rng 16 and pad = Rng.int rng 16 in
+      let s =
+        if Rng.int rng 4 = 0 then String.make (off + len + pad) '\xFF'
+        else Rng.bytes rng (off + len + pad)
+      in
+      let acc = Rng.int rng (max_pseudo_term + 1) in
+      Checksum.ones_complement acc (Slice.sub (Slice.of_string s) ~off ~len)
+      = lnot (ref_fold (acc + ref_sum (String.sub s off len))) land 0xFFFF)
+
+(* The 32-bit boxed form the address used to be, kept as the reference
+   for the immediate one. *)
+module Ref_addr = struct
+  let octet v i = Int32.to_int (Int32.logand (Int32.shift_right_logical v (8 * (3 - i))) 0xFFl)
+  let to_string v = Printf.sprintf "%d.%d.%d.%d" (octet v 0) (octet v 1) (octet v 2) (octet v 3)
+  let mask len = if len = 0 then 0l else Int32.shift_left (-1l) (32 - len)
+  let mem v ~base ~len = Int32.equal (Int32.logand v (mask len)) base
+  let size len = if len = 0 then max_int else 1 lsl (32 - len)
+end
+
+let random_int32 rng =
+  let x = Int64.to_int32 (Rng.int64 rng) in
+  (* half the draws have the sign bit set, 128.0.0.0 and up *)
+  if Rng.bool rng then Int32.logor x Int32.min_int else Int32.logand x Int32.max_int
+
+let prop_ipaddr_ref =
+  QCheck2.Test.make ~name:"Ipaddr ≡ int32 reference" ~count:2000
+    ~print:(Printf.sprintf "seed %d")
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let x = random_int32 rng in
+      let y = if Rng.int rng 8 = 0 then x else random_int32 rng in
+      let a = Ipaddr.of_int32 x and b = Ipaddr.of_int32 y in
+      let o = Ref_addr.octet x in
+      let sign n = compare n 0 in
+      let len = Rng.int rng 33 in
+      let p = Ipaddr.prefix a len in
+      let base = Int32.logand x (Ref_addr.mask len) in
+      (* /0 covers [max_int] indices, most past 2^32, where the sum wraps *)
+      let i = Rng.int rng (Ref_addr.size len) in
+      Int32.equal (Ipaddr.to_int32 a) x
+      && Ipaddr.equal (Ipaddr.of_int32 (Ipaddr.to_int32 a)) a
+      && Ipaddr.to_int a = Int32.to_int x land 0xFFFFFFFF
+      && Ipaddr.equal (Ipaddr.of_int (Ipaddr.to_int a)) a
+      && Ipaddr.equal (Ipaddr.of_octets (o 0) (o 1) (o 2) (o 3)) a
+      && Ipaddr.to_string a = Ref_addr.to_string x
+      && Ipaddr.equal (Ipaddr.of_string (Ref_addr.to_string x)) a
+      && sign (Ipaddr.compare a b) = sign (Int32.unsigned_compare x y)
+      && Ipaddr.equal a b = Int32.equal x y
+      && Ipaddr.hash a = Hashtbl.hash x
+      && Ipaddr.prefix_to_string p = Printf.sprintf "%s/%d" (Ref_addr.to_string base) len
+      && Ipaddr.mem b p = Ref_addr.mem y ~base ~len
+      && Ipaddr.mem a p
+      && Ipaddr.prefix_size p = Ref_addr.size len
+      && Ipaddr.equal (Ipaddr.nth p i) (Ipaddr.of_int32 (Int32.add base (Int32.of_int i))))
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_packet_roundtrip; prop_checksum_detects_flip; prop_pseudo_header_arith;
-      prop_decode_accepts_ref_checksum ]
+      prop_decode_accepts_ref_checksum; prop_word_sum; prop_ipaddr_ref ]
 
 let () =
   Alcotest.run "net"
@@ -389,6 +493,7 @@ let () =
           Alcotest.test_case "ipv4 corrupt" `Quick test_ipv4_corrupt_checksum;
           Alcotest.test_case "tcp roundtrip" `Quick test_tcp_roundtrip;
           Alcotest.test_case "tcp pseudo header" `Quick test_tcp_wrong_pseudo_header;
+          Alcotest.test_case "tcp flags shared" `Quick test_tcp_flags_shared;
           Alcotest.test_case "udp roundtrip" `Quick test_udp_roundtrip;
           Alcotest.test_case "packet roundtrip" `Quick test_packet_roundtrip;
         ] );

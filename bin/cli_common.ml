@@ -2,10 +2,9 @@
    small file helpers, and cmdliner argument combinators.
 
    Every spec-valued flag (--budget, --breaker, --fault, --drop-policy,
-   --set) goes through [conv_of_parser] over the same typed
-   [string -> (_, string) result] parsers the daemon's hot-reload path
-   uses ({!Config.of_spec} / {!Config.of_file}), so a bad flag and a
-   rejected reload produce the same message. *)
+   --set) goes through [spec_conv] over the same {!Spec} codecs the
+   daemon's hot-reload path uses ({!Config.of_spec} / {!Config.of_file}),
+   so a bad flag and a rejected reload produce the same message. *)
 
 open Sanids
 open Cmdliner
@@ -30,11 +29,11 @@ let verbose_arg =
            ~doc:"Log classification and alerts as they happen.")
 
 let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  match File.read path with
+  | Ok s -> s
+  | Error m ->
+      Printf.eprintf "sanids: %s\n" m;
+      exit exit_noinput
 
 let write_file path data =
   let oc = open_out_bin path in
@@ -44,55 +43,34 @@ let write_file path data =
 (* ------------------------------------------------------------------ *)
 (* argument combinators *)
 
-(* Lift a typed [of_string : string -> ('a, string) result] parser and
-   its printer into a cmdliner converter — the one bridge between the
-   library's spec grammar and the command line. *)
-let conv_of_parser ~parse ~print =
+(* Lift a {!Spec} codec into a cmdliner converter — the one bridge
+   between the library's spec grammar and the command line. *)
+let spec_conv (c : _ Spec.t) =
   Arg.conv
-    ( (fun s -> match parse s with Ok v -> Ok v | Error m -> Error (`Msg m)),
-      fun ppf v -> Format.pp_print_string ppf (print v) )
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (c.Spec.parse s)),
+      fun ppf v -> Format.pp_print_string ppf (c.Spec.print v) )
 
 let ipaddr_conv =
-  conv_of_parser
-    ~parse:(fun s ->
-      match Ipaddr.of_string_opt s with
-      | Some a -> Ok a
-      | None -> Error (Printf.sprintf "bad IPv4 address %S" s))
-    ~print:Ipaddr.to_string
+  let parse s =
+    Option.to_result (Ipaddr.of_string_opt s) ~none:(Printf.sprintf "bad IPv4 address %S" s)
+  in
+  spec_conv { Spec.parse; print = Ipaddr.to_string }
 
 let prefix_conv =
-  conv_of_parser
-    ~parse:(fun s ->
-      match Ipaddr.prefix_of_string_opt s with
-      | Some p -> Ok p
-      | None -> Error (Printf.sprintf "bad prefix %S (want a.b.c.d/len)" s))
-    ~print:Ipaddr.prefix_to_string
-
-let fault_conv =
-  conv_of_parser ~parse:Fault.of_string ~print:Fault.to_string
-
-let budget_conv =
-  conv_of_parser ~parse:Budget.limits_of_string ~print:Budget.limits_to_string
-
-let breaker_conv =
-  conv_of_parser ~parse:Breaker.config_of_string ~print:Breaker.config_to_string
+  let parse s =
+    Option.to_result (Ipaddr.prefix_of_string_opt s)
+      ~none:(Printf.sprintf "bad prefix %S (want a.b.c.d/len)" s)
+  in
+  spec_conv { Spec.parse; print = Ipaddr.prefix_to_string }
 
 let policy_conv =
-  conv_of_parser ~parse:Bqueue.policy_of_string_result
-    ~print:Bqueue.policy_to_string
-
-let confirm_conv =
-  conv_of_parser ~parse:Confirm.config_of_string ~print:Confirm.config_to_string
+  spec_conv { Spec.parse = Bqueue.policy_of_string_result; print = Bqueue.policy_to_string }
 
 (* [--set key=value] parses through the daemon's reload grammar
    ({!Config.of_spec}), yielding a configuration updater. *)
-let spec_conv =
-  Arg.conv
-    ( (fun s ->
-        match Config.of_spec s with
-        | Ok update -> Ok (s, update)
-        | Error m -> Error (`Msg m)),
-      fun ppf (s, _) -> Format.pp_print_string ppf s )
+let set_conv =
+  let parse s = Result.map (fun update -> (s, update)) (Config.of_spec s) in
+  spec_conv { Spec.parse; print = fst }
 
 let seed_arg =
   Arg.(value & opt int 1
@@ -156,7 +134,7 @@ let config_term =
                    sanids_shed_total.")
   in
   let budget =
-    Arg.(value & opt (some budget_conv) None
+    Arg.(value & opt (some (spec_conv Budget.limits_spec)) None
          & info [ "budget" ] ~docv:"SPEC"
              ~doc:"Per-packet analysis work budget: $(b,default) or \
                    $(b,bytes=N,insns=N,steps=N,deadline=S) - the \
@@ -165,7 +143,7 @@ let config_term =
                    sanids_budget_truncated_total.")
   in
   let breaker =
-    Arg.(value & opt (some breaker_conv) None
+    Arg.(value & opt (some (spec_conv Breaker.config_spec)) None
          & info [ "breaker" ] ~docv:"SPEC"
              ~doc:"Per-template circuit breaker: $(b,default) or \
                    $(b,fails=N,cooldown=N,max=N) (cooldowns counted in \
@@ -173,7 +151,7 @@ let config_term =
                    sanids_breaker_open_total.")
   in
   let confirm =
-    Arg.(value & opt (some confirm_conv) None
+    Arg.(value & opt (some (spec_conv Confirm.config_spec)) None
          & info [ "confirm" ] ~docv:"SPEC"
              ~doc:"Dynamic confirmation: $(b,default) or \
                    $(b,steps=N,syscalls=N,written=N,arena=N).  Every \
@@ -204,15 +182,14 @@ let config_term =
                    sanids_degraded_total counts the fallbacks.")
   in
   let sets =
-    Arg.(value & opt_all spec_conv []
+    Arg.(value & opt_all set_conv []
          & info [ "set" ] ~docv:"KEY=VALUE"
-             ~doc:"Set a configuration key through the key=value grammar \
-                   shared with $(b,--config-file) and the daemon's hot \
-                   reload (repeatable, applied after the dedicated \
-                   flags; keys: honeypot, unused, scan_threshold, \
-                   classify, extract, min_payload, reassemble, \
-                   verdict_cache, flow_alert_cache, queue, drop_policy, \
-                   budget, breaker, degrade, confirm, static_refute).")
+             ~doc:("Set a configuration key through the key=value grammar \
+                    shared with $(b,--config-file) and the daemon's hot \
+                    reload (repeatable, applied after the dedicated \
+                    flags; keys: "
+                   ^ String.concat ", " Config.spec_keys
+                   ^ ")."))
   in
   let build honeypots unused no_classify no_extract scan_threshold
       verdict_cache queue drop_policy budget breaker confirm static_refute

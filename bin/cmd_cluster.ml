@@ -12,14 +12,8 @@ open Sanids
 open Cmdliner
 open Cli_common
 
-let backoff_conv =
-  conv_of_parser ~parse:Backoff.of_string ~print:Backoff.to_string
-
-let channel_fault_conv =
-  conv_of_parser ~parse:Cluster_fault.of_string ~print:Cluster_fault.to_string
-
 let backoff_arg =
-  Arg.(value & opt backoff_conv Backoff.default
+  Arg.(value & opt (spec_conv Backoff.spec) Backoff.default
        & info [ "backoff" ] ~docv:"SPEC"
            ~doc:"Retry policy for every aggregator-channel edge: \
                  $(b,base=0.05,factor=2,cap=2,jitter=0.5,timeout=5) (any \
@@ -78,7 +72,7 @@ let sensor_cmd =
            ~doc:"Quiet-channel heartbeat interval (0 disables).")
   in
   let channel_fault =
-    Arg.(value & opt channel_fault_conv []
+    Arg.(value & opt (spec_conv Cluster_fault.spec) []
          & info [ "channel-fault" ] ~docv:"SPEC"
              ~doc:"Test-only delivery faults on the delta channel: \
                    $(b,drop=P,dup=P,delay=P,reorder=P,truncate=P).  The \

@@ -28,19 +28,16 @@ let gen_trace_cmd =
   in
   let adv_kind =
     let parse s =
-      match Adversarial.kind_of_string s with
-      | Some k -> Ok k
-      | None ->
-          Error
-            (Printf.sprintf
-               "bad adversarial kind %S (want \
-                unicode_bomb|repetition_bomb|jmp_maze|garbage_x86|\
-                decoy_decoder|mixed)"
-               s)
+      Option.to_result (Adversarial.kind_of_string s)
+        ~none:
+          (Printf.sprintf
+             "bad adversarial kind %S (want \
+              unicode_bomb|repetition_bomb|jmp_maze|garbage_x86|decoy_decoder|mixed)"
+             s)
     in
     Arg.(value
          & opt
-             (conv_of_parser ~parse ~print:Adversarial.kind_to_string)
+             (spec_conv { Spec.parse; print = Adversarial.kind_to_string })
              Adversarial.Mixed
          & info [ "adv-kind" ] ~docv:"KIND"
              ~doc:"Payload family for the adversarial kind: \

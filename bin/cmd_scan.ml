@@ -22,7 +22,7 @@ let scan_cmd =
            ~doc:"Emit every N-th span (with --trace).")
   in
   let fault =
-    Arg.(value & opt (some fault_conv) None & info [ "fault" ] ~docv:"SPEC"
+    Arg.(value & opt (some (spec_conv Fault.spec)) None & info [ "fault" ] ~docv:"SPEC"
            ~doc:"Corrupt the capture before analysis, e.g. \
                  $(b,truncate=0.1,bitflip=0.05,dup=0.01,reorder=0.2,garbage=0.02) \
                  - resilience drills against the typed ingest boundary.")

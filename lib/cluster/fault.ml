@@ -1,54 +1,24 @@
 type kind = Drop | Duplicate | Delay | Reorder | Truncate
 
-let kind_to_string = function
-  | Drop -> "drop"
-  | Duplicate -> "dup"
-  | Delay -> "delay"
-  | Reorder -> "reorder"
-  | Truncate -> "truncate"
-
-let kind_of_string = function
-  | "drop" -> Some Drop
-  | "dup" -> Some Duplicate
-  | "delay" -> Some Delay
-  | "reorder" -> Some Reorder
-  | "truncate" -> Some Truncate
-  | _ -> None
-
 type t = (kind * float) list
 
-let of_string s =
-  let parse_token acc token =
-    match acc with
-    | Error _ as e -> e
-    | Ok plan -> (
-        match String.index_opt token '=' with
-        | None -> Error (Printf.sprintf "fault: expected kind=prob, got %S" token)
-        | Some i -> (
-            let k = String.sub token 0 i in
-            let v = String.sub token (i + 1) (String.length token - i - 1) in
-            match (kind_of_string k, float_of_string_opt v) with
-            | None, _ -> Error (Printf.sprintf "fault: unknown kind %S" k)
-            | _, None -> Error (Printf.sprintf "fault: bad probability %S" v)
-            | Some k, Some p ->
-                if not (Float.is_finite p) || p < 0.0 || p > 1.0 then
-                  Error
-                    (Printf.sprintf "fault: probability %s out of [0,1]" v)
-                else Ok ((k, p) :: plan)))
-  in
-  if String.trim s = "" then Ok []
-  else
-    String.split_on_char ',' s
-    |> List.map String.trim
-    |> List.fold_left parse_token (Ok [])
-    |> Result.map List.rev
+let spec =
+  Spec.plan "fault"
+    [
+      ("drop", Drop);
+      ("dup", Duplicate);
+      ("delay", Delay);
+      ("reorder", Reorder);
+      ("truncate", Truncate);
+    ]
+    Spec.prob
+
+let of_string = spec.Spec.parse
 
 let of_string_exn s =
   match of_string s with Ok t -> t | Error m -> invalid_arg m
 
-let to_string t =
-  String.concat ","
-    (List.map (fun (k, p) -> Printf.sprintf "%s=%g" (kind_to_string k) p) t)
+let to_string = spec.Spec.print
 
 type action = Deliver | Lose | Send_twice | Sleep of float | Corrupt
 

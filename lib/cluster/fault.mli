@@ -26,14 +26,15 @@ type kind = Drop | Duplicate | Delay | Reorder | Truncate
 type t = (kind * float) list
 (** A fault plan; order is roll order within one attempt. *)
 
+val spec : t Spec.t
+(** The spec syntax above; the empty spec is the empty plan. *)
+
 val of_string : string -> (t, string) result
-(** Parse a spec.  [Error] names the offending token. *)
 
 val of_string_exn : string -> t
 (** @raise Invalid_argument as {!of_string}'s [Error]. *)
 
 val to_string : t -> string
-(** Canonical spec text ([of_string (to_string t) = Ok t]). *)
 
 type action =
   | Deliver  (** send normally *)

@@ -10,16 +10,6 @@ let rec mkdir_p path =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> Ok s
-  | exception Sys_error m -> Error m
-
 (* All durable writes go through tmp + rename: a crash leaves either
    the old content or the new, never a prefix. *)
 let write_file path content =
@@ -43,7 +33,7 @@ let open_dir d =
       Error (Printf.sprintf "spool %s: %s" d (Unix.error_message e))
   | () -> (
       let prev =
-        match read_file (epoch_file d) with
+        match File.read (epoch_file d) with
         | Ok text -> (
             match int_of_string_opt (String.trim text) with
             | Some n when n >= 0 -> n
@@ -80,7 +70,7 @@ let pending t =
          match parse_entry name with
          | None -> None
          | Some (epoch, seq) -> (
-             match read_file (Filename.concat t.dir name) with
+             match File.read (Filename.concat t.dir name) with
              | Ok payload -> Some (epoch, seq, payload)
              | Error _ -> None))
   |> List.sort (fun (e1, s1, _) (e2, s2, _) -> compare (e1, s1) (e2, s2))

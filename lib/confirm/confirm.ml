@@ -23,54 +23,20 @@ let validate_config c =
     Error "confirm: arena above 16MiB is past any plausible payload"
   else Ok ()
 
-let config_to_string c =
-  Printf.sprintf "steps=%d,syscalls=%d,written=%d,arena=%d" c.max_steps
-    c.max_syscalls c.min_written c.arena_size
+let config_spec =
+  let key name get set = Spec.field name Spec.int get set in
+  Spec.record "confirm"
+    ~check:(fun c -> Result.map (fun () -> c) (validate_config c))
+    default_config
+    [
+      key "steps" (fun c -> c.max_steps) (fun max_steps c -> { c with max_steps });
+      key "syscalls" (fun c -> c.max_syscalls) (fun max_syscalls c -> { c with max_syscalls });
+      key "written" (fun c -> c.min_written) (fun min_written c -> { c with min_written });
+      key "arena" (fun c -> c.arena_size) (fun arena_size c -> { c with arena_size });
+    ]
 
-let config_of_string s =
-  let s = String.trim s in
-  if s = "" then Error "confirm: empty spec (use \"default\" or KEY=N,...)"
-  else if s = "default" then Ok default_config
-  else
-    let parse_field acc field =
-      match acc with
-      | Error _ as e -> e
-      | Ok cfg -> (
-          match String.index_opt field '=' with
-          | None ->
-              Error
-                (Printf.sprintf
-                   "confirm: %S is not KEY=N (keys: steps, syscalls, written, \
-                    arena)"
-                   field)
-          | Some i -> (
-              let key = String.trim (String.sub field 0 i) in
-              let v =
-                String.trim
-                  (String.sub field (i + 1) (String.length field - i - 1))
-              in
-              match int_of_string_opt v with
-              | None -> Error (Printf.sprintf "confirm: %s=%S is not a number" key v)
-              | Some n -> (
-                  match key with
-                  | "steps" -> Ok { cfg with max_steps = n }
-                  | "syscalls" -> Ok { cfg with max_syscalls = n }
-                  | "written" -> Ok { cfg with min_written = n }
-                  | "arena" -> Ok { cfg with arena_size = n }
-                  | _ ->
-                      Error
-                        (Printf.sprintf
-                           "confirm: unknown key %S (steps, syscalls, written, \
-                            arena)"
-                           key))))
-    in
-    match
-      List.fold_left parse_field (Ok default_config)
-        (String.split_on_char ',' s)
-    with
-    | Error _ as e -> e
-    | Ok cfg -> (
-        match validate_config cfg with Ok () -> Ok cfg | Error e -> Error e)
+let config_of_string = config_spec.Spec.parse
+let config_to_string = config_spec.Spec.print
 
 type reason = Budget | Fault of string
 

@@ -37,12 +37,12 @@ val default_config : config
 
 val validate_config : config -> (unit, string) result
 
-val config_of_string : string -> (config, string) result
-(** ["default"] or a comma-spec [steps=N,syscalls=N,written=N,arena=N]
-    (each key optional, over the defaults).  Validated. *)
+val config_spec : config Spec.t
+(** ["steps=N,syscalls=N,written=N,arena=N"] over {!default_config},
+    or ["default"]; validated. *)
 
+val config_of_string : string -> (config, string) result
 val config_to_string : config -> string
-(** Canonical spec form; [config_of_string (config_to_string c) = Ok c]. *)
 
 type reason = Budget | Fault of string
 

@@ -117,17 +117,8 @@ let parse_case file j =
         c_fin_mem = mem_field final "mem";
       }
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Ok s
-
 let load_file path =
-  match read_file path with
+  match File.read path with
   | Error e -> Error e
   | Ok text -> (
       match Json.of_string text with

@@ -19,6 +19,8 @@ module Bqueue = Sanids_util.Bqueue
 module Budget = Sanids_util.Budget
 module Hexdump = Sanids_util.Hexdump
 module Entropy = Sanids_util.Entropy
+module Spec = Sanids_util.Spec
+module File = Sanids_util.File
 
 (* network substrate *)
 module Ipaddr = Sanids_net.Ipaddr

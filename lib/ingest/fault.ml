@@ -2,63 +2,21 @@ module Pcap = Sanids_pcap.Pcap
 
 type kind = Truncate | Bit_flip | Duplicate | Reorder | Garbage_prepend
 
-let kind_to_string = function
-  | Truncate -> "truncate"
-  | Bit_flip -> "bitflip"
-  | Duplicate -> "dup"
-  | Reorder -> "reorder"
-  | Garbage_prepend -> "garbage"
-
-let kind_of_string = function
-  | "truncate" -> Some Truncate
-  | "bitflip" -> Some Bit_flip
-  | "dup" -> Some Duplicate
-  | "reorder" -> Some Reorder
-  | "garbage" -> Some Garbage_prepend
-  | _ -> None
-
 type t = (kind * float) list
 
-let of_string s =
-  let parse_tok tok =
-    match String.index_opt tok '=' with
-    | None -> Error (Printf.sprintf "fault: %S is not kind=probability" tok)
-    | Some i -> (
-        let name = String.sub tok 0 i in
-        let p = String.sub tok (i + 1) (String.length tok - i - 1) in
-        match (kind_of_string name, float_of_string_opt p) with
-        | None, _ ->
-            Error
-              (Printf.sprintf
-                 "fault: unknown kind %S (want truncate|bitflip|dup|reorder|garbage)"
-                 name)
-        | _, None ->
-            Error (Printf.sprintf "fault: %s wants a probability, got %S" name p)
-        | Some k, Some p when p >= 0. && p <= 1. -> Ok (k, p)
-        | Some _, Some p ->
-            Error
-              (Printf.sprintf "fault: %s wants a probability in [0,1], got %g"
-                 name p))
-  in
-  let toks =
-    String.split_on_char ',' (String.trim s)
-    |> List.map String.trim
-    |> List.filter (fun t -> t <> "")
-  in
-  if toks = [] then Error "fault: empty spec"
-  else
-    List.fold_left
-      (fun acc tok ->
-        match (acc, parse_tok tok) with
-        | Error _, _ -> acc
-        | Ok _, (Error _ as e) -> e
-        | Ok l, Ok kp -> Ok (kp :: l))
-      (Ok []) toks
-    |> Result.map List.rev
+let spec =
+  Spec.plan "fault"
+    [
+      ("truncate", Truncate);
+      ("bitflip", Bit_flip);
+      ("dup", Duplicate);
+      ("reorder", Reorder);
+      ("garbage", Garbage_prepend);
+    ]
+    Spec.prob
 
-let to_string t =
-  String.concat ","
-    (List.map (fun (k, p) -> Printf.sprintf "%s=%g" (kind_to_string k) p) t)
+let of_string = spec.Spec.parse
+let to_string = spec.Spec.print
 
 let mutate_bytes rng plan (data : Slice.t) =
   List.fold_left

@@ -20,11 +20,12 @@ type kind = Truncate | Bit_flip | Duplicate | Reorder | Garbage_prepend
 type t = (kind * float) list
 (** A fault plan; order is application order within one record. *)
 
+val spec : t Spec.t
+(** The spec syntax above; the empty spec is the empty plan. *)
+
 val of_string : string -> (t, string) result
-(** Parse a spec.  [Error] names the offending token. *)
 
 val to_string : t -> string
-(** Canonical spec text ([of_string (to_string t) = Ok t]). *)
 
 val records : seed:int64 -> t -> Sanids_pcap.Pcap.record list -> Sanids_pcap.Pcap.record list
 (** Mutate a whole capture's records: byte-level faults per record

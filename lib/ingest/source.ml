@@ -21,12 +21,6 @@ let next t = t.next ()
 let close t = t.close ()
 let describe t = t.describe
 
-let read_whole path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Records queue up framed but undecoded; {!Ingest.decode_record} runs
    (and its records/errors counters tick) only when the serving path
    actually pulls — so a drain that stops admission mid-queue leaves
@@ -52,9 +46,9 @@ let enqueue_file ?metrics pending data =
         file.Pcap.records
 
 let of_pcap_file ?metrics path =
-  match read_whole path with
-  | exception Sys_error m -> Error m
-  | data -> (
+  match File.read path with
+  | Error m -> Error m
+  | Ok data -> (
       match Ingest.decode_file ?metrics data with
       | Error e -> Error (Printf.sprintf "%s: %s" path (Ingest.error_to_string e))
       | Ok file ->
@@ -88,9 +82,9 @@ let directory ?metrics ?(ext = ".pcap") dir =
             if Filename.check_suffix name ext && not (Hashtbl.mem seen name)
             then begin
               Hashtbl.add seen name ();
-              match read_whole (Filename.concat dir name) with
-              | exception Sys_error _ -> ()
-              | data -> enqueue_file ?metrics pending data
+              match File.read (Filename.concat dir name) with
+              | Error _ -> ()
+              | Ok data -> enqueue_file ?metrics pending data
             end)
           names
   in

@@ -58,127 +58,42 @@ let with_degrade degrade t = { t with degrade }
 let with_confirm confirm t = { t with confirm }
 let with_static_refute static_refute t = { t with static_refute }
 
-(* ------------------------------------------------------------------ *)
-(* The key=value spec layer: one grammar for every tunable the CLI and
-   the daemon's hot-reload path share.  A spec is [key=value]; the value
-   of [budget]/[breaker]/[fault-style] keys is itself the existing
-   comma-spec of that subsystem ([Budget.limits_of_string] etc.), so
-   splitting on the *first* '=' nests the sub-grammars without any
-   escaping.  Every error message is typed the same way the sub-parsers
-   type theirs ("<key>: ..."), so a bad CLI flag and a rejected reload
-   log identically. *)
-
-let bool_of_spec k v =
-  match String.lowercase_ascii v with
-  | "true" | "on" | "yes" | "1" -> Ok true
-  | "false" | "off" | "no" | "0" -> Ok false
-  | _ -> Error (Printf.sprintf "%s: wants a boolean (true/false), got %S" k v)
-
-let int_of_spec k v =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "%s: wants an integer, got %S" k v)
-
-let spec_keys =
+let fields =
+  let open Spec in
+  let some set v = set (Some v) in
   [
-    "honeypot"; "unused"; "scan_threshold"; "classify"; "extract";
-    "min_payload"; "reassemble"; "verdict_cache"; "flow_alert_cache";
-    "queue"; "drop_policy"; "budget"; "breaker"; "degrade"; "confirm";
-    "static_refute";
+    setter "honeypot" (value ~what:"an IPv4 address" Ipaddr.of_string_opt Ipaddr.to_string)
+      (fun a t -> with_honeypots (t.honeypots @ [ a ]) t);
+    setter "unused"
+      (value ~what:"a prefix a.b.c.d/len" Ipaddr.prefix_of_string_opt Ipaddr.prefix_to_string)
+      (fun p t -> with_unused (t.unused @ [ p ]) t);
+    setter "scan_threshold" int with_scan_threshold;
+    setter "classify" bool with_classification;
+    setter "extract" bool with_extraction;
+    setter "min_payload" int with_min_payload;
+    setter "reassemble" bool with_reassembly;
+    setter "verdict_cache" int with_verdict_cache;
+    setter "flow_alert_cache" int with_flow_alert_cache;
+    setter "queue" int with_stream_queue;
+    setter "drop_policy"
+      (codec { parse = Bqueue.policy_of_string_result; print = Bqueue.policy_to_string })
+      with_stream_policy;
+    setter "budget" (codec Budget.limits_spec) (some with_budget);
+    setter "breaker" (codec Breaker.config_spec) (some with_breaker);
+    setter "degrade" bool with_degrade;
+    setter "confirm" (codec Sanids_confirm.Confirm.config_spec) (some with_confirm);
+    setter "static_refute" bool with_static_refute;
   ]
 
-let of_spec s =
-  let s = String.trim s in
-  match String.index_opt s '=' with
-  | None -> Error (Printf.sprintf "config: %S is not key=value" s)
-  | Some i -> (
-      let k = String.trim (String.sub s 0 i) in
-      let v = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
-      let int_field f = Result.map f (int_of_spec k v) in
-      let bool_field f = Result.map f (bool_of_spec k v) in
-      match k with
-      | "honeypot" -> (
-          match Ipaddr.of_string_opt v with
-          | Some a -> Ok (fun t -> { t with honeypots = t.honeypots @ [ a ] })
-          | None ->
-              Error (Printf.sprintf "honeypot: bad IPv4 address %S" v))
-      | "unused" -> (
-          match Ipaddr.prefix_of_string_opt v with
-          | Some p -> Ok (fun t -> { t with unused = t.unused @ [ p ] })
-          | None ->
-              Error
-                (Printf.sprintf "unused: bad prefix %S (want a.b.c.d/len)" v))
-      | "scan_threshold" -> int_field (fun n t -> { t with scan_threshold = n })
-      | "classify" -> bool_field (fun b t -> { t with classification_enabled = b })
-      | "extract" -> bool_field (fun b t -> { t with extraction_enabled = b })
-      | "min_payload" -> int_field (fun n t -> { t with min_payload = n })
-      | "reassemble" -> bool_field (fun b t -> { t with reassemble = b })
-      | "verdict_cache" -> int_field (fun n t -> { t with verdict_cache_size = n })
-      | "flow_alert_cache" ->
-          int_field (fun n t -> { t with flow_alert_cache_size = n })
-      | "queue" -> int_field (fun n t -> { t with stream_queue_capacity = n })
-      | "drop_policy" ->
-          Result.map
-            (fun p t -> { t with stream_drop_policy = p })
-            (Bqueue.policy_of_string_result v)
-      | "budget" ->
-          Result.map
-            (fun l t -> { t with analysis_budget = Some l })
-            (Budget.limits_of_string v)
-      | "breaker" ->
-          Result.map
-            (fun c t -> { t with breaker = Some c })
-            (Breaker.config_of_string v)
-      | "degrade" -> bool_field (fun b t -> { t with degrade = b })
-      | "confirm" ->
-          Result.map
-            (fun c t -> { t with confirm = Some c })
-            (Sanids_confirm.Confirm.config_of_string v)
-      | "static_refute" -> bool_field (fun b t -> { t with static_refute = b })
-      | _ ->
-          Error
-            (Printf.sprintf "config: unknown key %S (want %s)" k
-               (String.concat "|" spec_keys)))
+let spec_keys = Spec.keys fields
+let of_spec = Spec.assignment "config" fields
 
-(* A config file is the spec grammar, one assignment per line: '#'
-   comments and blank lines skipped, errors prefixed with the line
-   number so reload-rejection logs point at the offending assignment. *)
 let of_lines lines =
-  let rec fold lineno acc = function
-    | [] -> Ok acc
-    | line :: rest -> (
-        let line =
-          match String.index_opt line '#' with
-          | Some i -> String.sub line 0 i
-          | None -> line
-        in
-        let line = String.trim line in
-        if line = "" then fold (lineno + 1) acc rest
-        else
-          match of_spec line with
-          | Ok f -> fold (lineno + 1) (fun t -> f (acc t)) rest
-          | Error m -> Error (Printf.sprintf "line %d: %s" lineno m))
-  in
-  fold 1 Fun.id lines
+  Result.map (List.fold_left (fun acc f t -> f (acc t)) Fun.id) (Spec.lines of_spec lines)
 
 let of_file path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec lines acc =
-          match input_line ic with
-          | line -> lines (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        lines [])
-  with
-  | exception Sys_error m -> Error (Printf.sprintf "%s: %s" path m)
-  | lines -> (
-      match of_lines lines with
-      | Ok f -> Ok f
-      | Error m -> Error (Printf.sprintf "%s: %s" path m))
+  Result.bind (File.read path) (fun text ->
+      Result.map_error (Printf.sprintf "%s: %s" path) (of_lines (String.split_on_char '\n' text)))
 
 module Finding = Sanids_staticlint.Finding
 

@@ -114,31 +114,35 @@ val with_confirm : Sanids_confirm.Confirm.config option -> t -> t
 val with_static_refute : bool -> t -> t
 (** Toggle the abstract refutation pre-stage (needs confirmation on). *)
 
+val spec_keys : string list
+(** Every key {!of_spec} reads, in table order. *)
+
 val of_spec : string -> (t -> t, string) result
 (** [of_spec "key=value"] parses one configuration assignment into an
-    updater — the single grammar behind the CLI's
-    [--budget]/[--breaker]/[--drop-policy] flags and the daemon's
-    hot-reload files.  Splitting happens on the {e first} ['='], so the
-    value of a [budget]/[breaker] key is the subsystem's own comma spec
+    updater — the single grammar behind the CLI's [--set] flag and the
+    daemon's hot-reload files ({!Spec.assignment}).  The value is
+    everything after the {e first} ['='], so the value of a
+    [budget]/[breaker]/[confirm] key is the subsystem's own comma spec
     unchanged ([budget=bytes=65536,insns=100,steps=100000,deadline=0]).
     Keys: [honeypot] and [unused] (repeatable, appending), [classify],
-    [extract], [reassemble], [degrade] (booleans), [scan_threshold],
-    [min_payload], [verdict_cache], [flow_alert_cache], [queue]
-    (integers), [drop_policy], [budget], [breaker], [confirm]
-    (sub-specs; [confirm=default] enables confirmation with the
-    defaults), [static_refute] (boolean).  Errors
-    carry the same typed ["key: ..."] messages as the sub-parsers, so a
-    bad flag and a rejected reload read identically. *)
+    [extract], [reassemble], [degrade], [static_refute] (booleans),
+    [scan_threshold], [min_payload], [verdict_cache],
+    [flow_alert_cache], [queue] (integers), [drop_policy], [budget],
+    [breaker], [confirm] (sub-specs; [confirm=default] enables
+    confirmation with the defaults).  A sub-spec's error passes through
+    unchanged (["budget: ..."]), so a bad flag and a rejected reload
+    read identically. *)
 
 val of_lines : string list -> (t -> t, string) result
-(** {!of_spec} over a list of lines ([#] comments and blank lines
-    skipped), composed left to right; errors are prefixed with
-    ["line N: "]. *)
+(** {!of_spec} over a list of lines ({!Spec.lines}: [#] comments and
+    blank lines skipped, errors prefixed with ["line N: "]), composed
+    left to right. *)
 
 val of_file : string -> (t -> t, string) result
-(** {!of_lines} over a file's contents, errors prefixed with the path —
-    what [sanids serve --config-file] loads at start and re-reads on
-    every reload request (gated by {!lint} before swapping in). *)
+(** {!of_lines} over a file's contents, parse errors prefixed with the
+    path — what [sanids serve --config-file] loads at start and
+    re-reads on every reload request (gated by {!lint} before swapping
+    in). *)
 
 val lint : t -> Sanids_staticlint.Finding.t list
 (** Configuration findings, subject ["config"].

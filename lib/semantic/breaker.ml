@@ -11,38 +11,17 @@ let validate_config c =
     Error "breaker: max must be >= cooldown"
   else Ok c
 
-let config_to_string c =
-  Printf.sprintf "fails=%d,cooldown=%d,max=%d" c.failures c.cooldown c.max_cooldown
+let config_spec =
+  let key name get set = Spec.field name Spec.int get set in
+  Spec.record "breaker" ~check:validate_config default_config
+    [
+      key "fails" (fun c -> c.failures) (fun failures c -> { c with failures });
+      key "cooldown" (fun c -> c.cooldown) (fun cooldown c -> { c with cooldown });
+      key "max" (fun c -> c.max_cooldown) (fun max_cooldown c -> { c with max_cooldown });
+    ]
 
-let config_of_string s =
-  let s = String.trim s in
-  if s = "default" then Ok default_config
-  else begin
-    let parse_field acc kv =
-      match acc with
-      | Error _ -> acc
-      | Ok c -> (
-          match String.index_opt kv '=' with
-          | None -> Error (Printf.sprintf "breaker: %S is not key=value" kv)
-          | Some i -> (
-              let k = String.sub kv 0 i in
-              let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-              match (k, int_of_string_opt v) with
-              | "fails", Some n -> Ok { c with failures = n }
-              | "cooldown", Some n -> Ok { c with cooldown = n }
-              | "max", Some n -> Ok { c with max_cooldown = n }
-              | ("fails" | "cooldown" | "max"), None ->
-                  Error (Printf.sprintf "breaker: %s wants an integer, got %S" k v)
-              | _ ->
-                  Error
-                    (Printf.sprintf "breaker: unknown key %S (want fails|cooldown|max)" k)))
-    in
-    match
-      List.fold_left parse_field (Ok default_config) (String.split_on_char ',' s)
-    with
-    | Ok c -> validate_config c
-    | Error _ as e -> e
-  end
+let config_to_string = config_spec.Spec.print
+let config_of_string = config_spec.Spec.parse
 
 type state = Closed | Open of int | Half_open
 

@@ -28,13 +28,12 @@ val default_config : config
 
 val validate_config : config -> (config, string) result
 
-val config_to_string : config -> string
-(** ["fails=N,cooldown=N,max=N"]. *)
+val config_spec : config Spec.t
+(** ["fails=N,cooldown=N,max=N"] over {!default_config}, or
+    ["default"]; validated. *)
 
+val config_to_string : config -> string
 val config_of_string : string -> (config, string) result
-(** Comma-separated [key=value] over [fails]/[cooldown]/[max], missing
-    keys defaulting to {!default_config}; ["default"] is
-    {!default_config}. *)
 
 type t
 

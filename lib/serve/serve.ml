@@ -64,16 +64,6 @@ let default_options =
    truth and refuse it if the linter finds any error-severity finding.
    Pure with respect to the daemon — callable from tests. *)
 
-let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> Ok s
-  | exception Sys_error m -> Error m
-
 let build_candidate ~base ~config_file =
   match config_file with
   | None -> Ok base
@@ -86,10 +76,7 @@ let gate ~rules_file candidate =
   let rules_findings =
     match rules_file with
     | None -> Ok []
-    | Some path -> (
-        match read_file path with
-        | Error m -> Error (Printf.sprintf "%s: %s" path m)
-        | Ok text -> Ok (Lint.rules_text text))
+    | Some path -> Result.map Lint.rules_text (File.read path)
   in
   match rules_findings with
   | Error m -> Error m

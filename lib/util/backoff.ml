@@ -32,50 +32,19 @@ let validate t =
     Error "backoff: timeout must be positive"
   else Ok t
 
-(* ------------------------------------------------------------------ *)
-(* Spec grammar: comma-separated key=float over [default], same shape
-   as the budget/breaker/fault specs so the CLI reads uniformly. *)
+let spec =
+  let key name get set = Spec.field name Spec.float get set in
+  Spec.record "backoff" ~check:validate default
+    [
+      key "base" (fun t -> t.base) (fun base t -> { t with base });
+      key "factor" (fun t -> t.factor) (fun factor t -> { t with factor });
+      key "cap" (fun t -> t.cap) (fun cap t -> { t with cap });
+      key "jitter" (fun t -> t.jitter) (fun jitter t -> { t with jitter });
+      key "timeout" (fun t -> t.timeout) (fun timeout t -> { t with timeout });
+    ]
 
-let float_str v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
-
-let to_string t =
-  Printf.sprintf "base=%s,factor=%s,cap=%s,jitter=%s,timeout=%s"
-    (float_str t.base) (float_str t.factor) (float_str t.cap)
-    (float_str t.jitter) (float_str t.timeout)
-
-let of_string s =
-  let parse acc token =
-    match acc with
-    | Error _ as e -> e
-    | Ok t -> (
-        match String.index_opt token '=' with
-        | None ->
-            Error (Printf.sprintf "backoff: expected key=value, got %S" token)
-        | Some i -> (
-            let key = String.sub token 0 i in
-            let value = String.sub token (i + 1) (String.length token - i - 1) in
-            match float_of_string_opt value with
-            | None ->
-                Error (Printf.sprintf "backoff: bad number %S for %s" value key)
-            | Some v -> (
-                match key with
-                | "base" -> Ok { t with base = v }
-                | "factor" -> Ok { t with factor = v }
-                | "cap" -> Ok { t with cap = v }
-                | "jitter" -> Ok { t with jitter = v }
-                | "timeout" -> Ok { t with timeout = v }
-                | _ -> Error (Printf.sprintf "backoff: unknown key %S" key))))
-  in
-  let tokens =
-    String.split_on_char ',' (String.trim s)
-    |> List.map String.trim
-    |> List.filter (fun t -> t <> "")
-  in
-  match List.fold_left parse (Ok default) tokens with
-  | Error _ as e -> e
-  | Ok t -> validate t
+let to_string = spec.Spec.print
+let of_string = spec.Spec.parse
 
 (* ------------------------------------------------------------------ *)
 

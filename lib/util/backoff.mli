@@ -29,11 +29,11 @@ type t = {
 val default : t
 (** [base=0.05], [factor=2], [cap=2], [jitter=0.5], [timeout=5]. *)
 
-val of_string : string -> (t, string) result
-(** Parse a spec over {!default}.  [Error] names the offending token. *)
+val spec : t Spec.t
+(** The spec syntax above; validated. *)
 
+val of_string : string -> (t, string) result
 val to_string : t -> string
-(** Canonical spec text ([of_string (to_string t) = Ok t]). *)
 
 val delay : t -> seed:int64 -> attempt:int -> float
 (** Sleep before retry number [attempt] (0-based): [base * factor^attempt]

@@ -32,50 +32,18 @@ let validate_limits l =
   else if l.deadline < 0.0 then Error "budget: deadline must be >= 0"
   else Ok l
 
-let limits_to_string l =
-  let dim name v = if v = max_int then [] else [ Printf.sprintf "%s=%d" name v ] in
-  let parts =
-    dim "bytes" l.max_bytes @ dim "insns" l.max_insns @ dim "steps" l.max_match_steps
-    @ (if l.deadline > 0.0 then [ Printf.sprintf "deadline=%g" l.deadline ] else [])
-  in
-  if parts = [] then "unlimited" else String.concat "," parts
+let limits_spec =
+  Spec.record "budget" ~unlimited ~check:validate_limits default_limits
+    [
+      Spec.(field "bytes" pos_int) (fun l -> l.max_bytes) (fun n l -> { l with max_bytes = n });
+      Spec.(field "insns" pos_int) (fun l -> l.max_insns) (fun n l -> { l with max_insns = n });
+      Spec.(field "steps" pos_int) (fun l -> l.max_match_steps) (fun n l ->
+          { l with max_match_steps = n });
+      Spec.(field "deadline" seconds) (fun l -> l.deadline) (fun f l -> { l with deadline = f });
+    ]
 
-let limits_of_string s =
-  let s = String.trim s in
-  if s = "default" then Ok default_limits
-  else if s = "unlimited" then Ok unlimited
-  else begin
-    let parse_field acc kv =
-      match acc with
-      | Error _ -> acc
-      | Ok l -> (
-          match String.index_opt kv '=' with
-          | None -> Error (Printf.sprintf "budget: %S is not key=value" kv)
-          | Some i -> (
-              let k = String.sub kv 0 i in
-              let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-              let int_field set =
-                match int_of_string_opt v with
-                | Some n when n > 0 -> Ok (set n)
-                | Some _ | None ->
-                    Error (Printf.sprintf "budget: %s wants a positive integer, got %S" k v)
-              in
-              match k with
-              | "bytes" -> int_field (fun n -> { l with max_bytes = n })
-              | "insns" -> int_field (fun n -> { l with max_insns = n })
-              | "steps" -> int_field (fun n -> { l with max_match_steps = n })
-              | "deadline" -> (
-                  match float_of_string_opt v with
-                  | Some f when f >= 0.0 -> Ok { l with deadline = f }
-                  | Some _ | None ->
-                      Error (Printf.sprintf "budget: deadline wants seconds >= 0, got %S" v))
-              | _ ->
-                  Error
-                    (Printf.sprintf
-                       "budget: unknown key %S (want bytes|insns|steps|deadline)" k)))
-    in
-    List.fold_left parse_field (Ok default_limits) (String.split_on_char ',' s)
-  end
+let limits_to_string = limits_spec.Spec.print
+let limits_of_string = limits_spec.Spec.parse
 
 type spent = { bytes : int; insns : int; steps : int }
 

@@ -50,15 +50,13 @@ val default_limits : limits
 val validate_limits : limits -> (limits, string) result
 (** Every dimension must be positive ([deadline] may be [0.] = off). *)
 
-val limits_to_string : limits -> string
-(** ["bytes=N,insns=N,steps=N,deadline=S"], omitting unlimited
-    dimensions; ["unlimited"] when nothing is bounded. *)
+val limits_spec : limits Spec.t
+(** ["bytes=N,insns=N,steps=N,deadline=S"] over {!default_limits}, or
+    ["default"] or ["unlimited"]; an unlimited dimension prints as
+    [max_int]. *)
 
+val limits_to_string : limits -> string
 val limits_of_string : string -> (limits, string) result
-(** Inverse of {!limits_to_string}: a comma-separated
-    [key=value] list over [bytes]/[insns]/[steps]/[deadline], missing
-    keys defaulting to {!default_limits}'s values; the single word
-    ["default"] is {!default_limits}. *)
 
 type t
 

@@ -63,17 +63,11 @@ let test_limits_parse () =
   (match Budget.limits_of_string "unlimited" with
   | Ok l -> Alcotest.(check bool) "unlimited word" true (l = Budget.unlimited)
   | Error e -> Alcotest.fail e);
-  (* round trip through the printed form (a disabled deadline is
-     omitted when printing and defaulted when parsing, so compare the
-     bounded dimensions) *)
+  (* round trip through the printed form, the whole record *)
   List.iter
     (fun l ->
       match Budget.limits_of_string (Budget.limits_to_string l) with
-      | Ok l' ->
-          Alcotest.(check bool) "round trip" true
-            (l.Budget.max_bytes = l'.Budget.max_bytes
-            && l.Budget.max_insns = l'.Budget.max_insns
-            && l.Budget.max_match_steps = l'.Budget.max_match_steps)
+      | Ok l' -> Alcotest.(check bool) "round trip" true (l = l')
       | Error e -> Alcotest.failf "round trip rejected: %s" e)
     [ Budget.default_limits; Budget.unlimited; tight ];
   List.iter

@@ -290,7 +290,15 @@ let test_harness_errors () =
       Alcotest.(check string) "loader error"
         (float_steps ^ {|: field "steps" is not an integer|})
         e);
-  Sys.remove float_steps
+  Sys.remove float_steps;
+  (* a directory named like a vector file is an error, not an exception *)
+  let dir = Filename.temp_dir "vectors" "" in
+  Sys.mkdir (Filename.concat dir "sub.json") 0o755;
+  (match Emu_test.run [ dir ] with
+  | Ok _ -> Alcotest.fail "directory as vector file must error"
+  | Error _ -> ());
+  Sys.rmdir (Filename.concat dir "sub.json");
+  Sys.rmdir dir
 
 (* ------------------------------------------------------------------ *)
 (* pipeline integration: demotion, promotion, cache admission *)

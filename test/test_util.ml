@@ -176,6 +176,23 @@ let test_chi_square_divergence () =
       ignore (Entropy.chi_square ~observed:(Array.make 10 0) ~expected:text))
 
 (* ------------------------------------------------------------------ *)
+(* File *)
+
+let test_file_read () =
+  let path = Filename.temp_file "sanids_file" ".bin" in
+  let data = String.init 70_000 (fun i -> Char.chr (i land 0xFF)) in
+  Out_channel.with_open_bin path (fun oc -> output_string oc data);
+  Alcotest.(check bool) "contents" true (File.read path = Ok data);
+  Sys.remove path;
+  let is_error_naming p = function
+    | Error m -> String.starts_with ~prefix:(p ^ ": ") m
+    | Ok _ -> false
+  in
+  Alcotest.(check bool) "missing file" true (is_error_naming path (File.read path));
+  let dir = Filename.get_temp_dir_name () in
+  Alcotest.(check bool) "directory" true (is_error_naming dir (File.read dir))
+
+(* ------------------------------------------------------------------ *)
 (* Bqueue *)
 
 let test_policy_strings () =
@@ -353,6 +370,7 @@ let () =
           Alcotest.test_case "normalize" `Quick test_normalize;
           Alcotest.test_case "chi-square divergence" `Quick test_chi_square_divergence;
         ] );
+      ("file", [ Alcotest.test_case "read" `Quick test_file_read ]);
       ("bqueue", [ Alcotest.test_case "policy strings" `Quick test_policy_strings ]);
       ( "json",
         [

@@ -88,11 +88,18 @@ let tests () =
           Matcher.scan_report_slice ~templates benign_frame);
       mk "stage/scan-decoy" (fun () -> Matcher.scan_report_slice ~templates decoy);
       (* the decode memo's fill alone: a fresh cache over the benign
-         frame, looked up once at every offset *)
+         frame, looked up once at every offset (both tiers) *)
       mk "stage/memo-fill-benign" (fun () ->
           let c = Sanids_ir.Icache.create benign_code in
           for off = 0 to String.length benign_code - 1 do
             ignore (Sanids_ir.Icache.lookup c off)
+          done);
+      (* its first tier alone: a fresh cache over the same frame, a shape
+         (length, kinds, successor) classified at every offset *)
+      mk "stage/memo-tier1-benign" (fun () ->
+          let c = Sanids_ir.Icache.create benign_code in
+          for off = 0 to String.length benign_code - 1 do
+            ignore (Sanids_ir.Icache.shape c off)
           done);
       mk "stage/aho-corasick" (fun () -> Sanids_baseline.Signatures.scan poly);
       mk "stage/decode-record-ethernet" (fun () ->

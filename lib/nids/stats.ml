@@ -14,6 +14,7 @@ type t = {
   verdict_cache_evictions : int;
   decode_memo_hits : int;
   decode_memo_misses : int;
+  decode_memo_lifts : int;
   scan_budget_exhausted : int;
   ingest_errors : int;
   shed : int;
@@ -43,6 +44,7 @@ let zero =
     verdict_cache_evictions = 0;
     decode_memo_hits = 0;
     decode_memo_misses = 0;
+    decode_memo_lifts = 0;
     scan_budget_exhausted = 0;
     ingest_errors = 0;
     shed = 0;
@@ -75,6 +77,7 @@ let of_snapshot s =
     verdict_cache_evictions = c "sanids_verdict_cache_evictions_total";
     decode_memo_hits = c "sanids_decode_memo_hits_total";
     decode_memo_misses = c "sanids_decode_memo_misses_total";
+    decode_memo_lifts = c "sanids_decode_memo_lifts_total";
     scan_budget_exhausted = c "sanids_scan_budget_exhausted_total";
     (* labeled families: sum across the reason/policy label sets *)
     ingest_errors = Obs.Snapshot.counter_sum s "sanids_ingest_errors_total";

@@ -22,8 +22,13 @@ type t = {
   verdict_cache_misses : int;
   verdict_cache_evictions : int;
   decode_memo_hits : int;
-      (** per-offset decodes served from the scan's instruction cache *)
+      (** per-offset lookups served from the scan's decode memo *)
   decode_memo_misses : int;
+      (** per-offset lookups that had to classify the offset *)
+  decode_memo_lifts : int;
+      (** offsets decoded and lifted in full, at most [decode_memo_misses]
+          (the [sanids_decode_memo_lifts_total] counter; not on the
+          {!pp} line) *)
   scan_budget_exhausted : int;
       (** scans that ran out of work budget with templates still open *)
   ingest_errors : int;

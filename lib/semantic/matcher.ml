@@ -442,14 +442,16 @@ module Obs = Sanids_obs
    per-domain registries merge into one coherent view. *)
 let decode_memo_hits = "sanids_decode_memo_hits_total"
 let decode_memo_misses = "sanids_decode_memo_misses_total"
+let decode_memo_lifts = "sanids_decode_memo_lifts_total"
 let scan_budget_exhausted = "sanids_scan_budget_exhausted_total"
 
-let record_scan reg ~hits ~misses ~exhausted =
+let record_scan reg ~hits ~misses ~lifts ~exhausted =
   let bump name help n =
     if n <> 0 then Obs.Registry.add (Obs.Registry.counter reg ~help name) n
   in
-  bump decode_memo_hits "per-offset decodes served from the scan's instruction cache" hits;
-  bump decode_memo_misses "per-offset decodes that had to run the decoder" misses;
+  bump decode_memo_hits "per-offset lookups served from the scan's decode memo" hits;
+  bump decode_memo_misses "per-offset lookups that had to classify the offset" misses;
+  bump decode_memo_lifts "offsets the scan decoded and lifted in full" lifts;
   bump scan_budget_exhausted "scans that ran out of work budget with templates still open"
     exhausted
 
@@ -648,7 +650,7 @@ let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
     (match metrics with
     | Some reg ->
         record_scan reg ~hits:(Icache.hits icache) ~misses:(Icache.misses icache)
-          ~exhausted:(if !exhausted then 1 else 0)
+          ~lifts:(Icache.lifts icache) ~exhausted:(if !exhausted then 1 else 0)
     | None -> ());
     {
       results = List.rev !results;

@@ -23,6 +23,7 @@ val decode_memo_hits : string
     ["sanids_decode_memo_hits_total"], … *)
 
 val decode_memo_misses : string
+val decode_memo_lifts : string
 val scan_budget_exhausted : string
 
 type scan_report = {
@@ -54,10 +55,11 @@ val scan_report_slice :
     constants are read from {!Absint} states folded along each trace
     only as far as a template step asks for one.  Variants are closed by
     family index: once one matches, the rest of its name never runs
-    again.  When [metrics] is
-    given, the decode-memo hit/miss counts and budget exhaustion are
-    accumulated into that registry under {!decode_memo_hits},
-    {!decode_memo_misses} and {!scan_budget_exhausted}.
+    again.  When [metrics] is given, the decode memo's tier-1 hit and
+    miss counts, its tier-2 fills ({!Icache.lifts}) and budget
+    exhaustion are accumulated into that registry under
+    {!decode_memo_hits}, {!decode_memo_misses}, {!decode_memo_lifts} and
+    {!scan_budget_exhausted}.
 
     Adversarial-load bounds: [budget] charges trace instructions and
     matcher step attempts to the packet's shared {!Budget.t} (the scan
@@ -72,12 +74,13 @@ val scan_report_slice :
 
     The trace gate runs only when neither is supplied: a template is
     skipped on a trace whose union of semantic-kind bits (each step's
-    [kinds], {!Sem.kinds} computed when the memo filled it) misses the
-    demand of one of its steps, since every step must consume an
+    {!Sem.kinds}, read off the memo's tier-1 shape by the walk) misses
+    the demand of one of its steps, since every step must consume an
     operation of the trace and the demand covers every operation the
-    step can match.  Under a budget or step cap every start is visited
-    and charged as before, so the results are the same either way and
-    the fuel spent is the plain search's.
+    step can match.  Only the steps of a trace some template is searched
+    on are decoded and lifted in full.  Under a budget or step cap every
+    start is visited and charged as before, so the results are the same
+    either way and the fuel spent is the plain search's.
 
     The byte prefilter runs on the slice in place: a template is out
     before any trace is built, spending no fuel, when the region lacks

@@ -91,6 +91,107 @@ let test_icache_out_of_range () =
     (Icache.hits c + Icache.misses c)
 
 (* ------------------------------------------------------------------ *)
+(* Tier 1: a shape is Decode.next's length, the lift's kinds and the
+   successor *)
+
+let shape_agrees code c off =
+  let s = Icache.shape c off in
+  match Decode.at code off with
+  | None -> false
+  | Some d ->
+      Icache.shape_len s = d.Decode.len
+      && Icache.shape_kinds s = Sem.kinds (Sem.lift d.Decode.insn)
+      && Icache.shape_next s = Icache.successor d.Decode.insn ~next:(off + d.Decode.len)
+
+let byte_str b = String.make 1 (Char.chr b)
+let tier1_seed = 0x5A4E1
+
+(* Every one-byte opcode and every [0F xx] opcode, followed by every
+   ModRM byte and, where the ModRM byte selects one, every SIB byte; and
+   [F3] before every opcode and following byte.  The operand bytes after
+   them come from a printed seed.  Cases sit 16 bytes apart in one region
+   per opcode, so the shape at each case's start is read as a scan reads
+   it.  Tier 1 must fill with no full decode everywhere but at [lea]
+   with a SIB byte, the one class its tables leave to tier 2: 23 ModRM
+   bytes (every memory form with a SIB byte but mod 0 with [ebp] as the
+   destination, whose base 5 means no base at all) times 256 SIB
+   bytes. *)
+let test_tier1_exhaustive () =
+  let rng = Rng.create (Int64.of_int tier1_seed) in
+  List.iter
+    (fun lead ->
+      for op = 0 to 255 do
+        let buf = Buffer.create (16 * 6400) in
+        let cases = ref 0 in
+        for m = 0 to 255 do
+          let sibs = lead <> "\xf3" && m lsr 6 <> 3 && m land 7 = 4 in
+          for s = 0 to if sibs then 255 else 0 do
+            let case = lead ^ byte_str op ^ byte_str m ^ if sibs then byte_str s else "" in
+            Buffer.add_string buf case;
+            Buffer.add_string buf (Rng.bytes rng (16 - String.length case));
+            incr cases
+          done
+        done;
+        let code = Buffer.contents buf in
+        let c = Icache.create code in
+        for k = 0 to !cases - 1 do
+          if not (shape_agrees code c (16 * k)) then
+            Alcotest.failf "seed 0x%x: %S %02x, case %d: shape differs" tier1_seed lead op k
+        done;
+        let lifts = if lead = "" && op = 0x8D then 23 * 256 else 0 in
+        if Icache.lifts c <> lifts then
+          Alcotest.failf "seed 0x%x: %S %02x: %d full decodes, expected %d" tier1_seed lead op
+            (Icache.lifts c) lifts
+      done)
+    [ ""; "\x0f"; "\xf3" ]
+
+(* The same cases cut short at every length up to the instruction's
+   own: an instruction that runs past the region's end is one [Bad]
+   byte, as [Decode.next] reads it. *)
+let test_tier1_truncated () =
+  let rng = Rng.create (Int64.of_int (tier1_seed + 1)) in
+  List.iter
+    (fun lead ->
+      for op = 0 to 255 do
+        for m = 0 to if lead = "\xf3" then 0 else 255 do
+          let full = lead ^ byte_str op ^ byte_str m ^ Rng.bytes rng 13 in
+          let len =
+            match Decode.at full 0 with Some d -> d.Decode.len | None -> assert false
+          in
+          for cut = 1 to max len (String.length lead + 1) do
+            let code = String.sub full 0 cut in
+            if not (shape_agrees code (Icache.create code) 0) then
+              Alcotest.failf "seed 0x%x: %S cut to %d bytes: shape differs" (tier1_seed + 1)
+                (String.escaped full) cut
+          done
+        done
+      done)
+    [ ""; "\x0f"; "\xf3" ]
+
+(* Random regions, with bytes drawn half the time from the escapes,
+   branches and ModRM/SIB-heavy opcodes, so that escapes, SIB bytes and
+   relative targets meet the region's end often: the shape at every
+   offset, on a first and a second lookup. *)
+let prop_tier1_random =
+  let special = [| 0x0F; 0xF3; 0x8D; 0xE8; 0xE9; 0xEB; 0x04; 0x24; 0x44; 0x84; 0x05; 0xC7 |] in
+  QCheck2.Test.make ~name:"tier-1 shape ≡ Decode.next + Sem.lift + successor" ~count:300
+    ~print:(Printf.sprintf "seed %d")
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let code =
+        String.init (Rng.int rng 300) (fun _ ->
+            Char.chr (if Rng.bool rng then Rng.pick rng special else Rng.byte rng))
+      in
+      let c = Icache.create code in
+      let offs = List.init (String.length code) Fun.id in
+      List.for_all (shape_agrees code c) offs
+      && List.for_all (shape_agrees code c) offs
+      && Icache.misses c = String.length code
+      && Icache.hits c = String.length code
+      && Icache.lifts c <= Icache.misses c)
+
+(* ------------------------------------------------------------------ *)
 (* Trace.walk ≡ Trace.build *)
 
 (* The steps of a buffer walk, read back out of the cache. *)
@@ -533,21 +634,75 @@ let gated_equiv_case seed =
   | 3 -> pad () ^ (P.Clet.generate rng ~payload:classic).P.Clet.code ^ pad ()
   | _ -> pad () ^ (Rng.pick_list rng Shellcodes.all).Shellcodes.code ^ pad ()
 
+(* One scan with the default templates, gated (no budget) or not (an
+   unlimited budget, so every step of every walk is searched and read in
+   full: the one-tier reference), with the decode memo's counters. *)
+let scan_counted ~gated code =
+  let reg = Obs.Registry.create () in
+  let budget = if gated then None else Some (Budget.start Budget.unlimited) in
+  let r = Matcher.scan_report_slice ?budget ~metrics:reg ~templates:Template_lib.default_set code in
+  let c = Obs.Snapshot.counter_value (Obs.Registry.snapshot reg) in
+  (r, (c Matcher.decode_memo_hits, c Matcher.decode_memo_misses, c Matcher.decode_memo_lifts))
+
+(* Whether both sides report the same, complete, and walk the same
+   steps (equal tier-1 counts) with neither reading more offsets in full
+   than it classified; with the results, the tier-1 misses and each
+   side's tier-2 fills. *)
+let gated_vs_ungated code =
+  let gated, (h, m, l) = scan_counted ~gated:true code in
+  let ungated, (h', m', l') = scan_counted ~gated:false code in
+  let agree =
+    gated.Matcher.results = ungated.Matcher.results
+    && gated.Matcher.tripped = ungated.Matcher.tripped
+    && gated.Matcher.outcome = Budget.Complete
+    && ungated.Matcher.outcome = Budget.Complete
+    && h = h' && m = m' && l <= m && l' <= m'
+  in
+  (agree, gated.Matcher.results, m, l, l')
+
 let prop_gated_equiv =
   QCheck2.Test.make ~name:"gated scan ≡ ungated scan" ~count:150
     ~print:(Printf.sprintf "seed %d")
     QCheck2.Gen.(int_bound 0x3FFFFFFF)
     (fun seed ->
-      let code = Slice.of_string (gated_equiv_case seed) in
-      let templates = Template_lib.default_set in
-      let gated = Matcher.scan_report_slice ~templates code in
-      let ungated =
-        Matcher.scan_report_slice ~budget:(Budget.start Budget.unlimited) ~templates code
-      in
-      gated.Matcher.results = ungated.Matcher.results
-      && gated.Matcher.tripped = ungated.Matcher.tripped
-      && gated.Matcher.outcome = Budget.Complete
-      && ungated.Matcher.outcome = Budget.Complete)
+      let agree, _, _, _, _ = gated_vs_ungated (Slice.of_string (gated_equiv_case seed)) in
+      agree)
+
+(* The first frames of 200 benign binary uploads, the corpus the scan
+   allocation gate and the micro rows read. *)
+let benign_seed = 0x7AB1E0BE
+
+let benign_binary_frames () =
+  let rng = Rng.create (Int64.of_int benign_seed) in
+  let binary = { Sanids_workload.Benign_gen.http = 0.0; smtp = 0.0; dns = 0.0; binary = 1.0 } in
+  List.init 200 (fun _ ->
+      match
+        Sanids_extract.Extractor.extract
+          (Slice.of_string (Sanids_workload.Benign_gen.payload ~mix:binary rng))
+      with
+      | f :: _ -> f.Sanids_extract.Extractor.data
+      | [] -> Alcotest.failf "seed 0x%x: benign binary payload produced no frame" benign_seed)
+
+(* The same property over the benign frames.  Nothing matches, so the
+   ungated side reads every step it walks in full: its tier-2 fills are
+   exactly its tier-1 misses.  The gated side reads in full only the
+   walks whose kind union admits a template, a small share of them. *)
+let test_gated_equiv_benign () =
+  let lifted = ref 0 and classified = ref 0 in
+  List.iteri
+    (fun i code ->
+      let agree, results, m, l, l' = gated_vs_ungated code in
+      if not agree then
+        Alcotest.failf "seed 0x%x, frame %d: gated and ungated scans differ" benign_seed i;
+      if results <> [] || l' <> m then
+        Alcotest.failf "seed 0x%x, frame %d: ungated scan read %d of %d offsets in full"
+          benign_seed i l' m;
+      lifted := !lifted + l;
+      classified := !classified + m)
+    (benign_binary_frames ());
+  if 5 * !lifted >= !classified then
+    Alcotest.failf "seed 0x%x: the gated scans read %d of %d offsets in full" benign_seed
+      !lifted !classified
 
 (* Every memo entry is what a fresh decode and lift would build, at
    every offset of the same regions and programs: [off], [len], [insn]
@@ -640,6 +795,7 @@ let test_shared_values_intact () =
     (benign @ programs);
   Alcotest.(check bool) "shared lifts intact" true (Sem.shared_intact ());
   Alcotest.(check bool) "shared operand tables intact" true (Decode.tables_intact ());
+  Alcotest.(check bool) "decode memo's encoding tables intact" true (Icache.tables_intact ());
   List.iter
     (fun (i, sems) ->
       if Sem.lift i <> sems then
@@ -658,6 +814,7 @@ let properties =
       prop_walk_equiv;
       prop_gated_equiv;
       prop_memo_entries;
+      prop_tier1_random;
       prop_budgeted_walk_equiv;
       prop_cache_equiv;
     ]
@@ -676,6 +833,10 @@ let () =
         [
           Alcotest.test_case "agrees with decode" `Quick test_icache_agrees_with_decode;
           Alcotest.test_case "out of range" `Quick test_icache_out_of_range;
+          Alcotest.test_case "tier-1 shape on every opcode, ModRM and SIB" `Quick
+            test_tier1_exhaustive;
+          Alcotest.test_case "tier-1 shape cut at every region end" `Quick
+            test_tier1_truncated;
           Alcotest.test_case "shared values intact after scans" `Quick
             test_shared_values_intact;
         ] );
@@ -695,6 +856,8 @@ let () =
           Alcotest.test_case "budget exhaustion counted" `Quick
             test_scan_budget_exhaustion_counted;
           Alcotest.test_case "data prefilter" `Quick test_data_prefilter;
+          Alcotest.test_case "gated scan ≡ ungated scan on benign frames" `Quick
+            test_gated_equiv_benign;
         ] );
       ( "verdict-cache",
         [

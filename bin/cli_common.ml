@@ -12,11 +12,13 @@ open Cmdliner
 (* BSD sysexits-style codes, cram-tested: bad flags or configuration
    are the caller's fault (64), data a decoder or gate rejects is bad
    input (65), a missing input file is 66, an unreachable daemon is
-   69, anything unexpected is ours (70). *)
+   69, anything unexpected is ours (70), an output file that cannot be
+   written is 73. *)
 let exit_usage = 64
 let exit_dataerr = 65
 let exit_noinput = 66
 let exit_unavailable = 69
+let exit_cantcreat = 73
 let exit_software = 70
 
 let setup_logs verbose =
@@ -36,9 +38,11 @@ let read_file path =
       exit exit_noinput
 
 let write_file path data =
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc
+  match File.write path data with
+  | Ok () -> ()
+  | Error m ->
+      Printf.eprintf "sanids: %s\n" m;
+      exit exit_cantcreat
 
 (* ------------------------------------------------------------------ *)
 (* argument combinators *)

@@ -73,7 +73,7 @@ let gen_trace_cmd =
           Adversarial.packets ~kind:adv_kind ~size:payload_size rng ~n:packets
             ~t0:0.0 ~clients ~servers
     in
-    Pcap.write_file out (Pcap.of_packets pkts);
+    write_file out (Pcap.encode (Pcap.of_packets pkts));
     Printf.printf "wrote %s (%d packets)\n" out (List.length pkts)
   in
   Cmd.v

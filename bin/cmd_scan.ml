@@ -112,7 +112,7 @@ let scan_cmd =
                 let help n =
                   List.find_map (fun r -> Obs.Registry.help r n) help_regs
                 in
-                Obs.Export.write_file file (Obs.Export.to_prometheus ~help snap)
+                write_file file (Obs.Export.to_prometheus ~help snap)
             | None -> ());
             if no_alerts then print_endline "no alerts")
   in

@@ -22,10 +22,10 @@ let () =
 
   (* round-trip through a capture file, as a real deployment would *)
   let path = Filename.temp_file "outbreak" ".pcap" in
-  Pcap.write_file path (Pcap.of_packets packets);
+  Result.iter_error failwith (File.write path (Pcap.encode (Pcap.of_packets packets)));
   Printf.printf "wrote %s (%d bytes)\n" path (Unix.stat path).Unix.st_size;
   let capture =
-    match Pcap.decode (In_channel.with_open_bin path In_channel.input_all) with
+    match Result.bind (File.read path) Pcap.decode with
     | Ok f -> f
     | Error m -> failwith m
   in

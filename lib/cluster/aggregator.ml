@@ -173,22 +173,23 @@ let handle_delta options t body =
         (Printf.sprintf "ack epoch=%d seq=%d %s\n" d.Delta.epoch d.Delta.seq
            outcome_s)
 
-let handle_heartbeat options t body =
+(* A heartbeat body is the one-key spec [sensor=<id>]. *)
+let heartbeat_body =
   let id =
-    String.trim body |> String.split_on_char ' '
-    |> List.find_map (fun token ->
-           match String.index_opt token '=' with
-           | Some i when String.sub token 0 i = "sensor" ->
-               Some (String.sub token (i + 1) (String.length token - i - 1))
-           | _ -> None)
+    Spec.value ~what:"a sensor id"
+      (fun s -> if Delta.valid_sensor_id s then Some s else None)
+      Fun.id
   in
-  match id with
-  | Some id when Delta.valid_sensor_id id ->
+  Spec.record "heartbeat" "" [ Spec.setter "sensor" id (fun id _ -> id) ]
+
+let handle_heartbeat options t body =
+  match heartbeat_body.Spec.parse body with
+  | Ok id when id <> "" ->
       Obs.Registry.incr t.heartbeats;
       with_lock t (fun () -> heard options t id);
       Httpd.ok ~content_type:"text/plain" "ok\n"
-  | Some id -> Httpd.error 400 (Printf.sprintf "invalid sensor id %S\n" id)
-  | None -> Httpd.error 400 "expected sensor=<id>\n"
+  | Ok _ -> Httpd.error 400 "expected sensor=<id>\n"
+  | Error m -> Httpd.error 400 (m ^ "\n")
 
 let sensors_lines t =
   with_lock t (fun () ->

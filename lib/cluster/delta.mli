@@ -11,12 +11,12 @@
     delta: applying it twice is detected and ignored, which is what
     turns at-least-once delivery into an exact cluster view.
 
-    The wire form is a line-oriented text document (version-tagged,
-    self-delimiting via a metric count) rather than the Prometheus
-    exposition format, because it must round-trip {e exactly}:
-    counters, gauges and full histogram bucket arrays, float-precise.
-    A truncated or bit-damaged body fails {!decode} — the sensor never
-    gets an ack and simply ships it again. *)
+    The wire form is one compact JSON object,
+    [{"delta":2,"sensor":…,"epoch":…,"seq":…,"metrics":[…]}], whose
+    metrics are the exact {!Sanids_obs.Export.records} of the serve
+    engine's JSONL dump, so a delta round-trips bit for bit.  Nothing
+    follows the closing brace, so a truncated body fails {!decode}, the
+    sensor never gets an ack, and simply ships it again. *)
 
 type t = {
   sensor : string;
@@ -34,6 +34,7 @@ val encode : t -> string
 (** The wire document.  Deterministic: equal deltas encode equal. *)
 
 val decode : string -> (t, string) result
-(** Inverse of {!encode}; rejects version mismatches, malformed lines,
-    header/metric-count inconsistencies (the truncation detector) and
-    invalid sensor ids, with a one-line reason. *)
+(** Inverse of {!encode}.  Never raises: a truncated document, another
+    version, an invalid sensor id, a negative epoch or seq, or metrics
+    that {!Sanids_obs.Export.of_records} rejects are an [Error] with a
+    one-line reason. *)

@@ -201,8 +201,18 @@ let run options =
               }
             in
             (* Replay first: prior incarnations' unacked deltas go to
-               the head of the line, in (epoch, seq) order. *)
-            let pend = Spool.pending spool in
+               the head of the line, in (epoch, seq) order.  An entry
+               that does not decode would be rejected on every retry
+               and block everything behind it, so it is dropped. *)
+            let pend, bad =
+              List.partition
+                (fun (_, _, d) -> Result.is_ok (Delta.decode d))
+                (Spool.pending spool)
+            in
+            List.iter (fun (epoch, seq, _) -> Spool.ack spool ~epoch ~seq) bad;
+            if bad <> [] then
+              say "sensor %s: dropped=%d undecodable spool entries" options.sensor_id
+                (List.length bad);
             List.iter (fun item -> enqueue st item) pend;
             if pend <> [] then
               say "sensor %s: replayed=%d" options.sensor_id (List.length pend);

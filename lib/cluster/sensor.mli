@@ -14,7 +14,10 @@
     its epoch and re-queues every journaled-but-unacked delta from
     prior incarnations ahead of new traffic, so a SIGKILLed sensor
     respawned over the same spool directory loses nothing and can
-    never collide with its old sequence numbers.
+    never collide with its old sequence numbers.  A journaled entry
+    that no longer decodes (one written in an older wire format) would
+    be rejected on every retry and hold up the queue behind it, so the
+    replay drops it and reports [dropped=N undecodable spool entries].
 
     Liveness: when the channel has been quiet for [heartbeat_every]
     seconds the sender posts a heartbeat so the aggregator's failure

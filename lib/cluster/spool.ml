@@ -10,21 +10,6 @@ let rec mkdir_p path =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* All durable writes go through tmp + rename: a crash leaves either
-   the old content or the new, never a prefix. *)
-let write_file path content =
-  let tmp = path ^ ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc content);
-    Unix.rename tmp path
-  with
-  | () -> Ok ()
-  | exception Sys_error m -> Error m
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-
 let epoch_file d = Filename.concat d "EPOCH"
 
 let open_dir d =
@@ -41,7 +26,7 @@ let open_dir d =
         | Error _ -> 0
       in
       let epoch = prev + 1 in
-      match write_file (epoch_file d) (Printf.sprintf "%d\n" epoch) with
+      match File.write (epoch_file d) (Printf.sprintf "%d\n" epoch) with
       | Ok () -> Ok { dir = d; epoch }
       | Error m -> Error (Printf.sprintf "spool %s: %s" d m))
 
@@ -53,11 +38,8 @@ let parse_entry name =
   | Some _ | None -> None
 
 let journal t ~seq payload =
-  match
-    write_file (Filename.concat t.dir (entry_name ~epoch:t.epoch ~seq)) payload
-  with
-  | Ok () -> Ok ()
-  | Error m -> Error (Printf.sprintf "spool %s: %s" t.dir m)
+  File.write (Filename.concat t.dir (entry_name ~epoch:t.epoch ~seq)) payload
+  |> Result.map_error (Printf.sprintf "spool %s: %s" t.dir)
 
 let ack t ~epoch ~seq =
   try Sys.remove (Filename.concat t.dir (entry_name ~epoch ~seq))

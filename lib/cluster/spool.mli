@@ -27,7 +27,8 @@ val journal : t -> seq:int -> string -> (unit, string) result
 (** Persist an encoded delta for [seq] of this incarnation's epoch. *)
 
 val ack : t -> epoch:int -> seq:int -> unit
-(** Remove the journal entry — the aggregator confirmed it.  May name
+(** Remove the journal entry — the aggregator confirmed it, or the
+    sensor found it undecodable on replay.  May name
     a prior incarnation's epoch (replayed entries).  Best-effort. *)
 
 val pending : t -> (int * int * string) list

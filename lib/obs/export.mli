@@ -1,8 +1,10 @@
-(** Snapshot exposition: Prometheus text format and JSONL.
+(** Snapshot exposition: Prometheus text format and JSONL metric
+    records, and the reader of those records.
 
     Both renderings are deterministic — metrics in name order,
     histogram buckets in ascending [le] order — so exports over seeded
-    workloads diff cleanly. *)
+    workloads diff cleanly.  Every float prints through
+    {!Sanids_util.Spec.float_to_string}, so it reads back to its bits. *)
 
 val to_prometheus : ?help:(string -> string option) -> Snapshot.t -> string
 (** Prometheus text exposition (version 0.0.4): [# TYPE] (and [# HELP]
@@ -12,10 +14,20 @@ val to_prometheus : ?help:(string -> string option) -> Snapshot.t -> string
     series ([name{reason="..."}]) render under a single [# TYPE] header
     for their base name. *)
 
-val to_jsonl : Snapshot.t -> string
-(** One JSON object per metric per line.  Histograms carry
-    [[upper_bound, count]] pairs for their non-empty buckets. *)
+val records : Snapshot.t -> Sanids_util.Json.t list
+(** The one serialised form of a snapshot, one exact record per metric:
+    [{"metric","type","value"}] for a counter or gauge, and
+    [{"metric","type","count","sum","buckets"}] with an
+    [[upper_bound, count]] per non-empty bucket for a histogram.  A
+    non-finite value is the string ["inf"], ["-inf"] or ["nan"]. *)
 
-val write_file : string -> string -> unit
-(** [write_file path content] — tiny helper shared by the CLI and the
-    dune check-obs rule. *)
+val of_records : Sanids_util.Json.t list -> (Snapshot.t, string) result
+(** The inverse of {!records} (a [nan] loses its payload), merged in
+    order.  Never raises: an unknown type, a mistyped field, a bucket
+    bound that is no {!Histogram.bucket_upper}, a bucket count below 1,
+    a [count] other than the bucket sum and one series with two kinds
+    are each an [Error] naming the metric. *)
+
+val to_jsonl : Snapshot.t -> string
+(** One of {!records} per line; {!of_records} reads the lines back,
+    and over a file of appended dumps returns their merge. *)

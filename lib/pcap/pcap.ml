@@ -94,14 +94,6 @@ let decode s =
       in
       records global_header_len []
 
-let write_file path records =
-  let oc = open_out_bin path in
-  (try output_string oc (encode records)
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  close_out oc
-
 let of_packets pkts =
   List.map
     (fun p ->

@@ -52,8 +52,6 @@ val decode : string -> (file, string) Stdlib.result
     the framing fault (short global header, bad magic, truncated record
     header/body).  No exception escapes it. *)
 
-val write_file : string -> record list -> unit
-
 val of_packets : Packet.t list -> record list
 (** Records from parsed packets (snap = full length). *)
 

@@ -18,8 +18,10 @@ let int = int_in "an integer" Option.some
 let pos_int = int_in "a positive integer" (fun n -> if n > 0 then Some n else None)
 
 let float_to_string v =
-  let s = Printf.sprintf "%.15g" v in
-  if float_of_string s = v then s else Printf.sprintf "%.17g" v
+  if Float.is_nan v then "nan"
+  else
+    let s = Printf.sprintf "%.15g" v in
+    if float_of_string s = v then s else Printf.sprintf "%.17g" v
 
 let float_in what lo hi =
   let ok f = if lo <= f && f <= hi then Some f else None in

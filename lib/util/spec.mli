@@ -11,8 +11,7 @@
     - An empty spec is the empty {!plan} and an error for a {!record}.
     - A record also reads the whole spec [default] as its default and,
       where it has one, [unlimited].
-    - Integers print in decimal, floats with [%.15g], or [%.17g] when
-      that does not read back.
+    - Integers print in decimal, floats with {!float_to_string}.
     - Errors start with the codec's name: ["NAME: KEY wants WHAT, got
       \"V\""], ["NAME: unknown key \"K\" (want a|b)"], ["NAME: \"T\" is
       not key=value"], ["NAME: empty spec"], ["NAME: empty token in
@@ -32,6 +31,11 @@ val codec : 'a t -> 'a value
 
 val int : int value
 val pos_int : int value
+
+val float_to_string : float -> string
+(** The one float printer, shared with the metric exporters: [%.15g],
+    or [%.17g] when that does not read back to the same bits; [inf],
+    [-inf] and [nan] (any [nan]). *)
 
 val float : float value
 (** Any number but [nan]; {!seconds} is [>= 0], {!prob} in [\[0,1\]]. *)

@@ -5,12 +5,16 @@
    - Detector: the entire failure-detector transition table, re-stated
      independently and enumerated (the Lifecycle discipline);
    - Delta: bit-exact wire roundtrip (qcheck over snapshots including
-     %h float gauges and sparse histograms) and truncation rejection;
+     non-finite and subnormal gauges, label values that need JSON
+     escapes and sparse histograms), rejection of truncated and damaged
+     documents, and the serve engine's JSONL dump read back equal to its
+     in-process deltas;
    - Dedup x Fault: the exactness theorem — folding ANY at-least-once
      faulted delivery (drops-with-retry, duplicates, reorderings) of a
      delta stream through the dedup layer yields a cluster view EQUAL
      to the lossless merge;
-   - Spool: epoch bumping across incarnations, journal/ack/pending;
+   - Spool: epoch bumping across incarnations, journal/ack/pending, and
+     a sensor replay that drops entries it cannot decode;
    - Aggregator: an in-process end-to-end over a Unix socket — fresh
      and duplicate acks, malformed rejection, heartbeats, /-/sensors,
      the merged scrape, drain. *)
@@ -23,6 +27,8 @@ module Detector = Sanids_cluster.Detector
 module Fault = Sanids_cluster.Fault
 module Spool = Sanids_cluster.Spool
 module Aggregator = Sanids_cluster.Aggregator
+module Sensor = Sanids_cluster.Sensor
+module Serve = Sanids_serve.Serve
 
 (* ------------------------------------------------------------------ *)
 (* Backoff *)
@@ -202,8 +208,8 @@ let test_delta_roundtrip_unit () =
     Obs.Snapshot.of_list
       [
         ("sanids_packets_total", Obs.Snapshot.Counter 128);
-        (* a labeled name with a space in the label value exercises the
-           percent escaping *)
+        (* a labeled name: the quotes and the space travel inside a
+           JSON string *)
         ( "sanids_ingest_errors_total{reason=\"bad frame\"}",
           Obs.Snapshot.Counter 2 );
         ("sanids_config_generation", Obs.Snapshot.Gauge 0.1);
@@ -228,7 +234,13 @@ let test_delta_rejects () =
         Delta.sensor = "a";
         epoch = 1;
         seq = 1;
-        snapshot = Obs.Snapshot.of_list [ ("x_total", Obs.Snapshot.Counter 1) ];
+        snapshot =
+          Obs.Snapshot.of_list
+            [
+              ("x_total", Obs.Snapshot.Counter 1);
+              ("y", Obs.Snapshot.Gauge 0.1);
+              ("z_seconds", Obs.Snapshot.Hist (hist_snap [ 0.001; 0.2 ]));
+            ];
       }
   in
   let is_error s = match Delta.decode s with Error _ -> true | Ok _ -> false in
@@ -241,44 +253,136 @@ let test_delta_rejects () =
       true
       (is_error (String.sub ok 0 cut))
   done;
-  Alcotest.(check bool) "bad sensor id" true
-    (is_error "sanids-delta/1 sensor=a/b epoch=1 seq=1 metrics=0\n");
-  Alcotest.(check bool) "negative epoch" true
-    (is_error "sanids-delta/1 sensor=a epoch=-1 seq=1 metrics=0\n");
-  Alcotest.(check bool) "hist total mismatch" true
-    (is_error "sanids-delta/1 sensor=a epoch=1 seq=1 metrics=1\nh x 0x0p+0 5 -\n")
+  List.iter
+    (fun (label, doc) -> Alcotest.(check bool) label true (is_error doc))
+    [
+      ("bad sensor id", {|{"delta":2,"sensor":"a/b","epoch":1,"seq":1,"metrics":[]}|});
+      ("negative epoch", {|{"delta":2,"sensor":"a","epoch":-1,"seq":1,"metrics":[]}|});
+      ( "hist total mismatch",
+        {|{"delta":2,"sensor":"a","epoch":1,"seq":1,"metrics":[{"metric":"x","type":"histogram","count":5,"sum":0,"buckets":[]}]}|}
+      );
+      ("negative seq", {|{"delta":2,"sensor":"a","epoch":1,"seq":-1,"metrics":[]}|});
+      ("wrong version", {|{"delta":1,"sensor":"a","epoch":1,"seq":1,"metrics":[]}|});
+      ("v1 text document", "sanids-delta/1 sensor=a epoch=1 seq=1 metrics=0\n");
+      ( "unknown metric type",
+        {|{"delta":2,"sensor":"a","epoch":1,"seq":1,"metrics":[{"metric":"x","type":"summary","value":1}]}|}
+      );
+      ( "bucket bound of no bucket",
+        {|{"delta":2,"sensor":"a","epoch":1,"seq":1,"metrics":[{"metric":"x","type":"histogram","count":1,"sum":0,"buckets":[[0.003,1]]}]}|}
+      );
+      ( "conflicting kinds",
+        {|{"delta":2,"sensor":"a","epoch":1,"seq":1,"metrics":[{"metric":"x","type":"counter","value":1},{"metric":"x","type":"gauge","value":1}]}|}
+      );
+    ]
 
-let snapshot_gen =
-  let open QCheck2.Gen in
-  let entry =
-    oneof
-      [
-        map2
-          (fun i n ->
-            (Printf.sprintf "c%d_total" (i mod 4), Obs.Snapshot.Counter (n mod 1000)))
-          small_nat small_nat;
-        map2
-          (fun i f -> (Printf.sprintf "g%d" (i mod 3), Obs.Snapshot.Gauge f))
-          small_nat
-          (* irrational-ish floats: the %h wire must carry every bit *)
-          (map (fun n -> Float.of_int n /. 7.0) small_nat);
-        map2
-          (fun i obs ->
-            ( Printf.sprintf "h%d_seconds" (i mod 2),
-              Obs.Snapshot.Hist (hist_snap (List.map (fun n -> float_of_int n /. 3.0) obs)) ))
-          small_nat
-          (list_size (int_range 0 6) (int_range 0 50));
-      ]
+(* Snapshots equal bit for bit: floats compare by their bits, and a nan
+   equals any nan (its payload does not travel). *)
+let same_float a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  || (Float.is_nan a && Float.is_nan b)
+
+let same_snapshot a b =
+  let same (n, x) (m, y) =
+    n = m
+    &&
+    match (x, y) with
+    | Obs.Snapshot.Counter x, Obs.Snapshot.Counter y -> x = y
+    | Obs.Snapshot.Gauge x, Obs.Snapshot.Gauge y -> same_float x y
+    | Obs.Snapshot.Hist x, Obs.Snapshot.Hist y ->
+        x.Obs.Histogram.counts = y.Obs.Histogram.counts
+        && x.Obs.Histogram.total = y.Obs.Histogram.total
+        && same_float x.Obs.Histogram.sum y.Obs.Histogram.sum
+    | _ -> false
   in
-  map Obs.Snapshot.of_list (list_size (int_range 0 10) entry)
+  let a = Obs.Snapshot.to_list a and b = Obs.Snapshot.to_list b in
+  List.length a = List.length b && List.for_all2 same a b
+
+(* A snapshot drawn from a printed seed: label values that need JSON
+   escapes (quote, backslash, newline, tab, space, raw bytes), gauges of
+   any bit pattern and the awkward ones by name, sparse histograms. *)
+let label_values = [| "plain"; "a\"b"; "c\\d"; "e\nf"; "g\th"; "i j"; "\"\\\n\t " |]
+let odd_gauges = [| -0.0; Float.min_float /. 4.0; infinity; neg_infinity; Float.nan |]
+
+let snapshot_of_seed seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let label () =
+    if Rng.chance rng 0.2 then Rng.bytes rng 4 else Rng.pick rng label_values
+  in
+  let entry _ =
+    match Rng.int rng 4 with
+    | 0 ->
+        ( Printf.sprintf "c%d_total{reason=\"%s\"}" (Rng.int rng 4) (label ()),
+          Obs.Snapshot.Counter (Rng.int rng 1000) )
+    | 1 ->
+        (* any double, nan and subnormals included *)
+        (Printf.sprintf "g%d" (Rng.int rng 3), Obs.Snapshot.Gauge (Int64.float_of_bits (Rng.int64 rng)))
+    | 2 ->
+        ( Printf.sprintf "g%d{state=\"%s\"}" (Rng.int rng 3) (label ()),
+          Obs.Snapshot.Gauge (Rng.pick rng odd_gauges) )
+    | _ ->
+        ( Printf.sprintf "h%d_seconds" (Rng.int rng 2),
+          Obs.Snapshot.Hist
+            (hist_snap (List.init (Rng.int rng 7) (fun _ -> float_of_int (Rng.int rng 51) /. 3.0))) )
+  in
+  Obs.Snapshot.of_list (List.init (Rng.int rng 11) entry)
 
 let prop_delta_roundtrip =
   QCheck2.Test.make ~name:"Delta.decode inverts Delta.encode bit-exactly"
-    ~count:300 snapshot_gen (fun snapshot ->
+    ~count:300 ~print:(Printf.sprintf "seed %d") QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let snapshot = snapshot_of_seed seed in
       let d = { Delta.sensor = "s-1"; epoch = 2; seq = 9; snapshot } in
       match Delta.decode (Delta.encode d) with
       | Error _ -> false
-      | Ok d' -> Obs.Snapshot.equal snapshot d'.Delta.snapshot)
+      | Ok d' -> same_snapshot snapshot d'.Delta.snapshot)
+
+(* The serve engine's two sinks agree: its JSONL dump, read back,
+   merges to exactly the merge of the deltas its [on_delta] hook saw.
+   A cadence of 1 µs cuts a delta at nearly every packet. *)
+let small_capture ?(n = 40) () =
+  let path = Filename.temp_file "sanids_cluster_test" ".pcap" in
+  let pkts =
+    Sanids_workload.Benign_gen.packets (Rng.create 11L) ~n ~t0:0.0
+      ~clients:(Sanids_net.Ipaddr.prefix_of_string "10.10.0.0/16")
+      ~servers:(Sanids_net.Ipaddr.prefix_of_string "10.20.0.0/16")
+  in
+  Result.get_ok (File.write path (Sanids_pcap.Pcap.encode (Sanids_pcap.Pcap.of_packets pkts)));
+  path
+
+let test_dump_matches_deltas () =
+  let source = small_capture () in
+  let dump = Filename.temp_file "sanids_cluster_test" ".jsonl" in
+  Sys.remove dump;
+  let deltas = ref [] in
+  let options =
+    {
+      Serve.default_options with
+      Serve.source;
+      snapshot_out = Some dump;
+      snapshot_every = 1e-6;
+      install_signals = false;
+      on_delta = Some (fun d -> deltas := d :: !deltas);
+    }
+  in
+  (match Serve.run options with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Serve.error_to_string e));
+  let merged =
+    List.fold_left Obs.Snapshot.merge Obs.Snapshot.empty (List.rev !deltas)
+  in
+  Alcotest.(check bool) "several deltas" true (List.length !deltas > 2);
+  let records =
+    String.split_on_char '\n' (Result.get_ok (File.read dump))
+    |> List.filter (( <> ) "")
+    |> List.map (fun l ->
+           match Json.of_string l with Ok j -> j | Error m -> Alcotest.failf "%S: %s" l m)
+  in
+  (match Obs.Export.of_records records with
+  | Error m -> Alcotest.fail m
+  | Ok read ->
+      Alcotest.(check bool) "dump merge = on_delta merge, bit for bit" true
+        (same_snapshot merged read));
+  List.iter Sys.remove [ source; dump ]
 
 (* ------------------------------------------------------------------ *)
 (* Dedup x Fault: exactness under any at-least-once delivery. *)
@@ -426,13 +530,14 @@ let test_spool_epochs_and_replay () =
   | Ok s3 -> Alcotest.(check int) "third epoch" 3 (Spool.epoch s3)
 
 (* ------------------------------------------------------------------ *)
-(* Aggregator end-to-end, in process. *)
+(* In-process aggregator *)
 
 let wait_until ?(tries = 100) f =
   let rec go n = if f () then true else if n = 0 then false else (Unix.sleepf 0.05; go (n - 1)) in
   go tries
 
-let test_aggregator_e2e () =
+(* Run an aggregator on a fresh Unix socket for the length of [f]. *)
+let with_aggregator f =
   let path = Filename.temp_file "sanids_agg_test" ".sock" in
   Sys.remove path;
   let options =
@@ -452,6 +557,74 @@ let test_aggregator_e2e () =
   in
   Alcotest.(check bool) "aggregator came up" true
     (wait_until (fun () -> match get "/healthz" with Ok (200, _) -> true | _ -> false));
+  f ~listen ~get ~post;
+  (match post "/-/drain" "" with
+  | Ok (200, _) -> ()
+  | Ok (s, b) -> Alcotest.failf "drain %d: %s" s b
+  | Error m -> Alcotest.fail m);
+  Thread.join th;
+  Alcotest.(check bool) "clean exit" true (!result = Ok ());
+  (try Sys.remove path with Sys_error _ -> ())
+
+(* A spool left by an older binary: one entry in the retired v1 text
+   wire, which no aggregator accepts, ahead of one valid delta.  The
+   replay drops the first and ships the second; kept, the v1 entry
+   would be retried forever and the flush would time out. *)
+let test_spool_drops_undecodable () =
+  let dir = temp_dir () in
+  (match Spool.open_dir dir with
+  | Error m -> Alcotest.fail m
+  | Ok s ->
+      let valid =
+        Delta.encode
+          {
+            Delta.sensor = "r1";
+            epoch = 1;
+            seq = 2;
+            snapshot = Obs.Snapshot.of_list [ ("sanids_packets_total", Obs.Snapshot.Counter 3) ];
+          }
+      in
+      Alcotest.(check bool) "journal v1" true
+        (Spool.journal s ~seq:1 "sanids-delta/1 sensor=r1 epoch=1 seq=1 metrics=1\nc sanids_packets_total 3\n"
+        = Ok ());
+      Alcotest.(check bool) "journal valid" true (Spool.journal s ~seq:2 valid = Ok ()));
+  let source = small_capture ~n:10 () in
+  with_aggregator (fun ~listen ~get ~post:_ ->
+      let options =
+        {
+          Sensor.sensor_id = "r1";
+          aggregator = listen;
+          spool_dir = dir;
+          serve = { Serve.default_options with Serve.source; install_signals = false };
+          ship_every = 60.0;
+          backoff = { Backoff.default with Backoff.base = 0.01; cap = 0.05 };
+          connect_timeout = 5.0;
+          heartbeat_every = 0.0;
+          channel_fault = [];
+          fault_seed = 1L;
+          flush_timeout = Some 5.0;
+        }
+      in
+      (match Sensor.run options with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (Sensor.error_to_string e));
+      Alcotest.(check (list string)) "spool empty" []
+        (List.filter
+           (fun f -> Filename.check_suffix f ".delta")
+           (Array.to_list (Sys.readdir dir)));
+      match get "/-/sensors" with
+      | Ok (200, body) ->
+          Alcotest.(check string) "replayed delta and the drain delta applied"
+            "sensor=r1 state=alive epoch=2 seq=1 epochs=2 applied=2 duplicates=0\n" body
+      | Ok (s, b) -> Alcotest.failf "sensors %d: %s" s b
+      | Error m -> Alcotest.fail m);
+  Sys.remove source
+
+(* ------------------------------------------------------------------ *)
+(* Aggregator end-to-end, in process. *)
+
+let test_aggregator_e2e () =
+  with_aggregator @@ fun ~listen:_ ~get ~post ->
   let delta seq n =
     Delta.encode
       {
@@ -479,7 +652,9 @@ let test_aggregator_e2e () =
   | Ok (200, body) -> Alcotest.(check string) "second fresh" "ack epoch=1 seq=2 fresh\n" body
   | Ok (s, b) -> Alcotest.failf "status %d: %s" s b
   | Error m -> Alcotest.fail m);
-  (match post "/-/delta" "sanids-delta/1 sensor=t1 epoch=1 seq=3 metrics=2\nc x" with
+  (match
+     post "/-/delta" {|{"delta":2,"sensor":"t1","epoch":1,"seq":3,"metrics":[{"metric":"x","type":"counter"|}
+   with
   | Ok (400, _) -> ()
   | Ok (s, b) -> Alcotest.failf "expected 400, got %d: %s" s b
   | Error m -> Alcotest.fail m);
@@ -491,6 +666,13 @@ let test_aggregator_e2e () =
   | Ok (400, _) -> ()
   | Ok (s, b) -> Alcotest.failf "expected 400, got %d: %s" s b
   | Error m -> Alcotest.fail m);
+  List.iter
+    (fun body ->
+      match post "/-/heartbeat" body with
+      | Ok (400, _) -> ()
+      | Ok (s, b) -> Alcotest.failf "heartbeat %S: expected 400, got %d: %s" body s b
+      | Error m -> Alcotest.fail m)
+    [ "sensor=a/b\n"; "default\n"; "sensor=t1,bogus=1\n" ];
   (match get "/-/sensors" with
   | Ok (200, body) ->
       Alcotest.(check string) "sensors line"
@@ -498,13 +680,14 @@ let test_aggregator_e2e () =
         body
   | Ok (s, b) -> Alcotest.failf "sensors %d: %s" s b
   | Error m -> Alcotest.fail m);
+  let has body needle =
+    let nl = String.length needle and bl = String.length body in
+    let rec find i = i + nl <= bl && (String.sub body i nl = needle || find (i + 1)) in
+    find 0
+  in
   (match get "/metrics" with
   | Ok (200, body) ->
-      let has needle =
-        let nl = String.length needle and bl = String.length body in
-        let rec find i = i + nl <= bl && (String.sub body i nl = needle || find (i + 1)) in
-        find 0
-      in
+      let has = has body in
       Alcotest.(check bool) "dedup view in scrape" true
         (has "sanids_packets_total 8");
       Alcotest.(check bool) "fresh counter" true
@@ -519,13 +702,20 @@ let test_aggregator_e2e () =
         (has "sanids_cluster_sensors{state=\"alive\"} 1")
   | Ok (s, b) -> Alcotest.failf "metrics %d: %s" s b
   | Error m -> Alcotest.fail m);
-  (match post "/-/drain" "" with
-  | Ok (200, _) -> ()
-  | Ok (s, b) -> Alcotest.failf "drain %d: %s" s b
+  (* one series with two kinds is malformed, not a server error *)
+  (match
+     post "/-/delta"
+       {|{"delta":2,"sensor":"t1","epoch":1,"seq":4,"metrics":[{"metric":"x","type":"counter","value":1},{"metric":"x","type":"gauge","value":1}]}|}
+   with
+  | Ok (400, _) -> ()
+  | Ok (s, b) -> Alcotest.failf "conflicting kinds: expected 400, got %d: %s" s b
   | Error m -> Alcotest.fail m);
-  Thread.join th;
-  Alcotest.(check bool) "clean exit" true (!result = Ok ());
-  (try Sys.remove path with Sys_error _ -> ())
+  (match get "/metrics" with
+  | Ok (200, body) ->
+      Alcotest.(check bool) "conflicting kinds counted malformed" true
+        (has body "sanids_cluster_deltas_total{outcome=\"malformed\"} 2")
+  | Ok (s, b) -> Alcotest.failf "metrics %d: %s" s b
+  | Error m -> Alcotest.fail m)
 
 (* ------------------------------------------------------------------ *)
 
@@ -549,6 +739,7 @@ let () =
           Alcotest.test_case "roundtrip unit" `Quick test_delta_roundtrip_unit;
           Alcotest.test_case "rejects malformed" `Quick test_delta_rejects;
           QCheck_alcotest.to_alcotest prop_delta_roundtrip;
+          Alcotest.test_case "serve dump = on_delta deltas" `Quick test_dump_matches_deltas;
         ] );
       ( "dedup exactness",
         [
@@ -558,7 +749,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_deliveries_at_least_once;
         ] );
       ( "spool",
-        [ Alcotest.test_case "epochs and replay" `Quick test_spool_epochs_and_replay ] );
+        [
+          Alcotest.test_case "epochs and replay" `Quick test_spool_epochs_and_replay;
+          Alcotest.test_case "replay drops undecodable entries" `Quick
+            test_spool_drops_undecodable;
+        ] );
       ( "aggregator",
         [ Alcotest.test_case "end to end" `Quick test_aggregator_e2e ] );
     ]

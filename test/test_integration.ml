@@ -122,7 +122,7 @@ let test_sequential () =
 let test_via_pcap () =
   let pkts = scenario () in
   let path = Filename.temp_file "sanids_integration" ".pcap" in
-  Sanids_pcap.Pcap.write_file path (Sanids_pcap.Pcap.of_packets pkts);
+  Result.get_ok (File.write path (Sanids_pcap.Pcap.encode (Sanids_pcap.Pcap.of_packets pkts)));
   let capture =
     match Sanids_pcap.Pcap.decode (In_channel.with_open_bin path In_channel.input_all) with
     | Ok f -> f

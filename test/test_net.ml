@@ -191,7 +191,7 @@ let test_pcap_bad_magic () =
 let test_pcap_file_io () =
   let path = Filename.temp_file "sanids" ".pcap" in
   let pkts = [ Packet.build_tcp ~ts:3.5 ~src:a ~dst:b ~src_port:5 ~dst_port:6 "disk" ] in
-  Sanids_pcap.Pcap.write_file path (Sanids_pcap.Pcap.of_packets pkts);
+  Result.get_ok (File.write path (Sanids_pcap.Pcap.encode (Sanids_pcap.Pcap.of_packets pkts)));
   let f =
     match Sanids_pcap.Pcap.decode (In_channel.with_open_bin path In_channel.input_all) with
     | Ok f -> f

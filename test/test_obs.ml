@@ -245,6 +245,42 @@ let test_jsonl_escapes_labels () =
                 | None -> Alcotest.failf "%S has no metric field" l))
           lines))
 
+(* Records are exact: a histogram sum and bucket bound print with every
+   digit they need, and a non-finite gauge is a JSON string, so each
+   line stays strict JSON and reads back to the value written. *)
+let test_jsonl_exact () =
+  let r = R.create () in
+  List.iter
+    (fun (name, v) -> R.set_gauge (R.gauge r name) v)
+    [ ("sanids_inf", infinity); ("sanids_neg_inf", neg_infinity); ("sanids_nan", Float.nan) ];
+  H.observe (R.histogram r "sanids_h_seconds") 0.00123456789;
+  let snap = R.snapshot r in
+  let text = Obs.Export.to_jsonl snap in
+  let records =
+    List.map
+      (fun l ->
+        match Json.of_string l with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "%S is not strict JSON: %s" l e)
+      (String.split_on_char '\n' (String.trim text))
+  in
+  let has needle =
+    let n = String.length needle and m = String.length text in
+    let rec go i = i + n <= m && (String.sub text i n = needle || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "sum digits" true (has {|"sum":0.00123456789|});
+  Alcotest.(check bool) "bucket bound digits" true (has "[0.002097152,1]");
+  Alcotest.(check bool) "inf as a string" true (has {|"value":"inf"|});
+  match Obs.Export.of_records records with
+  | Error m -> Alcotest.fail m
+  | Ok back ->
+      Alcotest.(check (float 0.0)) "inf" infinity (S.gauge_value back "sanids_inf");
+      Alcotest.(check (float 0.0)) "-inf" neg_infinity (S.gauge_value back "sanids_neg_inf");
+      Alcotest.(check bool) "nan" true (Float.is_nan (S.gauge_value back "sanids_nan"));
+      Alcotest.(check bool) "histogram" true
+        (S.histogram back "sanids_h_seconds" = S.histogram snap "sanids_h_seconds")
+
 (* ------------------------------------------------------------------ *)
 (* Spans *)
 
@@ -342,6 +378,7 @@ let () =
           Alcotest.test_case "jsonl" `Quick test_jsonl_export;
           Alcotest.test_case "jsonl escapes label values" `Quick
             test_jsonl_escapes_labels;
+          Alcotest.test_case "jsonl exact and non-finite" `Quick test_jsonl_exact;
         ] );
       ( "span",
         [

@@ -192,6 +192,21 @@ let test_file_read () =
   let dir = Filename.get_temp_dir_name () in
   Alcotest.(check bool) "directory" true (is_error_naming dir (File.read dir))
 
+(* A whole-file write replaces the file, leaves no [.tmp] behind, and
+   fails as an [Error] naming the path when the directory is missing. *)
+let test_file_write () =
+  let path = Filename.temp_file "sanids_file" ".bin" in
+  Alcotest.(check bool) "first write" true (File.write path "old contents" = Ok ());
+  Alcotest.(check bool) "second write" true (File.write path "new" = Ok ());
+  Alcotest.(check bool) "replaced" true (File.read path = Ok "new");
+  Alcotest.(check bool) "no tmp left" false (Sys.file_exists (path ^ ".tmp"));
+  Sys.remove path;
+  let missing = Filename.concat path "x" in
+  match File.write missing "data" with
+  | Ok () -> Alcotest.fail "wrote into a missing directory"
+  | Error m ->
+      Alcotest.(check bool) "names the path" true (String.starts_with ~prefix:missing m)
+
 (* ------------------------------------------------------------------ *)
 (* Bqueue *)
 
@@ -370,7 +385,11 @@ let () =
           Alcotest.test_case "normalize" `Quick test_normalize;
           Alcotest.test_case "chi-square divergence" `Quick test_chi_square_divergence;
         ] );
-      ("file", [ Alcotest.test_case "read" `Quick test_file_read ]);
+      ( "file",
+        [
+          Alcotest.test_case "read" `Quick test_file_read;
+          Alcotest.test_case "write" `Quick test_file_write;
+        ] );
       ("bqueue", [ Alcotest.test_case "policy strings" `Quick test_policy_strings ]);
       ( "json",
         [

@@ -6,7 +6,7 @@
 
 module Obs = Sanids_obs
 module Httpd = Sanids_serve.Httpd
-module Ingest = Sanids_ingest.Ingest
+module Serve = Sanids_serve.Serve
 
 type options = {
   listen : Httpd.listen;
@@ -259,19 +259,7 @@ let summary t =
                 id state s.Dedup.epochs s.Dedup.applied s.Dedup.duplicates
                 s.Dedup.last_epoch s.Dedup.last_seq)
         (Dedup.sensors t.dedup);
-      let view = Dedup.view t.dedup in
-      let records = Obs.Snapshot.counter_value view Ingest.records_total in
-      let errors = Obs.Snapshot.counter_sum view Ingest.errors_total in
-      let verdicts = Obs.Snapshot.counter_value view "sanids_packets_total" in
-      let shed = Obs.Snapshot.counter_sum view "sanids_shed_total" in
-      let failed =
-        Obs.Snapshot.counter_value view "sanids_worker_failures_total"
-      in
-      let balanced = records = verdicts + errors + shed + failed in
-      say
-        "aggregate: cluster records=%d verdicts=%d errors=%d shed=%d failed=%d %s"
-        records verdicts errors shed failed
-        (if balanced then "reconciled" else "MISMATCH");
+      say "aggregate: cluster %s" (fst (Serve.reconciliation (Dedup.view t.dedup)));
       say "aggregate: stopped sensors=%d" (Hashtbl.length t.sensors))
 
 let run options =

@@ -9,7 +9,7 @@ type config = {
 }
 
 let default_config =
-  { max_steps = 20_000; max_syscalls = 16; min_written = 8; arena_size = 1 lsl 18 }
+  { max_steps = 20_000; max_syscalls = 16; min_written = 8; arena_size = Emulator.default_arena_size }
 
 let validate_config c =
   if c.max_steps < 1 then Error "confirm: steps must be at least 1"
@@ -83,7 +83,7 @@ let run ?(config = default_config) ~code ~entry () =
   if len = 0 then Inconclusive (Fault "empty code image")
   else if entry < 0 || entry >= len then
     Inconclusive (Fault (Printf.sprintf "entry 0x%x outside %d-byte image" entry len))
-  else if len > config.arena_size - 4096 then
+  else if len > Emulator.code_limit ~arena_size:config.arena_size then
     Inconclusive
       (Fault
          (Printf.sprintf "image of %d bytes does not fit the %d-byte arena" len
@@ -91,34 +91,13 @@ let run ?(config = default_config) ~code ~entry () =
   else begin
     let emu = Emulator.create ~arena_size:config.arena_size ~code () in
     Emulator.set_eip emu (Int32.add Emulator.code_base (Int32.of_int entry));
-    (* Track every byte the guest stores; seeding happened in [create],
-       so from here on a set bit means the payload modified itself (or
-       built code on its stack). *)
-    let written = Bytes.make ((config.arena_size + 7) / 8) '\000' in
-    let distinct = ref 0 in
-    Emulator.set_write_hook emu
-      (Some
-         (fun addr ->
-           let off = Int32.to_int (Int32.sub addr Emulator.code_base) in
-           if off >= 0 && off < config.arena_size then begin
-             let byte = off lsr 3 and bit = off land 7 in
-             let prev = Char.code (Bytes.get written byte) in
-             if prev land (1 lsl bit) = 0 then begin
-               Bytes.set written byte (Char.chr (prev lor (1 lsl bit)));
-               incr distinct
-             end
-           end));
-    let executing_written () =
-      let off =
-        Int32.to_int (Int32.sub (Emulator.eip emu) Emulator.code_base)
-      in
-      off >= 0
-      && off < config.arena_size
-      && Char.code (Bytes.get written (off lsr 3)) land (1 lsl (off land 7)) <> 0
-    in
     let rec loop steps syscalls =
-      if !distinct >= config.min_written && executing_written () then
-        Confirmed_decrypt { written = !distinct; steps }
+      (* the emulator logs guest stores only, not the code [create]
+         loaded: executing a logged byte means the payload modified
+         itself (or built code on its stack) *)
+      if Emulator.written_count emu >= config.min_written
+         && Emulator.was_written emu (Emulator.eip emu)
+      then Confirmed_decrypt { written = Emulator.written_count emu; steps }
       else if steps >= config.max_steps then Inconclusive Budget
       else
         match Emulator.step emu with

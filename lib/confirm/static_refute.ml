@@ -627,13 +627,13 @@ let max_gas = 200_000
 
 let initial_path ctx entry =
   let regs = Array.make 8 (V.const 0l) in
-  regs.(Reg.code Reg.ESP) <-
-    V.const (Int32.add Emulator.code_base (Int32.of_int (ctx.arena - 16)));
+  regs.(Reg.code Reg.ESP) <- V.const (Emulator.initial_esp ~arena_size:ctx.arena);
   { regs; eip = entry; df = Some false; steps = 0; syscalls = 0; overlay = Imap.empty; distinct = 0 }
 
 let run ?(config = Confirm.default_config) ~code ~entry () =
   let len = String.length code in
-  if len = 0 || entry < 0 || entry >= len || len > config.arena_size - 4096 then
+  if len = 0 || entry < 0 || entry >= len || len > Emulator.code_limit ~arena_size:config.arena_size
+  then
     (* Confirm.run answers [Inconclusive (Fault _)] here without running
        the emulator; never claim a refutation *)
     None

@@ -435,10 +435,9 @@ let max_stack = 128
 let initial =
   { regs = Array.make 8 V.top_clean; stack = []; written = Region.empty }
 
-let entry_state ?(arena_size = 1 lsl 18) () =
+let entry_state ?(arena_size = Emulator.default_arena_size) () =
   let regs = Array.make 8 (V.const 0l) in
-  regs.(Reg.code Reg.ESP) <-
-    V.const (Int32.add Emulator.code_base (Int32.of_int (arena_size - 16)));
+  regs.(Reg.code Reg.ESP) <- V.const (Emulator.initial_esp ~arena_size);
   { regs; stack = []; written = Region.empty }
 
 let get t r = t.regs.(Reg.code r)

@@ -139,7 +139,7 @@ val initial : state
 
 val entry_state : ?arena_size:int -> unit -> state
 (** The emulator's entry state: all registers 0, [ESP] at
-    [code_base + arena_size - 16] (default arena 256 KiB). *)
+    {!Emulator.initial_esp} (default arena {!Emulator.default_arena_size}). *)
 
 val get : state -> Reg.t -> V.t
 val set : state -> Reg.t -> V.t -> state

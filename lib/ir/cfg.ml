@@ -20,20 +20,17 @@ let build code =
   let ds = Decode.all code in
   (* pass 1: leaders *)
   let leaders = Hashtbl.create 32 in
-  Hashtbl.replace leaders 0 ();
+  let lead o = if o >= 0 && o < n then Hashtbl.replace leaders o () in
+  lead 0;
   Array.iter
     (fun (d : Decode.decoded) ->
       let next = d.Decode.off + d.Decode.len in
-      match Insn.branch_displacement d.Decode.insn with
-      | Some disp ->
-          let target = next + disp in
-          if target >= 0 && target < n then Hashtbl.replace leaders target ();
-          if next < n then Hashtbl.replace leaders next ()
-      | None -> (
-          match d.Decode.insn with
-          | Insn.Ret | Insn.Int3 | Insn.Bad _ ->
-              if next < n then Hashtbl.replace leaders next ()
-          | _ -> ()))
+      match Insn.flow d.Decode.insn with
+      | Insn.Jump disp | Insn.Branch disp | Insn.Call disp ->
+          lead (next + disp);
+          lead next
+      | Insn.Return | Insn.Halt -> lead next
+      | Insn.Next -> ())
     ds;
   (* pass 2: slice the sweep into blocks at leaders and transfers *)
   let table = Hashtbl.create 32 in
@@ -48,8 +45,8 @@ let build code =
         Hashtbl.replace table b.start b;
         order := b.start :: !order
   in
-  Array.iteri
-    (fun i (d : Decode.decoded) ->
+  Array.iter
+    (fun (d : Decode.decoded) ->
       if !current = [] then current_start := d.Decode.off
       else if Hashtbl.mem leaders d.Decode.off then begin
         flush Fallthrough;
@@ -59,31 +56,25 @@ let build code =
       current := d :: !current;
       let next = d.Decode.off + d.Decode.len in
       let in_region o = o >= 0 && o < n in
-      let term_of () =
-        match d.Decode.insn with
-        | Insn.Jmp_rel disp ->
-            let t = next + disp in
-            Some (if in_region t then Jump t else Out_of_region)
-        | Insn.Jcc_rel (_, disp) | Insn.Loop disp | Insn.Loope disp
-        | Insn.Loopne disp | Insn.Jecxz disp ->
-            let t = next + disp in
-            Some
-              (if in_region t || in_region next then
-                 Branch { taken = t; fallthrough = next }
-               else Out_of_region)
-        | Insn.Call_rel disp ->
-            let t = next + disp in
-            Some (if in_region t then Call { target = t; return_to = next } else Out_of_region)
-        | Insn.Ret -> Some Return
-        | Insn.Int3 | Insn.Bad _ -> Some Halt
-        | _ -> None
+      let close term =
+        flush term;
+        current := []
       in
-      (match term_of () with
-      | Some term ->
-          flush term;
-          current := []
-      | None -> ());
-      ignore i)
+      match Insn.flow d.Decode.insn with
+      | Insn.Next -> ()
+      | Insn.Jump disp ->
+          let t = next + disp in
+          close (if in_region t then Jump t else Out_of_region)
+      | Insn.Branch disp ->
+          let t = next + disp in
+          close
+            (if in_region t || in_region next then Branch { taken = t; fallthrough = next }
+             else Out_of_region)
+      | Insn.Call disp ->
+          let t = next + disp in
+          close (if in_region t then Call { target = t; return_to = next } else Out_of_region)
+      | Insn.Return -> close Return
+      | Insn.Halt -> close Halt)
     ds;
   flush Halt;
   { region_len = n; table; order = List.rev !order }

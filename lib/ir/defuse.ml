@@ -4,63 +4,33 @@ type def_site = Entry | At of int
    compare operands, which def-use needs).  ESP is excluded throughout:
    stack-pointer discipline would otherwise chain every push/pop together
    and drown the analysis. *)
-let operand_read_regs (o : Insn.operand) =
-  match o with
-  | Insn.Reg r -> [ r ]
-  | Insn.Reg8 r -> [ Reg.parent8 r ]
-  | Insn.Imm _ -> []
-  | Insn.Mem m ->
-      (match m.Insn.base with Some b -> [ b ] | None -> [])
-      @ (match m.Insn.index with Some (r, _) -> [ r ] | None -> [])
+let operand_reads ((access : Insn.access), (o : Insn.operand)) =
+  (* a memory operand reads its address; a byte write merges into the
+     old register value *)
+  match (access, o) with Insn.Write, Insn.Reg _ -> [] | _ -> Insn.operand_regs o
+
+(* what the operand list leaves out *)
+let implicit_reads (i : Insn.t) =
+  match i with
+  | Insn.Pushad -> Array.to_list Reg.all
+  | Insn.Loop _ | Insn.Loope _ | Insn.Loopne _ | Insn.Jecxz _ -> [ Reg.ECX ]
+  | Insn.Int _ -> (* syscall arguments *) [ Reg.EAX; Reg.EBX; Reg.ECX; Reg.EDX; Reg.ESI; Reg.EDI ]
+  | Insn.Lodsb -> [ Reg.EAX; Reg.ESI ] (* AL merges into EAX *)
+  | Insn.Lodsd -> [ Reg.ESI ]
+  | Insn.Stosb | Insn.Stosd | Insn.Scasb -> [ Reg.EAX; Reg.EDI ]
+  | Insn.Movsb | Insn.Movsd | Insn.Cmpsb -> [ Reg.ESI; Reg.EDI ]
+  | Insn.Cdq | Insn.Cwde | Insn.Sahf | Insn.Lahf -> [ Reg.EAX ]
+  | Insn.Rep_movsb | Insn.Rep_movsd -> [ Reg.ESI; Reg.EDI; Reg.ECX ]
+  | Insn.Rep_stosb | Insn.Rep_stosd -> [ Reg.EAX; Reg.EDI; Reg.ECX ]
+  | Insn.Mul _ | Insn.Imul _ -> [ Reg.EAX ]
+  | Insn.Div _ | Insn.Idiv _ -> [ Reg.EAX; Reg.EDX ]
+  | _ -> []
 
 let insn_reads (i : Insn.t) : Reg.t list =
-  let dedup l = List.sort_uniq compare l in
-  let rmw dst src = operand_read_regs dst @ operand_read_regs src in
-  dedup
+  List.sort_uniq compare
     (List.filter
        (fun r -> not (Reg.equal r Reg.ESP))
-       (match i with
-       | Insn.Mov (Insn.S8bit, (Insn.Reg8 _ as dst), src) ->
-           (* a byte store merges into the old register value *)
-           operand_read_regs dst @ operand_read_regs src
-       | Insn.Mov (_, dst, src) ->
-           (* memory destinations read their addressing registers *)
-           (match dst with Insn.Mem _ -> operand_read_regs dst | _ -> [])
-           @ operand_read_regs src
-       | Insn.Arith (_, _, dst, src) | Insn.Test (_, dst, src) -> rmw dst src
-       | Insn.Not (_, o) | Insn.Neg (_, o) | Insn.Inc (_, o) | Insn.Dec (_, o)
-       | Insn.Shift (_, _, o, _) ->
-           operand_read_regs o
-       | Insn.Lea (_, m) -> operand_read_regs (Insn.Mem m)
-       | Insn.Xchg (a, b) -> [ a; b ]
-       | Insn.Push_reg r -> [ r ]
-       | Insn.Pop_reg _ -> []
-       | Insn.Push_imm _ -> []
-       | Insn.Pushad -> Array.to_list Reg.all
-       | Insn.Popad | Insn.Pushfd | Insn.Popfd -> []
-       | Insn.Jmp_rel _ | Insn.Jcc_rel _ | Insn.Call_rel _ -> []
-       | Insn.Loop _ | Insn.Loope _ | Insn.Loopne _ | Insn.Jecxz _ -> [ Reg.ECX ]
-       | Insn.Ret -> []
-       | Insn.Int _ ->
-           (* syscall arguments *)
-           [ Reg.EAX; Reg.EBX; Reg.ECX; Reg.EDX; Reg.ESI; Reg.EDI ]
-       | Insn.Int3 | Insn.Nop | Insn.Cld | Insn.Std -> []
-       | Insn.Lodsb | Insn.Lodsd -> [ Reg.ESI ]
-       | Insn.Stosb | Insn.Stosd -> [ Reg.EAX; Reg.EDI ]
-       | Insn.Movsb | Insn.Movsd -> [ Reg.ESI; Reg.EDI ]
-       | Insn.Scasb -> [ Reg.EAX; Reg.EDI ]
-       | Insn.Cmpsb -> [ Reg.ESI; Reg.EDI ]
-       | Insn.Cdq | Insn.Cwde | Insn.Sahf | Insn.Lahf -> [ Reg.EAX ]
-       | Insn.Clc | Insn.Stc | Insn.Cmc | Insn.Fwait -> []
-       | Insn.Rep_movsb | Insn.Rep_movsd -> [ Reg.ESI; Reg.EDI; Reg.ECX ]
-       | Insn.Rep_stosb | Insn.Rep_stosd -> [ Reg.EAX; Reg.EDI; Reg.ECX ]
-       | Insn.Movzx (_, src) | Insn.Movsx (_, src) -> operand_read_regs src
-       | Insn.Mul (_, o) | Insn.Imul (_, o) -> Reg.EAX :: operand_read_regs o
-       | Insn.Div (_, o) | Insn.Idiv (_, o) ->
-           Reg.EAX :: Reg.EDX :: operand_read_regs o
-       | Insn.Imul2 (d, o) -> d :: operand_read_regs o
-       | Insn.Imul3 (_, o, _) -> operand_read_regs o
-       | Insn.Bad _ -> []))
+       (implicit_reads i @ List.concat_map operand_reads (Insn.operands i)))
 
 let insn_writes (i : Insn.t) : Reg.t list =
   List.sort_uniq compare
@@ -69,13 +39,13 @@ let insn_writes (i : Insn.t) : Reg.t list =
        (List.concat_map Sem.writes (Array.to_list (Sem.lift i))))
 
 (* Effects that make an instruction unconditionally "used": memory writes,
-   stack pushes, control flow, syscalls. *)
+   stack pushes and pops, control flow, syscalls. *)
 let has_side_effect (i : Insn.t) =
-  Insn.is_control_flow i
+  Insn.flow i <> Insn.Next
   || Array.exists
        (fun sem ->
          Sem.writes_memory sem
-         || match sem with Sem.S_pop _ -> true | _ -> false)
+         || match sem with Sem.S_pop _ | Sem.S_syscall _ -> true | _ -> false)
        (Sem.lift i)
 
 type t = {

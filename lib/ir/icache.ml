@@ -22,20 +22,10 @@ let absent = { off = -1; len = 0; insn = Insn.Int3; sems = [||]; kinds = 0 }
    (conditional branches and loops fall through).  Any negative result
    stops the walk like an out-of-range target does. *)
 let successor insn ~next =
-  match insn with
-  | Insn.Jmp_rel disp | Insn.Call_rel disp -> next + disp
-  | Insn.Ret | Insn.Int3 | Insn.Bad _ -> -1
-  | Insn.Jcc_rel _ | Insn.Loop _ | Insn.Loope _ | Insn.Loopne _ | Insn.Jecxz _ -> next
-  | Insn.Mov _ | Insn.Arith _ | Insn.Test _ | Insn.Not _ | Insn.Neg _ | Insn.Inc _
-  | Insn.Dec _ | Insn.Shift _ | Insn.Lea _ | Insn.Xchg _ | Insn.Push_reg _
-  | Insn.Pop_reg _ | Insn.Push_imm _ | Insn.Pushad | Insn.Popad | Insn.Pushfd
-  | Insn.Popfd | Insn.Int _ | Insn.Nop | Insn.Cld | Insn.Std | Insn.Lodsb
-  | Insn.Lodsd | Insn.Stosb | Insn.Stosd | Insn.Movsb | Insn.Movsd | Insn.Scasb
-  | Insn.Cmpsb | Insn.Cdq | Insn.Cwde | Insn.Clc | Insn.Stc | Insn.Cmc | Insn.Sahf
-  | Insn.Lahf | Insn.Fwait | Insn.Rep_movsb | Insn.Rep_movsd | Insn.Rep_stosb
-  | Insn.Rep_stosd | Insn.Movzx _ | Insn.Movsx _ | Insn.Mul _ | Insn.Imul _
-  | Insn.Div _ | Insn.Idiv _ | Insn.Imul2 _ | Insn.Imul3 _ ->
-      next
+  match Insn.flow insn with
+  | Insn.Jump disp | Insn.Call disp -> next + disp
+  | Insn.Return | Insn.Halt -> -1
+  | Insn.Next | Insn.Branch _ -> next
 
 (* ------------------------------------------------------------------ *)
 (* Tier 1: shapes *)

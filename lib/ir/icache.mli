@@ -108,11 +108,11 @@ val decode : t -> int -> entry option
     no lookup. *)
 
 val successor : Insn.t -> next:int -> int
-(** The one successor rule of a trace: after [insn], whose fall-through
-    offset is [next], a trace goes to an unconditional jump's or call's
-    target, stops after [ret], [int3] or an undecodable byte (the result
-    is [-1]), and falls through everything else, conditional branches
-    and loops included.  A negative or out-of-range result ends the
+(** The one successor rule of a trace, read off {!Insn.flow}: after
+    [insn], whose fall-through offset is [next], a trace goes to a
+    [Jump]'s or [Call]'s target, stops after a [Return] or [Halt] (the
+    result is [-1]), and falls through everything else, [Branch]
+    included.  A negative or out-of-range result ends the
     trace.  {!walk} and {!Trace.build} both step by it. *)
 
 val shape : t -> int -> int

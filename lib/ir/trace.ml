@@ -55,12 +55,11 @@ let entry_points ?(limit = 256) code =
   let ds = Decode.all code in
   Array.iter
     (fun (d : Decode.decoded) ->
-      (match Insn.branch_displacement d.Decode.insn with
-      | Some disp -> add (d.Decode.off + d.Decode.len + disp)
-      | None -> ());
-      match d.Decode.insn with
-      | Insn.Ret | Insn.Int3 | Insn.Bad _ -> add (d.Decode.off + d.Decode.len)
-      | _ -> ())
+      let next = d.Decode.off + d.Decode.len in
+      match Insn.flow d.Decode.insn with
+      | Insn.Jump disp | Insn.Branch disp | Insn.Call disp -> add (next + disp)
+      | Insn.Return | Insn.Halt -> add next
+      | Insn.Next -> ())
     ds;
   let all = List.rev !out in
   let rec take k = function

@@ -82,36 +82,18 @@ let substitute rng (insn : Insn.t) : Insn.t list =
   | other -> [ other ]
 
 let is_relative_branch (insn : Insn.t) =
-  match Insn.branch_displacement insn with Some _ -> true | None -> false
+  match Insn.flow insn with
+  | Insn.Jump _ | Insn.Branch _ | Insn.Call _ -> true
+  | Insn.Next | Insn.Return | Insn.Halt -> false
 
 (* every register an instruction names, normalized to 32-bit parents:
    the union of the lifted semantic footprint and a direct operand scan
    (which also covers complex addressing the IR summarizes away) *)
-let regs_of_operand (o : Insn.operand) =
-  match o with
-  | Insn.Reg r -> [ r ]
-  | Insn.Reg8 r -> [ Reg.parent8 r ]
-  | Insn.Imm _ -> []
-  | Insn.Mem m ->
-      (match m.Insn.base with Some b -> [ b ] | None -> [])
-      @ (match m.Insn.index with Some (r, _) -> [ r ] | None -> [])
-
 let operand_regs (insn : Insn.t) =
-  match insn with
-  | Insn.Mov (_, a, b) | Insn.Arith (_, _, a, b) | Insn.Test (_, a, b) ->
-      regs_of_operand a @ regs_of_operand b
-  | Insn.Not (_, o) | Insn.Neg (_, o) | Insn.Inc (_, o) | Insn.Dec (_, o)
-  | Insn.Shift (_, _, o, _) ->
-      regs_of_operand o
-  | Insn.Lea (r, m) -> r :: regs_of_operand (Insn.Mem m)
-  | Insn.Xchg (a, b) -> [ a; b ]
-  | Insn.Push_reg r | Insn.Pop_reg r -> [ r ]
-  | Insn.Movzx (d, o) | Insn.Movsx (d, o) | Insn.Imul2 (d, o) ->
-      d :: regs_of_operand o
-  | Insn.Imul3 (d, o, _) -> d :: regs_of_operand o
-  | Insn.Mul (_, o) | Insn.Imul (_, o) | Insn.Div (_, o) | Insn.Idiv (_, o) ->
-      Reg.EAX :: Reg.EDX :: regs_of_operand o
-  | _ -> []
+  (match insn with
+  | Insn.Mul _ | Insn.Imul _ | Insn.Div _ | Insn.Idiv _ -> [ Reg.EAX; Reg.EDX ]
+  | _ -> [])
+  @ List.concat_map (fun (_, o) -> Insn.operand_regs o) (Insn.operands insn)
 
 let regs_of_insn (insn : Insn.t) =
   operand_regs insn @ List.concat_map Sem.writes (Array.to_list (Sem.lift insn))

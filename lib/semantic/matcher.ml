@@ -55,36 +55,16 @@ let src_value state (w : Insn.size) (v : Sem.value) =
   | Insn.S8bit -> int32_of_byte (Absint.value_low8 state v)
 
 (* Does the instruction carry [c] as an immediate or a displacement?
-   Answered in place: this runs on every start position of templates
-   opening with a code constant, so it must not build a list. *)
-let insn_has_const c (i : Insn.t) =
-  let op (o : Insn.operand) =
-    match o with
-    | Insn.Imm v -> Int32.equal v c
-    | Insn.Mem m -> Int32.equal m.Insn.disp c
-    | Insn.Reg _ | Insn.Reg8 _ -> false
-  in
-  match i with
-  | Insn.Mov (_, a, b) | Insn.Arith (_, _, a, b) | Insn.Test (_, a, b) ->
-      op a || op b
-  | Insn.Not (_, o) | Insn.Neg (_, o) | Insn.Inc (_, o) | Insn.Dec (_, o)
-  | Insn.Shift (_, _, o, _) ->
-      op o
-  | Insn.Lea (_, m) -> Int32.equal m.Insn.disp c
-  | Insn.Push_imm v -> Int32.equal v c
-  | Insn.Movzx (_, o) | Insn.Movsx (_, o) | Insn.Mul (_, o) | Insn.Imul (_, o)
-  | Insn.Div (_, o) | Insn.Idiv (_, o) | Insn.Imul2 (_, o) ->
-      op o
-  | Insn.Imul3 (_, o, v) -> Int32.equal v c || op o
-  | Insn.Xchg _ | Insn.Push_reg _ | Insn.Pop_reg _ | Insn.Pushad | Insn.Popad
-  | Insn.Pushfd | Insn.Popfd | Insn.Jmp_rel _ | Insn.Jcc_rel _ | Insn.Call_rel _
-  | Insn.Loop _ | Insn.Loope _ | Insn.Loopne _ | Insn.Jecxz _ | Insn.Ret
-  | Insn.Int _ | Insn.Int3 | Insn.Nop | Insn.Cld | Insn.Std | Insn.Lodsb
-  | Insn.Lodsd | Insn.Stosb | Insn.Stosd | Insn.Movsb | Insn.Movsd | Insn.Scasb
-  | Insn.Cmpsb | Insn.Cdq | Insn.Cwde | Insn.Clc | Insn.Stc | Insn.Cmc
-  | Insn.Sahf | Insn.Lahf | Insn.Fwait | Insn.Rep_movsb | Insn.Rep_movsd
-  | Insn.Rep_stosb | Insn.Rep_stosd | Insn.Bad _ ->
-      false
+   This runs on every start position of templates opening with a code
+   constant: a top-level loop over the operands, no closure. *)
+let rec has_const c (ops : (Insn.access * Insn.operand) list) =
+  match ops with
+  | [] -> false
+  | (_, Insn.Imm v) :: tl -> Int32.equal v c || has_const c tl
+  | (_, Insn.Mem m) :: tl -> Int32.equal m.Insn.disp c || has_const c tl
+  | (_, (Insn.Reg _ | Insn.Reg8 _)) :: tl -> has_const c tl
+
+let insn_has_const c (i : Insn.t) = has_const c (Insn.operands i)
 
 (* Decoder loops address their working cell at (or very near) the walked
    pointer; big fixed displacements are the signature of accidental
@@ -102,32 +82,23 @@ let body_memory_disciplined ic env ~from_idx ~to_idx =
     || List.exists (fun (_, b) -> Reg.equal b r) env.regs
   in
   (* operand-level: every memory operand must be addressed off an allowed
-     base (lea computes an address without touching memory — exempt) *)
-  let mem_ok (o : Insn.operand) =
+     base ([Insn.operands] lists none for lea, which touches no memory) *)
+  let mem_ok ((_ : Insn.access), (o : Insn.operand)) =
     match o with
-    | Insn.Mem m -> (
-        (match m.Insn.base with Some b -> allowed b | None -> false)
-        && match m.Insn.index with Some (r, _) -> allowed r | None -> true)
+    | Insn.Mem m -> m.Insn.base <> None && List.for_all allowed (Insn.operand_regs o)
     | Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _ -> true
   in
-  let insn_ok (i : Insn.t) =
+  (* the string instructions address memory through ESI and EDI *)
+  let implicit_ok (i : Insn.t) =
     match i with
-    | Insn.Mov (_, a, b) | Insn.Arith (_, _, a, b) | Insn.Test (_, a, b) ->
-        mem_ok a && mem_ok b
-    | Insn.Not (_, o) | Insn.Neg (_, o) | Insn.Inc (_, o) | Insn.Dec (_, o)
-    | Insn.Shift (_, _, o, _) ->
-        mem_ok o
-    | Insn.Movzx (_, o) | Insn.Movsx (_, o) | Insn.Mul (_, o) | Insn.Imul (_, o)
-    | Insn.Div (_, o) | Insn.Idiv (_, o) | Insn.Imul2 (_, o)
-    | Insn.Imul3 (_, o, _) ->
-        mem_ok o
     | Insn.Lodsb | Insn.Lodsd -> allowed Reg.ESI
-    | Insn.Stosb | Insn.Stosd | Insn.Scasb -> allowed Reg.EDI
+    | Insn.Stosb | Insn.Stosd | Insn.Scasb | Insn.Rep_stosb | Insn.Rep_stosd ->
+        allowed Reg.EDI
     | Insn.Movsb | Insn.Movsd | Insn.Cmpsb | Insn.Rep_movsb | Insn.Rep_movsd ->
         allowed Reg.ESI && allowed Reg.EDI
-    | Insn.Rep_stosb | Insn.Rep_stosd -> allowed Reg.EDI
     | _ -> true
   in
+  let insn_ok i = implicit_ok i && List.for_all mem_ok (Insn.operands i) in
   let ok = ref true in
   for i = from_idx to to_idx do
     if i >= 0 && i < Icache.length ic then

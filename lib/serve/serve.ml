@@ -320,17 +320,21 @@ let feeder t source ~epoch_exit =
   in
   next
 
-let reconcile t =
-  let s = observable t in
+let reconciliation s =
   let records = Obs.Snapshot.counter_value s Ingest.records_total in
   let errors = Obs.Snapshot.counter_sum s Ingest.errors_total in
   let verdicts = Obs.Snapshot.counter_value s "sanids_packets_total" in
   let shed = Obs.Snapshot.counter_sum s "sanids_shed_total" in
   let failed = Obs.Snapshot.counter_value s "sanids_worker_failures_total" in
   let balanced = records = verdicts + errors + shed + failed in
-  say "serve: reconciliation records=%d verdicts=%d errors=%d shed=%d failed=%d %s"
-    records verdicts errors shed failed
-    (if balanced then "reconciled" else "MISMATCH");
+  ( Printf.sprintf "records=%d verdicts=%d errors=%d shed=%d failed=%d %s" records verdicts
+      errors shed failed
+      (if balanced then "reconciled" else "MISMATCH"),
+    balanced )
+
+let reconcile t =
+  let line, balanced = reconciliation (observable t) in
+  say "serve: reconciliation %s" line;
   balanced
 
 let handler t req =

@@ -64,6 +64,14 @@ val reload_candidate :
     startup and on every reload request, so a dirty config can neither
     start the daemon nor displace a clean generation. *)
 
+val reconciliation : Sanids_obs.Snapshot.t -> string * bool
+(** The drain accounting identity over one snapshot: every ingest
+    record is a verdict, a typed error, shed, or lost with a failed
+    worker.  Returns the counts as
+    ["records=R verdicts=V errors=E shed=S failed=F reconciled"]
+    ([MISMATCH] in place of [reconciled] when [R <> V + E + S + F]) and
+    whether it balanced. *)
+
 type error =
   | Config_rejected of string  (** startup gate failed — never served *)
   | Source_error of string

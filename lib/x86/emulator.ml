@@ -9,15 +9,20 @@ type t = {
   mutable pf : bool;
   mutable df : bool;
   mutable steps : int;
-  mutable write_hook : (int32 -> unit) option;
+  written : Bytes.t;  (* one bit per arena byte the guest has stored *)
+  mutable written_count : int;
 }
 
 type outcome = Running | Syscall of int | Halted of string
 
 let code_base = 0x08048000l
 
-let create ?(arena_size = 1 lsl 18) ~code () =
-  if String.length code > arena_size - 4096 then
+let default_arena_size = 1 lsl 18
+let code_limit ~arena_size = arena_size - 4096
+let initial_esp ~arena_size = Int32.add code_base (Int32.of_int (arena_size - 16))
+
+let create ?(arena_size = default_arena_size) ~code () =
+  if String.length code > code_limit ~arena_size then
     invalid_arg "Emulator.create: code larger than arena";
   let arena = Bytes.make arena_size '\x00' in
   Bytes.blit_string code 0 arena 0 (String.length code);
@@ -33,10 +38,11 @@ let create ?(arena_size = 1 lsl 18) ~code () =
       pf = false;
       df = false;
       steps = 0;
-      write_hook = None;
+      written = Bytes.make ((arena_size + 7) / 8) '\000';
+      written_count = 0;
     }
   in
-  t.regs.(Reg.code Reg.ESP) <- Int32.add code_base (Int32.of_int (arena_size - 16));
+  t.regs.(Reg.code Reg.ESP) <- initial_esp ~arena_size;
   t
 
 let reg t r = t.regs.(Reg.code r)
@@ -47,7 +53,7 @@ let flag_zf t = t.zf
 let flag_sf t = t.sf
 let flag_cf t = t.cf
 let steps_taken t = t.steps
-let set_write_hook t hook = t.write_hook <- hook
+let written_count t = t.written_count
 
 exception Fault of string
 
@@ -59,9 +65,16 @@ let translate t addr =
 
 let read8 t addr = Char.code (Bytes.get t.arena (translate t addr))
 
+(* a guest store: logged in the written bitmap *)
 let write8 t addr v =
-  Bytes.set t.arena (translate t addr) (Char.chr (v land 0xFF));
-  match t.write_hook with None -> () | Some hook -> hook addr
+  let off = translate t addr in
+  Bytes.set t.arena off (Char.chr (v land 0xFF));
+  let byte = off lsr 3 and bit = 1 lsl (off land 7) in
+  let prev = Char.code (Bytes.get t.written byte) in
+  if prev land bit = 0 then begin
+    Bytes.set t.written byte (Char.chr (prev lor bit));
+    t.written_count <- t.written_count + 1
+  end
 
 let read32 t addr =
   let b i = Int32.of_int (read8 t (Int32.add addr (Int32.of_int i))) in
@@ -80,9 +93,6 @@ let write32 t addr v =
 let read_mem t addr n =
   String.init n (fun i -> Char.chr (read8 t (Int32.add addr (Int32.of_int i))))
 
-let write_mem t addr s =
-  String.iteri (fun i c -> write8 t (Int32.add addr (Int32.of_int i)) (Char.code c)) s
-
 (* Non-raising variants (the never-raising-constructor convention): a
    range check up front instead of a per-byte fault, because the
    raising accessors' partial-write-then-raise behaviour is exactly
@@ -94,12 +104,17 @@ let in_arena t addr n =
 let read_mem_opt t addr n =
   if in_arena t addr n then Some (read_mem t addr n) else None
 
+(* host-side seeding: not a guest store, so not logged *)
 let write_mem_opt t addr s =
   if in_arena t addr (String.length s) then begin
-    write_mem t addr s;
+    Bytes.blit_string s 0 t.arena (Int32.to_int (Int32.sub addr code_base)) (String.length s);
     Some ()
   end
   else None
+
+let was_written t addr =
+  let off = Int32.to_int (Int32.sub addr code_base) in
+  in_arena t addr 1 && Char.code (Bytes.get t.written (off lsr 3)) land (1 lsl (off land 7)) <> 0
 
 (* ------------------------------------------------------------------ *)
 (* operand helpers *)

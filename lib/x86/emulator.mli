@@ -23,9 +23,20 @@ val code_base : int32
 (** Where the code image is loaded (0x08048000, the classic ELF text
     base). *)
 
+val default_arena_size : int
+(** 256 KiB: the arena {!create} makes unless told otherwise. *)
+
+val code_limit : arena_size:int -> int
+(** The largest code image an arena of [arena_size] bytes takes: all
+    but its top 4 KiB, which the stack keeps. *)
+
+val initial_esp : arena_size:int -> int32
+(** ESP as {!create} sets it: 16 bytes below the top of the arena. *)
+
 val create : ?arena_size:int -> code:string -> unit -> t
-(** Fresh machine with [code] loaded at {!code_base}, ESP at the top of
-    the arena, all other registers zero. *)
+(** Fresh machine with [code] loaded at {!code_base}, ESP at
+    {!initial_esp}, all other registers zero.
+    @raise Invalid_argument when [code] is longer than {!code_limit}. *)
 
 val reg : t -> Reg.t -> int32
 val set_reg : t -> Reg.t -> int32 -> unit
@@ -39,15 +50,17 @@ val read_mem_opt : t -> int32 -> int -> string option
 
 val write_mem_opt : t -> int32 -> string -> unit option
 (** Store a string into the arena; [None] (and no partial write) when
-    any byte would fall outside it. *)
+    any byte would fall outside it.  Host-side seeding, not a guest
+    store: {!written_count} does not count it. *)
 
-val set_write_hook : t -> (int32 -> unit) option -> unit
-(** Install (or clear) an observer called with the address of every
-    byte the machine stores — guest stores, pushes and string writes
-    all funnel through it.  Host-side seeding via {!write_mem_opt} is
-    observed too; install the hook after seeding to watch only the
-    guest.  The dynamic-confirmation stage uses this to detect
-    self-modifying decoders (writes later executed). *)
+val written_count : t -> int
+(** Distinct arena bytes the guest has stored (stores, pushes, string
+    writes), not counting the code {!create} loads.  Dynamic
+    confirmation reads this log to catch self-modifying decoders. *)
+
+val was_written : t -> int32 -> bool
+(** Whether the guest has stored to the byte at this address ([false]
+    outside the arena); the same log as {!written_count}. *)
 
 val flag_zf : t -> bool
 val flag_sf : t -> bool

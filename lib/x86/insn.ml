@@ -150,27 +150,54 @@ let shift_name = function
   | Shr -> "shr"
   | Sar -> "sar"
 
-let is_control_flow = function
-  | Jmp_rel _ | Jcc_rel _ | Call_rel _ | Loop _ | Loope _ | Loopne _
-  | Jecxz _ | Ret | Int _ | Int3 | Bad _ ->
-      true
+type flow = Next | Jump of int | Branch of int | Call of int | Return | Halt
+
+let flow = function
+  | Jmp_rel d -> Jump d
+  | Jcc_rel (_, d) | Loop d | Loope d | Loopne d | Jecxz d -> Branch d
+  | Call_rel d -> Call d
+  | Ret -> Return
+  | Int3 | Bad _ -> Halt
   | Mov _ | Arith _ | Test _ | Not _ | Neg _ | Inc _ | Dec _ | Shift _
   | Lea _ | Xchg _ | Push_reg _ | Pop_reg _ | Push_imm _ | Pushad | Popad
-  | Pushfd | Popfd | Nop | Cld | Std | Lodsb | Lodsd | Stosb | Stosd
+  | Pushfd | Popfd | Int _ | Nop | Cld | Std | Lodsb | Lodsd | Stosb | Stosd
   | Movsb | Movsd | Scasb | Cmpsb | Cdq | Cwde | Clc | Stc | Cmc | Sahf
   | Lahf | Fwait | Rep_movsb | Rep_movsd | Rep_stosb | Rep_stosd | Movzx _
   | Movsx _ | Mul _ | Imul _ | Div _ | Idiv _ | Imul2 _ | Imul3 _ ->
-      false
+      Next
 
-let branch_displacement = function
-  | Jmp_rel d | Jcc_rel (_, d) | Call_rel d | Loop d | Loope d | Loopne d
-  | Jecxz d ->
-      Some d
-  | Mov _ | Arith _ | Test _ | Not _ | Neg _ | Inc _ | Dec _ | Shift _
-  | Lea _ | Xchg _ | Push_reg _ | Pop_reg _ | Push_imm _ | Pushad | Popad
-  | Pushfd | Popfd | Ret | Int _ | Int3 | Nop | Cld | Std | Lodsb | Lodsd
-  | Stosb | Stosd | Movsb | Movsd | Scasb | Cmpsb | Cdq | Cwde | Clc | Stc
-  | Cmc | Sahf | Lahf | Fwait | Rep_movsb | Rep_movsd | Rep_stosb | Rep_stosd
-  | Movzx _ | Movsx _ | Mul _ | Imul _ | Div _ | Idiv _ | Imul2 _ | Imul3 _
-  | Bad _ ->
-      None
+type access = Read | Write | Read_write
+
+let operand_regs = function
+  | Reg r -> [ r ]
+  | Reg8 r -> [ Reg.parent8 r ]
+  | Imm _ -> []
+  | Mem m ->
+      (match m.base with Some b -> [ b ] | None -> [])
+      @ (match m.index with Some (r, _) -> [ r ] | None -> [])
+
+let operands = function
+  | Mov (_, dst, src) -> [ (Write, dst); (Read, src) ]
+  | Arith (Cmp, _, a, b) | Test (_, a, b) -> [ (Read, a); (Read, b) ]
+  | Arith ((Add | Or | Adc | Sbb | And | Sub | Xor), _, dst, src) ->
+      [ (Read_write, dst); (Read, src) ]
+  | Not (_, o) | Neg (_, o) | Inc (_, o) | Dec (_, o) | Shift (_, _, o, _) ->
+      [ (Read_write, o) ]
+  | Lea (r, m) ->
+      ((Write, Reg r) :: List.map (fun b -> (Read, Reg b)) (operand_regs (Mem m)))
+      @ [ (Read, Imm m.disp) ]
+  | Xchg (a, b) -> [ (Read_write, Reg a); (Read_write, Reg b) ]
+  | Push_reg r -> [ (Read, Reg r) ]
+  | Pop_reg r -> [ (Write, Reg r) ]
+  | Push_imm v -> [ (Read, Imm v) ]
+  | Movzx (d, o) | Movsx (d, o) -> [ (Write, Reg d); (Read, o) ]
+  | Mul (_, o) | Imul (_, o) | Div (_, o) | Idiv (_, o) -> [ (Read, o) ]
+  | Imul2 (d, o) -> [ (Read_write, Reg d); (Read, o) ]
+  | Imul3 (d, o, v) -> [ (Write, Reg d); (Read, o); (Read, Imm v) ]
+  | Pushad | Popad | Pushfd | Popfd | Jmp_rel _ | Jcc_rel _ | Call_rel _
+  | Loop _ | Loope _ | Loopne _ | Jecxz _ | Ret | Int _ | Int3 | Nop | Cld
+  | Std | Lodsb | Lodsd | Stosb | Stosd | Movsb | Movsd | Scasb | Cmpsb | Cdq
+  | Cwde | Clc | Stc | Cmc | Sahf | Lahf | Fwait | Rep_movsb | Rep_movsd
+  | Rep_stosb | Rep_stosd | Bad _ ->
+      []
+

@@ -111,10 +111,31 @@ val cc_name : cc -> string
 val arith_name : arith -> string
 val shift_name : shift -> string
 
-val is_control_flow : t -> bool
-(** Branches, calls, returns, interrupts and [Bad] — everything that ends
-    straight-line execution or leaves the decoded region. *)
+(** {1 Views}  Where an instruction sends control and which operands it
+    names, decided once per constructor.  Analyses read these and keep
+    only what an instruction does implicitly. *)
 
-val branch_displacement : t -> int option
-(** The relative displacement of a branch/call/loop instruction, [None]
-    for everything else. *)
+type flow =
+  | Next
+  | Jump of int
+  | Branch of int  (** taken to end + displacement, or falls through *)
+  | Call of int
+  | Return  (** to the popped word *)
+  | Halt  (** [int3] or an undecodable byte *)
+
+val flow : t -> flow
+(** Displacements are relative to the end of the instruction.  [int n]
+    is [Next]: the machine resumes after it. *)
+
+type access = Read | Write | Read_write
+
+val operands : t -> (access * operand) list
+(** The explicit operands, destination first: [lea]'s destination,
+    [xchg]'s pair and [imul]'s immediate included, implicit registers
+    left out.  A [Mem] operand is a memory access; [lea]'s address is
+    listed as what it reads (base, index, and the displacement as an
+    [Imm]), since [lea] touches no memory. *)
+
+val operand_regs : operand -> Reg.t list
+(** The registers an operand names: a byte register as its 32-bit
+    parent, a memory operand as its base and index. *)

@@ -88,7 +88,15 @@ let test_rmw_is_a_use () =
   in
   Alcotest.(check bool) "initial write used by inc" false (Defuse.is_dead_write t 0);
   (* the inc's own result is then clobbered: dead *)
-  Alcotest.(check bool) "inc result dead" true (Defuse.is_dead_write t 1)
+  Alcotest.(check bool) "inc result dead" true (Defuse.is_dead_write t 1);
+  (* lodsb writes only AL, so EAX's upper 24 bits reach the push *)
+  let t =
+    Defuse.analyze
+      (trace_of [ mov32 (reg Reg.EAX) (imm 0x11223344l); Insn.Lodsb; Insn.Push_reg Reg.EAX ])
+  in
+  Alcotest.(check bool) "lodsb reads eax from 0" true
+    (List.mem (Reg.EAX, Defuse.At 0) (Defuse.reads t 1));
+  Alcotest.(check bool) "write before lodsb used" false (Defuse.is_dead_write t 0)
 
 let test_junk_measurement_on_engine_output () =
   (* the dead-write fraction of heavily junked decoders exceeds that of

@@ -302,6 +302,16 @@ let gen_cc =
 let gen_rel = QCheck2.Gen.oneof [ QCheck2.Gen.int_range (-128) 127; QCheck2.Gen.int_range (-100000) 100000 ]
 let gen_rel8 = QCheck2.Gen.int_range (-128) 127
 
+let nullary_insns =
+  [
+    Insn.Pushad; Insn.Popad; Insn.Pushfd; Insn.Popfd; Insn.Ret; Insn.Int3;
+    Insn.Nop; Insn.Cld; Insn.Std; Insn.Lodsb; Insn.Lodsd; Insn.Stosb;
+    Insn.Stosd; Insn.Movsb; Insn.Movsd; Insn.Scasb; Insn.Cmpsb; Insn.Cdq;
+    Insn.Cwde; Insn.Clc; Insn.Stc; Insn.Cmc; Insn.Sahf; Insn.Lahf;
+    Insn.Fwait; Insn.Rep_movsb; Insn.Rep_movsd; Insn.Rep_stosb;
+    Insn.Rep_stosd;
+  ]
+
 let gen_insn =
   let open QCheck2.Gen in
   oneof
@@ -417,16 +427,7 @@ let gen_insn =
        return (Insn.Imul2 (d, rm)));
       (let* d = gen_reg and* rm = gen_rm32 and* v = gen_imm32 in
        return (Insn.Imul3 (d, rm, v)));
-      (* nullary *)
-      oneofl
-        [
-          Insn.Pushad; Insn.Popad; Insn.Pushfd; Insn.Popfd; Insn.Ret; Insn.Int3;
-          Insn.Nop; Insn.Cld; Insn.Std; Insn.Lodsb; Insn.Lodsd; Insn.Stosb;
-          Insn.Stosd; Insn.Movsb; Insn.Movsd; Insn.Scasb; Insn.Cmpsb; Insn.Cdq;
-          Insn.Cwde; Insn.Clc; Insn.Stc; Insn.Cmc; Insn.Sahf; Insn.Lahf;
-          Insn.Fwait; Insn.Rep_movsb; Insn.Rep_movsd; Insn.Rep_stosb;
-          Insn.Rep_stosd;
-        ];
+      oneofl nullary_insns;
     ]
 
 let prop_roundtrip =
@@ -530,9 +531,122 @@ let prop_byte_evidence =
       in
       byte_evidence_holds junk && byte_evidence_holds program)
 
+(* The two instruction views ([Insn.flow], and the operands
+   [Defuse.reads] is built from) against the emulator.  Each case, drawn
+   from a printed seed, steps one encoded instruction once from a random
+   machine state:
+   (a) unless the step faults, EIP ends where [Insn.flow] says;
+   (b) when changing a register other than ESP changes the outcome, EIP,
+       the flags, memory or a register the instruction writes, that
+       register is one [Defuse.reads] lists. *)
+
+module Defuse = Sanids_ir.Defuse
+module Trace = Sanids_ir.Trace
+
+let views_arena = 8192
+
+type machine_state = { outcome : string; eip : int32; regs : int32 list; flags : int; mem : string }
+
+let step_once code regs flags data =
+  let emu = Emulator.create ~arena_size:views_arena ~code () in
+  let data_at = Int32.add Emulator.code_base (Int32.of_int (String.length code)) in
+  ignore (Emulator.write_mem_opt emu data_at data);
+  List.iter (fun (r, v) -> Emulator.set_reg emu r v) regs;
+  Emulator.set_flags_word emu flags;
+  let esp = Emulator.reg emu Reg.ESP in
+  let popped =
+    match Emulator.read_mem_opt emu esp 4 with
+    | Some w -> Bytes.get_int32_le (Bytes.of_string w) 0
+    | None -> 0l
+  in
+  let outcome =
+    match Emulator.step emu with
+    | Emulator.Running -> "running"
+    | Emulator.Syscall n -> Printf.sprintf "syscall %d" n
+    | Emulator.Halted m -> "halted: " ^ m
+  in
+  ( {
+      outcome;
+      eip = Emulator.eip emu;
+      regs = List.map (Emulator.reg emu) (Array.to_list Reg.all);
+      flags = Emulator.flags_word emu;
+      mem = Option.get (Emulator.read_mem_opt emu Emulator.code_base views_arena);
+    },
+    popped )
+
+let flow_holds (i : Insn.t) ~len (after, popped) =
+  let fin = Int32.add Emulator.code_base (Int32.of_int len) in
+  let at d = Int32.add fin (Int32.of_int d) in
+  let halted = String.starts_with ~prefix:"halted" after.outcome in
+  match Insn.flow i with
+  | Insn.Halt -> halted
+  | _ when halted -> true (* a fault *)
+  | Insn.Next -> after.eip = fin
+  | Insn.Jump d | Insn.Call d -> after.eip = at d
+  | Insn.Branch d -> after.eip = fin || after.eip = at d
+  | Insn.Return -> after.eip = popped
+
+let gen_reg_value rng =
+  match Rng.int rng 3 with
+  | 0 -> Int32.of_int (Rng.int rng 9)
+  | 1 -> Int32.add Emulator.code_base (Int32.of_int (Rng.int rng views_arena))
+  | _ -> Int64.to_int32 (Rng.int64 rng)
+
+(* The register varied is compared too when the step wrote it, which
+   shows as a final value other than its initial one in either run. *)
+let reads_cover_dependencies ~code regs flags data =
+  let base, _ = step_once code regs flags data in
+  let reads = List.map fst (Defuse.reads (Defuse.analyze (Trace.build code ~entry:0)) 0) in
+  List.for_all
+    (fun (r, v) ->
+      let v' = Int32.lognot v in
+      let moved, _ =
+        step_once code (List.map (fun (q, w) -> (q, if q = r then v' else w)) regs) flags data
+      in
+      let final s = List.nth s.regs (Reg.code r) in
+      let others s = List.filteri (fun k _ -> k <> Reg.code r) s.regs in
+      let written = final base <> v || final moved <> v' in
+      let depends =
+        { base with regs = [] } <> { moved with regs = [] }
+        || others base <> others moved
+        || (written && final base <> final moved)
+      in
+      (not depends) || List.mem r reads)
+    regs
+
+(* Half the cases are nullary: their operands are all implicit, where
+   the views and the implicit lists can disagree. *)
+let insn_of_seed seed =
+  QCheck2.Gen.generate1 ~rand:(Random.State.make [| seed |])
+    QCheck2.Gen.(oneof [ gen_insn; oneofl nullary_insns ])
+
+let prop_views_match_emulator =
+  QCheck2.Test.make ~name:"flow and reads agree with one emulator step" ~count:500
+    ~print:(fun seed -> Printf.sprintf "seed %d (%s)" seed (Pretty.to_string (insn_of_seed seed)))
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let i = insn_of_seed seed in
+      let code = Encode.insn_to_bytes i in
+      let regs =
+        List.filter_map
+          (fun r -> if r = Reg.ESP then None else Some (r, gen_reg_value rng))
+          (Array.to_list Reg.all)
+      in
+      let flags = Rng.int rng 0x1000 in
+      let data = Rng.bytes rng (views_arena - String.length code) in
+      flow_holds i ~len:(String.length code) (step_once code regs flags data)
+      && reads_cover_dependencies ~code regs flags data)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_roundtrip; prop_program_roundtrip; prop_decode_total; prop_byte_evidence ]
+    [
+      prop_roundtrip;
+      prop_program_roundtrip;
+      prop_decode_total;
+      prop_byte_evidence;
+      prop_views_match_emulator;
+    ]
 
 let () =
   Alcotest.run "x86"

@@ -1,36 +1,33 @@
 (* One substring scanner for every literal-content matcher in the tree
    (rule engine, siggen, rule lint): first-byte skip plus an inline
    byte-by-byte compare, allocating nothing.  The previous per-caller
-   copies each built a fresh String.sub per candidate position. *)
+   copies each built a fresh String.sub per candidate position.  The
+   loops are top-level functions with every argument passed: a local
+   closure over the needle and haystack would be allocated per call. *)
 
 let fold c = Char.lowercase_ascii c
+let same ~nocase a b = if nocase then fold a = fold b else a = b
+
+(* Do [needle]'s bytes from [k] on occur in [base] at [i + k]? *)
+let rec matches_at ~nocase base i needle k =
+  k >= String.length needle
+  || same ~nocase (String.unsafe_get base (i + k)) (String.unsafe_get needle k)
+     && matches_at ~nocase base i needle (k + 1)
+
+(* The leftmost [i] in [\[i, last\]] where [needle] (first byte [c0])
+   occurs, or -1. *)
+let rec scan ~nocase base i last needle c0 =
+  if i > last then -1
+  else if same ~nocase (String.unsafe_get base i) c0 && matches_at ~nocase base i needle 1
+  then i
+  else scan ~nocase base (i + 1) last needle c0
 
 (* Core: find [needle] inside [base.[lo .. hi)] (absolute bounds), or -1. *)
 let find_in ~nocase base lo hi needle =
   let m = String.length needle in
   if m = 0 then if lo <= hi then lo else -1
   else if hi - lo < m then -1
-  else begin
-    let c0 = if nocase then fold needle.[0] else needle.[0] in
-    let matches_at i =
-      let rec go k =
-        k >= m
-        ||
-        let h = String.unsafe_get base (i + k) and n = String.unsafe_get needle k in
-        (if nocase then fold h = fold n else h = n) && go (k + 1)
-      in
-      go 1
-    in
-    let last = hi - m in
-    let rec scan i =
-      if i > last then -1
-      else
-        let h = String.unsafe_get base i in
-        if (if nocase then fold h = c0 else h = c0) && matches_at i then i
-        else scan (i + 1)
-    in
-    scan lo
-  end
+  else scan ~nocase base lo (hi - m) needle (String.unsafe_get needle 0)
 
 let find ?(nocase = false) ?(start = 0) ?stop ~needle hay =
   let n = String.length hay in
@@ -41,7 +38,8 @@ let find ?(nocase = false) ?(start = 0) ?stop ~needle hay =
     | -1 -> None
     | i -> Some i
 
-let contains ?nocase ~needle hay = find ?nocase ~needle hay <> None
+let contains ?(nocase = false) ~needle hay =
+  find_in ~nocase hay 0 (String.length hay) needle >= 0
 
 let find_slice ?(nocase = false) ?(start = 0) ?stop ~needle s =
   let n = Slice.length s in
@@ -53,4 +51,6 @@ let find_slice ?(nocase = false) ?(start = 0) ?stop ~needle s =
     | -1 -> None
     | i -> Some (i - off)
 
-let contains_slice ?nocase ~needle s = find_slice ?nocase ~needle s <> None
+let contains_slice ?(nocase = false) ~needle s =
+  let off = Slice.offset s in
+  find_in ~nocase (Slice.base s) off (off + Slice.length s) needle >= 0

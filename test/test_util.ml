@@ -342,6 +342,33 @@ let prop_json_roundtrip =
   QCheck2.Test.make ~name:"json of_string (to_string v) = Ok v" ~count:500
     ~print:Json.to_string gen_json (fun v -> Json.of_string (Json.to_string v) = Ok v)
 
+(* ------------------------------------------------------------------ *)
+(* Search *)
+
+(* The substring scanner allocates nothing: a miss over a 319-byte view
+   (the mean benign binary frame of the cold workload), both cases, and
+   a hit past the first candidate.  [Gc.minor_words] boxes its result,
+   so a few words of measurement overhead are allowed over 1,000 calls;
+   a closure per call would cost thousands. *)
+let test_search_allocates_nothing () =
+  let rng = Rng.create 0x5EA5C4L in
+  let hay = Rng.bytes rng 400 in
+  let view = Slice.sub (Slice.of_string hay) ~off:40 ~len:319 in
+  let needle = "MAIL FROM:" and hit = Slice.to_string (Slice.sub view ~off:300 ~len:6) in
+  let expected = Search.contains_slice ~needle view in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Search.contains_slice ~needle view : bool);
+    ignore (Search.contains_slice ~nocase:true ~needle view : bool);
+    ignore (Search.contains_slice ~needle:hit view : bool);
+    ignore (Search.contains ~needle:"\xCD\x80" hay : bool)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "a planted needle is found" true (Search.contains_slice ~needle:hit view);
+  Alcotest.(check bool) "the miss is stable" expected (Search.contains_slice ~needle view);
+  if words > 16.0 then
+    Alcotest.failf "4,000 searches allocated %.0f minor words" words
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -391,6 +418,7 @@ let () =
           Alcotest.test_case "write" `Quick test_file_write;
         ] );
       ("bqueue", [ Alcotest.test_case "policy strings" `Quick test_policy_strings ]);
+      ("search", [ Alcotest.test_case "allocates nothing" `Quick test_search_allocates_nothing ]);
       ( "json",
         [
           Alcotest.test_case "reader" `Quick test_json_reader;

@@ -287,21 +287,49 @@ type t = {
   mutable union : int;  (** OR of the current walk's [kinds] *)
 }
 
-let create code =
+(* The immediate arrays a cache can borrow instead of allocating: grown
+   to the largest region seen and reset over each region's length, so
+   scans on one domain reuse one set.  [steps] is as long as [shapes]:
+   a walk never revisits an offset, so it never outgrows the region. *)
+type scratch = {
+  mutable s_shapes : int array;
+  mutable s_tags : int array;
+  mutable s_steps : int array;
+}
+
+let scratch () = { s_shapes = [||]; s_tags = [||]; s_steps = [||] }
+
+let create ?scratch code =
   let n = max 1 (String.length code) in
+  let shapes, tags, steps =
+    match scratch with
+    | None ->
+        (* most traces are a handful of steps; the buffer doubles for
+           the rare long one, up to the region size *)
+        (Array.make n 0, Array.make n (-1), Array.make (min n 64) 0)
+    | Some s ->
+        if Array.length s.s_shapes < n then begin
+          s.s_shapes <- Array.make n 0;
+          s.s_tags <- Array.make n (-1);
+          s.s_steps <- Array.make n 0
+        end
+        else begin
+          Array.fill s.s_shapes 0 n 0;
+          Array.fill s.s_tags 0 n (-1)
+        end;
+        (s.s_shapes, s.s_tags, s.s_steps)
+  in
   {
     code;
     reader = R.of_string code;
-    shapes = Array.make n 0;
+    shapes;
     chunks = Array.make ((n + chunk - 1) lsr chunk_bits) [||];
     hits = 0;
     misses = 0;
     lifts = 0;
-    tags = Array.make n (-1);
+    tags;
     base = 0;
-    (* most traces are a handful of steps; the buffer doubles for the
-       rare long one, up to the region size *)
-    steps = Array.make (min n 64) 0;
+    steps;
     length = 0;
     union = 0;
   }
@@ -404,12 +432,20 @@ let length t = t.length
 let union t = t.union
 let covered t off = t.tags.(off) >= 0
 
+let rec next_uncovered t off =
+  if off >= String.length t.code || Array.unsafe_get t.tags off < 0 then off
+  else next_uncovered t (off + 1)
+
 let step t i =
   if i >= t.length then invalid_arg "Icache.step: past the walk";
   entry t t.steps.(i)
 
+let step_kinds t i =
+  if i >= t.length then invalid_arg "Icache.step_kinds: past the walk";
+  shape_kinds t.shapes.(t.steps.(i))
+
 let step_index t off =
-  if off >= 0 && off < Array.length t.tags && t.tags.(off) >= t.base then
+  if off >= 0 && off < String.length t.code && t.tags.(off) >= t.base then
     t.tags.(off) - t.base
   else -1
 

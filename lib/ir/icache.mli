@@ -58,7 +58,11 @@
     chunks is young too; above that it is a major block, and the chunks
     it points at are promoted with it.  The shapes, like the walk
     scratch below, hold only immediates, so it does not matter where
-    they live.
+    they live: a cache created over a {!scratch} borrows them, and
+    [Matcher] keeps one scratch per domain, so a scan resets arrays
+    that are already there (the shapes to 0 and the tags to -1 over the
+    region's length) instead of allocating two region-sized blocks,
+    which past 256 words would be major-heap allocations.
 
     The cache also owns the trace walker, {!walk}: one loop over the
     shapes and its own scratch, a walk-stamped visited set and
@@ -70,11 +74,12 @@
     read back as the memo's records ({!step}), and the loop ORs their
     kinds as it goes ({!union}).  Only a walk writes a tag, so whether
     any trace has visited an offset is a tag test ({!covered}).  The
-    buffer starts at 64 offsets and doubles for a long trace.  A cache
-    belongs to one scan on one domain; the only values it shares beyond
-    its scan are the encoding tables (read-only; {!tables_intact}
-    checks them), the immutable operands and the read-only lift
-    arrays. *)
+    buffer starts at 64 offsets and doubles for a long trace (a
+    borrowed one is as long as the region, which no walk outgrows).  A
+    cache belongs to one scan on one domain; the only values it shares
+    beyond its scan are its scratch (borrowed by one cache at a time),
+    the encoding tables (read-only; {!tables_intact} checks them), the
+    immutable operands and the read-only lift arrays. *)
 
 type entry = {
   off : int;  (** byte offset of the instruction within the region *)
@@ -93,8 +98,19 @@ val make_entry : off:int -> len:int -> Insn.t -> entry
 
 type t
 
-val create : string -> t
-(** A fresh, empty cache over one code region. *)
+type scratch
+(** Immediate arrays a cache can borrow instead of allocating its own:
+    the shapes, the walk's tags and its step buffer. *)
+
+val scratch : unit -> scratch
+(** An empty scratch; it grows to the largest region created over it. *)
+
+val create : ?scratch:scratch -> string -> t
+(** A fresh, empty cache over one code region.  With [scratch], the
+    cache borrows its shapes, tags and step buffer from it, reset over
+    the region's length (grown first when the region is longer than any
+    before), instead of allocating them: the cache is valid until the
+    next [create] over the same scratch. *)
 
 val lookup : t -> int -> entry
 (** The entry at an in-range byte offset: a tier-1 lookup (a miss the
@@ -154,6 +170,11 @@ val covered : t -> int -> bool
 (** Has any walk over this cache visited the in-range offset?  False
     everywhere on a fresh cache. *)
 
+val next_uncovered : t -> int -> int
+(** The first offset from the given one on that no walk over this cache
+    has visited, or the region's length when there is none: the next
+    entry of a scan's whole-buffer enumeration. *)
+
 val length : t -> int
 (** Steps on the most recent walk. *)
 
@@ -162,6 +183,12 @@ val step : t -> int -> entry
     decoded and lifted if no call asked for it before.  Reading a step
     back is not a lookup: it counts as neither hit nor miss.
     @raise Invalid_argument when [i] is past the walk. *)
+
+val step_kinds : t -> int -> int
+(** [step_kinds c i]: the kind mask of the most recent walk's step [i],
+    read off its tier-1 shape: [(step c i).kinds] without decoding or
+    lifting the step.  @raise Invalid_argument when [i] is past the
+    walk. *)
 
 val step_index : t -> int -> int
 (** Step index of an offset on the most recent walk; [-1] when the

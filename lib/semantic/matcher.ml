@@ -6,38 +6,566 @@ type result = {
   const_bindings : (Template.cvar * int32) list;
 }
 
-type env = {
-  regs : (Template.tvar * Reg.t) list;
-  consts : (Template.cvar * int32) list;
+type scan_report = {
+  results : result list;
+  outcome : Budget.outcome;
+      (** the shared budget's state after the scan; [Complete] when no
+          budget was supplied *)
+  tripped : string list;
+      (** templates abandoned for hitting the per-template step cap —
+          what the circuit breaker feeds on *)
 }
 
-let empty_env = { regs = []; consts = [] }
+module Obs = Sanids_obs
+
+(* Scan accounting lands in an observability registry instead of an
+   out-parameter record; the names are shared with the NIDS pipeline so
+   per-domain registries merge into one coherent view. *)
+let decode_memo_hits = "sanids_decode_memo_hits_total"
+let decode_memo_misses = "sanids_decode_memo_misses_total"
+let decode_memo_lifts = "sanids_decode_memo_lifts_total"
+let scan_budget_exhausted = "sanids_scan_budget_exhausted_total"
+
+(* ------------------------------------------------------------------ *)
+(* Compiled template sets *)
+
+(* A register is its hardware code (EAX = 0 … EDI = 7): the value of a
+   bound register variable's slot. *)
+let reg_code (r : Reg.t) =
+  match r with
+  | Reg.EAX -> 0
+  | Reg.ECX -> 1
+  | Reg.EDX -> 2
+  | Reg.EBX -> 3
+  | Reg.ESP -> 4
+  | Reg.EBP -> 5
+  | Reg.ESI -> 6
+  | Reg.EDI -> 7
+
+(* One bit per transform operation, so a step's operation list is one
+   mask test. *)
+let rop_bit (op : Sem.rop) =
+  match op with
+  | Sem.Ra a -> (
+      match a with
+      | Insn.Add -> 0
+      | Insn.Or -> 1
+      | Insn.Adc -> 2
+      | Insn.Sbb -> 3
+      | Insn.And -> 4
+      | Insn.Sub -> 5
+      | Insn.Xor -> 6
+      | Insn.Cmp -> 7)
+  | Sem.Rnot -> 8
+  | Sem.Rneg -> 9
+  | Sem.Rshift s -> (
+      match s with
+      | Insn.Rol -> 10
+      | Insn.Ror -> 11
+      | Insn.Shl -> 12
+      | Insn.Shr -> 13
+      | Insn.Sar -> 14)
+
+let ops_mask ops = List.fold_left (fun m op -> m lor (1 lsl rop_bit op)) 0 ops
+let has_op mask op = mask land (1 lsl rop_bit op) <> 0
+
+(* A constant pattern over slots.  A 32-bit constant is held as the
+   OCaml int [Int32.to_int] gives, and [unbound] is no 32-bit value. *)
+type cval = V_any | V_exact of int | V_bind of int | V_same of int
+
+let unbound = min_int
+
+(* A template step with its variables resolved to slots: register
+   variables index the environment's register slots, constant variables
+   its constant slots, and an operation list is a mask of {!rop_bit}s. *)
+type op =
+  | O_load of { dst : int; ptr : int; width : Template.width_req }
+  | O_memop of { ops : int; ptr : int; key : cval; width : Template.width_req }
+  | O_regop of { ops : int; reg : int; advance : bool }
+      (** [advance]: [ops] holds add or sub, so a pointer-style advance
+          of the register is a transform too *)
+  | O_store of { src : int; ptr : int; width : Template.width_req }
+  | O_advance of { ptr : int }
+  | O_back_edge
+  | O_syscall of { vector : int; al : cval; bl : cval }
+  | O_stack_const of cval
+  | O_code_const of int32
+
+(* [Once p] is one step; [Many p] is a required [p] followed by a
+   [more] one that may repeat. *)
+type step = { op : op; more : bool }
+
+type guard =
+  | G_nonzero of int
+  | G_equals of int * int
+  | G_one_of of int * int list
+  | G_differ of int * int
+
+(* One template, compiled.  [demand] is the kind demand of its first
+   step ([first_code]: that step is a code constant, [first_const]), so a
+   start whose step misses it is rejected with one AND; [family]
+   numbers its name within the set (variants sharing a name share one);
+   [needles] index the set's byte needles the region must hold;
+   [reg_names] and [const_names] name the slots. *)
+type ctpl = {
+  name : string;
+  steps : step array;
+  demand : int;
+  first_code : bool;
+  first_const : int32;
+  guards : guard array;
+  max_gap : int;
+  family : int;
+  needles : int array;
+  reg_names : string array;
+  const_names : string array;
+}
+
+(* A template set, compiled once and read by every scan over it on any
+   domain, never written: [key] is the list it was compiled from (the
+   memo compares it physically).  [needles] are the distinct non-empty
+   byte strings the prefilter looks for, [by_first] the needles starting
+   with each byte.  [admit] maps a trace's 9-bit kind union to the
+   templates whose every step's demand it meets (bit [min i 62] for
+   template [i]), [admits] answers the same per template ([u * n + i]).
+   [members] lists each family's templates. *)
+type cset = {
+  key : Template.t list;
+  tpls : ctpl array;
+  members : int array array;
+  needles : string array;
+  by_first : int array array;
+  admit : int array;
+  admits : Bytes.t;
+  max_regs : int;
+  max_consts : int;
+  empty_steps : bool;
+}
+
+(* Which operation classes ([Sem] kind bits) [match_op] can accept for
+   [p].  A trace whose kind union misses the demand of one of a
+   template's steps cannot match it, and a start whose step misses the
+   first step's demand cannot begin a match. *)
+let demand_of (p : Template.pstep) =
+  match p with
+  | Template.Load _ -> Sem.k_load
+  | Template.Mem_transform _ -> Sem.k_memop
+  | Template.Reg_transform _ -> Sem.k_regop lor Sem.k_advance
+  | Template.Store _ -> Sem.k_store
+  | Template.Ptr_advance _ -> Sem.k_advance
+  | Template.Back_edge -> Sem.k_branch
+  | Template.Syscall _ -> Sem.k_syscall
+  | Template.Stack_const _ -> Sem.k_push lor Sem.k_store lor Sem.k_memop
+  | Template.Code_const _ ->
+      (* any operation: the constant is looked for in the instruction *)
+      lnot 0
+
+(* Bytes a template step needs somewhere in the region, when the step
+   can only match an instruction whose encoding contains them.  Both
+   rules are exact because every instruction is decoded from the
+   region's own bytes, which the x86 property "decoded constants lie in
+   their own bytes" checks at every offset of random and encoder-built
+   regions:
+   - [Syscall { vector }] matches only [S_syscall vector], which only
+     [Insn.Int vector] lifts to, which only [CD vector] decodes to;
+   - [Code_const c] with [c] outside [-128, 255] matches only an
+     immediate or displacement the decoder read as a literal
+     little-endian u32 (every shorter field is an imm8/disp8, zero- or
+     sign-extended into that range), so [c]'s 4 LE bytes occur. *)
+let step_needle (p : Template.pstep) =
+  match p with
+  | Template.Syscall { vector; _ } ->
+      Some (String.init 2 (fun i -> Char.chr (if i = 0 then 0xCD else vector land 0xFF)))
+  | Template.Code_const c when Int32.compare c (-128l) < 0 || Int32.compare c 255l > 0 ->
+      let b = Bytes.create 4 in
+      Bytes.set_int32_le b 0 c;
+      Some (Bytes.unsafe_to_string b)
+  | Template.Code_const _ | Template.Load _ | Template.Mem_transform _
+  | Template.Reg_transform _ | Template.Store _ | Template.Ptr_advance _
+  | Template.Back_edge | Template.Stack_const _ ->
+      None
+
+(* The index of [name] in [tbl], numbered in order of first appearance. *)
+let slot tbl name =
+  match Hashtbl.find_opt tbl name with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length tbl in
+      Hashtbl.add tbl name i;
+      i
+
+let names_of tbl =
+  let a = Array.make (Hashtbl.length tbl) "" in
+  Hashtbl.iter (fun name i -> a.(i) <- name) tbl;
+  a
+
+(* A template's compiled form and its steps' kind demands.  [needle]
+   numbers a byte string among the set's needles. *)
+let compile_template ~family ~needle (t : Template.t) =
+  let regs = Hashtbl.create 8 and consts = Hashtbl.create 8 in
+  let reg v = slot regs v and const v = slot consts v in
+  let value (pv : Template.pval) =
+    match pv with
+    | Template.Any -> V_any
+    | Template.Exact c -> V_exact (Int32.to_int c)
+    | Template.Bind v -> V_bind (const v)
+    | Template.Same v -> V_same (const v)
+  in
+  let op (p : Template.pstep) =
+    match p with
+    | Template.Load { dst; ptr; width } -> O_load { dst = reg dst; ptr = reg ptr; width }
+    | Template.Mem_transform { ops; ptr; key; width } ->
+        O_memop { ops = ops_mask ops; ptr = reg ptr; key = value key; width }
+    | Template.Reg_transform { ops; reg = r } ->
+        O_regop
+          {
+            ops = ops_mask ops;
+            reg = reg r;
+            advance = List.mem (Sem.Ra Insn.Add) ops || List.mem (Sem.Ra Insn.Sub) ops;
+          }
+    | Template.Store { src; ptr; width } -> O_store { src = reg src; ptr = reg ptr; width }
+    | Template.Ptr_advance { ptr } -> O_advance { ptr = reg ptr }
+    | Template.Back_edge -> O_back_edge
+    | Template.Syscall { vector; al; bl } -> O_syscall { vector; al = value al; bl = value bl }
+    | Template.Stack_const pv -> O_stack_const (value pv)
+    | Template.Code_const c -> O_code_const c
+  in
+  let pstep (Template.Once p | Template.Many p) = p in
+  let steps =
+    List.concat_map
+      (fun (q : Template.quant) ->
+        match q with
+        | Template.Once p -> [ { op = op p; more = false } ]
+        | Template.Many p ->
+            let o = op p in
+            [ { op = o; more = false }; { op = o; more = true } ])
+      t.Template.steps
+  in
+  let guard (g : Template.guard) =
+    match g with
+    | Template.Nonzero v -> G_nonzero (const v)
+    | Template.Equals (v, c) -> G_equals (const v, Int32.to_int c)
+    | Template.One_of (v, cs) -> G_one_of (const v, List.map Int32.to_int cs)
+    | Template.Differ (a, b) -> G_differ (const a, const b)
+  in
+  let guards = Array.of_list (List.map guard t.Template.guards) in
+  let first = match t.Template.steps with q :: _ -> Some (pstep q) | [] -> None in
+  let needles =
+    List.filter_map (fun d -> if d = "" then None else Some (needle d)) t.Template.data
+    @ List.filter_map (fun q -> Option.map needle (step_needle (pstep q))) t.Template.steps
+  in
+  ( {
+      name = t.Template.name;
+      steps = Array.of_list steps;
+      demand = (match first with Some p -> demand_of p | None -> 0);
+      first_code = (match first with Some (Template.Code_const _) -> true | _ -> false);
+      first_const = (match first with Some (Template.Code_const c) -> c | _ -> 0l);
+      guards;
+      max_gap = t.Template.max_gap;
+      family;
+      needles = Array.of_list (List.sort_uniq compare needles);
+      reg_names = names_of regs;
+      const_names = names_of consts;
+    },
+    List.sort_uniq compare (List.map (fun q -> demand_of (pstep q)) t.Template.steps) )
+
+let compile templates =
+  let needles = Hashtbl.create 8 and families = Hashtbl.create 8 in
+  let compiled =
+    Array.of_list
+      (List.map
+         (fun (t : Template.t) ->
+           compile_template ~family:(slot families t.Template.name) ~needle:(slot needles) t)
+         templates)
+  in
+  let tpls = Array.map fst compiled in
+  let n = Array.length tpls in
+  let admitted u i = List.for_all (fun d -> d land u <> 0) (snd compiled.(i)) in
+  let needles = names_of needles in
+  let max_of f = Array.fold_left (fun m c -> max m (Array.length (f c))) 0 tpls in
+  {
+    key = templates;
+    tpls;
+    members =
+      Array.init (Hashtbl.length families) (fun f ->
+          Array.of_list (List.filter (fun i -> tpls.(i).family = f) (List.init n Fun.id)));
+    needles;
+    by_first =
+      Array.init 256 (fun b ->
+          Array.of_list
+            (List.filter
+               (fun k -> Char.code needles.(k).[0] = b)
+               (List.init (Array.length needles) Fun.id)));
+    admit =
+      Array.init 512 (fun u ->
+          Array.fold_left ( lor ) 0
+            (Array.init n (fun i -> if admitted u i then 1 lsl min i 62 else 0)));
+    admits =
+      Bytes.init (512 * n) (fun k -> if admitted (k / n) (k mod n) then '\001' else '\000');
+    max_regs = max_of (fun c -> c.reg_names);
+    max_consts = max_of (fun c -> c.const_names);
+    empty_steps = Array.exists (fun c -> Array.length c.steps = 0) tpls;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Per-domain scratch *)
+
+(* What scans on one domain reuse, created on the domain's first scan:
+   the decode memo's immediate arrays, the abstract states along the
+   current trace, the environment (register slots holding a register
+   code or -1, the reverse map from register codes to slots, constant
+   slots holding a value or [unbound]), the trail of bindings in the
+   order they were made, matched offsets by depth, the prefilter's
+   needle flags and the templates still open.  Each array is grown to
+   the largest need and reset over what a scan uses.  [memo] is the
+   last template set compiled here.  Nothing here outlives a scan but
+   immediates: the states a scan folds are cleared when it ends. *)
+type scratch = {
+  icache : Icache.scratch;
+  mutable states : Absint.state array;
+  mutable regs : int array;
+  var_of_reg : int array;
+  mutable consts : int array;
+  mutable trail : int array;
+  mutable offs : int array;
+  mutable found : Bytes.t;
+  mutable live : Bytes.t;
+  mutable live_mask : int;
+  mutable memo : cset;
+  mutable busy : bool;
+  mutable meter_reg : Obs.Registry.t option;
+  meters : Obs.Registry.counter option array;
+}
+
+let new_scratch () =
+  {
+    icache = Icache.scratch ();
+    states = Array.make 16 Absint.initial;
+    regs = [||];
+    var_of_reg = Array.make 8 (-1);
+    consts = [||];
+    trail = [||];
+    offs = Array.make 64 0;
+    found = Bytes.empty;
+    live = Bytes.empty;
+    live_mask = 0;
+    memo = compile [];
+    busy = false;
+    meter_reg = None;
+    meters = Array.make 4 None;
+  }
+
+let scratch_key = Domain.DLS.new_key new_scratch
+
+(* The domain's scratch, or a private one for a scan that starts while
+   another holds it (a second thread on the domain). *)
+let acquire () =
+  let sc = Domain.DLS.get scratch_key in
+  if sc.busy then new_scratch ()
+  else begin
+    sc.busy <- true;
+    sc
+  end
+
+(* The compiled form of [templates]: the memo when it was compiled from
+   this very list, else compiled now (and the scratch grown to it). *)
+let compiled sc templates =
+  if sc.memo.key == templates then sc.memo
+  else begin
+    let cs = compile templates in
+    let nt = Array.length cs.tpls in
+    if Bytes.length sc.found < Array.length cs.needles then
+      sc.found <- Bytes.create (Array.length cs.needles);
+    if Bytes.length sc.live < nt then sc.live <- Bytes.create nt;
+    if Array.length sc.regs < cs.max_regs then sc.regs <- Array.make cs.max_regs (-1);
+    if Array.length sc.consts < cs.max_consts then sc.consts <- Array.make cs.max_consts unbound;
+    if Array.length sc.trail < cs.max_regs + cs.max_consts then
+      sc.trail <- Array.make (cs.max_regs + cs.max_consts) 0;
+    sc.memo <- cs;
+    cs
+  end
+
+(* Scan accounting: the counter handles of the last registry a scan on
+   this domain reported to, each looked up the first time it is
+   bumped, so that a scan pays no name lookups and a counter that stays
+   0 is never registered. *)
+let meter sc reg i name help n =
+  if n <> 0 then begin
+    let c =
+      match sc.meters.(i) with
+      | Some c -> c
+      | None ->
+          let c = Obs.Registry.counter reg ~help name in
+          sc.meters.(i) <- Some c;
+          c
+    in
+    Obs.Registry.add c n
+  end
+
+let record_scan sc reg ~hits ~misses ~lifts ~exhausted =
+  (match sc.meter_reg with
+  | Some r when r == reg -> ()
+  | Some _ | None ->
+      sc.meter_reg <- Some reg;
+      Array.fill sc.meters 0 4 None);
+  meter sc reg 0 decode_memo_hits "per-offset lookups served from the scan's decode memo" hits;
+  meter sc reg 1 decode_memo_misses "per-offset lookups that had to classify the offset" misses;
+  meter sc reg 2 decode_memo_lifts "offsets the scan decoded and lifted in full" lifts;
+  meter sc reg 3 scan_budget_exhausted "scans that ran out of work budget with templates still open"
+    exhausted
+
+(* ------------------------------------------------------------------ *)
+(* The byte prefilter *)
+
+(* Does [needle] from byte [k] on occur in [base] at [i + k]?  The
+   caller has checked that it fits. *)
+let rec occurs_at base i needle k =
+  k >= String.length needle
+  || String.unsafe_get base (i + k) = String.unsafe_get needle k
+     && occurs_at base i needle (k + 1)
+
+(* Flag each needle of [bucket] (from [j] on) found at [i], and return
+   how many are still missing. *)
+let rec mark_at cs found base i hi bucket j missing =
+  if j >= Array.length bucket then missing
+  else
+    let k = Array.unsafe_get bucket j in
+    let needle = Array.unsafe_get cs.needles k in
+    if
+      Bytes.unsafe_get found k = '\000'
+      && i + String.length needle <= hi
+      && occurs_at base i needle 1
+    then begin
+      Bytes.unsafe_set found k '\001';
+      mark_at cs found base i hi bucket (j + 1) (missing - 1)
+    end
+    else mark_at cs found base i hi bucket (j + 1) missing
+
+let rec all_found found needles j =
+  j >= Array.length needles
+  || Bytes.unsafe_get found (Array.unsafe_get needles j) <> '\000'
+     && all_found found needles (j + 1)
+
+(* One pass over [base.[lo .. hi)] for every needle of the set, stopping
+   once all are found; then a template survives when the region holds
+   all of its needles.  Writes the survivors into [sc.live] and
+   [sc.live_mask] and returns how many there are. *)
+let survivors sc cs base lo hi =
+  let found = sc.found in
+  let missing = ref (Array.length cs.needles) in
+  Bytes.fill found 0 !missing '\000';
+  let i = ref lo in
+  while !missing > 0 && !i < hi do
+    let bucket = Array.unsafe_get cs.by_first (Char.code (String.unsafe_get base !i)) in
+    if Array.length bucket > 0 then missing := mark_at cs found base !i hi bucket 0 !missing;
+    incr i
+  done;
+  let count = ref 0 and mask = ref 0 in
+  for t = 0 to Array.length cs.tpls - 1 do
+    if all_found found (Array.unsafe_get cs.tpls t).needles 0 then begin
+      Bytes.unsafe_set sc.live t '\001';
+      incr count;
+      mask := !mask lor (1 lsl min t 62)
+    end
+    else Bytes.unsafe_set sc.live t '\000'
+  done;
+  sc.live_mask <- !mask;
+  !count
+
+(* ------------------------------------------------------------------ *)
+(* The scan *)
+
+(* Raised mid-match when the step fuel runs dry: this template's step
+   cap (circuit-breaker food), or the packet's shared match-step
+   budget. *)
+exception Template_spent
+exception Budget_spent
+
+(* One scan's state, young and short-lived; the arrays it names belong
+   to the domain's scratch.  The search state is [depth] matched
+   operations (their offsets in [offs]), [tlen] bindings on the trail,
+   and the first matched step, which is always the start position:
+   [first_idx] and its offset [first_off], meaningful once [depth > 0].
+   [filled] states of the current trace are folded ([hwm] the most of
+   any trace).  [nlive] counts the templates still open, [pending]
+   those closed early with their family, which the next walk's
+   template loop would have closed. *)
+type scan = {
+  cs : cset;
+  sc : scratch;
+  ic : Icache.t;
+  budget : Budget.t option;
+  gated : bool;
+  ticking : bool;
+  accounts : int array;  (** per family; empty without a step cap *)
+  has_tripped : Bytes.t;  (** per family *)
+  regs : int array;
+  var_of_reg : int array;
+  consts : int array;
+  trail : int array;
+  mutable offs : int array;
+  mutable tlen : int;
+  mutable depth : int;
+  mutable first_idx : int;
+  mutable first_off : int;
+  mutable len : int;
+  mutable filled : int;
+  mutable hwm : int;
+  mutable nlive : int;
+  mutable pending : int;
+  mutable work : int;
+  mutable exhausted : bool;
+  mutable results : result list;
+  mutable tripped : string list;
+}
+
+let undo_to x mark =
+  while x.tlen > mark do
+    let t = x.tlen - 1 in
+    let e = x.trail.(t) in
+    if e >= 0 then begin
+      x.var_of_reg.(x.regs.(e)) <- -1;
+      x.regs.(e) <- -1
+    end
+    else x.consts.(-e - 1) <- unbound;
+    x.tlen <- t
+  done
 
 (* Register bindings are injective: one variable per register and one
    register per variable, so e.g. a decoder's pointer and working value
    can never collapse onto the same register. *)
-let bind_reg env var reg =
-  match List.assoc_opt var env.regs with
-  | Some r -> if Reg.equal r reg then Some env else None
-  | None ->
-      if List.exists (fun (_, r) -> Reg.equal r reg) env.regs then None
-      else Some { env with regs = (var, reg) :: env.regs }
+let bind_reg x v r =
+  let b = x.regs.(v) in
+  if b >= 0 then b = r
+  else if x.var_of_reg.(r) >= 0 then false
+  else begin
+    x.regs.(v) <- r;
+    x.var_of_reg.(r) <- v;
+    x.trail.(x.tlen) <- v;
+    x.tlen <- x.tlen + 1;
+    true
+  end
 
-let bind_const env var c =
-  match List.assoc_opt var env.consts with
-  | Some c' -> if Int32.equal c c' then Some env else None
-  | None -> Some { env with consts = (var, c) :: env.consts }
+let bind_const x s c =
+  let b = x.consts.(s) in
+  if b <> unbound then b = c
+  else begin
+    x.consts.(s) <- c;
+    x.trail.(x.tlen) <- -s - 1;
+    x.tlen <- x.tlen + 1;
+    true
+  end
 
-let match_pval env (pv : Template.pval) (v : int32 option) =
+(* [pv] against a folded value; the caller skips the fold for [V_any]. *)
+let match_val x pv (v : int32 option) =
   match (pv, v) with
-  | Template.Any, _ -> Some env
-  | Template.Exact c, Some c' -> if Int32.equal c c' then Some env else None
-  | Template.Bind x, Some c -> bind_const env x c
-  | Template.Same x, Some c -> (
-      match List.assoc_opt x env.consts with
-      | Some c' -> if Int32.equal c c' then Some env else None
-      | None -> None)
-  | (Template.Exact _ | Template.Bind _ | Template.Same _), None -> None
+  | V_any, _ -> true
+  | V_exact c, Some c' -> c = Int32.to_int c'
+  | V_bind s, Some c -> bind_const x s (Int32.to_int c)
+  | V_same s, Some c -> x.consts.(s) = Int32.to_int c
+  | (V_exact _ | V_bind _ | V_same _), None -> false
+
+let is_any = function V_any -> true | V_exact _ | V_bind _ | V_same _ -> false
 
 let width_ok (req : Template.width_req) (w : Insn.size) =
   match (req, w) with
@@ -71,576 +599,458 @@ let insn_has_const c (i : Insn.t) = has_const c (Insn.operands i)
    matches in random bytes. *)
 let small_disp d = Int32.abs d <= 8l
 
+(* The abstract state before step [i] of the current trace, folded on
+   demand: only template steps that read a constant (a transform key,
+   syscall registers, a stack constant) ask for one, and the fold runs
+   only as far as the highest step asked for, so most traces fold
+   nothing. *)
+let state_at x i =
+  let sc = x.sc in
+  if i >= x.filled then begin
+    if i >= Array.length sc.states then begin
+      let grown = Array.make (max (i + 1) (2 * Array.length sc.states)) Absint.initial in
+      Array.blit sc.states 0 grown 0 x.filled;
+      sc.states <- grown
+    end;
+    let states = sc.states in
+    for j = x.filled to i do
+      states.(j) <-
+        Array.fold_left Absint.step states.(j - 1) (Icache.step x.ic (j - 1)).Trace.sems
+    done;
+    x.filled <- i + 1;
+    if x.filled > x.hwm then x.hwm <- x.filled
+  end;
+  sc.states.(i)
+
+let low8 state r = int32_of_byte (Absint.reg_low8 state r)
+
 (* Execution realism for matched loops: junk inside a real decoder never
    dereferences wild pointers (it would fault), so every memory access in
    the loop body must go through a template-bound register or the stack
    frame.  Chance loop shapes in random bytes almost always violate
    this. *)
-let body_memory_disciplined ic env ~from_idx ~to_idx =
-  let allowed r =
-    Reg.equal r Reg.ESP || Reg.equal r Reg.EBP
-    || List.exists (fun (_, b) -> Reg.equal b r) env.regs
-  in
-  (* operand-level: every memory operand must be addressed off an allowed
-     base ([Insn.operands] lists none for lea, which touches no memory) *)
-  let mem_ok ((_ : Insn.access), (o : Insn.operand)) =
-    match o with
-    | Insn.Mem m -> m.Insn.base <> None && List.for_all allowed (Insn.operand_regs o)
-    | Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _ -> true
-  in
-  (* the string instructions address memory through ESI and EDI *)
-  let implicit_ok (i : Insn.t) =
-    match i with
-    | Insn.Lodsb | Insn.Lodsd -> allowed Reg.ESI
-    | Insn.Stosb | Insn.Stosd | Insn.Scasb | Insn.Rep_stosb | Insn.Rep_stosd ->
-        allowed Reg.EDI
-    | Insn.Movsb | Insn.Movsd | Insn.Cmpsb | Insn.Rep_movsb | Insn.Rep_movsd ->
-        allowed Reg.ESI && allowed Reg.EDI
-    | _ -> true
-  in
-  let insn_ok i = implicit_ok i && List.for_all mem_ok (Insn.operands i) in
-  let ok = ref true in
-  for i = from_idx to to_idx do
-    if i >= 0 && i < Icache.length ic then
-      if not (insn_ok (Icache.step ic i).Trace.insn) then ok := false
-  done;
-  !ok
+let allowed x r = r = 4 (* ESP *) || r = 5 (* EBP *) || x.var_of_reg.(r) >= 0
 
-(* Abstract states along the current trace (the scan's latest walk),
-   folded on demand:
-   [states.(i)] is the state before step [i], valid for [i < filled].
-   Only template steps that read a constant (a transform key, syscall
-   registers, a stack constant) ask for one, and the fold runs only as
-   far as the highest step asked for, so most traces fold nothing.  A
-   scan owns one cursor and resets it for every trace; nothing in it is
-   shared between scans or domains. *)
-type cursor = { mutable states : Absint.state array; mutable filled : int }
+let rec regs_allowed x = function
+  | [] -> true
+  | r :: tl -> allowed x (reg_code r) && regs_allowed x tl
 
-let cursor () = { states = Array.make 16 Absint.initial; filled = 1 }
-let reset cur = cur.filled <- 1
+(* every memory operand must be addressed off an allowed base
+   ([Insn.operands] lists none for lea, which touches no memory) *)
+let rec memory_ok x (ops : (Insn.access * Insn.operand) list) =
+  match ops with
+  | [] -> true
+  | (_, (Insn.Mem { Insn.base = Some _; _ } as o)) :: tl ->
+      regs_allowed x (Insn.operand_regs o) && memory_ok x tl
+  | (_, Insn.Mem { Insn.base = None; _ }) :: _ -> false
+  | (_, (Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _)) :: tl -> memory_ok x tl
 
-let state_at cur ic i =
-  if i >= cur.filled then begin
-    if i >= Array.length cur.states then begin
-      let grown = Array.make (max (i + 1) (2 * Array.length cur.states)) Absint.initial in
-      Array.blit cur.states 0 grown 0 cur.filled;
-      cur.states <- grown
-    end;
-    for j = cur.filled to i do
-      cur.states.(j) <-
-        Array.fold_left Absint.step cur.states.(j - 1) (Icache.step ic (j - 1)).Trace.sems
-    done;
-    cur.filled <- i + 1
-  end;
-  cur.states.(i)
+(* the string instructions address memory through ESI and EDI *)
+let implicit_ok x (i : Insn.t) =
+  match i with
+  | Insn.Lodsb | Insn.Lodsd -> allowed x 6
+  | Insn.Stosb | Insn.Stosd | Insn.Scasb | Insn.Rep_stosb | Insn.Rep_stosd -> allowed x 7
+  | Insn.Movsb | Insn.Movsd | Insn.Cmpsb | Insn.Rep_movsb | Insn.Rep_movsd ->
+      allowed x 6 && allowed x 7
+  | _ -> true
 
-(* Match one template step against one semantic operation of step [pos]
-   of the walk in [ic].  [first] is [(trace_index, offset)] of the first
-   matched step; back-edge validation maps its target to a step index
-   through the walk's offset index. *)
-let match_pstep ~cur ~ic ~pos ~insn_continuation
-    (p : Template.pstep) (st : Trace.step) (sem : Sem.t) env first =
-  match (p, sem) with
-  | Template.Load { dst; ptr; width }, Sem.S_load l ->
-      if width_ok width l.width && small_disp l.disp then
-        Option.bind (bind_reg env dst l.dst) (fun env -> bind_reg env ptr l.ptr)
-      else None
-  | Template.Mem_transform { ops; ptr; key; width }, Sem.S_memop m ->
-      if
-        width_ok width m.width
-        && small_disp m.disp
-        && List.mem m.op ops
-      then
-        Option.bind (bind_reg env ptr m.ptr) (fun env ->
-            match_pval env key (src_value (state_at cur ic pos) m.width m.src))
-      else None
-  | Template.Reg_transform { ops; reg }, Sem.S_regop r ->
-      if List.mem r.op ops then bind_reg env reg r.dst else None
-  | Template.Reg_transform { ops; reg }, Sem.S_advance a ->
+let rec body_disciplined x i to_idx =
+  i > to_idx
+  || (i < 0 || i >= x.len
+     ||
+     let insn = (Icache.step x.ic i).Trace.insn in
+     implicit_ok x insn && memory_ok x (Insn.operands insn))
+     && body_disciplined x (i + 1) to_idx
+
+(* Match one compiled step against one semantic operation of step [pos]
+   of the current walk, binding into the environment.  On [false] the
+   caller undoes whatever bindings it made. *)
+let match_op x op ~pos ~insn_continuation (st : Trace.step) (sem : Sem.t) =
+  match (op, sem) with
+  | O_load { dst; ptr; width }, Sem.S_load l ->
+      width_ok width l.width && small_disp l.disp
+      && bind_reg x dst (reg_code l.dst)
+      && bind_reg x ptr (reg_code l.ptr)
+  | O_memop { ops; ptr; key; width }, Sem.S_memop m ->
+      width_ok width m.width && small_disp m.disp && has_op ops m.op
+      && bind_reg x ptr (reg_code m.ptr)
+      && (is_any key || match_val x key (src_value (state_at x pos) m.width m.src))
+  | O_regop { ops; reg; _ }, Sem.S_regop r -> has_op ops r.op && bind_reg x reg (reg_code r.dst)
+  | O_regop { advance; reg; _ }, Sem.S_advance a ->
       (* add/sub on the working value is a transform too *)
-      if
-        List.exists
-          (fun o -> o = Sem.Ra Insn.Add || o = Sem.Ra Insn.Sub)
-          ops
-      then bind_reg env reg a.reg
-      else None
-  | Template.Store { src; ptr; width }, Sem.S_store s -> (
+      advance && bind_reg x reg (reg_code a.reg)
+  | O_store { src; ptr; width }, Sem.S_store s -> (
       match s.src with
       | Sem.Vreg r when width_ok width s.width && small_disp s.disp ->
-          Option.bind (bind_reg env src r) (fun env -> bind_reg env ptr s.ptr)
-      | Sem.Vreg _ | Sem.Vconst _ | Sem.Vunknown -> None)
-  | Template.Ptr_advance { ptr }, Sem.S_advance a ->
+          bind_reg x src (reg_code r) && bind_reg x ptr (reg_code s.ptr)
+      | Sem.Vreg _ | Sem.Vconst _ | Sem.Vunknown -> false)
+  | O_advance { ptr }, Sem.S_advance a ->
       (* a string instruction's implicit pointer bump only counts when an
          earlier operation of the same instruction already matched (the
          lods/stos-style decoders), never as a standalone advance *)
       let amt = Int32.to_int a.amount in
-      if
-        amt <> 0
-        && abs amt <= 8
-        && ((not a.implicit) || insn_continuation)
-      then bind_reg env ptr a.reg
-      else None
-  | Template.Back_edge, Sem.S_branch b -> (
+      amt <> 0 && abs amt <= 8
+      && ((not a.implicit) || insn_continuation)
+      && bind_reg x ptr (reg_code a.reg)
+  | O_back_edge, Sem.S_branch b -> (
       match b.kind with
-      | `Call -> None
-      | `Jmp | `Cond | `Loop | `Loop_cc | `Jecxz -> (
+      | `Call -> false
+      | `Jmp | `Cond | `Loop | `Loop_cc | `Jecxz ->
           (* a real loop closes: the branch must target an instruction this
              very trace executed, no later than the first matched step, and
              no further past it in byte space than the first matched step
              itself.  Chance branches in random data almost never land on a
              visited instruction boundary, which is what keeps the benign
              false-positive rate at zero *)
-          match first with
-          | Some (first_idx, first_off) -> (
-              let target = st.Trace.off + st.Trace.len + b.disp in
-              if target < 0 || target > first_off then None
-              else
-                let idx = Icache.step_index ic target in
-                if
-                  idx >= 0 && idx <= first_idx
-                  && body_memory_disciplined ic env ~from_idx:idx
-                       ~to_idx:(pos - 1)
-                then Some env
-                else None)
-          | None -> None))
-  | Template.Syscall { vector; al; bl }, Sem.S_syscall v ->
-      if v = vector then
-        let state = state_at cur ic pos in
-        let low8 r = int32_of_byte (Absint.reg_low8 state r) in
-        Option.bind (match_pval env al (low8 Reg.EAX)) (fun env ->
-            match_pval env bl (low8 Reg.EBX))
-      else None
-  | Template.Stack_const pv, Sem.S_push v ->
-      match_pval env pv (Absint.value (state_at cur ic pos) v)
-  | Template.Stack_const pv, Sem.S_store s ->
-      match_pval env pv (src_value (state_at cur ic pos) s.width s.src)
-  | Template.Stack_const pv, Sem.S_memop m
+          x.depth > 0
+          &&
+          let target = st.Trace.off + st.Trace.len + b.disp in
+          target >= 0 && target <= x.first_off
+          &&
+          let idx = Icache.step_index x.ic target in
+          idx >= 0 && idx <= x.first_idx && body_disciplined x idx (pos - 1))
+  | O_syscall { vector; al; bl }, Sem.S_syscall v ->
+      v = vector
+      && (is_any al || match_val x al (low8 (state_at x pos) Reg.EAX))
+      && (is_any bl || match_val x bl (low8 (state_at x pos) Reg.EBX))
+  | O_stack_const pv, Sem.S_push v ->
+      is_any pv || match_val x pv (Absint.value (state_at x pos) v)
+  | O_stack_const pv, Sem.S_store s ->
+      is_any pv || match_val x pv (src_value (state_at x pos) s.width s.src)
+  | O_stack_const pv, Sem.S_memop m
     when Reg.equal m.ptr Reg.ESP
          && Int32.compare m.disp 0l >= 0
          && Int32.rem m.disp 4l = 0l ->
       (* a constant finished in place on the stack (push x; xor [esp], m):
          read the folded slot from the post-instruction state *)
-      match_pval env pv
-        (Absint.slot_value (state_at cur ic (pos + 1)) (Int32.to_int m.disp / 4))
-  | Template.Code_const c, _ ->
+      is_any pv
+      || match_val x pv (Absint.slot_value (state_at x (pos + 1)) (Int32.to_int m.disp / 4))
+  | O_code_const c, _ ->
       (* checked against the instruction itself; any sem of the insn works *)
-      if insn_has_const c st.Trace.insn then Some env else None
-  | ( ( Template.Load _ | Template.Mem_transform _ | Template.Reg_transform _
-      | Template.Store _ | Template.Ptr_advance _ | Template.Back_edge
-      | Template.Syscall _ | Template.Stack_const _ ),
+      insn_has_const c st.Trace.insn
+  | ( ( O_load _ | O_memop _ | O_regop _ | O_store _ | O_advance _ | O_back_edge
+      | O_syscall _ | O_stack_const _ ),
       _ ) ->
-      None
+      false
 
-let rec bound_reg regs r =
-  match regs with [] -> false | (_, b) :: tl -> Reg.equal b r || bound_reg tl r
-
-let rec writes_bound regs = function
+let rec writes_bound x = function
   | [] -> false
-  | w :: tl -> bound_reg regs w || writes_bound regs tl
+  | r :: tl -> x.var_of_reg.(reg_code r) >= 0 || writes_bound x tl
 
 (* Does skipping this instruction's operations from index [k] on disturb
    any bound register? *)
-let clobbers_from env (sems : Sem.t array) k =
-  let n = Array.length sems in
-  let rec go i = i < n && (writes_bound env.regs (Sem.writes sems.(i)) || go (i + 1)) in
-  go (max 0 k)
+let rec clobbers x (sems : Sem.t array) k =
+  k < Array.length sems && (writes_bound x (Sem.writes sems.(k)) || clobbers x sems (k + 1))
 
-type istep = Req of Template.pstep | More of Template.pstep
+let rec one_of v = function [] -> false | c :: tl -> c = v || one_of v tl
 
-let expand steps =
-  List.concat_map
-    (function
-      | Template.Once p -> [ Req p ]
-      | Template.Many p -> [ Req p; More p ])
-    steps
+let guard_holds x = function
+  | G_nonzero s -> x.consts.(s) <> unbound && x.consts.(s) <> 0
+  | G_equals (s, c) -> x.consts.(s) = c
+  | G_one_of (s, cs) -> x.consts.(s) <> unbound && one_of x.consts.(s) cs
+  | G_differ (a, b) ->
+      x.consts.(a) <> unbound && x.consts.(b) <> unbound && x.consts.(a) <> x.consts.(b)
 
-(* Which operation classes ([Sem] kind bits) [match_pstep] can accept
-   for [p].  A template's first-step demand is the set for its first
-   [pstep]: a start whose step kind mask misses it cannot begin a match,
-   and one AND says so. *)
-let demand_of (p : Template.pstep) =
-  match p with
-  | Template.Load _ -> Sem.k_load
-  | Template.Mem_transform _ -> Sem.k_memop
-  | Template.Reg_transform _ -> Sem.k_regop lor Sem.k_advance
-  | Template.Store _ -> Sem.k_store
-  | Template.Ptr_advance _ -> Sem.k_advance
-  | Template.Back_edge -> Sem.k_branch
-  | Template.Syscall _ -> Sem.k_syscall
-  | Template.Stack_const _ -> Sem.k_push lor Sem.k_store lor Sem.k_memop
-  | Template.Code_const _ ->
-      (* any operation: the constant is looked for in the instruction *)
-      lnot 0
+let rec guards_hold x (gs : guard array) i =
+  i >= Array.length gs || (guard_holds x gs.(i) && guards_hold x gs (i + 1))
 
-(* A template prepared for one scan: its expanded step list, its first
-   step and that step's kind demand, computed once rather than on every
-   start position.  [needs] are the kind demands of its [Req] steps,
-   deduplicated: a match consumes each of them on some operation of the
-   trace, so a trace whose kind union misses one cannot match at all.
-   [family] indexes the template's name among the scan's survivors:
-   variants sharing a name share one family. *)
-type compiled = {
-  tpl : Template.t;
-  steps : istep list;
-  first : Template.pstep;
-  demand : int;
-  needs : int array;
-  family : int;
-}
+(* One match-step attempt: this template's step account, then the
+   packet's step budget. *)
+let tick x family =
+  if x.ticking then begin
+    if Array.length x.accounts > 0 then begin
+      let left = x.accounts.(family) in
+      if left <= 0 then raise Template_spent;
+      x.accounts.(family) <- left - 1
+    end;
+    match x.budget with
+    | Some b -> if not (Budget.take_steps b 1) then raise Budget_spent
+    | None -> ()
+  end
 
-let compile ~family (t : Template.t) =
-  let steps = expand t.Template.steps in
-  let first =
-    match steps with
-    | (Req p | More p) :: _ -> p
-    | [] -> invalid_arg "Matcher.compile: empty step list"
-  in
-  let needs =
-    List.sort_uniq compare
-      (List.filter_map (function Req p -> Some (demand_of p) | More _ -> None) steps)
-  in
-  { tpl = t; steps; first; demand = demand_of first; needs = Array.of_list needs; family }
+let push_offset x depth off =
+  if depth >= Array.length x.offs then begin
+    let grown = Array.make (2 * Array.length x.offs) 0 in
+    Array.blit x.offs 0 grown 0 depth;
+    x.offs <- grown;
+    x.sc.offs <- grown
+  end;
+  x.offs.(depth) <- off
 
-(* Does a trace with kind union [union] offer every class [c] needs? *)
-let rec offers needs union i =
-  i >= Array.length needs || (needs.(i) land union <> 0 && offers needs union (i + 1))
+(* The backtracking search from step [si] of [c], at operation
+   [sem_idx] of trace step [pos], [gap] instructions skipped since the
+   last matched one.  A call that returns [true] leaves the match in the
+   environment, trail and offsets; one that returns [false] leaves them
+   as it found them.  Every attempt at a step ticks once. *)
+let rec go x c si pos sem_idx gap =
+  if si >= Array.length c.steps then guards_hold x c.guards 0
+  else
+    let s = c.steps.(si) in
+    if s.more then
+      (* non-greedy: try to move on first; the clobber rule forces the
+         loop to continue when the next instruction is another match *)
+      go x c (si + 1) pos sem_idx gap || attempt x c s.op si pos sem_idx gap
+    else attempt x c s.op (si + 1) pos sem_idx gap
 
-(* a top-level loop, not a local closure: this runs per template per
-   trace and must not allocate *)
-let trace_can_match c union = offers c.needs union 0
+(* [next]: the step to go on with after matching [op] (a [more] step
+   goes on with itself). *)
+and attempt x c op next pos sem_idx gap =
+  tick x c.family;
+  pos < x.len && try_sem x c op next pos sem_idx gap (Icache.step x.ic pos) sem_idx
 
-(* Can step [st] satisfy the template's first step?
-   [false] only when no operation of the step can, so that [match_from]
-   from this start would fail at its first attempt. *)
+and try_sem x c op next pos sem_idx gap (st : Trace.step) k =
+  let sems = st.Trace.sems in
+  if k >= Array.length sems then skip x c op next pos sem_idx gap st
+  else begin
+    let mark = x.tlen and depth = x.depth in
+    if match_op x op ~pos ~insn_continuation:(sem_idx > 0) st sems.(k) then begin
+      push_offset x depth st.Trace.off;
+      x.depth <- depth + 1;
+      go x c next pos (k + 1) 0
+      || begin
+           x.depth <- depth;
+           undo_to x mark;
+           try_sem x c op next pos sem_idx gap st (k + 1)
+         end
+    end
+    else begin
+      undo_to x mark;
+      try_sem x c op next pos sem_idx gap st (k + 1)
+    end
+  end
+
+(* start positions are enumerated by the caller: nothing matched yet
+   means no skipping *)
+and skip x c op next pos sem_idx gap st =
+  x.depth > 0 && gap < c.max_gap
+  && (not (clobbers x st.Trace.sems (max 0 sem_idx)))
+  && attempt x c op next (pos + 1) 0 (gap + 1)
+
+(* Can step [st] satisfy the template's first step?  [false] only when
+   no operation of the step can, so that the search from this start
+   would fail at its first attempt. *)
 let first_ok c (st : Trace.step) =
   st.Trace.kinds land c.demand <> 0
+  && ((not c.first_code) || insn_has_const c.first_const st.Trace.insn)
+
+(* Every start position along the current walk, from [s] on, until one
+   matches.  A start that fails the first-step dispatch is rejected
+   without searching, but still ticks once — the one step attempt the
+   search would have charged there — so budget truncation and breaker
+   trips land exactly where the plain search puts them. *)
+let rec from_start x c s =
+  s < x.len
   &&
-  match c.first with
-  | Template.Code_const k -> insn_has_const k st.Trace.insn
-  | Template.Load _ | Template.Mem_transform _ | Template.Reg_transform _
-  | Template.Store _ | Template.Ptr_advance _ | Template.Back_edge
-  | Template.Syscall _ | Template.Stack_const _ ->
-      true
+  if x.gated && Icache.step_kinds x.ic s land c.demand = 0 then
+    (* unfuelled, a start the step's tier-1 kinds rule out costs neither
+       a tick nor a decode *)
+    from_start x c (s + 1)
+  else
+    let st = Icache.step x.ic s in
+    if not (first_ok c st) then begin
+      tick x c.family;
+      from_start x c (s + 1)
+    end
+    else begin
+      undo_to x 0;
+      x.depth <- 0;
+      x.first_idx <- s;
+      x.first_off <- st.Trace.off;
+      go x c 0 s 0 0 || from_start x c (s + 1)
+    end
 
-(* Raised mid-match when the step fuel runs dry: [`Template] means this
-   template hit its per-scan step cap (circuit-breaker food), [`Budget]
-   means the packet's shared match-step budget is gone. *)
-exception Fuel_out of [ `Template | `Budget ]
-
-let no_tick () = ()
-
-let match_from ?(tick = no_tick) ~cur ~ic c start =
-  let t = c.tpl in
-  let len = Icache.length ic in
-  let finish env first offsets =
-    if List.for_all (Template.check_guard env.consts) t.guards then
-      Some (env, first, List.rev offsets)
-    else None
-  in
-  (* one recursive group per call, with the per-attempt state passed
-     explicitly: no closure is built per attempted step *)
-  let rec go steps pos sem_idx env first offsets gap =
-    match steps with
-    | [] -> finish env first offsets
-    | More p :: rest -> (
-        (* non-greedy: try to move on first; the clobber rule forces the
-           loop to continue when the next instruction is another p *)
-        match go rest pos sem_idx env first offsets gap with
-        | Some r -> Some r
-        | None -> attempt p steps pos sem_idx env first offsets gap)
-    | Req p :: rest -> attempt p rest pos sem_idx env first offsets gap
-  and attempt p rest pos sem_idx env first offsets gap =
-    tick ();
-    if pos >= len then None else try_sem p rest pos sem_idx env first offsets gap sem_idx
-  and try_sem p rest pos sem_idx env first offsets gap k =
-    let st = Icache.step ic pos in
-    let sems = st.Trace.sems in
-    if k >= Array.length sems then skip p rest pos sem_idx env first offsets gap
-    else
-      match
-        match_pstep ~cur ~ic ~pos ~insn_continuation:(sem_idx > 0) p st sems.(k) env first
-      with
-      | Some env' -> (
-          let first' = match first with None -> Some (pos, st.Trace.off) | s -> s in
-          match go rest pos (k + 1) env' first' (st.Trace.off :: offsets) 0 with
-          | Some r -> Some r
-          | None -> try_sem p rest pos sem_idx env first offsets gap (k + 1))
-      | None -> try_sem p rest pos sem_idx env first offsets gap (k + 1)
-  and skip p rest pos sem_idx env first offsets gap =
-    match first with
-    | None -> None (* start positions are enumerated by the caller *)
-    | Some _ ->
-        if gap >= t.max_gap then None
-        else if clobbers_from env (Icache.step ic pos).Trace.sems sem_idx then None
-        else attempt p rest (pos + 1) 0 env first offsets (gap + 1)
-  in
-  go c.steps start 0 empty_env None [] 0
-
-(* Every start position along the walk in [ic].  A start that fails the
-   first-step dispatch (its step's kind mask, read off the step) is
-   rejected without entering [match_from], but still ticks once — the one
-   step attempt [match_from] would have charged there — so budget
-   truncation and breaker trips land exactly where the plain search puts
-   them. *)
-let match_trace_indexed ?(tick = no_tick) ~cur ~ic c ~entry =
-  let len = Icache.length ic in
-  let found = ref None in
-  let s = ref 0 in
-  while !s < len && Option.is_none !found do
-    let start = !s in
-    (if not (first_ok c (Icache.step ic start)) then tick ()
-     else
-       match match_from ~tick ~cur ~ic c start with
-       | Some (env, _, offsets) ->
-           found :=
-             Some
-               {
-                 template = c.tpl.Template.name;
-                 entry;
-                 offsets;
-                 reg_bindings = List.rev env.regs;
-                 const_bindings = List.rev env.consts;
-               }
-       | None -> ());
-    incr s
+(* The match the environment holds, bindings in the order they were
+   made. *)
+let result_of x c ~entry =
+  let regs = ref [] and consts = ref [] and offsets = ref [] in
+  for j = x.tlen - 1 downto 0 do
+    let e = x.trail.(j) in
+    if e >= 0 then regs := (c.reg_names.(e), Reg.all.(x.regs.(e))) :: !regs
+    else consts := (c.const_names.(-e - 1), Int32.of_int x.consts.(-e - 1)) :: !consts
   done;
-  !found
+  for j = x.depth - 1 downto 0 do
+    offsets := x.offs.(j) :: !offsets
+  done;
+  { template = c.name; entry; offsets = !offsets; reg_bindings = !regs; const_bindings = !consts }
 
-module Obs = Sanids_obs
+let close x i =
+  Bytes.set x.sc.live i '\000';
+  if i < 62 then x.sc.live_mask <- x.sc.live_mask land lnot (1 lsl i)
 
-(* Scan accounting lands in an observability registry instead of an
-   out-parameter record; the names are shared with the NIDS pipeline so
-   per-domain registries merge into one coherent view. *)
-let decode_memo_hits = "sanids_decode_memo_hits_total"
-let decode_memo_misses = "sanids_decode_memo_misses_total"
-let decode_memo_lifts = "sanids_decode_memo_lifts_total"
-let scan_budget_exhausted = "sanids_scan_budget_exhausted_total"
+(* Template [i] matched: its whole family is settled.  Members after it
+   close now, as the template loop would close them later in this walk;
+   members before it close too, but stay counted in [nlive] until the
+   next walk, whose loop would have closed them first. *)
+let settle x i =
+  Array.iter
+    (fun k ->
+      if Bytes.get x.sc.live k <> '\000' then begin
+        close x k;
+        if k < i then x.pending <- x.pending + 1 else x.nlive <- x.nlive - 1
+      end)
+    x.cs.members.(x.cs.tpls.(i).family)
 
-let record_scan reg ~hits ~misses ~lifts ~exhausted =
-  let bump name help n =
-    if n <> 0 then Obs.Registry.add (Obs.Registry.counter reg ~help name) n
-  in
-  bump decode_memo_hits "per-offset lookups served from the scan's decode memo" hits;
-  bump decode_memo_misses "per-offset lookups that had to classify the offset" misses;
-  bump decode_memo_lifts "offsets the scan decoded and lifted in full" lifts;
-  bump scan_budget_exhausted "scans that ran out of work budget with templates still open"
-    exhausted
+(* Search every open template the walk's kind union admits (every open
+   template, under fuel), in order. *)
+let search_walk x ~entry union =
+  let cs = x.cs in
+  let nt = Array.length cs.tpls in
+  for i = 0 to nt - 1 do
+    if
+      Bytes.unsafe_get x.sc.live i <> '\000'
+      && ((not x.gated) || Bytes.unsafe_get cs.admits ((union * nt) + i) <> '\000')
+    then begin
+      let c = cs.tpls.(i) in
+      match from_start x c 0 with
+      | true ->
+          x.results <- result_of x c ~entry :: x.results;
+          undo_to x 0;
+          settle x i
+      | false -> ()
+      | exception Template_spent ->
+          (* this template is too expensive on this packet: abandon it
+             for the scan and report the trip *)
+          undo_to x 0;
+          if Bytes.get x.has_tripped c.family = '\000' then begin
+            Bytes.set x.has_tripped c.family '\001';
+            x.tripped <- c.name :: x.tripped
+          end;
+          close x i;
+          x.nlive <- x.nlive - 1
+      | exception Budget_spent ->
+          (* shared fuel gone: keep the template open so the caller sees
+             the scan as truncated, stop matching *)
+          undo_to x 0
+    end
+  done
 
-(* Bytes a template step needs somewhere in the region, when the step
-   can only match an instruction whose encoding contains them.  Both
-   rules are exact because every instruction is decoded from the
-   region's own bytes, which the x86 property "decoded constants lie in
-   their own bytes" checks at every offset of random and encoder-built
-   regions:
-   - [Syscall { vector }] matches only [S_syscall vector], which only
-     [Insn.Int vector] lifts to, which only [CD vector] decodes to;
-   - [Code_const c] with [c] outside [-128, 255] matches only an
-     immediate or displacement the decoder read as a literal
-     little-endian u32 (every shorter field is an imm8/disp8, zero- or
-     sign-extended into that range), so [c]'s 4 LE bytes occur. *)
-let step_needle (p : Template.pstep) =
-  match p with
-  | Template.Syscall { vector; _ } ->
-      Some (String.init 2 (fun i -> Char.chr (if i = 0 then 0xCD else vector land 0xFF)))
-  | Template.Code_const c when Int32.compare c (-128l) < 0 || Int32.compare c 255l > 0 ->
-      let b = Bytes.create 4 in
-      Bytes.set_int32_le b 0 c;
-      Some (Bytes.unsafe_to_string b)
-  | Template.Code_const _ | Template.Load _ | Template.Mem_transform _
-  | Template.Reg_transform _ | Template.Store _ | Template.Ptr_advance _
-  | Template.Back_edge | Template.Stack_const _ ->
-      None
+let budget_alive = function None -> true | Some b -> Budget.alive b
 
-(* Templates whose byte requirements the region cannot meet are out
-   before any trace is built, and so spend no fuel: their [data]
-   literals (only the mass-mailer family carries any) and the
-   {!step_needle} of every step, each one a necessary condition since a
-   match consumes every step at least once.  The needles are derived per
-   scan and each distinct one is searched once (the six templates ending
-   in an [int 0x80] share [CD 80]) with the allocation-free substring
-   search. *)
-let data_prefilter ~templates code =
-  let searched = ref [] in
-  let present needle =
-    needle = ""
-    ||
-    match List.assoc_opt needle !searched with
-    | Some found -> found
-    | None ->
-        let found = Search.contains_slice ~needle code in
-        searched := (needle, found) :: !searched;
-        found
-  in
-  let step_ok (q : Template.quant) =
-    match q with
-    | Template.Once p | Template.Many p -> (
-        match step_needle p with None -> true | Some needle -> present needle)
-  in
-  List.filter
-    (fun (t : Template.t) ->
-      List.for_all present t.Template.data && List.for_all step_ok t.Template.steps)
-    templates
+let run_entry x entry =
+  if x.nlive > 0 && budget_alive x.budget then begin
+    if x.work <= 0 then x.exhausted <- true
+    else begin
+      let len = Trace.walk ?budget:x.budget x.ic ~entry in
+      x.len <- len;
+      x.filled <- 1;
+      x.work <- x.work - len - 1;
+      x.nlive <- x.nlive - x.pending;
+      x.pending <- 0;
+      let union = Icache.union x.ic in
+      (* the trace gate: one read of the admission table, unless fuel is
+         charged, when every start is visited *)
+      let open_ = x.sc.live_mask in
+      if (if x.gated then x.cs.admit.(union) land open_ else open_) <> 0 then
+        search_walk x ~entry union
+    end
+  end
 
-type scan_report = {
-  results : result list;
-  outcome : Budget.outcome;
-      (** the shared budget's state after the scan; [Complete] when no
-          budget was supplied *)
-  tripped : string list;
-      (** templates abandoned for hitting the per-template step cap —
-          what the circuit breaker feeds on *)
-}
+(* Walk and search from every entry: the given ones, or every offset
+   no earlier trace visited. *)
+let run_scan x ?entries n =
+  match entries with
+  | Some es -> List.iter (run_entry x) es
+  | None ->
+      (* An offset some trace already visited is skipped: starting
+         there again could only rediscover a suffix of work already
+         matched against.  This keeps the whole-buffer entry
+         enumeration near-linear even on sled-like inputs, with a work
+         budget as a backstop. *)
+      let o = ref (Icache.next_uncovered x.ic 0) in
+      while !o < n && budget_alive x.budget do
+        run_entry x !o;
+        o := Icache.next_uncovered x.ic (!o + 1)
+      done
+
+(* The folded states are the scan's: drop them so the scratch keeps
+   nothing young alive. *)
+let drop_states x = Array.fill x.sc.states 1 (x.hwm - 1) Absint.initial
 
 let budget_outcome budget =
   match budget with Some b -> Budget.outcome b | None -> Budget.Complete
 
-(* The scan body, entered after the data prefilter has run: [filtered]
-   are the surviving templates.  An empty survivor set returns before any
-   per-scan state (the icache, which also holds the walk and the
-   coverage tags) is allocated — on benign traffic this is the common
-   path. *)
-let scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code =
+(* The scan body, entered with [nlive] templates past the prefilter. *)
+let scan_code ?entries ?metrics ?budget ?step_cap sc cs ~nlive code =
   let n = String.length code in
   if n = 0 then { results = []; outcome = Budget.Complete; tripped = [] }
-  else if filtered = [] then
-    { results = []; outcome = budget_outcome budget; tripped = [] }
   else begin
-    let results = ref [] in
-    let tripped = ref [] in
-    (* variants share a name; once any variant matches, the whole family
-       is settled — and per-template step accounts are shared by every
-       variant of the name for the same reason.  Families are numbered
-       in order of first appearance, and a family's state is indexed by
-       that number *)
-    let families = ref [] in
-    let family_of name =
-      match List.assoc_opt name !families with
-      | Some f -> f
-      | None ->
-          let f = List.length !families in
-          families := (name, f) :: !families;
-          f
+    if cs.empty_steps then
+      Array.iteri
+        (fun i c ->
+          if Bytes.get sc.live i <> '\000' && Array.length c.steps = 0 then
+            invalid_arg "Matcher.compile: empty step list")
+        cs.tpls;
+    Array.fill sc.regs 0 cs.max_regs (-1);
+    Array.fill sc.var_of_reg 0 8 (-1);
+    Array.fill sc.consts 0 cs.max_consts unbound;
+    let ticking = Option.is_some budget || Option.is_some step_cap in
+    let nfamilies = Array.length cs.members in
+    let x =
+      {
+        cs;
+        sc;
+        ic = Icache.create ~scratch:sc.icache code;
+        budget;
+        gated = not ticking;
+        ticking;
+        accounts =
+          (match step_cap with Some cap -> Array.make nfamilies cap | None -> [||]);
+        has_tripped = (if ticking then Bytes.make nfamilies '\000' else Bytes.empty);
+        regs = sc.regs;
+        var_of_reg = sc.var_of_reg;
+        consts = sc.consts;
+        trail = sc.trail;
+        offs = sc.offs;
+        tlen = 0;
+        depth = 0;
+        first_idx = 0;
+        first_off = 0;
+        len = 0;
+        filled = 1;
+        hwm = 1;
+        nlive;
+        pending = 0;
+        work = max 4096 (4 * n);
+        exhausted = false;
+        results = [];
+        tripped = [];
+      }
     in
-    let compiled =
-      Array.of_list
-        (List.map (fun (t : Template.t) -> compile ~family:(family_of t.Template.name) t) filtered)
-    in
-    let nfamilies = List.length !families in
-    let settled = Array.make nfamilies false in
-    let has_tripped = Array.make nfamilies false in
-    let ntemplates = Array.length compiled in
-    (* templates still open, in their original order *)
-    let live = Array.make ntemplates true in
-    let nlive = ref ntemplates in
-    let close i =
-      live.(i) <- false;
-      decr nlive
-    in
-    let work = ref (max 4096 (4 * n)) in
-    let exhausted = ref false in
-    let accounts =
-      Option.map (fun cap -> Array.init nfamilies (fun _ -> ref cap)) step_cap
-    in
-    let tick_for family =
-      match (accounts, budget) with
-      | None, None -> None
-      | _ ->
-          let tpl_steps = Option.map (fun a -> a.(family)) accounts in
-          Some
-            (fun () ->
-              (match tpl_steps with
-              | Some r -> if !r <= 0 then raise (Fuel_out `Template) else decr r
-              | None -> ());
-              match budget with
-              | Some b -> if not (Budget.take_steps b 1) then raise (Fuel_out `Budget)
-              | None -> ())
-    in
-    let ticks = Array.map (fun c -> tick_for c.family) compiled in
-    (* Without fuel to account for, a template is skipped on a trace
-       whose kind union misses one of its needs: the search could only
-       fail there.  Under a budget or step cap the search runs anyway,
-       since every start it visits charges a tick. *)
-    let gated = Option.is_none budget && Option.is_none step_cap in
-    let budget_alive () =
-      match budget with None -> true | Some b -> Budget.alive b
-    in
-    (* one decode cache (which holds the walk) and one state cursor per
-       scan, shared by every entry's trace *)
-    let icache = Icache.create code in
-    let cur = cursor () in
-    let run_entry entry =
-      if !nlive > 0 && budget_alive () then begin
-        if !work <= 0 then exhausted := true
-        else begin
-          let len = Trace.walk ?budget icache ~entry in
-          reset cur;
-          work := !work - len - 1;
-          let union = Icache.union icache in
-          for i = 0 to ntemplates - 1 do
-            if live.(i) then begin
-              let c = compiled.(i) in
-              if settled.(c.family) then close i
-              else if gated && not (trace_can_match c union) then ()
-              else
-                match match_trace_indexed ?tick:ticks.(i) ~cur ~ic:icache c ~entry with
-                | Some r ->
-                    results := r :: !results;
-                    settled.(c.family) <- true;
-                    close i
-                | None -> ()
-                | exception Fuel_out `Template ->
-                    (* this template is too expensive on this packet:
-                       abandon it for the scan and report the trip *)
-                    if not has_tripped.(c.family) then begin
-                      has_tripped.(c.family) <- true;
-                      tripped := c.tpl.Template.name :: !tripped
-                    end;
-                    close i
-                | exception Fuel_out `Budget ->
-                    (* shared fuel gone: keep the template open so the
-                       caller sees the scan as truncated, stop matching *)
-                    ()
-            end
-          done
-        end
-      end
-    in
-    (match entries with
-    | Some es -> List.iter run_entry es
-    | None ->
-        (* An offset some trace already visited is skipped: starting
-           there again could only rediscover a suffix of work already
-           matched against.  This keeps the whole-buffer entry
-           enumeration near-linear even on sled-like inputs, with a work
-           budget as a backstop. *)
-        let o = ref 0 in
-        while !o < n && budget_alive () do
-          if not (Icache.covered icache !o) then run_entry !o;
-          incr o
-        done);
+    (match run_scan x ?entries n with
+    | () -> drop_states x
+    | exception e ->
+        drop_states x;
+        raise e);
     (match metrics with
     | Some reg ->
-        record_scan reg ~hits:(Icache.hits icache) ~misses:(Icache.misses icache)
-          ~lifts:(Icache.lifts icache) ~exhausted:(if !exhausted then 1 else 0)
+        record_scan sc reg ~hits:(Icache.hits x.ic) ~misses:(Icache.misses x.ic)
+          ~lifts:(Icache.lifts x.ic) ~exhausted:(if x.exhausted then 1 else 0)
     | None -> ());
-    {
-      results = List.rev !results;
-      outcome = budget_outcome budget;
-      tripped = List.rev !tripped;
-    }
+    { results = List.rev x.results; outcome = budget_outcome budget; tripped = List.rev x.tripped }
   end
 
-let scan_report_slice ?entries ?metrics ?budget ?step_cap ~templates code =
+let scan_slice ?entries ?metrics ?budget ?step_cap ~templates sc code =
+  let cs = compiled sc templates in
+  let lo = Slice.offset code in
   (* prefilter on the view; materialize the bytes only when at least one
      template survives (free anyway when the slice is a whole view) *)
-  let filtered = data_prefilter ~templates code in
-  if filtered = [] then { results = []; outcome = budget_outcome budget; tripped = [] }
-  else
-    scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered (Slice.to_string code)
+  match survivors sc cs (Slice.base code) lo (lo + Slice.length code) with
+  | 0 -> { results = []; outcome = budget_outcome budget; tripped = [] }
+  | nlive -> scan_code ?entries ?metrics ?budget ?step_cap sc cs ~nlive (Slice.to_string code)
+
+let scan_report_slice ?entries ?metrics ?budget ?step_cap ~templates code =
+  let sc = acquire () in
+  match scan_slice ?entries ?metrics ?budget ?step_cap ~templates sc code with
+  | report ->
+      sc.busy <- false;
+      report
+  | exception e ->
+      sc.busy <- false;
+      raise e
 
 let scan ?entries ?metrics ?budget ?step_cap ~templates code =
-  let filtered = data_prefilter ~templates (Slice.of_string code) in
-  (scan_filtered ?entries ?metrics ?budget ?step_cap ~filtered code).results
+  (scan_report_slice ?entries ?metrics ?budget ?step_cap ~templates (Slice.of_string code))
+    .results
 
 let satisfies t code = scan ~templates:[ t ] code <> []
 

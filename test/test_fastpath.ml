@@ -808,6 +808,148 @@ let test_shared_values_intact () =
       (Insn.Test (Insn.S32bit, Insn.Reg Reg.EAX, Insn.Reg Reg.EAX), [| Sem.S_cmp |]);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The compiled matcher against the reference search *)
+
+(* A fuel configuration: no fuel at all (the gated scan), or a budget
+   and a step cap, each drawn on or off, at levels from none to more
+   than any case spends. *)
+type fuel = { limits : Budget.limits option; cap : int option }
+
+let draw_fuel rng ~n =
+  let limits =
+    if Rng.bool rng then None
+    else
+      Some
+        {
+          Budget.unlimited with
+          Budget.max_insns = (if Rng.bool rng then max_int else Rng.int rng ((2 * n) + 1));
+          max_match_steps = (if Rng.bool rng then max_int else Rng.int rng 20_000);
+        }
+  in
+  let cap = if Rng.bool rng then None else Some (Rng.int rng 5_000) in
+  { limits; cap }
+
+(* One scan each way under equal fuel: the same results (template,
+   entry, offsets, bindings in order), evidence, outcome, trips and
+   fuel spent. *)
+let compiled_agrees ?entries ~templates fuel code =
+  let run scan =
+    let budget = Option.map Budget.start fuel.limits in
+    let (r : Matcher.scan_report) = scan budget in
+    (r, Option.map Budget.spent budget)
+  in
+  let c, c_spent =
+    run (fun budget ->
+        Matcher.scan_report_slice ?entries ?budget ?step_cap:fuel.cap ~templates code)
+  in
+  let r, r_spent =
+    run (fun budget ->
+        Matcher_ref.scan_report_slice ?entries ?budget ?step_cap:fuel.cap ~templates code)
+  in
+  c.Matcher.results = r.Matcher.results
+  && List.map Matcher.evidence c.Matcher.results = List.map Matcher.evidence r.Matcher.results
+  && c.Matcher.outcome = r.Matcher.outcome
+  && c.Matcher.tripped = r.Matcher.tripped
+  && c_spent = r_spent
+
+(* A case from a printed seed: a region of the gated-scan property
+   (random bytes, ADMmutate and Clet decoders, shellcodes in padding),
+   a decoy decoder or a jmp-chain maze; the default templates or a
+   random selection of them (a list compiled afresh, families split
+   across it); the whole-buffer enumeration or a random entry list; and
+   a fuel configuration. *)
+let compiled_case seed =
+  let rng = Rng.create (Int64.of_int (seed lxor 0x5EED)) in
+  let code =
+    match Rng.int rng 8 with
+    | 0 ->
+        Sanids_workload.Adversarial.payload ~kind:Sanids_workload.Adversarial.Decoy_decoder
+          ~size:(64 + Rng.int rng 2048) rng
+    | 1 ->
+        Sanids_workload.Adversarial.payload ~kind:Sanids_workload.Adversarial.Jmp_maze
+          ~size:(1 + Rng.int rng 1200) rng
+    | _ -> gated_equiv_case seed
+  in
+  let templates =
+    if Rng.bool rng then Template_lib.default_set
+    else List.filter (fun _ -> Rng.bool rng) Template_lib.default_set
+  in
+  let n = String.length code in
+  let entries =
+    if Rng.int rng 4 > 0 || n = 0 then None
+    else Some (List.init (1 + Rng.int rng 40) (fun _ -> Rng.int rng (n + 2) - 1))
+  in
+  (code, templates, entries, draw_fuel rng ~n)
+
+let prop_compiled_equiv =
+  QCheck2.Test.make ~name:"compiled ≡ reference" ~count:300
+    ~print:(Printf.sprintf "seed %d")
+    QCheck2.Gen.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let code, templates, entries, fuel = compiled_case seed in
+      compiled_agrees ?entries ~templates fuel (Slice.of_string code))
+
+(* The 200 benign binary frames, with no fuel and under each drawn
+   configuration of a seeded stream. *)
+let test_compiled_equiv_benign () =
+  let rng = Rng.create (Int64.of_int benign_seed) in
+  List.iteri
+    (fun i code ->
+      let drawn = draw_fuel rng ~n:(Slice.length code) in
+      List.iter
+        (fun fuel ->
+          if not (compiled_agrees ~templates:Template_lib.default_set fuel code) then
+            Alcotest.failf "seed 0x%x, frame %d: compiled and reference scans differ"
+              benign_seed i)
+        [ { limits = None; cap = None }; drawn ])
+    (benign_binary_frames ())
+
+(* A family settled by a later variant: the earlier variant of
+   "decrypt-loop" (memory transform first) cannot match this loop, the
+   later one (pointer advance first) does, on the first walk.  The
+   plain search closes the earlier variant only when its next walk's
+   template loop reaches it, so that walk still happens and spends its
+   fuel; the compiled scan must walk it too. *)
+let test_settled_family_walks_on () =
+  (* inc esi; xor byte [esi], 0x55; jmp -6; then nop padding *)
+  let code = Slice.of_string "\x46\x80\x36\x55\xEB\xFA\x90\x90\x90" in
+  let templates = Template_lib.xor_decrypt in
+  let r = Matcher.scan_report_slice ~templates code in
+  Alcotest.(check (list (list int))) "the later variant matches" [ [ 0; 1; 4 ] ]
+    (List.map (fun (m : Matcher.result) -> m.Matcher.offsets) r.Matcher.results);
+  List.iter
+    (fun fuel ->
+      if not (compiled_agrees ~templates fuel code) then
+        Alcotest.fail "compiled and reference scans differ")
+    [ { limits = Some Budget.unlimited; cap = None }; { limits = None; cap = Some 1000 } ]
+
+(* Per-domain scratch: scans of one corpus on two domains at once
+   report what the same scans report on one. *)
+let test_two_domains () =
+  let corpus =
+    Array.of_list
+      (benign_binary_frames ()
+      @ List.init 40 (fun i -> Slice.of_string (gated_equiv_case (1000 + i))))
+  in
+  let scan_all () =
+    Array.map
+      (fun code ->
+        let budget = Budget.start { Budget.unlimited with Budget.max_match_steps = 50_000 } in
+        let plain = Matcher.scan_report_slice ~templates:Template_lib.default_set code in
+        let fuelled =
+          Matcher.scan_report_slice ~budget ~step_cap:4_000 ~templates:Template_lib.default_set
+            code
+        in
+        (plain, fuelled, Budget.spent budget))
+      corpus
+  in
+  let one = scan_all () in
+  let a = Domain.spawn scan_all and b = Domain.spawn scan_all in
+  let a = Domain.join a and b = Domain.join b in
+  Alcotest.(check bool) "first domain" true (a = one);
+  Alcotest.(check bool) "second domain" true (b = one)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -817,6 +959,7 @@ let properties =
       prop_tier1_random;
       prop_budgeted_walk_equiv;
       prop_cache_equiv;
+      prop_compiled_equiv;
     ]
 
 let () =
@@ -858,6 +1001,10 @@ let () =
           Alcotest.test_case "data prefilter" `Quick test_data_prefilter;
           Alcotest.test_case "gated scan ≡ ungated scan on benign frames" `Quick
             test_gated_equiv_benign;
+          Alcotest.test_case "compiled ≡ reference on benign frames" `Quick
+            test_compiled_equiv_benign;
+          Alcotest.test_case "a settled family walks on" `Quick test_settled_family_walks_on;
+          Alcotest.test_case "two domains scan as one" `Quick test_two_domains;
         ] );
       ( "verdict-cache",
         [

@@ -92,8 +92,10 @@ type op =
   | O_code_const of int32
 
 (* [Once p] is one step; [Many p] is a required [p] followed by a
-   [more] one that may repeat. *)
-type step = { op : op; more : bool }
+   [more] one that may repeat.  [req] numbers the required step this one
+   is or, for a [more] step, the one after it (-1: none), among the
+   template's [reqs]. *)
+type step = { op : op; more : bool; req : int }
 
 type guard =
   | G_nonzero of int
@@ -105,8 +107,9 @@ type guard =
    step ([first_code]: that step is a code constant, [first_const]), so a
    start whose step misses it is rejected with one AND; [family]
    numbers its name within the set (variants sharing a name share one);
-   [needles] index the set's byte needles the region must hold;
-   [reg_names] and [const_names] name the slots. *)
+   [needles] index the set's byte needles the region must hold; [reqs]
+   are the kind demands of its required steps, in order; [reg_names] and
+   [const_names] name the slots. *)
 type ctpl = {
   name : string;
   steps : step array;
@@ -117,6 +120,7 @@ type ctpl = {
   max_gap : int;
   family : int;
   needles : int array;
+  reqs : int array;
   reg_names : string array;
   const_names : string array;
 }
@@ -139,6 +143,7 @@ type cset = {
   admits : Bytes.t;
   max_regs : int;
   max_consts : int;
+  max_reqs : int;
   empty_steps : bool;
 }
 
@@ -231,14 +236,18 @@ let compile_template ~family ~needle (t : Template.t) =
     | Template.Code_const c -> O_code_const c
   in
   let pstep (Template.Once p | Template.Many p) = p in
+  let nreq = List.length t.Template.steps in
   let steps =
-    List.concat_map
-      (fun (q : Template.quant) ->
+    List.mapi
+      (fun j (q : Template.quant) ->
         match q with
-        | Template.Once p -> [ { op = op p; more = false } ]
+        | Template.Once p -> [ { op = op p; more = false; req = j } ]
         | Template.Many p ->
             let o = op p in
-            [ { op = o; more = false }; { op = o; more = true } ])
+            [
+              { op = o; more = false; req = j };
+              { op = o; more = true; req = (if j + 1 < nreq then j + 1 else -1) };
+            ])
       t.Template.steps
   in
   let guard (g : Template.guard) =
@@ -256,7 +265,7 @@ let compile_template ~family ~needle (t : Template.t) =
   in
   ( {
       name = t.Template.name;
-      steps = Array.of_list steps;
+      steps = Array.of_list (List.concat steps);
       demand = (match first with Some p -> demand_of p | None -> 0);
       first_code = (match first with Some (Template.Code_const _) -> true | _ -> false);
       first_const = (match first with Some (Template.Code_const c) -> c | _ -> 0l);
@@ -264,10 +273,15 @@ let compile_template ~family ~needle (t : Template.t) =
       max_gap = t.Template.max_gap;
       family;
       needles = Array.of_list (List.sort_uniq compare needles);
+      reqs = Array.of_list (List.map (fun q -> demand_of (pstep q)) t.Template.steps);
       reg_names = names_of regs;
       const_names = names_of consts;
     },
-    List.sort_uniq compare (List.map (fun q -> demand_of (pstep q)) t.Template.steps) )
+    List.map (fun q -> demand_of (pstep q)) t.Template.steps )
+
+(* Does a trace whose kind union is [u] offer every demand in [needs]? *)
+let rec offers needs u i =
+  i >= Array.length needs || (needs.(i) land u <> 0 && offers needs u (i + 1))
 
 let compile templates =
   let needles = Hashtbl.create 8 and families = Hashtbl.create 8 in
@@ -279,33 +293,50 @@ let compile templates =
          templates)
   in
   let tpls = Array.map fst compiled in
+  let needs = Array.map (fun (_, d) -> Array.of_list d) compiled in
   let n = Array.length tpls in
-  let admitted u i = List.for_all (fun d -> d land u <> 0) (snd compiled.(i)) in
+  let admit = Array.make 512 0 and admits = Bytes.make (512 * n) '\000' in
+  for u = 0 to 511 do
+    for i = 0 to n - 1 do
+      if offers needs.(i) u 0 then begin
+        admit.(u) <- admit.(u) lor (1 lsl min i 62);
+        Bytes.set admits ((u * n) + i) '\001'
+      end
+    done
+  done;
   let needles = names_of needles in
+  let by_first = Array.make 256 [] and members = Array.make (Hashtbl.length families) [] in
+  for k = Array.length needles - 1 downto 0 do
+    let b = Char.code needles.(k).[0] in
+    by_first.(b) <- k :: by_first.(b)
+  done;
+  for i = n - 1 downto 0 do
+    let f = tpls.(i).family in
+    members.(f) <- i :: members.(f)
+  done;
   let max_of f = Array.fold_left (fun m c -> max m (Array.length (f c))) 0 tpls in
   {
     key = templates;
     tpls;
-    members =
-      Array.init (Hashtbl.length families) (fun f ->
-          Array.of_list (List.filter (fun i -> tpls.(i).family = f) (List.init n Fun.id)));
+    members = Array.map Array.of_list members;
     needles;
-    by_first =
-      Array.init 256 (fun b ->
-          Array.of_list
-            (List.filter
-               (fun k -> Char.code needles.(k).[0] = b)
-               (List.init (Array.length needles) Fun.id)));
-    admit =
-      Array.init 512 (fun u ->
-          Array.fold_left ( lor ) 0
-            (Array.init n (fun i -> if admitted u i then 1 lsl min i 62 else 0)));
-    admits =
-      Bytes.init (512 * n) (fun k -> if admitted (k / n) (k mod n) then '\001' else '\000');
+    by_first = Array.map Array.of_list by_first;
+    admit;
+    admits;
     max_regs = max_of (fun c -> c.reg_names);
     max_consts = max_of (fun c -> c.const_names);
+    max_reqs = max_of (fun c -> c.reqs);
     empty_steps = Array.exists (fun c -> Array.length c.steps = 0) tpls;
   }
+
+(* The same templates, physically, in the same order: the list a set was
+   compiled from, or one the breakers filtered the same way afresh. *)
+let rec same_templates a b =
+  a == b
+  ||
+  match (a, b) with
+  | x :: a', y :: b' -> x == y && same_templates a' b'
+  | [], _ | _ :: _, _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain scratch *)
@@ -328,6 +359,7 @@ type scratch = {
   mutable consts : int array;
   mutable trail : int array;
   mutable offs : int array;
+  mutable lat : int array;
   mutable found : Bytes.t;
   mutable live : Bytes.t;
   mutable live_mask : int;
@@ -346,6 +378,7 @@ let new_scratch () =
     consts = [||];
     trail = [||];
     offs = Array.make 64 0;
+    lat = [||];
     found = Bytes.empty;
     live = Bytes.empty;
     live_mask = 0;
@@ -368,9 +401,9 @@ let acquire () =
   end
 
 (* The compiled form of [templates]: the memo when it was compiled from
-   this very list, else compiled now (and the scratch grown to it). *)
+   the same templates, else compiled now (and the scratch grown to it). *)
 let compiled sc templates =
-  if sc.memo.key == templates then sc.memo
+  if same_templates sc.memo.key templates then sc.memo
   else begin
     let cs = compile templates in
     let nt = Array.length cs.tpls in
@@ -379,6 +412,7 @@ let compiled sc templates =
     if Bytes.length sc.live < nt then sc.live <- Bytes.create nt;
     if Array.length sc.regs < cs.max_regs then sc.regs <- Array.make cs.max_regs (-1);
     if Array.length sc.consts < cs.max_consts then sc.consts <- Array.make cs.max_consts unbound;
+    if Array.length sc.lat < cs.max_reqs then sc.lat <- Array.make cs.max_reqs 0;
     if Array.length sc.trail < cs.max_regs + cs.max_consts then
       sc.trail <- Array.make (cs.max_regs + cs.max_consts) 0;
     sc.memo <- cs;
@@ -503,6 +537,7 @@ type scan = {
   var_of_reg : int array;
   consts : int array;
   trail : int array;
+  lat : int array;
   mutable offs : int array;
   mutable tlen : int;
   mutable depth : int;
@@ -777,6 +812,13 @@ let push_offset x depth off =
   end;
   x.offs.(depth) <- off
 
+(* Unfuelled, the latest walk position at which step [si] can still
+   begin its part of a match ([max_int] under fuel, when every attempt
+   is made and charged): see {!latest_start}. *)
+let bound x c si =
+  let r = c.steps.(si).req in
+  if x.gated && r >= 0 then x.lat.(r) else max_int
+
 (* The backtracking search from step [si] of [c], at operation
    [sem_idx] of trace step [pos], [gap] instructions skipped since the
    last matched one.  A call that returns [true] leaves the match in the
@@ -784,47 +826,46 @@ let push_offset x depth off =
    as it found them.  Every attempt at a step ticks once. *)
 let rec go x c si pos sem_idx gap =
   if si >= Array.length c.steps then guards_hold x c.guards 0
-  else
-    let s = c.steps.(si) in
-    if s.more then
-      (* non-greedy: try to move on first; the clobber rule forces the
-         loop to continue when the next instruction is another match *)
-      go x c (si + 1) pos sem_idx gap || attempt x c s.op si pos sem_idx gap
-    else attempt x c s.op (si + 1) pos sem_idx gap
+  else if c.steps.(si).more then
+    (* non-greedy: try to move on first; the clobber rule forces the
+       loop to continue when the next instruction is another match *)
+    go x c (si + 1) pos sem_idx gap || attempt x c si pos sem_idx gap
+  else attempt x c si pos sem_idx gap
 
-(* [next]: the step to go on with after matching [op] (a [more] step
-   goes on with itself). *)
-and attempt x c op next pos sem_idx gap =
+and attempt x c si pos sem_idx gap =
   tick x c.family;
-  pos < x.len && try_sem x c op next pos sem_idx gap (Icache.step x.ic pos) sem_idx
+  pos < x.len && pos <= bound x c si
+  && try_sem x c si pos sem_idx gap (Icache.step x.ic pos) sem_idx
 
-and try_sem x c op next pos sem_idx gap (st : Trace.step) k =
+(* after matching step [si], a [more] step goes on with itself *)
+and try_sem x c si pos sem_idx gap (st : Trace.step) k =
   let sems = st.Trace.sems in
-  if k >= Array.length sems then skip x c op next pos sem_idx gap st
+  if k >= Array.length sems then skip x c si pos sem_idx gap st
   else begin
     let mark = x.tlen and depth = x.depth in
-    if match_op x op ~pos ~insn_continuation:(sem_idx > 0) st sems.(k) then begin
+    let s = c.steps.(si) in
+    if match_op x s.op ~pos ~insn_continuation:(sem_idx > 0) st sems.(k) then begin
       push_offset x depth st.Trace.off;
       x.depth <- depth + 1;
-      go x c next pos (k + 1) 0
+      go x c (if s.more then si else si + 1) pos (k + 1) 0
       || begin
            x.depth <- depth;
            undo_to x mark;
-           try_sem x c op next pos sem_idx gap st (k + 1)
+           try_sem x c si pos sem_idx gap st (k + 1)
          end
     end
     else begin
       undo_to x mark;
-      try_sem x c op next pos sem_idx gap st (k + 1)
+      try_sem x c si pos sem_idx gap st (k + 1)
     end
   end
 
 (* start positions are enumerated by the caller: nothing matched yet
    means no skipping *)
-and skip x c op next pos sem_idx gap st =
+and skip x c si pos sem_idx gap st =
   x.depth > 0 && gap < c.max_gap
   && (not (clobbers x st.Trace.sems (max 0 sem_idx)))
-  && attempt x c op next (pos + 1) 0 (gap + 1)
+  && attempt x c si (pos + 1) 0 (gap + 1)
 
 (* Can step [st] satisfy the template's first step?  [false] only when
    no operation of the step can, so that the search from this start
@@ -833,30 +874,51 @@ let first_ok c (st : Trace.step) =
   st.Trace.kinds land c.demand <> 0
   && ((not c.first_code) || insn_has_const c.first_const st.Trace.insn)
 
-(* Every start position along the current walk, from [s] on, until one
-   matches.  A start that fails the first-step dispatch is rejected
-   without searching, but still ticks once — the one step attempt the
-   search would have charged there — so budget truncation and breaker
-   trips land exactly where the plain search puts them. *)
-let rec from_start x c s =
-  s < x.len
+(* The order gate.  A match consumes the template's required steps in
+   order, each on an operation of a walk step no earlier than the one
+   before it (a step may serve two in a row), so required step [j] can
+   only begin at or before [lat.(j)], the latest walk position from
+   which required steps [j ..] can be met in order by the steps' tier-1
+   kinds.  Fills [lat] and returns [lat.(0)], the latest start; -1 when
+   the walk cannot hold the steps in order at all.  Unfuelled, the
+   search attempts nothing past these bounds, so it decodes no step it
+   could only fail on; under fuel every attempt is made and charged. *)
+let latest_start x c =
+  let reqs = c.reqs in
+  let j = ref (Array.length reqs - 1) and p = ref (x.len - 1) in
+  while !j >= 0 && !p >= 0 do
+    if Icache.step_kinds x.ic !p land reqs.(!j) <> 0 then begin
+      x.lat.(!j) <- !p;
+      decr j
+    end
+    else decr p
+  done;
+  if !j < 0 then !p else -1
+
+(* Every start position along the current walk, from [s] to [last],
+   until one matches.  A start that fails the first-step dispatch is
+   rejected without searching, but still ticks once — the one step
+   attempt the search would have charged there — so budget truncation
+   and breaker trips land exactly where the plain search puts them. *)
+let rec from_start x c s ~last =
+  s <= last
   &&
   if x.gated && Icache.step_kinds x.ic s land c.demand = 0 then
     (* unfuelled, a start the step's tier-1 kinds rule out costs neither
        a tick nor a decode *)
-    from_start x c (s + 1)
+    from_start x c (s + 1) ~last
   else
     let st = Icache.step x.ic s in
     if not (first_ok c st) then begin
       tick x c.family;
-      from_start x c (s + 1)
+      from_start x c (s + 1) ~last
     end
     else begin
       undo_to x 0;
       x.depth <- 0;
       x.first_idx <- s;
       x.first_off <- st.Trace.off;
-      go x c 0 s 0 0 || from_start x c (s + 1)
+      go x c 0 s 0 0 || from_start x c (s + 1) ~last
     end
 
 (* The match the environment holds, bindings in the order they were
@@ -901,7 +963,7 @@ let search_walk x ~entry union =
       && ((not x.gated) || Bytes.unsafe_get cs.admits ((union * nt) + i) <> '\000')
     then begin
       let c = cs.tpls.(i) in
-      match from_start x c 0 with
+      match from_start x c 0 ~last:(if x.gated then latest_start x c else x.len - 1) with
       | true ->
           x.results <- result_of x c ~entry :: x.results;
           undo_to x 0;
@@ -966,13 +1028,18 @@ let run_scan x ?entries n =
    nothing young alive. *)
 let drop_states x = Array.fill x.sc.states 1 (x.hwm - 1) Absint.initial
 
+(* The report of a scan that matched nothing and charged no fuel: one
+   shared value, so that a frame the prefilter rules out costs no
+   allocation. *)
+let nothing = { results = []; outcome = Budget.Complete; tripped = [] }
+
 let budget_outcome budget =
   match budget with Some b -> Budget.outcome b | None -> Budget.Complete
 
 (* The scan body, entered with [nlive] templates past the prefilter. *)
 let scan_code ?entries ?metrics ?budget ?step_cap sc cs ~nlive code =
   let n = String.length code in
-  if n = 0 then { results = []; outcome = Budget.Complete; tripped = [] }
+  if n = 0 then nothing
   else begin
     if cs.empty_steps then
       Array.iteri
@@ -1000,6 +1067,7 @@ let scan_code ?entries ?metrics ?budget ?step_cap sc cs ~nlive code =
         var_of_reg = sc.var_of_reg;
         consts = sc.consts;
         trail = sc.trail;
+        lat = sc.lat;
         offs = sc.offs;
         tlen = 0;
         depth = 0;
@@ -1035,7 +1103,10 @@ let scan_slice ?entries ?metrics ?budget ?step_cap ~templates sc code =
   (* prefilter on the view; materialize the bytes only when at least one
      template survives (free anyway when the slice is a whole view) *)
   match survivors sc cs (Slice.base code) lo (lo + Slice.length code) with
-  | 0 -> { results = []; outcome = budget_outcome budget; tripped = [] }
+  | 0 -> (
+      match budget with
+      | None -> nothing
+      | Some b -> { results = []; outcome = Budget.outcome b; tripped = [] })
   | nlive -> scan_code ?entries ?metrics ?budget ?step_cap sc cs ~nlive (Slice.to_string code)
 
 let scan_report_slice ?entries ?metrics ?budget ?step_cap ~templates code =

@@ -50,15 +50,27 @@ val scan_report_slice :
     sharing a name are variants of one behaviour: at most one result per
     template {e name}.
 
+    The template list is compiled once per domain, on that domain's
+    first scan of it, and reused while later scans pass the same
+    templates (physically, in the same order: a list the breakers
+    filter afresh for each packet reuses it too); nothing is compiled
+    when a pipeline is created.  The compiled set holds the
+    deduplicated byte needles, family indices, an admission table over
+    a trace's kind union, and each template's steps over register and
+    constant slots.  Each domain also keeps the scan's scratch: the
+    decode memo's immediate arrays, the abstract states along the
+    current trace, the slot environment, the binding trail and the
+    offset buffer, all reset rather than allocated per scan.
+
     Decoding is shared across entries through one {!Icache.t} per scan,
     whose offset buffer holds the current trace ({!Trace.walk}), and
     constants are read from {!Absint} states folded along each trace
     only as far as a template step asks for one.  Variants are closed by
-    family index: once one matches, the rest of its name never runs
-    again.  When [metrics] is given, the decode memo's tier-1 hit and
-    miss counts, its tier-2 fills ({!Icache.lifts}) and budget
-    exhaustion are accumulated into that registry under
-    {!decode_memo_hits}, {!decode_memo_misses}, {!decode_memo_lifts} and
+    family: once one matches, the rest of its name never runs again.
+    When [metrics] is given, the decode memo's tier-1 hit and miss
+    counts, its tier-2 fills ({!Icache.lifts}) and budget exhaustion are
+    accumulated into that registry under {!decode_memo_hits},
+    {!decode_memo_misses}, {!decode_memo_lifts} and
     {!scan_budget_exhausted}.
 
     Adversarial-load bounds: [budget] charges trace instructions and
@@ -72,20 +84,27 @@ val scan_report_slice :
     supplied, behaviour and results are exactly the unbudgeted
     matcher's.
 
-    The trace gate runs only when neither is supplied: a template is
+    The trace gates run only when neither is supplied.  A template is
     skipped on a trace whose union of semantic-kind bits (each step's
     {!Sem.kinds}, read off the memo's tier-1 shape by the walk) misses
-    the demand of one of its steps, since every step must consume an
-    operation of the trace and the demand covers every operation the
-    step can match.  Only the steps of a trace some template is searched
-    on are decoded and lifted in full.  Under a budget or step cap every
-    start is visited and charged as before, so the results are the same
-    either way and the fuel spent is the plain search's.
+    the demand of one of its steps — one read of the admission table
+    per trace, since every step must consume an operation of the trace
+    and the demand covers every operation the step can match.  On a
+    trace it admits, the order gate bounds the search: a match consumes
+    the required steps in order, so a step is attempted only at walk
+    positions from which it and the steps after it can still be met in
+    order by tier-1 kinds, and a start whose kinds miss the first
+    step's demand is passed over without decoding it.  Only the steps
+    the search then reads are decoded and lifted in full.  Under a
+    budget or step cap every start is visited and charged as before,
+    so the results are the same either way and the fuel spent is the
+    plain search's.
 
-    The byte prefilter runs on the slice in place: a template is out
-    before any trace is built, spending no fuel, when the region lacks
-    one of its [data] literals, the [CD vector] bytes of an [int vector]
-    its [Syscall] steps need, or the 4 little-endian bytes of a
+    The byte prefilter runs on the slice in place, in one pass for all
+    of the set's needles, allocating nothing: a template is out before
+    any trace is built, spending no fuel, when the region lacks one of
+    its [data] literals, the [CD vector] bytes of an [int vector] its
+    [Syscall] steps need, or the 4 little-endian bytes of a
     [Code_const] outside [-128, 255].  The region is materialized to a
     string only when at least one template survives it. *)
 

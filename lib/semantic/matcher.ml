@@ -346,11 +346,13 @@ let rec same_templates a b =
    current trace, the environment (register slots holding a register
    code or -1, the reverse map from register codes to slots, constant
    slots holding a value or [unbound]), the trail of bindings in the
-   order they were made, matched offsets by depth, the prefilter's
-   needle flags and the templates still open.  Each array is grown to
-   the largest need and reset over what a scan uses.  [memo] is the
-   last template set compiled here.  Nothing here outlives a scan but
-   immediates: the states a scan folds are cleared when it ends. *)
+   order they were made, matched offsets by depth, the order gate's
+   bounds, the prefilter's needle flags and the templates still open.
+   Each array is grown to the largest need and reset over what a scan
+   uses.  [memo] is the last template set compiled here, [meters] the
+   counter handles of the last registry reported to.  Of what a scan
+   makes, nothing stays here but immediates: the states it folds are
+   cleared when it ends. *)
 type scratch = {
   icache : Icache.scratch;
   mutable states : Absint.state array;

@@ -103,19 +103,15 @@ type guard =
   | G_one_of of int * int list
   | G_differ of int * int
 
-(* One template, compiled.  [demand] is the kind demand of its first
-   step ([first_code]: that step is a code constant, [first_const]), so a
-   start whose step misses it is rejected with one AND; [family]
-   numbers its name within the set (variants sharing a name share one);
-   [needles] index the set's byte needles the region must hold; [reqs]
-   are the kind demands of its required steps, in order; [reg_names] and
+(* One template, compiled.  [reqs] are the kind demands of its required
+   steps, in order (a trace must offer each, and a start whose step
+   misses [reqs.(0)] is rejected with one AND); [family] numbers its
+   name within the set (variants sharing a name share one); [needles]
+   index the set's byte needles the region must hold; [reg_names] and
    [const_names] name the slots. *)
 type ctpl = {
   name : string;
   steps : step array;
-  demand : int;
-  first_code : bool;
-  first_const : int32;
   guards : guard array;
   max_gap : int;
   family : int;
@@ -204,8 +200,8 @@ let names_of tbl =
   Hashtbl.iter (fun name i -> a.(i) <- name) tbl;
   a
 
-(* A template's compiled form and its steps' kind demands.  [needle]
-   numbers a byte string among the set's needles. *)
+(* A template's compiled form.  [needle] numbers a byte string among
+   the set's needles. *)
 let compile_template ~family ~needle (t : Template.t) =
   let regs = Hashtbl.create 8 and consts = Hashtbl.create 8 in
   let reg v = slot regs v and const v = slot consts v in
@@ -258,26 +254,21 @@ let compile_template ~family ~needle (t : Template.t) =
     | Template.Differ (a, b) -> G_differ (const a, const b)
   in
   let guards = Array.of_list (List.map guard t.Template.guards) in
-  let first = match t.Template.steps with q :: _ -> Some (pstep q) | [] -> None in
   let needles =
     List.filter_map (fun d -> if d = "" then None else Some (needle d)) t.Template.data
     @ List.filter_map (fun q -> Option.map needle (step_needle (pstep q))) t.Template.steps
   in
-  ( {
-      name = t.Template.name;
-      steps = Array.of_list (List.concat steps);
-      demand = (match first with Some p -> demand_of p | None -> 0);
-      first_code = (match first with Some (Template.Code_const _) -> true | _ -> false);
-      first_const = (match first with Some (Template.Code_const c) -> c | _ -> 0l);
-      guards;
-      max_gap = t.Template.max_gap;
-      family;
-      needles = Array.of_list (List.sort_uniq compare needles);
-      reqs = Array.of_list (List.map (fun q -> demand_of (pstep q)) t.Template.steps);
-      reg_names = names_of regs;
-      const_names = names_of consts;
-    },
-    List.map (fun q -> demand_of (pstep q)) t.Template.steps )
+  {
+    name = t.Template.name;
+    steps = Array.of_list (List.concat steps);
+    guards;
+    max_gap = t.Template.max_gap;
+    family;
+    needles = Array.of_list (List.sort_uniq compare needles);
+    reqs = Array.of_list (List.map (fun q -> demand_of (pstep q)) t.Template.steps);
+    reg_names = names_of regs;
+    const_names = names_of consts;
+  }
 
 (* Does a trace whose kind union is [u] offer every demand in [needs]? *)
 let rec offers needs u i =
@@ -285,20 +276,18 @@ let rec offers needs u i =
 
 let compile templates =
   let needles = Hashtbl.create 8 and families = Hashtbl.create 8 in
-  let compiled =
+  let tpls =
     Array.of_list
       (List.map
          (fun (t : Template.t) ->
            compile_template ~family:(slot families t.Template.name) ~needle:(slot needles) t)
          templates)
   in
-  let tpls = Array.map fst compiled in
-  let needs = Array.map (fun (_, d) -> Array.of_list d) compiled in
   let n = Array.length tpls in
   let admit = Array.make 512 0 and admits = Bytes.make (512 * n) '\000' in
   for u = 0 to 511 do
     for i = 0 to n - 1 do
-      if offers needs.(i) u 0 then begin
+      if offers tpls.(i).reqs u 0 then begin
         admit.(u) <- admit.(u) lor (1 lsl min i 62);
         Bytes.set admits ((u * n) + i) '\001'
       end
@@ -873,8 +862,13 @@ and skip x c si pos sem_idx gap st =
    no operation of the step can, so that the search from this start
    would fail at its first attempt. *)
 let first_ok c (st : Trace.step) =
-  st.Trace.kinds land c.demand <> 0
-  && ((not c.first_code) || insn_has_const c.first_const st.Trace.insn)
+  st.Trace.kinds land c.reqs.(0) <> 0
+  &&
+  match c.steps.(0).op with
+  | O_code_const k -> insn_has_const k st.Trace.insn
+  | O_load _ | O_memop _ | O_regop _ | O_store _ | O_advance _ | O_back_edge | O_syscall _
+  | O_stack_const _ ->
+      true
 
 (* The order gate.  A match consumes the template's required steps in
    order, each on an operation of a walk step no earlier than the one
@@ -905,7 +899,7 @@ let latest_start x c =
 let rec from_start x c s ~last =
   s <= last
   &&
-  if x.gated && Icache.step_kinds x.ic s land c.demand = 0 then
+  if x.gated && Icache.step_kinds x.ic s land c.reqs.(0) = 0 then
     (* unfuelled, a start the step's tier-1 kinds rule out costs neither
        a tick nor a decode *)
     from_start x c (s + 1) ~last

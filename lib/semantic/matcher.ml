@@ -126,8 +126,8 @@ type ctpl = {
    memo compares it physically).  [needles] are the distinct non-empty
    byte strings the prefilter looks for, [by_first] the needles starting
    with each byte.  [admit] maps a trace's 9-bit kind union to the
-   templates whose every step's demand it meets (bit [min i 62] for
-   template [i]), [admits] answers the same per template ([u * n + i]).
+   templates whose every step's demand it meets: bit [min i 62] for
+   template [i], so past 62 templates one bit stands for the rest.
    [members] lists each family's templates. *)
 type cset = {
   key : Template.t list;
@@ -136,11 +136,9 @@ type cset = {
   needles : string array;
   by_first : int array array;
   admit : int array;
-  admits : Bytes.t;
   max_regs : int;
   max_consts : int;
   max_reqs : int;
-  empty_steps : bool;
 }
 
 (* Which operation classes ([Sem] kind bits) [match_op] can accept for
@@ -203,6 +201,7 @@ let names_of tbl =
 (* A template's compiled form.  [needle] numbers a byte string among
    the set's needles. *)
 let compile_template ~family ~needle (t : Template.t) =
+  if t.Template.steps = [] then invalid_arg "Matcher.compile: empty step list";
   let regs = Hashtbl.create 8 and consts = Hashtbl.create 8 in
   let reg v = slot regs v and const v = slot consts v in
   let value (pv : Template.pval) =
@@ -284,13 +283,10 @@ let compile templates =
          templates)
   in
   let n = Array.length tpls in
-  let admit = Array.make 512 0 and admits = Bytes.make (512 * n) '\000' in
+  let admit = Array.make 512 0 in
   for u = 0 to 511 do
     for i = 0 to n - 1 do
-      if offers tpls.(i).reqs u 0 then begin
-        admit.(u) <- admit.(u) lor (1 lsl min i 62);
-        Bytes.set admits ((u * n) + i) '\001'
-      end
+      if offers tpls.(i).reqs u 0 then admit.(u) <- admit.(u) lor (1 lsl min i 62)
     done
   done;
   let needles = names_of needles in
@@ -311,11 +307,9 @@ let compile templates =
     needles;
     by_first = Array.map Array.of_list by_first;
     admit;
-    admits;
     max_regs = max_of (fun c -> c.reg_names);
     max_consts = max_of (fun c -> c.const_names);
     max_reqs = max_of (fun c -> c.reqs);
-    empty_steps = Array.exists (fun c -> Array.length c.steps = 0) tpls;
   }
 
 (* The same templates, physically, in the same order: the list a set was
@@ -951,14 +945,10 @@ let settle x i =
 (* Search every open template the walk's kind union admits (every open
    template, under fuel), in order. *)
 let search_walk x ~entry union =
-  let cs = x.cs in
-  let nt = Array.length cs.tpls in
-  for i = 0 to nt - 1 do
-    if
-      Bytes.unsafe_get x.sc.live i <> '\000'
-      && ((not x.gated) || Bytes.unsafe_get cs.admits ((union * nt) + i) <> '\000')
+  for i = 0 to Array.length x.cs.tpls - 1 do
+    let c = x.cs.tpls.(i) in
+    if Bytes.unsafe_get x.sc.live i <> '\000' && ((not x.gated) || offers c.reqs union 0)
     then begin
-      let c = cs.tpls.(i) in
       match from_start x c 0 ~last:(if x.gated then latest_start x c else x.len - 1) with
       | true ->
           x.results <- result_of x c ~entry :: x.results;
@@ -1033,16 +1023,10 @@ let budget_outcome budget =
   match budget with Some b -> Budget.outcome b | None -> Budget.Complete
 
 (* The scan body, entered with [nlive] templates past the prefilter. *)
-let scan_code ?entries ?metrics ?budget ?step_cap sc cs ~nlive code =
+let scan_code ?entries ?metrics ?budget ?step_cap (sc : scratch) cs ~nlive code =
   let n = String.length code in
   if n = 0 then nothing
   else begin
-    if cs.empty_steps then
-      Array.iteri
-        (fun i c ->
-          if Bytes.get sc.live i <> '\000' && Array.length c.steps = 0 then
-            invalid_arg "Matcher.compile: empty step list")
-        cs.tpls;
     Array.fill sc.regs 0 cs.max_regs (-1);
     Array.fill sc.var_of_reg 0 8 (-1);
     Array.fill sc.consts 0 cs.max_consts unbound;

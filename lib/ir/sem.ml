@@ -283,7 +283,13 @@ let lift (i : Insn.t) : t array =
       | Insn.Mem { base = Some ptr; index = None; disp } ->
           [| S_load { width = Insn.S8bit; dst = d; ptr; disp }; other [ d ] |]
       | Insn.Mem _ | Insn.Reg8 _ | Insn.Reg _ | Insn.Imm _ -> [| other [ d ] |])
-  | Insn.Mul _ | Insn.Imul _ | Insn.Div _ | Insn.Idiv _ -> shared.writes_eax_edx
+  | Insn.Mul (Insn.S8bit, _) | Insn.Imul (Insn.S8bit, _) | Insn.Div (Insn.S8bit, _)
+  | Insn.Idiv (Insn.S8bit, _) ->
+      (* AX = AL * r/m8, or AL and AH from AX / r/m8: EDX is untouched *)
+      shared.writes_eax
+  | Insn.Mul (Insn.S32bit, _) | Insn.Imul (Insn.S32bit, _) | Insn.Div (Insn.S32bit, _)
+  | Insn.Idiv (Insn.S32bit, _) ->
+      shared.writes_eax_edx
   | Insn.Imul2 (d, _) -> [| other [ d ] |]
   | Insn.Imul3 (d, _, _) -> [| other [ d ] |]
 

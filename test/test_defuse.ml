@@ -96,7 +96,18 @@ let test_rmw_is_a_use () =
   in
   Alcotest.(check bool) "lodsb reads eax from 0" true
     (List.mem (Reg.EAX, Defuse.At 0) (Defuse.reads t 1));
-  Alcotest.(check bool) "write before lodsb used" false (Defuse.is_dead_write t 0)
+  Alcotest.(check bool) "write before lodsb used" false (Defuse.is_dead_write t 0);
+  (* an 8-bit multiply writes only AX: EDX keeps the 7 the push reads *)
+  let t =
+    Defuse.analyze
+      (trace_of
+         [
+           mov32 (reg Reg.EDX) (imm 7l);
+           Insn.Imul (Insn.S8bit, Insn.Reg8 Reg.CL);
+           Insn.Push_reg Reg.EDX;
+         ])
+  in
+  Alcotest.(check bool) "write before an 8-bit imul used" false (Defuse.is_dead_write t 0)
 
 let test_junk_measurement_on_engine_output () =
   (* the dead-write fraction of heavily junked decoders exceeds that of

@@ -924,6 +924,28 @@ let test_settled_family_walks_on () =
         Alcotest.fail "compiled and reference scans differ")
     [ { limits = Some Budget.unlimited; cap = None }; { limits = None; cap = Some 1000 } ]
 
+(* A pointer bound to EDX survives 8-bit multiply junk, which writes
+   only AX, in the compiled matcher and in the reference:
+   L: xor byte [edx], 0x55; imul cl; inc edx; jmp L *)
+let test_edx_across_8bit_imul () =
+  let code = Slice.of_string "\x80\x32\x55\xF6\xE9\x42\xEB\xF8" in
+  let templates = Template_lib.xor_decrypt in
+  let expect =
+    [
+      {
+        Matcher.template = "decrypt-loop";
+        entry = 0;
+        offsets = [ 0; 5; 6 ];
+        reg_bindings = [ ("ptr", Reg.EDX) ];
+        const_bindings = [ ("key", 0x55l) ];
+      };
+    ]
+  in
+  Alcotest.(check bool) "compiled" true
+    ((Matcher.scan_report_slice ~templates code).Matcher.results = expect);
+  Alcotest.(check bool) "reference" true
+    ((Matcher_ref.scan_report_slice ~templates code).Matcher.results = expect)
+
 (* Per-domain scratch: scans of one corpus on two domains at once
    report what the same scans report on one. *)
 let test_two_domains () =
@@ -1004,6 +1026,7 @@ let () =
           Alcotest.test_case "compiled ≡ reference on benign frames" `Quick
             test_compiled_equiv_benign;
           Alcotest.test_case "a settled family walks on" `Quick test_settled_family_walks_on;
+          Alcotest.test_case "edx bound across an 8-bit imul" `Quick test_edx_across_8bit_imul;
           Alcotest.test_case "two domains scan as one" `Quick test_two_domains;
         ] );
       ( "verdict-cache",

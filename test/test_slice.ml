@@ -306,7 +306,7 @@ let test_alloc_cold () =
      once it did so only on the walks a template is searched on.  With
      the template set compiled once per domain, the scan's scratch
      reused and steps decoded only where the order gate lets a template
-     start, it reads 351.4 after the suite's earlier tests and 357.1 run
+     start, it reads 352.5 after the suite's earlier tests and 358.5 run
      alone (the domain's one compile of the set lands in the window),
      so the bound is about 5% above the higher *)
   check_below "cold benign process" 375.0 w
@@ -322,7 +322,7 @@ let test_alloc_cold () =
    region-sized arrays allocated per scan.  Compiled once per domain,
    with that scratch reused and steps decoded only where a template
    can start in order, the kernel reads 1.029 after the suite's earlier
-   tests and 1.072 run alone (the domain's one compile of the set lands
+   tests and 1.068 run alone (the domain's one compile of the set lands
    in the window); minor words are deterministic for the fixed seed, so
    the bound is 1.13, about 5% above the higher. *)
 let benign_binary_frames () =

@@ -610,10 +610,3 @@ let scan_report_slice ?entries ?budget ?step_cap ~templates code =
   if filtered = [] then { Matcher.results = []; outcome = budget_outcome budget; tripped = [] }
   else
     scan_filtered ?entries ?budget ?step_cap ~filtered (Slice.to_string code)
-
-let scan ?entries ?budget ?step_cap ~templates code =
-  let filtered = data_prefilter ~templates (Slice.of_string code) in
-  (scan_filtered ?entries ?budget ?step_cap ~filtered code).results
-
-let satisfies t code = scan ~templates:[ t ] code <> []
-

@@ -282,14 +282,14 @@ type t = {
   mutable lifts : int;
   tags : int array;  (** [-1]: never walked *)
   mutable base : int;
-  mutable steps : int array;
+  steps : int array;
   mutable length : int;
   mutable union : int;  (** OR of the current walk's [kinds] *)
 }
 
-(* The immediate arrays a cache can borrow instead of allocating: grown
-   to the largest region seen and reset over each region's length, so
-   scans on one domain reuse one set.  [steps] is as long as [shapes]:
+(* The immediate arrays a cache borrows: grown to the largest region
+   seen and reset over each region's length, so scans that pass one
+   scratch reuse one set; a cache created without one gets its own.  [steps] is as long as [shapes]:
    a walk never revisits an offset, so it never outgrows the region. *)
 type scratch = {
   mutable s_shapes : int array;
@@ -299,37 +299,28 @@ type scratch = {
 
 let scratch () = { s_shapes = [||]; s_tags = [||]; s_steps = [||] }
 
-let create ?scratch code =
+let create ?scratch:(s = scratch ()) code =
   let n = max 1 (String.length code) in
-  let shapes, tags, steps =
-    match scratch with
-    | None ->
-        (* most traces are a handful of steps; the buffer doubles for
-           the rare long one, up to the region size *)
-        (Array.make n 0, Array.make n (-1), Array.make (min n 64) 0)
-    | Some s ->
-        if Array.length s.s_shapes < n then begin
-          s.s_shapes <- Array.make n 0;
-          s.s_tags <- Array.make n (-1);
-          s.s_steps <- Array.make n 0
-        end
-        else begin
-          Array.fill s.s_shapes 0 n 0;
-          Array.fill s.s_tags 0 n (-1)
-        end;
-        (s.s_shapes, s.s_tags, s.s_steps)
-  in
+  if Array.length s.s_shapes < n then begin
+    s.s_shapes <- Array.make n 0;
+    s.s_tags <- Array.make n (-1);
+    s.s_steps <- Array.make n 0
+  end
+  else begin
+    Array.fill s.s_shapes 0 n 0;
+    Array.fill s.s_tags 0 n (-1)
+  end;
   {
     code;
     reader = R.of_string code;
-    shapes;
+    shapes = s.s_shapes;
     chunks = Array.make ((n + chunk - 1) lsr chunk_bits) [||];
     hits = 0;
     misses = 0;
     lifts = 0;
-    tags;
+    tags = s.s_tags;
     base = 0;
-    steps;
+    steps = s.s_steps;
     length = 0;
     union = 0;
   }
@@ -413,11 +404,6 @@ let walk ?budget ~max_len t ~entry =
   do
     let o = !off and i = !len in
     let s = lookup_shape t o in
-    if i = Array.length t.steps then begin
-      let grown = Array.make (min n (2 * i)) 0 in
-      Array.blit t.steps 0 grown 0 i;
-      t.steps <- grown
-    end;
     Array.unsafe_set tags o (base + i);
     Array.unsafe_set t.steps i o;
     len := i + 1;

@@ -58,8 +58,8 @@
     chunks is young too; above that it is a major block, and the chunks
     it points at are promoted with it.  The shapes, like the walk
     scratch below, hold only immediates, so it does not matter where
-    they live: a cache created over a {!scratch} borrows them, and
-    [Matcher] keeps one scratch per domain, so a scan resets arrays
+    they live: a cache borrows them from a {!scratch}, and [Matcher]
+    keeps one scratch per domain, so a scan resets arrays
     that are already there (the shapes to 0 and the tags to -1 over the
     region's length) instead of allocating two region-sized blocks,
     which past 256 words would be major-heap allocations.
@@ -67,15 +67,14 @@
     The cache also owns the trace walker, {!walk}: one loop over the
     shapes and its own scratch, a walk-stamped visited set and
     offset-to-step index (one [int array] over the region) and the walk
-    itself, a growable [int array] of step offsets.  Starting a walk
+    itself, an [int array] of step offsets.  Starting a walk
     bumps the stamp and empties the buffer instead of clearing or
     allocating anything, so the hundreds of traces a scan walks share
     those arrays and a trace allocates nothing of its own: its steps are
     read back as the memo's records ({!step}), and the loop ORs their
     kinds as it goes ({!union}).  Only a walk writes a tag, so whether
     any trace has visited an offset is a tag test ({!covered}).  The
-    buffer starts at 64 offsets and doubles for a long trace (a
-    borrowed one is as long as the region, which no walk outgrows).  A
+    step buffer is as long as the region, which no walk outgrows.  A
     cache belongs to one scan on one domain; the only values it shares
     beyond its scan are its scratch (borrowed by one cache at a time),
     the encoding tables (read-only; {!tables_intact} checks them), the
@@ -99,18 +98,18 @@ val make_entry : off:int -> len:int -> Insn.t -> entry
 type t
 
 type scratch
-(** Immediate arrays a cache can borrow instead of allocating its own:
-    the shapes, the walk's tags and its step buffer. *)
+(** The immediate arrays a cache borrows: the shapes, the walk's tags
+    and its step buffer. *)
 
 val scratch : unit -> scratch
 (** An empty scratch; it grows to the largest region created over it. *)
 
 val create : ?scratch:scratch -> string -> t
-(** A fresh, empty cache over one code region.  With [scratch], the
-    cache borrows its shapes, tags and step buffer from it, reset over
-    the region's length (grown first when the region is longer than any
-    before), instead of allocating them: the cache is valid until the
-    next [create] over the same scratch. *)
+(** A fresh, empty cache over one code region.  The cache borrows its
+    shapes, tags and step buffer from [scratch] (by default a fresh
+    one), reset over the region's length (grown first when the region
+    is longer than any before): the cache is valid until the next
+    [create] over the same scratch. *)
 
 val lookup : t -> int -> entry
 (** The entry at an in-range byte offset: a tier-1 lookup (a miss the

@@ -121,8 +121,8 @@ type ctpl = {
   const_names : string array;
 }
 
-(* A template set, compiled once and read by every scan over it on any
-   domain, never written: [key] is the list it was compiled from (the
+(* A template set, compiled once per domain and read by every scan over
+   it there, never written: [key] is the list it was compiled from (the
    memo compares it physically).  [needles] are the distinct non-empty
    byte strings the prefilter looks for, [by_first] the needles starting
    with each byte.  [admit] maps a trace's 9-bit kind union to the
@@ -312,6 +312,12 @@ let compile templates =
     max_reqs = max_of (fun c -> c.reqs);
   }
 
+(* Does a walk whose kind union is [u] admit template [i]?  Its own bit
+   of the admission table, or past 62 templates, where one bit stands
+   for the rest, its own demands. *)
+let admits cs u i =
+  if i < 62 then cs.admit.(u) land (1 lsl i) <> 0 else offers cs.tpls.(i).reqs u 0
+
 (* The same templates, physically, in the same order: the list a set was
    compiled from, or one the breakers filtered the same way afresh. *)
 let rec same_templates a b =
@@ -332,8 +338,7 @@ let rec same_templates a b =
    order they were made, matched offsets by depth, the order gate's
    bounds, the prefilter's needle flags and the templates still open.
    Each array is grown to the largest need and reset over what a scan
-   uses.  [memo] is the last template set compiled here, [meters] the
-   counter handles of the last registry reported to.  Of what a scan
+   uses.  [memo] is the last template set compiled here.  Of what a scan
    makes, nothing stays here but immediates: the states it folds are
    cleared when it ends. *)
 type scratch = {
@@ -350,8 +355,6 @@ type scratch = {
   mutable live_mask : int;
   mutable memo : cset;
   mutable busy : bool;
-  mutable meter_reg : Obs.Registry.t option;
-  meters : Obs.Registry.counter option array;
 }
 
 let new_scratch () =
@@ -369,8 +372,6 @@ let new_scratch () =
     live_mask = 0;
     memo = compile [];
     busy = false;
-    meter_reg = None;
-    meters = Array.make 4 None;
   }
 
 let scratch_key = Domain.DLS.new_key new_scratch
@@ -404,33 +405,14 @@ let compiled sc templates =
     cs
   end
 
-(* Scan accounting: the counter handles of the last registry a scan on
-   this domain reported to, each looked up the first time it is
-   bumped, so that a scan pays no name lookups and a counter that stays
-   0 is never registered. *)
-let meter sc reg i name help n =
-  if n <> 0 then begin
-    let c =
-      match sc.meters.(i) with
-      | Some c -> c
-      | None ->
-          let c = Obs.Registry.counter reg ~help name in
-          sc.meters.(i) <- Some c;
-          c
-    in
-    Obs.Registry.add c n
-  end
-
-let record_scan sc reg ~hits ~misses ~lifts ~exhausted =
-  (match sc.meter_reg with
-  | Some r when r == reg -> ()
-  | Some _ | None ->
-      sc.meter_reg <- Some reg;
-      Array.fill sc.meters 0 4 None);
-  meter sc reg 0 decode_memo_hits "per-offset lookups served from the scan's decode memo" hits;
-  meter sc reg 1 decode_memo_misses "per-offset lookups that had to classify the offset" misses;
-  meter sc reg 2 decode_memo_lifts "offsets the scan decoded and lifted in full" lifts;
-  meter sc reg 3 scan_budget_exhausted "scans that ran out of work budget with templates still open"
+let record_scan reg ~hits ~misses ~lifts ~exhausted =
+  let bump name help n =
+    if n <> 0 then Obs.Registry.add (Obs.Registry.counter reg ~help name) n
+  in
+  bump decode_memo_hits "per-offset lookups served from the scan's decode memo" hits;
+  bump decode_memo_misses "per-offset lookups that had to classify the offset" misses;
+  bump decode_memo_lifts "offsets the scan decoded and lifted in full" lifts;
+  bump scan_budget_exhausted "scans that ran out of work budget with templates still open"
     exhausted
 
 (* ------------------------------------------------------------------ *)
@@ -947,7 +929,7 @@ let settle x i =
 let search_walk x ~entry union =
   for i = 0 to Array.length x.cs.tpls - 1 do
     let c = x.cs.tpls.(i) in
-    if Bytes.unsafe_get x.sc.live i <> '\000' && ((not x.gated) || offers c.reqs union 0)
+    if Bytes.unsafe_get x.sc.live i <> '\000' && ((not x.gated) || admits x.cs union i)
     then begin
       match from_start x c 0 ~last:(if x.gated then latest_start x c else x.len - 1) with
       | true ->
@@ -1071,7 +1053,7 @@ let scan_code ?entries ?metrics ?budget ?step_cap (sc : scratch) cs ~nlive code 
         raise e);
     (match metrics with
     | Some reg ->
-        record_scan sc reg ~hits:(Icache.hits x.ic) ~misses:(Icache.misses x.ic)
+        record_scan reg ~hits:(Icache.hits x.ic) ~misses:(Icache.misses x.ic)
           ~lifts:(Icache.lifts x.ic) ~exhausted:(if x.exhausted then 1 else 0)
     | None -> ());
     { results = List.rev x.results; outcome = budget_outcome budget; tripped = List.rev x.tripped }

@@ -306,9 +306,9 @@ let test_alloc_cold () =
      once it did so only on the walks a template is searched on.  With
      the template set compiled once per domain, the scan's scratch
      reused and steps decoded only where the order gate lets a template
-     start, it reads 352.5 after the suite's earlier tests and 358.5 run
+     start, it reads 358.9 after the suite's earlier tests and 361.5 run
      alone (the domain's one compile of the set lands in the window),
-     so the bound is about 5% above the higher *)
+     so the bound is about 4% above the higher *)
   check_below "cold benign process" 375.0 w
 
 (* The scan kernel's own allocation, per byte of frame: the first raw

@@ -1,10 +1,10 @@
 (* Shared plumbing for the per-subcommand modules: BSD sysexits codes,
    small file helpers, and cmdliner argument combinators.
 
-   Every spec-valued flag (--budget, --breaker, --fault, --drop-policy,
-   --set) goes through [spec_conv] over the same {!Spec} codecs the
-   daemon's hot-reload path uses ({!Config.of_spec} / {!Config.of_file}),
-   so a bad flag and a rejected reload produce the same message. *)
+   Every spec-valued flag goes through [spec_conv] over a {!Spec}
+   codec, and every configuration flag through the grammar the daemon's
+   hot-reload path uses ({!Config.of_spec} / {!Config.of_file}), so a
+   bad flag and a rejected reload produce the same message. *)
 
 open Sanids
 open Cmdliner
@@ -20,6 +20,18 @@ let exit_noinput = 66
 let exit_unavailable = 69
 let exit_cantcreat = 73
 let exit_software = 70
+
+(* Evaluate a command to its exit code: cmdliner reports command-line
+   parse errors as its own cli_error (124), folded here into the usage
+   code, and an escaping exception is ours. *)
+let eval ?err ?argv cmd =
+  let code =
+    try Cmd.eval ?err ?argv ~catch:false ~term_err:exit_usage cmd with
+    | e ->
+        Printf.eprintf "sanids: %s\n" (Printexc.to_string e);
+        exit_software
+  in
+  if code = Cmd.Exit.cli_error then exit_usage else code
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -54,26 +66,12 @@ let spec_conv (c : _ Spec.t) =
     ( (fun s -> Result.map_error (fun m -> `Msg m) (c.Spec.parse s)),
       fun ppf v -> Format.pp_print_string ppf (c.Spec.print v) )
 
-let ipaddr_conv =
-  let parse s =
-    Option.to_result (Ipaddr.of_string_opt s) ~none:(Printf.sprintf "bad IPv4 address %S" s)
-  in
-  spec_conv { Spec.parse; print = Ipaddr.to_string }
-
-let prefix_conv =
-  let parse s =
-    Option.to_result (Ipaddr.prefix_of_string_opt s)
-      ~none:(Printf.sprintf "bad prefix %S (want a.b.c.d/len)" s)
-  in
-  spec_conv { Spec.parse; print = Ipaddr.prefix_to_string }
-
-let policy_conv =
-  spec_conv { Spec.parse = Bqueue.policy_of_string_result; print = Bqueue.policy_to_string }
-
-(* [--set key=value] parses through the daemon's reload grammar
-   ({!Config.of_spec}), yielding a configuration updater. *)
-let set_conv =
-  let parse s = Result.map (fun update -> (s, update)) (Config.of_spec s) in
+(* A [key=value] assignment through the daemon's reload grammar
+   ({!Config.of_spec}), yielding a configuration updater; [prefix] is
+   prepended to the argument, so [assignment_conv "queue="] reads
+   [--queue 3] as [--set queue=3] reads [queue=3]. *)
+let assignment_conv prefix =
+  let parse s = Result.map (fun update -> (s, update)) (Config.of_spec (prefix ^ s)) in
   spec_conv { Spec.parse; print = fst }
 
 let seed_arg =
@@ -85,138 +83,44 @@ let file_pos = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 (* ------------------------------------------------------------------ *)
 (* the shared configuration flag set
 
-   [scan], [lint --config] and [serve] assemble a {!Config.t} from the
-   same flags; this term evaluates to an updater applied to
-   [Config.default] (or whatever base the subcommand chooses), with
-   [--set] specs composing after the dedicated flags. *)
+   [scan], [lint --config], [serve] and [sensor] assemble a {!Config.t}
+   from one flag per {!Config.flags} entry, folded from the key table:
+   the key with '-' for '_', read as [--set key=value] reads it, and for
+   a boolean key [--no-KEY] or [--KEY], whichever flips its default.
+   The term evaluates to an updater applied to [Config.default] (or
+   whatever base the subcommand chooses): only the flags given apply,
+   in table order, then the [--set] specs in command-line order. *)
 
 let config_term =
-  let honeypots =
-    Arg.(value & opt_all ipaddr_conv []
-         & info [ "honeypot" ] ~docv:"IP"
-             ~doc:"Register a honeypot decoy address (repeatable).")
+  let key_flag { Config.key; doc; arg } =
+    let long = String.map (function '_' -> '-' | c -> c) key in
+    match arg with
+    | `Switch v ->
+        let update = Result.get_ok (Config.of_spec (Printf.sprintf "%s=%b" key v)) in
+        let given = Arg.(value & flag & info [ (if v then long else "no-" ^ long) ] ~doc) in
+        Term.(const (fun on -> if on then [ update ] else []) $ given)
+    | `Value docv ->
+        let given =
+          Arg.(value & opt_all (assignment_conv (key ^ "=")) [] & info [ long ] ~docv ~doc)
+        in
+        Term.(const (List.map snd) $ given)
   in
-  let unused =
-    Arg.(value & opt_all prefix_conv []
-         & info [ "unused" ] ~docv:"CIDR"
-             ~doc:"Declare unused address space for scan detection \
-                   (repeatable).")
-  in
-  let no_classify =
-    Arg.(value & flag
-         & info [ "no-classify" ]
-             ~doc:"Disable classification: analyze every payload (the \
-                   paper's false-positive-run configuration).")
-  in
-  let no_extract =
-    Arg.(value & flag
-         & info [ "no-extract" ]
-             ~doc:"Disable binary extraction: hand whole payloads to the \
-                   disassembler (reference-[5] style).")
-  in
-  let scan_threshold =
-    Arg.(value & opt int Config.default.Config.scan_threshold
-         & info [ "scan-threshold" ] ~docv:"N"
-             ~doc:"Distinct unused addresses before a source is flagged.")
-  in
-  let verdict_cache =
-    Arg.(value & opt int Config.default.Config.verdict_cache_size
-         & info [ "verdict-cache" ] ~docv:"N"
-             ~doc:"Verdict cache capacity (0 disables).")
-  in
-  let queue =
-    Arg.(value & opt int Config.default.Config.stream_queue_capacity
-         & info [ "queue" ] ~docv:"N"
-             ~doc:"Per-worker admission queue capacity (stream mode).")
-  in
-  let drop_policy =
-    Arg.(value & opt policy_conv Config.default.Config.stream_drop_policy
-         & info [ "drop-policy" ] ~docv:"POLICY"
-             ~doc:"Full-queue behaviour in stream mode: $(b,block) \
-                   (lossless backpressure), $(b,drop_newest) or \
-                   $(b,drop_oldest); shed packets are counted as \
-                   sanids_shed_total.")
-  in
-  let budget =
-    Arg.(value & opt (some (spec_conv Budget.limits_spec)) None
-         & info [ "budget" ] ~docv:"SPEC"
-             ~doc:"Per-packet analysis work budget: $(b,default) or \
-                   $(b,bytes=N,insns=N,steps=N,deadline=S) - the \
-                   adversarial-load ceiling on extraction, disassembly \
-                   and matching.  Truncated analyses are counted as \
-                   sanids_budget_truncated_total.")
-  in
-  let breaker =
-    Arg.(value & opt (some (spec_conv Breaker.config_spec)) None
-         & info [ "breaker" ] ~docv:"SPEC"
-             ~doc:"Per-template circuit breaker: $(b,default) or \
-                   $(b,fails=N,cooldown=N,max=N) (cooldowns counted in \
-                   analyzed packets).  Open transitions are counted as \
-                   sanids_breaker_open_total.")
-  in
-  let confirm =
-    Arg.(value & opt (some (spec_conv Confirm.config_spec)) None
-         & info [ "confirm" ] ~docv:"SPEC"
-             ~doc:"Dynamic confirmation: $(b,default) or \
-                   $(b,steps=N,syscalls=N,written=N,arena=N).  Every \
-                   matcher hit is executed in the sandboxed emulator; \
-                   refuted matches are demoted (no alert), confirmed \
-                   ones marked, outcomes counted as \
-                   sanids_confirm_total.")
-  in
-  let static_refute =
-    Arg.(value & flag
-         & info [ "static-refute" ]
-             ~doc:"Abstract refutation pre-stage for $(b,--confirm): \
-                   before each emulator run, execute the hit abstractly \
-                   over an interval domain under the same budgets and \
-                   demote hits that provably cannot confirm without ever \
-                   entering the emulator (counted as \
-                   sanids_confirm_total{outcome=static_refuted}).  Sound: \
-                   verdicts are unchanged, only emulator calls are \
-                   avoided.")
-  in
-  let degrade =
-    Arg.(value & flag
-         & info [ "degrade" ]
-             ~doc:"When analysis is budget-truncated or templates are \
-                   held open by the breaker, fall back to the cheap \
-                   baseline pattern pass instead of silently reporting \
-                   less; degraded alerts carry a [degraded] marker and \
-                   sanids_degraded_total counts the fallbacks.")
+  let flags =
+    List.fold_left
+      (fun acc f -> Term.(const ( @ ) $ acc $ key_flag f))
+      (Term.const []) Config.flags
   in
   let sets =
-    Arg.(value & opt_all set_conv []
+    Arg.(value & opt_all (assignment_conv "") []
          & info [ "set" ] ~docv:"KEY=VALUE"
              ~doc:("Set a configuration key through the key=value grammar \
                     shared with $(b,--config-file) and the daemon's hot \
-                    reload (repeatable, applied after the dedicated \
-                    flags; keys: "
+                    reload (repeatable, applied after the other \
+                    configuration flags; keys: "
                    ^ String.concat ", " Config.spec_keys
                    ^ ")."))
   in
-  let build honeypots unused no_classify no_extract scan_threshold
-      verdict_cache queue drop_policy budget breaker confirm static_refute
-      degrade sets cfg =
-    let cfg =
-      cfg
-      |> Config.with_honeypots honeypots
-      |> Config.with_unused unused
-      |> Config.with_classification (not no_classify)
-      |> Config.with_extraction (not no_extract)
-      |> Config.with_scan_threshold scan_threshold
-      |> Config.with_verdict_cache verdict_cache
-      |> Config.with_stream_queue queue
-      |> Config.with_stream_policy drop_policy
-      |> Config.with_budget budget
-      |> Config.with_breaker breaker
-      |> Config.with_confirm confirm
-      |> Config.with_static_refute static_refute
-      |> Config.with_degrade degrade
-    in
-    List.fold_left (fun cfg (_, update) -> update cfg) cfg sets
+  let build updates sets cfg =
+    List.fold_left (fun cfg update -> update cfg) cfg (updates @ List.map snd sets)
   in
-  Term.(
-    const build $ honeypots $ unused $ no_classify $ no_extract
-    $ scan_threshold $ verdict_cache $ queue $ drop_policy $ budget $ breaker
-    $ confirm $ static_refute $ degrade $ sets)
+  Term.(const build $ flags $ sets)

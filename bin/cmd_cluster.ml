@@ -20,11 +20,6 @@ let backoff_arg =
                  subset of keys over the default).")
 
 let sensor_cmd =
-  let source_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SOURCE"
-           ~doc:"Packet source, as for $(b,sanids serve): a pcap file, a \
-                 FIFO, or a spool directory of captures.")
-  in
   let id_arg =
     Arg.(required & opt (some string) None & info [ "id" ] ~docv:"NAME"
            ~doc:"Sensor identity on the cluster wire ([A-Za-z0-9_.-]+, \
@@ -47,15 +42,6 @@ let sensor_cmd =
            ~doc:"Crash journal directory: unacked deltas and the \
                  incarnation epoch live here; respawning over the same \
                  directory replays them losslessly.")
-  in
-  let config_file =
-    Arg.(value & opt (some file) None & info [ "config-file" ] ~docv:"FILE"
-           ~doc:"key=value configuration applied over the flags; re-read \
-                 and re-linted on every reload.")
-  in
-  let rules_file =
-    Arg.(value & opt (some file) None & info [ "rules" ] ~docv:"FILE"
-           ~doc:"Snort-style rule file linted as part of the reload gate.")
   in
   let ship_every =
     Arg.(value & opt float 1.0 & info [ "ship-every" ] ~docv:"SECONDS"
@@ -89,13 +75,9 @@ let sensor_cmd =
                    exiting with the rest journaled for replay (default: \
                    wait forever).")
   in
-  let domains =
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-           ~doc:"Worker domains for the engine.")
-  in
-  let run source build_cfg config_file rules_file id aggregator_socket
-      aggregator_port spool ship_every backoff connect_timeout heartbeat_every
-      channel_fault fault_seed flush_timeout socket port domains verbose =
+  let run engine id aggregator_socket aggregator_port spool ship_every backoff
+      connect_timeout heartbeat_every channel_fault fault_seed flush_timeout
+      socket port verbose =
     setup_logs verbose;
     let aggregator =
       match Cmd_serve.listen_of aggregator_socket aggregator_port with
@@ -111,16 +93,7 @@ let sensor_cmd =
         Sensor.sensor_id = id;
         aggregator;
         spool_dir = spool;
-        serve =
-          {
-            Serve.default_options with
-            Serve.source;
-            base = build_cfg Config.default;
-            config_file;
-            rules_file;
-            listen = Cmd_serve.listen_of socket port;
-            domains;
-          };
+        serve = { engine with Serve.listen = Cmd_serve.listen_of socket port };
         ship_every;
         backoff;
         connect_timeout;
@@ -139,12 +112,7 @@ let sensor_cmd =
           | Sensor.Invalid_id _ -> exit_usage
           | Sensor.Unreachable _ | Sensor.Flush_timeout _ -> exit_unavailable
           | Sensor.Spool_error _ -> exit_software
-          | Sensor.Serve_error se -> (
-              match se with
-              | Serve.Config_rejected _ -> exit_dataerr
-              | Serve.Source_error _ -> exit_noinput
-              | Serve.Socket_error _ -> exit_unavailable
-              | Serve.Reconciliation_mismatch -> exit_software))
+          | Sensor.Serve_error se -> Cmd_serve.serve_exit_code se)
   in
   Cmd.v
     (Cmd.info "sensor"
@@ -152,11 +120,11 @@ let sensor_cmd =
              shard, shipping snapshot deltas to an aggregator \
              at-least-once with a crash journal and heartbeats.")
     Term.(
-      const run $ source_arg $ config_term $ config_file $ rules_file $ id_arg
-      $ aggregator_socket $ aggregator_port $ spool_arg $ ship_every
-      $ backoff_arg $ connect_timeout $ heartbeat_every $ channel_fault
-      $ fault_seed $ flush_timeout $ Cmd_serve.socket_arg $ Cmd_serve.port_arg
-      $ domains $ verbose_arg)
+      const run $ Cmd_serve.engine_term $ id_arg $ aggregator_socket
+      $ aggregator_port $ spool_arg $ ship_every $ backoff_arg
+      $ connect_timeout $ heartbeat_every $ channel_fault $ fault_seed
+      $ flush_timeout $ Cmd_serve.socket_arg $ Cmd_serve.port_arg
+      $ verbose_arg)
 
 let aggregate_cmd =
   let suspect_after =

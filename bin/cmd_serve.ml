@@ -22,8 +22,10 @@ let listen_of socket port =
   | None, Some port -> Some (Httpd.Tcp port)
   | None, None -> None
 
-let serve_cmd =
-  let source_arg =
+(* The engine options [serve] and [sensor] share: the packet source,
+   the configuration with its reload gate, and the worker count. *)
+let engine_term =
+  let source =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SOURCE"
            ~doc:"Packet source: a pcap file (served to exhaustion), a \
                  FIFO carrying a pcap stream, or a spool directory \
@@ -38,6 +40,31 @@ let serve_cmd =
     Arg.(value & opt (some file) None & info [ "rules" ] ~docv:"FILE"
            ~doc:"Snort-style rule file linted as part of the reload gate.")
   in
+  let domains =
+    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
+           ~doc:"Worker domains (default: the machine's recommended \
+                 count, capped at 8).")
+  in
+  let options source build_cfg config_file rules_file domains =
+    {
+      Serve.default_options with
+      Serve.source;
+      base = build_cfg Config.default;
+      config_file;
+      rules_file;
+      domains;
+    }
+  in
+  Term.(const options $ source $ config_term $ config_file $ rules_file $ domains)
+
+(* How a failed engine exits, under serve and sensor alike. *)
+let serve_exit_code = function
+  | Serve.Config_rejected _ -> exit_dataerr
+  | Serve.Source_error _ -> exit_noinput
+  | Serve.Socket_error _ -> exit_unavailable
+  | Serve.Reconciliation_mismatch -> exit_software
+
+let serve_cmd =
   let snapshot_out =
     Arg.(value & opt (some string) None & info [ "snapshot-out" ] ~docv:"FILE"
            ~doc:"Append periodic JSONL metric-delta snapshots to $(docv).")
@@ -46,29 +73,18 @@ let serve_cmd =
     Arg.(value & opt float 10.0 & info [ "snapshot-every" ] ~docv:"SECONDS"
            ~doc:"Interval between JSONL snapshots (with --snapshot-out).")
   in
-  let domains =
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-           ~doc:"Worker domains (default: the machine's recommended \
-                 count, capped at 8).")
-  in
   let poll_interval =
     Arg.(value & opt float 0.02 & info [ "poll-interval" ] ~docv:"SECONDS"
            ~doc:"Idle-source sleep between control polls.")
   in
-  let run source build_cfg config_file rules_file socket port snapshot_out
-      snapshot_every domains poll_interval verbose =
+  let run engine socket port snapshot_out snapshot_every poll_interval verbose =
     setup_logs verbose;
     let options =
       {
-        Serve.default_options with
-        Serve.source;
-        base = build_cfg Config.default;
-        config_file;
-        rules_file;
-        listen = listen_of socket port;
+        engine with
+        Serve.listen = listen_of socket port;
         snapshot_out;
         snapshot_every;
-        domains;
         poll_interval;
       }
     in
@@ -76,12 +92,7 @@ let serve_cmd =
     | Ok () -> ()
     | Error e ->
         Printf.eprintf "sanids serve: %s\n" (Serve.error_to_string e);
-        exit
-          (match e with
-          | Serve.Config_rejected _ -> exit_dataerr
-          | Serve.Source_error _ -> exit_noinput
-          | Serve.Socket_error _ -> exit_unavailable
-          | Serve.Reconciliation_mismatch -> exit_software)
+        exit (serve_exit_code e)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -90,9 +101,8 @@ let serve_cmd =
              lint-gated hot reload, a live metrics endpoint, and \
              graceful drain.")
     Term.(
-      const run $ source_arg $ config_term $ config_file $ rules_file
-      $ socket_arg $ port_arg $ snapshot_out $ snapshot_every $ domains
-      $ poll_interval $ verbose_arg)
+      const run $ engine_term $ socket_arg $ port_arg $ snapshot_out
+      $ snapshot_every $ poll_interval $ verbose_arg)
 
 let ctl_cmd =
   let command_arg =

@@ -11,8 +11,7 @@
      sanids corpus
 
    Each subcommand lives in its own bin/cmd_*.ml module over the
-   shared Cli_common combinators; this file is only the group and the
-   top-level error discipline. *)
+   shared Cli_common combinators; this file is only the group. *)
 
 open Cmdliner
 
@@ -33,12 +32,4 @@ let () =
         Cmd_lint.lint_cmd;
       ]
   in
-  let code =
-    try Cmd.eval ~catch:false ~term_err:Cli_common.exit_usage group with
-    | e ->
-        Printf.eprintf "sanids: %s\n" (Printexc.to_string e);
-        Cli_common.exit_software
-  in
-  (* cmdliner reports command-line parse errors as its own cli_error
-     (124); fold them into the sysexits usage code *)
-  exit (if code = Cmd.Exit.cli_error then Cli_common.exit_usage else code)
+  exit (Cli_common.eval group)

@@ -672,7 +672,9 @@ let step t (s : Sem.t) =
           let t = set t r V.top in
           if Reg.equal r Reg.ESP then t
           else set t Reg.ESP (V.add_wrapped (get t Reg.ESP) 4l))
-  | Sem.S_branch _ -> t
+  | Sem.S_branch { kind = `Loop | `Loop_cc; _ } ->
+      set t Reg.ECX (V.add_wrapped (get t Reg.ECX) (-1l))
+  | Sem.S_branch { kind = `Jmp | `Cond | `Jecxz | `Call; _ } -> t
   | Sem.S_syscall _ -> set t Reg.EAX V.top_clean
   | Sem.S_ret ->
       let t = set t Reg.ESP (V.add_wrapped (get t Reg.ESP) 4l) in

@@ -23,7 +23,8 @@ let implicit_reads (i : Insn.t) =
   | Insn.Rep_movsb | Insn.Rep_movsd -> [ Reg.ESI; Reg.EDI; Reg.ECX ]
   | Insn.Rep_stosb | Insn.Rep_stosd -> [ Reg.EAX; Reg.EDI; Reg.ECX ]
   | Insn.Mul _ | Insn.Imul _ -> [ Reg.EAX ]
-  | Insn.Div _ | Insn.Idiv _ -> [ Reg.EAX; Reg.EDX ]
+  | Insn.Div (Insn.S8bit, _) | Insn.Idiv (Insn.S8bit, _) -> (* AX *) [ Reg.EAX ]
+  | Insn.Div (Insn.S32bit, _) | Insn.Idiv (Insn.S32bit, _) -> [ Reg.EAX; Reg.EDX ]
   | _ -> []
 
 let insn_reads (i : Insn.t) : Reg.t list =

@@ -43,9 +43,8 @@
     Filling an entry allocates the entry and what the instruction's own
     operands need, nothing else: the cache owns one reader over its
     region, seeked to the offset for {!Decode.next}, and register
-    operands, [Bad] bytes, imm8s and the lifts of operand-free
-    instructions are preallocated and shared ({!Decode}, {!Sem.lift}),
-    which is why nothing may write to an entry's [sems].
+    operands, [Bad] bytes and imm8s are preallocated and shared
+    ({!Decode}).
 
     The entries live in the minor heap and die with their scan.  Their
     slots are cut into chunks of at most 256 words, the largest block the
@@ -85,8 +84,8 @@ type entry = {
   len : int;
   insn : Insn.t;
   sems : Sem.t array;
-      (** [Sem.lift insn]: read-only, possibly an array shared by every
-          lift of the same instruction *)
+      (** [Sem.lift insn]: read-only, shared by every walk through the
+          entry *)
   kinds : int;  (** [Sem.kinds sems], computed once per entry *)
 }
 
@@ -158,8 +157,9 @@ val walk : ?budget:Budget.t -> max_len:int -> t -> entry:int -> int
     step [i] back, {!step_index} maps offsets to steps and {!union} is
     the OR of the steps' kinds.  The walk reads and fills shapes only
     (except at an offset of a class the tables leave to the full
-    decode), and allocates nothing but, for a long trace, a doubled step
-    buffer. *)
+    decode), and allocates nothing: its step buffer is the cache's
+    scratch, as long as the region, and a walk never visits an offset
+    twice. *)
 
 val union : t -> int
 (** OR of the [kinds] of the most recent walk's steps ([0] before any

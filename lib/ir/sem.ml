@@ -53,76 +53,8 @@ let value_of (o : Insn.operand) : value =
 
 let other ?(writes_mem = false) writes = S_other { writes; writes_mem }
 
-(* The lifts that do not depend on operands, built once and shared by
-   every lift that yields them.  They escape into memo entries and
-   traces, so nothing may write to a lifted array; [shared_intact]
-   rebuilds them to check that nothing did. *)
-type shared = {
-  halt : t array;
-  nop : t array;
-  ret : t array;
-  cmp : t array;
-  pushad : t array;
-  popad : t array;
-  pushfd : t array;
-  popfd : t array;
-  lodsb : t array;
-  lodsd : t array;
-  stosb : t array;
-  stosd : t array;
-  movsb : t array;
-  movsd : t array;
-  scasb : t array;
-  cmpsb : t array;
-  writes_eax : t array;
-  writes_edx : t array;
-  writes_eax_edx : t array;
-  rep_movs : t array;
-  rep_stos : t array;
-  writes_mem : t array;  (** a memory write the IR cannot place *)
-  no_effect : t array;  (** an operand form the IR does not model *)
-}
-
-let build_shared () =
-  let adv reg amount = S_advance { reg; amount; implicit = true } in
-  {
-    halt = [| S_halt |];
-    nop = [| S_nop |];
-    ret = [| S_ret |];
-    cmp = [| S_cmp |];
-    pushad = Array.make 8 (S_push Vunknown);
-    popad = [| other (Array.to_list Reg.all) |];
-    pushfd = [| S_push Vunknown |];
-    popfd = [| other [ Reg.ESP ] |];
-    lodsb =
-      [| S_load { width = Insn.S8bit; dst = Reg.EAX; ptr = Reg.ESI; disp = 0l }; adv Reg.ESI 1l |];
-    lodsd =
-      [| S_load { width = Insn.S32bit; dst = Reg.EAX; ptr = Reg.ESI; disp = 0l }; adv Reg.ESI 4l |];
-    stosb =
-      [|
-        S_store { width = Insn.S8bit; src = Vreg Reg.EAX; ptr = Reg.EDI; disp = 0l };
-        adv Reg.EDI 1l;
-      |];
-    stosd =
-      [|
-        S_store { width = Insn.S32bit; src = Vreg Reg.EAX; ptr = Reg.EDI; disp = 0l };
-        adv Reg.EDI 4l;
-      |];
-    movsb = [| other [] ~writes_mem:true; adv Reg.ESI 1l; adv Reg.EDI 1l |];
-    movsd = [| other [] ~writes_mem:true; adv Reg.ESI 4l; adv Reg.EDI 4l |];
-    scasb = [| S_cmp; adv Reg.EDI 1l |];
-    cmpsb = [| S_cmp; adv Reg.ESI 1l; adv Reg.EDI 1l |];
-    writes_eax = [| other [ Reg.EAX ] |];
-    writes_edx = [| other [ Reg.EDX ] |];
-    writes_eax_edx = [| other [ Reg.EAX; Reg.EDX ] |];
-    rep_movs = [| other [ Reg.ESI; Reg.EDI; Reg.ECX ] ~writes_mem:true |];
-    rep_stos = [| other [ Reg.EDI; Reg.ECX ] ~writes_mem:true |];
-    writes_mem = [| other [] ~writes_mem:true |];
-    no_effect = [| other [] |];
-  }
-
-let shared = build_shared ()
-let shared_intact () = shared = build_shared ()
+(* a string instruction's pointer bump *)
+let adv reg amount = S_advance { reg; amount; implicit = true }
 
 (* Lift [op dst, src] where dst is a register operand. *)
 let lift_reg_dst (rop : rop) width (dst_parent : Reg.t) (src : Insn.operand) =
@@ -130,7 +62,7 @@ let lift_reg_dst (rop : rop) width (dst_parent : Reg.t) (src : Insn.operand) =
 
 let lift_arith (aop : Insn.arith) (sz : Insn.size) dst src : t array =
   match aop with
-  | Insn.Cmp -> shared.cmp
+  | Insn.Cmp -> [| S_cmp |]
   | Insn.Add | Insn.Or | Insn.Adc | Insn.Sbb | Insn.And | Insn.Sub | Insn.Xor
     -> (
       match (dst, src, sz) with
@@ -153,8 +85,8 @@ let lift_arith (aop : Insn.arith) (sz : Insn.size) dst src : t array =
          plus displacement; anything else is summarized conservatively *)
       | Insn.Mem { base = Some ptr; index = None; disp }, _, _ ->
           [| S_memop { op = Ra aop; width = sz; ptr; disp; src = value_of src } |]
-      | Insn.Mem _, _, _ -> shared.writes_mem
-      | (Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _), _, _ -> shared.no_effect)
+      | Insn.Mem _, _, _ -> [| other [] ~writes_mem:true |]
+      | (Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _), _, _ -> [| other [] |])
 
 let lift_rmw (rop : rop) (sz : Insn.size) (o : Insn.operand) (src : value) : t array =
   match (o, sz) with
@@ -165,8 +97,8 @@ let lift_rmw (rop : rop) (sz : Insn.size) (o : Insn.operand) (src : value) : t a
       | None -> [| other [ Reg.parent8 r ] |])
   | Insn.Mem { base = Some ptr; index = None; disp }, _ ->
       [| S_memop { op = rop; width = sz; ptr; disp; src } |]
-  | Insn.Mem _, _ -> shared.writes_mem
-  | (Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _), _ -> shared.no_effect
+  | Insn.Mem _, _ -> [| other [] ~writes_mem:true |]
+  | (Insn.Reg _ | Insn.Reg8 _ | Insn.Imm _), _ -> [| other [] |]
 
 let lift_incdec (sign : int32) (sz : Insn.size) (o : Insn.operand) : t array =
   match (o, sz) with
@@ -184,7 +116,7 @@ let lift (i : Insn.t) : t array =
   | Insn.Mov (Insn.S32bit, Insn.Reg d, Insn.Mem _) -> [| other [ d ] |]
   | Insn.Mov (Insn.S32bit, Insn.Mem { base = Some ptr; index = None; disp }, src) ->
       [| S_store { width = Insn.S32bit; src = value_of src; ptr; disp } |]
-  | Insn.Mov (Insn.S32bit, Insn.Mem _, _) -> shared.writes_mem
+  | Insn.Mov (Insn.S32bit, Insn.Mem _, _) -> [| other [] ~writes_mem:true |]
   | Insn.Mov (Insn.S8bit, Insn.Reg8 d, src) -> (
       match low_byte_parent d with
       | None -> [| other [ Reg.parent8 d ] |]
@@ -202,10 +134,10 @@ let lift (i : Insn.t) : t array =
         | Insn.Reg _ | Insn.Mem _ -> Vunknown
       in
       [| S_store { width = Insn.S8bit; src = v; ptr; disp } |]
-  | Insn.Mov (Insn.S8bit, Insn.Mem _, _) -> shared.writes_mem
-  | Insn.Mov (_, _, _) -> shared.no_effect
+  | Insn.Mov (Insn.S8bit, Insn.Mem _, _) -> [| other [] ~writes_mem:true |]
+  | Insn.Mov (_, _, _) -> [| other [] |]
   | Insn.Arith (aop, sz, dst, src) -> lift_arith aop sz dst src
-  | Insn.Test (_, _, _) -> shared.cmp
+  | Insn.Test (_, _, _) -> [| S_cmp |]
   | Insn.Not (sz, o) -> lift_rmw Rnot sz o Vunknown
   | Insn.Neg (sz, o) -> lift_rmw Rneg sz o Vunknown
   | Insn.Inc (sz, o) -> lift_incdec 1l sz o
@@ -216,38 +148,48 @@ let lift (i : Insn.t) : t array =
       | Some b, None when Reg.equal b r ->
           [| S_advance { reg = r; amount = m.Insn.disp; implicit = false } |]
       | base, index -> [| S_lea { dst = r; base; index; disp = m.Insn.disp } |])
-  | Insn.Xchg (a, b) -> if Reg.equal a b then shared.nop else [| S_xchg (a, b) |]
+  | Insn.Xchg (a, b) -> if Reg.equal a b then [| S_nop |] else [| S_xchg (a, b) |]
   | Insn.Push_reg r -> [| S_push (vreg r) |]
   | Insn.Pop_reg r -> [| S_pop r |]
   | Insn.Push_imm v -> [| S_push (Vconst v) |]
-  | Insn.Pushad -> shared.pushad
-  | Insn.Popad -> shared.popad
-  | Insn.Pushfd -> shared.pushfd
-  | Insn.Popfd -> shared.popfd
+  | Insn.Pushad -> Array.make 8 (S_push Vunknown)
+  | Insn.Popad -> [| other (Array.to_list Reg.all) |]
+  | Insn.Pushfd -> [| S_push Vunknown |]
+  | Insn.Popfd -> [| other [ Reg.ESP ] |]
   | Insn.Jmp_rel d -> [| S_branch { kind = `Jmp; disp = d } |]
   | Insn.Jcc_rel (_, d) -> [| S_branch { kind = `Cond; disp = d } |]
   | Insn.Call_rel d -> [| S_push Vunknown; S_branch { kind = `Call; disp = d } |]
   | Insn.Loop d -> [| S_branch { kind = `Loop; disp = d } |]
   | Insn.Loope d | Insn.Loopne d -> [| S_branch { kind = `Loop_cc; disp = d } |]
   | Insn.Jecxz d -> [| S_branch { kind = `Jecxz; disp = d } |]
-  | Insn.Ret -> shared.ret
+  | Insn.Ret -> [| S_ret |]
   | Insn.Int n -> [| S_syscall n |]
-  | Insn.Int3 | Insn.Bad _ -> shared.halt
+  | Insn.Int3 | Insn.Bad _ -> [| S_halt |]
   | Insn.Nop | Insn.Cld | Insn.Std | Insn.Clc | Insn.Stc | Insn.Cmc | Insn.Sahf
   | Insn.Fwait ->
-      shared.nop
-  | Insn.Lodsb -> shared.lodsb
-  | Insn.Lodsd -> shared.lodsd
-  | Insn.Stosb -> shared.stosb
-  | Insn.Stosd -> shared.stosd
-  | Insn.Movsb -> shared.movsb
-  | Insn.Movsd -> shared.movsd
-  | Insn.Scasb -> shared.scasb
-  | Insn.Cmpsb -> shared.cmpsb
-  | Insn.Cdq -> shared.writes_edx
-  | Insn.Cwde | Insn.Lahf -> shared.writes_eax
-  | Insn.Rep_movsb | Insn.Rep_movsd -> shared.rep_movs
-  | Insn.Rep_stosb | Insn.Rep_stosd -> shared.rep_stos
+      [| S_nop |]
+  | Insn.Lodsb ->
+      [| S_load { width = Insn.S8bit; dst = Reg.EAX; ptr = Reg.ESI; disp = 0l }; adv Reg.ESI 1l |]
+  | Insn.Lodsd ->
+      [| S_load { width = Insn.S32bit; dst = Reg.EAX; ptr = Reg.ESI; disp = 0l }; adv Reg.ESI 4l |]
+  | Insn.Stosb ->
+      [|
+        S_store { width = Insn.S8bit; src = Vreg Reg.EAX; ptr = Reg.EDI; disp = 0l };
+        adv Reg.EDI 1l;
+      |]
+  | Insn.Stosd ->
+      [|
+        S_store { width = Insn.S32bit; src = Vreg Reg.EAX; ptr = Reg.EDI; disp = 0l };
+        adv Reg.EDI 4l;
+      |]
+  | Insn.Movsb -> [| other [] ~writes_mem:true; adv Reg.ESI 1l; adv Reg.EDI 1l |]
+  | Insn.Movsd -> [| other [] ~writes_mem:true; adv Reg.ESI 4l; adv Reg.EDI 4l |]
+  | Insn.Scasb -> [| S_cmp; adv Reg.EDI 1l |]
+  | Insn.Cmpsb -> [| S_cmp; adv Reg.ESI 1l; adv Reg.EDI 1l |]
+  | Insn.Cdq -> [| other [ Reg.EDX ] |]
+  | Insn.Cwde | Insn.Lahf -> [| other [ Reg.EAX ] |]
+  | Insn.Rep_movsb | Insn.Rep_movsd -> [| other [ Reg.ESI; Reg.EDI; Reg.ECX ] ~writes_mem:true |]
+  | Insn.Rep_stosb | Insn.Rep_stosd -> [| other [ Reg.EDI; Reg.ECX ] ~writes_mem:true |]
   | Insn.Movzx (d, src) -> (
       match src with
       | Insn.Mem { base = Some ptr; index = None; disp } ->
@@ -286,10 +228,10 @@ let lift (i : Insn.t) : t array =
   | Insn.Mul (Insn.S8bit, _) | Insn.Imul (Insn.S8bit, _) | Insn.Div (Insn.S8bit, _)
   | Insn.Idiv (Insn.S8bit, _) ->
       (* AX = AL * r/m8, or AL and AH from AX / r/m8: EDX is untouched *)
-      shared.writes_eax
+      [| other [ Reg.EAX ] |]
   | Insn.Mul (Insn.S32bit, _) | Insn.Imul (Insn.S32bit, _) | Insn.Div (Insn.S32bit, _)
   | Insn.Idiv (Insn.S32bit, _) ->
-      shared.writes_eax_edx
+      [| other [ Reg.EAX; Reg.EDX ] |]
   | Insn.Imul2 (d, _) -> [| other [ d ] |]
   | Insn.Imul3 (d, _, _) -> [| other [ d ] |]
 
@@ -338,7 +280,8 @@ let writes = function
   | S_pop r -> [ r; Reg.ESP ]
   | S_cmp -> []
   | S_branch { kind = `Call; _ } -> [ Reg.ESP ]
-  | S_branch _ -> []
+  | S_branch { kind = `Loop | `Loop_cc; _ } -> [ Reg.ECX ]
+  | S_branch { kind = `Jmp | `Cond | `Jecxz; _ } -> []
   | S_syscall _ -> [ Reg.EAX ]
   | S_ret -> [ Reg.ESP ]
   | S_halt | S_nop -> []

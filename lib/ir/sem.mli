@@ -55,16 +55,7 @@ type t =
 
 val lift : Insn.t -> t array
 (** Semantic operations of one instruction, in execution order.  Never
-    returns the empty array.  Every instruction whose lift does not
-    depend on its operands ([int3]/undecodable bytes, the NOP family,
-    [ret], [test]/[cmp], string and flag instructions, ...) gets one
-    preallocated array shared by all of its lifts, and those arrays end
-    up in decode-memo entries and trace steps: the result is read-only,
-    and nothing may write to it. *)
-
-val shared_intact : unit -> bool
-(** The preallocated lift arrays still equal freshly built ones — false
-    once some consumer has written into a lifted array. *)
+    returns the empty array. *)
 
 (** {1 Semantic kinds}
 

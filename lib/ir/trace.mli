@@ -12,15 +12,14 @@ type step = Icache.entry = {
   off : int;  (** byte offset of the instruction within the region *)
   len : int;
   insn : Insn.t;
-  sems : Sem.t array;  (** [Sem.lift insn]: read-only, possibly shared *)
+  sems : Sem.t array;  (** [Sem.lift insn]: read-only *)
   kinds : int;  (** [Sem.kinds sems] *)
 }
 (** Steps carry no abstract state: a consumer that needs constants folds
     {!Absint.step} over [sems] itself, only as far as it reads.  Nothing
     in a step depends on the path that reached it, so a cached walk's
     steps are the memo's own records, shared by every trace through the
-    offset, and [sems] may be an array shared by every lift of the same
-    instruction: never write to either.  Every step, memoized or fresh,
+    offset: never write to one or to its [sems].  Every step, memoized or fresh,
     is built by {!Icache.make_entry}. *)
 
 type t = step array

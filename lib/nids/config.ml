@@ -58,33 +58,89 @@ let with_degrade degrade t = { t with degrade }
 let with_confirm confirm t = { t with confirm }
 let with_static_refute static_refute t = { t with static_refute }
 
-let fields =
+type flag = { key : string; doc : string; arg : [ `Switch of bool | `Value of string ] }
+
+(* The key table: each tunable's key, codec and help text, declared
+   once for [--set], config files, hot reload and the CLI's flags.  A
+   [switch] is a boolean whose flag sets the opposite of its default. *)
+let table =
   let open Spec in
   let some set v = set (Some v) in
+  let opt key ~docv ~doc v set = (setter key v set, { key; doc; arg = `Value docv }) in
+  let switch key ~doc get set =
+    (setter key bool set, { key; doc; arg = `Switch (not (get default)) })
+  in
   [
-    setter "honeypot" (value ~what:"an IPv4 address" Ipaddr.of_string_opt Ipaddr.to_string)
+    opt "honeypot" ~docv:"IP" ~doc:"Register a honeypot decoy address (repeatable)."
+      (value ~what:"an IPv4 address" Ipaddr.of_string_opt Ipaddr.to_string)
       (fun a t -> with_honeypots (t.honeypots @ [ a ]) t);
-    setter "unused"
+    opt "unused" ~docv:"CIDR"
+      ~doc:"Declare unused address space for scan detection (repeatable)."
       (value ~what:"a prefix a.b.c.d/len" Ipaddr.prefix_of_string_opt Ipaddr.prefix_to_string)
       (fun p t -> with_unused (t.unused @ [ p ]) t);
-    setter "scan_threshold" int with_scan_threshold;
-    setter "classify" bool with_classification;
-    setter "extract" bool with_extraction;
-    setter "min_payload" int with_min_payload;
-    setter "reassemble" bool with_reassembly;
-    setter "verdict_cache" int with_verdict_cache;
-    setter "flow_alert_cache" int with_flow_alert_cache;
-    setter "queue" int with_stream_queue;
-    setter "drop_policy"
+    opt "scan_threshold" ~docv:"N"
+      ~doc:"Distinct unused addresses before a source is flagged." int with_scan_threshold;
+    switch "classify"
+      ~doc:"Classification: off analyzes every payload (the paper's \
+            false-positive-run configuration)."
+      (fun t -> t.classification_enabled) with_classification;
+    switch "extract"
+      ~doc:"Binary extraction: off hands whole payloads to the disassembler \
+            (reference-[5] style)."
+      (fun t -> t.extraction_enabled) with_extraction;
+    opt "min_payload" ~docv:"N" ~doc:"Payloads shorter than N bytes are never analyzed."
+      int with_min_payload;
+    switch "reassemble"
+      ~doc:"Track TCP flows from suspicious sources and analyze the \
+            reassembled stream."
+      (fun t -> t.reassemble) with_reassembly;
+    opt "verdict_cache" ~docv:"N" ~doc:"Verdict cache capacity (0 disables)." int
+      with_verdict_cache;
+    opt "flow_alert_cache" ~docv:"N" ~doc:"Per-flow alert-dedup table capacity (stream mode)."
+      int with_flow_alert_cache;
+    opt "queue" ~docv:"N" ~doc:"Per-worker admission queue capacity (stream mode)." int
+      with_stream_queue;
+    opt "drop_policy" ~docv:"POLICY"
+      ~doc:"Full-queue behaviour in stream mode: block (lossless backpressure), \
+            drop_newest or drop_oldest; shed packets are counted as \
+            sanids_shed_total."
       (codec { parse = Bqueue.policy_of_string_result; print = Bqueue.policy_to_string })
       with_stream_policy;
-    setter "budget" (codec Budget.limits_spec) (some with_budget);
-    setter "breaker" (codec Breaker.config_spec) (some with_breaker);
-    setter "degrade" bool with_degrade;
-    setter "confirm" (codec Sanids_confirm.Confirm.config_spec) (some with_confirm);
-    setter "static_refute" bool with_static_refute;
+    opt "budget" ~docv:"SPEC"
+      ~doc:"Per-packet analysis work budget: default or \
+            bytes=N,insns=N,steps=N,deadline=S - the adversarial-load ceiling \
+            on extraction, disassembly and matching.  Truncated analyses are \
+            counted as sanids_budget_truncated_total."
+      (codec Budget.limits_spec) (some with_budget);
+    opt "breaker" ~docv:"SPEC"
+      ~doc:"Per-template circuit breaker: default or fails=N,cooldown=N,max=N \
+            (cooldowns counted in analyzed packets).  Open transitions are \
+            counted as sanids_breaker_open_total."
+      (codec Breaker.config_spec) (some with_breaker);
+    switch "degrade"
+      ~doc:"When analysis is budget-truncated or templates are held open by \
+            the breaker, fall back to the cheap baseline pattern pass instead \
+            of silently reporting less; degraded alerts carry a [degraded] \
+            marker and sanids_degraded_total counts the fallbacks."
+      (fun t -> t.degrade) with_degrade;
+    opt "confirm" ~docv:"SPEC"
+      ~doc:"Dynamic confirmation: default or steps=N,syscalls=N,written=N,arena=N.  \
+            Every matcher hit is executed in the sandboxed emulator; refuted \
+            matches are demoted (no alert), confirmed ones marked, outcomes \
+            counted as sanids_confirm_total."
+      (codec Sanids_confirm.Confirm.config_spec) (some with_confirm);
+    switch "static_refute"
+      ~doc:"Abstract refutation pre-stage of confirmation: before each emulator \
+            run, execute the hit abstractly over an interval domain under the \
+            same budgets and demote hits that provably cannot confirm without \
+            ever entering the emulator (counted as \
+            sanids_confirm_total{outcome=static_refuted}).  Sound: verdicts \
+            are unchanged, only emulator calls are avoided."
+      (fun t -> t.static_refute) with_static_refute;
   ]
 
+let fields = List.map fst table
+let flags = List.map snd table
 let spec_keys = Spec.keys fields
 let of_spec = Spec.assignment "config" fields
 

@@ -117,6 +117,19 @@ val with_static_refute : bool -> t -> t
 val spec_keys : string list
 (** Every key {!of_spec} reads, in table order. *)
 
+type flag = {
+  key : string;  (** the {!of_spec} key *)
+  doc : string;  (** its help text *)
+  arg : [ `Switch of bool | `Value of string ];
+      (** [`Switch b]: a boolean key whose flag takes no value and sets
+          it to [b], the opposite of its default; [`Value docv]: the
+          flag takes a value (named [docv] in help), read as
+          [key=value] by {!of_spec} *)
+}
+
+val flags : flag list
+(** The command-line face of every {!spec_keys} entry, in table order. *)
+
 val of_spec : string -> (t -> t, string) result
 (** [of_spec "key=value"] parses one configuration assignment into an
     updater — the single grammar behind the CLI's [--set] flag and the

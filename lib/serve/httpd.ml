@@ -70,12 +70,14 @@ let timeout_errno = function
 
 type read_outcome = Request of request | Malformed | Too_large | Timed_out
 
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
-  in
-  go 0
+(* Where the body starts: just past the first blank line of
+   [s.[0 .. stop)], CRLF or bare LF, whichever ends first. *)
+let header_end ?stop s =
+  match (Search.find ?stop ~needle:"\r\n\r\n" s, Search.find ?stop ~needle:"\n\n" s) with
+  | Some i, Some j -> Some (min (i + 4) (j + 2))
+  | Some i, None -> Some (i + 4)
+  | None, Some j -> Some (j + 2)
+  | None, None -> None
 
 (* The one header we interpret.  Header names are case-insensitive. *)
 let content_length headers =
@@ -101,33 +103,22 @@ let read_request fd =
   let buf = Bytes.create max_request in
   let exception Timeout in
   let rec fill off =
-    if off >= max_request then off
-    else
-      let text = Bytes.sub_string buf 0 off in
-      let done_ =
-        off > 0 && (find_sub text "\r\n\r\n" <> None || find_sub text "\n\n" <> None)
-      in
-      if done_ then off
-      else
+    (* the string view of [buf] is dropped before the next read *)
+    match header_end ~stop:off (Bytes.unsafe_to_string buf) with
+    | Some body_start -> (off, Some body_start)
+    | None when off >= max_request -> (off, None)
+    | None -> (
         match Unix.read fd buf off (max_request - off) with
-        | 0 -> off
+        | 0 -> (off, None)
         | n -> fill (off + n)
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
-        | exception Unix.Unix_error (e, _, _) when timeout_errno e ->
-            raise Timeout
+        | exception Unix.Unix_error (e, _, _) when timeout_errno e -> raise Timeout)
   in
   match fill 0 with
   | exception Timeout -> Timed_out
-  | n -> (
+  | n, body_at -> (
       let text = Bytes.sub_string buf 0 n in
-      let header_end =
-        match (find_sub text "\r\n\r\n", find_sub text "\n\n") with
-        | Some i, Some j -> Some (min (i + 4) (j + 2))
-        | Some i, None -> Some (i + 4)
-        | None, Some j -> Some (j + 2)
-        | None, None -> None
-      in
-      match header_end with
+      match body_at with
       | None -> Malformed  (* headers never terminated within the bound *)
       | Some body_start -> (
           let headers = String.sub text 0 body_start in
@@ -346,18 +337,9 @@ let request ?(timeout = 10.0) ?backoff ?read_timeout ?body listen ~verb ~path
                       | None -> None
                     in
                     let body =
-                      (* body follows the first blank line *)
-                      match
-                        (find_sub text "\r\n\r\n", find_sub text "\n\n")
-                      with
-                      | Some i, Some j ->
-                          let p = min (i + 4) (j + 2) in
-                          String.sub text p (String.length text - p)
-                      | Some i, None ->
-                          String.sub text (i + 4) (String.length text - i - 4)
-                      | None, Some j ->
-                          String.sub text (j + 2) (String.length text - j - 2)
-                      | None, None -> ""
+                      match header_end text with
+                      | Some p -> String.sub text p (String.length text - p)
+                      | None -> ""
                     in
                     match code with
                     | Some c -> Ok (c, body)

@@ -174,6 +174,10 @@ let gen_safe_insn =
        return (Insn.Imul2 (d, Insn.Reg s)));
       (let* d = gen_reg and* s = gen_reg and* v = gen_int32 in
        return (Insn.Imul3 (d, Insn.Reg s, v)));
+      (let* loop =
+         oneofl [ (fun d -> Insn.Loop d); (fun d -> Insn.Loope d); (fun d -> Insn.Loopne d) ]
+       and* d = int_range (-128) 127 in
+       return (loop d));
     ]
 
 let gen_regs = QCheck2.Gen.array_size (QCheck2.Gen.return 7) gen_int32

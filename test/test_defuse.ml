@@ -109,6 +109,22 @@ let test_rmw_is_a_use () =
   in
   Alcotest.(check bool) "write before an 8-bit imul used" false (Defuse.is_dead_write t 0)
 
+let test_byte_div_reads_only_ax () =
+  (* an 8-bit divide reads AX and writes AL and AH: EDX's 7 is never
+     read before the overwrite *)
+  List.iter
+    (fun (name, div) ->
+      let t =
+        Defuse.analyze
+          (trace_of
+             [ mov32 (reg Reg.EDX) (imm 7l); div; mov32 (reg Reg.EDX) (imm 0l); Insn.Int3 ])
+      in
+      Alcotest.(check bool) ("edx write before " ^ name ^ " dead") true (Defuse.is_dead_write t 0))
+    [
+      ("div cl", Insn.Div (Insn.S8bit, Insn.Reg8 Reg.CL));
+      ("idiv cl", Insn.Idiv (Insn.S8bit, Insn.Reg8 Reg.CL));
+    ]
+
 let test_junk_measurement_on_engine_output () =
   (* the dead-write fraction of heavily junked decoders exceeds that of
      junk-free ones: def-use sees the garbage from the outside *)
@@ -150,6 +166,7 @@ let () =
           Alcotest.test_case "detection" `Quick test_dead_write_detection;
           Alcotest.test_case "side effects never dead" `Quick test_side_effects_never_dead;
           Alcotest.test_case "rmw is a use" `Quick test_rmw_is_a_use;
+          Alcotest.test_case "8-bit div reads only AX" `Quick test_byte_div_reads_only_ax;
           Alcotest.test_case "junk measurement" `Quick test_junk_measurement_on_engine_output;
         ] );
     ]

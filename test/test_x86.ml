@@ -542,6 +542,7 @@ let prop_byte_evidence =
 
 module Defuse = Sanids_ir.Defuse
 module Trace = Sanids_ir.Trace
+module Sem = Sanids_ir.Sem
 
 let views_arena = 8192
 
@@ -614,6 +615,12 @@ let reads_cover_dependencies ~code regs flags data =
       (not depends) || List.mem r reads)
     regs
 
+(* Every register the step changes, ESP aside, is one the lift writes. *)
+let writes_cover_changes i ~code regs flags data =
+  let after, _ = step_once code regs flags data in
+  let writes = List.concat_map Sem.writes (Array.to_list (Sem.lift i)) in
+  List.for_all (fun (r, v) -> List.nth after.regs (Reg.code r) = v || List.mem r writes) regs
+
 (* Half the cases are nullary: their operands are all implicit, where
    the views and the implicit lists can disagree. *)
 let insn_of_seed seed =
@@ -636,7 +643,8 @@ let prop_views_match_emulator =
       let flags = Rng.int rng 0x1000 in
       let data = Rng.bytes rng (views_arena - String.length code) in
       flow_holds i ~len:(String.length code) (step_once code regs flags data)
-      && reads_cover_dependencies ~code regs flags data)
+      && reads_cover_dependencies ~code regs flags data
+      && writes_cover_changes i ~code regs flags data)
 
 let properties =
   List.map QCheck_alcotest.to_alcotest

@@ -16,7 +16,7 @@ let run ~instances () =
         (Sanids_polymorph.Admmutate.generate rng ~payload).Sanids_polymorph.Admmutate.code)
   in
   let sig_hits codes =
-    List.length (List.filter (fun c -> Signatures.scan c <> None) codes)
+    List.length (List.filter (fun c -> Rule.match_payload Rule.default c <> []) codes)
   in
   (* raw code corpora are matched directly; protocol payloads run the real
      pipeline stages (extraction included, so unicode-encoded vectors are

@@ -101,7 +101,8 @@ let tests () =
           for off = 0 to String.length benign_code - 1 do
             ignore (Sanids_ir.Icache.shape c off)
           done);
-      mk "stage/aho-corasick" (fun () -> Sanids_baseline.Signatures.scan poly);
+      mk "stage/ruleset" (fun () ->
+          Sanids_baseline.Rule.(match_payload default poly));
       mk "stage/decode-record-ethernet" (fun () ->
           Sanids_ingest.Ingest.decode_record ~linktype:Sanids_pcap.Pcap.linktype_ethernet
             (next_record ()));

@@ -133,7 +133,6 @@ let sig_scan_cmd =
     in
     let rules, errors = Rule.parse_many text in
     List.iter (fun (line, e) -> Printf.eprintf "rule line %d: %s\n" line e) errors;
-    let engine = Rule.compile rules in
     Printf.printf "loaded %d rules\n" (List.length rules);
     let capture =
       match Pcap.decode (read_file path) with
@@ -151,7 +150,7 @@ let sig_scan_cmd =
             Printf.printf "[%.3f] SIG %s %s -> %s\n" p.Packet.ts msg
               (Ipaddr.to_string (Packet.src p))
               (Ipaddr.to_string (Packet.dst p)))
-          (Rule.match_packet engine p))
+          (Rule.match_packet rules p))
       (Ingest.ok_packets capture);
     if !hits = 0 then print_endline "no signature matches"
   in

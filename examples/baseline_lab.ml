@@ -24,10 +24,7 @@ let () =
   Printf.printf "polymorphic campaign: 40 ADMmutate instances of one shellcode\n\n";
 
   (* 1. static rules *)
-  let rules, errs = Rule.parse_many Rule.default_ruleset in
-  assert (errs = []);
-  let engine = Rule.compile rules in
-  hits "snort-style rules" (fun c -> Rule.match_payload engine c <> []);
+  hits "snort-style rules" (fun c -> Rule.match_payload Rule.default c <> []);
 
   (* 2. automatic signature generation from the first 15 instances *)
   let pool, _rest =

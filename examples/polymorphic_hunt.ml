@@ -29,7 +29,7 @@ let () =
   in
   Printf.printf "\nover 50 fresh instances:\n";
   Printf.printf "  static signatures hit : %d/50\n"
-    (hits (fun c -> Signatures.scan c <> None) corpus);
+    (hits (fun c -> Rule.match_payload Rule.default c <> []) corpus);
   Printf.printf "  semantic templates hit: %d/50\n"
     (hits
        (fun c -> Matcher.scan ~templates:Template_lib.default_set c <> [])

@@ -203,10 +203,6 @@ let parse_many text =
 
 (* --- matching --------------------------------------------------------- *)
 
-type engine = t list
-
-let compile rules = rules
-
 let content_matches (payload : Slice.t) (c : content) =
   let n = Slice.length payload and m = String.length c.pattern in
   let stop =
@@ -246,21 +242,21 @@ let header_matches (r : t) p =
   && port_ok r.src_port sport
   && port_ok r.dst_port dport
 
-let match_packet engine p =
+let match_packet rules p =
   let payload = Packet.payload p in
   List.filter_map
     (fun r ->
       if header_matches r p && List.for_all (content_matches payload) r.contents
       then Some r.msg
       else None)
-    engine
+    rules
 
-let match_payload engine payload =
+let match_payload rules payload =
   let payload = Slice.of_string payload in
   List.filter_map
     (fun r ->
       if List.for_all (content_matches payload) r.contents then Some r.msg else None)
-    engine
+    rules
 
 let default_ruleset =
   {rules|# sanids baseline ruleset: 2006-style static signatures
@@ -275,3 +271,5 @@ alert tcp any any -> any 80 (msg:"code red ida overflow"; content:"GET /default.
 alert tcp any any -> any 80 (msg:"code red unicode vector"; content:"%u9090%u6858%ucbd3%u7801"; nocase;)
 alert udp any any -> any 1434 (msg:"sql slammer"; content:"|04|"; offset:0; depth:1; content:"|dc c9 b0 42|";)
 |rules}
+
+let default = fst (parse_many default_ruleset)

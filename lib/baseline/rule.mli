@@ -43,16 +43,19 @@ val parse_many : string -> t list * (int * string) list
     [(line, error)] pairs for lines that failed (comments and blanks are
     skipped silently). *)
 
-type engine
-
-val compile : t list -> engine
-
-val match_packet : engine -> Packet.t -> string list
+val match_packet : t list -> Packet.t -> string list
 (** Messages of every rule the packet satisfies (header filter plus all
     contents present). *)
 
-val match_payload : engine -> string -> string list
+val match_payload : t list -> string -> string list
 (** Content-only matching, ignoring header filters. *)
 
 val default_ruleset : string
-(** The shipped ruleset, expressing {!Signatures.default} as rule text. *)
+(** The shipped ruleset: 2006-style static signatures taken from the
+    {e unobfuscated} exploit corpus (the classic [/bin/sh] shellcode
+    bytes, a NOP sled, the Code Red II and Slammer vectors).  They catch
+    the plain exploits and the fixed worm vectors and miss polymorphic
+    instances, the paper's motivation. *)
+
+val default : t list
+(** {!default_ruleset}, parsed once. *)

@@ -93,8 +93,6 @@ module Lint_selftest = Sanids_staticlint.Selftest
 module Lint = Sanids_staticlint.Lint
 
 (* baselines *)
-module Aho_corasick = Sanids_baseline.Aho_corasick
-module Signatures = Sanids_baseline.Signatures
 module Payl = Sanids_baseline.Payl
 module Rule = Sanids_baseline.Rule
 module Siggen = Sanids_baseline.Siggen

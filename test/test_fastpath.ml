@@ -1,6 +1,6 @@
 (* Tests for the analysis fast path: the LRU, the decode-memo instruction
    cache, memoized-vs-direct trace building, the trace gate against the
-   plain search, the decode memo's hit accounting, the Aho–Corasick data
+   plain search, the decode memo's hit accounting, the template data
    prefilter, and the pipeline verdict cache — all under the exactness
    contract: caching must never change a verdict. *)
 

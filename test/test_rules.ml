@@ -69,39 +69,33 @@ let test_parse_rejects () =
 let test_parse_many () =
   let rules, errors = Rule.parse_many Rule.default_ruleset in
   Alcotest.(check int) "no errors in shipped ruleset" 0 (List.length errors);
-  Alcotest.(check int) "ten rules" 10 (List.length rules)
+  Alcotest.(check int) "ten rules" 10 (List.length rules);
+  Alcotest.(check bool) "Rule.default is the parsed ruleset" true (Rule.default = rules)
 
 (* ------------------------------------------------------------------ *)
 (* matching *)
 
-let engine () =
-  let rules, _ = Rule.parse_many Rule.default_ruleset in
-  Rule.compile rules
-
 let test_match_shellcode_packet () =
-  let e = engine () in
   let sc = (Sanids_exploits.Shellcodes.find "classic").Sanids_exploits.Shellcodes.code in
   let p =
     Packet.build_tcp ~ts:0.0 ~src:(ip "1.2.3.4") ~dst:(ip "10.0.0.1") ~src_port:1111
       ~dst_port:80 sc
   in
   Alcotest.(check bool) "push signature fires" true
-    (List.mem "shellcode push /bin//sh" (Rule.match_packet e p))
+    (List.mem "shellcode push /bin//sh" (Rule.match_packet Rule.default p))
 
 let test_match_port_filter () =
-  let e = engine () in
   let req = Sanids_exploits.Code_red.request () in
   let to_port port =
     Packet.build_tcp ~ts:0.0 ~src:(ip "1.2.3.4") ~dst:(ip "10.0.0.1") ~src_port:1111
       ~dst_port:port req
   in
   Alcotest.(check bool) "fires on port 80" true
-    (List.mem "code red ida overflow" (Rule.match_packet e (to_port 80)));
+    (List.mem "code red ida overflow" (Rule.match_packet Rule.default (to_port 80)));
   Alcotest.(check bool) "quiet on port 8080" false
-    (List.mem "code red ida overflow" (Rule.match_packet e (to_port 8080)))
+    (List.mem "code red ida overflow" (Rule.match_packet Rule.default (to_port 8080)))
 
 let test_match_proto_filter () =
-  let e = engine () in
   let slammer = Sanids_exploits.Slammer.datagram () in
   let udp =
     Packet.build_udp ~ts:0.0 ~src:(ip "1.2.3.4") ~dst:(ip "10.0.0.1") ~src_port:9
@@ -112,53 +106,34 @@ let test_match_proto_filter () =
       ~dst_port:1434 slammer
   in
   Alcotest.(check bool) "udp rule fires" true
-    (List.mem "sql slammer" (Rule.match_packet e udp));
+    (List.mem "sql slammer" (Rule.match_packet Rule.default udp));
   Alcotest.(check bool) "tcp delivery ignored by udp rule" false
-    (List.mem "sql slammer" (Rule.match_packet e tcp))
+    (List.mem "sql slammer" (Rule.match_packet Rule.default tcp))
 
 let test_match_depth_window () =
   let rules, _ =
     Rule.parse_many
       {|alert ip any any -> any any (msg:"lead"; content:"|04|"; offset:0; depth:1;)|}
   in
-  let e = Rule.compile rules in
   Alcotest.(check bool) "leading byte matches" true
-    (Rule.match_payload e "\x04rest" <> []);
+    (Rule.match_payload rules "\x04rest" <> []);
   Alcotest.(check bool) "byte later in stream does not" false
-    (Rule.match_payload e "xx\x04rest" <> [])
+    (Rule.match_payload rules "xx\x04rest" <> [])
 
 let test_match_nocase () =
   let rules, _ =
     Rule.parse_many {|alert ip any any -> any any (msg:"ci"; content:"AtTaCk"; nocase;)|}
   in
-  let e = Rule.compile rules in
-  Alcotest.(check bool) "case-insensitive" true (Rule.match_payload e "an attack!" <> []);
-  Alcotest.(check bool) "absent" false (Rule.match_payload e "benign" <> [])
+  Alcotest.(check bool) "case-insensitive" true (Rule.match_payload rules "an attack!" <> []);
+  Alcotest.(check bool) "absent" false (Rule.match_payload rules "benign" <> [])
 
 let test_match_requires_all_contents () =
   let rules, _ =
     Rule.parse_many
       {|alert ip any any -> any any (msg:"and"; content:"one"; content:"two";)|}
   in
-  let e = Rule.compile rules in
-  Alcotest.(check bool) "both present" true (Rule.match_payload e "one and two" <> []);
-  Alcotest.(check bool) "one missing" false (Rule.match_payload e "only one" <> [])
-
-let test_ruleset_agrees_with_builtin_signatures () =
-  (* the rule text expresses the same patterns as Signatures.default *)
-  let e = engine () in
-  let corpus =
-    List.map
-      (fun (x : Sanids_exploits.Shellcodes.entry) -> x.Sanids_exploits.Shellcodes.code)
-      Sanids_exploits.Shellcodes.all
-  in
-  List.iter
-    (fun code ->
-      let via_rules = Rule.match_payload e code <> [] in
-      let via_builtin = Signatures.scan code <> None in
-      if via_rules <> via_builtin then
-        Alcotest.failf "ruleset and builtin signatures disagree")
-    corpus
+  Alcotest.(check bool) "both present" true (Rule.match_payload rules "one and two" <> []);
+  Alcotest.(check bool) "one missing" false (Rule.match_payload rules "only one" <> [])
 
 let () =
   Alcotest.run "rules"
@@ -180,7 +155,5 @@ let () =
           Alcotest.test_case "depth window" `Quick test_match_depth_window;
           Alcotest.test_case "nocase" `Quick test_match_nocase;
           Alcotest.test_case "all contents required" `Quick test_match_requires_all_contents;
-          Alcotest.test_case "agrees with builtin" `Quick
-            test_ruleset_agrees_with_builtin_signatures;
         ] );
     ]

@@ -5,7 +5,7 @@
    measured point of the slice refactor. *)
 
 open Sanids_net
-module AC = Sanids_baseline.Aho_corasick
+module Rule = Sanids_baseline.Rule
 module Extractor = Sanids_extract.Extractor
 module Pipeline = Sanids_nids.Pipeline
 module Config = Sanids_nids.Config
@@ -90,17 +90,43 @@ let prop_extract_offset_invariant =
       && Extractor.suspicious (Slice.of_string p)
          = Extractor.suspicious (embedded p (j1, j2)))
 
-let ac =
-  lazy
-    (AC.build
-       [ ("/bin/sh", "sh"); ("%u9090", "uni"); ("\xcd\x80", "int80"); ("AAAA", "sled") ])
-
-let prop_ac_slice_equals_string =
-  QCheck2.Test.make ~name:"aho-corasick slice scan equals string scan" ~count:500
-    gen_payload_with_junk
-    (fun (p, j1, j2) ->
-      let t = Lazy.force ac in
-      AC.search t p = AC.search_slice t (embedded p (j1, j2)))
+(* A rule whose content is cut from the payload itself, so windows that
+   hit and windows that miss are both common.  Matching the packet
+   (whose payload is a view at a nonzero offset) must agree with
+   matching the same bytes as a string. *)
+let prop_rule_view_equals_string =
+  QCheck2.Test.make ~name:"ruleset match on a payload view equals string match"
+    ~count:500
+    QCheck2.Gen.(
+      pair gen_payload_with_junk
+        (quad nat (int_range 1 8) (int_bound 40) (option (int_range 1 80))))
+    (fun ((p, j1, j2), (at, len, offset, depth)) ->
+      let n = String.length p in
+      let pattern =
+        if n = 0 then "x" else String.sub p (at mod n) (min len (n - (at mod n)))
+      in
+      let rule =
+        {
+          Rule.proto = Rule.P_ip;
+          src = None;
+          src_port = None;
+          dst = None;
+          dst_port = None;
+          msg = "cut";
+          contents = [ { Rule.pattern; nocase = false; offset; depth } ];
+        }
+      in
+      let pkt =
+        Packet.build_tcp ~ts:0.0 ~src:(Ipaddr.of_string "1.2.3.4")
+          ~dst:(Ipaddr.of_string "10.0.0.1") ~src_port:1 ~dst_port:2 ""
+      in
+      let viewed =
+        match pkt.Packet.l4 with
+        | Packet.Tcp_seg t ->
+            { pkt with l4 = Packet.Tcp_seg { t with payload = embedded p (j1, j2) } }
+        | _ -> assert false
+      in
+      Rule.match_packet [ rule ] viewed = Rule.match_payload [ rule ] p)
 
 let prop_search_slice_equals_naive =
   QCheck2.Test.make ~name:"Search.find_slice is offset-invariant" ~count:500
@@ -397,7 +423,7 @@ let properties =
     [
       prop_view_equals_copy;
       prop_extract_offset_invariant;
-      prop_ac_slice_equals_string;
+      prop_rule_view_equals_string;
       prop_search_slice_equals_naive;
       prop_parse_view_equals_copy;
       prop_faulted_decode_view_equals_copy;

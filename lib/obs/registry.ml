@@ -6,12 +6,9 @@ type metric =
   | Mgauge of gauge
   | Mhist of Histogram.t
 
-type t = {
-  tbl : (string, metric * string) Hashtbl.t;  (* name -> metric, help *)
-  mutable order : string list;  (* registration order, newest first *)
-}
+type t = (string, metric * string) Hashtbl.t  (* series name -> metric, help *)
 
-let create () = { tbl = Hashtbl.create 32; order = [] }
+let create () : t = Hashtbl.create 32
 
 let valid_name name =
   name <> ""
@@ -62,45 +59,41 @@ let series_name base labels =
               (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape_label_value v))
               labels))
 
-(* [name] is a full series name: base-name validity (and label-key
-   validity for labeled counters) is checked by the callers below. *)
-let register t name help make describe =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (m, _) -> m
-  | None ->
+(* The series [name{labels}], registered with [make ()] on first use.
+   A hit is one hash lookup and no validation: the name and label keys
+   were checked when the series was registered.  A bare name must not
+   hit a labeled series, whose key ends in '}' as no valid name does,
+   so such a name falls through to validation and raises. *)
+let lookup t ~help ~labels name make =
+  let key = series_name name labels in
+  match Hashtbl.find_opt t key with
+  | Some (m, _) when labels <> [] || not (String.ends_with ~suffix:"}" key) -> m
+  | Some _ | None ->
+      if not (valid_name name) then
+        invalid_arg (Printf.sprintf "Registry: invalid metric name %S" name);
       let m = make () in
-      Hashtbl.replace t.tbl name (m, help);
-      t.order <- name :: t.order;
-      ignore describe;
+      Hashtbl.replace t key (m, help);
       m
 
-let kind_error name want =
+let kind_error name labels want =
   invalid_arg
     (Printf.sprintf "Registry: metric %S already registered with another kind (wanted %s)"
-       name want)
+       (series_name name labels) want)
 
 let counter t ?(help = "") ?(labels = []) name =
-  if not (valid_name name) then
-    invalid_arg (Printf.sprintf "Registry: invalid metric name %S" name);
-  let name = series_name name labels in
-  match register t name help (fun () -> Mcounter { c = 0 }) "counter" with
+  match lookup t ~help ~labels name (fun () -> Mcounter { c = 0 }) with
   | Mcounter c -> c
-  | Mgauge _ | Mhist _ -> kind_error name "counter"
+  | Mgauge _ | Mhist _ -> kind_error name labels "counter"
 
 let gauge t ?(help = "") ?(labels = []) name =
-  if not (valid_name name) then
-    invalid_arg (Printf.sprintf "Registry: invalid metric name %S" name);
-  let name = series_name name labels in
-  match register t name help (fun () -> Mgauge { g = 0.0 }) "gauge" with
+  match lookup t ~help ~labels name (fun () -> Mgauge { g = 0.0 }) with
   | Mgauge g -> g
-  | Mcounter _ | Mhist _ -> kind_error name "gauge"
+  | Mcounter _ | Mhist _ -> kind_error name labels "gauge"
 
 let histogram t ?(help = "") name =
-  if not (valid_name name) then
-    invalid_arg (Printf.sprintf "Registry: invalid metric name %S" name);
-  match register t name help (fun () -> Mhist (Histogram.create ())) "histogram" with
+  match lookup t ~help ~labels:[] name (fun () -> Mhist (Histogram.create ())) with
   | Mhist h -> h
-  | Mcounter _ | Mgauge _ -> kind_error name "histogram"
+  | Mcounter _ | Mgauge _ -> kind_error name [] "histogram"
 
 let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
@@ -111,7 +104,7 @@ let add_gauge g v = g.g <- g.g +. v
 let gauge_value g = g.g
 
 let help t name =
-  match Hashtbl.find_opt t.tbl name with
+  match Hashtbl.find_opt t name with
   | Some (_, "") | None -> None
   | Some (_, h) -> Some h
 
@@ -126,7 +119,7 @@ let snapshot t =
            | Mhist h -> Snapshot.Hist (Histogram.snap h)
          in
          (name, v) :: acc)
-       t.tbl [])
+       t [])
 
 let reset t =
   Hashtbl.iter
@@ -135,4 +128,4 @@ let reset t =
       | Mcounter c -> c.c <- 0
       | Mgauge g -> g.g <- 0.0
       | Mhist h -> Histogram.reset h)
-    t.tbl
+    t

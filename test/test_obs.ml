@@ -99,6 +99,40 @@ let test_registry_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind conflict must raise"
 
+(* The lookup hit path: a registered series comes back as the same
+   handle without re-validation, yet a kind conflict or a malformed name
+   still raises once its series exists. *)
+let test_registry_hit_path () =
+  let r = R.create () in
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s must raise" what
+  in
+  let c = R.counter r ~help:"h" "sanids_hit_total" in
+  let c' = R.counter r ~help:"h" "sanids_hit_total" in
+  Alcotest.(check bool) "same handle" true (c == c');
+  R.incr c;
+  R.add c' 2;
+  Alcotest.(check int) "counts accumulate" 3 (R.counter_value c);
+  let l = R.counter r ~labels:[ ("reason", "x"); ("kind", "y") ] "sanids_hit_total" in
+  Alcotest.(check bool) "labeled: same handle in any label order" true
+    (l == R.counter r ~labels:[ ("kind", "y"); ("reason", "x") ] "sanids_hit_total");
+  let g = R.gauge r "sanids_hit_g" in
+  Alcotest.(check bool) "gauge: same handle" true (g == R.gauge r "sanids_hit_g");
+  let h = R.histogram r "sanids_hit_seconds" in
+  Alcotest.(check bool) "histogram: same handle" true
+    (h == R.histogram r "sanids_hit_seconds");
+  raises "kind conflict on a registered counter" (fun () ->
+      ignore (R.gauge r "sanids_hit_total"));
+  raises "kind conflict on a registered labeled series" (fun () ->
+      ignore (R.gauge r ~labels:[ ("kind", "y"); ("reason", "x") ] "sanids_hit_total"));
+  raises "kind conflict on a registered histogram" (fun () ->
+      ignore (R.counter r "sanids_hit_seconds"));
+  raises "invalid name" (fun () -> ignore (R.counter r "sanids hit"));
+  raises "a bare name spelling a labeled series" (fun () ->
+      ignore (R.counter r {|sanids_hit_total{kind="y",reason="x"}|}))
+
 let test_registry_snapshot_reset () =
   let r = R.create () in
   R.add (R.counter r "sanids_a_total") 3;
@@ -366,6 +400,7 @@ let () =
           Alcotest.test_case "counters" `Quick test_registry_counters;
           Alcotest.test_case "gauges" `Quick test_registry_gauges;
           Alcotest.test_case "validation" `Quick test_registry_validation;
+          Alcotest.test_case "hit path" `Quick test_registry_hit_path;
           Alcotest.test_case "snapshot and reset" `Quick test_registry_snapshot_reset;
         ] );
       ( "snapshot",

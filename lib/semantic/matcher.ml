@@ -230,7 +230,6 @@ let compile_template ~family ~needle (t : Template.t) =
     | Template.Stack_const pv -> O_stack_const (value pv)
     | Template.Code_const c -> O_code_const c
   in
-  let pstep (Template.Once p | Template.Many p) = p in
   let nreq = List.length t.Template.steps in
   let steps =
     List.mapi
@@ -255,7 +254,9 @@ let compile_template ~family ~needle (t : Template.t) =
   let guards = Array.of_list (List.map guard t.Template.guards) in
   let needles =
     List.filter_map (fun d -> if d = "" then None else Some (needle d)) t.Template.data
-    @ List.filter_map (fun q -> Option.map needle (step_needle (pstep q))) t.Template.steps
+    @ List.filter_map
+        (fun q -> Option.map needle (step_needle (Template.pstep q)))
+        t.Template.steps
   in
   {
     name = t.Template.name;
@@ -264,7 +265,8 @@ let compile_template ~family ~needle (t : Template.t) =
     max_gap = t.Template.max_gap;
     family;
     needles = Array.of_list (List.sort_uniq compare needles);
-    reqs = Array.of_list (List.map (fun q -> demand_of (pstep q)) t.Template.steps);
+    reqs =
+      Array.of_list (List.map (fun q -> demand_of (Template.pstep q)) t.Template.steps);
     reg_names = names_of regs;
     const_names = names_of consts;
   }

@@ -23,6 +23,8 @@ type pstep =
 
 type quant = Once of pstep | Many of pstep
 
+let pstep (Once p | Many p) = p
+
 type guard =
   | Nonzero of cvar
   | Equals of cvar * int32

@@ -51,6 +51,9 @@ type quant =
   | Once of pstep
   | Many of pstep  (** one or more, possibly interleaved with junk *)
 
+val pstep : quant -> pstep
+(** The step a quantifier repeats. *)
+
 type guard =
   | Nonzero of cvar
   | Equals of cvar * int32

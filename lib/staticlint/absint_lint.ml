@@ -20,13 +20,11 @@ let pool = [ Reg.EBX; Reg.EDX; Reg.ESI; Reg.EDI; Reg.EBP ]
 
 exception Unrealizable
 
-let pstep_of = function Template.Once p | Template.Many p -> p
-
 let ptr_vars steps =
   List.fold_left
     (fun acc q ->
       let add v acc = if List.mem v acc then acc else acc @ [ v ] in
-      match pstep_of q with
+      match Template.pstep q with
       | Template.Load { ptr; _ }
       | Template.Mem_transform { ptr; _ }
       | Template.Store { ptr; _ }
@@ -120,7 +118,7 @@ let realize (t : Template.t) =
              (fun p -> Insn.Mov (Insn.S32bit, Insn.Reg (reg_of p), Insn.Imm data_addr))
              (ptr_vars t.Template.steps)
       in
-      (prologue, List.map (fun q -> insns_of_step (pstep_of q)) t.Template.steps)
+      (prologue, List.map (fun q -> insns_of_step (Template.pstep q)) t.Template.steps)
     in
     let unit_len = List.fold_left (fun n i -> n + Encode.length i) 0 in
     (* first pass with a placeholder data address fixes the layout: every
@@ -209,12 +207,12 @@ let check (t : Template.t) =
          evidence the self-decryption it is supposed to match.  A back
          edge alone (slammer's self-send loop) makes no such claim. *)
       let has_back_edge =
-        List.exists (fun q -> pstep_of q = Template.Back_edge) t.Template.steps
+        List.exists (fun q -> Template.pstep q = Template.Back_edge) t.Template.steps
       in
       let reads_memory =
         List.exists
           (fun q ->
-            match pstep_of q with
+            match Template.pstep q with
             | Template.Load _ | Template.Mem_transform _ -> true
             | _ -> false)
           t.Template.steps
@@ -248,7 +246,7 @@ let width_doms (t : Template.t) =
   in
   List.fold_left
     (fun acc q ->
-      match pstep_of q with
+      match Template.pstep q with
       | Template.Syscall { al; bl; _ } -> bind (bind acc al) bl
       | Template.Mem_transform { key; width = Template.W8; _ } -> bind acc key
       | _ -> acc)

@@ -1,7 +1,5 @@
 open Template
 
-let pstep_of = function Once p | Many p -> p
-
 (* Correspondence from [b]'s variables to [a]'s side: register variables
    map injectively to register variables; constant variables map to an
    [a] constant variable or to a literal [a] forces at that position. *)
@@ -102,7 +100,7 @@ let tvars_of_pstep = function
 
 let tvars steps =
   List.sort_uniq compare
-    (List.concat_map (fun q -> tvars_of_pstep (pstep_of q)) steps)
+    (List.concat_map (fun q -> tvars_of_pstep (pstep q)) steps)
 
 (* [b]'s guard, translated through [env], entailed by [a]'s guards. *)
 let guard_implied adoms aguards env g =
@@ -143,7 +141,7 @@ let subsumes (a : t) (b : t) =
   &&
   let adoms = Guards.infer a.guards in
   let asteps = Array.of_list a.steps and bsteps = Array.of_list b.steps in
-  let b_back_edge = List.exists (fun q -> pstep_of q = Back_edge) b.steps in
+  let b_back_edge = List.exists (fun q -> pstep q = Back_edge) b.steps in
   let a_tvars = tvars a.steps in
   let block s =
     let rec go k env =
@@ -152,7 +150,7 @@ let subsumes (a : t) (b : t) =
         let qa = asteps.(s + k) and qb = bsteps.(k) in
         if not (quant_implies qa qb) then None
         else
-          match pstep_implies adoms env (pstep_of qa) (pstep_of qb) with
+          match pstep_implies adoms env (pstep qa) (pstep qb) with
           | Some env -> go (k + 1) env
           | None -> None
     in

@@ -1,5 +1,3 @@
-let pstep_of = function Template.Once p | Template.Many p -> p
-
 (* pvals of a step, in the order the matcher evaluates them (a [Bind]
    earlier in the same step is visible to a [Same] later in it) *)
 let pvals = function
@@ -15,7 +13,7 @@ let bound_cvars steps =
     (fun q ->
       List.filter_map
         (function Template.Bind c -> Some c | _ -> None)
-        (pvals (pstep_of q)))
+        (pvals (Template.pstep q)))
     steps
 
 let guard_vars = function
@@ -43,7 +41,7 @@ let check ?subject (t : Template.t) =
     out := Finding.v ~code ~severity ~subject ?loc message :: !out
   in
   let step_loc i = Printf.sprintf "step %d" i in
-  let steps = List.mapi (fun i q -> (i + 1, pstep_of q)) t.Template.steps in
+  let steps = List.mapi (fun i q -> (i + 1, Template.pstep q)) t.Template.steps in
 
   (* --- constant variables: Same before Bind (SL002) ---------------- *)
   let _ =

@@ -538,7 +538,13 @@ let prop_byte_evidence =
    (a) unless the step faults, EIP ends where [Insn.flow] says;
    (b) when changing a register other than ESP changes the outcome, EIP,
        the flags, memory or a register the instruction writes, that
-       register is one [Defuse.reads] lists. *)
+       register is one [Defuse.reads] lists;
+   (c) every register the step changes, ESP aside, is one [Sem.lift]
+       writes;
+   (d) a step that stores to the arena has an operation the lift marks
+       as writing memory, and a step that stops at [int n] lifts to
+       [S_syscall n].
+   (c) and (d) are one-sided: the lift may over-approximate. *)
 
 module Defuse = Sanids_ir.Defuse
 module Trace = Sanids_ir.Trace
@@ -546,7 +552,14 @@ module Sem = Sanids_ir.Sem
 
 let views_arena = 8192
 
-type machine_state = { outcome : string; eip : int32; regs : int32 list; flags : int; mem : string }
+type machine_state = {
+  outcome : string;
+  eip : int32;
+  regs : int32 list;
+  flags : int;
+  mem : string;
+  written : int;  (** arena bytes the guest stored *)
+}
 
 let step_once code regs flags data =
   let emu = Emulator.create ~arena_size:views_arena ~code () in
@@ -572,6 +585,7 @@ let step_once code regs flags data =
       regs = List.map (Emulator.reg emu) (Array.to_list Reg.all);
       flags = Emulator.flags_word emu;
       mem = Option.get (Emulator.read_mem_opt emu Emulator.code_base views_arena);
+      written = Emulator.written_count emu;
     },
     popped )
 
@@ -608,7 +622,7 @@ let reads_cover_dependencies ~code regs flags data =
       let others s = List.filteri (fun k _ -> k <> Reg.code r) s.regs in
       let written = final base <> v || final moved <> v' in
       let depends =
-        { base with regs = [] } <> { moved with regs = [] }
+        { base with regs = []; written = 0 } <> { moved with regs = []; written = 0 }
         || others base <> others moved
         || (written && final base <> final moved)
       in
@@ -620,6 +634,17 @@ let writes_cover_changes i ~code regs flags data =
   let after, _ = step_once code regs flags data in
   let writes = List.concat_map Sem.writes (Array.to_list (Sem.lift i)) in
   List.for_all (fun (r, v) -> List.nth after.regs (Reg.code r) = v || List.mem r writes) regs
+
+(* A store shows in the lift as a memory write, a stop at [int n] as
+   [S_syscall n]. *)
+let lift_covers_effects i ~code regs flags data =
+  let after, _ = step_once code regs flags data in
+  let ops = Sem.lift i in
+  (after.written = 0 || Array.exists Sem.writes_memory ops)
+  &&
+  match Scanf.sscanf_opt after.outcome "syscall %d%!" Fun.id with
+  | None -> true
+  | Some n -> Array.mem (Sem.S_syscall n) ops && Sem.kinds ops land Sem.k_syscall <> 0
 
 (* Half the cases are nullary: their operands are all implicit, where
    the views and the implicit lists can disagree. *)
@@ -644,7 +669,8 @@ let prop_views_match_emulator =
       let data = Rng.bytes rng (views_arena - String.length code) in
       flow_holds i ~len:(String.length code) (step_once code regs flags data)
       && reads_cover_dependencies ~code regs flags data
-      && writes_cover_changes i ~code regs flags data)
+      && writes_cover_changes i ~code regs flags data
+      && lift_covers_effects i ~code regs flags data)
 
 let properties =
   List.map QCheck_alcotest.to_alcotest

@@ -14,6 +14,12 @@ val ones_complement : int -> Slice.t -> int
     summed as if it started at an even offset of its datagram,
     whatever its offset in the backing string. *)
 
+val ones_complement_sub : int -> Slice.t -> off:int -> len:int -> int
+(** [ones_complement_sub acc s ~off ~len] is
+    [ones_complement acc (Slice.sub s ~off ~len)] without building the
+    view: how the IPv4 decoder verifies its header in place.
+    @raise Invalid_argument when the range is not within [s]. *)
+
 val pseudo_header : src:Ipaddr.t -> dst:Ipaddr.t -> proto:int -> len:int -> int
 (** The IPv4 pseudo-header's contribution to the sum: the 16-bit halves
     of [src] and [dst], plus [proto] and [len] — the same total as

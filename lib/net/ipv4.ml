@@ -45,7 +45,7 @@ let decode s =
     else
       let total_len = Slice.get_u16_be s 2 in
       if total_len < ihl || total_len > Slice.length s then Error "bad total length"
-      else if Checksum.ones_complement 0 (Slice.sub s ~off:0 ~len:ihl) <> 0 then
+      else if Checksum.ones_complement_sub 0 s ~off:0 ~len:ihl <> 0 then
         Error "bad header checksum"
       else
         Ok

@@ -36,7 +36,11 @@ type counters = {
 }
 
 (* Stage timers, resolved once: Span.with_ re-derives the metric name
-   and help string per call, which the per-packet path cannot afford. *)
+   and help string per call, which the per-packet path cannot afford.
+   Each site opens a span with [Span.start] and closes it with
+   [Span.stop], on the exception path too, with no closure.  Classify
+   costs about as much as its two clock reads, so it is timed on about
+   1 call in [Span.sample_period]; the other stages on every call. *)
 type stages = {
   st_classify : Obs.Span.stage;
   st_gate : Obs.Span.stage;
@@ -52,7 +56,6 @@ type t = {
   cfg : Config.t;
   classifier : Classifier.t;
   reg : Obs.Registry.t;
-  tracer : Obs.Span.tracer option;
   m : counters;
   st : stages;
   names : string list;  (* distinct template names, in template order *)
@@ -100,7 +103,7 @@ let create ?tracer (cfg : Config.t) =
     | Error msg -> invalid_arg ("Pipeline.create: " ^ msg)
   in
   let reg = Obs.Registry.create () in
-  let stage = Obs.Span.stage reg in
+  let stage ?sampled name = Obs.Span.stage ?tracer ?sampled reg name in
   {
     cfg;
     classifier =
@@ -108,11 +111,10 @@ let create ?tracer (cfg : Config.t) =
         ~unused:cfg.Config.unused ~scan_threshold:cfg.Config.scan_threshold
         ~enabled:cfg.Config.classification_enabled ();
     reg;
-    tracer;
     m = counters_of reg;
     st =
       {
-        st_classify = stage "classify";
+        st_classify = stage ~sampled:true "classify";
         st_gate = stage "gate";
         st_cache = stage "cache";
         st_extract = stage "extract";
@@ -146,8 +148,6 @@ let create ?tracer (cfg : Config.t) =
          Some (Lru.create cfg.Config.verdict_cache_size)
        else None);
   }
-
-let span t st f = Obs.Span.time ?tracer:t.tracer st f
 
 let count_truncated t reason =
   Obs.Registry.incr
@@ -195,29 +195,45 @@ type work = {
    cached, and a repeated buffer that passes pays the gate again before
    its hit.  With extraction off every buffer goes to the matcher. *)
 let gate t w =
-  if
-    t.cfg.Config.extraction_enabled
-    && not (span t t.st.st_gate (fun () -> Extractor.suspicious w.buffer))
-  then w.settled <- true
-  else Obs.Registry.incr t.m.prefilter_hits
+  let suspicious =
+    (not t.cfg.Config.extraction_enabled)
+    ||
+    let st = t.st.st_gate in
+    let t0 = Obs.Span.start st in
+    match Extractor.suspicious w.buffer with
+    | s ->
+        Obs.Span.stop st t0;
+        s
+    | exception e ->
+        Obs.Span.stop st t0;
+        raise e
+  in
+  if suspicious then Obs.Registry.incr t.m.prefilter_hits else w.settled <- true
 
 (* A hit replays the stored verdicts and skips every later stage, the
    breaker's bookkeeping included. *)
 let cache_lookup t w =
   match t.cache with
   | None -> ()
-  | Some cache ->
-      span t t.st.st_cache (fun () ->
-          (* keyed on materialized bytes (content equality, not view
-             identity): free when the buffer is a whole view, and a
-             cached buffer must own its bytes anyway *)
-          w.key <- Slice.to_string w.buffer;
-          match Lru.find cache w.key with
-          | Some verdicts ->
-              Obs.Registry.incr t.m.vcache_hits;
-              w.verdicts <- verdicts;
-              w.settled <- true
-          | None -> Obs.Registry.incr t.m.vcache_misses)
+  | Some cache -> (
+      let st = t.st.st_cache in
+      let t0 = Obs.Span.start st in
+      (* keyed on materialized bytes (content equality, not view
+         identity): free when the buffer is a whole view, and a cached
+         buffer must own its bytes anyway *)
+      w.key <- Slice.to_string w.buffer;
+      match Lru.find cache w.key with
+      | Some verdicts ->
+          Obs.Span.stop st t0;
+          Obs.Registry.incr t.m.vcache_hits;
+          w.verdicts <- verdicts;
+          w.settled <- true
+      | None ->
+          Obs.Span.stop st t0;
+          Obs.Registry.incr t.m.vcache_misses
+      | exception e ->
+          Obs.Span.stop st t0;
+          raise e)
 
 let breaker_admit t w =
   match t.breaker with
@@ -238,9 +254,17 @@ let breaker_admit t w =
 let extract_match t w =
   let budget = Option.map Budget.start t.cfg.Config.analysis_budget in
   let frames =
-    if t.cfg.Config.extraction_enabled then
-      span t t.st.st_extract (fun () ->
-          Extractor.extract ?budget ~metrics:t.reg w.buffer)
+    if t.cfg.Config.extraction_enabled then begin
+      let st = t.st.st_extract in
+      let t0 = Obs.Span.start st in
+      match Extractor.extract ?budget ~metrics:t.reg w.buffer with
+      | frames ->
+          Obs.Span.stop st t0;
+          frames
+      | exception e ->
+          Obs.Span.stop st t0;
+          raise e
+    end
     else
       match budget with
       | Some b when not (Budget.take_bytes b (Slice.length w.buffer)) -> []
@@ -251,10 +275,19 @@ let extract_match t w =
     let data = frame.Extractor.data in
     Obs.Registry.incr t.m.frames;
     Obs.Registry.add t.m.frame_bytes (Slice.length data);
+    let st = t.st.st_match in
+    let t0 = Obs.Span.start st in
     let report =
-      span t t.st.st_match (fun () ->
-          Matcher.scan_report_slice ?budget ?step_cap:t.step_cap ~metrics:t.reg
-            ~templates:w.templates data)
+      match
+        Matcher.scan_report_slice ?budget ?step_cap:t.step_cap ~metrics:t.reg
+          ~templates:w.templates data
+      with
+      | report ->
+          Obs.Span.stop st t0;
+          report
+      | exception e ->
+          Obs.Span.stop st t0;
+          raise e
     in
     w.tripped <- report.Matcher.tripped @ w.tripped;
     List.map
@@ -306,29 +339,43 @@ let confirm t w =
   match t.cfg.Config.confirm with
   | None -> ()
   | Some _ when w.verdicts = [] -> ()
-  | Some config ->
-      w.verdicts <-
-        span t t.st.st_confirm (fun () ->
-            List.map
-              (fun (v : verdict) ->
-                let code = Slice.to_string v.frame.Extractor.data in
-                let entry = (Matcher.evidence v.match_).Matcher.ev_entry in
-                (* abstract pre-stage: when it proves the emulator must
-                   refute, skip the emulator entirely *)
-                let refutation =
-                  if t.cfg.Config.static_refute then
-                    span t t.st.st_static (fun () ->
-                        Sanids_confirm.Static_refute.run ~config ~code ~entry ())
-                  else None
-                in
-                let outcome =
-                  match refutation with
-                  | Some reason -> Confirm.Statically_refuted reason
-                  | None -> Confirm.run ~config ~code ~entry ()
-                in
-                count_confirm t outcome;
-                { v with confirmation = Some outcome })
-              w.verdicts)
+  | Some config -> (
+      let confirm_one (v : verdict) =
+        let code = Slice.to_string v.frame.Extractor.data in
+        let entry = (Matcher.evidence v.match_).Matcher.ev_entry in
+        (* abstract pre-stage: when it proves the emulator must refute,
+           skip the emulator entirely *)
+        let refutation =
+          if t.cfg.Config.static_refute then begin
+            let st = t.st.st_static in
+            let t0 = Obs.Span.start st in
+            match Sanids_confirm.Static_refute.run ~config ~code ~entry () with
+            | r ->
+                Obs.Span.stop st t0;
+                r
+            | exception e ->
+                Obs.Span.stop st t0;
+                raise e
+          end
+          else None
+        in
+        let outcome =
+          match refutation with
+          | Some reason -> Confirm.Statically_refuted reason
+          | None -> Confirm.run ~config ~code ~entry ()
+        in
+        count_confirm t outcome;
+        { v with confirmation = Some outcome }
+      in
+      let st = t.st.st_confirm in
+      let t0 = Obs.Span.start st in
+      match List.map confirm_one w.verdicts with
+      | verdicts ->
+          Obs.Span.stop st t0;
+          w.verdicts <- verdicts
+      | exception e ->
+          Obs.Span.stop st t0;
+          raise e)
 
 (* Conjunctive pattern matching for the degraded pass: a candidate
    template counts as (tentatively) present when every one of its
@@ -407,11 +454,18 @@ let cache_admit t w =
         w.outcome = Budget.Complete
         && (not w.degraded) && w.excluded = [] && w.tripped = []
         && (Option.is_none t.cfg.Config.confirm || List.for_all confirmed w.verdicts)
-      then
-        span t t.st.st_cache (fun () ->
-            let before = Lru.evictions cache in
-            Lru.add cache w.key (List.map (fun v -> { v with cached = true }) w.verdicts);
-            Obs.Registry.add t.m.vcache_evictions (Lru.evictions cache - before))
+      then begin
+        let st = t.st.st_cache in
+        let t0 = Obs.Span.start st in
+        let before = Lru.evictions cache in
+        match Lru.add cache w.key (List.map (fun v -> { v with cached = true }) w.verdicts) with
+        | () ->
+            Obs.Span.stop st t0;
+            Obs.Registry.add t.m.vcache_evictions (Lru.evictions cache - before)
+        | exception e ->
+            Obs.Span.stop st t0;
+            raise e
+      end
 
 let stages =
   [ gate; cache_lookup; breaker_admit; extract_match; breaker_record; dedup;
@@ -424,14 +478,20 @@ let rec run t w = function
       if not w.settled then run t w rest
 
 let analyze_report_slice t buffer =
-  span t t.st.st_analyze (fun () ->
-      let w =
-        { buffer; settled = false; key = ""; templates = t.cfg.Config.templates;
-          excluded = []; tripped = []; verdicts = []; outcome = Budget.Complete;
-          degraded = false }
-      in
-      run t w stages;
-      { verdicts = w.verdicts; outcome = w.outcome; degraded = w.degraded })
+  let st = t.st.st_analyze in
+  let t0 = Obs.Span.start st in
+  let w =
+    { buffer; settled = false; key = ""; templates = t.cfg.Config.templates;
+      excluded = []; tripped = []; verdicts = []; outcome = Budget.Complete;
+      degraded = false }
+  in
+  match run t w stages with
+  | () ->
+      Obs.Span.stop st t0;
+      { verdicts = w.verdicts; outcome = w.outcome; degraded = w.degraded }
+  | exception e ->
+      Obs.Span.stop st t0;
+      raise e
 
 let analyze_report t buffer = analyze_report_slice t (Slice.of_string buffer)
 
@@ -449,7 +509,18 @@ let process_packet t packet =
   Obs.Registry.incr t.m.packets;
   let payload = Packet.payload packet in
   Obs.Registry.add t.m.bytes (Slice.length payload);
-  match span t t.st.st_classify (fun () -> Classifier.classify t.classifier packet) with
+  let st = t.st.st_classify in
+  let t0 = Obs.Span.start st in
+  let verdict =
+    match Classifier.classify t.classifier packet with
+    | v ->
+        Obs.Span.stop st t0;
+        v
+    | exception e ->
+        Obs.Span.stop st t0;
+        raise e
+  in
+  match verdict with
   | Classifier.Benign -> []
   | Classifier.Suspicious reason -> (
       Obs.Registry.incr t.m.suspicious;

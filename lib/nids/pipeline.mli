@@ -56,6 +56,9 @@ type analysis = {
 
 val create : ?tracer:Sanids_obs.Span.tracer -> Config.t -> t
 (** [tracer] attaches JSONL span tracing to the pipeline's stage timers.
+    Without one, the classify stage is timed on about 1 call in
+    {!Sanids_obs.Span.sample_period} (see {!Sanids_obs.Span}); with one,
+    every call of every stage is timed and traced.
     @raise Invalid_argument when {!Config.validate} rejects the
     configuration. *)
 

@@ -36,6 +36,32 @@ let test_hist_bucketing () =
           (v > H.bucket_upper (i - 1)))
     [ 1e-9; 3e-9; 1e-6; 4.2e-5; 1e-3; 0.9; 12.0 ]
 
+(* Integer bucketing at every power-of-two edge: bucket [i] holds
+   [2^(i-1), 2^i) ns, except that bucket 0 takes everything up to 1 ns
+   (so bucket 1 stays empty).  So [2^k - 1] is in bucket k, and [2^k]
+   and [2^k + 1] in bucket k + 1, for k = 0 to 61 but the low edge (0
+   and 1 in bucket 0, 2 in bucket 2); 2^62 - 1, the largest int, is in
+   bucket 62. *)
+let test_hist_ns_boundaries () =
+  let bucket what n expect =
+    Alcotest.(check int) (Printf.sprintf "%s (%d ns)" what n) expect (H.bucket_of_ns n)
+  in
+  List.iter (fun n -> bucket "at most 1 ns" n 0) [ min_int; -1; 0; 1 ];
+  for k = 1 to 61 do
+    let p = 1 lsl k in
+    bucket (Printf.sprintf "2^%d - 1" k) (p - 1) (if k = 1 then 0 else k);
+    bucket (Printf.sprintf "2^%d" k) p (k + 1);
+    bucket (Printf.sprintf "2^%d + 1" k) (p + 1) (k + 1)
+  done;
+  bucket "2^62 - 1" max_int 62;
+  (* observe_ns lands where bucket_of_ns says and sums integers *)
+  let h = H.create () in
+  List.iter (H.observe_ns h) [ -5; 0; 1; 2; 3; 1023; 1024 ];
+  let s = H.snap h in
+  Alcotest.(check (list int)) "occupied buckets" [ 3; 0; 2; 0; 0; 0; 0; 0; 0; 0; 1; 1 ]
+    (Array.to_list (Array.sub s.H.counts 0 12));
+  Alcotest.(check (float 0.0)) "integer sum, seconds" (2053.0 /. 1e9) (H.sum s)
+
 let test_hist_quantile_upper_bound () =
   let h = H.create () in
   (* 100 observations at ~1ms: every quantile's bucket bound must cover
@@ -287,7 +313,8 @@ let test_jsonl_exact () =
   List.iter
     (fun (name, v) -> R.set_gauge (R.gauge r name) v)
     [ ("sanids_inf", infinity); ("sanids_neg_inf", neg_infinity); ("sanids_nan", Float.nan) ];
-  H.observe (R.histogram r "sanids_h_seconds") 0.00123456789;
+  (* 13 significant digits, all of them whole nanoseconds *)
+  H.observe (R.histogram r "sanids_h_seconds") 1234.567890123;
   let snap = R.snapshot r in
   let text = Obs.Export.to_jsonl snap in
   let records =
@@ -303,8 +330,8 @@ let test_jsonl_exact () =
     let rec go i = i + n <= m && (String.sub text i n = needle || go (i + 1)) in
     go 0
   in
-  Alcotest.(check bool) "sum digits" true (has {|"sum":0.00123456789|});
-  Alcotest.(check bool) "bucket bound digits" true (has "[0.002097152,1]");
+  Alcotest.(check bool) "sum digits" true (has {|"sum":1234.567890123|});
+  Alcotest.(check bool) "bucket bound digits" true (has "[2199.023255552,1]");
   Alcotest.(check bool) "inf as a string" true (has {|"value":"inf"|});
   match Obs.Export.of_records records with
   | Error m -> Alcotest.fail m
@@ -317,6 +344,57 @@ let test_jsonl_exact () =
 
 (* ------------------------------------------------------------------ *)
 (* Spans *)
+
+(* The sampled stage, driven by injected durations (no clock read): a
+   call the sampler leaves untimed records the last timed duration.
+   Counts and bucket totals are exact; the sum estimates the exact sum
+   within 3%, over a fixed-seed i.i.d. stream and over a stream that
+   repeats with period 64 (a replayed pool of 64 records, one of them
+   20x as slow).  Timing every 16th call would never see that record:
+   its estimate is 23% low, so the stream does tell gaps drawn at
+   random from a fixed stride. *)
+let test_span_sampled_sum () =
+  let n = 16 * 65_536 in
+  let check what durations =
+    let r = R.create () in
+    let st = Obs.Span.stage ~sampled:true r "classify" in
+    let exact = ref 0 in
+    for i = 0 to n - 1 do
+      let d = durations i in
+      exact := !exact + d;
+      Obs.Span.observe_ns st d
+    done;
+    let h = S.histogram (R.snapshot r) (Obs.Span.metric_of_stage "classify") in
+    Alcotest.(check int) (what ^ ": count exact") n (H.count h);
+    Alcotest.(check int) (what ^ ": buckets sum to count") n
+      (Array.fold_left ( + ) 0 h.H.counts);
+    let exact = float_of_int !exact /. 1e9 in
+    let err = abs_float (H.sum h -. exact) /. exact in
+    if err > 0.03 then
+      Alcotest.failf "%s: sampled sum %.6f s is %.1f%% off the exact %.6f s" what
+        (H.sum h) (100.0 *. err) exact
+  in
+  let rng = Rng.create 0x5A3F1EL in
+  let iid = Array.init n (fun _ -> 50 + Rng.int rng 951) in
+  check "i.i.d." (Array.get iid);
+  let pool i = if i mod 64 = 5 then 2000 else 100 in
+  check "period 64" pool;
+  let strided = ref 0 and exact = ref 0 in
+  for i = 0 to n - 1 do
+    exact := !exact + pool i;
+    strided := !strided + pool (i - (i mod Obs.Span.sample_period))
+  done;
+  Alcotest.(check bool) "a fixed stride misses the slow record" true
+    (float_of_int !strided < 0.8 *. float_of_int !exact)
+
+(* An exact stage records every call's own duration. *)
+let test_span_exact_stage () =
+  let r = R.create () in
+  let st = Obs.Span.stage r "gate" in
+  List.iter (Obs.Span.observe_ns st) [ 100; 3000; 7 ];
+  let h = S.histogram (R.snapshot r) (Obs.Span.metric_of_stage "gate") in
+  Alcotest.(check int) "count" 3 (H.count h);
+  Alcotest.(check (float 0.0)) "sum" (3107.0 /. 1e9) (H.sum h)
 
 let test_span_records_histogram () =
   let r = R.create () in
@@ -391,6 +469,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_hist_basics;
           Alcotest.test_case "bucketing" `Quick test_hist_bucketing;
+          Alcotest.test_case "ns bucket boundaries" `Quick test_hist_ns_boundaries;
           Alcotest.test_case "quantile upper bound" `Quick test_hist_quantile_upper_bound;
           Alcotest.test_case "clamps garbage" `Quick test_hist_clamps_garbage;
           Alcotest.test_case "merge" `Quick test_hist_merge;
@@ -419,6 +498,8 @@ let () =
         [
           Alcotest.test_case "records histogram" `Quick test_span_records_histogram;
           Alcotest.test_case "records on raise" `Quick test_span_records_on_raise;
+          Alcotest.test_case "sampled sum" `Quick test_span_sampled_sum;
+          Alcotest.test_case "exact stage" `Quick test_span_exact_stage;
           Alcotest.test_case "tracing and sampling" `Quick test_span_tracing_and_sampling;
         ] );
     ]

@@ -24,12 +24,12 @@ let tests () =
   (* the cold-path scan kernel: a benign binary upload's first raw frame
      (every template survives the prefilter, nothing matches) and a decoy
      decoder (matched, so the search runs to a hit) *)
-  let benign_frame =
+  let benign_upload =
     let binary = { Sanids_workload.Benign_gen.http = 0.0; smtp = 0.0; dns = 0.0; binary = 1.0 } in
-    match
-      Sanids_extract.Extractor.extract
-        (Slice.of_string (Sanids_workload.Benign_gen.payload ~mix:binary rng))
-    with
+    Slice.of_string (Sanids_workload.Benign_gen.payload ~mix:binary rng)
+  in
+  let benign_frame =
+    match Sanids_extract.Extractor.extract benign_upload with
     | f :: _ -> f.Sanids_extract.Extractor.data
     | [] -> failwith "micro: benign binary payload produced no frame"
   in
@@ -84,6 +84,11 @@ let tests () =
       mk "stage/disassemble-4KB" (fun () -> Sanids_x86.Decode.all poly);
       mk "stage/extract-codered" (fun () -> Sanids_extract.Extractor.extract crii_s);
       mk "stage/suspicious-gate" (fun () -> Sanids_extract.Extractor.suspicious benign_s);
+      (* the cold path ahead of the matcher: the gate passes the upload,
+         then extraction cuts its frames *)
+      mk "stage/gate-extract-binary" (fun () ->
+          if Sanids_extract.Extractor.suspicious benign_upload then
+            ignore (Sanids_extract.Extractor.extract benign_upload));
       mk "stage/scan-benign-binary" (fun () ->
           Matcher.scan_report_slice ~templates benign_frame);
       mk "stage/scan-decoy" (fun () -> Matcher.scan_report_slice ~templates decoy);

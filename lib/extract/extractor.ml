@@ -73,12 +73,140 @@ let binary_regions ~min_len ~gap_merge s =
 let is_hex c =
   match c with '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
 
+(* The value of a hex digit the pass has already validated. *)
+let hex_value c =
+  match c with
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | _ -> Char.code c - Char.code 'A' + 10
+
+(* The state of one pass over a payload, kept per domain so that
+   [extract] resumes where [suspicious] stopped.  The tag ([s], [base],
+   [n], [config]) names the view and config it belongs to; [stop < 0]
+   means it holds nothing.  Closed %u runs and merged binary regions
+   are (start, count) and (start, length) pairs in reused int buffers,
+   at most [max_frames] of each: a later one could never become a
+   frame. *)
+type scratch = {
+  mutable busy : bool;
+  mutable s : string;
+  mutable base : int;
+  mutable n : int;
+  mutable config : config;
+  mutable stop : int;  (* the next offset to read *)
+  (* the open %u run: its escapes, and where the next must start (so it
+     started at [u_next - 6 * u_count]) *)
+  mutable u_count : int;
+  mutable u_next : int;
+  (* the open merged binary region [bin_start, bin_end); none while
+     [bin_end < 0] *)
+  mutable bin_start : int;
+  mutable bin_end : int;
+  mutable runs : int array;
+  mutable nruns : int;  (* ints used: two per run *)
+  mutable regions : int array;
+  mutable nregions : int;
+}
+
+let new_scratch () =
+  {
+    busy = false;
+    s = "";
+    base = 0;
+    n = 0;
+    config = default_config;
+    stop = -1;
+    u_count = 0;
+    u_next = -1;
+    bin_start = 0;
+    bin_end = -1;
+    runs = Array.make 8 0;
+    nruns = 0;
+    regions = Array.make 8 0;
+    nregions = 0;
+  }
+
+(* Created on a domain's first gate, never ahead of traffic. *)
+let scratch_key = Domain.DLS.new_key new_scratch
+
+(* The domain's scratch, or a private one for a pass that starts while
+   another holds it (a second thread on the domain). *)
+let acquire () =
+  let sc = Domain.DLS.get scratch_key in
+  if sc.busy then new_scratch ()
+  else begin
+    sc.busy <- true;
+    sc
+  end
+
+let last_gate_stop () = (Domain.DLS.get scratch_key).stop
+
+(* [a] twice as long, its contents kept. *)
+let grow a =
+  let b = Array.make (2 * Array.length a) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Records past [max_frames] are dropped; a negative [max_frames] takes
+   every frame. *)
+let keeps (config : config) k = config.max_frames < 0 || k < 2 * config.max_frames
+
+(* The open %u run of [count] escapes ending where [next] starts, if it
+   is long enough. *)
+let record_run sc count next =
+  let config = sc.config in
+  if count > 0 && count >= config.min_unicode_run && keeps config sc.nruns then begin
+    let k = sc.nruns in
+    if k + 2 > Array.length sc.runs then sc.runs <- grow sc.runs;
+    Array.unsafe_set sc.runs k (next - (6 * count));
+    Array.unsafe_set sc.runs (k + 1) count;
+    sc.nruns <- k + 2
+  end
+
+(* The open merged binary region [start, stop), if there is one and it
+   is long enough. *)
+let record_region sc start stop =
+  let config = sc.config in
+  if stop >= 0 && stop - start >= config.min_binary_region && keeps config sc.nregions then begin
+    let k = sc.nregions in
+    if k + 2 > Array.length sc.regions then sc.regions <- grow sc.regions;
+    Array.unsafe_set sc.regions k start;
+    Array.unsafe_set sc.regions (k + 1) (stop - start);
+    sc.nregions <- k + 2
+  end
+
+(* Tag [sc] with [payload] and [config], and empty it. *)
+let reset sc ~config payload =
+  (* pointer stores only when they change: each is a write barrier *)
+  if sc.s != Slice.base payload then sc.s <- Slice.base payload;
+  sc.base <- Slice.offset payload;
+  sc.n <- Slice.length payload;
+  if sc.config != config then sc.config <- config;
+  sc.stop <- 0;
+  sc.u_count <- 0;
+  sc.u_next <- -1;
+  sc.bin_start <- 0;
+  sc.bin_end <- -1;
+  sc.nruns <- 0;
+  sc.nregions <- 0
+
+(* A %uXXXX escape at [i] of the view [base, base + n) of [s]. *)
+let u_escape_at s base n i =
+  i + 6 <= n
+  && (let u = String.unsafe_get s (base + i + 1) in
+      u = 'u' || u = 'U')
+  && is_hex (String.unsafe_get s (base + i + 2))
+  && is_hex (String.unsafe_get s (base + i + 3))
+  && is_hex (String.unsafe_get s (base + i + 4))
+  && is_hex (String.unsafe_get s (base + i + 5))
+
 (* The suspicion gate runs on every payload, so it is one left-to-right
-   pass that decides the disjunction of the five list scanners below
-   ([Unicode.unicode_runs], [Repetition.runs], [Repetition.sled_like],
-   [Repetition.ret_address_runs], [binary_regions]) without building
-   any of their lists, and stops at the first indicator.  Each scanner
-   is an existential over positions, so per-position state suffices:
+   pass over the tagged view that decides the disjunction of the five
+   list scanners ([Unicode.unicode_runs], [Repetition.runs],
+   [Repetition.sled_like], [Repetition.ret_address_runs],
+   [binary_regions]) without building any of their lists, and stops at
+   the first indicator.  Each scanner is an existential over positions,
+   so per-position state suffices:
 
    - %u runs: escapes cannot overlap, so an escape continues a run iff
      the previous one sat exactly six bytes earlier;
@@ -89,6 +217,8 @@ let is_hex c =
    - binary regions: merged regions only grow, so the region ending
      here is reportable as soon as it spans [min_binary_region].
 
+   As it goes it records each %u run and merged binary region that
+   closes, and it leaves where it stopped in [sc] for [extract_pass].
    The repetition scanners honour the frame-size ceiling: structure past
    it could never become (part of) a frame, so an adversarially long
    reassembled stream costs O(max_frame_bytes), not O(stream).  Bytes
@@ -96,12 +226,14 @@ let is_hex c =
    are never inlined across the library boundary.  For the same reason
    the text and NOP-like tests are one lookup in [classes], not calls to
    [is_text] and [Repetition.nop_like]. *)
-let suspicious ?(config = default_config) payload =
-  let s = Slice.base payload and base = Slice.offset payload in
-  let n = Slice.length payload in
+let gate_pass sc =
+  let s = sc.s and base = sc.base and n = sc.n and config = sc.config in
   let window = min n config.max_frame_bytes in
   let min_run = config.min_unicode_run and min_repeat = config.min_repeat in
-  let min_region = config.min_binary_region and gap_merge = config.gap_merge in
+  let min_region = config.min_binary_region in
+  (* a non-text byte opens a new region when more than [gap] text bytes
+     separate it from the open one's end (adjacent bytes never do) *)
+  let gap = max 0 config.gap_merge in
   let sled_min = Repetition.default_sled_len in
   let ret_min = Repetition.default_ret_count in
   (* [ret_min] dwords from [i] on, all inside the window, agree on their
@@ -132,20 +264,11 @@ let suspicious ?(config = default_config) payload =
     done;
     !agree
   in
-  let u_escape_at i =
-    i + 6 <= n
-    && (let u = String.unsafe_get s (base + i + 1) in
-        u = 'u' || u = 'U')
-    && is_hex (String.unsafe_get s (base + i + 2))
-    && is_hex (String.unsafe_get s (base + i + 3))
-    && is_hex (String.unsafe_get s (base + i + 4))
-    && is_hex (String.unsafe_get s (base + i + 5))
-  in
   let found = ref false in
   let rep = ref 0 and sled = ref 0 in
-  (* escapes in the current %u run, and where the next one must start *)
+  (* escapes in the open %u run, and where the next one must start *)
   let u_count = ref 0 and u_next = ref (-1) in
-  (* current merged binary region [bin_start, bin_end); none while
+  (* the open merged binary region [bin_start, bin_end); none while
      [bin_end < 0] *)
   let bin_start = ref 0 and bin_end = ref (-1) in
   let i = ref 0 in
@@ -158,20 +281,77 @@ let suspicious ?(config = default_config) payload =
       if cls land nop_bit <> 0 then incr sled else sled := 0;
       if !rep >= min_repeat || !sled >= sled_min || ret_run_at i' then found := true
     end;
-    if c = '%' && u_escape_at i' then begin
-      if i' = !u_next then incr u_count else u_count := 1;
+    if c = '%' && u_escape_at s base n i' then begin
+      if i' = !u_next then incr u_count
+      else begin
+        record_run sc !u_count !u_next;
+        u_count := 1
+      end;
       u_next := i' + 6;
       if !u_count >= min_run then found := true
     end
     else if cls land text_bit = 0 then begin
-      if !bin_end < 0 || (i' > !bin_end && i' - !bin_end > gap_merge) then
-        bin_start := i';
+      if !bin_end < 0 || i' - !bin_end > gap then begin
+        record_region sc !bin_start !bin_end;
+        bin_start := i'
+      end;
       bin_end := i' + 1;
       if !bin_end - !bin_start >= min_region then found := true
     end;
     incr i
   done;
+  sc.stop <- !i;
+  sc.u_count <- !u_count;
+  sc.u_next <- !u_next;
+  sc.bin_start <- !bin_start;
+  sc.bin_end <- !bin_end;
   !found
+
+(* The rest of the gate's pass: from where [gate_pass] stopped to the
+   end of the payload, the same %u run and binary region tracking with
+   the repetition tests left out (they only decide suspicion), then the
+   open run and region closed.  It is its own loop because it mostly
+   reads binary data, where the text bit is a coin toss: it tracks
+   regions without a branch on that bit, which would mispredict at
+   every other byte, while the gate mostly reads text and keeps the
+   branch. *)
+let extract_pass sc =
+  let s = sc.s and base = sc.base and n = sc.n in
+  let gap = max 0 sc.config.gap_merge in
+  let u_count = ref sc.u_count and u_next = ref sc.u_next in
+  let bin_start = ref sc.bin_start and bin_end = ref sc.bin_end in
+  for i' = sc.stop to n - 1 do
+    let c = String.unsafe_get s (base + i') in
+    if c = '%' && u_escape_at s base n i' then begin
+      if i' = !u_next then incr u_count
+      else begin
+        record_run sc !u_count !u_next;
+        u_count := 1
+      end;
+      u_next := i' + 6
+    end
+    else begin
+      let nt = 1 - (byte_class c land text_bit) in
+      if nt land Bool.to_int (!bin_end < 0 || i' - !bin_end > gap) <> 0 then begin
+        record_region sc !bin_start !bin_end;
+        bin_start := i'
+      end;
+      bin_end := !bin_end + (nt * (i' + 1 - !bin_end))
+    end
+  done;
+  record_run sc !u_count !u_next;
+  record_region sc !bin_start !bin_end
+
+let suspicious ?(config = default_config) payload =
+  let sc = acquire () in
+  reset sc ~config payload;
+  match gate_pass sc with
+  | found ->
+      sc.busy <- false;
+      found
+  | exception e ->
+      sc.busy <- false;
+      raise e
 
 module Obs = Sanids_obs
 
@@ -194,51 +374,85 @@ let record_frames reg frames =
     "frames cut from raw binary regions" raw;
   bump "sanids_extract_bytes_total" "bytes across all extracted frames" bytes
 
-let extract_frames ?budget ~config payload =
-  let n = Slice.length payload in
-  let unicode_frames =
-    List.map
-      (fun (r : Unicode.run) ->
-        {
-          off = r.Unicode.off;
-          data = Slice.of_string r.Unicode.decoded;
-          origin = Unicode_escape;
-        })
-      (Unicode.unicode_runs ~min_run:config.min_unicode_run
-         ~max_decoded:config.max_frame_bytes payload)
+(* Decoded bytes of a %u run of [count] escapes under the frame-size
+   cap: two per escape while fewer than [cap] are out, as
+   [Unicode.unicode_runs ~max_decoded:cap] emits them. *)
+let decoded_len ~cap count =
+  if cap <= 0 then 0 else if 2 * count <= cap then 2 * count else cap + (cap land 1)
+
+(* A %u frame, decoded straight from the escapes the pass validated. *)
+let unicode_frame ~(config : config) payload start count =
+  let s = Slice.base payload and p0 = Slice.offset payload + start in
+  let b = Bytes.create (decoded_len ~cap:config.max_frame_bytes count) in
+  for k = 0 to (Bytes.length b / 2) - 1 do
+    let p = p0 + (6 * k) in
+    let v =
+      (hex_value (String.unsafe_get s (p + 2)) lsl 12)
+      lor (hex_value (String.unsafe_get s (p + 3)) lsl 8)
+      lor (hex_value (String.unsafe_get s (p + 4)) lsl 4)
+      lor hex_value (String.unsafe_get s (p + 5))
+    in
+    Bytes.unsafe_set b (2 * k) (Char.unsafe_chr (v land 0xFF));
+    Bytes.unsafe_set b ((2 * k) + 1) (Char.unsafe_chr (v lsr 8))
+  done;
+  { off = start; data = Slice.of_string (Bytes.unsafe_to_string b); origin = Unicode_escape }
+
+(* A raw frame around a binary region: a re-view of the payload, not a
+   copy. *)
+let raw_frame ~(config : config) payload o l =
+  let start = max 0 (o - config.context_before) in
+  let stop = min (Slice.length payload) (o + l + config.context_after) in
+  let stop = min stop (start + config.max_frame_bytes) in
+  { off = start; data = Slice.sub payload ~off:start ~len:(stop - start); origin = Raw_binary }
+
+(* The extraction phase, resumed where the gate stopped when [sc] holds
+   the gate's state for this very view and config, else run over the
+   whole payload; then frames in payload order from the records.  Both
+   record lists are sorted, and so are the frames cut from them, so the
+   order is a merge that puts a %u frame first on a tie.  Each frame's
+   bytes are taken from the budget before it is emitted: the frame that
+   exhausts the fuel and everything after it are dropped, while
+   everything materialized so far is still analyzed. *)
+let extract_frames sc ?budget ~config payload =
+  if
+    not
+      (sc.stop >= 0
+      && sc.s == Slice.base payload
+      && sc.base = Slice.offset payload
+      && sc.n = Slice.length payload
+      && sc.config == config)
+  then reset sc ~config payload;
+  extract_pass sc;
+  (* consumed: a later [extract] of the same view runs whole, and the
+     scratch no longer pins the payload's backing string *)
+  sc.stop <- -1;
+  sc.s <- "";
+  let runs = sc.runs and nruns = sc.nruns in
+  let regions = sc.regions and nregions = sc.nregions in
+  let admit f =
+    match budget with None -> true | Some b -> Budget.take_bytes b (Slice.length f.data)
   in
-  let raw_frames =
-    List.map
-      (fun (o, l) ->
-        let start = max 0 (o - config.context_before) in
-        let stop = min n (o + l + config.context_after) in
-        let stop = min stop (start + config.max_frame_bytes) in
-        (* a raw frame is a re-view of the payload, not a copy *)
-        {
-          off = start;
-          data = Slice.sub payload ~off:start ~len:(stop - start);
-          origin = Raw_binary;
-        })
-      (binary_regions ~min_len:config.min_binary_region ~gap_merge:config.gap_merge
-         payload)
+  let rec take k ui ri =
+    if k = 0 || (ui >= nruns && ri >= nregions) then []
+    else if
+      ui < nruns
+      && (ri >= nregions || runs.(ui) <= max 0 (regions.(ri) - config.context_before))
+    then
+      let f = unicode_frame ~config payload runs.(ui) runs.(ui + 1) in
+      if admit f then f :: take (k - 1) (ui + 2) ri else []
+    else
+      let f = raw_frame ~config payload regions.(ri) regions.(ri + 1) in
+      if admit f then f :: take (k - 1) ui (ri + 2) else []
   in
-  let all =
-    List.sort (fun a b -> compare a.off b.off) (unicode_frames @ raw_frames)
-  in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | f :: tl -> (
-        match budget with
-        | Some b when not (Budget.take_bytes b (Slice.length f.data)) ->
-            (* out of extraction fuel: everything materialized so far is
-               still analyzed, the rest of the payload is not *)
-            []
-        | Some _ | None -> f :: take (k - 1) tl)
-  in
-  take config.max_frames all
+  take config.max_frames 0 0
 
 let extract ?budget ?metrics ?(config = default_config) payload =
-  let frames = extract_frames ?budget ~config payload in
-  (match metrics with None -> () | Some reg -> record_frames reg frames);
-  frames
+  let sc = acquire () in
+  match extract_frames sc ?budget ~config payload with
+  | frames ->
+      sc.busy <- false;
+      (match metrics with None -> () | Some reg -> record_frames reg frames);
+      frames
+  | exception e ->
+      sc.busy <- false;
+      raise e

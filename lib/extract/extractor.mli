@@ -44,7 +44,17 @@ val suspicious : ?config:config -> Slice.t -> bool
     with [min_unicode_run], {!Repetition.runs} with [min_repeat],
     {!Repetition.sled_like}, {!Repetition.ret_address_runs} — the last
     three windowed to [max_frame_bytes] — and {!binary_regions}) being
-    non-empty. *)
+    non-empty.
+
+    The pass records the %u runs and binary regions it closes, and
+    leaves where it stopped in the calling domain's scratch, tagged with
+    the view and [config]: an {!extract} of the same view under the same
+    config resumes from there instead of reading the payload again. *)
+
+val last_gate_stop : unit -> int
+(** Where the calling domain's last {!suspicious} stopped: one past the
+    byte that decided it, or the payload's length; [-1] once {!extract}
+    has consumed that state.  For tests of the resume path. *)
 
 val is_text : char -> bool
 (** Text bytes: printable ASCII, tab, LF and CR.  {!binary_regions} cuts
@@ -62,7 +72,9 @@ val binary_regions : min_len:int -> gap_merge:int -> Slice.t -> (int * int) list
 (** Maximal regions of non-text bytes (anything but printable ASCII,
     tab, LF, CR), neighbours at most [gap_merge] bytes apart merged,
     kept when at least [min_len] long: [(offset, length)] pairs in
-    payload order.  Raw frames are cut around these. *)
+    payload order.  Raw frames are cut around exactly these regions;
+    {!extract} finds them in the suspicion gate's pass, and this list
+    scanner is the reference it is tested against. *)
 
 val extract :
   ?budget:Budget.t ->
@@ -71,6 +83,11 @@ val extract :
   Slice.t ->
   frame list
 (** Binary frames, in payload order.  Empty for plain protocol text.
+    When the calling domain's last {!suspicious} ran on this very view
+    (same backing string, offset and length) under this very [config]
+    (physical equality), extraction resumes where that gate stopped;
+    otherwise it reads the whole payload.  The frames are the same
+    either way.
     When [metrics] is given, per-origin frame counts and frame bytes are
     accumulated there ([sanids_extract_unicode_frames_total],
     [sanids_extract_raw_frames_total], [sanids_extract_bytes_total]).

@@ -322,9 +322,9 @@ let prop_gate_equals_scanners =
       in
       Extractor.suspicious ~config view = scanners_oracle ~config view)
 
-(* The same equivalence under arbitrary small thresholds, over bytes
-   drawn from the alphabet the predicates care about. *)
-let prop_gate_equals_scanners_any_config =
+(* Arbitrary small thresholds, over bytes drawn from the alphabet the
+   predicates care about. *)
+let gen_any_config_case =
   let open QCheck2.Gen in
   let alphabet =
     oneof
@@ -333,33 +333,328 @@ let prop_gate_equals_scanners_any_config =
         map Char.chr (int_bound 255);
       ]
   in
-  let gen =
-    let* payload = string_size ~gen:alphabet (int_bound 120) in
-    let* min_unicode_run = int_range 0 5 in
-    let* min_repeat = int_range 0 6 in
-    let* min_binary_region = int_range 0 8 in
-    let* gap_merge = int_range (-2) 6 in
-    let* max_frame_bytes = int_bound 130 in
-    return
-      ( payload,
-        {
-          Extractor.default_config with
-          Extractor.min_unicode_run;
-          min_repeat;
-          min_binary_region;
-          gap_merge;
-          max_frame_bytes;
-        } )
-  in
+  let* payload = string_size ~gen:alphabet (int_bound 120) in
+  let* min_unicode_run = int_range 0 5 in
+  let* min_repeat = int_range 0 6 in
+  let* min_binary_region = int_range 0 8 in
+  let* gap_merge = int_range (-2) 6 in
+  let* max_frame_bytes = int_bound 130 in
+  return
+    ( payload,
+      {
+        Extractor.default_config with
+        Extractor.min_unicode_run;
+        min_repeat;
+        min_binary_region;
+        gap_merge;
+        max_frame_bytes;
+      } )
+
+(* The same equivalence under those thresholds. *)
+let prop_gate_equals_scanners_any_config =
   QCheck2.Test.make ~name:"suspicious = scanners under any thresholds" ~count:3000
     ~print:(fun (p, (c : Extractor.config)) ->
       Printf.sprintf "payload=%S u=%d rep=%d bin=%d gap=%d max=%d" p
         c.Extractor.min_unicode_run c.Extractor.min_repeat c.Extractor.min_binary_region
         c.Extractor.gap_merge c.Extractor.max_frame_bytes)
-    gen
+    gen_any_config_case
     (fun (payload, config) ->
       let p = Slice.of_string payload in
       Extractor.suspicious ~config p = scanners_oracle ~config p)
+
+(* Today's frame assembly, kept as the resumable pass's reference:
+   frames cut from the list scanners ([Unicode.unicode_runs] decoded
+   under the frame-size cap, and [Extractor.binary_regions] with
+   context), stably sorted by offset so a %u frame comes first on a
+   tie, and taken up to [max_frames] while the byte budget lasts. *)
+let reference_frames ?budget ~(config : Extractor.config) payload =
+  let n = Slice.length payload in
+  let unicode_frames =
+    List.map
+      (fun (r : Unicode.run) ->
+        {
+          Extractor.off = r.Unicode.off;
+          data = Slice.of_string r.Unicode.decoded;
+          origin = Extractor.Unicode_escape;
+        })
+      (Unicode.unicode_runs ~min_run:config.Extractor.min_unicode_run
+         ~max_decoded:config.Extractor.max_frame_bytes payload)
+  in
+  let raw_frames =
+    List.map
+      (fun (o, l) ->
+        let start = max 0 (o - config.Extractor.context_before) in
+        let stop = min n (o + l + config.Extractor.context_after) in
+        let stop = min stop (start + config.Extractor.max_frame_bytes) in
+        {
+          Extractor.off = start;
+          data = Slice.sub payload ~off:start ~len:(stop - start);
+          origin = Extractor.Raw_binary;
+        })
+      (Extractor.binary_regions ~min_len:config.Extractor.min_binary_region
+         ~gap_merge:config.Extractor.gap_merge payload)
+  in
+  let all =
+    List.sort
+      (fun (a : Extractor.frame) (b : Extractor.frame) -> compare a.Extractor.off b.Extractor.off)
+      (unicode_frames @ raw_frames)
+  in
+  let rec take k = function
+    | [] -> []
+    | _ when k = 0 -> []
+    | (f : Extractor.frame) :: tl -> (
+        match budget with
+        | Some b when not (Budget.take_bytes b (Slice.length f.Extractor.data)) -> []
+        | Some _ | None -> f :: take (k - 1) tl)
+  in
+  take config.Extractor.max_frames all
+
+(* A frame as what the matcher sees of it. *)
+let frame_view (f : Extractor.frame) =
+  ( f.Extractor.off,
+    (match f.Extractor.origin with Extractor.Unicode_escape -> "unicode" | Raw_binary -> "raw"),
+    Slice.to_string f.Extractor.data )
+
+let frame_views frames = List.map frame_view frames
+
+let check_frames name expect frames =
+  Alcotest.(check (list (triple int string string))) name (frame_views expect) (frame_views frames)
+
+(* Two %u runs of 3 to 5 escapes each, adjacent (so one run) or apart. *)
+let gen_u_pair =
+  let open QCheck2.Gen in
+  let run =
+    let d = Extractor.default_config.Extractor.min_unicode_run in
+    let* k = int_range (d - 1) (d + 1) in
+    let* hex = oneofl [ "9090"; "ABcd"; "7801"; "cbd3" ] in
+    return (String.concat "" (List.init k (fun _ -> "%u" ^ hex)))
+  in
+  let* a = run in
+  let* b = run in
+  let* sep = oneofl [ ""; "x"; "%u12" ] in
+  return (a ^ sep ^ b)
+
+(* Longer payloads than the gate's cases, so that most carry structure
+   after the first indicator: the pieces of [gen_threshold_piece] and
+   [gen_u_pair], with [max_frame_bytes] the default, a cut anywhere in
+   the payload or a small cap, or a return-address run ending at the
+   cut or one byte past it; [max_frames] the default or 1 to 3; and
+   optionally a byte budget small enough to trip. *)
+let gen_resume_case =
+  let open QCheck2.Gen in
+  let piece = oneof [ gen_threshold_piece; gen_threshold_piece; gen_u_pair ] in
+  let pieces lo hi = map (String.concat "") (list_size (int_range lo hi) piece) in
+  let* payload, cut =
+    oneof
+      [
+        (let* payload = pieces 1 10 in
+         let n = String.length payload in
+         let* cut =
+           oneof
+             [
+               return Extractor.default_config.Extractor.max_frame_bytes;
+               int_bound (n + 1);
+               int_range 1 64;
+             ]
+         in
+         return (payload, cut));
+        (let* before = pieces 0 4 in
+         let* run = gen_ret_run in
+         let* after = pieces 1 6 in
+         let* past = int_bound 1 in
+         return (before ^ run ^ after, String.length before + String.length run - past));
+      ]
+  in
+  let* max_frames = oneofl [ Extractor.default_config.Extractor.max_frames; 1; 2; 3 ] in
+  let* bytes = opt (int_range 1 400) in
+  let* pre = string_size (int_bound 8) in
+  let* post = string_size (int_bound 8) in
+  return (payload, cut, max_frames, bytes, pre, post)
+
+(* The gate's verdict and then [extract]'s frames, against the list
+   scanners' disjunction and [reference_frames], under one byte budget
+   of [bytes] each when given (fuel spent compared too).  [on_gate] runs
+   between the gate and the extraction. *)
+let resume_agrees ~config ?bytes ?(on_gate = ignore) view =
+  let budget () =
+    Option.map (fun b -> Budget.start { Budget.unlimited with Budget.max_bytes = b }) bytes
+  in
+  let gate = Extractor.suspicious ~config view in
+  on_gate ();
+  let b = budget () and b' = budget () in
+  let frames = Extractor.extract ?budget:b ~config view in
+  let expect = reference_frames ?budget:b' ~config view in
+  gate = scanners_oracle ~config view
+  && frame_views frames = frame_views expect
+  && Option.map Budget.spent b = Option.map Budget.spent b'
+
+(* How many cases the resume property drew, and in how many the gate
+   stopped before the payload's last byte (so extraction resumed). *)
+let resume_cases = ref 0
+let resume_early = ref 0
+
+let prop_resume_equals_reference =
+  QCheck2.Test.make ~name:"gate, then extract ≡ gate, then frames from the list scanners"
+    ~count:3000
+    ~print:(fun (p, cut, max_frames, bytes, pre, post) ->
+      Printf.sprintf "payload=%S max_frame_bytes=%d max_frames=%d budget=%s pre=%S post=%S" p
+        cut max_frames
+        (match bytes with None -> "none" | Some b -> string_of_int b)
+        pre post)
+    gen_resume_case
+    (fun (payload, cut, max_frames, bytes, pre, post) ->
+      let config =
+        { Extractor.default_config with Extractor.max_frame_bytes = cut; max_frames }
+      in
+      let view =
+        Slice.sub
+          (Slice.of_string (pre ^ payload ^ post))
+          ~off:(String.length pre) ~len:(String.length payload)
+      in
+      resume_agrees ~config ?bytes view ~on_gate:(fun () ->
+          incr resume_cases;
+          if Extractor.last_gate_stop () < String.length payload then incr resume_early))
+
+(* The property, then a check that the resume path carried at least a
+   third of its cases. *)
+let test_resume_oracle =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_resume_equals_reference in
+  ( name,
+    speed,
+    fun () ->
+      resume_cases := 0;
+      resume_early := 0;
+      run ();
+      Printf.printf "the gate stopped before the last byte in %d of %d cases\n" !resume_early
+        !resume_cases;
+      if 3 * !resume_early < !resume_cases then
+        Alcotest.failf "the gate stopped early in %d of %d cases, fewer than a third"
+          !resume_early !resume_cases )
+
+(* The same under arbitrary small thresholds, context, frame caps and
+   frame counts, over the gate's threshold alphabet: regions merged
+   across gaps of any width (a negative [gap_merge] merges none), runs
+   and regions of any minimum, frames cut to a few bytes. *)
+let prop_resume_any_config =
+  let open QCheck2.Gen in
+  let gen =
+    let* payload, (config : Extractor.config) = gen_any_config_case in
+    let* context_before = int_bound 12 in
+    let* context_after = int_bound 12 in
+    let* max_frames = int_range (-1) 4 in
+    let* bytes = opt (int_range 1 60) in
+    return (payload, { config with Extractor.context_before; context_after; max_frames }, bytes)
+  in
+  QCheck2.Test.make ~name:"gate, then extract ≡ reference under any thresholds" ~count:3000
+    ~print:(fun (p, (c : Extractor.config), bytes) ->
+      Printf.sprintf
+        "payload=%S u=%d rep=%d bin=%d gap=%d before=%d after=%d frames=%d max=%d budget=%s" p
+        c.Extractor.min_unicode_run c.Extractor.min_repeat c.Extractor.min_binary_region
+        c.Extractor.gap_merge c.Extractor.context_before c.Extractor.context_after
+        c.Extractor.max_frames c.Extractor.max_frame_bytes
+        (match bytes with None -> "none" | Some b -> string_of_int b))
+    gen
+    (fun (payload, config, bytes) -> resume_agrees ~config ?bytes (Slice.of_string payload))
+
+(* Stale gate state: extraction resumes only for the view and config
+   the gate ran on; anything else reads the whole payload.  Each case
+   gives the frames [extract] gives alone. *)
+let code_red = Slice.of_string (Sanids_exploits.Code_red.request ())
+
+let binary_upload seed =
+  let binary = { Sanids_workload.Benign_gen.http = 0.0; smtp = 0.0; dns = 0.0; binary = 1.0 } in
+  Slice.of_string
+    (Sanids_workload.Benign_gen.payload ~mix:binary (Sanids_util.Rng.create seed))
+
+let test_stale_other_payload () =
+  let a = code_red in
+  (* another backing string, of A's length, at A's offset *)
+  let b =
+    let u = Slice.to_string (binary_upload 7L) and n = Slice.length a in
+    Slice.of_string
+      (if String.length u >= n then String.sub u 0 n else u ^ String.make (n - String.length u) 'x')
+  in
+  let alone = Extractor.extract a in
+  check_frames "alone ≡ reference" (reference_frames ~config:Extractor.default_config a) alone;
+  Alcotest.(check bool) "A passes" true (Extractor.suspicious a);
+  Alcotest.(check bool) "B passes" true (Extractor.suspicious b);
+  check_frames "gate A, gate B, extract A" alone (Extractor.extract a)
+
+let test_stale_other_view () =
+  let rng = Sanids_util.Rng.create 5L in
+  let head =
+    benign_get ^ Sanids_util.Rng.bytes rng 40 ^ String.make 30 'a' ^ "%u9090%u9090%u9090%u9090"
+  in
+  let base = Slice.of_string (head ^ Sanids_util.Rng.bytes rng 60 ^ benign_get) in
+  let len = Slice.length base - 30 in
+  let v = Slice.sub base ~off:20 ~len in
+  let alone = Extractor.extract v in
+  Alcotest.(check bool) "frames" true (alone <> []);
+  let gate_then_extract name other =
+    Alcotest.(check bool) (name ^ " passes") true (Extractor.suspicious other);
+    check_frames ("gate " ^ name ^ ", extract the view") alone (Extractor.extract v)
+  in
+  (* the view's length at another offset; the view's offset, cut inside
+     the binary bytes after the %u run; the whole string *)
+  gate_then_extract "an earlier view" (Slice.sub base ~off:10 ~len);
+  gate_then_extract "a shorter view" (Slice.sub base ~off:20 ~len:(String.length head + 30 - 20));
+  gate_then_extract "the whole string" base
+
+let test_stale_other_config () =
+  let config = { Extractor.default_config with Extractor.min_binary_region = 8; context_before = 0 } in
+  (* a 12-byte region only [config] keeps, then one both keep *)
+  let p =
+    Slice.of_string
+      (benign_get ^ String.make 12 '\xfe' ^ benign_get ^ String.make 30 '\xcc' ^ benign_get)
+  in
+  let alone = Extractor.extract ~config p in
+  Alcotest.(check int) "two frames alone" 2 (List.length alone);
+  Alcotest.(check bool) "default gate passes" true (Extractor.suspicious p);
+  check_frames "default gate, extract ~config" alone (Extractor.extract ~config p);
+  (* a structurally equal config is another config: no resume, same frames *)
+  Alcotest.(check bool) "gate ~config passes" true (Extractor.suspicious ~config p);
+  check_frames "gate ~config, extract ~{config}" alone
+    (Extractor.extract ~config:{ config with Extractor.max_frames = config.Extractor.max_frames } p)
+
+(* Gate and extract on two domains at once, each pair on one view, and
+   a gate followed by the next payload's extract: every call on either
+   domain gives the reference frames, as on one domain. *)
+let test_stale_two_domains () =
+  let corpus =
+    Array.of_list
+      (code_red
+      :: List.init 60 (fun i -> binary_upload (Int64.of_int (100 + i)))
+      @ List.init 20 (fun i ->
+            Slice.of_string
+              (String.concat ""
+                 (QCheck2.Gen.generate ~n:6 ~rand:(Random.State.make [| i |]) gen_threshold_piece))))
+  in
+  let k = Array.length corpus in
+  let run () =
+    Array.mapi
+      (fun i p ->
+        let q = corpus.((i + 1) mod k) in
+        ignore (Extractor.suspicious p);
+        let same = frame_views (Extractor.extract p) in
+        ignore (Extractor.suspicious p);
+        let next = frame_views (Extractor.extract q) in
+        (same, next))
+      corpus
+  in
+  let expect =
+    Array.mapi
+      (fun i p ->
+        let q = corpus.((i + 1) mod k) in
+        let frames p = frame_views (reference_frames ~config:Extractor.default_config p) in
+        (frames p, frames q))
+      corpus
+  in
+  let one = run () in
+  Alcotest.(check bool) "one domain ≡ reference" true (one = expect);
+  let a = Domain.spawn run and b = Domain.spawn run in
+  let a = Domain.join a and b = Domain.join b in
+  Alcotest.(check bool) "first domain" true (a = expect);
+  Alcotest.(check bool) "second domain" true (b = expect)
 
 (* The gate's byte-class table, at every byte: the text bit is
    [is_text], the NOP bit is [Repetition.nop_like], and no other bit is
@@ -448,6 +743,15 @@ let () =
           Alcotest.test_case "gap merge" `Quick test_extract_gap_merge;
           Alcotest.test_case "max frames" `Quick test_extract_max_frames;
           Alcotest.test_case "gate byte classes" `Quick test_gate_byte_classes;
+        ] );
+      ( "resume",
+        [
+          test_resume_oracle;
+          QCheck_alcotest.to_alcotest prop_resume_any_config;
+          Alcotest.test_case "gate A, gate B, extract A" `Quick test_stale_other_payload;
+          Alcotest.test_case "two views of one string" `Quick test_stale_other_view;
+          Alcotest.test_case "gate and extract configs differ" `Quick test_stale_other_config;
+          Alcotest.test_case "two domains at once" `Quick test_stale_two_domains;
         ] );
       ("properties", properties);
     ]

@@ -163,6 +163,138 @@ let test_flow_duplicate_ignored () =
   ignore (Flow.push r (seg 2000l "abc"));
   Alcotest.(check (option string)) "dup dropped" None (Flow.push r (seg 2000l "abc"))
 
+(* Reassembly indexes a segment by its sequence number less the flow's
+   first, modulo 2^32: a stream that starts 16 bytes below the wrap
+   and fills a gap on its far side is still one contiguous stream. *)
+let test_flow_reassembly_wrap () =
+  let r = Flow.create_reassembler () in
+  let seg seq payload =
+    Packet.build_tcp ~ts:0.0 ~src:a ~dst:b ~src_port:99 ~dst_port:80 ~seq payload
+  in
+  let head = "0123456789abcdefghijkl" (* 22 bytes: up to seq 0x00000006 *) in
+  Alcotest.(check (option string)) "first" (Some head) (Flow.push r (seg 0xFFFF_FFF0l head));
+  Alcotest.(check (option string)) "gap buffered" None (Flow.push r (seg 0x0000_000Al "tail"));
+  Alcotest.(check (option string)) "gap filled across the wrap" (Some (head ^ "mnoptail"))
+    (Flow.push r (seg 0x0000_0006l "mnop"));
+  Alcotest.(check int) "one flow" 1 (Flow.flow_count r)
+
+(* Datagrams built byte by byte, for the header shapes the packet
+   builders never emit: IPv4 options (IHL 6-15), TCP options (data
+   offset 6-15), a zero UDP checksum, other protocols.  Checksums are
+   the reference sum (defined below with the checksum oracles). *)
+let wire_sum s =
+  let acc = ref 0 and n = String.length s and i = ref 0 in
+  while !i < n do
+    let lo = if !i + 1 < n then Char.code s.[!i + 1] else 0 in
+    acc := !acc + (Char.code s.[!i] lsl 8) + lo;
+    i := !i + 2
+  done;
+  let rec fold x = if x > 0xFFFF then fold ((x land 0xFFFF) + (x lsr 16)) else x in
+  lnot (fold !acc) land 0xFFFF
+
+let wire_pseudo ~src ~dst ~proto ~len =
+  let b = Bytes.make 12 '\000' in
+  Bytes.set_int32_be b 0 (Ipaddr.to_int32 src);
+  Bytes.set_int32_be b 4 (Ipaddr.to_int32 dst);
+  Bytes.set_uint8 b 9 proto;
+  Bytes.set_uint16_be b 10 len;
+  Bytes.to_string b
+
+(* A TCP segment with [opts] (a multiple of 4 bytes) between its fixed
+   header and [payload]; checksum field zero. *)
+let wire_tcp ?(opts = "") ~src_port ~dst_port ~seq ~flags payload =
+  let hlen = 20 + String.length opts in
+  let b = Bytes.make (hlen + String.length payload) '\000' in
+  Bytes.set_uint16_be b 0 src_port;
+  Bytes.set_uint16_be b 2 dst_port;
+  Bytes.set_int32_be b 4 seq;
+  Bytes.set_uint8 b 12 ((hlen / 4) lsl 4);
+  Bytes.set_uint8 b 13 flags;
+  Bytes.set_uint16_be b 14 4096;
+  Bytes.blit_string opts 0 b 20 (String.length opts);
+  Bytes.blit_string payload 0 b hlen (String.length payload);
+  Bytes.to_string b
+
+let wire_udp ~src_port ~dst_port payload =
+  let b = Bytes.make (8 + String.length payload) '\000' in
+  Bytes.set_uint16_be b 0 src_port;
+  Bytes.set_uint16_be b 2 dst_port;
+  Bytes.set_uint16_be b 4 (Bytes.length b);
+  Bytes.blit_string payload 0 b 8 (String.length payload);
+  Bytes.to_string b
+
+(* An IPv4 datagram with [ip_opts] (a multiple of 4 bytes) after its
+   fixed header; a TCP or UDP [l4] gets its checksum filled in. *)
+let wire_datagram ?(ip_opts = "") ?(src = a) ?(dst = b) ~proto l4 =
+  let l4 = Bytes.of_string l4 in
+  let len = Bytes.length l4 in
+  let csum_at = if proto = 6 then Some 16 else if proto = 17 then Some 6 else None in
+  Option.iter
+    (fun at ->
+      let c = wire_sum (wire_pseudo ~src ~dst ~proto ~len ^ Bytes.to_string l4) in
+      Bytes.set_uint16_be l4 at (if proto = 17 && c = 0 then 0xFFFF else c))
+    csum_at;
+  let ihl = 20 + String.length ip_opts in
+  let h = Bytes.make ihl '\000' in
+  Bytes.set_uint8 h 0 (0x40 lor (ihl / 4));
+  Bytes.set_uint16_be h 2 (ihl + len);
+  Bytes.set_uint8 h 8 64;
+  Bytes.set_uint8 h 9 proto;
+  Bytes.set_int32_be h 12 (Ipaddr.to_int32 src);
+  Bytes.set_int32_be h 16 (Ipaddr.to_int32 dst);
+  Bytes.blit_string ip_opts 0 h 20 (String.length ip_opts);
+  Bytes.set_uint16_be h 10 (wire_sum (Bytes.to_string h));
+  Bytes.to_string h ^ Bytes.to_string l4
+
+let options n = String.init n (fun i -> Char.chr (if i = n - 1 then 0 else 1 + (i mod 7)))
+
+let expect_packet what = function
+  | Ok p -> p
+  | Error e -> Alcotest.failf "%s: %s" what (Ingest.error_to_string e)
+
+let test_ipv4_options () =
+  for ihl = 6 to 15 do
+    let l4 = wire_tcp ~src_port:1025 ~dst_port:80 ~seq:7l ~flags:0x18 "behind options" in
+    let d = wire_datagram ~ip_opts:(options ((ihl - 5) * 4)) ~proto:6 l4 in
+    let p = expect_packet (Printf.sprintf "IHL %d" ihl) (decode_raw ~ts:0.0 d) in
+    Alcotest.(check string) "payload" "behind options" (Packet.payload_string p);
+    Alcotest.(check (option (pair int int))) "ports" (Some (1025, 80)) (Packet.ports p);
+    Alcotest.(check bool) "addresses" true
+      (Ipaddr.equal (Packet.src p) a && Ipaddr.equal (Packet.dst p) b)
+  done
+
+let test_tcp_options () =
+  for doff = 6 to 15 do
+    let opts = options ((doff - 5) * 4) in
+    let l4 = wire_tcp ~opts ~src_port:3127 ~dst_port:80 ~seq:9l ~flags:0x18 "after options" in
+    let p =
+      expect_packet (Printf.sprintf "data offset %d" doff)
+        (decode_raw ~ts:0.0 (wire_datagram ~proto:6 l4))
+    in
+    Alcotest.(check string) "payload" "after options" (Packet.payload_string p);
+    Alcotest.(check int) "payload offset" (20 + (doff * 4)) (Slice.offset (Packet.payload p))
+  done
+
+(* A zero UDP checksum field means "not computed": such a datagram is
+   accepted whatever its bytes. *)
+let test_udp_zero_checksum () =
+  let d = Bytes.of_string (wire_datagram ~proto:17 (wire_udp ~src_port:53 ~dst_port:5353 "answer")) in
+  Bytes.set_uint16_be d 26 0;
+  let p = expect_packet "zero checksum" (decode_raw ~ts:0.0 (Bytes.to_string d)) in
+  Alcotest.(check string) "payload" "answer" (Packet.payload_string p);
+  Alcotest.(check (option (pair int int))) "ports" (Some (53, 5353)) (Packet.ports p);
+  Bytes.set d 28 'A';
+  let p = expect_packet "zero checksum, payload changed" (decode_raw ~ts:0.0 (Bytes.to_string d)) in
+  Alcotest.(check string) "unchecked payload" "Answer" (Packet.payload_string p)
+
+(* Neither TCP nor UDP: still a packet, its payload the IP payload. *)
+let test_raw_protocol () =
+  let p = expect_packet "proto 200" (decode_raw ~ts:0.5 (wire_datagram ~proto:200 "raw bytes")) in
+  Alcotest.(check string) "payload" "raw bytes" (Packet.payload_string p);
+  Alcotest.(check (option (pair int int))) "no ports" None (Packet.ports p);
+  Alcotest.(check bool) "not tcp" false (Packet.is_tcp p);
+  Alcotest.(check bool) "source" true (Ipaddr.equal (Packet.src p) a)
+
 let test_pcap_roundtrip () =
   let pkts =
     [
@@ -497,11 +629,16 @@ let () =
           Alcotest.test_case "tcp flags shared" `Quick test_tcp_flags_shared;
           Alcotest.test_case "udp roundtrip" `Quick test_udp_roundtrip;
           Alcotest.test_case "packet roundtrip" `Quick test_packet_roundtrip;
+          Alcotest.test_case "ipv4 options" `Quick test_ipv4_options;
+          Alcotest.test_case "tcp options" `Quick test_tcp_options;
+          Alcotest.test_case "udp zero checksum" `Quick test_udp_zero_checksum;
+          Alcotest.test_case "raw protocol" `Quick test_raw_protocol;
         ] );
       ( "flow",
         [
           Alcotest.test_case "reassembly" `Quick test_flow_reassembly;
           Alcotest.test_case "duplicates" `Quick test_flow_duplicate_ignored;
+          Alcotest.test_case "reassembly across the wrap" `Quick test_flow_reassembly_wrap;
         ] );
       ( "ethernet",
         [

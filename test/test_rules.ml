@@ -110,6 +110,48 @@ let test_match_proto_filter () =
   Alcotest.(check bool) "tcp delivery ignored by udp rule" false
     (List.mem "sql slammer" (Rule.match_packet Rule.default tcp))
 
+(* The protocol filter on decoded packets: a TCP segment, a UDP
+   datagram and a raw (protocol 200) datagram, each carrying the
+   content, against a tcp, a udp and an ip rule. *)
+let test_match_proto_decoded () =
+  let decode raw =
+    match
+      Sanids_ingest.Ingest.decode_record ~linktype:Sanids_pcap.Pcap.linktype_raw
+        { Sanids_pcap.Pcap.ts = 0.0; orig_len = String.length raw; data = Slice.of_string raw }
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "decode: %s" (Sanids_ingest.Ingest.error_to_string e)
+  in
+  let src = ip "1.2.3.4" and dst = ip "10.0.0.1" in
+  let tcp = decode (Packet.to_bytes (Packet.build_tcp ~ts:0.0 ~src ~dst ~src_port:5 ~dst_port:6 "marker")) in
+  let udp = decode (Packet.to_bytes (Packet.build_udp ~ts:0.0 ~src ~dst ~src_port:5 ~dst_port:6 "marker")) in
+  let raw =
+    (* the UDP datagram relabelled protocol 200, its header checksum
+       recomputed: a raw datagram whose IP payload holds the content *)
+    let b = Bytes.of_string (Packet.to_bytes (Packet.build_udp ~ts:0.0 ~src ~dst ~src_port:5 ~dst_port:6 "marker")) in
+    Bytes.set_uint8 b 9 200;
+    Bytes.set_uint16_be b 10 0;
+    let sum = ref 0 in
+    for i = 0 to 9 do sum := !sum + Bytes.get_uint16_be b (2 * i) done;
+    while !sum > 0xFFFF do sum := (!sum land 0xFFFF) + (!sum lsr 16) done;
+    Bytes.set_uint16_be b 10 (lnot !sum land 0xFFFF);
+    decode (Bytes.to_string b)
+  in
+  let fires proto p =
+    Rule.match_packet
+      [ parse_ok (Printf.sprintf {|alert %s any any -> any any (msg:"m"; content:"marker";)|} proto) ]
+      p
+    <> []
+  in
+  List.iter
+    (fun (proto, want) ->
+      List.iter2
+        (fun (name, p) w ->
+          Alcotest.(check bool) (Printf.sprintf "%s rule on %s" proto name) w (fires proto p))
+        [ ("tcp", tcp); ("udp", udp); ("raw", raw) ]
+        want)
+    [ ("tcp", [ true; false; false ]); ("udp", [ false; true; false ]); ("ip", [ true; true; true ]) ]
+
 let test_match_depth_window () =
   let rules, _ =
     Rule.parse_many
@@ -152,6 +194,7 @@ let () =
           Alcotest.test_case "shellcode packet" `Quick test_match_shellcode_packet;
           Alcotest.test_case "port filter" `Quick test_match_port_filter;
           Alcotest.test_case "proto filter" `Quick test_match_proto_filter;
+          Alcotest.test_case "proto filter on decoded packets" `Quick test_match_proto_decoded;
           Alcotest.test_case "depth window" `Quick test_match_depth_window;
           Alcotest.test_case "nocase" `Quick test_match_nocase;
           Alcotest.test_case "all contents required" `Quick test_match_requires_all_contents;

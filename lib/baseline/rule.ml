@@ -220,7 +220,7 @@ let header_matches (r : t) p =
     match r.proto with
     | P_ip -> true
     | P_tcp -> Packet.is_tcp p
-    | P_udp -> (match p.Packet.l4 with Packet.Udp_dgram _ -> true | _ -> false)
+    | P_udp -> Packet.is_udp p
   in
   let addr_ok prefix addr =
     match prefix with None -> true | Some pre -> Ipaddr.mem addr pre

@@ -25,9 +25,7 @@ module File = Sanids_util.File
 (* network substrate *)
 module Ipaddr = Sanids_net.Ipaddr
 module Checksum = Sanids_net.Checksum
-module Ipv4 = Sanids_net.Ipv4
 module Tcp = Sanids_net.Tcp
-module Udp = Sanids_net.Udp
 module Packet = Sanids_net.Packet
 module Flow = Sanids_net.Flow
 module Ethernet = Sanids_net.Ethernet

@@ -79,44 +79,33 @@ let admit ?metrics ~linktype incl_len =
       count_result metrics (Error e);
       false
 
-(* The one record -> packet chain: link layer, then IPv4, then TCP/UDP,
-   each failure typed by the layer that rejected it.  The catch-alls
-   honour the "no exception crosses the boundary" contract even against
-   decoder bugs — decoders are result-returning by convention, but this
-   layer must not trust that under arbitrary input.  Each branch builds
-   the packet it returns; nothing is allocated for a layer in between. *)
-let parse_datagram ~ts bytes =
-  match Ipv4.decode bytes with
+(* The one record -> packet chain: the link layer here, then
+   [Packet.decode] checks IPv4 and TCP/UDP in place, each failure typed
+   by the layer that rejected it.  An accepted record allocates its
+   packet and the [Ok] around it, nothing else.  The catch-all honours
+   the "no exception crosses the boundary" contract even against a
+   decoder bug — the decoder is result-returning, but this layer must
+   not trust that under arbitrary input. *)
+let parse_datagram ~ts data ~off =
+  match Packet.decode ~ts data ~off with
+  | Ok _ as ok -> ok
+  | Error (Packet.Ipv4_header m) -> Error (Ipv4_header m)
+  | Error (Packet.Tcp_segment m) -> Error (Tcp_segment m)
+  | Error (Packet.Udp_datagram m) -> Error (Udp_datagram m)
   | exception e -> Error (Ipv4_header ("unexpected: " ^ Printexc.to_string e))
-  | Error e -> Error (Ipv4_header e)
-  | Ok ip ->
-      if ip.Ipv4.proto = Ipv4.proto_tcp then
-        match Tcp.decode ~src:ip.Ipv4.src ~dst:ip.Ipv4.dst ip.Ipv4.payload with
-        | exception e -> Error (Tcp_segment ("unexpected: " ^ Printexc.to_string e))
-        | Ok seg -> Ok { Packet.ts; ip; l4 = Packet.Tcp_seg seg }
-        | Error e -> Error (Tcp_segment e)
-      else if ip.Ipv4.proto = Ipv4.proto_udp then
-        match Udp.decode ~src:ip.Ipv4.src ~dst:ip.Ipv4.dst ip.Ipv4.payload with
-        | exception e -> Error (Udp_datagram ("unexpected: " ^ Printexc.to_string e))
-        | Ok d -> Ok { Packet.ts; ip; l4 = Packet.Udp_dgram d }
-        | Error e -> Error (Udp_datagram e)
-      else Ok { Packet.ts; ip; l4 = Packet.Raw (ip.Ipv4.proto, ip.Ipv4.payload) }
 
 (* The link layer by offset: an Ethernet II header is two addresses,
    which nothing downstream reads, and the ethertype at byte 12; the
-   datagram is a view from byte 14. *)
+   datagram starts at byte 14. *)
 let parse_body ~linktype ~ts data =
   if linktype = Pcap.linktype_ethernet then
-    let len = Slice.length data in
-    if len < ethernet_header then Error (Link_layer "ethernet: short frame")
+    if Slice.length data < ethernet_header then Error (Link_layer "ethernet: short frame")
     else
       let ethertype = Slice.get_u16_be data 12 in
       if ethertype <> Ethernet.ethertype_ipv4 then
         Error (Link_layer (Printf.sprintf "ethertype 0x%04x" ethertype))
-      else
-        parse_datagram ~ts
-          (Slice.sub data ~off:ethernet_header ~len:(len - ethernet_header))
-  else if linktype = Pcap.linktype_raw then parse_datagram ~ts data
+      else parse_datagram ~ts data ~off:ethernet_header
+  else if linktype = Pcap.linktype_raw then parse_datagram ~ts data ~off:0
   else Error (Link_layer (Printf.sprintf "unsupported linktype %d" linktype))
 
 let decode_record ?metrics ?(max_payload = default_max_payload) ~linktype r =

@@ -16,9 +16,10 @@
     This is the one way from capture bytes to {!Packet.t}:
     [Sanids_pcap.Pcap.decode] frames the records (or the FIFO source
     frames them as they arrive, with the same header parsers), and
-    {!decode_record} takes each body through the link layer, IPv4 and
-    TCP/UDP.  Every caller — [scan], [sig-scan], [serve], the benches
-    and the examples — goes through it.
+    {!decode_record} reads each body's link layer, then hands the
+    datagram to {!Packet.decode}, which checks IPv4 and TCP/UDP where
+    the bytes sit.  Every caller — [scan], [sig-scan], [serve], the
+    benches and the examples — goes through it.
 
     Fault injection for exercising this boundary lives in {!Fault}. *)
 
@@ -68,14 +69,15 @@ val decode_record :
   linktype:int ->
   Sanids_pcap.Pcap.record ->
   (Packet.t, error) result
-(** Decode one capture record into a parsed packet: admission bound
+(** Decode one capture record into a packet: admission bound
     ([max_payload], default 65535 bytes, the IPv4 maximum — a datagram
     longer than that, link header not counted, cannot be one and is
     shed before parsing), link layer (raw IPv4 or Ethernet per
-    [linktype]), IPv4 header, then TCP/UDP.  A bad TCP or UDP checksum
-    is a [Tcp_segment] or [Udp_datagram] error.  Counts one record
-    (plus the error, if any) when [metrics] is given.  No exception
-    escapes. *)
+    [linktype]), then {!Packet.decode}'s IPv4 and TCP/UDP checks.  A
+    bad TCP or UDP checksum is a [Tcp_segment] or [Udp_datagram] error.
+    An accepted record allocates the packet record and its [Ok]; the
+    packet is a view of [r]'s bytes.  Counts one record (plus the error,
+    if any) when [metrics] is given.  No exception escapes. *)
 
 val admit : ?metrics:metrics -> linktype:int -> int -> bool
 (** [admit ~linktype incl_len]: {!decode_record}'s default admission

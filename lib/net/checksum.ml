@@ -47,5 +47,4 @@ let ones_complement acc s = ones_complement_sub acc s ~off:0 ~len:(Slice.length 
 (* The pseudo-header's words: both halves of each address, the
    protocol (its high byte is the zero pad) and the length. *)
 let pseudo_header ~src ~dst ~proto ~len =
-  let a = Ipaddr.to_int src and b = Ipaddr.to_int dst in
-  (a lsr 16) + (a land 0xFFFF) + (b lsr 16) + (b land 0xFFFF) + proto + len
+  (src lsr 16) + (src land 0xFFFF) + (dst lsr 16) + (dst land 0xFFFF) + proto + len

@@ -17,10 +17,12 @@ val ones_complement : int -> Slice.t -> int
 val ones_complement_sub : int -> Slice.t -> off:int -> len:int -> int
 (** [ones_complement_sub acc s ~off ~len] is
     [ones_complement acc (Slice.sub s ~off ~len)] without building the
-    view: how the IPv4 decoder verifies its header in place.
+    view: how the packet decoder verifies each header in place.
     @raise Invalid_argument when the range is not within [s]. *)
 
-val pseudo_header : src:Ipaddr.t -> dst:Ipaddr.t -> proto:int -> len:int -> int
+val pseudo_header : src:int -> dst:int -> proto:int -> len:int -> int
 (** The IPv4 pseudo-header's contribution to the sum: the 16-bit halves
-    of [src] and [dst], plus [proto] and [len] — the same total as
-    summing the 12 bytes it stands for, without building them. *)
+    of the 32-bit addresses [src] and [dst] (as {!Ipaddr.to_int} gives
+    them, or as read from a header), plus [proto] and [len] — the same
+    total as summing the 12 bytes it stands for, without building
+    them. *)

@@ -16,7 +16,7 @@ let key_of_packet p =
           dst = Packet.dst p;
           src_port;
           dst_port;
-          proto = (if Packet.is_tcp p then Ipv4.proto_tcp else Ipv4.proto_udp);
+          proto = Packet.proto p;
         }
 
 let key_to_string k =
@@ -24,7 +24,7 @@ let key_to_string k =
     (Ipaddr.to_string k.dst) k.dst_port k.proto
 
 type flow_state = {
-  base_seq : int32;
+  base_seq : int;
   mutable segments : (int * string) list;  (* offset-sorted, disjoint *)
   mutable contiguous : int;  (* length of the contiguous prefix *)
   mutable last_use : int;
@@ -91,15 +91,13 @@ let assemble st =
     st.segments;
   Bytes.to_string buf
 
-let seq_of p =
-  match p.Packet.l4 with Packet.Tcp_seg s -> Some s.Tcp.seq | Packet.Udp_dgram _ | Packet.Raw _ -> None
-
 let push t p =
-  match (key_of_packet p, seq_of p) with
-  | Some k, Some seq when Packet.is_tcp p ->
-      let data = Packet.payload p in
-      if Slice.is_empty data then None
-      else begin
+  if not (Packet.is_tcp p) || Packet.payload_length p = 0 then None
+  else
+    match key_of_packet p with
+    | None -> None
+    | Some k ->
+        let seq = Packet.seq p in
         t.clock <- t.clock + 1;
         let st =
           match Hashtbl.find_opt t.flows k with
@@ -111,11 +109,11 @@ let push t p =
               st
         in
         st.last_use <- t.clock;
-        let off = Int32.to_int (Int32.sub seq st.base_seq) in
-        if off < 0 || off + Slice.length data > t.max_stream then None
-        else if insert_segment st off data then Some (assemble st)
+        (* the signed 32-bit difference from the flow's first sequence
+           number, so a stream keeps its order across the wrap at 2^32 *)
+        let off = ((seq - st.base_seq + 0x8000_0000) land 0xFFFF_FFFF) - 0x8000_0000 in
+        if off < 0 || off + Packet.payload_length p > t.max_stream then None
+        else if insert_segment st off (Packet.payload p) then Some (assemble st)
         else None
-      end
-  | _, _ -> None
 
 let flow_count t = Hashtbl.length t.flows

@@ -496,19 +496,19 @@ let analyze_report_slice t buffer =
 let analyze_report t buffer = analyze_report_slice t (Slice.of_string buffer)
 
 (* In stream mode the analyzed buffer is the flow's reassembled prefix and
-   alerts deduplicate per flow; otherwise it is the packet payload. *)
-let buffer_for t packet (payload : Slice.t) =
+   alerts deduplicate per flow; otherwise it is the packet payload.  The
+   payload view is built here, for a suspicious packet, and only once. *)
+let buffer_for t packet =
   match t.reasm with
-  | Some r when Packet.is_tcp packet && not (Slice.is_empty payload) -> (
+  | Some r when Packet.is_tcp packet && Packet.payload_length packet > 0 -> (
       match Flow.push r packet with
       | Some stream -> Some (Slice.of_string stream, Flow.key_of_packet packet)
       | None -> None (* waiting for a gap to fill; nothing new to analyze *))
-  | Some _ | None -> Some (payload, None)
+  | Some _ | None -> Some (Packet.payload packet, None)
 
 let process_packet t packet =
   Obs.Registry.incr t.m.packets;
-  let payload = Packet.payload packet in
-  Obs.Registry.add t.m.bytes (Slice.length payload);
+  Obs.Registry.add t.m.bytes (Packet.payload_length packet);
   let st = t.st.st_classify in
   let t0 = Obs.Span.start st in
   let verdict =
@@ -528,8 +528,8 @@ let process_packet t packet =
           m "suspicious packet from %a (%s), %d payload bytes" Ipaddr.pp
             (Packet.src packet)
             (Classifier.reason_to_string reason)
-            (Slice.length payload));
-      match buffer_for t packet payload with
+            (Packet.payload_length packet));
+      match buffer_for t packet with
       | None -> []
       | Some (buffer, flow_key) ->
           if Slice.length buffer < t.cfg.Config.min_payload then []

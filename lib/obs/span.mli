@@ -4,8 +4,8 @@
     [sanids_stage_<name>_seconds], the stage's name for tracing and its
     sampler.  On the hot path a span is two calls with no closure and
     no allocation: [let t0 = start st in ... ; stop st t0].  Stamps
-    are immediate [int] nanoseconds from a monotonic clock
-    ({!now_ns}), and the histogram sums integer nanoseconds.  A caller
+    are immediate [int] nanoseconds from a monotonic clock, and the
+    histogram sums integer nanoseconds.  A caller
     that wants the duration recorded when the timed code raises stops
     the span on that path too, with [match ... with exception], which
     does not allocate either.
@@ -23,12 +23,6 @@
     [{"span":"match","ts":<start, unix seconds>,"dur_us":<duration, µs>,
       "seq":<emitted-event index>}].  [ts] is the only wall-clock read,
     and it is made only for a traced span. *)
-
-external now_ns : unit -> (int[@untagged])
-  = "sanids_obs_now_ns_byte" "sanids_obs_now_ns"
-[@@noalloc]
-(** Nanoseconds on the monotonic clock: only differences are
-    meaningful. *)
 
 type tracer
 
@@ -62,7 +56,8 @@ val start : stage -> int
     leaves this call untimed. *)
 
 val stop : stage -> int -> unit
-(** [stop st (start st)] closes a span: records [now_ns () - t0], or
+(** [stop st (start st)] closes a span: records the nanoseconds since
+    [t0] on the monotonic clock, or
     the last timed duration for an untimed call, and emits a trace
     event when a tracer is attached. *)
 

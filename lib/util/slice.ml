@@ -30,10 +30,6 @@ let get_u16_be t i =
   need t i 2 "get_u16_be";
   (Char.code (unsafe_get t i) lsl 8) lor Char.code (unsafe_get t (i + 1))
 
-let get_u16_le t i =
-  need t i 2 "get_u16_le";
-  (Char.code (unsafe_get t (i + 1)) lsl 8) lor Char.code (unsafe_get t i)
-
 let get_u32_be_int t i =
   need t i 4 "get_u32_be_int";
   (Char.code (unsafe_get t i) lsl 24)
@@ -48,13 +44,15 @@ let get_u32_le_int t i =
   lor (Char.code (unsafe_get t (i + 1)) lsl 8)
   lor Char.code (unsafe_get t i)
 
-let get_u32_be t i = Int32.of_int (get_u32_be_int t i land 0xFFFFFFFF)
-let get_u32_le t i = Int32.of_int (get_u32_le_int t i land 0xFFFFFFFF)
-
 let sub t ~off ~len =
   if off < 0 || len < 0 || off + len > t.len then
     invalid_arg "Slice.sub: view out of bounds";
   { base = t.base; off = t.off + off; len }
+
+let of_sub s ~off ~len =
+  if off < 0 || len < 0 || off + len > String.length s then
+    invalid_arg "Slice.of_sub: view out of bounds";
+  { base = s; off; len }
 
 let to_string t =
   (* THE materialization point: a whole-string view returns its backing

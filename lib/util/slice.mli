@@ -37,18 +37,20 @@ val unsafe_get : t -> int -> char
 val get_u8 : t -> int -> int
 
 val get_u16_be : t -> int -> int
-val get_u16_le : t -> int -> int
-val get_u32_be : t -> int -> int32
-val get_u32_le : t -> int -> int32
 
 val get_u32_be_int : t -> int -> int
-(** [get_u32_be] as a non-negative [int], unboxed. *)
+(** The big-endian 32-bit word at the index, as a non-negative [int]. *)
 
 val get_u32_le_int : t -> int -> int
 
 val sub : t -> off:int -> len:int -> t
 (** O(1) re-view of a sub-range; shares the backing string.
     @raise Invalid_argument when the range exceeds the view. *)
+
+val of_sub : string -> off:int -> len:int -> t
+(** [sub (of_string s) ~off ~len] without the whole-string view: how a
+    packet hands out its payload.
+    @raise Invalid_argument when the range exceeds [s]. *)
 
 val to_string : t -> string
 (** Materialize the viewed bytes.  A view covering its whole backing

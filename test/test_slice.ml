@@ -37,9 +37,8 @@ let test_word_accessors () =
   let s = Slice.sub (Slice.of_string "zz\x12\x34\x56\x78zz") ~off:2 ~len:4 in
   Alcotest.(check int) "u8" 0x12 (Slice.get_u8 s 0);
   Alcotest.(check int) "u16 be" 0x1234 (Slice.get_u16_be s 0);
-  Alcotest.(check int) "u16 le" 0x3412 (Slice.get_u16_le s 0);
-  Alcotest.(check int32) "u32 be" 0x12345678l (Slice.get_u32_be s 0);
-  Alcotest.(check int32) "u32 le" 0x78563412l (Slice.get_u32_le s 0)
+  Alcotest.(check int) "u32 be" 0x12345678 (Slice.get_u32_be_int s 0);
+  Alcotest.(check int) "u32 le" 0x78563412 (Slice.get_u32_le_int s 0)
 
 let test_bounds () =
   let s = Slice.sub (Slice.of_string "abcdef") ~off:1 ~len:3 in
@@ -92,8 +91,9 @@ let prop_extract_offset_invariant =
 
 (* A rule whose content is cut from the payload itself, so windows that
    hit and windows that miss are both common.  Matching the packet
-   (whose payload is a view at a nonzero offset) must agree with
-   matching the same bytes as a string. *)
+   (decoded from a record embedded in junk, so its payload is a view at
+   a nonzero offset) must agree with matching the same bytes as a
+   string. *)
 let prop_rule_view_equals_string =
   QCheck2.Test.make ~name:"ruleset match on a payload view equals string match"
     ~count:500
@@ -116,17 +116,18 @@ let prop_rule_view_equals_string =
           contents = [ { Rule.pattern; nocase = false; offset; depth } ];
         }
       in
-      let pkt =
-        Packet.build_tcp ~ts:0.0 ~src:(Ipaddr.of_string "1.2.3.4")
-          ~dst:(Ipaddr.of_string "10.0.0.1") ~src_port:1 ~dst_port:2 ""
+      let raw =
+        Packet.to_bytes
+          (Packet.build_tcp ~ts:0.0 ~src:(Ipaddr.of_string "1.2.3.4")
+             ~dst:(Ipaddr.of_string "10.0.0.1") ~src_port:1 ~dst_port:2 p)
       in
       let viewed =
-        match pkt.Packet.l4 with
-        | Packet.Tcp_seg t ->
-            { pkt with l4 = Packet.Tcp_seg { t with payload = embedded p (j1, j2) } }
-        | _ -> assert false
+        Result.get_ok
+          (Sanids_ingest.Ingest.decode_record ~linktype:Sanids_pcap.Pcap.linktype_raw
+             { Sanids_pcap.Pcap.ts = 0.0; orig_len = String.length raw; data = embedded raw (j1, j2) })
       in
-      Rule.match_packet [ rule ] viewed = Rule.match_payload [ rule ] p)
+      Slice.offset (Packet.payload viewed) = String.length j1 + 40
+      && Rule.match_packet [ rule ] viewed = Rule.match_payload [ rule ] p)
 
 let prop_search_slice_equals_naive =
   QCheck2.Test.make ~name:"Search.find_slice is offset-invariant" ~count:500
@@ -262,17 +263,51 @@ let test_alloc_decode () =
      immediates, shared TCP flag records and the packet built without
      an intermediate result (checksums still verified), gated at 79.2,
      and 71.4 with the header checksum summed in place instead of over
-     a [Slice.sub] view; minor words are deterministic for the fixed
-     seed, so the bound is about 5% above that. *)
-  check_below "decode" 75.0 (decode_words ~linktype:Sanids_pcap.Pcap.linktype_raw)
+     a [Slice.sub] view (gated at 75.0).  With the headers checked in
+     place and one packet record built per record it reads 42.0; minor
+     words are deterministic for the fixed seed, so the bound is about
+     5% above that.  [Pcap.decode]'s framing (26.0 words a record) and
+     [ok_packets]' list (5) are in this window, so it cannot fall to the
+     11 of [decode_record] alone, gated below. *)
+  check_below "decode" 44.1 (decode_words ~linktype:Sanids_pcap.Pcap.linktype_raw)
 
 let test_alloc_decode_ethernet () =
   (* 115.7 while the link layer copied both hardware addresses into a
      decoded frame record; 79.4 reading the ethertype and the datagram
      by offset (gated at 83.4); 75.4 with the IPv4 header checksum summed
-     in place; the bound is about 5% above that *)
-  check_below "decode ethernet" 79.2
+     in place (gated at 79.2); 42.0 with the headers checked in place
+     and one packet record per record, the link layer allocating
+     nothing; the bound is about 5% above that *)
+  check_below "decode ethernet" 44.1
     (decode_words ~linktype:Sanids_pcap.Pcap.linktype_ethernet)
+
+(* [Ingest.decode_record] alone, over 4,000 benign records (seed
+   0x0B0B0B0B) framed as Ethernet beforehand, so [Pcap.decode]'s
+   framing and [ok_packets]' list are outside the window: the link
+   layer and the header checks.  The layered decoders read 44.4,
+   building an IPv4 record, a TCP or UDP record, three views, two boxed
+   sequence numbers and two results per record. *)
+let test_alloc_decode_record () =
+  let rng = Rng.create 0x0B0B0B0BL in
+  let n = 4000 in
+  let pkts = Workload.Benign_gen.packets rng ~n ~t0:0.0 ~clients ~servers in
+  let module Pcap = Sanids_pcap.Pcap in
+  let linktype = Pcap.linktype_ethernet in
+  let f = Result.get_ok (Pcap.decode (Pcap.encode ~linktype (Pcap.of_packets_ethernet pkts))) in
+  let records = f.Pcap.records and ok = ref 0 in
+  let w =
+    words_per ~n (fun () ->
+        List.iter
+          (fun r ->
+            match Sanids_ingest.Ingest.decode_record ~linktype r with
+            | Ok _ -> incr ok
+            | Error _ -> ())
+          records)
+  in
+  Alcotest.(check int) "all decoded" n !ok;
+  (* one packet record and its [Ok] per record: it reads 11.001 (the
+     [Ok] is 2 words, the packet 9), and the bound is about 5% above *)
+  check_below "decode_record" 11.6 w
 
 let test_alloc_replay () =
   let rng = Rng.create 0x0B0B0B0BL in
@@ -487,5 +522,6 @@ let () =
           Alcotest.test_case "gate and extract words/payload" `Quick test_alloc_gate_extract;
           Alcotest.test_case "scan memo never promoted" `Quick test_scan_promotes_nothing;
           Alcotest.test_case "decode ethernet words/packet" `Quick test_alloc_decode_ethernet;
+          Alcotest.test_case "decode_record words/record" `Quick test_alloc_decode_record;
         ] );
     ]

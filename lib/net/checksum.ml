@@ -13,13 +13,12 @@ external big_endian : unit -> bool = "%big_endian"
    words, then the odd byte zero-padded.  A window is summed as if it
    started at an even offset of the datagram, which holds for every
    caller (headers, and a pseudo-header of 12 bytes). *)
-let ones_complement_sub acc s ~off ~len =
-  if off < 0 || len < 0 || off + len > Slice.length s then
+let ones_complement_sub acc base ~off ~len =
+  if off < 0 || len < 0 || off + len > String.length base then
     invalid_arg "Checksum.ones_complement_sub";
-  let base = Slice.base s in
-  let hi = Slice.offset s + off + len in
+  let hi = off + len in
   let acc = ref acc in
-  let i = ref (Slice.offset s + off) in
+  let i = ref off in
   while !i + 8 <= hi do
     let w = get64u base !i in
     let w = if big_endian () then w else bswap64 w in
@@ -42,7 +41,8 @@ let ones_complement_sub acc s ~off ~len =
   done;
   lnot !acc land 0xFFFF
 
-let ones_complement acc s = ones_complement_sub acc s ~off:0 ~len:(Slice.length s)
+let ones_complement acc s =
+  ones_complement_sub acc (Slice.base s) ~off:(Slice.offset s) ~len:(Slice.length s)
 
 (* The pseudo-header's words: both halves of each address, the
    protocol (its high byte is the zero pad) and the length. *)

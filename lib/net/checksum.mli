@@ -14,10 +14,11 @@ val ones_complement : int -> Slice.t -> int
     summed as if it started at an even offset of its datagram,
     whatever its offset in the backing string. *)
 
-val ones_complement_sub : int -> Slice.t -> off:int -> len:int -> int
+val ones_complement_sub : int -> string -> off:int -> len:int -> int
 (** [ones_complement_sub acc s ~off ~len] is
-    [ones_complement acc (Slice.sub s ~off ~len)] without building the
-    view: how the packet decoder verifies each header in place.
+    [ones_complement acc (Slice.sub (Slice.of_string s) ~off ~len)]
+    without building a view: how the packet decoder verifies each
+    header where it sits in the record's backing string.
     @raise Invalid_argument when the range is not within [s]. *)
 
 val pseudo_header : src:int -> dst:int -> proto:int -> len:int -> int

@@ -33,8 +33,9 @@ let get32 s i = (get16 s i lsl 16) lor get16 s (i + 2)
 
 let ip_header = 20
 
+(* A word is stored, and summed, as its low 16 bits. *)
 let put_words b off words = Array.iteri (fun i w -> Bytes.set_uint16_be b (off + (2 * i)) w) words
-let sum_words = Array.fold_left ( + ) 0
+let sum_words = Array.fold_left (fun acc w -> acc + (w land 0xFFFF)) 0
 
 (* [l4] is the transport header, its checksum word [csum_at] zero. *)
 let build ~ts ~src ~dst ~proto ~ttl ~ident ~flags ~csum_at l4 payload =
@@ -95,8 +96,9 @@ let view ~ts base ~ip ~l4 ~proto ~flags payload_off payload_len =
   Ok { ts; base; ip_off = ip; l4_off = l4; payload_off; payload_len; proto; flags }
 
 let decode ~ts s ~off =
-  if off < 0 || off > Slice.length s then invalid_arg "Packet.decode: offset out of range";
-  let base = Slice.base s and ip = Slice.offset s + off and len = Slice.length s - off in
+  let n = Slice.length s in
+  if off < 0 || off > n then invalid_arg "Packet.decode: offset out of range";
+  let base = Slice.base s and ip = Slice.offset s + off and len = n - off in
   if len = 0 then Error (Ipv4_header "truncated")
   else
     let vi = get8 base ip in
@@ -107,7 +109,7 @@ let decode ~ts s ~off =
     else
       let total = get16 base (ip + 2) in
       if total < ihl || total > len then Error (Ipv4_header "bad total length")
-      else if Checksum.ones_complement_sub 0 s ~off ~len:ihl <> 0 then
+      else if Checksum.ones_complement_sub 0 base ~off:ip ~len:ihl <> 0 then
         Error (Ipv4_header "bad header checksum")
       else
         let proto = get8 base (ip + 9) in
@@ -118,8 +120,7 @@ let decode ~ts s ~off =
             let doff = (get8 base (l4 + 12) lsr 4) * 4 in
             if doff < 20 || doff > l4_len then Error (Tcp_segment "bad data offset")
             else if
-              Checksum.ones_complement_sub (pseudo base ip proto l4_len) s ~off:(off + ihl)
-                ~len:l4_len
+              Checksum.ones_complement_sub (pseudo base ip proto l4_len) base ~off:l4 ~len:l4_len
               <> 0
             then Error (Tcp_segment "bad checksum")
             else
@@ -132,8 +133,7 @@ let decode ~ts s ~off =
             else if
               (* a zero checksum field means "not computed" *)
               get16 base (l4 + 6) <> 0
-              && Checksum.ones_complement_sub (pseudo base ip proto ulen) s ~off:(off + ihl)
-                   ~len:ulen
+              && Checksum.ones_complement_sub (pseudo base ip proto ulen) base ~off:l4 ~len:ulen
                  <> 0
             then Error (Udp_datagram "bad checksum")
             else view ~ts base ~ip ~l4 ~proto ~flags:0 (l4 + 8) (ulen - 8)

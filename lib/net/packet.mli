@@ -56,10 +56,8 @@ val build_udp :
   string ->
   t
 
-type error =
-  | Ipv4_header of string
-  | Tcp_segment of string
-  | Udp_datagram of string  (** the rejecting layer and the defect *)
+type error = Ipv4_header of string | Tcp_segment of string | Udp_datagram of string
+(** The layer that rejected the datagram, and the defect. *)
 
 val decode : ts:float -> Slice.t -> off:int -> (t, error) result
 (** [decode ~ts s ~off] checks the IPv4 datagram from byte [off] of [s]

@@ -735,7 +735,7 @@ let prop_word_sum =
       let acc = Rng.int rng (max_pseudo_term + 1) in
       let expected = lnot (ref_fold (acc + ref_sum (String.sub s off len))) land 0xFFFF in
       Checksum.ones_complement acc (Slice.sub (Slice.of_string s) ~off ~len) = expected
-      && Checksum.ones_complement_sub acc (Slice.of_string s) ~off ~len = expected)
+      && Checksum.ones_complement_sub acc s ~off ~len = expected)
 
 (* The 32-bit boxed form the address used to be, kept as the reference
    for the immediate one. *)

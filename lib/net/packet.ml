@@ -15,15 +15,20 @@ let proto_tcp = 6
 let proto_udp = 17
 
 (* Header fields by offset.  The dev profile compiles with [-opaque],
-   so a reader from another module is a call on every use: the 16-bit
-   load and the byte swap are primitives declared here. *)
+   so a reader from another module is a call on every use: the loads
+   and byte swaps are primitives declared here. *)
 external get16ne : string -> int -> int = "%caml_string_get16"
+external get32ne : string -> int -> int32 = "%caml_string_get32"
 external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
 external big_endian : unit -> bool = "%big_endian"
 
 let get8 s i = Char.code (String.get s i)
 let get16 s i = if big_endian () then get16ne s i else bswap16 (get16ne s i)
-let get32 s i = (get16 s i lsl 16) lor get16 s (i + 2)
+
+let get32 s i =
+  let w = get32ne s i in
+  Int32.to_int (if big_endian () then w else bswap32 w) land 0xFFFF_FFFF
 
 (* ------------------------------------------------------------------ *)
 (* Building: the datagram is encoded once, and the packet is its view.

@@ -1,5 +1,6 @@
-(** RFC 1071 internet checksum: one running sum over slices, plus the
-    TCP/UDP pseudo-header as one arithmetic term.
+(** RFC 1071 internet checksum: one running sum over a slice or a
+    range of a string, plus the TCP/UDP pseudo-header as one arithmetic
+    term.
 
     The sum reads eight bytes per step (one unaligned big-endian 64-bit
     load, its two 32-bit halves added into a 63-bit accumulator), then
